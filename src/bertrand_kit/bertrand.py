@@ -22,12 +22,13 @@ from scipy import interpolate
 
 from .curves import (
     AnalyticCurve,
-    ArcLengthTable,
     Curve,
     EPS_REG,
     FrenetData,
     JetBackedCurve,
     SampledCurve,
+    _cross_jets,
+    _dot_jets,
     frenet_apparatus,
     slant_geodesic_indicator,
 )
@@ -46,9 +47,6 @@ EPS_G = 1e-10
 EPS_DEN = 1e-10
 TOL_ALIGN = 1e-6
 TOL_CONST = 1e-6
-
-# Gauss-Legendre nodes/weights on [-1, 1] for per-segment arc length
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +147,12 @@ def _frame_jets(base: Curve, t: float, order: int):
     P = base.jet(t, order + 2)
     D1 = tuple(p.deriv() for p in P)
     D2 = tuple(d.deriv() for d in D1)
-    V = jsqrt(D1[0] * D1[0] + D1[1] * D1[1] + D1[2] * D1[2])
-    C = (
-        D1[1] * D2[2] - D1[2] * D2[1],
-        D1[2] * D2[0] - D1[0] * D2[2],
-        D1[0] * D2[1] - D1[1] * D2[0],
-    )
-    Cn = jsqrt(C[0] * C[0] + C[1] * C[1] + C[2] * C[2])
+    V = jsqrt(_dot_jets(D1, D1))
+    C = _cross_jets(D1, D2)
+    Cn = jsqrt(_dot_jets(C, C))
     T = tuple(d / V for d in D1)
     B = tuple(c / Cn for c in C)
-    N = (
-        B[1] * T[2] - B[2] * T[1],
-        B[2] * T[0] - B[0] * T[2],
-        B[0] * T[1] - B[1] * T[0],
-    )
-    return P, T, N, B
+    return P, T, _cross_jets(B, T), B
 
 
 def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
@@ -216,17 +205,20 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
 # pair model and detection
 
 
-def _cumulative_arclength(curve: Curve, ts) -> ArcLengthTable:
-    """Composite Gauss-Legendre cumulative arc length at the given nodes."""
-    ts = np.asarray(ts, dtype=float)
-    segs = np.empty(len(ts) - 1)
-    for i in range(len(ts) - 1):
-        a, b = ts[i], ts[i + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = [curve.speed(mid + half * x) for x in _GL_X]
-        segs[i] = half * float(np.dot(_GL_W, vals))
-    s = np.concatenate(([0.0], np.cumsum(segs)))
-    return ArcLengthTable(t=ts, s=s)
+def _frenet_once(cache: dict, curve: Curve, side: str, t) -> FrenetData:
+    """frenet_apparatus of ``curve`` at t, memoized in ``cache`` under
+    (side, t); a singular point is memoized as the error it raised."""
+    key = (side, float(t))
+    fd = cache.get(key)
+    if fd is None:
+        try:
+            fd = frenet_apparatus(curve, t)
+        except SingularPointError as e:
+            fd = e
+        cache[key] = fd
+    if isinstance(fd, SingularPointError):
+        raise fd.with_traceback(None)
+    return fd
 
 
 @dataclass
@@ -245,6 +237,13 @@ class ConstancyStat:
 
 @dataclass
 class BertrandPairModel:
+    """A detected Bertrand pair: offset, sign, grid data and statistics.
+
+    The pair holds the Frenet data of both curves and reuses it:
+    ``frenet(side, t)`` evaluates the base or the mate at most once per
+    parameter value, starting from the points detection evaluated.
+    """
+
     base: Curve
     mate: Curve
     lam: float
@@ -254,8 +253,6 @@ class BertrandPairModel:
     fd_mate: list
     ri_base: list
     ri_mate: list
-    s_base: ArcLengthTable
-    s_mate: ArcLengthTable
     p1: ConstancyStat
     p2: ConstancyStat
     q1: ConstancyStat
@@ -263,6 +260,15 @@ class BertrandPairModel:
     lambda_stat: ConstancyStat
     degenerate: bool = False
     masked: np.ndarray = field(default=None)
+    _frenet: dict = field(default_factory=dict, init=False, repr=False)
+
+    def frenet(self, side: str, t) -> FrenetData:
+        """Frenet data of the base (side 'base') or the mate at t.
+
+        Raises SingularPointError at a singular point, every time.
+        """
+        curve = {"base": self.base, "mate": self.mate}[side]
+        return _frenet_once(self._frenet, curve, side, t)
 
     @property
     def masked_fraction(self):
@@ -297,19 +303,22 @@ def detect_bertrand(
     ``inset`` trims a fraction of the overlap interval at each end; useful
     for sampled curves whose end stencils are one-sided.  Raises
     NotAPairError with a reason of 'offset-not-normal', 'lambda-varies'
-    or 'normals-not-aligned'.
+    or 'normals-not-aligned'.  The returned pair keeps the Frenet data
+    evaluated here and reuses it through ``BertrandPairModel.frenet``.
     """
     ts = _overlap_grid(base, mate, n, inset=inset)
+    frenet = {}
     fd_b, fd_m = [], []
     masked = np.zeros(len(ts), dtype=bool)
     for i, t in enumerate(ts):
         try:
-            fd_b.append(frenet_apparatus(base, t))
-            fd_m.append(frenet_apparatus(mate, t))
+            fds = (_frenet_once(frenet, base, "base", t),
+                   _frenet_once(frenet, mate, "mate", t))
         except SingularPointError:
-            fd_b.append(None)
-            fd_m.append(None)
+            fds = (None, None)
             masked[i] = True
+        fd_b.append(fds[0])
+        fd_m.append(fds[1])
     valid = np.nonzero(~masked)[0]
     if len(valid) < max(8, n // 4):
         raise NotAPairError("offset-not-normal", "too few regular points")
@@ -364,7 +373,7 @@ def detect_bertrand(
     p1 = ConstancyStat.of([1.0 / math.sqrt(1.0 + g * g) for g in gt_vals])
     p2 = ConstancyStat.of([g / math.sqrt(1.0 + g * g) for g in gt_vals])
 
-    return BertrandPairModel(
+    pair = BertrandPairModel(
         base=base,
         mate=mate,
         lam=lam_mean,
@@ -374,8 +383,6 @@ def detect_bertrand(
         fd_mate=fd_m,
         ri_base=ri_b,
         ri_mate=ri_m,
-        s_base=_cumulative_arclength(base, ts),
-        s_mate=_cumulative_arclength(mate, ts),
         p1=p1,
         p2=p2,
         q1=q1,
@@ -384,12 +391,14 @@ def detect_bertrand(
         degenerate=degenerate,
         masked=masked,
     )
+    pair._frenet = frenet
+    return pair
 
 
 def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:
     """LHS of (kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m."""
-    fd = frenet_apparatus(pair.base, t)
-    fdm = frenet_apparatus(pair.mate, t)
+    fd = pair.frenet("base", t)
+    fdm = pair.frenet("mate", t)
     ri = ratio_invariants(fd)
     rim = ratio_invariants(fdm)
     if not (ri.g_defined and rim.g_defined):
@@ -481,12 +490,8 @@ def generate_bertrand_curve(
     def _u_jets(u, order):
         Cj = sphere_curve.jet(u, order)
         Dj = tuple(c.deriv() for c in Cj)
-        V = jsqrt(Dj[0] * Dj[0] + Dj[1] * Dj[1] + Dj[2] * Dj[2])
-        W = (
-            Cj[1] * Dj[2] - Cj[2] * Dj[1],
-            Cj[2] * Dj[0] - Cj[0] * Dj[2],
-            Cj[0] * Dj[1] - Cj[1] * Dj[0],
-        )
+        V = jsqrt(_dot_jets(Dj, Dj))
+        W = _cross_jets(Cj, Dj)
         # dgamma/du = a (V c + cot(omega) c x dc/du)
         G = tuple(a * (V * Cj[i] + cot * W[i]) for i in range(3))
         return V, G
@@ -522,16 +527,12 @@ def generate_bertrand_curve(
         u, k = _solve_u(t)
         Cj = sphere_curve.jet(u, internal)
         Dj = tuple(c.deriv() for c in Cj)
-        V = jsqrt(Dj[0] * Dj[0] + Dj[1] * Dj[1] + Dj[2] * Dj[2])
+        V = jsqrt(_dot_jets(Dj, Dj))
         s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
         u_jet = invert_series(s_jet)
         C = tuple(compose(Cj[i], u_jet) for i in range(3))  # c(u(t)) in t
         Cd = tuple(c.deriv() for c in C)
-        W = (
-            C[1] * Cd[2] - C[2] * Cd[1],
-            C[2] * Cd[0] - C[0] * Cd[2],
-            C[0] * Cd[1] - C[1] * Cd[0],
-        )
+        W = _cross_jets(C, Cd)
         Gp = tuple(a * (C[i] + cot * W[i]) for i in range(3))  # dgamma/dt
         out = []
         for comp in range(3):

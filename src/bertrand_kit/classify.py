@@ -18,11 +18,13 @@ import numpy as np
 from .bertrand import (
     BertrandPairModel,
     ConstancyStat,
+    _overlap_grid,
     pair_constraint_residual,
 )
 from .curves import (
     Curve,
     FrenetData,
+    cumulative_trapezoid,
     frenet_grid,
     slant_geodesic_indicator,
 )
@@ -37,7 +39,7 @@ from .indicatrix import (
     apparatus_grid,
     frame_relations_check,
     indicatrix_arclength_relations,
-    indicatrix_curve,
+    indicatrix_images,
 )
 
 TOL_PLANAR = 1e-8
@@ -201,20 +203,9 @@ class PairClass:
     evidence: dict
 
 
-def _overlap_ts(a: Curve, b: Curve, n: int):
-    lo = max(a.domain[0], b.domain[0])
-    hi = min(a.domain[1], b.domain[1])
-    if not lo < hi:
-        raise GridMismatchError(f"domains {a.domain} and {b.domain} do not overlap")
-    pad = 1e-6 * (hi - lo)
-    return np.linspace(lo + pad, hi - pad, n)
-
-
 def _arclength_fractions(curve: Curve, ts):
     """Cumulative arc-length fraction of each grid node (trapezoid rule)."""
-    speeds = np.array([curve.speed(t) for t in ts])
-    seg = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(ts)
-    s = np.concatenate(([0.0], np.cumsum(seg)))
+    s = cumulative_trapezoid(ts, [curve.speed(t) for t in ts])
     return s / s[-1]
 
 
@@ -231,17 +222,14 @@ def pair_classify(
     equal arc-length fractions, for pairs without a shared parameter.
     """
     if align == "arclength":
-        lo_a, hi_a = curveA.domain
-        lo_b, hi_b = curveB.domain
-        pad_a = 1e-6 * (hi_a - lo_a)
-        pad_b = 1e-6 * (hi_b - lo_b)
-        ts_a = np.linspace(lo_a + pad_a, hi_a - pad_a, n)
+        # each curve on its own domain, inset as for the overlap grid
+        ts_a = _overlap_grid(curveA, curveA, n)
         frac = _arclength_fractions(curveA, ts_a)
-        grid_b = np.linspace(lo_b + pad_b, hi_b - pad_b, 4 * n)
+        grid_b = _overlap_grid(curveB, curveB, 4 * n)
         frac_b = _arclength_fractions(curveB, grid_b)
         ts_b = np.interp(frac, frac_b, grid_b)
     else:
-        ts_a = _overlap_ts(curveA, curveB, n)
+        ts_a = _overlap_grid(curveA, curveB, n)
         ts_b = ts_a
 
     rows = []
@@ -529,12 +517,12 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
                note=f"flags={flags}")
 
     # closing negative result: no indicatrix pair classifies as a named pair
+    images_b = indicatrix_images(pair.base, max(64, n // 2))
+    images_m = indicatrix_images(pair.mate, max(64, n // 2))
     verdicts = []
     for axis_a in AXES:
-        ia = indicatrix_curve(pair.base, axis_a, max(64, n // 2))
-        ib = indicatrix_curve(pair.mate, axis_a, max(64, n // 2))
         try:
-            pc = pair_classify(ia, ib, n=64, align="arclength")
+            pc = pair_classify(images_b[axis_a], images_m[axis_a], n=64, align="arclength")
             verdicts.append(pc.verdict)
         except (TooFewSamplesError, GridMismatchError):
             verdicts.append("untestable")

@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .bertrand import (
     SPHERE_PRESETS,
 )
 from .classify import classify_curve, pair_classify, theorem_suite
-from .curves import frenet_apparatus, slant_geodesic_indicator
+from .curves import cumulative_trapezoid, frenet_apparatus, slant_geodesic_indicator
 from .errors import (
     DegenerateRatioError,
     DegenerateSphereCurveError,
@@ -88,6 +87,8 @@ IDENTITY_ENTRIES = (
 
 
 def thread_count() -> int:
+    """The validated BERTRAND_KIT_THREADS value.  All work is single-threaded,
+    so the value selects nothing; a bad value is still an input error."""
     raw = os.environ.get("BERTRAND_KIT_THREADS", "1")
     try:
         n = int(raw)
@@ -96,16 +97,6 @@ def thread_count() -> int:
     if n < 1:
         raise CurveFileError(f"BERTRAND_KIT_THREADS must be >= 1, got {n}")
     return n
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over a worker pool of BERTRAND_KIT_THREADS."""
-    n = thread_count()
-    items = list(items)
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(report: RunReport):
@@ -141,17 +132,13 @@ def cmd_frenet(args) -> int:
                 return None
             raise
 
-    fds = parallel_map(one, ts)
+    fds = [one(t) for t in ts]
     masked = np.array([fd is None for fd in fds])
-    s = 0.0
+    # arc length along the unmasked rows, bridging masked gaps
+    kept = [fd for fd in fds if fd is not None]
+    arc = cumulative_trapezoid([fd.t for fd in kept], [fd.speed for fd in kept])
     rows = []
-    prev = None
-    for t, fd in zip(ts, fds):
-        if fd is None:
-            continue
-        if prev is not None:
-            s += 0.5 * (prev[1] + fd.speed) * (t - prev[0])
-        prev = (t, fd.speed)
+    for fd, s in zip(kept, arc):
         rows.append(
             [fd.t, s, *fd.T, *fd.N, *fd.B, fd.kappa, fd.tau,
              fd.dkappa_ds, fd.dtau_ds, fd.d2kappa_ds2,
@@ -265,7 +252,7 @@ def cmd_indicatrix(args) -> int:
         except (SingularPointError, DegenerateRatioError):
             return None
 
-    samples = parallel_map(one, ts)
+    samples = [one(t) for t in ts]
     masked = np.array([s is None for s in samples])
     rows = []
     for t, pairres in zip(ts, samples):

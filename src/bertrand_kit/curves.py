@@ -182,14 +182,6 @@ class JetBackedCurve(Curve):
         self._check_domain(t)
         return self._jet_fn(t, order)
 
-    def as_sampled(self):
-        return SampledCurve(self.params, self.points, label=self.label)
-
-
-def curve_jet(curve, t, order):
-    """Component-wise jets of the curve at t (dispatches on representation)."""
-    return curve.jet(t, order)
-
 
 # ---------------------------------------------------------------------------
 # Frenet apparatus
@@ -207,10 +199,6 @@ class FrenetData:
     dkappa_ds: float
     dtau_ds: float
     d2kappa_ds2: float
-
-
-def _vec_jets(curve, t, order):
-    return curve.jet(t, order)
 
 
 def _cross_jets(a, b):
@@ -233,7 +221,7 @@ def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     come out alongside the values; arc-length derivatives follow by the
     chain rule.
     """
-    P = _vec_jets(curve, t, order)
+    P = curve.jet(t, order)
     D1 = tuple(p.deriv() for p in P)
     D2 = tuple(d.deriv() for d in D1)
     D3 = tuple(d.deriv() for d in D2)
@@ -301,6 +289,13 @@ def slant_geodesic_indicator(fd: FrenetData) -> float:
 
 # ---------------------------------------------------------------------------
 # arc length
+
+
+def cumulative_trapezoid(x, y):
+    """Cumulative trapezoid-rule integral of y over the nodes x, from 0."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
 
 
 def arc_length(curve, t0, t1, tol=1e-10):

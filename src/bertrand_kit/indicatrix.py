@@ -25,7 +25,7 @@ from .bertrand import (
     geodesic_indicator_closed_form,
     ratio_invariants,
 )
-from .curves import FrenetData, SampledCurve, frenet_apparatus
+from .curves import FrenetData, SampledCurve, cumulative_trapezoid, frenet_grid
 from .errors import DegenerateRatioError, SingularPointError
 
 AXES = ("tangent", "normal", "binormal")
@@ -59,23 +59,26 @@ class IndicatrixSample:
     ds_x_dt: float  # speed of the indicatrix in the shared parameter
 
 
+def indicatrix_images(curve, n) -> dict:
+    """The sampled spherical images of T, N and B, keyed by axis, from one
+    Frenet grid of n points over the domain; singular points dropped."""
+    lo, hi = curve.domain
+    fds = [fd for fd in frenet_grid(curve, np.linspace(lo, hi, n)) if fd is not None]
+    ts = np.array([fd.t for fd in fds])
+    return {
+        axis: SampledCurve(ts, np.array([getattr(fd, vec) for fd in fds]),
+                           label=f"{curve.label or 'curve'}:{axis}-image")
+        for axis, vec in zip(AXES, "TNB")
+    }
+
+
 def indicatrix_curve(curve, axis, n) -> SampledCurve:
     """Sampled spherical image of a Frenet vector; singular points dropped."""
-    lo, hi = curve.domain
-    ts = np.linspace(lo, hi, n)
-    pts = []
-    kept = []
-    for t in ts:
-        try:
-            fd = frenet_apparatus(curve, t)
-        except SingularPointError:
-            continue
-        v = {"tangent": fd.T, "normal": fd.N, "binormal": fd.B}[axis]
-        pts.append(v)
-        kept.append(t)
-    return SampledCurve(
-        np.array(kept), np.array(pts), label=f"{curve.label or 'curve'}:{axis}-image"
-    )
+    return indicatrix_images(curve, n)[axis]
+
+
+def _other_side(side: str) -> str:
+    return "mate" if side == "base" else "base"
 
 
 def _data_side(pair: BertrandPairModel, side: str, t: float):
@@ -84,8 +87,7 @@ def _data_side(pair: BertrandPairModel, side: str, t: float):
     Base-side indicatrix formulas consume mate quantities; mate-side
     formulas consume base quantities.
     """
-    src = pair.mate if side == "base" else pair.base
-    fd = frenet_apparatus(src, t)
+    fd = pair.frenet(_other_side(side), t)
     ri = ratio_invariants(fd)
     if not ri.g_defined:
         raise DegenerateRatioError(f"g undefined at t={t}")
@@ -302,12 +304,10 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
     following the displayed identity kappa^2 f' / (kappa' sqrt(1+g^2)).
     """
     ts = np.linspace(pair.ts[0], pair.ts[-1], n + 1)
-    src = pair.mate if side == "base" else pair.base
-    imaged = pair.base if side == "base" else pair.mate
 
     rows = []
     for t in ts:
-        fd = frenet_apparatus(src, t)
+        fd = pair.frenet(_other_side(side), t)
         ri = ratio_invariants(fd)
         if not ri.g_defined:
             raise DegenerateRatioError(f"g undefined at t={t}")
@@ -316,7 +316,7 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
         # c1 candidate via f' = kappa'(g - f)/kappa (arc-length primes)
         fprime = fd.dkappa_ds * (g - f) / k
         expr_c1 = k * k * fprime / (fd.dkappa_ds * wg)
-        fdi = frenet_apparatus(imaged, t)
+        fdi = pair.frenet(side, t)
         rows.append(
             (
                 fd.speed,  # d s_src / dt
@@ -329,16 +329,9 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
             )
         )
     r = np.array(rows)
-
-    def cum(y):
-        return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(ts))))
-
-    s_src = cum(r[:, 0])
-    s_tb = cum(r[:, 1])
-    s_n = cum(r[:, 2])
-    s_t_direct = cum(r[:, 4])
-    s_n_direct = cum(r[:, 5])
-    s_b_direct = cum(r[:, 6])
+    s_src, s_tb, s_n, _, s_t_direct, s_n_direct, s_b_direct = (
+        cumulative_trapezoid(ts, col) for col in r.T
+    )
     fit = _affine_fit(s_src, s_tb)
     expr_vals = r[:, 3]
     expr_mean = float(np.mean(expr_vals))

@@ -21,6 +21,11 @@ from .errors import BertrandKitError
 SCHEMA_VERSION = 1
 TOOL_VERSION = "bertrand-kit 1.0.0"
 
+# A curve rebuilt from file metadata replaces the stored samples only if
+# its nodes match them to this tolerance, relative to the largest stored
+# magnitude (at least 1).  Untouched generate/mate files match exactly.
+REBUILD_TOL = 1e-12
+
 
 class CurveFileError(BertrandKitError):
     """Malformed curve file."""
@@ -107,7 +112,8 @@ def _rebuild_from_metadata(meta):
 
     Sampled files written by the generator carry enough metadata to rerun
     it, which restores exact differentiation after a round trip instead
-    of falling back to finite-difference stencils.
+    of falling back to finite-difference stencils.  The caller checks the
+    rebuilt nodes against the stored samples.
     """
     if not isinstance(meta, dict):
         return None
@@ -139,6 +145,13 @@ def _rebuild_from_metadata(meta):
     return None
 
 
+def _matches_stored(rebuilt, stored) -> bool:
+    if rebuilt.shape != stored.shape:
+        return False
+    scale = max(1.0, float(np.max(np.abs(stored))))
+    return bool(np.all(np.abs(rebuilt - stored) <= REBUILD_TOL * scale))
+
+
 def curve_from_dict(d: dict) -> Curve:
     if not isinstance(d, dict) or "type" not in d:
         raise CurveFileError("curve file must be an object with a 'type' field")
@@ -166,7 +179,12 @@ def curve_from_dict(d: dict) -> Curve:
         if pts.ndim != 2 or pts.shape != (len(t), 3):
             raise CurveFileError("sampled arrays must be t:(n,), points:(n,3)")
         rebuilt = _rebuild_from_metadata(d.get("metadata"))
-        if rebuilt is not None:
+        # metadata never overrides the stored samples it disagrees with
+        if (
+            rebuilt is not None
+            and _matches_stored(rebuilt.params, t)
+            and _matches_stored(rebuilt.points, pts)
+        ):
             return rebuilt
         try:
             return SampledCurve(t, pts, label=label)

@@ -247,11 +247,6 @@ def jtan(u: Jet) -> Jet:
     return s / c
 
 
-def jatan2_like_norm(x: Jet, y: Jet, z: Jet) -> Jet:
-    """|(x,y,z)| as a jet."""
-    return jsqrt(x * x + y * y + z * z)
-
-
 def compose(outer: Jet, inner: Jet) -> Jet:
     """Jet of f(g(t)) where ``outer`` expands f about g(t0).
 

@@ -1,10 +1,12 @@
 """Pair construction, detection and the invariants they must satisfy."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from bertrand_kit import bertrand, curves, indicatrix
 from bertrand_kit.bertrand import (
     bertrand_lambda,
     construct_mate,
@@ -17,8 +19,10 @@ from bertrand_kit.bertrand import (
     sphere_preset,
     DEFAULT_OMEGA,
 )
+from bertrand_kit.classify import theorem_suite
 from bertrand_kit.curves import (
     AnalyticCurve,
+    Curve,
     SampledCurve,
     frenet_apparatus,
     slant_geodesic_indicator,
@@ -191,3 +195,47 @@ def test_gamma_matches_slant_indicator(pair_wobble):
         assert p.ri_base[i].Gamma == pytest.approx(
             slant_geodesic_indicator(p.fd_base[i]), abs=1e-10
         )
+
+
+def test_pair_evaluates_each_frenet_point_once(monkeypatch):
+    """Detection plus the identity suite evaluate the Frenet data of the
+    base or the mate at most once per parameter value, and detection asks
+    for no speed (it builds no arc-length table)."""
+    calls = Counter()
+    real_frenet = curves.frenet_apparatus
+
+    def counting_frenet(curve, t, *args, **kwargs):
+        calls[(curve, float(t))] += 1
+        return real_frenet(curve, t, *args, **kwargs)
+
+    for mod in (curves, bertrand, indicatrix):
+        if hasattr(mod, "frenet_apparatus"):
+            monkeypatch.setattr(mod, "frenet_apparatus", counting_frenet)
+
+    state = {"detecting": False, "speed_calls": 0}
+    real_speed = Curve.speed
+    real_detect = bertrand.detect_bertrand
+
+    def counting_speed(self, t):
+        state["speed_calls"] += state["detecting"]
+        return real_speed(self, t)
+
+    def detect(*args, **kwargs):
+        state["detecting"] = True
+        try:
+            return real_detect(*args, **kwargs)
+        finally:
+            state["detecting"] = False
+
+    monkeypatch.setattr(Curve, "speed", counting_speed)
+    monkeypatch.setattr(bertrand, "detect_bertrand", detect)
+
+    pair = generated_pair("wobble", n=64, grid=24)
+    theorem_suite(pair, n=24)
+    pair_calls = [c for (curve, _), c in calls.items()
+                  if curve is pair.base or curve is pair.mate]
+    assert max(pair_calls) == 1
+    # deterministic: 24 detection points, 23 more on the 25-point
+    # arc-length grid and 64 indicatrix-image points, per curve
+    assert len(pair_calls) <= 222
+    assert state["speed_calls"] == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bertrand_kit.cli import main
-from bertrand_kit.curves import AnalyticCurve
+from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve
 from bertrand_kit.io import dumps, load_curve, save_curve
 
 
@@ -180,7 +180,17 @@ def test_exit_singular_without_mask(capsys, tmp_path):
     rc, out, _ = run(capsys, ["frenet", str(f), "--grid", "9", "--mask"])
     assert rc == 0
     rep = json.loads(out)
-    assert rep["masked_intervals"]
+    assert rep["masked_intervals"] == [[0.0, 0.0]]
+    # the s column integrates the speed over the unmasked rows only,
+    # bridging the masked cusp at t = 0 with one trapezoid
+    cols = rep["results"]["columns"]
+    rows = np.array(rep["results"]["rows"])
+    t, s = rows[:, cols.index("t")], rows[:, cols.index("s")]
+    assert len(t) == 8 and 0.0 not in t
+    speed = np.sqrt((2 * t) ** 2 + (3 * t**2) ** 2 + (4 * t**3) ** 2)
+    expected = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(t))))
+    np.testing.assert_allclose(s, expected, rtol=1e-12, atol=0.0)
 
 
 def test_exit_degenerate_ratio_auto_lambda(workdir, capsys):
@@ -217,6 +227,22 @@ def test_curve_file_round_trip_byte_identical(workdir, tmp_path):
     save_curve(c, str(p1))
     save_curve(load_curve(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_keeps_stored_points_over_metadata(workdir, tmp_path):
+    stored = json.loads((workdir / "base.json").read_text())
+    untouched = load_curve(str(workdir / "base.json"))
+    assert isinstance(untouched, JetBackedCurve)
+    np.testing.assert_array_equal(untouched.points, stored["sampled"]["points"])
+    # the recipe in the metadata no longer describes the shifted samples
+    for p in stored["sampled"]["points"]:
+        p[0] += 5.0
+    f = tmp_path / "shifted.json"
+    f.write_text(dumps(stored))
+    c = load_curve(str(f))
+    assert isinstance(c, SampledCurve)
+    np.testing.assert_array_equal(c.points, stored["sampled"]["points"])
+    np.testing.assert_array_equal(c.params, stored["sampled"]["t"])
 
 
 def test_bad_threads_env(workdir, capsys, monkeypatch):
