@@ -474,7 +474,10 @@ def generate_bertrand_curve(
     curvature and torsion satisfy a*kappa + a*cot(omega)*tau = 1, so the
     normal offset by lambda = a produces a Bertrand mate.  Jets of the
     output are exact: the arc-length reparameterization is inverted by
-    series reversion at evaluation time.
+    series reversion at evaluation time.  The Newton solve for u(t) starts
+    from the seed-speed series of the walk node below t; each node's
+    series is built on first use and kept with the curve, so there are at
+    most ``n`` of them.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -487,14 +490,11 @@ def generate_bertrand_curve(
 
     walk_order = 10
 
-    def _u_jets(u, order):
+    def _seed_jets(u, order):
+        # seed c, dc/du and the seed's speed V = |dc/du|, as jets in u
         Cj = sphere_curve.jet(u, order)
         Dj = tuple(c.deriv() for c in Cj)
-        V = jsqrt(_dot_jets(Dj, Dj))
-        W = _cross_jets(Cj, Dj)
-        # dgamma/du = a (V c + cot(omega) c x dc/du)
-        G = tuple(a * (V * Cj[i] + cot * W[i]) for i in range(3))
-        return V, G
+        return Cj, Dj, jsqrt(_dot_jets(Dj, Dj))
 
     # node walk: accumulate t (arc length of c) and position by series steps
     t_nodes = np.empty(n + 1)
@@ -503,7 +503,10 @@ def generate_bertrand_curve(
     P_nodes[0] = 0.0
     for i in range(n):
         um = 0.5 * (us[i] + us[i + 1])
-        V, G = _u_jets(um, walk_order)
+        Cj, Dj, V = _seed_jets(um, walk_order)
+        W = _cross_jets(Cj, Dj)
+        # dgamma/du = a (V c + cot(omega) c x dc/du)
+        G = tuple(a * (V * Cj[j] + cot * W[j]) for j in range(3))
         SV = V.antideriv(0.0)
         t_nodes[i + 1] = t_nodes[i] + SV(us[i + 1]) - SV(us[i])
         for comp in range(3):
@@ -511,13 +514,18 @@ def generate_bertrand_curve(
             P_nodes[i + 1, comp] = P_nodes[i, comp] + SG(us[i + 1]) - SG(us[i])
 
     u_of_t = interpolate.PchipInterpolator(t_nodes, us)
+    # node k -> (V, its antiderivative through (us[k], t_nodes[k])), built
+    # on first use: at most n entries
+    node_series = {}
 
     def _solve_u(t):
         u = float(u_of_t(t))
         k = int(np.clip(np.searchsorted(t_nodes, t) - 1, 0, n - 1))
-        uk = us[k]
-        V, _G = _u_jets(uk, walk_order)
-        SV = V.antideriv(t_nodes[k])
+        series = node_series.get(k)
+        if series is None:
+            V = _seed_jets(us[k], walk_order)[2]
+            series = node_series[k] = (V, V.antideriv(t_nodes[k]))
+        V, SV = series
         for _ in range(4):
             u -= (SV(u) - t) / V(u)
         return u, k
@@ -525,9 +533,7 @@ def generate_bertrand_curve(
     def jet_fn(t, order):
         internal = max(order, 6)
         u, k = _solve_u(t)
-        Cj = sphere_curve.jet(u, internal)
-        Dj = tuple(c.deriv() for c in Cj)
-        V = jsqrt(_dot_jets(Dj, Dj))
+        Cj, Dj, V = _seed_jets(u, internal)
         s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
         u_jet = invert_series(s_jet)
         C = tuple(compose(Cj[i], u_jet) for i in range(3))  # c(u(t)) in t

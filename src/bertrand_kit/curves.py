@@ -30,7 +30,7 @@ from .errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from .jets import Jet, evaluate_jet, jsqrt
+from .jets import Jet, evaluate_jets, jsqrt
 
 EPS_REG = 1e-9
 DEFAULT_FRENET_ORDER = 6
@@ -71,13 +71,20 @@ class Curve:
 
 
 class AnalyticCurve(Curve):
+    """Curve of three expressions of ``t``, given as text or parsed ASTs.
+
+    The components are interned through one table (``expr.intern``), so
+    a subexpression they share, such as the normaliser of a seed
+    ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node, and ``jet``
+    evaluates it once per call with one ``evaluate_jets``.
+    """
+
     def __init__(self, x, y, z, domain, label=""):
-        if isinstance(x, str):
-            x = ex.parse_expression(x)
-        if isinstance(y, str):
-            y = ex.parse_expression(y)
-        if isinstance(z, str):
-            z = ex.parse_expression(z)
+        table = {}
+        x, y, z = (
+            ex.intern(ex.parse_expression(c) if isinstance(c, str) else c, table)
+            for c in (x, y, z)
+        )
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise ValueError("domain must satisfy t_lo < t_hi")
@@ -91,11 +98,7 @@ class AnalyticCurve(Curve):
 
     def jet(self, t, order):
         self._check_domain(t)
-        return (
-            evaluate_jet(self.x, t, order, max_order=max(order, 8)),
-            evaluate_jet(self.y, t, order, max_order=max(order, 8)),
-            evaluate_jet(self.z, t, order, max_order=max(order, 8)),
-        )
+        return evaluate_jets((self.x, self.y, self.z), t, order, max_order=max(order, 8))
 
 
 def fornberg_weights(z, x, m):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 
 from .errors import (
@@ -225,6 +226,42 @@ def constant_fold(node: ExprNode):
     if node.op == "mul":
         return v1 * v2
     return v1 / v2
+
+
+def _bits(value):
+    # the float's bit pattern, so 0.0 and -0.0 stay apart
+    return struct.pack("<d", value)
+
+
+def intern(node: ExprNode, table: dict) -> ExprNode:
+    """Return the one node in ``table`` equal to ``node``, adding it if new.
+
+    The tree is rebuilt bottom-up.  A node's key is its type, its op, the
+    bit pattern of its float field and the ids of its interned children,
+    so equal subtrees of every tree interned through one table become one
+    object, while ``Const(-0.0)`` stays apart from ``Const(0.0)``.
+    """
+    if isinstance(node, Const):
+        key = (Const, _bits(node.value))
+    elif isinstance(node, Var):
+        key = (Var,)
+    elif isinstance(node, Unary):
+        child = intern(node.child, table)
+        key = (Unary, node.op, id(child))
+        if child is not node.child:
+            node = Unary(node.op, child)
+    elif isinstance(node, PowConst):
+        base = intern(node.base, table)
+        key = (PowConst, _bits(node.exponent), id(base))
+        if base is not node.base:
+            node = PowConst(base, node.exponent)
+    else:
+        left = intern(node.left, table)
+        right = intern(node.right, table)
+        key = (Binary, node.op, id(left), id(right))
+        if left is not node.left or right is not node.right:
+            node = Binary(node.op, left, right)
+    return table.setdefault(key, node)
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4, "atom": 5}

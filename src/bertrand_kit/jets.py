@@ -149,9 +149,9 @@ def jexp(u: Jet) -> Jet:
     c = u.coeffs
     v = np.empty(n + 1)
     v[0] = math.exp(c[0])
+    jc = np.arange(1, n + 1) * c[1:]
     for k in range(1, n + 1):
-        j = np.arange(1, k + 1)
-        v[k] = np.dot(j * c[1 : k + 1], v[k - 1 :: -1][:k]) / k
+        v[k] = np.dot(jc[:k], v[k - 1 :: -1]) / k
     return Jet(u.basepoint, v)
 
 
@@ -224,11 +224,11 @@ def jsincos(u: Jet):
     co = np.empty(n + 1)
     s[0] = math.sin(c[0])
     co[0] = math.cos(c[0])
+    jc = np.arange(1, n + 1) * c[1:]
     for k in range(1, n + 1):
-        j = np.arange(1, k + 1)
-        ju = j * c[1 : k + 1]
-        s[k] = np.dot(ju, co[k - 1 :: -1][:k]) / k
-        co[k] = -np.dot(ju, s[k - 1 :: -1][:k]) / k
+        ju = jc[:k]
+        s[k] = np.dot(ju, co[k - 1 :: -1]) / k
+        co[k] = -np.dot(ju, s[k - 1 :: -1]) / k
     return Jet(u.basepoint, s), Jet(u.basepoint, co)
 
 
@@ -241,9 +241,12 @@ def jcos(u: Jet) -> Jet:
 
 
 def jtan(u: Jet) -> Jet:
-    s, c = jsincos(u)
+    return _tan_of(*jsincos(u))
+
+
+def _tan_of(s: Jet, c: Jet) -> Jet:
     if abs(c.coeffs[0]) < _TAN_COS_FLOOR:
-        raise DomainError(f"tan pole near t={u.basepoint}")
+        raise DomainError(f"tan pole near t={s.basepoint}")
     return s / c
 
 
@@ -297,44 +300,88 @@ def invert_series(fwd: Jet, value_at_base=None) -> Jet:
 
 def evaluate_jet(node: ex.ExprNode, t0: float, order: int, max_order: int = DEFAULT_MAX_ORDER) -> Jet:
     """Propagate a jet of the variable through an expression AST."""
+    return evaluate_jets((node,), t0, order, max_order)[0]
+
+
+def evaluate_jets(nodes, t0: float, order: int, max_order: int = DEFAULT_MAX_ORDER):
+    """Jets of several expression ASTs about one basepoint, as a tuple.
+
+    One memo keyed by node id serves every tree, so a subtree shared
+    within or across the trees (see ``expr.intern``) is evaluated once,
+    and ``sin``, ``cos`` and ``tan`` of one child share one ``jsincos``.
+    Each shared value is the same computation on the same operands, so
+    the coefficients equal those of evaluating each tree on its own.
+    Each result is checked for finiteness as soon as it is computed.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > max_order:
         raise OrderOverflowError(order, max_order)
-    result = _eval(node, Jet.variable(t0, order))
-    if not np.all(np.isfinite(result.coeffs)):
-        raise DomainError(f"non-finite jet coefficients at t={t0}")
-    return result
+    ev = _Evaluator(Jet.variable(t0, order))
+    results = []
+    for node in nodes:
+        result = ev(node)
+        if not np.all(np.isfinite(result.coeffs)):
+            raise DomainError(f"non-finite jet coefficients at t={t0}")
+        results.append(result)
+    return tuple(results)
 
 
 _FUNC = {
-    "sin": jsin,
-    "cos": jcos,
-    "tan": jtan,
     "exp": jexp,
     "log": jlog,
     "sqrt": jsqrt,
 }
 
 
-def _eval(node, tjet):
-    if isinstance(node, ex.Const):
-        return Jet.constant(node.value, tjet.basepoint, tjet.order)
-    if isinstance(node, ex.Var):
-        return tjet
-    if isinstance(node, ex.PowConst):
-        return jpow(_eval(node.base, tjet), node.exponent)
-    if isinstance(node, ex.Unary):
-        child = _eval(node.child, tjet)
-        if node.op == "neg":
-            return -child
-        return _FUNC[node.op](child)
-    left = _eval(node.left, tjet)
-    right = _eval(node.right, tjet)
-    if node.op == "add":
-        return left + right
-    if node.op == "sub":
-        return left - right
-    if node.op == "mul":
-        return left * right
-    return left / right
+class _Evaluator:
+    """Jets of AST nodes about one basepoint, each node evaluated once."""
+
+    def __init__(self, tjet):
+        self.tjet = tjet
+        self.memo = {}
+        self.sincos = {}
+
+    def __call__(self, node):
+        key = id(node)
+        jet = self.memo.get(key)
+        if jet is None:
+            jet = self.memo[key] = self._eval(node)
+        return jet
+
+    def _sincos(self, child):
+        key = id(child)
+        pair = self.sincos.get(key)
+        if pair is None:
+            pair = self.sincos[key] = jsincos(self(child))
+        return pair
+
+    def _eval(self, node):
+        tjet = self.tjet
+        if isinstance(node, ex.Const):
+            return Jet.constant(node.value, tjet.basepoint, tjet.order)
+        if isinstance(node, ex.Var):
+            return tjet
+        if isinstance(node, ex.PowConst):
+            return jpow(self(node.base), node.exponent)
+        if isinstance(node, ex.Unary):
+            op = node.op
+            if op == "sin":
+                return self._sincos(node.child)[0]
+            if op == "cos":
+                return self._sincos(node.child)[1]
+            if op == "tan":
+                return _tan_of(*self._sincos(node.child))
+            child = self(node.child)
+            if op == "neg":
+                return -child
+            return _FUNC[op](child)
+        left = self(node.left)
+        right = self(node.right)
+        if node.op == "add":
+            return left + right
+        if node.op == "sub":
+            return left - right
+        if node.op == "mul":
+            return left * right
+        return left / right

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bertrand_kit import bertrand, curves, indicatrix
+from bertrand_kit import bertrand, curves, indicatrix, jets
 from bertrand_kit.bertrand import (
     bertrand_lambda,
     construct_mate,
@@ -239,3 +239,38 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     # arc-length grid and 64 indicatrix-image points, per curve
     assert len(pair_calls) <= 222
     assert state["speed_calls"] == 0
+
+
+def test_wobble_jet_makes_two_sincos(monkeypatch):
+    """x, y and z of a preset seed share the normaliser and sin/cos of
+    each argument: one jet of wobble needs sin/cos of t and of 2t only."""
+    calls = Counter()
+    real = jets.jsincos
+
+    def counting(u):
+        calls["jsincos"] += 1
+        return real(u)
+
+    monkeypatch.setattr(jets, "jsincos", counting)
+    sphere_preset("wobble").jet(0.3, 10)
+    assert calls["jsincos"] <= 2
+
+
+def test_generator_builds_each_node_series_once():
+    """The generator's walk asks the seed for one order-10 jet per step
+    and its Newton solve at most one per node, whatever the number of
+    evaluations of the base, its mate, detection and the suite."""
+    seed = sphere_preset("wobble")
+    real_jet = seed.jet
+    orders = Counter()
+
+    def counting_jet(t, order):
+        orders[order] += 1
+        return real_jet(t, order)
+
+    seed.jet = counting_jet
+    n = 64
+    base = generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
+    pair = detect_bertrand(base, construct_mate(base, 1.0, n=n), n=24)
+    theorem_suite(pair, n=24)
+    assert sum(c for order, c in orders.items() if order >= 10) <= 2 * n

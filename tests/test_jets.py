@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bertrand_kit import expr as ex
+from bertrand_kit.bertrand import sphere_preset
+from bertrand_kit.curves import AnalyticCurve
 from bertrand_kit.errors import DomainError
 from bertrand_kit.jets import (
     Jet,
     compose,
     evaluate_jet,
+    evaluate_jets,
     invert_series,
     jcos,
     jexp,
@@ -170,3 +173,79 @@ def test_pythagorean_identity_all_orders(x):
     one = s * s + c * c
     assert one.coeffs[0] == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(one.coeffs[1:], 0.0, atol=1e-13)
+
+
+# the four analytic families of the benchmark's Frenet tables, one
+# parameter choice each
+FAMILY_TEXTS = {
+    "helix": (("2.5*cos(t)", "2.5*sin(t)", "1.3*t"), (0.0, 6.0)),
+    "twisted_cubic": (("0.7*t", "1.2*t^2", "1.9*t^3"), (-1.0, 1.0)),
+    "conical_helix": (
+        ("exp(0.2*t)*cos(t)", "exp(0.2*t)*sin(t)", "1.1*exp(0.2*t)"),
+        (0.0, 6.0),
+    ),
+    "trefoil": (
+        ("sin(t) + 2.1*sin(2*t)", "cos(t) - 2.1*cos(2*t)", "-sin(3*t)"),
+        (0.0, 6.0),
+    ),
+}
+
+
+def _interned_and_plain(name):
+    if name in FAMILY_TEXTS:
+        texts, domain = FAMILY_TEXTS[name]
+        curve = AnalyticCurve(*texts, domain)
+    else:
+        curve = sphere_preset(name)
+        texts = [ex.to_text(c) for c in (curve.x, curve.y, curve.z)]
+    return curve, [ex.parse_expression(text) for text in texts]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["wobble", "tilt", "bean", "smallcircle", "greatcircle", *FAMILY_TEXTS],
+)
+def test_shared_evaluation_is_exact(name):
+    """Jets of the interned components, evaluated together, equal the
+    jets of each separately parsed component, bit for bit."""
+    curve, plain = _interned_and_plain(name)
+    nodes = (curve.x, curve.y, curve.z)
+    assert list(nodes) == plain  # interning keeps the structure
+    lo, hi = curve.domain
+    for t in (lo, 0.7 * lo + 0.3 * hi, 0.5 * (lo + hi), hi):
+        for order in range(11):
+            shared = evaluate_jets(nodes, t, order, max_order=10)
+            assert len(shared) == 3
+            for got, node in zip(shared, plain):
+                ref = evaluate_jet(node, t, order, max_order=10)
+                assert np.array_equal(got.coeffs, ref.coeffs)
+            for got, ref in zip(curve.jet(t, order), shared):
+                assert np.array_equal(got.coeffs, ref.coeffs)
+
+
+def test_intern_shares_the_normaliser():
+    curve = sphere_preset("wobble")
+    assert curve.x.right is curve.y.right is curve.z.right
+    # sin(t) of y is the one in the normaliser's y^2 term
+    assert curve.x.right.child.left.right.base is curve.y.left
+
+
+def test_intern_keeps_signed_zeros_apart():
+    table = {}
+    node = ex.intern(ex.Binary("add", ex.Const(-0.0), ex.Const(0.0)), table)
+    assert node.left is not node.right
+    assert math.copysign(1.0, node.left.value) == -1.0
+    pw = ex.intern(ex.Binary("mul", ex.PowConst(ex.Var(), -0.0), ex.PowConst(ex.Var(), 0.0)),
+                   table)
+    assert pw.left is not pw.right
+    assert pw.left.base is pw.right.base
+    assert ex.intern(ex.Const(-0.0), table) is node.left
+    assert ex.intern(ex.Const(0.0), table) is node.right
+
+
+def test_evaluate_jets_checks_each_component():
+    with pytest.raises(DomainError):
+        evaluate_jets((ex.parse_expression("t"), ex.parse_expression("log(t)")), -1.0, 2)
+    with pytest.raises(DomainError, match="tan pole"):
+        evaluate_jets((ex.parse_expression("sin(t)"), ex.parse_expression("tan(t)")),
+                      math.pi / 2, 2)
