@@ -29,7 +29,8 @@ from .curves import (
     SampledCurve,
     _cross_jets,
     _dot_jets,
-    frenet_apparatus,
+    _frenet_columns,
+    frenet_grid,
     slant_geodesic_indicator,
 )
 from .errors import (
@@ -142,8 +143,9 @@ def geodesic_indicator_closed_form(fd: FrenetData, ri: RatioInvariants, side: st
 # jet helpers for the normal offset
 
 
-def _frame_jets(base: Curve, t: float, order: int):
-    """Jets of (position, T, N, B) to the given order (needs order+2 base jets)."""
+def _frame_jets(base: Curve, t, order: int):
+    """Jets of (position, T, N, B) to the given order (needs order+2 base
+    jets), at a float t or at each t of a 1-D array."""
     P = base.jet(t, order + 2)
     D1 = tuple(p.deriv() for p in P)
     D2 = tuple(d.deriv() for d in D1)
@@ -167,24 +169,16 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     label = f"{base.label or 'curve'}+{lam}*N"
 
     if isinstance(base, SampledCurve):
-        pts = np.empty((len(ts), 3))
-        keep = np.ones(len(ts), dtype=bool)
-        for i, t in enumerate(ts):
-            try:
-                fd = frenet_apparatus(base, t, order=4)
-                pts[i] = base.point(t) + lam * fd.N
-            except SingularPointError:
-                keep[i] = False
-        return SampledCurve(ts[keep], pts[keep], label=label)
+        fds = frenet_grid(base, ts, order=4)
+        keep = np.array([fd is not None for fd in fds], dtype=bool)
+        normals = np.array([fd.N for fd in fds if fd is not None]).reshape(-1, 3)
+        return SampledCurve(ts[keep], base.point(ts[keep]).T + lam * normals, label=label)
 
     def mate_jet(t, order):
         P, _T, N, _B = _frame_jets(base, t, order)
         return tuple((P[i] + lam * N[i]).truncate(order) for i in range(3))
 
-    pts = np.empty((len(ts), 3))
-    for i, t in enumerate(ts):
-        xj, yj, zj = mate_jet(t, 0)
-        pts[i] = (xj.coeffs[0], yj.coeffs[0], zj.coeffs[0])
+    pts = np.array([j.coeffs[0] for j in mate_jet(ts, 0)]).T
     meta = {"generator": "normal-offset", "lambda": lam, "n": n}
     base_meta = getattr(base, "metadata", None) or {}
     if base_meta.get("generator") == "bertrand":
@@ -205,20 +199,19 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
 # pair model and detection
 
 
-def _frenet_once(cache: dict, curve: Curve, side: str, t) -> FrenetData:
-    """frenet_apparatus of ``curve`` at t, memoized in ``cache`` under
-    (side, t); a singular point is memoized as the error it raised."""
-    key = (side, float(t))
-    fd = cache.get(key)
-    if fd is None:
-        try:
-            fd = frenet_apparatus(curve, t)
-        except SingularPointError as e:
-            fd = e
-        cache[key] = fd
-    if isinstance(fd, SingularPointError):
-        raise fd.with_traceback(None)
-    return fd
+def _frenet_fill(cache: dict, curve: Curve, side: str, ts) -> list:
+    """Frenet data of ``curve`` at each t, memoized in ``cache`` under
+    (side, t).  The points not held yet are evaluated in one batch; a
+    singular point is held, and returned, as the error it raised."""
+    keys = [(side, float(t)) for t in ts]
+    missing = [key for key in dict.fromkeys(keys) if key not in cache]
+    if missing:
+        cache.update(zip(missing, _frenet_columns(curve, [t for _, t in missing])))
+    return [cache[key] for key in keys]
+
+
+def _regular(fds) -> np.ndarray:
+    return np.array([not isinstance(fd, SingularPointError) for fd in fds], dtype=bool)
 
 
 @dataclass
@@ -240,8 +233,9 @@ class BertrandPairModel:
     """A detected Bertrand pair: offset, sign, grid data and statistics.
 
     The pair holds the Frenet data of both curves and reuses it:
-    ``frenet(side, t)`` evaluates the base or the mate at most once per
-    parameter value, starting from the points detection evaluated.
+    ``frenet(side, t)`` and ``frenet_grid(side, ts)`` evaluate the base
+    or the mate at most once per parameter value, starting from the
+    points detection evaluated, and a grid's new points in one batch.
     """
 
     base: Curve
@@ -267,8 +261,19 @@ class BertrandPairModel:
 
         Raises SingularPointError at a singular point, every time.
         """
+        fd = self._fill(side, [t])[0]
+        if isinstance(fd, SingularPointError):
+            raise fd.with_traceback(None)
+        return fd
+
+    def frenet_grid(self, side: str, ts) -> list:
+        """Frenet data of one side at each t of ``ts``, None where singular."""
+        return [None if isinstance(fd, SingularPointError) else fd
+                for fd in self._fill(side, ts)]
+
+    def _fill(self, side, ts):
         curve = {"base": self.base, "mate": self.mate}[side]
-        return _frenet_once(self._frenet, curve, side, t)
+        return _frenet_fill(self._frenet, curve, side, ts)
 
     @property
     def masked_fraction(self):
@@ -308,24 +313,18 @@ def detect_bertrand(
     """
     ts = _overlap_grid(base, mate, n, inset=inset)
     frenet = {}
-    fd_b, fd_m = [], []
-    masked = np.zeros(len(ts), dtype=bool)
-    for i, t in enumerate(ts):
-        try:
-            fds = (_frenet_once(frenet, base, "base", t),
-                   _frenet_once(frenet, mate, "mate", t))
-        except SingularPointError:
-            fds = (None, None)
-            masked[i] = True
-        fd_b.append(fds[0])
-        fd_m.append(fds[1])
-    valid = np.nonzero(~masked)[0]
+    ok = _regular(_frenet_fill(frenet, base, "base", ts))
+    # the mate only where the base is regular: a normal offset's frame
+    # needs the base's
+    ok[ok] = _regular(_frenet_fill(frenet, mate, "mate", ts[ok]))
+    masked = ~ok
+    fd_b = [frenet[("base", float(t))] if k else None for t, k in zip(ts, ok)]
+    fd_m = [frenet[("mate", float(t))] if k else None for t, k in zip(ts, ok)]
+    valid = np.nonzero(ok)[0]
     if len(valid) < max(8, n // 4):
         raise NotAPairError("offset-not-normal", "too few regular points")
 
-    offsets = np.array(
-        [mate.point(ts[i]) - base.point(ts[i]) for i in valid]
-    )
+    offsets = mate.point(ts[valid]).T - base.point(ts[valid]).T
     norms = np.linalg.norm(offsets, axis=1)
     scale = max(float(np.max(norms)), 0.0)
     degenerate = scale < 1e-12
@@ -416,15 +415,8 @@ def linear_relation_fit(curve: Curve, n: int = 64):
     if n < 8:
         raise ValueError("n must be >= 8")
     lo, hi = curve.domain
-    ts = np.linspace(lo, hi, n)
-    rows = []
-    for t in ts:
-        try:
-            fd = frenet_apparatus(curve, t)
-            rows.append((fd.kappa, fd.tau))
-        except SingularPointError:
-            continue
-    A = np.array(rows)
+    fds = frenet_grid(curve, np.linspace(lo, hi, n))
+    A = np.array([(fd.kappa, fd.tau) for fd in fds if fd is not None])
     if len(A) < 8:
         raise IllConditionedError("too few regular samples")
     # constant kappa and tau leave a one-parameter family of solutions
@@ -443,20 +435,16 @@ def linear_relation_fit(curve: Curve, n: int = 64):
 
 
 def _sphere_checks(sphere_curve: Curve, probes):
-    kg = []
-    for u in probes:
-        xj, yj, zj = sphere_curve.jet(u, 2)
-        p = np.array([xj.coeffs[0], yj.coeffs[0], zj.coeffs[0]])
-        d1 = np.array([xj.coeffs[1], yj.coeffs[1], zj.coeffs[1]])
-        d2 = 2.0 * np.array([xj.coeffs[2], yj.coeffs[2], zj.coeffs[2]])
-        r = np.linalg.norm(p)
-        if abs(r - 1.0) > 1e-8:
-            raise NotSphericalError(f"|c({u})| = {r}, not on the unit sphere")
-        v = np.linalg.norm(d1)
-        if v < 1e-9:
+    jets = sphere_curve.jet(probes, 2)
+    p, d1, half_d2 = (np.array([j.coeffs[k] for j in jets]).T for k in range(3))
+    r = np.linalg.norm(p, axis=1)
+    v = np.linalg.norm(d1, axis=1)
+    for u, r_u, v_u in zip(probes, r, v):
+        if abs(r_u - 1.0) > 1e-8:
+            raise NotSphericalError(f"|c({u})| = {r_u}, not on the unit sphere")
+        if v_u < 1e-9:
             raise DegenerateSphereCurveError(f"sphere curve irregular at u={u}")
-        kg.append(float(np.dot(np.cross(p, d1), d2)) / v**3)
-    kg = np.asarray(kg)
+    kg = np.sum(np.cross(p, d1) * (2.0 * half_d2), axis=1) / v**3
     spread = np.max(kg) - np.min(kg)
     if spread < 1e-8 * (1.0 + np.max(np.abs(kg))):
         raise DegenerateSphereCurveError(
@@ -496,38 +484,40 @@ def generate_bertrand_curve(
         Dj = tuple(c.deriv() for c in Cj)
         return Cj, Dj, jsqrt(_dot_jets(Dj, Dj))
 
-    # node walk: accumulate t (arc length of c) and position by series steps
-    t_nodes = np.empty(n + 1)
-    P_nodes = np.empty((n + 1, 3))
-    t_nodes[0] = 0.0
-    P_nodes[0] = 0.0
-    for i in range(n):
-        um = 0.5 * (us[i] + us[i + 1])
-        Cj, Dj, V = _seed_jets(um, walk_order)
-        W = _cross_jets(Cj, Dj)
-        # dgamma/du = a (V c + cot(omega) c x dc/du)
-        G = tuple(a * (V * Cj[j] + cot * W[j]) for j in range(3))
-        SV = V.antideriv(0.0)
-        t_nodes[i + 1] = t_nodes[i] + SV(us[i + 1]) - SV(us[i])
-        for comp in range(3):
-            SG = G[comp].antideriv(0.0)
-            P_nodes[i + 1, comp] = P_nodes[i, comp] + SG(us[i + 1]) - SG(us[i])
+    # node walk: accumulate t (arc length of c) and position by series
+    # steps, the series of every step from one batch at the midpoints
+    Cj, Dj, V = _seed_jets(0.5 * (us[:-1] + us[1:]), walk_order)
+    W = _cross_jets(Cj, Dj)
+    # dgamma/du = a (V c + cot(omega) c x dc/du)
+    G = tuple(a * (V * Cj[j] + cot * W[j]) for j in range(3))
+
+    def walk(rate):
+        A = rate.antideriv(0.0)
+        return np.concatenate(([0.0], np.cumsum(A(us[1:]) - A(us[:-1]))))
+
+    t_nodes = walk(V)
+    P_nodes = np.stack([walk(g) for g in G], axis=1)
 
     u_of_t = interpolate.PchipInterpolator(t_nodes, us)
-    # node k -> (V, its antiderivative through (us[k], t_nodes[k])), built
-    # on first use: at most n entries
-    node_series = {}
+    # columns k: the seed speed V about us[k] and its antiderivative
+    # through (us[k], t_nodes[k]), built for a node on first use
+    V_nodes = np.empty((walk_order, n))
+    S_nodes = np.empty((walk_order + 1, n))
+    built = np.zeros(n, dtype=bool)
 
     def _solve_u(t):
-        u = float(u_of_t(t))
-        k = int(np.clip(np.searchsorted(t_nodes, t) - 1, 0, n - 1))
-        series = node_series.get(k)
-        if series is None:
-            V = _seed_jets(us[k], walk_order)[2]
-            series = node_series[k] = (V, V.antideriv(t_nodes[k]))
-        V, SV = series
+        u = u_of_t(t)
+        k = np.clip(np.searchsorted(t_nodes, t) - 1, 0, n - 1)
+        new = np.unique(k[~built[k]])
+        if len(new):
+            V = _seed_jets(us[new], walk_order)[2]
+            V_nodes[:, new] = V.coeffs
+            S_nodes[:, new] = V.antideriv(t_nodes[new]).coeffs
+            built[new] = True
+        V = Jet(us[k], V_nodes[:, k])
+        SV = Jet(us[k], S_nodes[:, k])
         for _ in range(4):
-            u -= (SV(u) - t) / V(u)
+            u = u - (SV(u) - t) / V(u)
         return u, k
 
     def jet_fn(t, order):
@@ -543,10 +533,8 @@ def generate_bertrand_curve(
         out = []
         for comp in range(3):
             A = Gp[comp].antideriv(0.0)
-            coeffs = A.coeffs.copy()
             # integration constant from the nearest walk node
-            coeffs[0] = P_nodes[k, comp] - A(t_nodes[k])
-            out.append(Jet(t, coeffs[: order + 1]))
+            out.append(A.with_constant(P_nodes[k, comp] - A(t_nodes[k])).truncate(order))
         return tuple(out)
 
     meta = {
@@ -596,24 +584,17 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
     )
     lo, hi = domain
     ss = np.linspace(lo, hi, n + 1)
-    phi_nodes = np.empty(n + 1)
-    phi_nodes[0] = 0.0
-    for i in range(n):
-        sm = 0.5 * (ss[i] + ss[i + 1])
-        rate_jet = phi_rate.jet(sm, 8)[0]
-        A = rate_jet.antideriv(0.0)
-        phi_nodes[i + 1] = phi_nodes[i] + A(ss[i + 1]) - A(ss[i])
+    A = phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)[0].antideriv(0.0)
+    phi_nodes = np.concatenate(([0.0], np.cumsum(A(ss[1:]) - A(ss[:-1]))))
 
     m2 = m * m
 
     def jet_fn(s, order):
         internal = max(order, 6)
-        k = int(np.clip(np.searchsorted(ss, s) - 1, 0, n - 1))
-        rate_jet = phi_rate.jet(s, internal)[0]
-        A = rate_jet.antideriv(0.0)
+        k = np.clip(np.searchsorted(ss, s) - 1, 0, n - 1)
+        A = phi_rate.jet(s, internal)[0].antideriv(0.0)
         # phi(s) = phi_nodes[k] + int_{ss[k]}^{s} rate, via the local series
-        phi_val = phi_nodes[k] - A(ss[k])
-        phi_jet = Jet(s, np.concatenate(([phi_val], A.coeffs[1:])))
+        phi_jet = A.with_constant(phi_nodes[k] - A(ss[k]))
         sj = Jet.variable(s, phi_jet.order)
         r_jet = jsqrt(1.0 - m2 * sj * sj)
         sphi, cphi = jsincos(phi_jet)
@@ -622,10 +603,8 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
         z = m * sj
         return (x.truncate(order), y.truncate(order), z.truncate(order))
 
-    pts = np.empty((n + 1, 3))
-    for i, s in enumerate(ss):
-        r = math.sqrt(1.0 - m2 * s * s)
-        pts[i] = (r * math.cos(phi_nodes[i]), r * math.sin(phi_nodes[i]), m * s)
+    r = np.sqrt(1.0 - m2 * ss * ss)
+    pts = np.stack([r * np.cos(phi_nodes), r * np.sin(phi_nodes), m * ss], axis=1)
     return JetBackedCurve(jet_fn, ss, pts, label=label, metadata={"m": m})
 
 

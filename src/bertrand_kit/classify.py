@@ -111,7 +111,7 @@ def classify_curve(
     tau_max = max(abs(fd.tau) for fd in valid)
     f_dev = _relative_deviation([fd.tau / fd.kappa for fd in valid])
     gamma_dev = _relative_deviation([slant_geodesic_indicator(fd) for fd in valid])
-    pts = np.array([curve.point(fd.t) for fd in valid])
+    pts = curve.point(np.array([fd.t for fd in valid])).T
     _, radius, sph_resid = sphere_fit(pts)
     metrics = {
         "tau_max": tau_max,
@@ -164,32 +164,20 @@ def _condition_scale(fd: FrenetData, ri) -> float:
     )
 
 
-def helix_condition_residual(fd_tilde: FrenetData, ri_tilde) -> float:
+def condition_residual(fd_tilde: FrenetData, ri_tilde) -> float:
     """Normalized residual of kappa'' kappa f^2 - 3 kappa'^2 g f + kappa'' kappa - 3 kappa'^2.
 
     Vanishing marks the tangent (equivalently binormal) indicatrix as a
-    spherical helix.  Quantities belong to the side opposite the imaged
-    curve, matching the closed-form convention.
+    spherical helix, and equally the principal-normal indicatrix as
+    planar: both conditions are this one polynomial.  Quantities belong
+    to the side opposite the imaged curve, matching the closed-form
+    convention.
     """
     if not ri_tilde.g_defined:
         raise DegenerateRatioError(f"g undefined at t={ri_tilde.t}")
     k, kp, kpp = fd_tilde.kappa, fd_tilde.dkappa_ds, fd_tilde.d2kappa_ds2
     f, g = ri_tilde.f, ri_tilde.g
     lhs = kpp * k * f * f - 3.0 * kp * kp * g * f + kpp * k - 3.0 * kp * kp
-    return float(lhs / _condition_scale(fd_tilde, ri_tilde))
-
-
-def planar_condition_residual(fd_tilde: FrenetData, ri_tilde) -> float:
-    """Normalized residual of kappa kappa'' f^2 - 3 kappa'^2 g f - (3 kappa'^2 - kappa kappa'').
-
-    Vanishing marks the principal-normal indicatrix as planar; the
-    expression is algebraically identical to the helix condition.
-    """
-    if not ri_tilde.g_defined:
-        raise DegenerateRatioError(f"g undefined at t={ri_tilde.t}")
-    k, kp, kpp = fd_tilde.kappa, fd_tilde.dkappa_ds, fd_tilde.d2kappa_ds2
-    f, g = ri_tilde.f, ri_tilde.g
-    lhs = k * kpp * f * f - 3.0 * kp * kp * g * f - (3.0 * kp * kp - k * kpp)
     return float(lhs / _condition_scale(fd_tilde, ri_tilde))
 
 
@@ -205,7 +193,7 @@ class PairClass:
 
 def _arclength_fractions(curve: Curve, ts):
     """Cumulative arc-length fraction of each grid node (trapezoid rule)."""
-    s = cumulative_trapezoid(ts, [curve.speed(t) for t in ts])
+    s = cumulative_trapezoid(ts, curve.speed(ts))
     return s / s[-1]
 
 
@@ -232,17 +220,16 @@ def pair_classify(
         ts_a = _overlap_grid(curveA, curveB, n)
         ts_b = ts_a
 
-    rows = []
-    for ta, tb in zip(ts_a, ts_b):
-        fa = frenet_grid(curveA, [ta])[0]
-        fb = frenet_grid(curveB, [tb])[0]
-        if fa is None or fb is None:
-            continue
-        rows.append((fa, fb, curveB.point(tb) - curveA.point(ta)))
+    rows = [
+        (i, fa, fb)
+        for i, (fa, fb) in enumerate(zip(frenet_grid(curveA, ts_a), frenet_grid(curveB, ts_b)))
+        if fa is not None and fb is not None
+    ]
     if len(rows) < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(f"{len(rows)} regular sample pairs of {n}")
 
-    D = np.array([r[2] for r in rows])
+    kept = [r[0] for r in rows]
+    D = curveB.point(ts_b[kept]).T - curveA.point(ts_a[kept]).T
     scale = max(float(np.max(np.linalg.norm(D, axis=1))), 1e-30)
 
     def direction_test(axis_vecs, partner_vecs):
@@ -259,11 +246,11 @@ def pair_classify(
         axis_dev = float(np.max(1.0 - np.array(dots)))
         return off_dev, axis_dev, ConstancyStat.of(np.abs(lam))
 
-    NA = [r[0].N for r in rows]
-    BA = [r[0].B for r in rows]
-    TA = [r[0].T for r in rows]
-    NB = [r[1].N for r in rows]
-    TB = [r[1].T for r in rows]
+    NA = [r[1].N for r in rows]
+    BA = [r[1].B for r in rows]
+    TA = [r[1].T for r in rows]
+    NB = [r[2].N for r in rows]
+    TB = [r[2].T for r in rows]
 
     ev = {}
     off, ax, lam = direction_test(NA, NB)
@@ -486,24 +473,19 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     report.add("teo33", max(gamma_dev.values()), tol("teo33", math.inf), mf,
                passed=agree15, note="mate-side mirror of teo15")
 
-    # th8/th17 and th11: shared condition residual, checked for agreement
+    # th8/th17 and th11: one condition residual, checked for agreement
     # with the indicatrix-level flags
-    helix_res = max(
-        abs(helix_condition_residual(fdm, rm)) for _, fdm, _, rm in rows
-    )
-    planar_res = max(
-        abs(planar_condition_residual(fdm, rm)) for _, fdm, _, rm in rows
-    )
+    cond_res = max(abs(condition_residual(fdm, rm)) for _, fdm, _, rm in rows)
     tol_cond = tol("tol_condition", 1e-3)
-    cond_true = helix_res < tol_cond
+    cond_true = cond_res < tol_cond
     ind_true = sph_helix[("base", "tangent")]["deviation"] < tol_ih
-    report.add("th8", helix_res, tol_cond, mf, passed=cond_true == ind_true,
+    report.add("th8", cond_res, tol_cond, mf, passed=cond_true == ind_true,
                note="residual attached to the iff against the tangent image")
-    report.add("th17", helix_res, tol_cond, mf, passed=cond_true == ind_true,
+    report.add("th17", cond_res, tol_cond, mf, passed=cond_true == ind_true,
                note="same expression, binormal image")
     normal_planar = tau_n_rel["base"] < tol("tol_normal_planar", 1e-4)
-    report.add("th11", planar_res, tol_cond, mf,
-               passed=(planar_res < tol_cond) == normal_planar,
+    report.add("th11", cond_res, tol_cond, mf,
+               passed=cond_true == normal_planar,
                note="algebraically identical to th8; planar-normal-image reading")
 
     # cr18: equivalence matrix of the three booleans

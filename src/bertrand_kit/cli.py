@@ -28,7 +28,12 @@ from .bertrand import (
     SPHERE_PRESETS,
 )
 from .classify import classify_curve, pair_classify, theorem_suite
-from .curves import cumulative_trapezoid, frenet_apparatus, slant_geodesic_indicator
+from .curves import (
+    cumulative_trapezoid,
+    frenet_apparatus,
+    frenet_grid,
+    slant_geodesic_indicator,
+)
 from .errors import (
     DegenerateRatioError,
     DegenerateSphereCurveError,
@@ -45,7 +50,7 @@ from .errors import (
     UnknownFunctionError,
 )
 from .indicatrix import (
-    indicatrix_apparatus,
+    apparatus_grid,
     indicatrix_arclength_relations,
     indicatrix_curve,
 )
@@ -123,16 +128,12 @@ def cmd_frenet(args) -> int:
         ts = np.linspace(lo, hi, args.grid)
         report.parameters["grid"] = args.grid
 
-    def one(t):
-        try:
-            fd = frenet_apparatus(curve, t, order=max(args.order, 6))
-            return fd
-        except SingularPointError:
-            if args.mask:
-                return None
-            raise
-
-    fds = [one(t) for t in ts]
+    order = max(args.order, 6)
+    fds = frenet_grid(curve, ts, order=order)
+    if not args.mask:
+        for t, fd in zip(ts, fds):
+            if fd is None:
+                frenet_apparatus(curve, t, order=order)  # raises the point's error
     masked = np.array([fd is None for fd in fds])
     # arc length along the unmasked rows, bridging masked gaps
     kept = [fd for fd in fds if fd is not None]
@@ -244,21 +245,13 @@ def cmd_indicatrix(args) -> int:
     image = indicatrix_curve(src, axis, args.n)
     ts = np.linspace(pair.ts[0], pair.ts[-1], args.n)
 
-    def one(t):
-        try:
-            s = indicatrix_apparatus(pair, side, axis, t)
-            fdi = frenet_apparatus(image, t)
-            return (s, fdi)
-        except (SingularPointError, DegenerateRatioError):
-            return None
-
-    samples = [one(t) for t in ts]
-    masked = np.array([s is None for s in samples])
+    samples = apparatus_grid(pair, side, axis, ts)
+    direct = frenet_grid(image, ts)
+    masked = np.array([s is None or fdi is None for s, fdi in zip(samples, direct)])
     rows = []
-    for t, pairres in zip(ts, samples):
-        if pairres is None:
+    for t, s, fdi, skip in zip(ts, samples, direct, masked):
+        if skip:
             continue
-        s, fdi = pairres
         gap_k = abs(abs(s.kappa_image) - fdi.kappa) / max(abs(fdi.kappa), 1e-30)
         gap_t = abs(abs(s.tau_image) - abs(fdi.tau)) / max(abs(fdi.tau), 1e-30)
         rows.append(

@@ -30,7 +30,7 @@ from .errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from .jets import Jet, evaluate_jets, jsqrt
+from .jets import Jet, _first, evaluate_jets, jsqrt
 
 EPS_REG = 1e-9
 DEFAULT_FRENET_ORDER = 6
@@ -41,7 +41,13 @@ DEFAULT_FRENET_ORDER = 6
 
 
 class Curve:
-    """Common interface: a labelled map t -> R^3 on a closed interval."""
+    """Common interface: a labelled map t -> R^3 on a closed interval.
+
+    ``jet``, ``point``, ``velocity`` and ``speed`` take a float, or a 1-D
+    array of parameter values to get every point from one request: jets
+    then carry one coefficient column per value, points and velocities
+    come as (3, N) and speeds as (N,).
+    """
 
     label: str
 
@@ -55,8 +61,12 @@ class Curve:
 
     def _check_domain(self, t):
         lo, hi = self.domain
-        if not (lo - 1e-12 <= t <= hi + 1e-12):
-            raise OutOfDomainError(f"t={t} outside [{lo}, {hi}] of curve {self.label!r}")
+        ts = np.asarray(t)
+        inside = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
+        if not inside.all():
+            raise OutOfDomainError(
+                f"t={_first(~inside, t)} outside [{lo}, {hi}] of curve {self.label!r}"
+            )
 
     def point(self, t):
         xj, yj, zj = self.jet(t, 0)
@@ -67,7 +77,15 @@ class Curve:
         return np.array([xj.coeffs[1], yj.coeffs[1], zj.coeffs[1]])
 
     def speed(self, t):
-        return float(np.linalg.norm(self.velocity(t)))
+        return np.linalg.norm(self.velocity(t), axis=0)
+
+
+def _per_point(jet_fn, t, order):
+    """``jet_fn(ts, order)``, which takes a 1-D array, at ``t``; a float t
+    gets jets about that one basepoint."""
+    if np.ndim(t):
+        return jet_fn(np.asarray(t, dtype=float), order)
+    return tuple(j.column(0) for j in jet_fn(np.array([t], dtype=float), order))
 
 
 class AnalyticCurve(Curve):
@@ -76,7 +94,8 @@ class AnalyticCurve(Curve):
     The components are interned through one table (``expr.intern``), so
     a subexpression they share, such as the normaliser of a seed
     ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node, and ``jet``
-    evaluates it once per call with one ``evaluate_jets``.
+    evaluates it once per call with one ``evaluate_jets``, for one
+    parameter value or a whole grid.
     """
 
     def __init__(self, x, y, z, domain, label=""):
@@ -104,30 +123,34 @@ class AnalyticCurve(Curve):
 def fornberg_weights(z, x, m):
     """Finite-difference weights for derivatives 0..m at z on nodes x.
 
-    Returns an array of shape (m+1, len(x)); row k gives the weights of
-    the k-th derivative.  Fornberg's recursive algorithm.
+    For one point (z a number, x of shape (n,)) returns an array of shape
+    (m+1, n); row k gives the weights of the k-th derivative.  For N
+    points (z of shape (N,), x of shape (N, n)) returns (N, m+1, n), each
+    point through the same operations as alone.  Fornberg's recursive
+    algorithm.
     """
+    z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    c = np.zeros((m + 1, n))
+    n = x.shape[-1]
+    c = np.zeros(z.shape + (m + 1, n))
     c1 = 1.0
-    c4 = x[0] - z
-    c[0, 0] = 1.0
+    c4 = x[..., 0] - z
+    c[..., 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[..., i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+                    c[..., k, i] = c1 * (k * c[..., k - 1, i - 1] - c5 * c[..., k, i - 1]) / c2
+                c[..., 0, i] = -c1 * c5 * c[..., 0, i - 1] / c2
             for k in range(mn, 0, -1):
-                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
+                c[..., k, j] = (c4 * c[..., k, j] - k * c[..., k - 1, j]) / c3
+            c[..., 0, j] = c4 * c[..., 0, j] / c3
         c1 = c2
     return c
 
@@ -156,19 +179,28 @@ class SampledCurve(Curve):
 
     def jet(self, t, order):
         self._check_domain(t)
-        width = max(self.MIN_SAMPLES, order + 3)
-        width = min(width, len(self.params))
-        i = int(np.searchsorted(self.params, t))
-        lo = max(0, min(i - width // 2, len(self.params) - width))
-        idx = slice(lo, lo + width)
-        w = fornberg_weights(t, self.params[idx], order)
-        derivs = w @ self.points[idx]  # (order+1, 3)
+        return _per_point(self._stencil_jets, t, order)
+
+    def _stencil_jets(self, ts, order):
+        # each point's stencil: `width` consecutive samples around it
+        n = len(self.params)
+        width = min(max(self.MIN_SAMPLES, order + 3), n)
+        i = np.searchsorted(self.params, ts)
+        lo = np.maximum(0, np.minimum(i - width // 2, n - width))
+        idx = lo[:, None] + np.arange(width)
+        w = fornberg_weights(ts, self.params[idx], order)
+        derivs = np.matmul(w, self.points[idx])  # (N, order+1, 3)
         fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-        return tuple(Jet(t, derivs[:, comp] / fact) for comp in range(3))
+        coeffs = derivs / fact[:, None]
+        return tuple(Jet(ts, coeffs[:, :, comp].T) for comp in range(3))
 
 
 class JetBackedCurve(Curve):
-    """Curve defined by an exact jet provider with a dense sample table."""
+    """Curve defined by an exact jet provider with a dense sample table.
+
+    ``jet_fn(ts, order)`` takes a 1-D array of parameter values and
+    returns (x, y, z) jets with one coefficient column per value.
+    """
 
     def __init__(self, jet_fn, params, points, label="", metadata=None):
         self._jet_fn = jet_fn
@@ -183,7 +215,7 @@ class JetBackedCurve(Curve):
 
     def jet(self, t, order):
         self._check_domain(t)
-        return self._jet_fn(t, order)
+        return _per_point(self._jet_fn, t, order)
 
 
 # ---------------------------------------------------------------------------
@@ -216,65 +248,93 @@ def _dot_jets(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
-    """Frame, curvature, torsion and their arc-length derivatives at t.
+def _take(jets, idx):
+    return tuple(j.take(idx) for j in jets)
+
+
+def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
+    """Frenet data at every t of ``ts`` from one jet request of the curve.
+
+    A singular t gets, in place of its data, the SingularPointError that
+    ``frenet_apparatus`` raises there.  The regularity floors are applied
+    column by column, and a flagged column leaves the batch before any
+    denominator could vanish in it.
 
     kappa = |g' x g''| / |g'|^3 and tau = <g' x g'', g'''> / |g' x g''|^2
     are evaluated in jet arithmetic so that their parameter derivatives
     come out alongside the values; arc-length derivatives follow by the
     chain rule.
     """
-    P = curve.jet(t, order)
-    D1 = tuple(p.deriv() for p in P)
-    D2 = tuple(d.deriv() for d in D1)
-    D3 = tuple(d.deriv() for d in D2)
+    ts = np.asarray(ts, dtype=float)
+    out = [None] * len(ts)
+    if not len(ts):
+        return out
+    D1 = tuple(p.deriv() for p in curve.jet(ts, order))
     v2 = _dot_jets(D1, D1)
-    if not np.isfinite(v2.coeffs[0]) or v2.coeffs[0] < eps_reg * eps_reg:
-        raise SingularPointError(f"speed below regularity floor at t={t}")
+    slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= eps_reg * eps_reg))
+    for i in np.flatnonzero(slow):
+        out[i] = SingularPointError(f"speed below regularity floor at t={ts[i]}")
+    keep = np.flatnonzero(~slow)
+    D1, v2 = _take(D1, keep), v2.take(keep)
     speed_jet = jsqrt(v2)
-    v = speed_jet.coeffs[0]
-    C = _cross_jets(D1, D2)
+    C = _cross_jets(D1, tuple(d.deriv() for d in D1))
     c2 = _dot_jets(C, C)
-    if c2.coeffs[0] < (eps_reg * v * v) ** 2:
-        raise SingularPointError(f"curvature below regularity floor at t={t}")
+    v = speed_jet.coeffs[0]
+    flat = c2.coeffs[0] < (eps_reg * v * v) ** 2
+    for i in keep[flat]:
+        out[i] = SingularPointError(f"curvature below regularity floor at t={ts[i]}")
+    sub = np.flatnonzero(~flat)
+    keep = keep[sub]
+    D1, C = _take(D1, sub), _take(C, sub)
+    c2, speed_jet = c2.take(sub), speed_jet.take(sub)
+    D3 = tuple(d.deriv().deriv() for d in D1)
     cnorm = jsqrt(c2)
     kappa_jet = cnorm / (speed_jet * speed_jet * speed_jet)
     tau_jet = _dot_jets(C, D3) / c2
 
-    kappa = kappa_jet.coeffs[0]
-    tau = tau_jet.coeffs[0]
+    v = speed_jet.coeffs[0]
     kdot = kappa_jet.coeffs[1]
     kddot = 2.0 * kappa_jet.coeffs[2]
-    taudot = tau_jet.coeffs[1]
     vdot = speed_jet.coeffs[1]
+    d2kappa = (kddot * v - kdot * vdot) / v**3
+    dkappa = kdot / v
+    dtau = tau_jet.coeffs[1] / v
+    T = np.ascontiguousarray((np.array([d.coeffs[0] for d in D1]) / v).T)
+    B = np.ascontiguousarray((np.array([c.coeffs[0] for c in C]) / cnorm.coeffs[0]).T)
+    N = np.cross(B, T)
+    for j, i in enumerate(keep):
+        out[i] = FrenetData(
+            t=float(ts[i]),
+            speed=float(v[j]),
+            T=T[j],
+            N=N[j],
+            B=B[j],
+            kappa=float(kappa_jet.coeffs[0, j]),
+            tau=float(tau_jet.coeffs[0, j]),
+            dkappa_ds=float(dkappa[j]),
+            dtau_ds=float(dtau[j]),
+            d2kappa_ds2=float(d2kappa[j]),
+        )
+    return out
 
-    Tv = np.array([d.coeffs[0] for d in D1]) / v
-    Bv = np.array([c.coeffs[0] for c in C]) / cnorm.coeffs[0]
-    Nv = np.cross(Bv, Tv)
 
-    return FrenetData(
-        t=float(t),
-        speed=float(v),
-        T=Tv,
-        N=Nv,
-        B=Bv,
-        kappa=float(kappa),
-        tau=float(tau),
-        dkappa_ds=float(kdot / v),
-        dtau_ds=float(taudot / v),
-        d2kappa_ds2=float((kddot * v - kdot * vdot) / v**3),
-    )
+def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
+    """Frame, curvature, torsion and their arc-length derivatives at t:
+    the one-point case of ``_frenet_columns``.  Raises SingularPointError
+    at a singular point."""
+    fd = _frenet_columns(curve, np.array([t], dtype=float), order=order, eps_reg=eps_reg)[0]
+    if isinstance(fd, SingularPointError):
+        raise fd
+    return fd
 
 
 def frenet_grid(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
-    """frenet_apparatus over a grid; singular points become None entries."""
-    out = []
-    for t in ts:
-        try:
-            out.append(frenet_apparatus(curve, t, order=order, eps_reg=eps_reg))
-        except SingularPointError:
-            out.append(None)
-    return out
+    """Frenet data over a grid from one jet request of the curve; singular
+    points become None entries."""
+    return [
+        None if isinstance(fd, SingularPointError) else fd
+        for fd in _frenet_columns(curve, ts, order=order, eps_reg=eps_reg)
+    ]
 
 
 def slant_geodesic_indicator(fd: FrenetData) -> float:

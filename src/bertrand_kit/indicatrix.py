@@ -210,6 +210,7 @@ def binormal_indicatrix_apparatus(pair, side, t):
 
 def apparatus_grid(pair: BertrandPairModel, side: str, axis: str, ts):
     """Closed-form samples over a grid; degenerate points become None."""
+    pair.frenet_grid(_other_side(side), ts)
     out = []
     for t in ts:
         try:
@@ -228,6 +229,8 @@ def frame_relations_check(pair: BertrandPairModel, n: int = 64) -> dict:
     lo = pair.ts[0]
     hi = pair.ts[-1]
     ts = np.linspace(lo, hi, n)
+    pair.frenet_grid("base", ts)
+    pair.frenet_grid("mate", ts)
     eps = pair.epsilon
     report = {}
     masked = 0
@@ -281,9 +284,8 @@ def _affine_fit(x, y) -> AffineFit:
 class ArcLengthRelations:
     ts: np.ndarray
     s_src: np.ndarray  # arc length of the data-side curve (s* for base side)
-    s_t: np.ndarray
     s_n: np.ndarray
-    s_b: np.ndarray
+    s_b: np.ndarray  # also the closed-form tangent-image arc length
     s_t_direct: np.ndarray  # integral of |T'| along the imaged curve
     s_n_direct: np.ndarray  # integral of |N'|
     s_b_direct: np.ndarray  # integral of |B'|
@@ -304,6 +306,8 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
     following the displayed identity kappa^2 f' / (kappa' sqrt(1+g^2)).
     """
     ts = np.linspace(pair.ts[0], pair.ts[-1], n + 1)
+    pair.frenet_grid("base", ts)
+    pair.frenet_grid("mate", ts)
 
     rows = []
     for t in ts:
@@ -345,7 +349,6 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
     return ArcLengthRelations(
         ts=ts,
         s_src=s_src,
-        s_t=s_tb.copy(),
         s_n=s_n,
         s_b=s_tb,
         s_t_direct=s_t_direct,

@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bertrand_kit import bertrand, curves, indicatrix, jets
+from bertrand_kit import bertrand, curves, jets
 from bertrand_kit.bertrand import (
     bertrand_lambda,
+    mate_apparatus_from_base,
     construct_mate,
     detect_bertrand,
     generate_bertrand_curve,
@@ -23,6 +24,7 @@ from bertrand_kit.classify import theorem_suite
 from bertrand_kit.curves import (
     AnalyticCurve,
     Curve,
+    JetBackedCurve,
     SampledCurve,
     frenet_apparatus,
     slant_geodesic_indicator,
@@ -197,22 +199,47 @@ def test_gamma_matches_slant_indicator(pair_wobble):
         )
 
 
+@pytest.mark.parametrize("pair_name", ["pair_wobble", "pair_tilt"])
+def test_mate_apparatus_from_base_matches_detected_mate(pair_name, request):
+    """The mate's frame, curvature, torsion and arc-length rate in closed
+    form from base data agree with the mate's own Frenet data.  The closed
+    form measures the mate's arc length in the direction of the sign of
+    ds_mate_ds; reversing a curve flips T and B and keeps N, kappa, tau."""
+    p = request.getfixturevalue(pair_name)
+    for i in p.valid_indices():
+        fd, fdm = p.fd_base[i], p.fd_mate[i]
+        m = mate_apparatus_from_base(fd, p.ri_base[i], p.epsilon)
+        sigma = math.copysign(1.0, m.ds_mate_ds)
+        # measured worst cases over both pairs: 2.1e-15 (T), 6.1e-15 (N),
+        # 6.0e-15 (B), 7.4e-15 (kappa), 7.0e-14 (tau), 1.8e-15 (ds), relative
+        # to 1 for the unit vectors and to the mate's values otherwise
+        assert np.max(np.abs(m.T - sigma * fdm.T)) < 1e-13
+        assert np.max(np.abs(m.N - fdm.N)) < 1e-13
+        assert np.max(np.abs(m.B - sigma * fdm.B)) < 1e-13
+        assert abs(m.kappa - fdm.kappa) < 1e-13 * fdm.kappa
+        assert abs(m.tau - fdm.tau) < 1e-12 * abs(fdm.tau)
+        rate = fdm.speed / fd.speed
+        assert abs(abs(m.ds_mate_ds) - rate) < 1e-13 * rate
+
+
 def test_pair_evaluates_each_frenet_point_once(monkeypatch):
-    """Detection plus the identity suite evaluate the Frenet data of the
-    base or the mate at most once per parameter value, and detection asks
-    for no speed (it builds no arc-length table)."""
-    calls = Counter()
-    real_frenet = curves.frenet_apparatus
-
-    def counting_frenet(curve, t, *args, **kwargs):
-        calls[(curve, float(t))] += 1
-        return real_frenet(curve, t, *args, **kwargs)
-
-    for mod in (curves, bertrand, indicatrix):
-        if hasattr(mod, "frenet_apparatus"):
-            monkeypatch.setattr(mod, "frenet_apparatus", counting_frenet)
-
+    """Detection plus the identity suite ask the base or the mate for its
+    Frenet jets at most once per parameter value; detection asks each
+    curve for jets a fixed few times, whatever the grid, and asks for no
+    speed (it builds no arc-length table)."""
     state = {"detecting": False, "speed_calls": 0}
+    frenet_points = Counter()  # (curve, t) at the Frenet order
+    detect_calls = Counter()  # curve -> jet requests during detection
+    real_jet = JetBackedCurve.jet
+
+    def counting_jet(self, t, order):
+        if order == curves.DEFAULT_FRENET_ORDER:
+            for x in np.atleast_1d(t):
+                frenet_points[(self, float(x))] += 1
+        if state["detecting"]:
+            detect_calls[self] += 1
+        return real_jet(self, t, order)
+
     real_speed = Curve.speed
     real_detect = bertrand.detect_bertrand
 
@@ -227,17 +254,22 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
         finally:
             state["detecting"] = False
 
+    monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
     monkeypatch.setattr(Curve, "speed", counting_speed)
     monkeypatch.setattr(bertrand, "detect_bertrand", detect)
 
     pair = generated_pair("wobble", n=64, grid=24)
     theorem_suite(pair, n=24)
-    pair_calls = [c for (curve, _), c in calls.items()
-                  if curve is pair.base or curve is pair.mate]
-    assert max(pair_calls) == 1
+    pair_points = [c for (curve, _), c in frenet_points.items()
+                   if curve is pair.base or curve is pair.mate]
+    assert max(pair_points) == 1
     # deterministic: 24 detection points, 23 more on the 25-point
     # arc-length grid and 64 indicatrix-image points, per curve
-    assert len(pair_calls) <= 222
+    assert len(pair_points) <= 222
+    # base: its Frenet grid, its points, and the mate's frame jets and
+    # points; mate: its Frenet grid and its points
+    assert detect_calls[pair.base] <= 4
+    assert detect_calls[pair.mate] <= 2
     assert state["speed_calls"] == 0
 
 
@@ -262,10 +294,10 @@ def test_generator_builds_each_node_series_once():
     evaluations of the base, its mate, detection and the suite."""
     seed = sphere_preset("wobble")
     real_jet = seed.jet
-    orders = Counter()
+    points = Counter()  # seed points requested, by order
 
     def counting_jet(t, order):
-        orders[order] += 1
+        points[order] += np.size(t)
         return real_jet(t, order)
 
     seed.jet = counting_jet
@@ -273,4 +305,4 @@ def test_generator_builds_each_node_series_once():
     base = generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
     pair = detect_bertrand(base, construct_mate(base, 1.0, n=n), n=24)
     theorem_suite(pair, n=24)
-    assert sum(c for order, c in orders.items() if order >= 10) <= 2 * n
+    assert sum(c for order, c in points.items() if order >= 10) <= 2 * n

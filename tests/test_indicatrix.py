@@ -141,8 +141,8 @@ def test_tangent_arclength_form_is_binormal_rate(pair_wobble):
     """The shared closed-form rate reproduces the binormal image speed,
     not the tangent image speed, whenever the two differ."""
     rel = indicatrix_arclength_relations(pair_wobble, "base", n=128)
-    assert np.max(np.abs(np.abs(rel.s_t) - rel.s_b_direct)) < 1e-9
-    assert np.max(np.abs(np.abs(rel.s_t) - rel.s_t_direct)) > 1e-3
+    assert np.max(np.abs(np.abs(rel.s_b) - rel.s_b_direct)) < 1e-9
+    assert np.max(np.abs(np.abs(rel.s_b) - rel.s_t_direct)) > 1e-3
 
 
 def test_normal_image_values_direct(pair_wobble):

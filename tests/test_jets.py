@@ -249,3 +249,82 @@ def test_evaluate_jets_checks_each_component():
     with pytest.raises(DomainError, match="tan pole"):
         evaluate_jets((ex.parse_expression("sin(t)"), ex.parse_expression("tan(t)")),
                       math.pi / 2, 2)
+
+
+# Taylor recurrences on Python floats, one basepoint at a time, in the
+# textbook order; the jets sum the same terms in another order
+def _ref_mul(a, b):
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
+
+
+def _ref_div(a, b):
+    q = []
+    for k in range(len(a)):
+        q.append((a[k] - sum(q[j] * b[k - j] for j in range(k))) / b[0])
+    return q
+
+
+def _ref_sqrt(c):
+    w = [math.sqrt(c[0])]
+    for k in range(1, len(c)):
+        w.append((c[k] - sum(w[j] * w[k - j] for j in range(1, k))) / (2.0 * w[0]))
+    return w
+
+
+def _ref_exp(c):
+    v = [math.exp(c[0])]
+    for k in range(1, len(c)):
+        v.append(sum(j * c[j] * v[k - j] for j in range(1, k + 1)) / k)
+    return v
+
+
+def _ref_log(c):
+    v = [math.log(c[0])]
+    for k in range(1, len(c)):
+        acc = k * c[k] - sum(j * v[j] * c[k - j] for j in range(1, k))
+        v.append(acc / (k * c[0]))
+    return v
+
+
+def _ref_pow(c, r):
+    w = [c[0] ** r]
+    for k in range(1, len(c)):
+        acc = sum((r * j - (k - j)) * c[j] * w[k - j] for j in range(1, k + 1))
+        w.append(acc / (k * c[0]))
+    return w
+
+
+def _ref_sincos(c):
+    s, co = [math.sin(c[0])], [math.cos(c[0])]
+    for k in range(1, len(c)):
+        s.append(sum(j * c[j] * co[k - j] for j in range(1, k + 1)) / k)
+        co.append(-sum(j * c[j] * s[k - j] for j in range(1, k + 1)) / k)
+    return s, co
+
+
+def test_recurrences_match_scalar_reference():
+    """Each batched recurrence against its one-point reference on floats,
+    column by column, to a tolerance of 64 ulp of the column's largest
+    coefficient (summation order differs, the terms do not)."""
+    rng = np.random.default_rng(11)
+    K, N = 10, 16
+    a = rng.uniform(-1.0, 1.0, (K + 1, N))
+    b = rng.uniform(-1.0, 1.0, (K + 1, N))
+    a[0] = rng.uniform(0.5, 2.0, N)
+    b[0] = rng.uniform(0.5, 2.0, N)
+    ja, jb = Jet(np.zeros(N), a), Jet(np.zeros(N), b)
+    cases = [
+        (ja * jb, lambda i: _ref_mul(a[:, i], b[:, i])),
+        (ja / jb, lambda i: _ref_div(a[:, i], b[:, i])),
+        (jsqrt(ja), lambda i: _ref_sqrt(a[:, i])),
+        (jexp(ja), lambda i: _ref_exp(a[:, i])),
+        (jlog(ja), lambda i: _ref_log(a[:, i])),
+        (ja ** 0.37, lambda i: _ref_pow(a[:, i], 0.37)),
+        (jsin(ja), lambda i: _ref_sincos(a[:, i])[0]),
+        (jcos(ja), lambda i: _ref_sincos(a[:, i])[1]),
+    ]
+    tol = 64 * np.finfo(float).eps
+    for got, ref in cases:
+        for i in range(N):
+            want = np.array(ref(i))
+            assert np.max(np.abs(got.coeffs[:, i] - want)) <= tol * np.max(np.abs(want))
