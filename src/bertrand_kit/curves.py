@@ -30,7 +30,7 @@ from .errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from .jets import Jet, _first, evaluate_jets, jsqrt
+from .jets import Jet, _first, jsqrt, program_jets, program_values
 
 EPS_REG = 1e-9
 DEFAULT_FRENET_ORDER = 6
@@ -61,6 +61,8 @@ class Curve:
 
     def _check_domain(self, t):
         lo, hi = self.domain
+        if isinstance(t, float) and lo - 1e-12 <= t <= hi + 1e-12:
+            return
         ts = np.asarray(t)
         inside = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
         if not inside.all():
@@ -93,9 +95,11 @@ class AnalyticCurve(Curve):
 
     The components are interned through one table (``expr.intern``), so
     a subexpression they share, such as the normaliser of a seed
-    ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node, and ``jet``
-    evaluates it once per call with one ``evaluate_jets``, for one
-    parameter value or a whole grid.
+    ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node.  They are compiled
+    once into one straight-line program (``expr.program``) that evaluates
+    each node once, for one parameter value or a whole grid: ``jet`` runs
+    it in jet arithmetic, and ``point`` in value arithmetic, which gives
+    the same bits as the constant terms of the jets without building any.
     """
 
     def __init__(self, x, y, z, domain, label=""):
@@ -108,6 +112,7 @@ class AnalyticCurve(Curve):
         if not lo < hi:
             raise ValueError("domain must satisfy t_lo < t_hi")
         self.x, self.y, self.z = x, y, z
+        self._program = ex.program((x, y, z))
         self._domain = (lo, hi)
         self.label = label
 
@@ -117,7 +122,11 @@ class AnalyticCurve(Curve):
 
     def jet(self, t, order):
         self._check_domain(t)
-        return evaluate_jets((self.x, self.y, self.z), t, order, max_order=max(order, 8))
+        return program_jets(self._program, t, order, max_order=max(order, 8))
+
+    def point(self, t):
+        self._check_domain(t)
+        return np.array(program_values(self._program, t))
 
 
 def fornberg_weights(z, x, m):

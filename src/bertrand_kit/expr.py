@@ -264,6 +264,97 @@ def intern(node: ExprNode, table: dict) -> ExprNode:
     return table.setdefault(key, node)
 
 
+def program(nodes) -> tuple:
+    """A straight-line program that evaluates the trees ``nodes`` together.
+
+    Each step is a tuple ``(op, a, b)`` that appends its value to a list
+    of slots, in an order where every operand comes first:
+
+    * ``("const", c, None)``: the plain number ``c``; ``("var", None, None)``: t
+    * ``("lift", k, None)``: the jet (a function of t) of the plain number in slot k
+    * ``("neg", k, None)``; ``("add" | "sub" | "mul", k, m)``
+    * ``("div", k, m)`` by a function of t; ``("div_const", k, m)`` by a plain number
+    * ``("pow", k, r)`` for a constant exponent ``r``
+    * ``("exp" | "log" | "sqrt", k, None)``
+    * ``("sincos", k, None)``: two slots, sin then cos of slot k
+    * ``("tan", k, None)``: tan from the sin and cos slots k and k+1
+    * ``("out", k, None)``: slot k is the next tree's value; it appends no slot.
+
+    A node shared within or across the trees (see ``intern``) has one
+    slot, and ``sin``, ``cos`` and ``tan`` of one child share one
+    ``sincos``.  Constants stay plain numbers until a function, a power, a
+    binary operation on two of them, or an output needs them as functions
+    of t.  The steps follow a depth-first walk, left operand first, and
+    each tree's ``out`` follows its last step, so an arithmetic that checks
+    each step's domain raises the error a recursive evaluation would.
+    """
+    steps = []
+    slots = {}  # id(node) -> slot
+    plain = set()  # slots holding a plain number
+    lifted = {}  # plain slot -> slot of its jet
+    sincos = {}  # id(child) -> slot of its sine
+    size = 0
+
+    def emit(op, a=None, b=None, width=1):
+        nonlocal size
+        steps.append((op, a, b))
+        size += width
+        return size - width
+
+    def as_function(node):
+        k = visit(node)
+        if k not in plain:
+            return k
+        if k not in lifted:
+            lifted[k] = emit("lift", k)
+        return lifted[k]
+
+    def visit(node):
+        key = id(node)
+        if key in slots:
+            return slots[key]
+        if isinstance(node, Const):
+            k = emit("const", node.value)
+            plain.add(k)
+        elif isinstance(node, Var):
+            k = emit("var")
+        elif isinstance(node, PowConst):
+            k = emit("pow", as_function(node.base), node.exponent)
+        elif isinstance(node, Unary) and node.op == "neg":
+            child = visit(node.child)
+            k = emit("neg", child)
+            if child in plain:
+                plain.add(k)
+        elif isinstance(node, Unary) and node.op in ("sin", "cos", "tan"):
+            ckey = id(node.child)
+            if ckey not in sincos:
+                sincos[ckey] = emit("sincos", as_function(node.child), width=2)
+            s = sincos[ckey]
+            if node.op == "sin":
+                k = s
+            elif node.op == "cos":
+                k = s + 1
+            else:
+                k = emit("tan", s)
+        elif isinstance(node, Unary):
+            k = emit(node.op, as_function(node.child))
+        else:
+            left = visit(node.left)
+            right = visit(node.right)
+            if left in plain and right in plain:
+                left = as_function(node.left)
+            op = node.op
+            if op == "div" and right in plain:
+                op = "div_const"
+            k = emit(op, left, right)
+        slots[key] = k
+        return k
+
+    for node in nodes:
+        steps.append(("out", as_function(node), None))
+    return tuple(steps)
+
+
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4, "atom": 5}
 
 

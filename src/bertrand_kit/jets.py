@@ -12,11 +12,17 @@ one-column case.  Sums are term-wise, products Cauchy convolutions,
 quotients forward substitutions, elementary functions their ODE
 recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 ch. 13).  A domain check fails the whole batch if any column fails it.
+
+An ``expr.program`` runs in this jet arithmetic (``program_jets``) or in
+a value arithmetic (``program_values``) whose every step is the constant
+term of the matching recurrence, on float64 numbers or arrays: the same
+bits and the same domain errors as order-0 jets, without building any.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -38,10 +44,33 @@ def _first(flags, values):
     return np.ravel(values)[np.argmax(np.ravel(flags))]
 
 
+def _any(flags):
+    """Whether any flag is set; a numpy scalar is tested as a bool, which
+    costs far less than its ``any()``."""
+    return flags.any() if flags.ndim else bool(flags)
+
+
 def _require_positive(c0, what):
     bad = c0 <= 0.0
-    if bad.any():
+    if _any(bad):
         raise DomainError(f"{what} of non-positive value {_first(bad, c0)}")
+
+
+def _require_finite(bad, t0):
+    """Raise if any basepoint is flagged in ``bad``; the message names the first."""
+    if _any(bad):
+        raise DomainError(f"non-finite jet coefficients at t={_first(bad, t0)}")
+
+
+def _require_nonzero(c0):
+    if _any(c0 == 0.0):
+        raise DomainError("division by a function vanishing at the basepoint")
+
+
+def _require_no_pole(cos0, t0):
+    pole = np.abs(cos0) < _TAN_COS_FLOOR
+    if _any(pole):
+        raise DomainError(f"tan pole near t={_first(pole, t0)}")
 
 
 class Jet:
@@ -169,8 +198,7 @@ class Jet:
                 raise DomainError("division by zero")
             return Jet(self.basepoint, self.coeffs / other)
         a, b = self._align(other)
-        if (b[0] == 0.0).any():
-            raise DomainError("division by a function vanishing at the basepoint")
+        _require_nonzero(b[0])
         return Jet(self.basepoint, _quotient(a, b))
 
     def __rtruediv__(self, other):
@@ -245,27 +273,36 @@ def jsqrt(u: Jet) -> Jet:
     return Jet(u.basepoint, w)
 
 
+def _integer_exponent(r):
+    """``r`` as an int if it is a whole number of size at most 64, else
+    None: such powers go by repeated squaring, which keeps 0 and negative
+    bases legal."""
+    if r == round(r) and abs(r) <= 64:
+        return int(round(r))
+    return None
+
+
+def _repeated_squaring(u, e):
+    """u**e for an integer e >= 1, in whatever arithmetic ``u`` carries."""
+    acc = None
+    while True:
+        if e & 1:
+            acc = u if acc is None else acc * u
+        e >>= 1
+        if not e:
+            return acc
+        u = u * u
+
+
 def jpow(u: Jet, r: float) -> Jet:
     """u**r for a real constant exponent."""
-    if r == round(r) and abs(r) <= 64:
-        # integer powers by repeated squaring keep 0 and negative bases legal
-        m = int(round(r))
+    m = _integer_exponent(r)
+    if m is not None:
         one = Jet.constant(1.0, u.basepoint, u.order)
         if m == 0:
             return one
-        acc = None
-        base = u
-        e = abs(m)
-        while True:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if not e:
-                break
-            base = base * base
-        if m < 0:
-            return one / acc
-        return acc
+        acc = _repeated_squaring(u, abs(m))
+        return one / acc if m < 0 else acc
     c = u.coeffs
     n = u.order
     _require_positive(c[0], "non-integer power")
@@ -308,9 +345,7 @@ def jtan(u: Jet) -> Jet:
 
 
 def _tan_of(s: Jet, c: Jet) -> Jet:
-    pole = np.abs(c.coeffs[0]) < _TAN_COS_FLOOR
-    if pole.any():
-        raise DomainError(f"tan pole near t={_first(pole, s.basepoint)}")
+    _require_no_pole(c.coeffs[0], s.basepoint)
     return s / c
 
 
@@ -367,97 +402,153 @@ def evaluate_jet(node: ex.ExprNode, t0, order: int, max_order: int = DEFAULT_MAX
 
 def evaluate_jets(nodes, t0, order: int, max_order: int = DEFAULT_MAX_ORDER):
     """Jets of several expression ASTs about one basepoint or a 1-D array
-    of basepoints, as a tuple.
+    of basepoints, as a tuple: ``program_jets`` of ``expr.program(nodes)``.
 
-    One memo keyed by node id serves every tree, so a subtree shared
-    within or across the trees (see ``expr.intern``) is evaluated once,
-    and ``sin``, ``cos`` and ``tan`` of one child share one ``jsincos``.
-    Each shared value is the same computation on the same operands, so
-    the coefficients equal those of evaluating each tree on its own.
-    Each result is checked for finiteness as soon as it is computed.
+    A subtree shared within or across the trees (see ``expr.intern``) is
+    evaluated once, and ``sin``, ``cos`` and ``tan`` of one child share
+    one ``jsincos``.  Each shared value is the same computation on the
+    same operands, so the coefficients equal those of evaluating each
+    tree on its own.
     """
+    return program_jets(ex.program(nodes), t0, order, max_order)
+
+
+def program_jets(program, t0, order: int, max_order: int = DEFAULT_MAX_ORDER):
+    """Run an ``expr.program`` in jet arithmetic about ``t0``, a number or
+    a 1-D array of basepoints; each output is checked for finiteness as
+    soon as it is computed."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > max_order:
         raise OrderOverflowError(order, max_order)
     if np.ndim(t0):
         t0 = np.asarray(t0, dtype=float)
-    ev = _Evaluator(Jet.variable(t0, order))
+    return _run(program, _JetArithmetic(t0, order))
+
+
+def program_values(program, t0):
+    """Run an ``expr.program`` in value arithmetic at ``t0``, a number or
+    an array: float64 values that equal, bit for bit, the constant terms
+    of ``program_jets`` at any order, and the same ``DomainError`` where
+    those raise one, without building a jet."""
+    return _run(program, _ValueArithmetic(t0))
+
+
+def _run(program, ar):
+    """The outputs of ``program`` in the arithmetic ``ar``, in order."""
+    v = []
+    push = v.append
     results = []
-    for node in nodes:
-        result = ev.jet(node)
-        finite = np.isfinite(result.coeffs)
-        if not finite.all():
-            bad = ~finite.all(axis=0)
-            raise DomainError(f"non-finite jet coefficients at t={_first(bad, t0)}")
-        results.append(result)
+    for op, a, b in program:
+        if op == "mul":
+            push(v[a] * v[b])
+        elif op == "add":
+            push(v[a] + v[b])
+        elif op == "sub":
+            push(v[a] - v[b])
+        elif op == "const":
+            push(a)
+        elif op == "neg":
+            push(-v[a])
+        elif op == "var":
+            push(ar.t)
+        elif op == "sincos":
+            v.extend(ar.sincos(v[a]))
+        elif op == "tan":
+            push(ar.tan(v[a], v[a + 1]))
+        elif op == "pow":
+            push(ar.pow(v[a], b))
+        elif op == "out":
+            results.append(ar.finite(v[a]))
+        elif b is None:  # lift, exp, log, sqrt
+            push(getattr(ar, op)(v[a]))
+        else:  # div, div_const
+            push(getattr(ar, op)(v[a], v[b]))
     return tuple(results)
 
 
-_FUNC = {
-    "exp": jexp,
-    "log": jlog,
-    "sqrt": jsqrt,
-}
+class _JetArithmetic:
+    """Jets of order ``order`` about ``t0``.  A plain number is applied by
+    the jet operators to the constant term or as a scale factor."""
+
+    def __init__(self, t0, order):
+        self.t0 = t0
+        self.t = Jet.variable(t0, order)
+
+    def lift(self, c):
+        return Jet.constant(c, self.t.basepoint, self.t.order)
+
+    def finite(self, u):
+        _require_finite(~np.isfinite(u.coeffs).all(axis=0), self.t0)
+        return u
+
+    def sincos(self, u):
+        # the module's jsincos at call time, which a test may wrap to count
+        return jsincos(u)
+
+    div = div_const = staticmethod(operator.truediv)
+    pow = staticmethod(jpow)
+    tan = staticmethod(_tan_of)
+    exp = staticmethod(jexp)
+    log = staticmethod(jlog)
+    sqrt = staticmethod(jsqrt)
 
 
-class _Evaluator:
-    """Jets of AST nodes about the basepoints of ``tjet``, each node
-    evaluated once.  A constant stays a plain number, which the jet
-    arithmetic applies to the constant term or as a scale factor, until a
-    function of it needs its jet."""
+class _ValueArithmetic:
+    """The constant term of each jet recurrence, on float64 values at
+    ``t0``: a numpy scalar for a number, an array for an array."""
 
-    def __init__(self, tjet):
-        self.tjet = tjet
-        self.memo = {}
-        self.sincos = {}
+    def __init__(self, t0):
+        self.t0 = t0
+        self.scalar = isinstance(t0, float) or not np.ndim(t0)
+        self.t = np.float64(t0) if self.scalar else np.asarray(t0, dtype=float)
 
-    def __call__(self, node):
-        key = id(node)
-        jet = self.memo.get(key)
-        if jet is None:
-            jet = self.memo[key] = self._eval(node)
-        return jet
+    def lift(self, c):
+        if self.scalar:
+            return np.float64(c)
+        return np.full(self.t.shape, c, dtype=float)
 
-    def jet(self, node):
-        value = self(node)
-        if isinstance(value, Jet):
-            return value
-        return Jet.constant(value, self.tjet.basepoint, self.tjet.order)
+    def finite(self, x):
+        if not (self.scalar and math.isfinite(x)):
+            _require_finite(~np.isfinite(x), self.t0)
+        return x
 
-    def _sincos(self, child):
-        key = id(child)
-        pair = self.sincos.get(key)
-        if pair is None:
-            pair = self.sincos[key] = jsincos(self.jet(child))
-        return pair
+    def div(self, a, b):
+        _require_nonzero(b)
+        return a / b
 
-    def _eval(self, node):
-        if isinstance(node, ex.Const):
-            return node.value
-        if isinstance(node, ex.Var):
-            return self.tjet
-        if isinstance(node, ex.PowConst):
-            return jpow(self.jet(node.base), node.exponent)
-        if isinstance(node, ex.Unary):
-            op = node.op
-            if op == "sin":
-                return self._sincos(node.child)[0]
-            if op == "cos":
-                return self._sincos(node.child)[1]
-            if op == "tan":
-                return _tan_of(*self._sincos(node.child))
-            if op == "neg":
-                return -self(node.child)
-            return _FUNC[op](self.jet(node.child))
-        left = self(node.left)
-        right = self(node.right)
-        if not isinstance(left, Jet) and not isinstance(right, Jet):
-            left = self.jet(node.left)
-        if node.op == "add":
-            return left + right
-        if node.op == "sub":
-            return left - right
-        if node.op == "mul":
-            return left * right
-        return left / right
+    @staticmethod
+    def div_const(a, b):
+        if b == 0.0:
+            raise DomainError("division by zero")
+        return a / b
+
+    def pow(self, u, r):
+        m = _integer_exponent(r)
+        if m is None:
+            _require_positive(u, "non-integer power")
+            return u**r
+        if m == 0:
+            return self.lift(1.0)
+        acc = _repeated_squaring(u, abs(m))
+        return self.div(1.0, acc) if m < 0 else acc
+
+    def tan(self, s, c):
+        _require_no_pole(c, self.t)
+        return s / c
+
+    @staticmethod
+    def sincos(x):
+        return np.sin(x), np.cos(x)
+
+    @staticmethod
+    def log(x):
+        _require_positive(x, "log")
+        return np.log(x)
+
+    @staticmethod
+    def sqrt(x):
+        _require_positive(x, "sqrt")
+        return np.sqrt(x)
+
+    exp = staticmethod(np.exp)

@@ -8,10 +8,13 @@ it gives the same bits.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from test_jets import FAMILY_TEXTS
 
+from bertrand_kit import jets
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
     construct_mate,
@@ -25,7 +28,7 @@ from bertrand_kit.curves import (
     frenet_apparatus,
     frenet_grid,
 )
-from bertrand_kit.errors import DomainError, SingularPointError
+from bertrand_kit.errors import DomainError, OutOfDomainError, SingularPointError
 
 TREFOIL = ("sin(t) + 2.1*sin(2*t)", "cos(t) - 2.1*cos(2*t)", "-sin(3*t)")
 
@@ -150,3 +153,106 @@ def test_domain_error_in_any_column_raises(where):
         frenet_grid(AnalyticCurve("log(t)", "t", "t^2", (-1.0, 1.0)), ts)
     with pytest.raises(DomainError):
         frenet_apparatus(AnalyticCurve("log(t)", "t", "t^2", (-1.0, 1.0)), -0.25)
+
+
+# every analytic curve of this file and of the benchmark's Frenet tables,
+# the preset seeds, and a mix of the plain-constant rules: a non-integer
+# and a negative integer power, a constant component, products of two
+# constants, a division by a constant, and -0.0 both made a function of t
+# and scaling one, so that z is a signed zero
+ANALYTIC = {
+    # the trefoil of CURVES is the benchmark's trefoil family
+    "tan-sqrt-negative-power": CURVES["tan-sqrt-negative-power"],
+    **{
+        name: (lambda texts=texts, domain=domain: AnalyticCurve(*texts, domain))
+        for name, (texts, domain) in FAMILY_TEXTS.items()
+    },
+    **{
+        name: (lambda name=name: sphere_preset(name))
+        for name in ("wobble", "tilt", "bean", "smallcircle", "greatcircle")
+    },
+    "constant-rules": lambda: AnalyticCurve(
+        "t^1.5 + (2 + t)^-2", "0", "-0.0*2 + 2*3*t/7*-0.0", (0.25, 2.0)
+    ),
+}
+
+
+def constant_terms(curve, t, order):
+    return np.array([j.coeffs[0] for j in curve.jet(t, order)])
+
+
+def assert_same_bits_array(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC))
+def test_point_is_the_constant_term_of_the_jet(name):
+    """``point`` runs the program in value arithmetic: at a float and on a
+    grid, both domain ends included, it gives the bits of the jets'
+    constant terms, signed zeros too."""
+    curve = ANALYTIC[name]()
+    lo, hi = curve.domain
+    ts = np.linspace(lo, hi, 29)
+    for order in (0, 6):
+        assert_same_bits_array(curve.point(ts), constant_terms(curve, ts, order))
+        for t in ts:
+            assert_same_bits_array(curve.point(t), constant_terms(curve, t, order))
+
+
+@pytest.mark.parametrize(
+    "texts, domain, bad_t, error, message",
+    [
+        (("tan(t)", "t", "t^2"), (0.0, 3.0), math.pi / 2, DomainError, "tan pole near t=1.57"),
+        (("t", "log(t)", "1"), (-1.0, 1.0), -0.25, DomainError, "log of non-positive"),
+        (("t", "sqrt(t - 0.5)", "1"), (-1.0, 1.0), 0.25, DomainError, "sqrt of non-positive"),
+        (("t", "t^2", "t^1.5"), (-1.0, 1.0), 0.0, DomainError, "non-integer power"),
+        (("t", "1/(t - 0.5)", "1"), (-1.0, 1.0), 0.5, DomainError, "function vanishing"),
+        (("t", "(t - 0.5)^-3", "1"), (-1.0, 1.0), 0.5, DomainError, "function vanishing"),
+        (("t", "t/0", "1"), (-1.0, 1.0), 0.25, DomainError, "division by zero"),
+        # two constants: the left one becomes a function of t first
+        (("t", "1", "1/(2 - 2)"), (-1.0, 1.0), 0.25, DomainError, "function vanishing"),
+        (("t", "exp(900*t)", "1"), (-1.0, 1.0), 0.9, DomainError, "non-finite"),
+        (("t", "t^2", "t^3"), (-1.0, 1.0), 1.5, OutOfDomainError, "t=1.5 outside"),
+        (("t", "t^2", "t^3"), (-1.0, 1.0), math.nan, OutOfDomainError, "t=nan outside"),
+    ],
+)
+def test_point_raises_where_the_jet_raises(texts, domain, bad_t, error, message):
+    """The same exception class and message as ``jet(t, 0)``, at a float
+    and on a grid, where the message names the first bad column."""
+    curve = AnalyticCurve(*texts, domain)
+    ts = np.linspace(domain[0] + 0.1, domain[1] - 0.1, 7)
+    for t in (bad_t, np.concatenate((ts[:3], [bad_t], ts[3:], [bad_t]))):
+        with np.errstate(over="ignore"):
+            with pytest.raises(error, match=message) as want:
+                curve.jet(t, 0)
+            with pytest.raises(error) as got:
+                curve.point(t)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_point_builds_no_jet(monkeypatch):
+    """A point costs no jet: no ``Jet`` is constructed and no
+    ``evaluate_jets`` call is made, alone or on a grid."""
+    calls = Counter()
+    real_init = jets.Jet.__init__
+    real_evaluate = jets.evaluate_jets
+
+    def counting_init(self, *args):
+        calls["Jet"] += 1
+        real_init(self, *args)
+
+    def counting_evaluate(*args, **kwargs):
+        calls["evaluate_jets"] += 1
+        return real_evaluate(*args, **kwargs)
+
+    curve = sphere_preset("wobble")
+    monkeypatch.setattr(jets.Jet, "__init__", counting_init)
+    monkeypatch.setattr(jets, "evaluate_jets", counting_evaluate)
+    curve.point(0.3)
+    curve.point(np.linspace(0.2, 0.62, 9))
+    assert calls == Counter()
+    curve.jet(0.3, 0)
+    assert calls["Jet"] > 0

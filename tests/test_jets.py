@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,3 +329,52 @@ def test_recurrences_match_scalar_reference():
         for i in range(N):
             want = np.array(ref(i))
             assert np.max(np.abs(got.coeffs[:, i] - want)) <= tol * np.max(np.abs(want))
+
+
+def _mp_value(node, t):
+    """The expression at ``t`` in mpmath arithmetic."""
+    if isinstance(node, ex.Const):
+        return mpmath.mpf(node.value)
+    if isinstance(node, ex.Var):
+        return t
+    if isinstance(node, ex.PowConst):
+        r = node.exponent
+        return _mp_value(node.base, t) ** (int(r) if r == int(r) else mpmath.mpf(r))
+    if isinstance(node, ex.Unary):
+        v = _mp_value(node.child, t)
+        return -v if node.op == "neg" else getattr(mpmath, node.op)(v)
+    a, b = _mp_value(node.left, t), _mp_value(node.right, t)
+    if node.op == "add":
+        return a + b
+    if node.op == "sub":
+        return a - b
+    if node.op == "mul":
+        return a * b
+    return a / b
+
+
+# worst error measured over these curves and points, relative to the
+# largest coefficient of the component's order-10 series: 2.2e-16 for the
+# values (conical helix, y) and 3.1e-16 for the coefficients (wobble, z,
+# order 3); the bound, 3.6e-15, leaves a factor above 10
+ORACLE_TOL = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["wobble", *FAMILY_TEXTS])
+def test_jets_and_values_match_a_50_digit_oracle(name):
+    """``point`` (the program in value arithmetic) and ``evaluate_jet`` at
+    orders 0-10 against ``mpmath.taylor`` at 50 digits, whose own error
+    is below 1e-50."""
+    curve, _ = _interned_and_plain(name)
+    lo, hi = curve.domain
+    for t in (lo, 0.6 * lo + 0.4 * hi, hi):
+        point = curve.point(t)
+        for node, value in zip((curve.x, curve.y, curve.z), point):
+            with mpmath.workdps(50):
+                ref = mpmath.taylor(lambda s: _mp_value(node, s), mpmath.mpf(t), 10)
+                scale = max(abs(c) for c in ref)
+                assert abs(value - ref[0]) <= ORACLE_TOL * scale
+                for order in range(11):
+                    got = evaluate_jet(node, t, order, max_order=10).coeffs
+                    err = max(abs(mpmath.mpf(g) - r) for g, r in zip(got, ref))
+                    assert err <= ORACLE_TOL * scale, (order, float(err / scale))
