@@ -36,13 +36,10 @@ from .classify import (
 )
 from .curves import (
     AnalyticCurve,
-    ArcLengthTable,
     Curve,
     FrenetData,
     JetBackedCurve,
     SampledCurve,
-    arc_length,
-    build_arclength_table,
     frenet_apparatus,
     frenet_grid,
     slant_geodesic_indicator,
@@ -56,7 +53,6 @@ from .errors import (
     GridMismatchError,
     IllConditionedError,
     NonConstantExponentError,
-    NonConvergentError,
     NotAPairError,
     NotSphericalError,
     OrderOverflowError,
@@ -70,13 +66,10 @@ from .indicatrix import (
     ArcLengthRelations,
     IndicatrixKind,
     IndicatrixSample,
-    binormal_indicatrix_apparatus,
     frame_relations_check,
     indicatrix_apparatus,
     indicatrix_arclength_relations,
     indicatrix_curve,
-    normal_indicatrix_apparatus,
-    tangent_indicatrix_apparatus,
 )
 from .io import (
     CurveFileError,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import interpolate
 
 from .curves import (
     AnalyticCurve,
@@ -31,6 +30,7 @@ from .curves import (
     _dot_jets,
     _frenet_columns,
     frenet_grid,
+    integrate_series,
     slant_geodesic_indicator,
 )
 from .errors import (
@@ -463,9 +463,9 @@ def generate_bertrand_curve(
     normal offset by lambda = a produces a Bertrand mate.  Jets of the
     output are exact: the arc-length reparameterization is inverted by
     series reversion at evaluation time.  The Newton solve for u(t) starts
-    from the seed-speed series of the walk node below t; each node's
-    series is built on first use and kept with the curve, so there are at
-    most ``n`` of them.
+    from linear interpolation between the walk nodes and steps with the
+    seed-speed series of the node below t; each node's series is built on
+    first use and kept with the curve, so there are at most ``n`` of them.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -491,14 +491,9 @@ def generate_bertrand_curve(
     # dgamma/du = a (V c + cot(omega) c x dc/du)
     G = tuple(a * (V * Cj[j] + cot * W[j]) for j in range(3))
 
-    def walk(rate):
-        A = rate.antideriv(0.0)
-        return np.concatenate(([0.0], np.cumsum(A(us[1:]) - A(us[:-1]))))
+    t_nodes = integrate_series(V, us)
+    P_nodes = np.stack([integrate_series(g, us) for g in G], axis=1)
 
-    t_nodes = walk(V)
-    P_nodes = np.stack([walk(g) for g in G], axis=1)
-
-    u_of_t = interpolate.PchipInterpolator(t_nodes, us)
     # columns k: the seed speed V about us[k] and its antiderivative
     # through (us[k], t_nodes[k]), built for a node on first use
     V_nodes = np.empty((walk_order, n))
@@ -506,7 +501,7 @@ def generate_bertrand_curve(
     built = np.zeros(n, dtype=bool)
 
     def _solve_u(t):
-        u = u_of_t(t)
+        u = np.interp(t, t_nodes, us)
         k = np.clip(np.searchsorted(t_nodes, t) - 1, 0, n - 1)
         new = np.unique(k[~built[k]])
         if len(new):
@@ -584,8 +579,7 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
     )
     lo, hi = domain
     ss = np.linspace(lo, hi, n + 1)
-    A = phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)[0].antideriv(0.0)
-    phi_nodes = np.concatenate(([0.0], np.cumsum(A(ss[1:]) - A(ss[:-1]))))
+    phi_nodes = integrate_series(phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)[0], ss)
 
     m2 = m * m
 

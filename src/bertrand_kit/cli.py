@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -89,19 +88,6 @@ IDENTITY_ENTRIES = (
     "cr33",
     "p1p2-constancy",
 )
-
-
-def thread_count() -> int:
-    """The validated BERTRAND_KIT_THREADS value.  All work is single-threaded,
-    so the value selects nothing; a bad value is still an input error."""
-    raw = os.environ.get("BERTRAND_KIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CurveFileError(f"BERTRAND_KIT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise CurveFileError(f"BERTRAND_KIT_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _emit(report: RunReport):
@@ -464,7 +450,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else 0
     try:
-        thread_count()  # validate up front
         return args.fn(args)
     except (ExprSyntaxError, UnknownFunctionError, NonConstantExponentError,
             CurveFileError, TooFewSamplesError, GridMismatchError) as e:

@@ -17,15 +17,12 @@ explicit chain-rule conversion to arc-length derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from . import expr as ex
 from .errors import (
-    DomainError,
-    NonConvergentError,
     OutOfDomainError,
     SingularPointError,
     TooFewSamplesError,
@@ -370,51 +367,11 @@ def cumulative_trapezoid(x, y):
     return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
 
 
-def arc_length(curve, t0, t1, tol=1e-10):
-    """Integral of the speed over [t0, t1] by adaptive quadrature."""
-    lo, hi = curve.domain
-    if not (lo - 1e-12 <= t0 <= hi + 1e-12 and lo - 1e-12 <= t1 <= hi + 1e-12):
-        raise OutOfDomainError(f"[{t0}, {t1}] outside curve domain [{lo}, {hi}]")
-    val, err = integrate.quad(curve.speed, t0, t1, epsabs=tol, epsrel=1e-12, limit=200)
-    if err > max(tol * 10.0, abs(val) * 1e-8):
-        raise NonConvergentError(f"arc length error estimate {err} above tolerance")
-    return float(val)
+def integrate_series(rate, nodes):
+    """Cumulative integral of a rate over the nodes, from 0 at nodes[0].
 
-
-@dataclass
-class ArcLengthTable:
-    """Monotone (t, s) table invertible in both directions."""
-
-    t: np.ndarray
-    s: np.ndarray
-    _fwd: interpolate.PchipInterpolator = field(repr=False, default=None)
-    _inv: interpolate.PchipInterpolator = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.s) <= 0):
-            raise NonConvergentError("arc-length column not strictly increasing")
-        self._fwd = interpolate.PchipInterpolator(self.t, self.s)
-        self._inv = interpolate.PchipInterpolator(self.s, self.t)
-
-    def forward(self, t):
-        return self._fwd(t)
-
-    def inverse(self, s):
-        return self._inv(s)
-
-    @property
-    def total(self):
-        return float(self.s[-1])
-
-
-def build_arclength_table(curve, n, tol=1e-10):
-    """Cumulative arc length at n+1 uniform parameter nodes."""
-    if n < 16:
-        raise ValueError("n must be >= 16")
-    lo, hi = curve.domain
-    ts = np.linspace(lo, hi, n + 1)
-    segs = np.empty(n)
-    for i in range(n):
-        segs[i] = arc_length(curve, ts[i], ts[i + 1], tol=tol)
-    s = np.concatenate(([0.0], np.cumsum(segs)))
-    return ArcLengthTable(t=ts, s=s)
+    ``rate`` is a jet with one column per segment, about the segment's
+    midpoint; each segment adds the integral of that Taylor series.
+    """
+    A = rate.antideriv(0.0)
+    return np.concatenate(([0.0], np.cumsum(A(nodes[1:]) - A(nodes[:-1]))))

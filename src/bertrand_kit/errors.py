@@ -53,10 +53,6 @@ class SingularPointError(BertrandKitError):
     """Speed or curvature below the regularity floor: frame undefined."""
 
 
-class NonConvergentError(BertrandKitError):
-    """Quadrature or table construction failed to reach tolerance."""
-
-
 class DegenerateRatioError(BertrandKitError):
     """g undefined (helical) or g = f (planar-type degeneracy)."""
 

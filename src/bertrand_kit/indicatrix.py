@@ -55,7 +55,6 @@ class IndicatrixSample:
     kappa_image: float  # corrected values matching the imaged curve itself
     tau_image: float
     Gamma: float  # NaN for the normal axis
-    rho_or_sigma: float  # NaN except for the normal axis
     ds_x_dt: float  # speed of the indicatrix in the shared parameter
 
 
@@ -148,7 +147,7 @@ def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants, eps:
         if mate_side:
             Gx = -Gx
         return IndicatrixSample(kind, t, point, Tx, Nx, Bx, kx, tx, kxi, txi,
-                                Gx, math.nan, abs(ds_x_dsrc) * speed_src)
+                                Gx, abs(ds_x_dsrc) * speed_src)
 
     if kind.axis == "binormal":
         point = eps * (g * T + B) / wg
@@ -164,7 +163,7 @@ def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants, eps:
         if mate_side:
             Gx = -Gx
         return IndicatrixSample(kind, t, point, Tx, Nx, Bx, kx, tx, kxi, txi,
-                                Gx, math.nan, abs(ds_x_dsrc) * speed_src)
+                                Gx, abs(ds_x_dsrc) * speed_src)
 
     # normal axis
     rho = math.sqrt(kp * kp * (g - f) ** 2 + k**4 * (1.0 + f * f) ** 3)
@@ -185,7 +184,7 @@ def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants, eps:
     )
     ds_x_dsrc = k * wf
     return IndicatrixSample(kind, t, point, Tx, Nx, Bx, kx, tx, kx, tx,
-                            math.nan, rho, abs(ds_x_dsrc) * speed_src)
+                            math.nan, abs(ds_x_dsrc) * speed_src)
 
 
 def indicatrix_apparatus(pair: BertrandPairModel, side: str, axis: str,
@@ -194,18 +193,6 @@ def indicatrix_apparatus(pair: BertrandPairModel, side: str, axis: str,
     kind = IndicatrixKind(side, axis)
     fd, ri = _data_side(pair, side, t)
     return _closed_form(kind, fd, ri, pair.epsilon, t, fd.speed)
-
-
-def tangent_indicatrix_apparatus(pair, side, t):
-    return indicatrix_apparatus(pair, side, "tangent", t)
-
-
-def normal_indicatrix_apparatus(pair, side, t):
-    return indicatrix_apparatus(pair, side, "normal", t)
-
-
-def binormal_indicatrix_apparatus(pair, side, t):
-    return indicatrix_apparatus(pair, side, "binormal", t)
 
 
 def apparatus_grid(pair: BertrandPairModel, side: str, axis: str, ts):

@@ -250,8 +250,9 @@ def jlog(u: Jet) -> Jet:
     n = u.order
     _require_positive(c[0], "log")
     # v[k] starts as k*c[k] and loses j*v[j]*c[k-j] for j = 1..k-1
-    v = _per_order(np.arange(n + 1), c) * c
+    v = np.empty_like(c)
     v[0] = np.log(c[0])
+    v[1:] = _per_order(np.arange(1, n + 1), c) * c[1:]
     for m in range(1, n + 1):
         v[m] /= m * c[0]
         v[m + 1 :] -= m * v[m] * c[1 : n + 1 - m]

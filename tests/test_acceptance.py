@@ -256,7 +256,7 @@ def test_criterion_11_jet_probes():
     report(11, worst < 1e-6, f"1000 probes, worst relative gap {worst:.3e}")
 
 
-def test_criterion_12_deterministic_reports(tmp_path, capsys, monkeypatch):
+def test_criterion_12_deterministic_reports(tmp_path, capsys, fresh_python):
     rc = main(["generate", "--sphere-curve", "tilt", "--n", "256",
                "--out", str(tmp_path / "b.json")])
     assert rc == 0
@@ -265,13 +265,12 @@ def test_criterion_12_deterministic_reports(tmp_path, capsys, monkeypatch):
     assert rc == 0
     capsys.readouterr()
     outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("BERTRAND_KIT_THREADS", threads)
-        rc = main(["verify", str(tmp_path / "b.json"), str(tmp_path / "m.json"),
-                   "--n", "48"])
-        assert rc == 0
-        outs.append(capsys.readouterr().out)
+    for seed in ("0", "1"):
+        proc = fresh_python(["-m", "bertrand_kit.cli", "verify", str(tmp_path / "b.json"),
+                             str(tmp_path / "m.json"), "--n", "48"], PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
     with capsys.disabled():
         report(12, outs[0] == outs[1] and len(outs[0]) > 0,
-               f"verify reports byte-identical across thread counts "
-               f"({len(outs[0])} bytes)")
+               f"verify reports byte-identical in two processes with "
+               f"PYTHONHASHSEED 0 and 1 ({len(outs[0])} bytes)")

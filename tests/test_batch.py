@@ -216,6 +216,8 @@ def test_point_is_the_constant_term_of_the_jet(name):
         (("t", "exp(900*t)", "1"), (-1.0, 1.0), 0.9, DomainError, "non-finite"),
         (("t", "t^2", "t^3"), (-1.0, 1.0), 1.5, OutOfDomainError, "t=1.5 outside"),
         (("t", "t^2", "t^3"), (-1.0, 1.0), math.nan, OutOfDomainError, "t=nan outside"),
+        # log of an exp that overflows (for t < 0 the exp underflows to 0 instead)
+        (("t", "log(exp(1000*t))", "1"), (0.0, 1.0), 0.9, DomainError, "non-finite"),
     ],
 )
 def test_point_raises_where_the_jet_raises(texts, domain, bad_t, error, message):

@@ -8,10 +8,9 @@ import pytest
 from bertrand_kit.curves import (
     AnalyticCurve,
     SampledCurve,
-    arc_length,
-    build_arclength_table,
     frenet_apparatus,
     frenet_grid,
+    integrate_series,
     slant_geodesic_indicator,
 )
 from bertrand_kit.errors import (
@@ -19,6 +18,7 @@ from bertrand_kit.errors import (
     SingularPointError,
     TooFewSamplesError,
 )
+from bertrand_kit.jets import jsqrt
 
 
 def test_circular_helix_apparatus(helix):
@@ -100,22 +100,30 @@ def test_sampled_too_few_points():
         SampledCurve(ts, pts)
 
 
+def series_arc_length(curve, t0, t1, n=64):
+    """Cumulative arc length at n+1 uniform nodes of [t0, t1], from the
+    speed's exact series about each segment's midpoint."""
+    nodes = np.linspace(t0, t1, n + 1)
+    d = [c.deriv() for c in curve.jet(0.5 * (nodes[:-1] + nodes[1:]), 10)]
+    return integrate_series(jsqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]), nodes)
+
+
 def test_arc_length_helix(helix):
-    assert arc_length(helix, 0.0, 2.0) == pytest.approx(10.0, rel=1e-10)
+    assert series_arc_length(helix, 0.0, 2.0)[-1] == pytest.approx(10.0, rel=1e-10)
 
 
 def test_arc_length_additive(helix):
-    a = arc_length(helix, 0.0, 1.3)
-    b = arc_length(helix, 1.3, 2.9)
-    assert a + b == pytest.approx(arc_length(helix, 0.0, 2.9), rel=1e-10)
+    a = series_arc_length(helix, 0.0, 1.3)[-1]
+    b = series_arc_length(helix, 1.3, 2.9)[-1]
+    assert a + b == pytest.approx(series_arc_length(helix, 0.0, 2.9)[-1], rel=1e-10)
 
 
-def test_arclength_table_round_trip(helix):
-    table = build_arclength_table(helix, 200)
-    for t in (0.5, 2.5, 5.1):
-        s = table.forward(t)
-        assert table.inverse(s) == pytest.approx(t, abs=1e-8)
-    assert table.total == pytest.approx(30.0, rel=1e-8)
+def test_arc_length_parabola_cumulative():
+    # (t, t^2, 0): s(t) = (t*sqrt(1 + 4t^2) + asinh(2t)/2)/2, a speed that varies
+    c = AnalyticCurve("t", "t^2", "0", (0.0, 1.0))
+    ts = np.linspace(0.0, 1.0, 33)
+    want = (ts * np.sqrt(1.0 + 4.0 * ts * ts) + np.arcsinh(2.0 * ts) / 2.0) / 2.0
+    np.testing.assert_allclose(series_arc_length(c, 0.0, 1.0, n=32), want, rtol=1e-12, atol=0)
 
 
 def test_analytic_vs_sampled_frenet():
