@@ -16,20 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .curves import (
     AnalyticCurve,
     Curve,
-    EPS_REG,
     FrenetData,
     JetBackedCurve,
     SampledCurve,
     _cross_jets,
     _dot_jets,
     _frenet_columns,
-    frenet_grid,
+    _frenet_rows,
+    _points,
+    _points_at,
+    _stack_rows,
+    _take_rows,
     integrate_series,
     slant_geodesic_indicator,
 )
@@ -40,9 +44,8 @@ from .errors import (
     IllConditionedError,
     NotAPairError,
     NotSphericalError,
-    SingularPointError,
 )
-from .jets import Jet, compose, invert_series, jsincos, jsqrt
+from .jets import Jet, _first, compose, invert_series, jsincos, jsqrt
 
 EPS_G = 1e-10
 EPS_DEN = 1e-10
@@ -56,6 +59,9 @@ TOL_CONST = 1e-6
 
 @dataclass(frozen=True)
 class RatioInvariants:
+    """f, g (NaN where undefined) and the slant indicator Gamma: floats at
+    one point, (N,) arrays at the rows of a grid."""
+
     t: float
     f: float
     g: float
@@ -64,14 +70,23 @@ class RatioInvariants:
 
 
 def ratio_invariants(fd: FrenetData, eps_g: float = EPS_G) -> RatioInvariants:
-    if fd.kappa <= EPS_REG:
-        raise SingularPointError(f"kappa={fd.kappa} at t={fd.t}")
-    f = fd.tau / fd.kappa
-    g_defined = abs(fd.dkappa_ds) >= eps_g
-    g = fd.dtau_ds / fd.dkappa_ds if g_defined else math.nan
-    return RatioInvariants(
-        t=fd.t, f=f, g=g, g_defined=g_defined, Gamma=slant_geodesic_indicator(fd)
-    )
+    """Ratio invariants of one point, or of each row of a grid.  Raises
+    SingularPointError where kappa <= EPS_REG."""
+    if not np.ndim(fd.kappa):
+        return _points(ratio_invariants(_stack_rows([fd]), eps_g))[0]
+    Gamma = slant_geodesic_indicator(fd)
+    g_defined = np.abs(fd.dkappa_ds) >= eps_g
+    g = np.full(len(g_defined), math.nan)
+    g[g_defined] = fd.dtau_ds[g_defined] / fd.dkappa_ds[g_defined]
+    return RatioInvariants(t=fd.t, f=fd.tau / fd.kappa, g=g, g_defined=g_defined,
+                           Gamma=Gamma)
+
+
+def _require_g(ri: RatioInvariants):
+    """Raise where g is undefined, at one point or at any row."""
+    undefined = np.logical_not(ri.g_defined)
+    if np.any(undefined):
+        raise DegenerateRatioError(f"g undefined at t={_first(undefined, ri.t)}")
 
 
 def bertrand_lambda(ri: RatioInvariants, kappa: float, eps_den: float = EPS_DEN) -> float:
@@ -115,8 +130,9 @@ def mate_apparatus_from_base(fd: FrenetData, ri: RatioInvariants, eps: int) -> M
     return MateApparatus(T=T_m, N=N_m, B=B_m, kappa=kappa_m, tau=tau_m, ds_mate_ds=ds_m)
 
 
-def geodesic_indicator_closed_form(fd: FrenetData, ri: RatioInvariants, side: str = "base") -> float:
-    """Slant-helix indicator from closed forms.
+def geodesic_indicator_closed_form(fd: FrenetData, ri: RatioInvariants, side: str = "base"):
+    """Slant-helix indicator from closed forms, at one point or at each
+    row of a grid.
 
     side='base': indicator of the base curve from mate-side data
     (pass fd/ri of the *mate*): -kappa'(g-f) / (kappa^2 (1+f^2)^{3/2}).
@@ -124,18 +140,18 @@ def geodesic_indicator_closed_form(fd: FrenetData, ri: RatioInvariants, side: st
     side='mate': indicator of the mate from base-side data (pass fd/ri of
     the *base*), including the ds/ds_mate factor.
     """
-    if not ri.g_defined:
-        raise DegenerateRatioError(f"g undefined at t={ri.t}")
+    _require_g(ri)
     f, g, k = ri.f, ri.g, fd.kappa
     if side == "base":
-        return float(-fd.dkappa_ds * (g - f) / (k * k * (1.0 + f * f) ** 1.5))
+        return -fd.dkappa_ds * (g - f) / (k * k * (1.0 + f * f) ** 1.5)
     if side == "mate":
-        if abs(f) <= EPS_DEN:
-            raise DegenerateRatioError(f"f=0 at t={ri.t}")
-        ds_ds_mate = (g - f) / (f * math.sqrt(1.0 + g * g))
+        zero = np.abs(f) <= EPS_DEN
+        if np.any(zero):
+            raise DegenerateRatioError(f"f=0 at t={_first(zero, ri.t)}")
+        ds_ds_mate = (g - f) / (f * np.sqrt(1.0 + g * g))
         num = fd.dkappa_ds * f * (1.0 + g * g) ** 2
         den = -(k * k) * ((1.0 + f * g) ** 2 + (g - f) ** 2) ** 1.5
-        return float(num / den * ds_ds_mate)
+        return num / den * ds_ds_mate
     raise ValueError(f"side must be 'base' or 'mate', got {side!r}")
 
 
@@ -169,10 +185,8 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     label = f"{base.label or 'curve'}+{lam}*N"
 
     if isinstance(base, SampledCurve):
-        fds = frenet_grid(base, ts, order=4)
-        keep = np.array([fd is not None for fd in fds], dtype=bool)
-        normals = np.array([fd.N for fd in fds if fd is not None]).reshape(-1, 3)
-        return SampledCurve(ts[keep], base.point(ts[keep]).T + lam * normals, label=label)
+        rows, keep, _ = _frenet_columns(base, ts, order=4)
+        return SampledCurve(ts[keep], base.point(ts[keep]).T + lam * rows.N, label=label)
 
     def mate_jet(t, order):
         P, _T, N, _B = _frame_jets(base, t, order)
@@ -199,21 +213,6 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
 # pair model and detection
 
 
-def _frenet_fill(cache: dict, curve: Curve, side: str, ts) -> list:
-    """Frenet data of ``curve`` at each t, memoized in ``cache`` under
-    (side, t).  The points not held yet are evaluated in one batch; a
-    singular point is held, and returned, as the error it raised."""
-    keys = [(side, float(t)) for t in ts]
-    missing = [key for key in dict.fromkeys(keys) if key not in cache]
-    if missing:
-        cache.update(zip(missing, _frenet_columns(curve, [t for _, t in missing])))
-    return [cache[key] for key in keys]
-
-
-def _regular(fds) -> np.ndarray:
-    return np.array([not isinstance(fd, SingularPointError) for fd in fds], dtype=bool)
-
-
 @dataclass
 class ConstancyStat:
     mean: float
@@ -232,10 +231,11 @@ class ConstancyStat:
 class BertrandPairModel:
     """A detected Bertrand pair: offset, sign, grid data and statistics.
 
-    The pair holds the Frenet data of both curves and reuses it:
-    ``frenet(side, t)`` and ``frenet_grid(side, ts)`` evaluate the base
-    or the mate at most once per parameter value, starting from the
-    points detection evaluated, and a grid's new points in one batch.
+    ``base_rows`` and ``mate_rows`` hold the Frenet data of both curves,
+    and ``base_ratios`` and ``mate_ratios`` their ratio invariants, at the
+    regular points ``ts[~masked]`` of the detection grid, as arrays with
+    one row per point.  ``fd_base``, ``fd_mate``, ``ri_base`` and
+    ``ri_mate`` view them point by point over ``ts``, None where masked.
     """
 
     base: Curve
@@ -243,10 +243,10 @@ class BertrandPairModel:
     lam: float
     epsilon: int
     ts: np.ndarray
-    fd_base: list
-    fd_mate: list
-    ri_base: list
-    ri_mate: list
+    base_rows: FrenetData
+    mate_rows: FrenetData
+    base_ratios: RatioInvariants
+    mate_ratios: RatioInvariants
     p1: ConstancyStat
     p2: ConstancyStat
     q1: ConstancyStat
@@ -254,26 +254,14 @@ class BertrandPairModel:
     lambda_stat: ConstancyStat
     degenerate: bool = False
     masked: np.ndarray = field(default=None)
-    _frenet: dict = field(default_factory=dict, init=False, repr=False)
 
-    def frenet(self, side: str, t) -> FrenetData:
-        """Frenet data of the base (side 'base') or the mate at t.
+    def _per_point(self, rows):
+        return _points_at(rows, self.valid_indices(), len(self.ts))
 
-        Raises SingularPointError at a singular point, every time.
-        """
-        fd = self._fill(side, [t])[0]
-        if isinstance(fd, SingularPointError):
-            raise fd.with_traceback(None)
-        return fd
-
-    def frenet_grid(self, side: str, ts) -> list:
-        """Frenet data of one side at each t of ``ts``, None where singular."""
-        return [None if isinstance(fd, SingularPointError) else fd
-                for fd in self._fill(side, ts)]
-
-    def _fill(self, side, ts):
-        curve = {"base": self.base, "mate": self.mate}[side]
-        return _frenet_fill(self._frenet, curve, side, ts)
+    fd_base = cached_property(lambda self: self._per_point(self.base_rows))
+    fd_mate = cached_property(lambda self: self._per_point(self.mate_rows))
+    ri_base = cached_property(lambda self: self._per_point(self.base_ratios))
+    ri_mate = cached_property(lambda self: self._per_point(self.mate_ratios))
 
     @property
     def masked_fraction(self):
@@ -309,17 +297,15 @@ def detect_bertrand(
     for sampled curves whose end stencils are one-sided.  Raises
     NotAPairError with a reason of 'offset-not-normal', 'lambda-varies'
     or 'normals-not-aligned'.  The returned pair keeps the Frenet data
-    evaluated here and reuses it through ``BertrandPairModel.frenet``.
+    evaluated here, one batch per curve, as row arrays.
     """
     ts = _overlap_grid(base, mate, n, inset=inset)
-    frenet = {}
-    ok = _regular(_frenet_fill(frenet, base, "base", ts))
+    base_rows, ok, _ = _frenet_columns(base, ts)
     # the mate only where the base is regular: a normal offset's frame
     # needs the base's
-    ok[ok] = _regular(_frenet_fill(frenet, mate, "mate", ts[ok]))
-    masked = ~ok
-    fd_b = [frenet[("base", float(t))] if k else None for t, k in zip(ts, ok)]
-    fd_m = [frenet[("mate", float(t))] if k else None for t, k in zip(ts, ok)]
+    mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
+    base_rows = _take_rows(base_rows, mate_ok)
+    ok[ok] = mate_ok
     valid = np.nonzero(ok)[0]
     if len(valid) < max(8, n // 4):
         raise NotAPairError("offset-not-normal", "too few regular points")
@@ -329,15 +315,10 @@ def detect_bertrand(
     scale = max(float(np.max(norms)), 0.0)
     degenerate = scale < 1e-12
 
-    lam_signed = np.array(
-        [float(np.dot(offsets[j], fd_b[i].N)) for j, i in enumerate(valid)]
-    )
+    lam_signed = np.sum(offsets * base_rows.N, axis=1)
     if not degenerate:
         # offset must lie along the principal normal
-        resid = np.linalg.norm(
-            offsets - lam_signed[:, None] * np.array([fd_b[i].N for i in valid]),
-            axis=1,
-        )
+        resid = np.linalg.norm(offsets - lam_signed[:, None] * base_rows.N, axis=1)
         if np.max(resid) > math.sqrt(tol_align) * scale:
             raise NotAPairError(
                 "offset-not-normal", f"max transverse component {np.max(resid):.3e}"
@@ -351,7 +332,7 @@ def detect_bertrand(
     else:
         lam_mean = 0.0
 
-    dots = np.array([float(np.dot(fd_b[i].N, fd_m[i].N)) for i in valid])
+    dots = np.sum(base_rows.N * mate_rows.N, axis=1)
     if np.min(np.abs(dots)) < 1.0 - tol_align:
         raise NotAPairError(
             "normals-not-aligned", f"min |<N, N_mate>| = {np.min(np.abs(dots)):.6f}"
@@ -362,52 +343,48 @@ def detect_bertrand(
     if tol_align < 0.5 and np.any(signs != eps):
         raise NotAPairError("normals-not-aligned", "sign of <N, N_mate> flips")
 
-    ri_b = [None if fd is None else ratio_invariants(fd, eps_g=eps_g) for fd in fd_b]
-    ri_m = [None if fd is None else ratio_invariants(fd, eps_g=eps_g) for fd in fd_m]
-
-    g_vals = [r.g for r in ri_b if r is not None and r.g_defined]
-    gt_vals = [r.g for r in ri_m if r is not None and r.g_defined]
-    q1 = ConstancyStat.of([1.0 / math.sqrt(1.0 + g * g) for g in g_vals])
-    q2 = ConstancyStat.of([g / math.sqrt(1.0 + g * g) for g in g_vals])
-    p1 = ConstancyStat.of([1.0 / math.sqrt(1.0 + g * g) for g in gt_vals])
-    p2 = ConstancyStat.of([g / math.sqrt(1.0 + g * g) for g in gt_vals])
-
-    pair = BertrandPairModel(
+    ri_b = ratio_invariants(base_rows, eps_g=eps_g)
+    ri_m = ratio_invariants(mate_rows, eps_g=eps_g)
+    g = ri_b.g[ri_b.g_defined]
+    gt = ri_m.g[ri_m.g_defined]
+    return BertrandPairModel(
         base=base,
         mate=mate,
         lam=lam_mean,
         epsilon=eps,
         ts=ts,
-        fd_base=fd_b,
-        fd_mate=fd_m,
-        ri_base=ri_b,
-        ri_mate=ri_m,
-        p1=p1,
-        p2=p2,
-        q1=q1,
-        q2=q2,
+        base_rows=base_rows,
+        mate_rows=mate_rows,
+        base_ratios=ri_b,
+        mate_ratios=ri_m,
+        p1=ConstancyStat.of(1.0 / np.sqrt(1.0 + gt * gt)),
+        p2=ConstancyStat.of(gt / np.sqrt(1.0 + gt * gt)),
+        q1=ConstancyStat.of(1.0 / np.sqrt(1.0 + g * g)),
+        q2=ConstancyStat.of(g / np.sqrt(1.0 + g * g)),
         lambda_stat=ConstancyStat.of(lam_signed if not degenerate else [0.0]),
         degenerate=degenerate,
-        masked=masked,
+        masked=~ok,
     )
-    pair._frenet = frenet
-    return pair
+
+
+def _constraint_residuals(fd, fdm, ri, rim, eps):
+    """(kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m from
+    base (fd, ri) and mate (fdm, rim) data, at one point or at each row."""
+    return ((fdm.kappa + eps * fd.kappa) * ri.g * rim.g
+            - eps * ri.f * rim.g * fd.kappa
+            - rim.f * ri.g * fdm.kappa)
 
 
 def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:
-    """LHS of (kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m."""
-    fd = pair.frenet("base", t)
-    fdm = pair.frenet("mate", t)
+    """LHS of (kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m
+    at t, from a fresh evaluation of both curves."""
+    fd = _frenet_rows(pair.base, [t])
+    fdm = _frenet_rows(pair.mate, [t])
     ri = ratio_invariants(fd)
     rim = ratio_invariants(fdm)
-    if not (ri.g_defined and rim.g_defined):
+    if not (ri.g_defined[0] and rim.g_defined[0]):
         raise DegenerateRatioError(f"g undefined at t={t}")
-    eps = pair.epsilon
-    return float(
-        (fdm.kappa + eps * fd.kappa) * ri.g * rim.g
-        - eps * ri.f * rim.g * fd.kappa
-        - rim.f * ri.g * fdm.kappa
-    )
+    return float(_constraint_residuals(fd, fdm, ri, rim, pair.epsilon)[0])
 
 
 def linear_relation_fit(curve: Curve, n: int = 64):
@@ -415,8 +392,8 @@ def linear_relation_fit(curve: Curve, n: int = 64):
     if n < 8:
         raise ValueError("n must be >= 8")
     lo, hi = curve.domain
-    fds = frenet_grid(curve, np.linspace(lo, hi, n))
-    A = np.array([(fd.kappa, fd.tau) for fd in fds if fd is not None])
+    rows, _, _ = _frenet_columns(curve, np.linspace(lo, hi, n))
+    A = np.stack([rows.kappa, rows.tau], axis=1)
     if len(A) < 8:
         raise IllConditionedError("too few regular samples")
     # constant kappa and tau leave a one-parameter family of solutions

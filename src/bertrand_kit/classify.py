@@ -18,14 +18,16 @@ import numpy as np
 from .bertrand import (
     BertrandPairModel,
     ConstancyStat,
+    _constraint_residuals,
     _overlap_grid,
-    pair_constraint_residual,
+    _require_g,
 )
 from .curves import (
     Curve,
     FrenetData,
+    _frenet_columns,
+    _take_rows,
     cumulative_trapezoid,
-    frenet_grid,
     slant_geodesic_indicator,
 )
 from .errors import (
@@ -36,11 +38,15 @@ from .errors import (
 from .indicatrix import (
     AXES,
     SIDES,
-    apparatus_grid,
-    frame_relations_check,
-    indicatrix_arclength_relations,
+    IndicatrixSample,
+    _applies,
+    _arclength_relations,
+    _frame_relations,
+    _images,
+    _other_side,
     indicatrix_images,
 )
+from .jets import _first
 
 TOL_PLANAR = 1e-8
 TOL_HELIX = 1e-6
@@ -100,19 +106,17 @@ def classify_curve(
     if n < 64:
         raise TooFewSamplesError("classification needs n >= 64")
     lo, hi = curve.domain
-    ts = np.linspace(lo, hi, n)
-    fds = frenet_grid(curve, ts)
-    valid = [fd for fd in fds if fd is not None]
-    if len(valid) < MIN_CLASSIFY_SAMPLES:
+    rows, _, _ = _frenet_columns(curve, np.linspace(lo, hi, n))
+    count = len(rows.t)
+    if count < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(
-            f"{len(valid)} regular samples of {n}; need {MIN_CLASSIFY_SAMPLES}"
+            f"{count} regular samples of {n}; need {MIN_CLASSIFY_SAMPLES}"
         )
-    kappa_max = max(fd.kappa for fd in valid)
-    tau_max = max(abs(fd.tau) for fd in valid)
-    f_dev = _relative_deviation([fd.tau / fd.kappa for fd in valid])
-    gamma_dev = _relative_deviation([slant_geodesic_indicator(fd) for fd in valid])
-    pts = curve.point(np.array([fd.t for fd in valid])).T
-    _, radius, sph_resid = sphere_fit(pts)
+    kappa_max = float(np.max(rows.kappa))
+    tau_max = float(np.max(np.abs(rows.tau)))
+    f_dev = _relative_deviation(rows.tau / rows.kappa)
+    gamma_dev = _relative_deviation(slant_geodesic_indicator(rows))
+    _, radius, sph_resid = sphere_fit(curve.point(rows.t).T)
     metrics = {
         "tau_max": tau_max,
         "kappa_max": kappa_max,
@@ -120,7 +124,7 @@ def classify_curve(
         "Gamma_deviation": gamma_dev,
         "sphere_fit_residual": sph_resid,
         "sphere_fit_radius": radius,
-        "masked_fraction": 1.0 - len(valid) / n,
+        "masked_fraction": 1.0 - count / n,
     }
     return CurveClass(
         planar=tau_max < tol_planar * kappa_max,
@@ -131,22 +135,20 @@ def classify_curve(
     )
 
 
-def spherical_helix_check(samples, tol_helix: float = TOL_HELIX) -> dict:
-    """Constancy of tau_x/kappa_x over closed-form indicatrix samples.
+def spherical_helix_check(image: IndicatrixSample, tol_helix: float = TOL_HELIX) -> dict:
+    """Constancy of tau_x/kappa_x over the closed-form rows of one image.
 
     A spherical curve with constant torsion-to-curvature ratio is a
     spherical helix; this is the indicatrix-level helix criterion.
     """
-    ratios = []
-    for s in samples:
-        if s is None:
-            continue
-        if abs(s.kappa) < 1e-12:
-            raise DegenerateRatioError(f"kappa_x = 0 at t={s.t}")
-        ratios.append(s.tau / s.kappa)
-    if len(ratios) < MIN_CLASSIFY_SAMPLES:
-        raise TooFewSamplesError(f"{len(ratios)} samples; need {MIN_CLASSIFY_SAMPLES}")
-    dev = _relative_deviation(ratios)
+    flat = np.abs(image.kappa) < 1e-12
+    if np.any(flat):
+        raise DegenerateRatioError(f"kappa_x = 0 at t={_first(flat, image.t)}")
+    if len(image.kappa) < MIN_CLASSIFY_SAMPLES:
+        raise TooFewSamplesError(
+            f"{len(image.kappa)} samples; need {MIN_CLASSIFY_SAMPLES}"
+        )
+    dev = _relative_deviation(image.tau / image.kappa)
     return {"is_spherical_helix": dev < tol_helix, "deviation": dev}
 
 
@@ -154,18 +156,9 @@ def spherical_helix_check(samples, tol_helix: float = TOL_HELIX) -> dict:
 # condition residuals
 
 
-def _condition_scale(fd: FrenetData, ri) -> float:
-    k, kp, kpp = fd.kappa, fd.dkappa_ds, fd.d2kappa_ds2
-    f, g = ri.f, ri.g
-    return max(
-        abs(kpp * k * (1.0 + f * f)),
-        abs(3.0 * kp * kp * (1.0 + f * g)),
-        1e-30,
-    )
-
-
-def condition_residual(fd_tilde: FrenetData, ri_tilde) -> float:
-    """Normalized residual of kappa'' kappa f^2 - 3 kappa'^2 g f + kappa'' kappa - 3 kappa'^2.
+def condition_residual(fd_tilde: FrenetData, ri_tilde):
+    """Normalized residual of kappa'' kappa f^2 - 3 kappa'^2 g f + kappa'' kappa - 3 kappa'^2,
+    at one point or at each row.
 
     Vanishing marks the tangent (equivalently binormal) indicatrix as a
     spherical helix, and equally the principal-normal indicatrix as
@@ -173,12 +166,12 @@ def condition_residual(fd_tilde: FrenetData, ri_tilde) -> float:
     to the side opposite the imaged curve, matching the closed-form
     convention.
     """
-    if not ri_tilde.g_defined:
-        raise DegenerateRatioError(f"g undefined at t={ri_tilde.t}")
+    _require_g(ri_tilde)
     k, kp, kpp = fd_tilde.kappa, fd_tilde.dkappa_ds, fd_tilde.d2kappa_ds2
     f, g = ri_tilde.f, ri_tilde.g
     lhs = kpp * k * f * f - 3.0 * kp * kp * g * f + kpp * k - 3.0 * kp * kp
-    return float(lhs / _condition_scale(fd_tilde, ri_tilde))
+    scale = np.maximum(np.abs(kpp * k * (1.0 + f * f)), np.abs(3.0 * kp * kp * (1.0 + f * g)))
+    return lhs / np.maximum(scale, 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +213,13 @@ def pair_classify(
         ts_a = _overlap_grid(curveA, curveB, n)
         ts_b = ts_a
 
-    rows = [
-        (i, fa, fb)
-        for i, (fa, fb) in enumerate(zip(frenet_grid(curveA, ts_a), frenet_grid(curveB, ts_b)))
-        if fa is not None and fb is not None
-    ]
-    if len(rows) < MIN_CLASSIFY_SAMPLES:
-        raise TooFewSamplesError(f"{len(rows)} regular sample pairs of {n}")
-
-    kept = [r[0] for r in rows]
-    D = curveB.point(ts_b[kept]).T - curveA.point(ts_a[kept]).T
+    rows_a, ok_a, _ = _frenet_columns(curveA, ts_a)
+    rows_b, ok_b, _ = _frenet_columns(curveB, ts_b)
+    both = ok_a & ok_b
+    if np.count_nonzero(both) < MIN_CLASSIFY_SAMPLES:
+        raise TooFewSamplesError(f"{np.count_nonzero(both)} regular sample pairs of {n}")
+    fa, fb = _take_rows(rows_a, both[ok_a]), _take_rows(rows_b, both[ok_b])
+    D = curveB.point(ts_b[both]).T - curveA.point(ts_a[both]).T
     scale = max(float(np.max(np.linalg.norm(D, axis=1))), 1e-30)
 
     def direction_test(axis_vecs, partner_vecs):
@@ -239,21 +229,15 @@ def pair_classify(
         flip along the curve (e.g. across torsion zeros) without breaking
         the geometric coincidence the definitions ask for.
         """
-        lam = np.array([float(d @ a) for d, a in zip(D, axis_vecs)])
-        transverse = np.linalg.norm(D - lam[:, None] * np.array(axis_vecs), axis=1)
+        lam = np.sum(D * axis_vecs, axis=1)
+        transverse = np.linalg.norm(D - lam[:, None] * axis_vecs, axis=1)
         off_dev = float(np.max(transverse)) / scale
-        dots = [abs(float(p @ a)) for p, a in zip(partner_vecs, axis_vecs)]
-        axis_dev = float(np.max(1.0 - np.array(dots)))
+        dots = np.abs(np.sum(partner_vecs * axis_vecs, axis=1))
+        axis_dev = float(np.max(1.0 - dots))
         return off_dev, axis_dev, ConstancyStat.of(np.abs(lam))
 
-    NA = [r[1].N for r in rows]
-    BA = [r[1].B for r in rows]
-    TA = [r[1].T for r in rows]
-    NB = [r[2].N for r in rows]
-    TB = [r[2].T for r in rows]
-
     ev = {}
-    off, ax, lam = direction_test(NA, NB)
+    off, ax, lam = direction_test(fa.N, fb.N)
     ev["bertrand"] = {
         "offset_normal_dev": off,
         "normal_alignment_dev": ax,
@@ -266,7 +250,7 @@ def pair_classify(
         and lam.max_deviation < tol * (1.0 + abs(lam.mean))
     )
 
-    off, ax, lam = direction_test(BA, NB)
+    off, ax, lam = direction_test(fa.B, fb.N)
     ev["mannheim"] = {
         "offset_binormal_dev": off,
         "normal_vs_binormal_dev": ax,
@@ -279,9 +263,9 @@ def pair_classify(
         and lam.max_deviation < tol * (1.0 + abs(lam.mean))
     )
 
-    lamT = np.array([float(d @ a) for d, a in zip(D, TA)])
-    transverse = np.linalg.norm(D - lamT[:, None] * np.array(TA), axis=1)
-    tdots = np.array([abs(float(ta @ tb)) for ta, tb in zip(TA, TB)])
+    lamT = np.sum(D * fa.T, axis=1)
+    transverse = np.linalg.norm(D - lamT[:, None] * fa.T, axis=1)
+    tdots = np.abs(np.sum(fa.T * fb.T, axis=1))
     ev["involute_evolute"] = {
         "offset_tangent_dev": float(np.max(transverse)) / scale,
         "tangent_orthogonality_dev": float(np.max(tdots)),
@@ -335,19 +319,14 @@ class TheoremReport:
         return all(e.passed for e in self.entries.values())
 
 
-def _pair_rows(pair: BertrandPairModel):
-    rows = []
-    for i in pair.valid_indices():
-        rb, rm = pair.ri_base[i], pair.ri_mate[i]
-        if rb is None or rm is None or not (rb.g_defined and rm.g_defined):
-            continue
-        rows.append((pair.fd_base[i], pair.fd_mate[i], rb, rm))
-    return rows
-
-
 def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> TheoremReport:
     """Residual-and-tolerance report over the full catalog of pair identities.
 
+    Every entry but ``negative-result`` reads the Frenet data detection
+    evaluated: the rows of the detection grid ``pair.ts`` where both
+    curves are regular and g is defined on both (``verify --n`` sets that
+    grid, capped at 256).  ``n`` sets only the sampling of the indicatrix
+    images that ``negative-result`` classifies, max(64, n // 2) points.
     Identity entries must pass on any accepted pair; equivalence entries
     (helix/planar criteria) pass when the two sides of the iff agree.
     """
@@ -357,65 +336,62 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         return tols.get(key, default)
 
     report = TheoremReport()
-    rows = _pair_rows(pair)
-    if len(rows) < MIN_CLASSIFY_SAMPLES:
-        raise TooFewSamplesError(f"{len(rows)} usable grid rows")
+    usable = pair.base_ratios.g_defined & pair.mate_ratios.g_defined
+    if np.count_nonzero(usable) < MIN_CLASSIFY_SAMPLES:
+        raise TooFewSamplesError(f"{np.count_nonzero(usable)} usable grid rows")
+    rows = {
+        "base": (_take_rows(pair.base_rows, usable), _take_rows(pair.base_ratios, usable)),
+        "mate": (_take_rows(pair.mate_rows, usable), _take_rows(pair.mate_ratios, usable)),
+    }
+    (fb, rb), (fm, rm) = rows["base"], rows["mate"]
     mf = pair.masked_fraction
     eps = pair.epsilon
 
     # th2: Gamma + Gamma_mate = 0 (slant indicators are negatives)
-    g_sum = max(abs(rb.Gamma + rm.Gamma) for _, _, rb, rm in rows)
-    report.add("th2", g_sum, tol("th2", 1e-5), mf)
+    report.add("th2", np.max(np.abs(rb.Gamma + rm.Gamma)), tol("th2", 1e-5), mf)
 
     # th3 / th22: g constant on each side
-    g_base = ConstancyStat.of([rb.g for _, _, rb, _ in rows])
-    g_mate = ConstancyStat.of([rm.g for _, _, _, rm in rows])
+    g_base = ConstancyStat.of(rb.g)
+    g_mate = ConstancyStat.of(rm.g)
     report.add("th3", g_mate.max_deviation / max(1.0, abs(g_mate.mean)),
                tol("th3", 1e-6), mf, note="constancy of g on the mate")
     report.add("th22", g_base.max_deviation / max(1.0, abs(g_base.mean)),
                tol("th22", 1e-6), mf, note="constancy of g on the base")
 
     # eps-g relation: eps*g + g_mate = 0
-    eg = max(abs(eps * rb.g + rm.g) for _, _, rb, rm in rows)
-    report.add("eps-g-relation", eg, tol("eps-g-relation", 1e-8), mf)
+    report.add("eps-g-relation", np.max(np.abs(eps * rb.g + rm.g)),
+               tol("eps-g-relation", 1e-8), mf)
 
     # cross-side constraint equation
-    ts_c = pair.ts[pair.valid_indices()][:: max(1, len(rows) // 64)]
-    cres = max(abs(pair_constraint_residual(pair, t)) for t in ts_c)
+    cres = np.max(np.abs(_constraint_residuals(fb, fm, rb, rm, eps)))
     report.add("constraint-eq", cres, tol("constraint-eq", 1e-8), mf)
 
-    # frame relations among indicatrix frames
-    frames = frame_relations_check(pair, n=min(n, 64))
-    fr = max(v for k, v in frames.items() if k != "masked_points")
-    report.add("frame-relations", fr, tol("frame-relations", 1e-8), mf)
+    # closed forms of each side's images, which read the other curve's
+    # rows where they apply
+    images = {}
+    for side in SIDES:
+        fd, ri = rows[_other_side(side)]
+        ok = _applies(side, ri)
+        images[side] = _images(side, _take_rows(fd, ok), _take_rows(ri, ok), eps)
 
-    # indicatrix closed-form sample grids, both sides
-    ts_i = np.linspace(pair.ts[0], pair.ts[-1], min(n, 128))
-    apps = {
-        (side, axis): apparatus_grid(pair, side, axis, ts_i)
-        for side in SIDES
-        for axis in AXES
-    }
+    # frame relations among indicatrix frames
+    fr = max(max(_frame_relations(side, images[side], eps).values()) for side in SIDES)
+    report.add("frame-relations", fr, tol("frame-relations", 1e-8), mf)
 
     # tangent and binormal images share |kappa| and |tau|; Gamma_t = Gamma_b
     elf = 0.0
     for side in SIDES:
-        for st, sb in zip(apps[(side, "tangent")], apps[(side, "binormal")]):
-            if st is None or sb is None:
-                continue
-            elf = max(
-                elf,
-                abs(st.kappa - sb.kappa),
-                abs(abs(st.tau) - abs(sb.tau)),
-                abs(st.Gamma - sb.Gamma),
-            )
+        st, sb = images[side]["tangent"], images[side]["binormal"]
+        for gap in (st.kappa - sb.kappa, np.abs(st.tau) - np.abs(sb.tau), st.Gamma - sb.Gamma):
+            elf = max(elf, float(np.max(np.abs(gap), initial=0.0)))
     report.add("elf-corollaries", elf, tol("elf-corollaries", 1e-10), mf,
                note="|kappa_t - kappa_b|, ||tau_t| - |tau_b||, |Gamma_t - Gamma_b|")
 
     # cr14 / cr33: binormal arc length against the direct |B'| quadrature,
     # and the affine law s_b = slope * s_src + c2
     for key, side in (("cr14", "base"), ("cr33", "mate")):
-        rel = indicatrix_arclength_relations(pair, side, n=min(n, 128))
+        src, ri = rows[_other_side(side)]
+        rel = _arclength_relations(side, src, ri, rows[side][0], pair.lam, eps)
         rng = max(abs(rel.s_b[-1] - rel.s_b[0]), 1e-30)
         direct_gap = float(np.max(np.abs(np.abs(rel.s_b) - rel.s_b_direct))) / rng
         affine_gap = rel.affine_fit.rms_residual / rng
@@ -425,49 +401,30 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
                    note=f"c1={rel.c1:.6g}, c2={rel.c2:.6g}")
 
     # slant-helix flags on the curves and helix flags on the indicatrices
-    gamma_dev = {
-        "base": _relative_deviation([rb.Gamma for _, _, rb, _ in rows]),
-        "mate": _relative_deviation([rm.Gamma for _, _, _, rm in rows]),
-    }
-    sph_helix = {}
-    for side in SIDES:
-        for axis in ("tangent", "binormal"):
-            chk = spherical_helix_check(apps[(side, axis)])
-            sph_helix[(side, axis)] = chk
-    tau_n_rel = {}
-    for side in SIDES:
-        vals = [
-            abs(s.tau) / max(abs(s.kappa), 1e-30)
-            for s in apps[(side, "normal")]
-            if s is not None
-        ]
-        tau_n_rel[side] = float(np.max(vals))
-
+    gamma_dev = {side: _relative_deviation(rows[side][1].Gamma) for side in SIDES}
     tol_slant = tol("tol_slant", TOL_SLANT)
     tol_ih = tol("tol_indicatrix_helix", 1e-4)
-    base_slant = gamma_dev["base"] < tol_slant
-    mate_slant = gamma_dev["mate"] < tol_slant
+    helix = {
+        (side, axis): spherical_helix_check(images[side][axis])["deviation"] < tol_ih
+        for side in SIDES
+        for axis in ("tangent", "binormal")
+    }
+
+    def agree(axis):
+        # each curve's slant flag against the helix flag of each side's image
+        return all((gamma_dev[s1] < tol_slant) == helix[(s2, axis)]
+                   for s1 in SIDES for s2 in SIDES)
 
     # th6/th25: curve slant-helix iff tangent indicatrix spherical helix
     # (both sides of the pair, all stated combinations)
-    agree6 = all(
-        (gamma_dev[s1] < tol_slant)
-        == (sph_helix[(s2, "tangent")]["deviation"] < tol_ih)
-        for s1 in SIDES
-        for s2 in SIDES
-    )
+    agree6 = agree("tangent")
     report.add("th6", max(gamma_dev.values()), tol("th6", math.inf), mf,
                passed=agree6, note="boolean co-occurrence, all four combinations")
     report.add("th25", max(gamma_dev.values()), tol("th25", math.inf), mf,
                passed=agree6, note="same co-occurrence via the mate tangent image")
 
     # teo15 / teo33: slant helix iff binormal indicatrix spherical helix
-    agree15 = all(
-        (gamma_dev[s1] < tol_slant)
-        == (sph_helix[(s2, "binormal")]["deviation"] < tol_ih)
-        for s1 in SIDES
-        for s2 in SIDES
-    )
+    agree15 = agree("binormal")
     report.add("teo15", max(gamma_dev.values()), tol("teo15", math.inf), mf,
                passed=agree15, note="boolean co-occurrence with binormal images")
     report.add("teo33", max(gamma_dev.values()), tol("teo33", math.inf), mf,
@@ -475,25 +432,23 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
 
     # th8/th17 and th11: one condition residual, checked for agreement
     # with the indicatrix-level flags
-    cond_res = max(abs(condition_residual(fdm, rm)) for _, fdm, _, rm in rows)
+    cond_res = float(np.max(np.abs(condition_residual(fm, rm))))
     tol_cond = tol("tol_condition", 1e-3)
     cond_true = cond_res < tol_cond
-    ind_true = sph_helix[("base", "tangent")]["deviation"] < tol_ih
+    ind_true = helix[("base", "tangent")]
     report.add("th8", cond_res, tol_cond, mf, passed=cond_true == ind_true,
                note="residual attached to the iff against the tangent image")
     report.add("th17", cond_res, tol_cond, mf, passed=cond_true == ind_true,
                note="same expression, binormal image")
-    normal_planar = tau_n_rel["base"] < tol("tol_normal_planar", 1e-4)
+    sn = images["base"]["normal"]
+    tau_n_rel = float(np.max(np.abs(sn.tau) / np.maximum(np.abs(sn.kappa), 1e-30)))
+    normal_planar = tau_n_rel < tol("tol_normal_planar", 1e-4)
     report.add("th11", cond_res, tol_cond, mf,
                passed=cond_true == normal_planar,
                note="algebraically identical to th8; planar-normal-image reading")
 
     # cr18: equivalence matrix of the three booleans
-    flags = [
-        sph_helix[("base", "tangent")]["deviation"] < tol_ih,
-        normal_planar,
-        sph_helix[("base", "binormal")]["deviation"] < tol_ih,
-    ]
+    flags = [helix[("base", "tangent")], normal_planar, helix[("base", "binormal")]]
     report.add("cr18", float(len(set(flags)) - 1), 0.5, mf,
                passed=len(set(flags)) == 1,
                note=f"flags={flags}")

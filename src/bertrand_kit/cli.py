@@ -56,7 +56,6 @@ from .indicatrix import (
 from .io import (
     CurveFileError,
     RunReport,
-    curve_to_dict,
     file_hash,
     fmt,
     load_curve,

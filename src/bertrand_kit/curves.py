@@ -17,7 +17,8 @@ explicit chain-rule conversion to arc-length derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -230,6 +231,13 @@ class JetBackedCurve(Curve):
 
 @dataclass(frozen=True)
 class FrenetData:
+    """Frame, curvature, torsion and their arc-length derivatives.
+
+    At one point the fields are floats and (3,) vectors.  The rows of a
+    grid (``_frenet_columns``) hold (N,) arrays and (N, 3) vectors, one
+    row per regular point.
+    """
+
     t: float
     speed: float
     T: np.ndarray
@@ -240,6 +248,41 @@ class FrenetData:
     dkappa_ds: float
     dtau_ds: float
     d2kappa_ds2: float
+
+
+def _take_rows(rows, idx):
+    """The rows ``idx`` of a dataclass of row arrays; fields that are not
+    arrays are kept."""
+    return replace(rows, **{f.name: getattr(rows, f.name)[idx] for f in fields(rows)
+                            if isinstance(getattr(rows, f.name), np.ndarray)})
+
+
+def _points(rows):
+    """The one-point view of each row of a dataclass of row arrays:
+    numbers as Python floats and bools, vectors as (3,) arrays."""
+    columns = []
+    for f in fields(rows):
+        v = getattr(rows, f.name)
+        if not isinstance(v, np.ndarray):
+            columns.append(repeat(v))
+        else:
+            columns.append(v.tolist() if v.ndim == 1 else v)
+    return [type(rows)(*values) for values in zip(*columns)]
+
+
+def _points_at(rows, idx, n):
+    """A list of n entries: the one-point view of row j at ``idx[j]``,
+    None elsewhere."""
+    out = [None] * n
+    for i, point in zip(idx, _points(rows)):
+        out[i] = point
+    return out
+
+
+def _stack_rows(points):
+    """Grid rows, one per point, from one-point data of one dataclass."""
+    return replace(points[0], **{f.name: np.array([getattr(x, f.name) for x in points])
+                                 for f in fields(points[0])})
 
 
 def _cross_jets(a, b):
@@ -259,12 +302,12 @@ def _take(jets, idx):
 
 
 def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
-    """Frenet data at every t of ``ts`` from one jet request of the curve.
-
-    A singular t gets, in place of its data, the SingularPointError that
-    ``frenet_apparatus`` raises there.  The regularity floors are applied
-    column by column, and a flagged column leaves the batch before any
-    denominator could vanish in it.
+    """Frenet data at every regular t of ``ts`` from one jet request of
+    the curve: ``(rows, regular, errors)``.  ``rows`` is a FrenetData of
+    arrays over ``ts[regular]``, and ``errors`` holds, in grid order, the
+    SingularPointError that ``frenet_apparatus`` raises at each singular
+    t.  The regularity floors are applied column by column, and a flagged
+    column leaves the batch before any denominator could vanish in it.
 
     kappa = |g' x g''| / |g'|^3 and tau = <g' x g'', g'''> / |g' x g''|^2
     are evaluated in jet arithmetic so that their parameter derivatives
@@ -272,14 +315,9 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     chain rule.
     """
     ts = np.asarray(ts, dtype=float)
-    out = [None] * len(ts)
-    if not len(ts):
-        return out
     D1 = tuple(p.deriv() for p in curve.jet(ts, order))
     v2 = _dot_jets(D1, D1)
     slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= eps_reg * eps_reg))
-    for i in np.flatnonzero(slow):
-        out[i] = SingularPointError(f"speed below regularity floor at t={ts[i]}")
     keep = np.flatnonzero(~slow)
     D1, v2 = _take(D1, keep), v2.take(keep)
     speed_jet = jsqrt(v2)
@@ -287,8 +325,6 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     c2 = _dot_jets(C, C)
     v = speed_jet.coeffs[0]
     flat = c2.coeffs[0] < (eps_reg * v * v) ** 2
-    for i in keep[flat]:
-        out[i] = SingularPointError(f"curvature below regularity floor at t={ts[i]}")
     sub = np.flatnonzero(~flat)
     keep = keep[sub]
     D1, C = _take(D1, sub), _take(C, sub)
@@ -302,58 +338,66 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     kdot = kappa_jet.coeffs[1]
     kddot = 2.0 * kappa_jet.coeffs[2]
     vdot = speed_jet.coeffs[1]
-    d2kappa = (kddot * v - kdot * vdot) / v**3
-    dkappa = kdot / v
-    dtau = tau_jet.coeffs[1] / v
     T = np.ascontiguousarray((np.array([d.coeffs[0] for d in D1]) / v).T)
     B = np.ascontiguousarray((np.array([c.coeffs[0] for c in C]) / cnorm.coeffs[0]).T)
-    N = np.cross(B, T)
-    for j, i in enumerate(keep):
-        out[i] = FrenetData(
-            t=float(ts[i]),
-            speed=float(v[j]),
-            T=T[j],
-            N=N[j],
-            B=B[j],
-            kappa=float(kappa_jet.coeffs[0, j]),
-            tau=float(tau_jet.coeffs[0, j]),
-            dkappa_ds=float(dkappa[j]),
-            dtau_ds=float(dtau[j]),
-            d2kappa_ds2=float(d2kappa[j]),
-        )
-    return out
+    rows = FrenetData(
+        t=ts[keep],
+        speed=v,
+        T=T,
+        N=np.cross(B, T),
+        B=B,
+        kappa=kappa_jet.coeffs[0],
+        tau=tau_jet.coeffs[0],
+        dkappa_ds=kdot / v,
+        dtau_ds=tau_jet.coeffs[1] / v,
+        d2kappa_ds2=(kddot * v - kdot * vdot) / v**3,
+    )
+    regular = np.zeros(len(ts), dtype=bool)
+    regular[keep] = True
+    errors = [
+        SingularPointError(f"{'speed' if slow[i] else 'curvature'} below regularity "
+                           f"floor at t={ts[i]}")
+        for i in np.flatnonzero(~regular)
+    ]
+    return rows, regular, errors
+
+
+def _frenet_rows(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
+    """Frenet data at every t of ``ts`` as the rows of ``_frenet_columns``;
+    raises the SingularPointError of the first singular t."""
+    rows, _, errors = _frenet_columns(curve, ts, order=order, eps_reg=eps_reg)
+    if errors:
+        raise errors[0]
+    return rows
 
 
 def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     """Frame, curvature, torsion and their arc-length derivatives at t:
     the one-point case of ``_frenet_columns``.  Raises SingularPointError
     at a singular point."""
-    fd = _frenet_columns(curve, np.array([t], dtype=float), order=order, eps_reg=eps_reg)[0]
-    if isinstance(fd, SingularPointError):
-        raise fd
-    return fd
+    return _points(_frenet_rows(curve, [t], order, eps_reg))[0]
 
 
 def frenet_grid(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     """Frenet data over a grid from one jet request of the curve; singular
     points become None entries."""
-    return [
-        None if isinstance(fd, SingularPointError) else fd
-        for fd in _frenet_columns(curve, ts, order=order, eps_reg=eps_reg)
-    ]
+    rows, regular, _ = _frenet_columns(curve, ts, order=order, eps_reg=eps_reg)
+    return _points_at(rows, np.flatnonzero(regular), len(regular))
 
 
-def slant_geodesic_indicator(fd: FrenetData) -> float:
-    """Geodesic-curvature function of the principal-normal image.
+def slant_geodesic_indicator(fd: FrenetData):
+    """Geodesic-curvature function of the principal-normal image, at one
+    point or at each row of a grid.
 
     kappa^2/(kappa^2+tau^2)^{3/2} * d(tau/kappa)/ds, expanded so that no
     intermediate quotient by kappa^2 is formed twice.
     """
     k, tau = fd.kappa, fd.tau
-    if k <= EPS_REG:
-        raise SingularPointError(f"kappa={k} at t={fd.t}")
+    low = k <= EPS_REG
+    if np.any(low):
+        raise SingularPointError(f"kappa={_first(low, k)} at t={_first(low, fd.t)}")
     num = fd.dtau_ds * k - tau * fd.dkappa_ds
-    return float(num / (k * k + tau * tau) ** 1.5)
+    return num / (k * k + tau * tau) ** 1.5
 
 
 # ---------------------------------------------------------------------------

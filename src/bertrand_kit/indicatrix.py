@@ -14,19 +14,30 @@ reported separately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bertrand import (
+    EPS_DEN,
     BertrandPairModel,
     RatioInvariants,
+    _require_g,
     geodesic_indicator_closed_form,
     ratio_invariants,
 )
-from .curves import FrenetData, SampledCurve, cumulative_trapezoid, frenet_grid
-from .errors import DegenerateRatioError, SingularPointError
+from .curves import (
+    EPS_REG,
+    FrenetData,
+    SampledCurve,
+    _frenet_columns,
+    _frenet_rows,
+    _points,
+    _points_at,
+    _take_rows,
+    cumulative_trapezoid,
+)
+from .errors import DegenerateRatioError
 
 AXES = ("tangent", "normal", "binormal")
 SIDES = ("base", "mate")
@@ -44,6 +55,9 @@ class IndicatrixKind:
 
 @dataclass(frozen=True)
 class IndicatrixSample:
+    """Closed-form apparatus of one indicatrix: at one point (floats and
+    (3,) vectors) or at each row of a grid ((N,) and (N, 3) arrays)."""
+
     kind: IndicatrixKind
     t: float
     point: np.ndarray
@@ -62,10 +76,9 @@ def indicatrix_images(curve, n) -> dict:
     """The sampled spherical images of T, N and B, keyed by axis, from one
     Frenet grid of n points over the domain; singular points dropped."""
     lo, hi = curve.domain
-    fds = [fd for fd in frenet_grid(curve, np.linspace(lo, hi, n)) if fd is not None]
-    ts = np.array([fd.t for fd in fds])
+    rows, _, _ = _frenet_columns(curve, np.linspace(lo, hi, n))
     return {
-        axis: SampledCurve(ts, np.array([getattr(fd, vec) for fd in fds]),
+        axis: SampledCurve(rows.t, getattr(rows, vec),
                            label=f"{curve.label or 'curve'}:{axis}-image")
         for axis, vec in zip(AXES, "TNB")
     }
@@ -80,20 +93,35 @@ def _other_side(side: str) -> str:
     return "mate" if side == "base" else "base"
 
 
-def _data_side(pair: BertrandPairModel, side: str, t: float):
-    """Frenet data and ratio invariants of the curve the closed forms read.
-
-    Base-side indicatrix formulas consume mate quantities; mate-side
-    formulas consume base quantities.
-    """
-    fd = pair.frenet(_other_side(side), t)
-    ri = ratio_invariants(fd)
-    if not ri.g_defined:
-        raise DegenerateRatioError(f"g undefined at t={t}")
-    return fd, ri
+def _curve(pair: BertrandPairModel, side: str):
+    return pair.base if side == "base" else pair.mate
 
 
-def _gamma_big(fd: FrenetData, ri: RatioInvariants, ds_x_dsrc: float) -> float:
+def _degeneracies(side: str, ri: RatioInvariants):
+    """(flags, reason) of each degeneracy of the closed forms of
+    ``side``'s images, one flag per row of the data-side invariants."""
+    f, g = ri.f, ri.g
+    checks = [
+        (np.logical_not(ri.g_defined), "g undefined"),
+        (np.abs(f - g) < 1e-12, "f = g"),
+        (np.abs(1.0 + f * g) < 1e-12, "1 + f*g = 0"),
+    ]
+    if side == "mate":
+        # the mate-side geodesic indicator divides by f
+        checks.append((np.abs(f) <= EPS_DEN, "f=0"))
+    return checks
+
+
+def _applies(side: str, ri: RatioInvariants) -> np.ndarray:
+    """Rows where the closed forms of ``side``'s images apply."""
+    return ~np.logical_or.reduce([flags for flags, _ in _degeneracies(side, ri)])
+
+
+def _col(a):
+    return a[:, None]
+
+
+def _gamma_big(fd: FrenetData, ri: RatioInvariants, ds_x_dsrc):
     """Shared geodesic-indicator expression of the tangent/binormal images.
 
     ``ds_x_dsrc`` is the derivative of the indicatrix arc length with
@@ -103,152 +131,144 @@ def _gamma_big(fd: FrenetData, ri: RatioInvariants, ds_x_dsrc: float) -> float:
     f, g = ri.f, ri.g
     wf2 = 1.0 + f * f
     num = -(k**3) * wf2**1.5 * (g - f) ** 2 * (kpp * k * wf2 - 3.0 * kp * kp * (1.0 + f * g))
-    den = math.sqrt(1.0 + g * g) * (k**4 * wf2**3 + kp * kp * (f - g) ** 2) ** 1.5
+    den = np.sqrt(1.0 + g * g) * (k**4 * wf2**3 + kp * kp * (f - g) ** 2) ** 1.5
     return num / den / ds_x_dsrc
 
 
-def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants, eps: int,
-                 t: float, speed_src: float) -> IndicatrixSample:
+def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants,
+                 eps: int) -> IndicatrixSample:
+    """Closed-form apparatus of one image at each row of the data-side
+    Frenet rows ``fd`` and their invariants ``ri``, at rows where the
+    closed forms apply (``_applies``)."""
     f, g = ri.f, ri.g
     k, kp, kpp = fd.kappa, fd.dkappa_ds, fd.d2kappa_ds2
-    wf = math.sqrt(1.0 + f * f)
-    wg = math.sqrt(1.0 + g * g)
-    if abs(f - g) < 1e-12:
-        raise DegenerateRatioError(f"f = g at t={t}")
+    wf = np.sqrt(1.0 + f * f)
+    wg = np.sqrt(1.0 + g * g)
     T, N, B = fd.T, fd.N, fd.B
     mate_side = kind.side == "mate"
+    # unit vectors of the data side's rectifying plane
+    U = (T - _col(f) * B) / _col(wf)
+    V = (_col(f) * T + B) / _col(wf)
 
-    # ratio tau/kappa of the *imaged* curve and its slant indicator, both
-    # written in data-side quantities; these drive the corrected scalar
-    # values that track the imaged curve's own apparatus
-    if abs(1.0 + f * g) < 1e-12:
-        raise DegenerateRatioError(f"1 + f*g = 0 at t={t}")
-    f_img = -eps * (g - f) / (1.0 + f * g)
-    wfi = math.sqrt(1.0 + f_img * f_img)
-    G_img = geodesic_indicator_closed_form(fd, ri, side=kind.side)
-
-    if kind.axis == "tangent":
-        # the imaged tangent vector written in data-side frame vectors
-        point = (T - g * B) / wg
-        Tx = -N
-        Nx = (T - f * B) / wf
-        Bx = (f * T + B) / wf
-        kx = wg * wf / (f - g)
-        tx = kp * wg / (k * k * (1.0 + f * f))
-        if not mate_side:
-            tx = -tx
-        # the signed scalars coincide with the binormal-image values; the
-        # corrected pair follows the tangent image: kappa = sqrt(1+f_img^2),
-        # tau = Gamma*kappa
-        kxi = wfi
-        txi = G_img * wfi
-        ds_x_dsrc = k * (f - g) / wg
-        Gx = _gamma_big(fd, ri, ds_x_dsrc)
-        if mate_side:
-            Gx = -Gx
-        return IndicatrixSample(kind, t, point, Tx, Nx, Bx, kx, tx, kxi, txi,
-                                Gx, abs(ds_x_dsrc) * speed_src)
-
-    if kind.axis == "binormal":
-        point = eps * (g * T + B) / wg
-        Tx = eps * N
-        Nx = -eps * (T - f * B) / wf
-        Bx = (f * T + B) / wf
+    if kind.axis != "normal":
+        # ratio tau/kappa of the *imaged* curve and its slant indicator,
+        # both written in data-side quantities; these drive the corrected
+        # scalar values that track the imaged curve's own apparatus
+        f_img = -eps * (g - f) / (1.0 + f * g)
+        wfi = np.sqrt(1.0 + f_img * f_img)
+        G_img = geodesic_indicator_closed_form(fd, ri, side=kind.side)
+        # the tangent and binormal images share B, |kappa|, |tau| and Gamma
         kx = wf * wg / (f - g)
-        tx = -eps * kp * wg / (k * k * (1.0 + f * f))
-        kxi = wfi / abs(f_img)
-        txi = -G_img * wfi / f_img
+        tx = kp * wg / (k * k * (1.0 + f * f))
         ds_x_dsrc = k * (f - g) / wg
         Gx = _gamma_big(fd, ri, ds_x_dsrc)
         if mate_side:
             Gx = -Gx
-        return IndicatrixSample(kind, t, point, Tx, Nx, Bx, kx, tx, kxi, txi,
-                                Gx, abs(ds_x_dsrc) * speed_src)
+        if kind.axis == "tangent":
+            # the imaged tangent vector written in data-side frame vectors
+            point, Tx, Nx = (T - _col(g) * B) / _col(wg), -N, U
+            if not mate_side:
+                tx = -tx
+            # the corrected pair follows the tangent image:
+            # kappa = sqrt(1+f_img^2), tau = Gamma*kappa
+            kxi, txi = wfi, G_img * wfi
+        else:
+            point, Tx, Nx = eps * (_col(g) * T + B) / _col(wg), eps * N, -eps * U
+            tx = -eps * tx
+            kxi, txi = wfi / np.abs(f_img), -G_img * wfi / f_img
+        return IndicatrixSample(kind, fd.t, point, Tx, Nx, V, kx, tx, kxi, txi,
+                                Gx, np.abs(ds_x_dsrc) * fd.speed)
 
-    # normal axis
-    rho = math.sqrt(kp * kp * (g - f) ** 2 + k**4 * (1.0 + f * f) ** 3)
+    rho = np.sqrt(kp * kp * (g - f) ** 2 + k**4 * (1.0 + f * f) ** 3)
     point = eps * N
-    Tx = -eps * (T - f * B) / wf
-    Nx = (eps / (rho * wf)) * (
-        f * kp * (g - f) * T - k * k * (1.0 + f * f) ** 2 * N + kp * (g - f) * B
+    Tx = -eps * U
+    Nx = _col(eps / (rho * wf)) * (
+        _col(f * kp * (g - f)) * T - _col(k * k * (1.0 + f * f) ** 2) * N
+        + _col(kp * (g - f)) * B
     )
-    Bx = (1.0 / rho) * (
-        k * k * f * (1.0 + f * f) * T + kp * (g - f) * N + k * k * (1.0 + f * f) * B
+    Bx = _col(1.0 / rho) * (
+        _col(k * k * f * (1.0 + f * f)) * T + _col(kp * (g - f)) * N
+        + _col(k * k * (1.0 + f * f)) * B
     )
     kx = rho / (k * k * (1.0 + f * f) ** 1.5)
-    tx = (
-        -eps
-        * (g - f)
-        / rho**2
-        * ((3.0 * kp * kp - k * kpp) * (1.0 + f * f) + 3.0 * f * kp * kp * (g - f))
-    )
+    tx = -eps * (g - f) / rho**2 * (
+        (3.0 * kp * kp - k * kpp) * (1.0 + f * f) + 3.0 * f * kp * kp * (g - f))
     ds_x_dsrc = k * wf
-    return IndicatrixSample(kind, t, point, Tx, Nx, Bx, kx, tx, kx, tx,
-                            math.nan, abs(ds_x_dsrc) * speed_src)
+    return IndicatrixSample(kind, fd.t, point, Tx, Nx, Bx, kx, tx, kx, tx,
+                            np.full(len(k), np.nan), np.abs(ds_x_dsrc) * fd.speed)
+
+
+def _images(side: str, fd: FrenetData, ri: RatioInvariants, eps: int) -> dict:
+    """The closed forms of ``side``'s three images, keyed by axis, from
+    data-side rows where they apply."""
+    return {axis: _closed_form(IndicatrixKind(side, axis), fd, ri, eps) for axis in AXES}
+
+
+def _data_rows(pair: BertrandPairModel, side: str, ts):
+    """The data-side Frenet rows and ratio invariants at the points of
+    ``ts`` where the closed forms of ``side``'s images apply, from one
+    evaluation of the data-side curve, and the grid index of each row."""
+    rows, regular, _ = _frenet_columns(_curve(pair, _other_side(side)), ts)
+    # below ratio_invariants' curvature floor a point is masked as well
+    curved = rows.kappa > EPS_REG
+    rows, idx = _take_rows(rows, curved), np.flatnonzero(regular)[curved]
+    ri = ratio_invariants(rows)
+    ok = _applies(side, ri)
+    return _take_rows(rows, ok), _take_rows(ri, ok), idx[ok]
 
 
 def indicatrix_apparatus(pair: BertrandPairModel, side: str, axis: str,
                          t: float) -> IndicatrixSample:
-    """Closed-form apparatus sample of one indicatrix at parameter t."""
+    """Closed-form apparatus sample of one indicatrix at parameter t: the
+    one-row case of the grid closed forms, from a fresh evaluation of the
+    data-side curve."""
     kind = IndicatrixKind(side, axis)
-    fd, ri = _data_side(pair, side, t)
-    return _closed_form(kind, fd, ri, pair.epsilon, t, fd.speed)
+    fd = _frenet_rows(_curve(pair, _other_side(side)), [t])
+    ri = ratio_invariants(fd)
+    for flags, reason in _degeneracies(side, ri):
+        if flags[0]:
+            raise DegenerateRatioError(f"{reason} at t={t}")
+    return _points(_closed_form(kind, fd, ri, pair.epsilon))[0]
 
 
 def apparatus_grid(pair: BertrandPairModel, side: str, axis: str, ts):
-    """Closed-form samples over a grid; degenerate points become None."""
-    pair.frenet_grid(_other_side(side), ts)
-    out = []
-    for t in ts:
-        try:
-            out.append(indicatrix_apparatus(pair, side, axis, t))
-        except (SingularPointError, DegenerateRatioError):
-            out.append(None)
-    return out
+    """Closed-form samples over a grid, from one evaluation of the
+    data-side curve; degenerate points become None."""
+    fd, ri, idx = _data_rows(pair, side, ts)
+    return _points_at(_closed_form(IndicatrixKind(side, axis), fd, ri, pair.epsilon),
+                     idx, len(ts))
 
 
-def frame_relations_check(pair: BertrandPairModel, n: int = 64) -> dict:
-    """Max deviation of the six frame relations among indicatrix frames.
+def _frame_relations(side: str, images: dict, eps: int) -> dict:
+    """Max deviation of the four frame relations among ``side``'s image
+    frames, over their rows.
 
     Base side: T_t = -eps T_b, T_n = -eps N_t = N_b, B_t = B_b; mate side:
     the tilde counterparts with N_t = -eps T_n = -eps N_b.
     """
-    lo = pair.ts[0]
-    hi = pair.ts[-1]
-    ts = np.linspace(lo, hi, n)
-    pair.frenet_grid("base", ts)
-    pair.frenet_grid("mate", ts)
-    eps = pair.epsilon
+    st, sn, sb = (images[axis] for axis in AXES)
+    if side == "base":
+        n_t, n_b = sn.T - (-eps) * st.N, sn.T - sb.N
+    else:
+        n_t, n_b = st.N - (-eps) * sn.T, st.N - (-eps) * sb.N
+    rel = {"Tt_vs_Tb": st.T - (-eps) * sb.T, "Tn_vs_Nt": n_t, "Tn_vs_Nb": n_b,
+           "Bt_vs_Bb": st.B - sb.B}
+    return {f"{side}:{key}": float(np.max(np.linalg.norm(v, axis=1), initial=0.0))
+            for key, v in rel.items()}
+
+
+def frame_relations_check(pair: BertrandPairModel, n: int = 64) -> dict:
+    """Max deviation of the frame relations among indicatrix frames, both
+    sides, on n points spanning the detection grid, with the number of
+    points masked on either side."""
+    ts = np.linspace(pair.ts[0], pair.ts[-1], n)
     report = {}
     masked = 0
     for side in SIDES:
-        devs = {key: 0.0 for key in ("Tt_vs_Tb", "Tn_vs_Nt", "Tn_vs_Nb", "Bt_vs_Bb")}
-        for t in ts:
-            try:
-                st = indicatrix_apparatus(pair, side, "tangent", t)
-                sn = indicatrix_apparatus(pair, side, "normal", t)
-                sb = indicatrix_apparatus(pair, side, "binormal", t)
-            except (SingularPointError, DegenerateRatioError):
-                masked += 1
-                continue
-            if side == "base":
-                rel = {
-                    "Tt_vs_Tb": st.T - (-eps) * sb.T,
-                    "Tn_vs_Nt": sn.T - (-eps) * st.N,
-                    "Tn_vs_Nb": sn.T - sb.N,
-                    "Bt_vs_Bb": st.B - sb.B,
-                }
-            else:
-                rel = {
-                    "Tt_vs_Tb": st.T - (-eps) * sb.T,
-                    "Tn_vs_Nt": st.N - (-eps) * sn.T,
-                    "Tn_vs_Nb": st.N - (-eps) * sb.N,
-                    "Bt_vs_Bb": st.B - sb.B,
-                }
-            for key, v in rel.items():
-                devs[key] = max(devs[key], float(np.linalg.norm(v)))
-        for key, v in devs.items():
-            report[f"{side}:{key}"] = v
+        fd, ri, idx = _data_rows(pair, side, ts)
+        masked += n - len(idx)
+        report.update(_frame_relations(side, _images(side, fd, ri, pair.epsilon),
+                                      pair.epsilon))
     report["masked_points"] = masked
     return report
 
@@ -283,56 +303,43 @@ class ArcLengthRelations:
     predicted_slope: float  # |ds_b/ds_src| implied by the constancy argument
 
 
-def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
-                                   n: int = 256) -> ArcLengthRelations:
-    """Cumulative indicatrix arc lengths and the affine law for s_b.
+def _arclength_relations(side: str, src: FrenetData, ri: RatioInvariants,
+                        img: FrenetData, lam: float, eps: int) -> ArcLengthRelations:
+    """Cumulative indicatrix arc lengths and the affine law for s_b over
+    rows: ``src`` and ``ri`` are the data-side Frenet rows and their
+    invariants (g defined), ``img`` the imaged curve's rows at the same t.
 
     The tangent/binormal integrand is kappa(f-g)/sqrt(1+g^2) in data-side
     quantities; the normal integrand is kappa*sqrt(1+f^2).  The affine
     constant c1 is measured from the constancy of the same expression,
     following the displayed identity kappa^2 f' / (kappa' sqrt(1+g^2)).
     """
-    ts = np.linspace(pair.ts[0], pair.ts[-1], n + 1)
-    pair.frenet_grid("base", ts)
-    pair.frenet_grid("mate", ts)
-
-    rows = []
-    for t in ts:
-        fd = pair.frenet(_other_side(side), t)
-        ri = ratio_invariants(fd)
-        if not ri.g_defined:
-            raise DegenerateRatioError(f"g undefined at t={t}")
-        f, g, k = ri.f, ri.g, fd.kappa
-        wg = math.sqrt(1.0 + g * g)
-        # c1 candidate via f' = kappa'(g - f)/kappa (arc-length primes)
-        fprime = fd.dkappa_ds * (g - f) / k
-        expr_c1 = k * k * fprime / (fd.dkappa_ds * wg)
-        fdi = pair.frenet(side, t)
-        rows.append(
-            (
-                fd.speed,  # d s_src / dt
-                k * (f - g) / wg * fd.speed,  # d s_t/dt = d s_b/dt
-                k * math.sqrt(1.0 + f * f) * fd.speed,  # d s_n/dt
-                expr_c1,
-                fdi.kappa * fdi.speed,  # |T'| of the imaged curve
-                math.hypot(fdi.kappa, fdi.tau) * fdi.speed,  # |N'|
-                abs(fdi.tau) * fdi.speed,  # |B'|
-            )
+    ts = src.t
+    f, g, k = ri.f, ri.g, src.kappa
+    wg = np.sqrt(1.0 + g * g)
+    # c1 candidate via f' = kappa'(g - f)/kappa (arc-length primes)
+    fprime = src.dkappa_ds * (g - f) / k
+    expr_vals = k * k * fprime / (src.dkappa_ds * wg)
+    s_src, s_tb, s_n, s_t_direct, s_n_direct, s_b_direct = (
+        cumulative_trapezoid(ts, rate)
+        for rate in (
+            src.speed,  # d s_src / dt
+            k * (f - g) / wg * src.speed,  # d s_t/dt = d s_b/dt
+            k * np.sqrt(1.0 + f * f) * src.speed,  # d s_n/dt
+            img.kappa * img.speed,  # |T'| of the imaged curve
+            np.hypot(img.kappa, img.tau) * img.speed,  # |N'|
+            np.abs(img.tau) * img.speed,  # |B'|
         )
-    r = np.array(rows)
-    s_src, s_tb, s_n, _, s_t_direct, s_n_direct, s_b_direct = (
-        cumulative_trapezoid(ts, col) for col in r.T
     )
     fit = _affine_fit(s_src, s_tb)
-    expr_vals = r[:, 3]
     expr_mean = float(np.mean(expr_vals))
     expr_dev = float(np.max(np.abs(expr_vals - expr_mean)))
     # base side: expr = -eps c1 / lambda; mate side: expr = c1 / lambda.
     # Either way the implied |slope| of s_b against s_src is |expr|.
     if side == "base":
-        c1 = -pair.epsilon * pair.lam * expr_mean
+        c1 = -eps * lam * expr_mean
     else:
-        c1 = pair.lam * expr_mean
+        c1 = lam * expr_mean
     return ArcLengthRelations(
         ts=ts,
         s_src=s_src,
@@ -347,3 +354,17 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
         c2=fit.intercept,
         predicted_slope=abs(expr_mean),
     )
+
+
+def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
+                                   n: int = 256) -> ArcLengthRelations:
+    """Cumulative indicatrix arc lengths and the affine law for s_b on
+    n + 1 points spanning the detection grid, from one evaluation of each
+    curve.  Raises SingularPointError where either curve is singular and
+    DegenerateRatioError where g of the data side is undefined."""
+    ts = np.linspace(pair.ts[0], pair.ts[-1], n + 1)
+    src = _frenet_rows(_curve(pair, _other_side(side)), ts)
+    img = _frenet_rows(_curve(pair, side), ts)
+    ri = ratio_invariants(src)
+    _require_g(ri)
+    return _arclength_relations(side, src, ri, img, pair.lam, pair.epsilon)

@@ -239,6 +239,9 @@ def jexp(u: Jet) -> Jet:
     # v[k] collects sum_j j*c[j]*v[k-j] as the v it needs become final
     v = np.zeros(c.shape)
     v[0] = np.exp(c[0])
+    if n:
+        # an overflowed exp would meet 0*inf in the recurrence
+        _require_finite(~(np.isfinite(c).all(axis=0) & np.isfinite(v[0])), u.basepoint)
     for m in range(n):
         v[m + 1 :] += jc[: n - m] * v[m]
         v[m + 1] /= m + 1
@@ -249,6 +252,9 @@ def jlog(u: Jet) -> Jet:
     c = u.coeffs
     n = u.order
     _require_positive(c[0], "log")
+    if n:
+        # the log of an overflowed value would meet inf/inf in the recurrence
+        _require_finite(~np.isfinite(c).all(axis=0), u.basepoint)
     # v[k] starts as k*c[k] and loses j*v[j]*c[k-j] for j = 1..k-1
     v = np.empty_like(c)
     v[0] = np.log(c[0])
@@ -339,10 +345,6 @@ def jsin(u: Jet) -> Jet:
 
 def jcos(u: Jet) -> Jet:
     return jsincos(u)[1]
-
-
-def jtan(u: Jet) -> Jet:
-    return _tan_of(*jsincos(u))
 
 
 def _tan_of(s: Jet, c: Jet) -> Jet:

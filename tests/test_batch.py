@@ -235,6 +235,30 @@ def test_point_raises_where_the_jet_raises(texts, domain, bad_t, error, message)
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "texts, domain",
+    [
+        (("t", "exp(900*t)", "1"), (-1.0, 1.0)),
+        (("t", "log(exp(1000*t))", "1"), (0.0, 1.0)),
+    ],
+)
+def test_overflowed_jet_raises_at_every_order(texts, domain, order):
+    """An overflowed exp, or the log of one, gives the point's
+    ``DomainError`` at every jet order, before the recurrences of exp
+    and log would multiply 0 by inf or divide inf by inf (which would
+    warn, and RuntimeWarnings fail the tests)."""
+    curve = AnalyticCurve(*texts, domain)
+    ts = np.linspace(domain[0] + 0.1, domain[1] - 0.1, 7)
+    for t in (0.9, np.concatenate((ts[:3], [0.9], ts[3:]))):
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="non-finite") as want:
+                curve.point(t)
+            with pytest.raises(DomainError) as got:
+                curve.jet(t, order)
+        assert str(got.value) == str(want.value)
+
+
 def test_point_builds_no_jet(monkeypatch):
     """A point costs no jet: no ``Jet`` is constructed and no
     ``evaluate_jets`` call is made, alone or on a grid."""

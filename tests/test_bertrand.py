@@ -263,14 +263,34 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     pair_points = [c for (curve, _), c in frenet_points.items()
                    if curve is pair.base or curve is pair.mate]
     assert max(pair_points) == 1
-    # deterministic: 24 detection points, 23 more on the 25-point
-    # arc-length grid and 64 indicatrix-image points, per curve
+    # deterministic: 24 detection points and 64 indicatrix-image points
+    # per curve
     assert len(pair_points) <= 222
     # base: its Frenet grid, its points, and the mate's frame jets and
     # points; mate: its Frenet grid and its points
     assert detect_calls[pair.base] <= 4
     assert detect_calls[pair.mate] <= 2
     assert state["speed_calls"] == 0
+
+
+def test_suite_reads_the_detection_grid(monkeypatch):
+    """The identity suite reads the Frenet data detection evaluated: the
+    base and the mate get Frenet-order jet requests only at the points
+    of the negative-result entry's indicatrix images, each once."""
+    pair = generated_pair("wobble", n=64, grid=24)
+    frenet_points = {pair.base: Counter(), pair.mate: Counter()}
+    real_jet = JetBackedCurve.jet
+
+    def counting_jet(self, t, order):
+        if order == curves.DEFAULT_FRENET_ORDER and self in frenet_points:
+            frenet_points[self].update(float(x) for x in np.atleast_1d(t))
+        return real_jet(self, t, order)
+
+    monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
+    theorem_suite(pair, n=24)
+    for curve, points in frenet_points.items():
+        image_grid = np.linspace(*curve.domain, 64)
+        assert points == Counter(float(t) for t in image_grid)
 
 
 def test_wobble_jet_makes_two_sincos(monkeypatch):

@@ -1,0 +1,91 @@
+"""Degenerate inputs keep their typed errors and exit codes.
+
+A circular helix and its normal offset form a Bertrand pair on which
+kappa' = 0 everywhere, so g = tau'/kappa' is undefined at every point
+and no closed form of the indicatrices applies.  A conical helix has
+constant tau/kappa, so g = f and the offset distance is undefined.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from bertrand_kit.bertrand import (
+    bertrand_lambda,
+    construct_mate,
+    detect_bertrand,
+    ratio_invariants,
+)
+from bertrand_kit.classify import theorem_suite
+from bertrand_kit.cli import EXIT_PARSE, main
+from bertrand_kit.curves import AnalyticCurve, frenet_apparatus
+from bertrand_kit.errors import DegenerateRatioError, TooFewSamplesError
+from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid, indicatrix_apparatus
+from bertrand_kit.io import save_curve
+
+
+@pytest.fixture(scope="module")
+def helical_pair(helix):
+    return detect_bertrand(helix, construct_mate(helix, 0.5), n=64)
+
+
+@pytest.fixture(scope="module")
+def helical_files(helix, tmp_path_factory):
+    d = tmp_path_factory.mktemp("helical")
+    base, mate = str(d / "base.json"), str(d / "mate.json")
+    save_curve(helix, base)
+    save_curve(construct_mate(helix, 0.5), mate)
+    return base, mate
+
+
+def test_helical_pair_is_detected_with_g_undefined(helical_pair):
+    assert not helical_pair.masked.any()
+    assert helical_pair.lam == pytest.approx(0.5, rel=1e-12)
+    for ris in (helical_pair.ri_base, helical_pair.ri_mate):
+        assert not any(ri.g_defined for ri in ris)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("axis", AXES)
+def test_helical_pair_closed_forms_raise(helical_pair, side, axis):
+    with pytest.raises(DegenerateRatioError, match="g undefined"):
+        indicatrix_apparatus(helical_pair, side, axis, 1.0)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("axis", AXES)
+def test_helical_pair_apparatus_grid_is_all_masked(helical_pair, side, axis):
+    ts = np.linspace(helical_pair.ts[0], helical_pair.ts[-1], 17)
+    assert apparatus_grid(helical_pair, side, axis, ts) == [None] * len(ts)
+
+
+def test_helical_pair_suite_has_no_usable_rows(helical_pair):
+    with pytest.raises(TooFewSamplesError, match="0 usable grid rows"):
+        theorem_suite(helical_pair, n=64)
+
+
+def test_helical_pair_verify_exits_parse_error(helical_files, capsys):
+    assert main(["verify", *helical_files, "--n", "64"]) == EXIT_PARSE
+    assert "0 usable grid rows" in capsys.readouterr().err
+
+
+def test_helical_pair_mate_images_are_all_masked(helical_files, capsys):
+    """The mate-side images read the base, an exact helix, where g is
+    undefined at every row.  (The base-side images read the loaded mate,
+    whose stencil derivatives give kappa' of noise size, so g is defined
+    there.)"""
+    assert main(["indicatrix", *helical_files, "--kind", "t-mate", "--n", "64"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["n_rows"] == 0
+    # the whole detection grid, inset by 1% of the domain at each end
+    (interval,) = rep["masked_intervals"]
+    assert interval == pytest.approx([0.06, 5.94])
+
+
+def test_conical_helix_has_no_offset_distance():
+    curve = AnalyticCurve("exp(0.2*t)*cos(t)", "exp(0.2*t)*sin(t)", "1.5*exp(0.2*t)",
+                          (0.0, 6.0))
+    fd = frenet_apparatus(curve, 2.0)
+    with pytest.raises(DegenerateRatioError, match="g = f degeneracy"):
+        bertrand_lambda(ratio_invariants(fd), fd.kappa)
