@@ -30,9 +30,8 @@ from .curves import (
     _dot_jets,
     _frenet_columns,
     _frenet_rows,
-    _points,
     _points_at,
-    _stack_rows,
+    _rowwise,
     _take_rows,
     integrate_series,
     slant_geodesic_indicator,
@@ -69,13 +68,12 @@ class RatioInvariants:
     Gamma: float
 
 
-def ratio_invariants(fd: FrenetData, eps_g: float = EPS_G) -> RatioInvariants:
+@_rowwise
+def ratio_invariants(fd: FrenetData) -> RatioInvariants:
     """Ratio invariants of one point, or of each row of a grid.  Raises
     SingularPointError where kappa <= EPS_REG."""
-    if not np.ndim(fd.kappa):
-        return _points(ratio_invariants(_stack_rows([fd]), eps_g))[0]
     Gamma = slant_geodesic_indicator(fd)
-    g_defined = np.abs(fd.dkappa_ds) >= eps_g
+    g_defined = np.abs(fd.dkappa_ds) >= EPS_G
     g = np.full(len(g_defined), math.nan)
     g[g_defined] = fd.dtau_ds[g_defined] / fd.dkappa_ds[g_defined]
     return RatioInvariants(t=fd.t, f=fd.tau / fd.kappa, g=g, g_defined=g_defined,
@@ -89,11 +87,11 @@ def _require_g(ri: RatioInvariants):
         raise DegenerateRatioError(f"g undefined at t={_first(undefined, ri.t)}")
 
 
-def bertrand_lambda(ri: RatioInvariants, kappa: float, eps_den: float = EPS_DEN) -> float:
+def bertrand_lambda(ri: RatioInvariants, kappa: float) -> float:
     """Offset distance from the ratio invariants: g / (kappa (g - f))."""
     if not ri.g_defined:
         raise DegenerateRatioError(f"g undefined (helical) at t={ri.t}")
-    if abs(ri.g - ri.f) <= eps_den:
+    if abs(ri.g - ri.f) <= EPS_DEN:
         raise DegenerateRatioError(f"g = f degeneracy at t={ri.t}")
     return ri.g / (kappa * (ri.g - ri.f))
 
@@ -130,6 +128,7 @@ def mate_apparatus_from_base(fd: FrenetData, ri: RatioInvariants, eps: int) -> M
     return MateApparatus(T=T_m, N=N_m, B=B_m, kappa=kappa_m, tau=tau_m, ds_mate_ds=ds_m)
 
 
+@_rowwise
 def geodesic_indicator_closed_form(fd: FrenetData, ri: RatioInvariants, side: str = "base"):
     """Slant-helix indicator from closed forms, at one point or at each
     row of a grid.
@@ -186,7 +185,7 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
 
     if isinstance(base, SampledCurve):
         rows, keep, _ = _frenet_columns(base, ts, order=4)
-        return SampledCurve(ts[keep], base.point(ts[keep]).T + lam * rows.N, label=label)
+        return SampledCurve(ts[keep], rows.point + lam * rows.N, label=label)
 
     def mate_jet(t, order):
         P, _T, N, _B = _frame_jets(base, t, order)
@@ -288,7 +287,6 @@ def detect_bertrand(
     n: int = 128,
     tol_align: float = TOL_ALIGN,
     tol_const: float = TOL_CONST,
-    eps_g: float = EPS_G,
     inset: float = 1e-6,
 ) -> BertrandPairModel:
     """Check the Bertrand-pair definition and assemble the pair model.
@@ -310,7 +308,7 @@ def detect_bertrand(
     if len(valid) < max(8, n // 4):
         raise NotAPairError("offset-not-normal", "too few regular points")
 
-    offsets = mate.point(ts[valid]).T - base.point(ts[valid]).T
+    offsets = mate_rows.point - base_rows.point
     norms = np.linalg.norm(offsets, axis=1)
     scale = max(float(np.max(norms)), 0.0)
     degenerate = scale < 1e-12
@@ -343,8 +341,8 @@ def detect_bertrand(
     if tol_align < 0.5 and np.any(signs != eps):
         raise NotAPairError("normals-not-aligned", "sign of <N, N_mate> flips")
 
-    ri_b = ratio_invariants(base_rows, eps_g=eps_g)
-    ri_m = ratio_invariants(mate_rows, eps_g=eps_g)
+    ri_b = ratio_invariants(base_rows)
+    ri_m = ratio_invariants(mate_rows)
     g = ri_b.g[ri_b.g_defined]
     gt = ri_m.g[ri_m.g_defined]
     return BertrandPairModel(
@@ -441,8 +439,8 @@ def generate_bertrand_curve(
     output are exact: the arc-length reparameterization is inverted by
     series reversion at evaluation time.  The Newton solve for u(t) starts
     from linear interpolation between the walk nodes and steps with the
-    seed-speed series of the node below t; each node's series is built on
-    first use and kept with the curve, so there are at most ``n`` of them.
+    walk's seed-speed series of the segment that holds t, about the
+    segment's midpoint.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -470,26 +468,16 @@ def generate_bertrand_curve(
 
     t_nodes = integrate_series(V, us)
     P_nodes = np.stack([integrate_series(g, us) for g in G], axis=1)
-
-    # columns k: the seed speed V about us[k] and its antiderivative
-    # through (us[k], t_nodes[k]), built for a node on first use
-    V_nodes = np.empty((walk_order, n))
-    S_nodes = np.empty((walk_order + 1, n))
-    built = np.zeros(n, dtype=bool)
+    # segment k's arc length t(u) = t_nodes[k] + A_k(u) - A_k(us[k])
+    A = V.antideriv(0.0)
+    A_left = A(us[:-1])
 
     def _solve_u(t):
         u = np.interp(t, t_nodes, us)
         k = np.clip(np.searchsorted(t_nodes, t) - 1, 0, n - 1)
-        new = np.unique(k[~built[k]])
-        if len(new):
-            V = _seed_jets(us[new], walk_order)[2]
-            V_nodes[:, new] = V.coeffs
-            S_nodes[:, new] = V.antideriv(t_nodes[new]).coeffs
-            built[new] = True
-        V = Jet(us[k], V_nodes[:, k])
-        SV = Jet(us[k], S_nodes[:, k])
+        Vk, Ak = V.take(k), A.take(k)
         for _ in range(4):
-            u = u - (SV(u) - t) / V(u)
+            u = u - (t_nodes[k] + Ak(u) - A_left[k] - t) / Vk(u)
         return u, k
 
     def jet_fn(t, order):

@@ -26,6 +26,7 @@ from .curves import (
     Curve,
     FrenetData,
     _frenet_columns,
+    _rowwise,
     _take_rows,
     cumulative_trapezoid,
     slant_geodesic_indicator,
@@ -95,14 +96,7 @@ def sphere_fit(points):
     return center, radius, float(np.max(np.abs(dist - radius))) / radius
 
 
-def classify_curve(
-    curve: Curve,
-    n: int = 128,
-    tol_planar: float = TOL_PLANAR,
-    tol_helix: float = TOL_HELIX,
-    tol_slant: float = TOL_SLANT,
-    tol_sph: float = TOL_SPHERICAL,
-) -> CurveClass:
+def classify_curve(curve: Curve, n: int = 128) -> CurveClass:
     if n < 64:
         raise TooFewSamplesError("classification needs n >= 64")
     lo, hi = curve.domain
@@ -116,7 +110,7 @@ def classify_curve(
     tau_max = float(np.max(np.abs(rows.tau)))
     f_dev = _relative_deviation(rows.tau / rows.kappa)
     gamma_dev = _relative_deviation(slant_geodesic_indicator(rows))
-    _, radius, sph_resid = sphere_fit(curve.point(rows.t).T)
+    _, radius, sph_resid = sphere_fit(rows.point)
     metrics = {
         "tau_max": tau_max,
         "kappa_max": kappa_max,
@@ -127,16 +121,17 @@ def classify_curve(
         "masked_fraction": 1.0 - count / n,
     }
     return CurveClass(
-        planar=tau_max < tol_planar * kappa_max,
-        general_helix=f_dev < tol_helix,
-        slant_helix=gamma_dev < tol_slant,
-        spherical=sph_resid < tol_sph,
+        planar=tau_max < TOL_PLANAR * kappa_max,
+        general_helix=f_dev < TOL_HELIX,
+        slant_helix=gamma_dev < TOL_SLANT,
+        spherical=sph_resid < TOL_SPHERICAL,
         metrics=metrics,
     )
 
 
-def spherical_helix_check(image: IndicatrixSample, tol_helix: float = TOL_HELIX) -> dict:
-    """Constancy of tau_x/kappa_x over the closed-form rows of one image.
+def spherical_helix_check(image: IndicatrixSample) -> float:
+    """Constancy of tau_x/kappa_x over the closed-form rows of one image:
+    the relative deviation of the ratio.
 
     A spherical curve with constant torsion-to-curvature ratio is a
     spherical helix; this is the indicatrix-level helix criterion.
@@ -148,14 +143,14 @@ def spherical_helix_check(image: IndicatrixSample, tol_helix: float = TOL_HELIX)
         raise TooFewSamplesError(
             f"{len(image.kappa)} samples; need {MIN_CLASSIFY_SAMPLES}"
         )
-    dev = _relative_deviation(image.tau / image.kappa)
-    return {"is_spherical_helix": dev < tol_helix, "deviation": dev}
+    return _relative_deviation(image.tau / image.kappa)
 
 
 # ---------------------------------------------------------------------------
 # condition residuals
 
 
+@_rowwise
 def condition_residual(fd_tilde: FrenetData, ri_tilde):
     """Normalized residual of kappa'' kappa f^2 - 3 kappa'^2 g f + kappa'' kappa - 3 kappa'^2,
     at one point or at each row.
@@ -219,7 +214,7 @@ def pair_classify(
     if np.count_nonzero(both) < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(f"{np.count_nonzero(both)} regular sample pairs of {n}")
     fa, fb = _take_rows(rows_a, both[ok_a]), _take_rows(rows_b, both[ok_b])
-    D = curveB.point(ts_b[both]).T - curveA.point(ts_a[both]).T
+    D = fb.point - fa.point
     scale = max(float(np.max(np.linalg.norm(D, axis=1))), 1e-30)
 
     def direction_test(axis_vecs, partner_vecs):
@@ -405,7 +400,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     tol_slant = tol("tol_slant", TOL_SLANT)
     tol_ih = tol("tol_indicatrix_helix", 1e-4)
     helix = {
-        (side, axis): spherical_helix_check(images[side][axis])["deviation"] < tol_ih
+        (side, axis): spherical_helix_check(images[side][axis]) < tol_ih
         for side in SIDES
         for axis in ("tangent", "binormal")
     }

@@ -28,8 +28,8 @@ from .bertrand import (
 )
 from .classify import classify_curve, pair_classify, theorem_suite
 from .curves import (
+    _frenet_columns,
     cumulative_trapezoid,
-    frenet_apparatus,
     frenet_grid,
     slant_geodesic_indicator,
 )
@@ -113,23 +113,15 @@ def cmd_frenet(args) -> int:
         ts = np.linspace(lo, hi, args.grid)
         report.parameters["grid"] = args.grid
 
-    order = max(args.order, 6)
-    fds = frenet_grid(curve, ts, order=order)
-    if not args.mask:
-        for t, fd in zip(ts, fds):
-            if fd is None:
-                frenet_apparatus(curve, t, order=order)  # raises the point's error
-    masked = np.array([fd is None for fd in fds])
+    fd, regular, errors = _frenet_columns(curve, ts, order=max(args.order, 6))
+    if errors and not args.mask:
+        raise errors[0]
     # arc length along the unmasked rows, bridging masked gaps
-    kept = [fd for fd in fds if fd is not None]
-    arc = cumulative_trapezoid([fd.t for fd in kept], [fd.speed for fd in kept])
-    rows = []
-    for fd, s in zip(kept, arc):
-        rows.append(
-            [fd.t, s, *fd.T, *fd.N, *fd.B, fd.kappa, fd.tau,
-             fd.dkappa_ds, fd.dtau_ds, fd.d2kappa_ds2,
-             slant_geodesic_indicator(fd)]
-        )
+    arc = cumulative_trapezoid(fd.t, fd.speed)
+    rows = np.column_stack(
+        [fd.t, arc, fd.T, fd.N, fd.B, fd.kappa, fd.tau, fd.dkappa_ds, fd.dtau_ds,
+         fd.d2kappa_ds2, slant_geodesic_indicator(fd)]
+    ).tolist()
     header = (
         ["t", "s", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz",
          "kappa", "tau", "dkappa_ds", "dtau_ds", "d2kappa_ds2", "Gamma"]
@@ -141,7 +133,7 @@ def cmd_frenet(args) -> int:
         report.results["rows"] = rows
         report.results["columns"] = header
     report.results["n_rows"] = len(rows)
-    report.masked_intervals = masked_intervals_from_flags(ts, masked)
+    report.masked_intervals = masked_intervals_from_flags(ts, ~regular)
     _emit(report)
     return EXIT_OK
 

@@ -17,7 +17,8 @@ explicit chain-rule conversion to arc-length derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import wraps
 from itertools import repeat
 
 import numpy as np
@@ -231,14 +232,17 @@ class JetBackedCurve(Curve):
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Frame, curvature, torsion and their arc-length derivatives.
+    """Position, frame, curvature, torsion and their arc-length derivatives.
 
     At one point the fields are floats and (3,) vectors.  The rows of a
     grid (``_frenet_columns``) hold (N,) arrays and (N, 3) vectors, one
-    row per regular point.
+    row per regular point.  ``point`` is the curve's position, the
+    constant terms of the jets the frame is built from: no second request
+    of the curve is needed for it.
     """
 
     t: float
+    point: np.ndarray
     speed: float
     T: np.ndarray
     N: np.ndarray
@@ -285,6 +289,22 @@ def _stack_rows(points):
                                  for f in fields(points[0])})
 
 
+def _rowwise(fn):
+    """Let ``fn``, written over grid rows, take one point as well: the
+    dataclass arguments of a point run as one-row stacks, so that a point
+    gets the bits of its grid row (numpy arithmetic, not Python float
+    arithmetic, which can round differently)."""
+
+    @wraps(fn)
+    def wrapped(*data, **kwargs):
+        if np.ndim(data[0].t):
+            return fn(*data, **kwargs)
+        out = fn(*(_stack_rows([d]) if is_dataclass(d) else d for d in data), **kwargs)
+        return _points(out)[0] if is_dataclass(out) else out.tolist()[0]
+
+    return wrapped
+
+
 def _cross_jets(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -301,13 +321,14 @@ def _take(jets, idx):
     return tuple(j.take(idx) for j in jets)
 
 
-def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
+def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
     """Frenet data at every regular t of ``ts`` from one jet request of
     the curve: ``(rows, regular, errors)``.  ``rows`` is a FrenetData of
-    arrays over ``ts[regular]``, and ``errors`` holds, in grid order, the
-    SingularPointError that ``frenet_apparatus`` raises at each singular
-    t.  The regularity floors are applied column by column, and a flagged
-    column leaves the batch before any denominator could vanish in it.
+    arrays over ``ts[regular]``, positions included, and ``errors`` holds,
+    in grid order, the SingularPointError that ``frenet_apparatus`` raises
+    at each singular t.  The regularity floors are applied column by
+    column, and a flagged column leaves the batch before any denominator
+    could vanish in it.
 
     kappa = |g' x g''| / |g'|^3 and tau = <g' x g'', g'''> / |g' x g''|^2
     are evaluated in jet arithmetic so that their parameter derivatives
@@ -315,16 +336,17 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     chain rule.
     """
     ts = np.asarray(ts, dtype=float)
-    D1 = tuple(p.deriv() for p in curve.jet(ts, order))
+    P = curve.jet(ts, order)
+    D1 = tuple(p.deriv() for p in P)
     v2 = _dot_jets(D1, D1)
-    slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= eps_reg * eps_reg))
+    slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= EPS_REG * EPS_REG))
     keep = np.flatnonzero(~slow)
     D1, v2 = _take(D1, keep), v2.take(keep)
     speed_jet = jsqrt(v2)
     C = _cross_jets(D1, tuple(d.deriv() for d in D1))
     c2 = _dot_jets(C, C)
     v = speed_jet.coeffs[0]
-    flat = c2.coeffs[0] < (eps_reg * v * v) ** 2
+    flat = c2.coeffs[0] < (EPS_REG * v * v) ** 2
     sub = np.flatnonzero(~flat)
     keep = keep[sub]
     D1, C = _take(D1, sub), _take(C, sub)
@@ -342,6 +364,7 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     B = np.ascontiguousarray((np.array([c.coeffs[0] for c in C]) / cnorm.coeffs[0]).T)
     rows = FrenetData(
         t=ts[keep],
+        point=np.array([p.coeffs[0] for p in P]).T[keep],
         speed=v,
         T=T,
         N=np.cross(B, T),
@@ -362,29 +385,30 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
     return rows, regular, errors
 
 
-def _frenet_rows(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
+def _frenet_rows(curve, ts, order=DEFAULT_FRENET_ORDER):
     """Frenet data at every t of ``ts`` as the rows of ``_frenet_columns``;
     raises the SingularPointError of the first singular t."""
-    rows, _, errors = _frenet_columns(curve, ts, order=order, eps_reg=eps_reg)
+    rows, _, errors = _frenet_columns(curve, ts, order=order)
     if errors:
         raise errors[0]
     return rows
 
 
-def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
+def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER):
     """Frame, curvature, torsion and their arc-length derivatives at t:
     the one-point case of ``_frenet_columns``.  Raises SingularPointError
     at a singular point."""
-    return _points(_frenet_rows(curve, [t], order, eps_reg))[0]
+    return _points(_frenet_rows(curve, [t], order))[0]
 
 
-def frenet_grid(curve, ts, order=DEFAULT_FRENET_ORDER, eps_reg=EPS_REG):
+def frenet_grid(curve, ts, order=DEFAULT_FRENET_ORDER):
     """Frenet data over a grid from one jet request of the curve; singular
     points become None entries."""
-    rows, regular, _ = _frenet_columns(curve, ts, order=order, eps_reg=eps_reg)
+    rows, regular, _ = _frenet_columns(curve, ts, order=order)
     return _points_at(rows, np.flatnonzero(regular), len(regular))
 
 
+@_rowwise
 def slant_geodesic_indicator(fd: FrenetData):
     """Geodesic-curvature function of the principal-normal image, at one
     point or at each row of a grid.
@@ -408,7 +432,9 @@ def cumulative_trapezoid(x, y):
     """Cumulative trapezoid-rule integral of y over the nodes x, from 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+    out = np.zeros(len(x))
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    return out
 
 
 def integrate_series(rate, nodes):

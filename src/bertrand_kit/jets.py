@@ -104,15 +104,6 @@ class Jet:
             c[1] = 1.0
         return cls(t0, c)
 
-    def derivative_value(self, k):
-        """The k-th derivative at the basepoint, k!*coeffs[k]."""
-        return math.factorial(k) * self.coeffs[k]
-
-    def derivatives(self):
-        """All derivatives 0..order at the basepoint."""
-        fact = np.array([math.factorial(k) for k in range(self.order + 1)])
-        return _per_order(fact, self.coeffs) * self.coeffs
-
     def deriv(self):
         """Jet of the derivative function (order drops by one)."""
         if self.order == 0:
@@ -368,12 +359,11 @@ def compose(outer: Jet, inner: Jet) -> Jet:
     return acc
 
 
-def invert_series(fwd: Jet, value_at_base=None) -> Jet:
+def invert_series(fwd: Jet) -> Jet:
     """Jet of the inverse function.
 
     ``fwd`` is the jet of s(u) about u0 with s'(u0) != 0; the result is the
-    jet of u(s) about s0 = s(u0) (or ``value_at_base`` if the caller wants
-    to override the stored constant term).
+    jet of u(s) about s0 = s(u0).
     """
     n = fwd.order
     if (fwd.coeffs[1] == 0.0).any():
@@ -393,8 +383,6 @@ def invert_series(fwd: Jet, value_at_base=None) -> Jet:
         dsu = compose(dfwd, u)
         u = u - (su - ident) / dsu
         order_reached *= 2
-    if value_at_base is not None:
-        u = u.with_constant(value_at_base)
     return u
 
 

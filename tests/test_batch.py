@@ -19,14 +19,21 @@ from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
     construct_mate,
     generate_bertrand_curve,
+    generated_pair,
+    geodesic_indicator_closed_form,
+    ratio_invariants,
     sphere_preset,
 )
+from bertrand_kit.classify import condition_residual
 from bertrand_kit.curves import (
     AnalyticCurve,
     SampledCurve,
+    _frenet_rows,
+    _points,
     fornberg_weights,
     frenet_apparatus,
     frenet_grid,
+    slant_geodesic_indicator,
 )
 from bertrand_kit.errors import DomainError, OutOfDomainError, SingularPointError
 
@@ -55,7 +62,8 @@ CURVES = {
     "sampled-trefoil": _trefoil_samples,
 }
 
-FIELDS = ("t", "speed", "T", "N", "B", "kappa", "tau", "dkappa_ds", "dtau_ds", "d2kappa_ds2")
+FIELDS = ("t", "point", "speed", "T", "N", "B", "kappa", "tau", "dkappa_ds", "dtau_ds",
+          "d2kappa_ds2")
 
 
 def assert_same_bits(a, b):
@@ -79,6 +87,47 @@ def test_point_does_not_depend_on_its_batch(name):
         pick = rng.permutation(len(ts))[: len(ts) // 2]
         for i, fd in zip(pick, frenet_grid(curve, ts[pick])):
             assert_same_bits(fd, grid[i])
+
+
+# largest |rows.point - curve.point| on the 29 points below.  The Frenet
+# request asks for order 6, the point for order 0: the mate's frame then
+# reads base jets of another order (measured 1.1e-16), and a sampled
+# curve's stencil is wider (measured 1.2e-10).  Analytic and generated
+# curves give the same bits.
+POINT_GAP = {"trefoil": 0.0, "wobble-base": 0.0, "wobble-mate": 5e-16,
+             "sampled-trefoil": 5e-10}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_GAP))
+def test_frenet_rows_carry_the_points(name):
+    """The positions in the Frenet rows are the curve's points, ends
+    included."""
+    curve = CURVES[name]()
+    ts = np.linspace(*curve.domain, 29)
+    rows, want = _frenet_rows(curve, ts).point, curve.point(ts).T
+    if POINT_GAP[name]:
+        assert np.max(np.abs(rows - want)) <= POINT_GAP[name]
+    else:
+        assert_same_bits_array(rows, want)
+
+
+def test_one_point_closed_forms_equal_their_grid_rows():
+    """A closed form of one point gives the bits of its row in the grid,
+    on both curves of a pair and both sides of the geodesic indicator."""
+
+    def closed_forms(fd, ri):
+        return [ratio_invariants(fd).Gamma, slant_geodesic_indicator(fd),
+                geodesic_indicator_closed_form(fd, ri, "base"),
+                geodesic_indicator_closed_form(fd, ri, "mate"), condition_residual(fd, ri)]
+
+    pair = generated_pair("wobble", n=64, grid=24)
+    for rows in (pair.base_rows, pair.mate_rows):
+        ratios = ratio_invariants(rows)
+        grid = closed_forms(rows, ratios)
+        for i, (fd, ri) in enumerate(zip(_points(rows), _points(ratios))):
+            for value, column in zip(closed_forms(fd, ri), grid):
+                assert type(value) is float
+                assert_same_bits_array(value, column[i])
 
 
 def _fornberg_reference(z, x, m):

@@ -266,8 +266,9 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     # deterministic: 24 detection points and 64 indicatrix-image points
     # per curve
     assert len(pair_points) <= 222
-    # base: its Frenet grid, its points, and the mate's frame jets and
-    # points; mate: its Frenet grid and its points
+    # base: its Frenet grid and the mate's frame jets; mate: its Frenet
+    # grid (the exact requests are pinned by
+    # test_detection_reads_positions_from_the_frenet_rows)
     assert detect_calls[pair.base] <= 4
     assert detect_calls[pair.mate] <= 2
     assert state["speed_calls"] == 0
@@ -308,21 +309,61 @@ def test_wobble_jet_makes_two_sincos(monkeypatch):
     assert calls["jsincos"] <= 2
 
 
-def test_generator_builds_each_node_series_once():
-    """The generator's walk asks the seed for one order-10 jet per step
-    and its Newton solve at most one per node, whatever the number of
-    evaluations of the base, its mate, detection and the suite."""
+def _seed_points_of_a_pair(n):
+    """Seed points requested, by order, while a generator with n steps
+    builds a wobble base that is offset, detected and run through the
+    suite."""
     seed = sphere_preset("wobble")
     real_jet = seed.jet
-    points = Counter()  # seed points requested, by order
+    points = Counter()
 
     def counting_jet(t, order):
         points[order] += np.size(t)
         return real_jet(t, order)
 
     seed.jet = counting_jet
-    n = 64
     base = generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
     pair = detect_bertrand(base, construct_mate(base, 1.0, n=n), n=24)
     theorem_suite(pair, n=24)
+    return points
+
+
+def test_generator_builds_each_node_series_once():
+    """The generator's walk asks the seed for one order-10 jet per step,
+    and its Newton solve adds at most one per node, whatever the number
+    of evaluations of the base, its mate, detection and the suite."""
+    n = 64
+    points = _seed_points_of_a_pair(n)
     assert sum(c for order, c in points.items() if order >= 10) <= 2 * n
+
+
+def test_generator_newton_reads_the_walk_series():
+    """The Newton solve for u(t) steps with the walk's series: the seed
+    gets order-10 requests at the n walk midpoints only."""
+    n = 64
+    points = _seed_points_of_a_pair(n)
+    assert sum(c for order, c in points.items() if order >= 10) == n
+
+
+def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
+    """Detection takes the offsets from the positions in the Frenet rows:
+    the base is asked for jets at the Frenet order and, for the mate's
+    frame, two orders higher, the mate at the Frenet order, each once,
+    and no curve is asked for a point."""
+    pair = generated_pair("wobble", n=64, grid=24)
+    role = {pair.base: "base", pair.mate: "mate"}
+    requests = Counter()
+    real_jet, real_point = JetBackedCurve.jet, Curve.point
+
+    def counting_jet(self, t, order):
+        requests[role.get(self), order] += 1
+        return real_jet(self, t, order)
+
+    def counting_point(self, t):
+        requests[role.get(self), "point"] += 1
+        return real_point(self, t)
+
+    monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
+    monkeypatch.setattr(Curve, "point", counting_point)
+    detect_bertrand(pair.base, pair.mate, n=24)
+    assert requests == Counter({("base", 6): 1, ("base", 8): 1, ("mate", 6): 1})

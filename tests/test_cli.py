@@ -210,6 +210,34 @@ def test_exit_singular_without_mask(capsys, tmp_path):
     np.testing.assert_allclose(s, expected, rtol=1e-12, atol=0.0)
 
 
+def test_frenet_singular_point_from_one_request(capsys, tmp_path, monkeypatch):
+    """Without --mask, frenet reports the first singular point of its one
+    jet request of the curve; with --mask on a curve of no regular point
+    it prints an empty table."""
+    requests = []
+    real_jet = AnalyticCurve.jet
+
+    def counting_jet(self, t, order):
+        requests.append(order)
+        return real_jet(self, t, order)
+
+    monkeypatch.setattr(AnalyticCurve, "jet", counting_jet)
+    f = tmp_path / "cusp.json"
+    save_curve(AnalyticCurve("t^2", "t^3", "t^4", (-1.0, 1.0)), str(f))
+    rc, out, err = run(capsys, ["frenet", str(f), "--grid", "9"])
+    assert (rc, out) == (4, "")
+    assert err == ("error: speed below regularity floor at t=0.0 "
+                   "(pass --mask to skip singular points)\n")
+    assert requests == [6]
+    line = tmp_path / "line.json"
+    save_curve(AnalyticCurve("t", "2*t", "3*t", (0.0, 1.0)), str(line))
+    rc, out, _ = run(capsys, ["frenet", str(line), "--grid", "5", "--mask"])
+    assert rc == 0
+    rep = json.loads(out)
+    assert (rep["results"]["rows"], rep["results"]["n_rows"]) == ([], 0)
+    assert rep["masked_intervals"] == [[0.0, 1.0]]
+
+
 def test_exit_degenerate_ratio_auto_lambda(workdir, capsys):
     # circular helix: constant kappa and tau, lambda is not unique
     rc, _, err = run(capsys, ["mate", str(workdir / "helix.json"), "--auto"])
