@@ -10,7 +10,6 @@ from .bertrand import (
     BertrandPairModel,
     ConstancyStat,
     MateApparatus,
-    RatioInvariants,
     bertrand_lambda,
     construct_mate,
     detect_bertrand,
@@ -20,7 +19,6 @@ from .bertrand import (
     linear_relation_fit,
     mate_apparatus_from_base,
     pair_constraint_residual,
-    ratio_invariants,
     sphere_preset,
     DEFAULT_OMEGA,
     SPHERE_PRESETS,
@@ -42,7 +40,6 @@ from .curves import (
     SampledCurve,
     frenet_apparatus,
     frenet_grid,
-    slant_geodesic_indicator,
 )
 from .errors import (
     BertrandKitError,

@@ -8,8 +8,9 @@ curve is ``mate(t) = base(t) + lambda * N(t)`` with constant signed
 offset ``lambda`` along the principal normal.  ``epsilon`` is the
 measured sign of <N, N_mate> and must be constant over the grid.
 
-The ratio invariants are ``f = tau/kappa`` and ``g = tau'/kappa'``
-(arc-length primes); ``g`` is undefined on helical arcs (kappa' = 0).
+The ratio invariants ``f = tau/kappa`` and ``g = tau'/kappa'``
+(arc-length primes) are columns of ``FrenetData``; ``g`` is undefined on
+helical arcs (kappa' = 0).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import expr as ex
 from .curves import (
     AnalyticCurve,
     Curve,
@@ -34,7 +36,6 @@ from .curves import (
     _rowwise,
     _take_rows,
     integrate_series,
-    slant_geodesic_indicator,
 )
 from .errors import (
     DegenerateRatioError,
@@ -46,7 +47,6 @@ from .errors import (
 )
 from .jets import Jet, _first, compose, invert_series, jsincos, jsqrt
 
-EPS_G = 1e-10
 EPS_DEN = 1e-10
 TOL_ALIGN = 1e-6
 TOL_CONST = 1e-6
@@ -56,44 +56,21 @@ TOL_CONST = 1e-6
 # ratio invariants
 
 
-@dataclass(frozen=True)
-class RatioInvariants:
-    """f, g (NaN where undefined) and the slant indicator Gamma: floats at
-    one point, (N,) arrays at the rows of a grid."""
-
-    t: float
-    f: float
-    g: float
-    g_defined: bool
-    Gamma: float
-
-
-@_rowwise
-def ratio_invariants(fd: FrenetData) -> RatioInvariants:
-    """Ratio invariants of one point, or of each row of a grid.  Raises
-    SingularPointError where kappa <= EPS_REG."""
-    Gamma = slant_geodesic_indicator(fd)
-    g_defined = np.abs(fd.dkappa_ds) >= EPS_G
-    g = np.full(len(g_defined), math.nan)
-    g[g_defined] = fd.dtau_ds[g_defined] / fd.dkappa_ds[g_defined]
-    return RatioInvariants(t=fd.t, f=fd.tau / fd.kappa, g=g, g_defined=g_defined,
-                           Gamma=Gamma)
-
-
-def _require_g(ri: RatioInvariants):
+def _require_g(fd: FrenetData):
     """Raise where g is undefined, at one point or at any row."""
-    undefined = np.logical_not(ri.g_defined)
+    undefined = np.logical_not(fd.g_defined)
     if np.any(undefined):
-        raise DegenerateRatioError(f"g undefined at t={_first(undefined, ri.t)}")
+        raise DegenerateRatioError(f"g undefined at t={_first(undefined, fd.t)}")
 
 
-def bertrand_lambda(ri: RatioInvariants, kappa: float) -> float:
-    """Offset distance from the ratio invariants: g / (kappa (g - f))."""
-    if not ri.g_defined:
-        raise DegenerateRatioError(f"g undefined (helical) at t={ri.t}")
-    if abs(ri.g - ri.f) <= EPS_DEN:
-        raise DegenerateRatioError(f"g = f degeneracy at t={ri.t}")
-    return ri.g / (kappa * (ri.g - ri.f))
+def bertrand_lambda(fd: FrenetData) -> float:
+    """Offset distance from the ratio invariants of one point:
+    g / (kappa (g - f))."""
+    if not fd.g_defined:
+        raise DegenerateRatioError(f"g undefined (helical) at t={fd.t}")
+    if abs(fd.g - fd.f) <= EPS_DEN:
+        raise DegenerateRatioError(f"g = f degeneracy at t={fd.t}")
+    return fd.g / (fd.kappa * (fd.g - fd.f))
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +87,13 @@ class MateApparatus:
     ds_mate_ds: float
 
 
-def mate_apparatus_from_base(fd: FrenetData, ri: RatioInvariants, eps: int) -> MateApparatus:
+def mate_apparatus_from_base(fd: FrenetData, eps: int) -> MateApparatus:
     """Frame/curvature/torsion of the mate expressed in base quantities."""
-    if not ri.g_defined:
-        raise DegenerateRatioError(f"g undefined at t={ri.t}")
-    f, g = ri.f, ri.g
+    if not fd.g_defined:
+        raise DegenerateRatioError(f"g undefined at t={fd.t}")
+    f, g = fd.f, fd.g
     if abs(f) <= EPS_DEN or abs(g - f) <= EPS_DEN:
-        raise DegenerateRatioError(f"f=0 or g=f at t={ri.t}")
+        raise DegenerateRatioError(f"f=0 or g=f at t={fd.t}")
     root = math.sqrt(1.0 + g * g)
     T_m = -(fd.T - g * fd.B) / root
     N_m = eps * fd.N
@@ -129,24 +106,24 @@ def mate_apparatus_from_base(fd: FrenetData, ri: RatioInvariants, eps: int) -> M
 
 
 @_rowwise
-def geodesic_indicator_closed_form(fd: FrenetData, ri: RatioInvariants, side: str = "base"):
+def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
     """Slant-helix indicator from closed forms, at one point or at each
     row of a grid.
 
     side='base': indicator of the base curve from mate-side data
-    (pass fd/ri of the *mate*): -kappa'(g-f) / (kappa^2 (1+f^2)^{3/2}).
+    (pass the *mate*'s fd): -kappa'(g-f) / (kappa^2 (1+f^2)^{3/2}).
 
-    side='mate': indicator of the mate from base-side data (pass fd/ri of
-    the *base*), including the ds/ds_mate factor.
+    side='mate': indicator of the mate from base-side data (pass the
+    *base*'s fd), including the ds/ds_mate factor.
     """
-    _require_g(ri)
-    f, g, k = ri.f, ri.g, fd.kappa
+    _require_g(fd)
+    f, g, k = fd.f, fd.g, fd.kappa
     if side == "base":
         return -fd.dkappa_ds * (g - f) / (k * k * (1.0 + f * f) ** 1.5)
     if side == "mate":
         zero = np.abs(f) <= EPS_DEN
         if np.any(zero):
-            raise DegenerateRatioError(f"f=0 at t={_first(zero, ri.t)}")
+            raise DegenerateRatioError(f"f=0 at t={_first(zero, fd.t)}")
         ds_ds_mate = (g - f) / (f * np.sqrt(1.0 + g * g))
         num = fd.dkappa_ds * f * (1.0 + g * g) ** 2
         den = -(k * k) * ((1.0 + f * g) ** 2 + (g - f) ** 2) ** 1.5
@@ -194,8 +171,19 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     pts = np.array([j.coeffs[0] for j in mate_jet(ts, 0)]).T
     meta = {"generator": "normal-offset", "lambda": lam, "n": n}
     base_meta = getattr(base, "metadata", None) or {}
-    if base_meta.get("generator") == "bertrand":
-        # self-describing mate file: carry the seed recipe of the base
+    # self-describing mate file: carry the recipe of the base
+    if isinstance(base, AnalyticCurve):
+        meta.update(
+            {
+                "base_generator": "analytic",
+                "base_x": ex.to_text(base.x),
+                "base_y": ex.to_text(base.y),
+                "base_z": ex.to_text(base.z),
+                "base_lo": lo,
+                "base_hi": hi,
+            }
+        )
+    elif base_meta.get("generator") == "bertrand":
         meta.update(
             {
                 "base_generator": "bertrand",
@@ -231,10 +219,10 @@ class BertrandPairModel:
     """A detected Bertrand pair: offset, sign, grid data and statistics.
 
     ``base_rows`` and ``mate_rows`` hold the Frenet data of both curves,
-    and ``base_ratios`` and ``mate_ratios`` their ratio invariants, at the
-    regular points ``ts[~masked]`` of the detection grid, as arrays with
-    one row per point.  ``fd_base``, ``fd_mate``, ``ri_base`` and
-    ``ri_mate`` view them point by point over ``ts``, None where masked.
+    ratio invariants included, at the regular points ``ts[~masked]`` of
+    the detection grid, as arrays with one row per point.  ``fd_base`` and
+    ``fd_mate`` view them point by point over ``ts``, None where masked;
+    ``ri_base`` and ``ri_mate`` are other names for the same lists.
     """
 
     base: Curve
@@ -244,8 +232,6 @@ class BertrandPairModel:
     ts: np.ndarray
     base_rows: FrenetData
     mate_rows: FrenetData
-    base_ratios: RatioInvariants
-    mate_ratios: RatioInvariants
     p1: ConstancyStat
     p2: ConstancyStat
     q1: ConstancyStat
@@ -259,8 +245,8 @@ class BertrandPairModel:
 
     fd_base = cached_property(lambda self: self._per_point(self.base_rows))
     fd_mate = cached_property(lambda self: self._per_point(self.mate_rows))
-    ri_base = cached_property(lambda self: self._per_point(self.base_ratios))
-    ri_mate = cached_property(lambda self: self._per_point(self.mate_ratios))
+    ri_base = property(lambda self: self.fd_base)
+    ri_mate = property(lambda self: self.fd_mate)
 
     @property
     def masked_fraction(self):
@@ -341,10 +327,8 @@ def detect_bertrand(
     if tol_align < 0.5 and np.any(signs != eps):
         raise NotAPairError("normals-not-aligned", "sign of <N, N_mate> flips")
 
-    ri_b = ratio_invariants(base_rows)
-    ri_m = ratio_invariants(mate_rows)
-    g = ri_b.g[ri_b.g_defined]
-    gt = ri_m.g[ri_m.g_defined]
+    g = base_rows.g[base_rows.g_defined]
+    gt = mate_rows.g[mate_rows.g_defined]
     return BertrandPairModel(
         base=base,
         mate=mate,
@@ -353,8 +337,6 @@ def detect_bertrand(
         ts=ts,
         base_rows=base_rows,
         mate_rows=mate_rows,
-        base_ratios=ri_b,
-        mate_ratios=ri_m,
         p1=ConstancyStat.of(1.0 / np.sqrt(1.0 + gt * gt)),
         p2=ConstancyStat.of(gt / np.sqrt(1.0 + gt * gt)),
         q1=ConstancyStat.of(1.0 / np.sqrt(1.0 + g * g)),
@@ -365,12 +347,12 @@ def detect_bertrand(
     )
 
 
-def _constraint_residuals(fd, fdm, ri, rim, eps):
+def _constraint_residuals(fd, fdm, eps):
     """(kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m from
-    base (fd, ri) and mate (fdm, rim) data, at one point or at each row."""
-    return ((fdm.kappa + eps * fd.kappa) * ri.g * rim.g
-            - eps * ri.f * rim.g * fd.kappa
-            - rim.f * ri.g * fdm.kappa)
+    base (fd) and mate (fdm) data, at one point or at each row."""
+    return ((fdm.kappa + eps * fd.kappa) * fd.g * fdm.g
+            - eps * fd.f * fdm.g * fd.kappa
+            - fdm.f * fd.g * fdm.kappa)
 
 
 def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:
@@ -378,11 +360,9 @@ def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:
     at t, from a fresh evaluation of both curves."""
     fd = _frenet_rows(pair.base, [t])
     fdm = _frenet_rows(pair.mate, [t])
-    ri = ratio_invariants(fd)
-    rim = ratio_invariants(fdm)
-    if not (ri.g_defined[0] and rim.g_defined[0]):
+    if not (fd.g_defined[0] and fdm.g_defined[0]):
         raise DegenerateRatioError(f"g undefined at t={t}")
-    return float(_constraint_residuals(fd, fdm, ri, rim, pair.epsilon)[0])
+    return float(_constraint_residuals(fd, fdm, pair.epsilon)[0])
 
 
 def linear_relation_fit(curve: Curve, n: int = 64):
@@ -468,9 +448,12 @@ def generate_bertrand_curve(
 
     t_nodes = integrate_series(V, us)
     P_nodes = np.stack([integrate_series(g, us) for g in G], axis=1)
-    # segment k's arc length t(u) = t_nodes[k] + A_k(u) - A_k(us[k])
+    # segment k's arc length t(u) = t_nodes[k] + A_k(u) - A_k(us[k]), and
+    # its position P_nodes[k] + AG_k(u) - AG_k(us[k]) likewise
     A = V.antideriv(0.0)
     A_left = A(us[:-1])
+    AG = [g.antideriv(0.0) for g in G]
+    AG_left = [ag(us[:-1]) for ag in AG]
 
     def _solve_u(t):
         u = np.interp(t, t_nodes, us)
@@ -490,12 +473,10 @@ def generate_bertrand_curve(
         Cd = tuple(c.deriv() for c in C)
         W = _cross_jets(C, Cd)
         Gp = tuple(a * (C[i] + cot * W[i]) for i in range(3))  # dgamma/dt
-        out = []
-        for comp in range(3):
-            A = Gp[comp].antideriv(0.0)
-            # integration constant from the nearest walk node
-            out.append(A.with_constant(P_nodes[k, comp] - A(t_nodes[k])).truncate(order))
-        return tuple(out)
+        # the position from the walk's series, so that it has the same
+        # bits at every order
+        x0 = [P_nodes[k, i] + AG[i].take(k)(u) - AG_left[i][k] for i in range(3)]
+        return tuple(Gp[i].antideriv(x0[i]).truncate(order) for i in range(3))
 
     meta = {
         "generator": "bertrand",

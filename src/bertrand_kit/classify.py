@@ -29,7 +29,6 @@ from .curves import (
     _rowwise,
     _take_rows,
     cumulative_trapezoid,
-    slant_geodesic_indicator,
 )
 from .errors import (
     DegenerateRatioError,
@@ -109,7 +108,7 @@ def classify_curve(curve: Curve, n: int = 128) -> CurveClass:
     kappa_max = float(np.max(rows.kappa))
     tau_max = float(np.max(np.abs(rows.tau)))
     f_dev = _relative_deviation(rows.tau / rows.kappa)
-    gamma_dev = _relative_deviation(slant_geodesic_indicator(rows))
+    gamma_dev = _relative_deviation(rows.Gamma)
     _, radius, sph_resid = sphere_fit(rows.point)
     metrics = {
         "tau_max": tau_max,
@@ -151,7 +150,7 @@ def spherical_helix_check(image: IndicatrixSample) -> float:
 
 
 @_rowwise
-def condition_residual(fd_tilde: FrenetData, ri_tilde):
+def condition_residual(fd_tilde: FrenetData):
     """Normalized residual of kappa'' kappa f^2 - 3 kappa'^2 g f + kappa'' kappa - 3 kappa'^2,
     at one point or at each row.
 
@@ -161,9 +160,9 @@ def condition_residual(fd_tilde: FrenetData, ri_tilde):
     to the side opposite the imaged curve, matching the closed-form
     convention.
     """
-    _require_g(ri_tilde)
+    _require_g(fd_tilde)
     k, kp, kpp = fd_tilde.kappa, fd_tilde.dkappa_ds, fd_tilde.d2kappa_ds2
-    f, g = ri_tilde.f, ri_tilde.g
+    f, g = fd_tilde.f, fd_tilde.g
     lhs = kpp * k * f * f - 3.0 * kp * kp * g * f + kpp * k - 3.0 * kp * kp
     scale = np.maximum(np.abs(kpp * k * (1.0 + f * f)), np.abs(3.0 * kp * kp * (1.0 + f * g)))
     return lhs / np.maximum(scale, 1e-30)
@@ -283,6 +282,21 @@ def pair_classify(
 # ---------------------------------------------------------------------------
 # identity suite
 
+# identity-type theorem entries: these must hold on any accepted pair,
+# so a failure is an error exit, unlike the classification equivalences
+IDENTITY_ENTRIES = (
+    "th2",
+    "th3",
+    "th22",
+    "eps-g-relation",
+    "constraint-eq",
+    "frame-relations",
+    "elf-corollaries",
+    "cr14",
+    "cr33",
+    "p1p2-constancy",
+)
+
 
 @dataclass
 class TheoremEntry:
@@ -331,43 +345,40 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         return tols.get(key, default)
 
     report = TheoremReport()
-    usable = pair.base_ratios.g_defined & pair.mate_ratios.g_defined
+    usable = pair.base_rows.g_defined & pair.mate_rows.g_defined
     if np.count_nonzero(usable) < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(f"{np.count_nonzero(usable)} usable grid rows")
-    rows = {
-        "base": (_take_rows(pair.base_rows, usable), _take_rows(pair.base_ratios, usable)),
-        "mate": (_take_rows(pair.mate_rows, usable), _take_rows(pair.mate_ratios, usable)),
-    }
-    (fb, rb), (fm, rm) = rows["base"], rows["mate"]
+    rows = {"base": _take_rows(pair.base_rows, usable),
+            "mate": _take_rows(pair.mate_rows, usable)}
+    fb, fm = rows["base"], rows["mate"]
     mf = pair.masked_fraction
     eps = pair.epsilon
 
     # th2: Gamma + Gamma_mate = 0 (slant indicators are negatives)
-    report.add("th2", np.max(np.abs(rb.Gamma + rm.Gamma)), tol("th2", 1e-5), mf)
+    report.add("th2", np.max(np.abs(fb.Gamma + fm.Gamma)), tol("th2", 1e-5), mf)
 
     # th3 / th22: g constant on each side
-    g_base = ConstancyStat.of(rb.g)
-    g_mate = ConstancyStat.of(rm.g)
+    g_base = ConstancyStat.of(fb.g)
+    g_mate = ConstancyStat.of(fm.g)
     report.add("th3", g_mate.max_deviation / max(1.0, abs(g_mate.mean)),
                tol("th3", 1e-6), mf, note="constancy of g on the mate")
     report.add("th22", g_base.max_deviation / max(1.0, abs(g_base.mean)),
                tol("th22", 1e-6), mf, note="constancy of g on the base")
 
     # eps-g relation: eps*g + g_mate = 0
-    report.add("eps-g-relation", np.max(np.abs(eps * rb.g + rm.g)),
+    report.add("eps-g-relation", np.max(np.abs(eps * fb.g + fm.g)),
                tol("eps-g-relation", 1e-8), mf)
 
     # cross-side constraint equation
-    cres = np.max(np.abs(_constraint_residuals(fb, fm, rb, rm, eps)))
+    cres = np.max(np.abs(_constraint_residuals(fb, fm, eps)))
     report.add("constraint-eq", cres, tol("constraint-eq", 1e-8), mf)
 
     # closed forms of each side's images, which read the other curve's
     # rows where they apply
     images = {}
     for side in SIDES:
-        fd, ri = rows[_other_side(side)]
-        ok = _applies(side, ri)
-        images[side] = _images(side, _take_rows(fd, ok), _take_rows(ri, ok), eps)
+        fd = rows[_other_side(side)]
+        images[side] = _images(side, _take_rows(fd, _applies(side, fd)), eps)
 
     # frame relations among indicatrix frames
     fr = max(max(_frame_relations(side, images[side], eps).values()) for side in SIDES)
@@ -385,8 +396,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     # cr14 / cr33: binormal arc length against the direct |B'| quadrature,
     # and the affine law s_b = slope * s_src + c2
     for key, side in (("cr14", "base"), ("cr33", "mate")):
-        src, ri = rows[_other_side(side)]
-        rel = _arclength_relations(side, src, ri, rows[side][0], pair.lam, eps)
+        rel = _arclength_relations(side, rows[_other_side(side)], rows[side], pair.lam, eps)
         rng = max(abs(rel.s_b[-1] - rel.s_b[0]), 1e-30)
         direct_gap = float(np.max(np.abs(np.abs(rel.s_b) - rel.s_b_direct))) / rng
         affine_gap = rel.affine_fit.rms_residual / rng
@@ -396,7 +406,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
                    note=f"c1={rel.c1:.6g}, c2={rel.c2:.6g}")
 
     # slant-helix flags on the curves and helix flags on the indicatrices
-    gamma_dev = {side: _relative_deviation(rows[side][1].Gamma) for side in SIDES}
+    gamma_dev = {side: _relative_deviation(rows[side].Gamma) for side in SIDES}
     tol_slant = tol("tol_slant", TOL_SLANT)
     tol_ih = tol("tol_indicatrix_helix", 1e-4)
     helix = {
@@ -427,7 +437,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
 
     # th8/th17 and th11: one condition residual, checked for agreement
     # with the indicatrix-level flags
-    cond_res = float(np.max(np.abs(condition_residual(fm, rm))))
+    cond_res = float(np.max(np.abs(condition_residual(fm))))
     tol_cond = tol("tol_condition", 1e-3)
     cond_true = cond_res < tol_cond
     ind_true = helix[("base", "tangent")]

@@ -26,12 +26,11 @@ from .bertrand import (
     DEFAULT_OMEGA,
     SPHERE_PRESETS,
 )
-from .classify import classify_curve, pair_classify, theorem_suite
+from .classify import IDENTITY_ENTRIES, classify_curve, pair_classify, theorem_suite
 from .curves import (
     _frenet_columns,
     cumulative_trapezoid,
     frenet_grid,
-    slant_geodesic_indicator,
 )
 from .errors import (
     DegenerateRatioError,
@@ -73,21 +72,6 @@ EXIT_NOT_A_PAIR = 6
 EXIT_IDENTITY = 7
 EXIT_DEGENERATE_SPHERE = 8
 
-# identity-type theorem entries: these must hold on any accepted pair,
-# so a failure is an error exit, unlike the classification equivalences
-IDENTITY_ENTRIES = (
-    "th2",
-    "th3",
-    "th22",
-    "eps-g-relation",
-    "constraint-eq",
-    "frame-relations",
-    "elf-corollaries",
-    "cr14",
-    "cr33",
-    "p1p2-constancy",
-)
-
 
 def _emit(report: RunReport):
     sys.stdout.write(report.to_json())
@@ -120,7 +104,7 @@ def cmd_frenet(args) -> int:
     arc = cumulative_trapezoid(fd.t, fd.speed)
     rows = np.column_stack(
         [fd.t, arc, fd.T, fd.N, fd.B, fd.kappa, fd.tau, fd.dkappa_ds, fd.dtau_ds,
-         fd.d2kappa_ds2, slant_geodesic_indicator(fd)]
+         fd.d2kappa_ds2, fd.Gamma]
     ).tolist()
     header = (
         ["t", "s", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz",

@@ -21,13 +21,10 @@ import numpy as np
 from .bertrand import (
     EPS_DEN,
     BertrandPairModel,
-    RatioInvariants,
     _require_g,
     geodesic_indicator_closed_form,
-    ratio_invariants,
 )
 from .curves import (
-    EPS_REG,
     FrenetData,
     SampledCurve,
     _frenet_columns,
@@ -97,13 +94,13 @@ def _curve(pair: BertrandPairModel, side: str):
     return pair.base if side == "base" else pair.mate
 
 
-def _degeneracies(side: str, ri: RatioInvariants):
+def _degeneracies(side: str, fd: FrenetData):
     """(flags, reason) of each degeneracy of the closed forms of
-    ``side``'s images, one flag per row of the data-side invariants."""
-    f, g = ri.f, ri.g
+    ``side``'s images, one flag per row of the data-side Frenet rows."""
+    f, g = fd.f, fd.g
     checks = [
-        (np.logical_not(ri.g_defined), "g undefined"),
-        (np.abs(f - g) < 1e-12, "f = g"),
+        (np.logical_not(fd.g_defined), "g undefined"),
+        (np.abs(f - g) <= EPS_DEN, "f = g"),
         (np.abs(1.0 + f * g) < 1e-12, "1 + f*g = 0"),
     ]
     if side == "mate":
@@ -112,35 +109,34 @@ def _degeneracies(side: str, ri: RatioInvariants):
     return checks
 
 
-def _applies(side: str, ri: RatioInvariants) -> np.ndarray:
+def _applies(side: str, fd: FrenetData) -> np.ndarray:
     """Rows where the closed forms of ``side``'s images apply."""
-    return ~np.logical_or.reduce([flags for flags, _ in _degeneracies(side, ri)])
+    return ~np.logical_or.reduce([flags for flags, _ in _degeneracies(side, fd)])
 
 
 def _col(a):
     return a[:, None]
 
 
-def _gamma_big(fd: FrenetData, ri: RatioInvariants, ds_x_dsrc):
+def _gamma_big(fd: FrenetData, ds_x_dsrc):
     """Shared geodesic-indicator expression of the tangent/binormal images.
 
     ``ds_x_dsrc`` is the derivative of the indicatrix arc length with
     respect to the data-side arc length.
     """
     k, kp, kpp = fd.kappa, fd.dkappa_ds, fd.d2kappa_ds2
-    f, g = ri.f, ri.g
+    f, g = fd.f, fd.g
     wf2 = 1.0 + f * f
     num = -(k**3) * wf2**1.5 * (g - f) ** 2 * (kpp * k * wf2 - 3.0 * kp * kp * (1.0 + f * g))
     den = np.sqrt(1.0 + g * g) * (k**4 * wf2**3 + kp * kp * (f - g) ** 2) ** 1.5
     return num / den / ds_x_dsrc
 
 
-def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants,
-                 eps: int) -> IndicatrixSample:
+def _closed_form(kind: IndicatrixKind, fd: FrenetData, eps: int) -> IndicatrixSample:
     """Closed-form apparatus of one image at each row of the data-side
-    Frenet rows ``fd`` and their invariants ``ri``, at rows where the
-    closed forms apply (``_applies``)."""
-    f, g = ri.f, ri.g
+    Frenet rows ``fd``, at rows where the closed forms apply
+    (``_applies``)."""
+    f, g = fd.f, fd.g
     k, kp, kpp = fd.kappa, fd.dkappa_ds, fd.d2kappa_ds2
     wf = np.sqrt(1.0 + f * f)
     wg = np.sqrt(1.0 + g * g)
@@ -156,12 +152,12 @@ def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants,
         # scalar values that track the imaged curve's own apparatus
         f_img = -eps * (g - f) / (1.0 + f * g)
         wfi = np.sqrt(1.0 + f_img * f_img)
-        G_img = geodesic_indicator_closed_form(fd, ri, side=kind.side)
+        G_img = geodesic_indicator_closed_form(fd, side=kind.side)
         # the tangent and binormal images share B, |kappa|, |tau| and Gamma
         kx = wf * wg / (f - g)
         tx = kp * wg / (k * k * (1.0 + f * f))
         ds_x_dsrc = k * (f - g) / wg
-        Gx = _gamma_big(fd, ri, ds_x_dsrc)
+        Gx = _gamma_big(fd, ds_x_dsrc)
         if mate_side:
             Gx = -Gx
         if kind.axis == "tangent":
@@ -198,23 +194,19 @@ def _closed_form(kind: IndicatrixKind, fd: FrenetData, ri: RatioInvariants,
                             np.full(len(k), np.nan), np.abs(ds_x_dsrc) * fd.speed)
 
 
-def _images(side: str, fd: FrenetData, ri: RatioInvariants, eps: int) -> dict:
+def _images(side: str, fd: FrenetData, eps: int) -> dict:
     """The closed forms of ``side``'s three images, keyed by axis, from
     data-side rows where they apply."""
-    return {axis: _closed_form(IndicatrixKind(side, axis), fd, ri, eps) for axis in AXES}
+    return {axis: _closed_form(IndicatrixKind(side, axis), fd, eps) for axis in AXES}
 
 
 def _data_rows(pair: BertrandPairModel, side: str, ts):
-    """The data-side Frenet rows and ratio invariants at the points of
-    ``ts`` where the closed forms of ``side``'s images apply, from one
-    evaluation of the data-side curve, and the grid index of each row."""
+    """The data-side Frenet rows at the points of ``ts`` where the closed
+    forms of ``side``'s images apply, from one evaluation of the data-side
+    curve, and the grid index of each row."""
     rows, regular, _ = _frenet_columns(_curve(pair, _other_side(side)), ts)
-    # below ratio_invariants' curvature floor a point is masked as well
-    curved = rows.kappa > EPS_REG
-    rows, idx = _take_rows(rows, curved), np.flatnonzero(regular)[curved]
-    ri = ratio_invariants(rows)
-    ok = _applies(side, ri)
-    return _take_rows(rows, ok), _take_rows(ri, ok), idx[ok]
+    ok = _applies(side, rows)
+    return _take_rows(rows, ok), np.flatnonzero(regular)[ok]
 
 
 def indicatrix_apparatus(pair: BertrandPairModel, side: str, axis: str,
@@ -224,18 +216,17 @@ def indicatrix_apparatus(pair: BertrandPairModel, side: str, axis: str,
     data-side curve."""
     kind = IndicatrixKind(side, axis)
     fd = _frenet_rows(_curve(pair, _other_side(side)), [t])
-    ri = ratio_invariants(fd)
-    for flags, reason in _degeneracies(side, ri):
+    for flags, reason in _degeneracies(side, fd):
         if flags[0]:
             raise DegenerateRatioError(f"{reason} at t={t}")
-    return _points(_closed_form(kind, fd, ri, pair.epsilon))[0]
+    return _points(_closed_form(kind, fd, pair.epsilon))[0]
 
 
 def apparatus_grid(pair: BertrandPairModel, side: str, axis: str, ts):
     """Closed-form samples over a grid, from one evaluation of the
     data-side curve; degenerate points become None."""
-    fd, ri, idx = _data_rows(pair, side, ts)
-    return _points_at(_closed_form(IndicatrixKind(side, axis), fd, ri, pair.epsilon),
+    fd, idx = _data_rows(pair, side, ts)
+    return _points_at(_closed_form(IndicatrixKind(side, axis), fd, pair.epsilon),
                      idx, len(ts))
 
 
@@ -265,10 +256,9 @@ def frame_relations_check(pair: BertrandPairModel, n: int = 64) -> dict:
     report = {}
     masked = 0
     for side in SIDES:
-        fd, ri, idx = _data_rows(pair, side, ts)
+        fd, idx = _data_rows(pair, side, ts)
         masked += n - len(idx)
-        report.update(_frame_relations(side, _images(side, fd, ri, pair.epsilon),
-                                      pair.epsilon))
+        report.update(_frame_relations(side, _images(side, fd, pair.epsilon), pair.epsilon))
     report["masked_points"] = masked
     return report
 
@@ -303,11 +293,11 @@ class ArcLengthRelations:
     predicted_slope: float  # |ds_b/ds_src| implied by the constancy argument
 
 
-def _arclength_relations(side: str, src: FrenetData, ri: RatioInvariants,
-                        img: FrenetData, lam: float, eps: int) -> ArcLengthRelations:
+def _arclength_relations(side: str, src: FrenetData, img: FrenetData, lam: float,
+                         eps: int) -> ArcLengthRelations:
     """Cumulative indicatrix arc lengths and the affine law for s_b over
-    rows: ``src`` and ``ri`` are the data-side Frenet rows and their
-    invariants (g defined), ``img`` the imaged curve's rows at the same t.
+    rows: ``src`` are the data-side Frenet rows (g defined), ``img`` the
+    imaged curve's rows at the same t.
 
     The tangent/binormal integrand is kappa(f-g)/sqrt(1+g^2) in data-side
     quantities; the normal integrand is kappa*sqrt(1+f^2).  The affine
@@ -315,7 +305,7 @@ def _arclength_relations(side: str, src: FrenetData, ri: RatioInvariants,
     following the displayed identity kappa^2 f' / (kappa' sqrt(1+g^2)).
     """
     ts = src.t
-    f, g, k = ri.f, ri.g, src.kappa
+    f, g, k = src.f, src.g, src.kappa
     wg = np.sqrt(1.0 + g * g)
     # c1 candidate via f' = kappa'(g - f)/kappa (arc-length primes)
     fprime = src.dkappa_ds * (g - f) / k
@@ -365,6 +355,5 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
     ts = np.linspace(pair.ts[0], pair.ts[-1], n + 1)
     src = _frenet_rows(_curve(pair, _other_side(side)), ts)
     img = _frenet_rows(_curve(pair, side), ts)
-    ri = ratio_invariants(src)
-    _require_g(ri)
-    return _arclength_relations(side, src, ri, img, pair.lam, pair.epsilon)
+    _require_g(src)
+    return _arclength_relations(side, src, img, pair.lam, pair.epsilon)

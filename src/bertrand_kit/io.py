@@ -108,39 +108,46 @@ def curve_to_dict(curve: Curve) -> dict:
 
 
 def _rebuild_from_metadata(meta):
-    """Exact jet-backed curve from a recorded generator recipe, or None.
+    """Exact jet-backed curve from a recorded recipe, or None.
 
-    Sampled files written by the generator carry enough metadata to rerun
-    it, which restores exact differentiation after a round trip instead
-    of falling back to finite-difference stencils.  The caller checks the
-    rebuilt nodes against the stored samples.
+    Sampled files written by the generator, and mates of generated or
+    analytic bases, carry enough metadata to rebuild the curve, which
+    restores exact differentiation after a round trip instead of falling
+    back to finite-difference stencils.  A recipe that cannot be rebuilt
+    gives None.  The caller checks the rebuilt nodes against the stored
+    samples.
     """
     if not isinstance(meta, dict):
         return None
     from . import bertrand as bt
 
+    def generated(n_key):
+        if meta.get("seed_label") not in bt.SPHERE_PRESETS:
+            return None
+        return bt.generate_bertrand_curve(
+            bt.sphere_preset(meta["seed_label"]),
+            a=float(meta["a"]),
+            omega=float(meta["omega"]),
+            n=int(meta[n_key]),
+        )
+
     try:
         gen = meta.get("generator")
-        if gen == "bertrand" and meta.get("seed_label") in bt.SPHERE_PRESETS:
-            return bt.generate_bertrand_curve(
-                bt.sphere_preset(meta["seed_label"]),
-                a=float(meta["a"]),
-                omega=float(meta["omega"]),
-                n=int(meta["n"]),
-            )
-        if (
-            gen == "normal-offset"
-            and meta.get("base_generator") == "bertrand"
-            and meta.get("seed_label") in bt.SPHERE_PRESETS
-        ):
-            base = bt.generate_bertrand_curve(
-                bt.sphere_preset(meta["seed_label"]),
-                a=float(meta["a"]),
-                omega=float(meta["omega"]),
-                n=int(meta["base_n"]),
-            )
-            return bt.construct_mate(base, float(meta["lambda"]), n=int(meta["n"]))
-    except (KeyError, TypeError, ValueError):
+        if gen == "bertrand":
+            return generated("n")
+        if gen == "normal-offset":
+            base_gen = meta.get("base_generator")
+            if base_gen == "bertrand":
+                base = generated("base_n")
+            elif base_gen == "analytic":
+                base = AnalyticCurve(str(meta["base_x"]), str(meta["base_y"]),
+                                     str(meta["base_z"]),
+                                     (float(meta["base_lo"]), float(meta["base_hi"])))
+            else:
+                base = None
+            if base is not None:
+                return bt.construct_mate(base, float(meta["lambda"]), n=int(meta["n"]))
+    except (KeyError, TypeError, ValueError, BertrandKitError):
         return None
     return None
 
@@ -185,6 +192,7 @@ def curve_from_dict(d: dict) -> Curve:
             and _matches_stored(rebuilt.params, t)
             and _matches_stored(rebuilt.points, pts)
         ):
+            rebuilt.label = label
             return rebuilt
         try:
             return SampledCurve(t, pts, label=label)

@@ -20,7 +20,6 @@ from bertrand_kit.cli import main
 from bertrand_kit.curves import (
     SampledCurve,
     frenet_apparatus,
-    slant_geodesic_indicator,
 )
 from bertrand_kit.errors import DomainError
 from bertrand_kit.indicatrix import (
@@ -52,7 +51,7 @@ def test_criterion_01_helix_closed_form(helix):
             worst,
             abs(fd.kappa - 0.12),
             abs(fd.tau - 0.16),
-            abs(slant_geodesic_indicator(fd)),
+            abs(fd.Gamma),
         )
     report(1, worst < 1e-9, f"helix kappa/tau/indicator max error {worst:.3e}")
 
@@ -139,7 +138,7 @@ def test_criterion_06_torsion_curvature_ratios(pair_wobble):
     worst_mag, worst_split = 0.0, 0.0
     for side, src in pair_sides(p):
         for t in ts:
-            G = slant_geodesic_indicator(frenet_apparatus(src, t))
+            G = frenet_apparatus(src, t).Gamma
             st = indicatrix_apparatus(p, side, "tangent", t)
             sb = indicatrix_apparatus(p, side, "binormal", t)
             scale = max(1.0, abs(G))

@@ -21,7 +21,6 @@ from bertrand_kit.bertrand import (
     generate_bertrand_curve,
     generated_pair,
     geodesic_indicator_closed_form,
-    ratio_invariants,
     sphere_preset,
 )
 from bertrand_kit.classify import condition_residual
@@ -33,7 +32,6 @@ from bertrand_kit.curves import (
     fornberg_weights,
     frenet_apparatus,
     frenet_grid,
-    slant_geodesic_indicator,
 )
 from bertrand_kit.errors import DomainError, OutOfDomainError, SingularPointError
 
@@ -63,12 +61,13 @@ CURVES = {
 }
 
 FIELDS = ("t", "point", "speed", "T", "N", "B", "kappa", "tau", "dkappa_ds", "dtau_ds",
-          "d2kappa_ds2")
+          "d2kappa_ds2", "f", "g", "g_defined", "Gamma")
 
 
 def assert_same_bits(a, b):
+    # g is NaN where it is undefined
     for name in FIELDS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))
@@ -90,11 +89,11 @@ def test_point_does_not_depend_on_its_batch(name):
 
 
 # largest |rows.point - curve.point| on the 29 points below.  The Frenet
-# request asks for order 6, the point for order 0: the mate's frame then
-# reads base jets of another order (measured 1.1e-16), and a sampled
-# curve's stencil is wider (measured 1.2e-10).  Analytic and generated
-# curves give the same bits.
-POINT_GAP = {"trefoil": 0.0, "wobble-base": 0.0, "wobble-mate": 5e-16,
+# request asks for order 6, the point for order 0: a sampled curve's
+# stencil is then wider (measured 1.2e-10).  Analytic and generated curves
+# and the mate, whose frame reads base jets of another order, give the
+# same bits.
+POINT_GAP = {"trefoil": 0.0, "wobble-base": 0.0, "wobble-mate": 0.0,
              "sampled-trefoil": 5e-10}
 
 
@@ -111,21 +110,31 @@ def test_frenet_rows_carry_the_points(name):
         assert_same_bits_array(rows, want)
 
 
+@pytest.mark.parametrize("preset", ["wobble", "slant"])
+def test_generated_position_does_not_depend_on_the_order(preset):
+    """A generated curve's position comes from the walk's own series, so
+    every jet order gives the same bits, ends included."""
+    curve = _generated(preset)
+    ts = np.linspace(*curve.domain, 29)
+    want = constant_terms(curve, ts, 0)
+    for order in (2, 6, 8):
+        assert_same_bits_array(constant_terms(curve, ts, order), want)
+
+
 def test_one_point_closed_forms_equal_their_grid_rows():
     """A closed form of one point gives the bits of its row in the grid,
     on both curves of a pair and both sides of the geodesic indicator."""
 
-    def closed_forms(fd, ri):
-        return [ratio_invariants(fd).Gamma, slant_geodesic_indicator(fd),
-                geodesic_indicator_closed_form(fd, ri, "base"),
-                geodesic_indicator_closed_form(fd, ri, "mate"), condition_residual(fd, ri)]
+    def closed_forms(fd):
+        return [fd.Gamma, fd.f, fd.g,
+                geodesic_indicator_closed_form(fd, "base"),
+                geodesic_indicator_closed_form(fd, "mate"), condition_residual(fd)]
 
     pair = generated_pair("wobble", n=64, grid=24)
     for rows in (pair.base_rows, pair.mate_rows):
-        ratios = ratio_invariants(rows)
-        grid = closed_forms(rows, ratios)
-        for i, (fd, ri) in enumerate(zip(_points(rows), _points(ratios))):
-            for value, column in zip(closed_forms(fd, ri), grid):
+        grid = closed_forms(rows)
+        for i, fd in enumerate(_points(rows)):
+            for value, column in zip(closed_forms(fd), grid):
                 assert type(value) is float
                 assert_same_bits_array(value, column[i])
 

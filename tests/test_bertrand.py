@@ -16,7 +16,6 @@ from bertrand_kit.bertrand import (
     generated_pair,
     linear_relation_fit,
     pair_constraint_residual,
-    ratio_invariants,
     sphere_preset,
     DEFAULT_OMEGA,
 )
@@ -27,7 +26,6 @@ from bertrand_kit.curves import (
     JetBackedCurve,
     SampledCurve,
     frenet_apparatus,
-    slant_geodesic_indicator,
 )
 from bertrand_kit.errors import (
     DegenerateSphereCurveError,
@@ -50,10 +48,10 @@ def test_lambda_equals_offset_radius(pair_wobble):
 def test_lambda_from_ratios(pair_wobble):
     p = pair_wobble
     for i in p.valid_indices()[5:-5:16]:
-        fd, ri = p.fd_base[i], p.ri_base[i]
-        if not ri.g_defined:
+        fd = p.fd_base[i]
+        if not fd.g_defined:
             continue
-        assert bertrand_lambda(ri, fd.kappa) == pytest.approx(p.lam, abs=1e-8)
+        assert bertrand_lambda(fd) == pytest.approx(p.lam, abs=1e-8)
 
 
 def test_g_constant_both_sides(pair_wobble):
@@ -192,10 +190,15 @@ def test_mate_of_mate_returns_base(pair_wobble):
 
 
 def test_gamma_matches_slant_indicator(pair_wobble):
+    """The expanded Gamma column is the slant indicator's defining form
+    kappa^2/(kappa^2+tau^2)^{3/2} * d(tau/kappa)/ds."""
     p = pair_wobble
     for i in p.valid_indices()[5:-5:32]:
-        assert p.ri_base[i].Gamma == pytest.approx(
-            slant_geodesic_indicator(p.fd_base[i]), abs=1e-10
+        fd = p.fd_base[i]
+        k, tau = fd.kappa, fd.tau
+        df_ds = (fd.dtau_ds * k - tau * fd.dkappa_ds) / (k * k)
+        assert fd.Gamma == pytest.approx(
+            k * k / (k * k + tau * tau) ** 1.5 * df_ds, abs=1e-10
         )
 
 
@@ -208,7 +211,7 @@ def test_mate_apparatus_from_base_matches_detected_mate(pair_name, request):
     p = request.getfixturevalue(pair_name)
     for i in p.valid_indices():
         fd, fdm = p.fd_base[i], p.fd_mate[i]
-        m = mate_apparatus_from_base(fd, p.ri_base[i], p.epsilon)
+        m = mate_apparatus_from_base(fd, p.epsilon)
         sigma = math.copysign(1.0, m.ds_mate_ds)
         # measured worst cases over both pairs: 2.1e-15 (T), 6.1e-15 (N),
         # 6.0e-15 (B), 7.4e-15 (kappa), 7.0e-14 (tau), 1.8e-15 (ds), relative

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bertrand_kit.bertrand import construct_mate
 from bertrand_kit.cli import main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve
 from bertrand_kit.io import dumps, load_curve, save_curve
@@ -288,3 +289,29 @@ def test_load_keeps_stored_points_over_metadata(workdir, tmp_path):
     assert isinstance(c, SampledCurve)
     np.testing.assert_array_equal(c.points, stored["sampled"]["points"])
     np.testing.assert_array_equal(c.params, stored["sampled"]["t"])
+
+
+def test_mate_of_an_analytic_base_reloads_exactly(tmp_path):
+    """A mate file records its analytic base's expressions and domain and
+    reloads with exact jets; a malformed recorded expression, or samples
+    the recipe does not describe, fall back to the stored samples."""
+    helix = AnalyticCurve("3*cos(t)", "3*sin(t)", "4*t", (0.0, 6.0), label="helix")
+    f = tmp_path / "mate.json"
+    save_curve(construct_mate(helix, 0.5, n=256), str(f))
+    stored = json.loads(f.read_text())
+    assert stored["metadata"]["base_generator"] == "analytic"
+    c = load_curve(str(f))
+    assert isinstance(c, JetBackedCurve)
+    assert c.label == "helix+0.5*N"
+    np.testing.assert_array_equal(c.points, stored["sampled"]["points"])
+    for key, value in (("base_x", "3*cos("), ("base_y", "3*nosuch(t)"), ("base_lo", "zero")):
+        bad = json.loads(f.read_text())
+        bad["metadata"][key] = value
+        g = tmp_path / "bad.json"
+        g.write_text(dumps(bad))
+        assert isinstance(load_curve(str(g)), SampledCurve), key
+    shifted = json.loads(f.read_text())
+    shifted["sampled"]["points"][3][0] += 1e-9
+    g = tmp_path / "shifted.json"
+    g.write_text(dumps(shifted))
+    assert isinstance(load_curve(str(g)), SampledCurve)

@@ -11,7 +11,6 @@ from bertrand_kit.curves import (
     frenet_apparatus,
     frenet_grid,
     integrate_series,
-    slant_geodesic_indicator,
 )
 from bertrand_kit.errors import (
     OutOfDomainError,
@@ -30,7 +29,7 @@ def test_circular_helix_apparatus(helix):
         assert fd.tau == pytest.approx(0.16, abs=1e-12)
         assert fd.dkappa_ds == pytest.approx(0.0, abs=1e-12)
         assert fd.dtau_ds == pytest.approx(0.0, abs=1e-12)
-        assert slant_geodesic_indicator(fd) == pytest.approx(0.0, abs=1e-12)
+        assert fd.Gamma == pytest.approx(0.0, abs=1e-12)
 
 
 def test_helix_frame_orthonormal(helix):

@@ -3,7 +3,9 @@
 A circular helix and its normal offset form a Bertrand pair on which
 kappa' = 0 everywhere, so g = tau'/kappa' is undefined at every point
 and no closed form of the indicatrices applies.  A conical helix has
-constant tau/kappa, so g = f and the offset distance is undefined.
+constant tau/kappa, so g = f and the offset distance is undefined.  A
+fast curve (speed 10) with an inflection has a point where kappa is
+below the curvature floor while kappa * speed is not.
 """
 
 import json
@@ -15,12 +17,11 @@ from bertrand_kit.bertrand import (
     bertrand_lambda,
     construct_mate,
     detect_bertrand,
-    ratio_invariants,
 )
 from bertrand_kit.classify import theorem_suite
-from bertrand_kit.cli import EXIT_PARSE, main
-from bertrand_kit.curves import AnalyticCurve, frenet_apparatus
-from bertrand_kit.errors import DegenerateRatioError, TooFewSamplesError
+from bertrand_kit.cli import EXIT_OK, EXIT_PARSE, EXIT_SINGULAR, main
+from bertrand_kit.curves import AnalyticCurve, frenet_apparatus, frenet_grid
+from bertrand_kit.errors import DegenerateRatioError, SingularPointError, TooFewSamplesError
 from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid, indicatrix_apparatus
 from bertrand_kit.io import save_curve
 
@@ -72,13 +73,23 @@ def test_helical_pair_verify_exits_parse_error(helical_files, capsys):
 
 def test_helical_pair_mate_images_are_all_masked(helical_files, capsys):
     """The mate-side images read the base, an exact helix, where g is
-    undefined at every row.  (The base-side images read the loaded mate,
-    whose stencil derivatives give kappa' of noise size, so g is defined
-    there.)"""
+    undefined at every row."""
     assert main(["indicatrix", *helical_files, "--kind", "t-mate", "--n", "64"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["n_rows"] == 0
     # the whole detection grid, inset by 1% of the domain at each end
+    (interval,) = rep["masked_intervals"]
+    assert interval == pytest.approx([0.06, 5.94])
+
+
+def test_helical_pair_base_images_are_all_masked(helical_files, capsys):
+    """The base-side images read the mate, which reloads from the recipe
+    of its analytic base with exact jets, so g is undefined at every row
+    there too (from stencil derivatives, kappa' would be noise above
+    EPS_G)."""
+    assert main(["indicatrix", *helical_files, "--kind", "t-base", "--n", "64"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["n_rows"] == 0
     (interval,) = rep["masked_intervals"]
     assert interval == pytest.approx([0.06, 5.94])
 
@@ -88,4 +99,32 @@ def test_conical_helix_has_no_offset_distance():
                           (0.0, 6.0))
     fd = frenet_apparatus(curve, 2.0)
     with pytest.raises(DegenerateRatioError, match="g = f degeneracy"):
-        bertrand_lambda(ratio_invariants(fd), fd.kappa)
+        bertrand_lambda(fd)
+
+
+# kappa = 6e-10 and speed 10 at t = 1e-8
+FAST = ("10*t", "t^3", "0.001*t^5")
+
+
+def test_fast_curve_flat_point_is_singular():
+    """One curvature floor: the point is masked in a grid and raises at
+    the point, as every point with kappa <= EPS_REG does."""
+    curve = AnalyticCurve(*FAST, (-1.0, 1.0))
+    grid = frenet_grid(curve, [-0.5, 1e-8, 0.5])
+    assert [fd is None for fd in grid] == [False, True, False]
+    with pytest.raises(SingularPointError,
+                       match=r"^curvature below regularity floor at t=1e-08$"):
+        frenet_apparatus(curve, 1e-8)
+
+
+def test_fast_curve_flat_point_cli(tmp_path, capsys):
+    path = str(tmp_path / "fast.json")
+    save_curve(AnalyticCurve(*FAST, (-1.0, 1.0)), path)
+    assert main(["frenet", path, "--at", "1e-8", "--mask"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["n_rows"] == 0
+    assert rep["masked_intervals"] == [[1e-8, 1e-8]]
+    assert main(["frenet", path, "--at", "1e-8"]) == EXIT_SINGULAR
+    assert capsys.readouterr().err == (
+        "error: curvature below regularity floor at t=1e-08 "
+        "(pass --mask to skip singular points)\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bertrand_kit.curves import frenet_apparatus, slant_geodesic_indicator
+from bertrand_kit.curves import frenet_apparatus
 from bertrand_kit.indicatrix import (
     IndicatrixKind,
     frame_relations_check,
@@ -110,7 +110,7 @@ def test_torsion_curvature_ratio_sign_pattern(pair_wobble):
             sign = -1.0 if (side, axis) == ("base", "tangent") else 1.0
             for t in probe_ts(p, 5):
                 s = indicatrix_apparatus(p, side, axis, t)
-                G = slant_geodesic_indicator(frenet_apparatus(src, t))
+                G = frenet_apparatus(src, t).Gamma
                 assert s.tau / s.kappa == pytest.approx(sign * G, abs=1e-10)
 
 
