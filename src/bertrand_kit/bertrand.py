@@ -28,8 +28,6 @@ from .curves import (
     FrenetData,
     JetBackedCurve,
     SampledCurve,
-    _cross_jets,
-    _dot_jets,
     _frenet_columns,
     _frenet_rows,
     _points_at,
@@ -45,7 +43,7 @@ from .errors import (
     NotAPairError,
     NotSphericalError,
 )
-from .jets import Jet, _first, compose, invert_series, jsincos, jsqrt
+from .jets import Jet, _first, compose, invert_series, jcross, jdot, jsincos, jsqrt, jstack
 
 EPS_DEN = 1e-10
 TOL_ALIGN = 1e-6
@@ -136,17 +134,15 @@ def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
 
 
 def _frame_jets(base: Curve, t, order: int):
-    """Jets of (position, T, N, B) to the given order (needs order+2 base
-    jets), at a float t or at each t of a 1-D array."""
+    """Vector jets of (position, T, N, B) to the given order (needs
+    order+2 base jets), at a float t or at each t of a 1-D array."""
     P = base.jet(t, order + 2)
-    D1 = tuple(p.deriv() for p in P)
-    D2 = tuple(d.deriv() for d in D1)
-    V = jsqrt(_dot_jets(D1, D1))
-    C = _cross_jets(D1, D2)
-    Cn = jsqrt(_dot_jets(C, C))
-    T = tuple(d / V for d in D1)
-    B = tuple(c / Cn for c in C)
-    return P, T, _cross_jets(B, T), B
+    D1 = P.deriv()
+    V = jsqrt(jdot(D1, D1))
+    C = jcross(D1, D1.deriv())
+    T = D1 / V
+    B = C / jsqrt(jdot(C, C))
+    return P, T, jcross(B, T), B
 
 
 def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
@@ -166,9 +162,9 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
 
     def mate_jet(t, order):
         P, _T, N, _B = _frame_jets(base, t, order)
-        return tuple((P[i] + lam * N[i]).truncate(order) for i in range(3))
+        return (P + lam * N).truncate(order)
 
-    pts = np.array([j.coeffs[0] for j in mate_jet(ts, 0)]).T
+    pts = mate_jet(ts, 0).coeffs[0].T
     meta = {"generator": "normal-offset", "lambda": lam, "n": n}
     base_meta = getattr(base, "metadata", None) or {}
     # self-describing mate file: carry the recipe of the base
@@ -390,8 +386,7 @@ def linear_relation_fit(curve: Curve, n: int = 64):
 
 
 def _sphere_checks(sphere_curve: Curve, probes):
-    jets = sphere_curve.jet(probes, 2)
-    p, d1, half_d2 = (np.array([j.coeffs[k] for j in jets]).T for k in range(3))
+    p, d1, half_d2 = sphere_curve.jet(probes, 2).coeffs.transpose(0, 2, 1)
     r = np.linalg.norm(p, axis=1)
     v = np.linalg.norm(d1, axis=1)
     for u, r_u, v_u in zip(probes, r, v):
@@ -436,24 +431,23 @@ def generate_bertrand_curve(
     def _seed_jets(u, order):
         # seed c, dc/du and the seed's speed V = |dc/du|, as jets in u
         Cj = sphere_curve.jet(u, order)
-        Dj = tuple(c.deriv() for c in Cj)
-        return Cj, Dj, jsqrt(_dot_jets(Dj, Dj))
+        Dj = Cj.deriv()
+        return Cj, Dj, jsqrt(jdot(Dj, Dj))
 
     # node walk: accumulate t (arc length of c) and position by series
     # steps, the series of every step from one batch at the midpoints
     Cj, Dj, V = _seed_jets(0.5 * (us[:-1] + us[1:]), walk_order)
-    W = _cross_jets(Cj, Dj)
     # dgamma/du = a (V c + cot(omega) c x dc/du)
-    G = tuple(a * (V * Cj[j] + cot * W[j]) for j in range(3))
+    G = a * (V * Cj + cot * jcross(Cj, Dj))
 
     t_nodes = integrate_series(V, us)
-    P_nodes = np.stack([integrate_series(g, us) for g in G], axis=1)
+    P_nodes = np.ascontiguousarray(integrate_series(G, us).T)
     # segment k's arc length t(u) = t_nodes[k] + A_k(u) - A_k(us[k]), and
     # its position P_nodes[k] + AG_k(u) - AG_k(us[k]) likewise
     A = V.antideriv(0.0)
     A_left = A(us[:-1])
-    AG = [g.antideriv(0.0) for g in G]
-    AG_left = [ag(us[:-1]) for ag in AG]
+    AG = G.antideriv(0.0)
+    AG_left = AG(us[:-1])
 
     def _solve_u(t):
         u = np.interp(t, t_nodes, us)
@@ -468,15 +462,12 @@ def generate_bertrand_curve(
         u, k = _solve_u(t)
         Cj, Dj, V = _seed_jets(u, internal)
         s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
-        u_jet = invert_series(s_jet)
-        C = tuple(compose(Cj[i], u_jet) for i in range(3))  # c(u(t)) in t
-        Cd = tuple(c.deriv() for c in C)
-        W = _cross_jets(C, Cd)
-        Gp = tuple(a * (C[i] + cot * W[i]) for i in range(3))  # dgamma/dt
+        C = compose(Cj, invert_series(s_jet))  # c(u(t)) in t
+        Gp = a * (C + cot * jcross(C, C.deriv()))  # dgamma/dt
         # the position from the walk's series, so that it has the same
         # bits at every order
-        x0 = [P_nodes[k, i] + AG[i].take(k)(u) - AG_left[i][k] for i in range(3)]
-        return tuple(Gp[i].antideriv(x0[i]).truncate(order) for i in range(3))
+        x0 = P_nodes[k].T + AG.take(k)(u) - AG_left[:, k]
+        return Gp.antideriv(x0).truncate(order)
 
     meta = {
         "generator": "bertrand",
@@ -525,23 +516,22 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
     )
     lo, hi = domain
     ss = np.linspace(lo, hi, n + 1)
-    phi_nodes = integrate_series(phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)[0], ss)
+    rate, _, _ = phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)
+    phi_nodes = integrate_series(rate, ss)
 
     m2 = m * m
 
     def jet_fn(s, order):
         internal = max(order, 6)
         k = np.clip(np.searchsorted(ss, s) - 1, 0, n - 1)
-        A = phi_rate.jet(s, internal)[0].antideriv(0.0)
+        rate, _, _ = phi_rate.jet(s, internal)
+        A = rate.antideriv(0.0)
         # phi(s) = phi_nodes[k] + int_{ss[k]}^{s} rate, via the local series
         phi_jet = A.with_constant(phi_nodes[k] - A(ss[k]))
         sj = Jet.variable(s, phi_jet.order)
         r_jet = jsqrt(1.0 - m2 * sj * sj)
         sphi, cphi = jsincos(phi_jet)
-        x = r_jet * cphi
-        y = r_jet * sphi
-        z = m * sj
-        return (x.truncate(order), y.truncate(order), z.truncate(order))
+        return jstack((r_jet * cphi, r_jet * sphi, m * sj)).truncate(order)
 
     r = np.sqrt(1.0 - m2 * ss * ss)
     pts = np.stack([r * np.cos(phi_nodes), r * np.sin(phi_nodes), m * ss], axis=1)

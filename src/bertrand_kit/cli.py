@@ -78,6 +78,17 @@ def _emit(report: RunReport):
     sys.stdout.write("\n")
 
 
+def _size(text):
+    """argparse type of a sample or grid size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("curve")
     g = f.add_mutually_exclusive_group(required=True)
     g.add_argument("--at", type=float)
-    g.add_argument("--grid", type=int)
+    g.add_argument("--grid", type=_size)
     f.add_argument("--order", type=int, default=6)
     f.add_argument("--mask", action="store_true",
                    help="mask singular points instead of failing")
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = m.add_mutually_exclusive_group(required=True)
     g.add_argument("--lambda", dest="lam", type=float)
     g.add_argument("--auto", action="store_true")
-    m.add_argument("--n", type=int, default=2048)
+    m.add_argument("--n", type=_size, default=2048)
     m.add_argument("--out")
     m.set_defaults(fn=cmd_mate)
 
@@ -389,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("mate")
     i.add_argument("--kind", required=True,
                    choices=[f"{a}-{s}" for a in "tnb" for s in ("base", "mate")])
-    i.add_argument("--n", type=int, default=256)
+    i.add_argument("--n", type=_size, default=256)
     i.add_argument("--csv")
     i.set_defaults(fn=cmd_indicatrix)
 
     v = sub.add_parser("verify", help="run the identity suite on a pair")
     v.add_argument("base")
     v.add_argument("mate")
-    v.add_argument("--n", type=int, default=256)
+    v.add_argument("--n", type=_size, default=256)
     v.add_argument("--tol", action="append", metavar="KEY=VALUE")
     v.set_defaults(fn=cmd_verify)
 
@@ -405,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="preset name or spherical curve file")
     gen.add_argument("--a", type=float, default=1.0)
     gen.add_argument("--omega", type=float)
-    gen.add_argument("--n", type=int, default=4096)
+    gen.add_argument("--n", type=_size, default=4096)
     gen.add_argument("--out")
     gen.set_defaults(fn=cmd_generate)
 
     c = sub.add_parser("classify", help="classify a curve or a pair")
     c.add_argument("curve")
     c.add_argument("mate", nargs="?")
-    c.add_argument("--n", type=int, default=128)
+    c.add_argument("--n", type=_size, default=128)
     c.add_argument("--align", choices=["param", "arclength"], default="param")
     c.set_defaults(fn=cmd_classify)
     return p
@@ -440,7 +451,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGENERATE_RATIO
     except NotAPairError as e:
-        print(f"error: not a Bertrand pair ({e.reason}): {e}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_A_PAIR
     except (DegenerateSphereCurveError, NotSphericalError) as e:
         print(f"error: {e}", file=sys.stderr)

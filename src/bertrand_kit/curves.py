@@ -29,7 +29,7 @@ from .errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from .jets import Jet, _first, jsqrt, program_jets, program_values
+from .jets import Jet, _first, jcross, jdot, jsqrt, jstack, program_jets, program_values
 
 EPS_REG = 1e-9
 EPS_G = 1e-10
@@ -46,7 +46,9 @@ class Curve:
     ``jet``, ``point``, ``velocity`` and ``speed`` take a float, or a 1-D
     array of parameter values to get every point from one request: jets
     then carry one coefficient column per value, points and velocities
-    come as (3, N) and speeds as (N,).
+    come as (3, N) and speeds as (N,).  ``jet`` returns one vector jet
+    (``jets.Jet`` with coefficients (K+1, 3) or (K+1, 3, N)), which
+    unpacks into the x, y and z component jets.
     """
 
     label: str
@@ -56,7 +58,7 @@ class Curve:
         raise NotImplementedError
 
     def jet(self, t, order):
-        """Component-wise jets (x, y, z) at ``t``."""
+        """The vector jet of (x, y, z) at ``t``."""
         raise NotImplementedError
 
     def _check_domain(self, t):
@@ -71,12 +73,10 @@ class Curve:
             )
 
     def point(self, t):
-        xj, yj, zj = self.jet(t, 0)
-        return np.array([xj.coeffs[0], yj.coeffs[0], zj.coeffs[0]])
+        return self.jet(t, 0).coeffs[0]
 
     def velocity(self, t):
-        xj, yj, zj = self.jet(t, 1)
-        return np.array([xj.coeffs[1], yj.coeffs[1], zj.coeffs[1]])
+        return self.jet(t, 1).coeffs[1]
 
     def speed(self, t):
         return np.linalg.norm(self.velocity(t), axis=0)
@@ -87,7 +87,7 @@ def _per_point(jet_fn, t, order):
     gets jets about that one basepoint."""
     if np.ndim(t):
         return jet_fn(np.asarray(t, dtype=float), order)
-    return tuple(j.column(0) for j in jet_fn(np.array([t], dtype=float), order))
+    return jet_fn(np.array([t], dtype=float), order).column(0)
 
 
 class AnalyticCurve(Curve):
@@ -122,7 +122,7 @@ class AnalyticCurve(Curve):
 
     def jet(self, t, order):
         self._check_domain(t)
-        return program_jets(self._program, t, order, max_order=max(order, 8))
+        return jstack(program_jets(self._program, t, order, max_order=max(order, 8)))
 
     def point(self, t):
         self._check_domain(t)
@@ -134,34 +134,36 @@ def fornberg_weights(z, x, m):
 
     For one point (z a number, x of shape (n,)) returns an array of shape
     (m+1, n); row k gives the weights of the k-th derivative.  For N
-    points (z of shape (N,), x of shape (N, n)) returns (N, m+1, n), each
-    point through the same operations as alone.  Fornberg's recursive
-    algorithm.
+    points (z of shape (N,), x of shape (N, n)) returns (N, m+1, n).
+    Fornberg's recursive algorithm, with one array step per node i over
+    every (k, j) of the stencil and the points on the last axis: each
+    weight goes through the scalar algorithm's operations in its order,
+    so every point gets the bits it gets alone.
     """
     z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    c = np.zeros(z.shape + (m + 1, n))
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)  # (n,) + z.shape
+    n = len(x)
+    c = np.zeros((m + 1, n) + z.shape)
+    ks = np.arange(1.0, m + 1).reshape((m, 1) + (1,) * z.ndim)
     c1 = 1.0
-    c4 = x[..., 0] - z
-    c[..., 0, 0] = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
-        c2 = 1.0
+        k = ks[:mn]
         c5 = c4
-        c4 = x[..., i] - z
-        for j in range(i):
-            c3 = x[..., i] - x[..., j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[..., k, i] = c1 * (k * c[..., k - 1, i - 1] - c5 * c[..., k, i - 1]) / c2
-                c[..., 0, i] = -c1 * c5 * c[..., 0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                c[..., k, j] = (c4 * c[..., k, j] - k * c[..., k - 1, j]) / c3
-            c[..., 0, j] = c4 * c[..., 0, j] / c3
+        c4 = x[i] - z
+        c3 = x[i] - x[:i]
+        # c3[0] * c3[1] * ... * c3[i-1], multiplied in order of j
+        c2 = np.multiply.accumulate(c3)[-1]
+        prev = c[:, i - 1]
+        c[1 : mn + 1, i] = c1 * (k[:, 0] * prev[:mn] - c5 * prev[1 : mn + 1]) / c2
+        c[0, i] = -c1 * c5 * prev[0] / c2
+        old = c[:, :i]
+        c[1 : mn + 1, :i] = (c4 * old[1 : mn + 1] - k * old[:mn]) / c3
+        c[0, :i] = c4 * old[0] / c3
         c1 = c2
-    return c
+    return np.ascontiguousarray(np.moveaxis(c, (0, 1), (-2, -1)))
 
 
 class SampledCurve(Curve):
@@ -200,15 +202,14 @@ class SampledCurve(Curve):
         w = fornberg_weights(ts, self.params[idx], order)
         derivs = np.matmul(w, self.points[idx])  # (N, order+1, 3)
         fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-        coeffs = derivs / fact[:, None]
-        return tuple(Jet(ts, coeffs[:, :, comp].T) for comp in range(3))
+        return Jet(ts, (derivs / fact[:, None]).transpose(1, 2, 0))
 
 
 class JetBackedCurve(Curve):
     """Curve defined by an exact jet provider with a dense sample table.
 
     ``jet_fn(ts, order)`` takes a 1-D array of parameter values and
-    returns (x, y, z) jets with one coefficient column per value.
+    returns the vector jet of (x, y, z), one coefficient column per value.
     """
 
     def __init__(self, jet_fn, params, points, label="", metadata=None):
@@ -320,22 +321,6 @@ def _rowwise(fn):
     return wrapped
 
 
-def _cross_jets(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot_jets(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _take(jets, idx):
-    return tuple(j.take(idx) for j in jets)
-
-
 def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
     """Frenet data at every regular t of ``ts`` from one jet request of
     the curve: ``(rows, regular, errors)``.  ``rows`` is a FrenetData of
@@ -355,26 +340,25 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
     """
     ts = np.asarray(ts, dtype=float)
     P = curve.jet(ts, order)
-    D1 = tuple(p.deriv() for p in P)
-    v2 = _dot_jets(D1, D1)
+    D1 = P.deriv()
+    v2 = jdot(D1, D1)
     slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= EPS_REG * EPS_REG))
     keep = np.flatnonzero(~slow)
-    D1, v2 = _take(D1, keep), v2.take(keep)
+    D1, v2 = D1.take(keep), v2.take(keep)
     speed_jet = jsqrt(v2)
-    C = _cross_jets(D1, tuple(d.deriv() for d in D1))
-    c2 = _dot_jets(C, C)
+    C = jcross(D1, D1.deriv())
+    c2 = jdot(C, C)
     v = speed_jet.coeffs[0]
     # the bits of kappa_jet's constant term below
     kappa = np.sqrt(c2.coeffs[0]) / (v * v * v)
     flat = (c2.coeffs[0] < (EPS_REG * v * v) ** 2) | (kappa <= EPS_REG)
     sub = np.flatnonzero(~flat)
     keep = keep[sub]
-    D1, C = _take(D1, sub), _take(C, sub)
+    D1, C = D1.take(sub), C.take(sub)
     c2, speed_jet = c2.take(sub), speed_jet.take(sub)
-    D3 = tuple(d.deriv().deriv() for d in D1)
     cnorm = jsqrt(c2)
     kappa_jet = cnorm / (speed_jet * speed_jet * speed_jet)
-    tau_jet = _dot_jets(C, D3) / c2
+    tau_jet = jdot(C, D1.deriv().deriv()) / c2
 
     v = speed_jet.coeffs[0]
     kappa, tau = kappa_jet.coeffs[0], tau_jet.coeffs[0]
@@ -385,11 +369,11 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
     g_defined = np.abs(dkappa_ds) >= EPS_G
     g = np.full(len(g_defined), math.nan)
     g[g_defined] = dtau_ds[g_defined] / dkappa_ds[g_defined]
-    T =np.ascontiguousarray((np.array([d.coeffs[0] for d in D1]) / v).T)
-    B = np.ascontiguousarray((np.array([c.coeffs[0] for c in C]) / cnorm.coeffs[0]).T)
+    T = np.ascontiguousarray((D1.coeffs[0] / v).T)
+    B = np.ascontiguousarray((C.coeffs[0] / cnorm.coeffs[0]).T)
     rows = FrenetData(
         t=ts[keep],
-        point=np.array([p.coeffs[0] for p in P]).T[keep],
+        point=P.coeffs[0].T[keep],
         speed=v,
         T=T,
         N=np.cross(B, T),
@@ -455,7 +439,10 @@ def integrate_series(rate, nodes):
     """Cumulative integral of a rate over the nodes, from 0 at nodes[0].
 
     ``rate`` is a jet with one column per segment, about the segment's
-    midpoint; each segment adds the integral of that Taylor series.
+    midpoint; each segment adds the integral of that Taylor series.  A
+    vector rate gives one integral per component, (3, len(nodes)).
     """
     A = rate.antideriv(0.0)
-    return np.concatenate(([0.0], np.cumsum(A(nodes[1:]) - A(nodes[:-1]))))
+    steps = A(nodes[1:]) - A(nodes[:-1])
+    start = np.zeros(steps.shape[:-1] + (1,))
+    return np.concatenate((start, np.cumsum(steps, axis=-1)), axis=-1)

@@ -4,14 +4,18 @@ A jet stores the Taylor *coefficients* of a function about a basepoint:
 ``coeffs[k] = f^(k)(t0) / k!``.  About one basepoint the coefficients
 have shape ``(K+1,)``; about N basepoints at once they have shape
 ``(K+1, N)``, one column per basepoint, and ``basepoint`` holds the N
-values.  Every recurrence is written once, along the leading (order)
-axis: each column goes through the same floating-point operations in the
-same order whatever the other columns hold, so a point's coefficients do
-not depend on the batch it is evaluated in, and one point is just the
-one-column case.  Sums are term-wise, products Cauchy convolutions,
-quotients forward substitutions, elementary functions their ODE
-recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13).  A domain check fails the whole batch if any column fails it.
+values.  A *vector* jet carries the x, y and z components of a space
+curve on one more axis, ``(K+1, 3)`` or ``(K+1, 3, N)``: the point axis
+is always last.  Every recurrence is written once, along the leading
+(order) axis: each column and component goes through the same
+floating-point operations in the same order whatever the others hold,
+so a point's coefficients do not depend on the batch it is evaluated in,
+one point is just the one-column case, and a vector jet's component is
+bit for bit the scalar jet of that component.  Sums are term-wise,
+products Cauchy convolutions, quotients forward substitutions, elementary
+functions their ODE recurrences (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13).  A domain check fails the whole batch if
+any column fails it.
 
 An ``expr.program`` runs in this jet arithmetic (``program_jets``) or in
 a value arithmetic (``program_values``) whose every step is the constant
@@ -36,7 +40,7 @@ _TAN_COS_FLOOR = 1e-12
 
 def _per_order(v, coeffs):
     """The order-indexed vector ``v`` shaped to broadcast against ``coeffs``."""
-    return v[:, None] if coeffs.ndim > 1 else v
+    return v.reshape(v.shape + (1,) * (coeffs.ndim - 1))
 
 
 def _first(flags, values):
@@ -74,8 +78,9 @@ def _require_no_pole(cos0, t0):
 
 
 class Jet:
-    """Taylor coefficients of a scalar function about ``basepoint``, or
-    about each of an array of basepoints (one coefficient column each)."""
+    """Taylor coefficients of a scalar or vector function about
+    ``basepoint``, or about each of an array of basepoints (one
+    coefficient column each, on the last axis)."""
 
     __slots__ = ("basepoint", "coeffs")
 
@@ -126,11 +131,15 @@ class Jet:
 
     def column(self, i):
         """The one-basepoint jet of column ``i``."""
-        return Jet(self.basepoint[i], self.coeffs[:, i])
+        return Jet(self.basepoint[i], self.coeffs[..., i])
 
     def take(self, idx):
         """The jet of the columns ``idx``, in that order."""
-        return Jet(self.basepoint[idx], self.coeffs[:, idx])
+        return Jet(self.basepoint[idx], self.coeffs[..., idx])
+
+    def __iter__(self):
+        """The x, y and z component jets of a vector jet."""
+        return (Jet(self.basepoint, self.coeffs[:, i]) for i in range(3))
 
     def __call__(self, t):
         """Horner evaluation of the truncated series at ``t``."""
@@ -148,6 +157,11 @@ class Jet:
         if len(a) != len(b):
             n = min(len(a), len(b))
             a, b = a[:n], b[:n]
+        # a scalar jet against a vector jet: the same value for x, y and z
+        if a.ndim < b.ndim:
+            a = a[:, None]
+        elif b.ndim < a.ndim:
+            b = b[:, None]
         return a, b
 
     def with_constant(self, c0):
@@ -348,12 +362,16 @@ def compose(outer: Jet, inner: Jet) -> Jet:
 
     Requires inner.coeffs[0] == outer.basepoint (the expansion points
     chain).  Horner evaluation in jet arithmetic; the inner jet's constant
-    term is dropped because ``outer`` is already centered there.
+    term is dropped because ``outer`` is already centered there.  A
+    stacked outer series (a vector jet, or any number of components on
+    axis 1) is composed with the one inner series in one pass, each
+    component through the operations it would go through alone.
     """
     n = min(outer.order, inner.order)
     shifted = Jet(inner.basepoint, inner.coeffs[: n + 1].copy())
     shifted.coeffs[0] = 0.0
-    acc = Jet.constant(outer.coeffs[n], inner.basepoint, n)
+    acc = Jet(inner.basepoint, np.zeros_like(outer.coeffs[: n + 1]))
+    acc.coeffs[0] = outer.coeffs[n]
     for k in range(n - 1, -1, -1):
         acc = acc * shifted + outer.coeffs[k]
     return acc
@@ -375,15 +393,41 @@ def invert_series(fwd: Jet) -> Jet:
     inv[1] = 1.0 / fwd.coeffs[1]
     u = Jet(s0, inv)
     ident = Jet.variable(s0, n)
-    dfwd = fwd.deriv()
-    dfwd = Jet(fwd.basepoint, np.concatenate((dfwd.coeffs, np.zeros_like(dfwd.coeffs[:1]))))
+    # s and s' as one stacked series, composed with u in one pass per step
+    dfwd = np.concatenate((fwd.deriv().coeffs, np.zeros_like(fwd.coeffs[:1])))
+    both = Jet(fwd.basepoint, np.stack((fwd.coeffs, dfwd), axis=1))
     order_reached = 1
     while order_reached < n:
-        su = compose(fwd, u)
-        dsu = compose(dfwd, u)
-        u = u - (su - ident) / dsu
+        sd = compose(both, u).coeffs
+        u = u - (Jet(s0, sd[:, 0]) - ident) / Jet(s0, sd[:, 1])
         order_reached *= 2
     return u
+
+
+def jstack(components) -> Jet:
+    """The vector jet of a sequence of scalar component jets about one
+    basepoint."""
+    return Jet(components[0].basepoint, np.stack([c.coeffs for c in components], axis=1))
+
+
+# the cyclic shifts of (x, y, z) that a cross product pairs
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
+
+
+def jcross(a: Jet, b: Jet) -> Jet:
+    """Cross product of two vector jets: component i is
+    a[i+1]*b[i+2] - a[i+2]*b[i+1] (indices mod 3), as two Cauchy products
+    of permuted components and one subtraction."""
+    x, y = a._align(b)
+    return Jet(a.basepoint, _cauchy(x[:, _NEXT], y[:, _PREV]) - _cauchy(x[:, _PREV], y[:, _NEXT]))
+
+
+def jdot(a: Jet, b: Jet) -> Jet:
+    """Dot product of two vector jets: one Cauchy product, whose component
+    rows are added in the order x, y, z."""
+    p = _cauchy(*a._align(b))
+    return Jet(a.basepoint, p[:, 0] + p[:, 1] + p[:, 2])
 
 
 def evaluate_jet(node: ex.ExprNode, t0, order: int, max_order: int = DEFAULT_MAX_ORDER) -> Jet:

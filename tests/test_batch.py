@@ -162,10 +162,23 @@ def _fornberg_reference(z, x, m):
 
 
 def test_stencil_weights_match_the_one_point_algorithm():
+    """Also at the stencil shapes the package asks for: width 7 with m = 1
+    (speeds) and m = 4 (``construct_mate`` of a sampled base), width 9
+    with m = 6 (Frenet data), width 11 with m = 8, and one batch of 1021
+    points, a pair-verify stencil table; there z lies inside the
+    stencil, on a node, or at either end (a table's one-sided ends)."""
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0.0, 1.0, (40, 9)), axis=1)
     z = x[:, 4] + rng.uniform(-0.05, 0.05, 40)
-    for m in (0, 3, 6):
+    cases = [(z, x, m) for m in (0, 3, 6)]
+    for width, m, points in ((7, 1, 40), (7, 4, 40), (9, 6, 40), (11, 8, 40), (9, 6, 1021)):
+        x = np.sort(rng.uniform(0.0, 1.0, (points, width)), axis=1)
+        z = x[:, width // 2] + rng.uniform(-0.05, 0.05, points)
+        z[::7] = x[::7, 0]
+        z[1::7] = x[1::7, -1]
+        z[2::7] = x[2::7, 1]
+        cases.append((z, x, m))
+    for z, x, m in cases:
         batch = fornberg_weights(z, x, m)
         for i in range(len(z)):
             ref = _fornberg_reference(float(z[i]), [float(v) for v in x[i]], m)

@@ -251,6 +251,37 @@ def test_exit_not_a_pair(workdir, capsys, tmp_path):
     rc, _, err = run(capsys, ["verify", str(workdir / "base.json"), str(f),
                               "--n", "32"])
     assert rc == 6
+    # the error's own text already names the reason: printed once
+    assert err.count("not a Bertrand pair") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--sphere-curve", "wobble", "--n", "-3"],
+        ["generate", "--sphere-curve", "wobble", "--n", "0"],
+        ["mate", "BASE", "--auto", "--n", "-2"],
+        ["mate", "BASE", "--lambda", "1", "--n", "0"],
+        ["frenet", "BASE", "--grid", "-1"],
+        ["frenet", "BASE", "--grid", "0"],
+        ["indicatrix", "BASE", "MATE", "--kind", "t-base", "--n", "-4"],
+        ["indicatrix", "BASE", "MATE", "--kind", "t-base", "--n", "0"],
+        ["verify", "BASE", "MATE", "--n", "0"],
+        ["verify", "BASE", "MATE", "--n", "-1"],
+        ["classify", "BASE", "--n", "0"],
+        ["classify", "BASE", "MATE", "--n", "-1"],
+    ],
+)
+def test_size_below_one_is_a_parse_error(workdir, capsys, tmp_path, monkeypatch, argv):
+    """Every --n and --grid rejects sizes below 1 with exit 2 before any
+    file is read or written."""
+    monkeypatch.chdir(tmp_path)
+    files = {"BASE": str(workdir / "base.json"), "MATE": str(workdir / "mate.json")}
+    rc, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert "must be at least 1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_degenerate_sphere_curve(capsys, tmp_path):

@@ -18,10 +18,13 @@ from bertrand_kit.jets import (
     evaluate_jets,
     invert_series,
     jcos,
+    jcross,
+    jdot,
     jexp,
     jlog,
     jsin,
     jsqrt,
+    jstack,
 )
 
 
@@ -108,6 +111,79 @@ def test_invert_series_round_trip():
     assert back.coeffs[0] == pytest.approx(0.4, abs=1e-12)
     assert back.coeffs[1] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(back.coeffs[2:], 0.0, atol=1e-10)
+
+
+def _components(v):
+    return [Jet(v.basepoint, v.coeffs[:, i]) for i in range(v.coeffs.shape[1])]
+
+
+def _compose_reference(outer, inner):
+    """Horner evaluation of one scalar outer series in jet arithmetic."""
+    n = min(outer.order, inner.order)
+    shifted = Jet(inner.basepoint, inner.coeffs[: n + 1].copy())
+    shifted.coeffs[0] = 0.0
+    acc = Jet.constant(outer.coeffs[n], inner.basepoint, n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * shifted + outer.coeffs[k]
+    return acc
+
+
+def _invert_reference(fwd):
+    """Newton's iteration on truncated series, s and s' composed apart."""
+    n = fwd.order
+    inv = np.zeros_like(fwd.coeffs)
+    inv[0] = fwd.basepoint
+    inv[1] = 1.0 / fwd.coeffs[1]
+    u = Jet(fwd.coeffs[0], inv)
+    ident = Jet.variable(fwd.coeffs[0], n)
+    dfwd = Jet(fwd.basepoint, np.concatenate((fwd.deriv().coeffs, np.zeros_like(fwd.coeffs[:1]))))
+    order_reached = 1
+    while order_reached < n:
+        u = u - (_compose_reference(fwd, u) - ident) / _compose_reference(dfwd, u)
+        order_reached *= 2
+    return u
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("order", [6, 8, 10])
+@pytest.mark.parametrize("n", [1, 24])
+def test_vector_jet_operations_match_the_component_formulas(order, n):
+    """Cross, dot, scaling and quotient by a scalar jet, the composition of
+    a stacked outer series with one inner series, and series inversion
+    give, bit for bit, what the scalar jet formulas give component by
+    component."""
+    rng = np.random.default_rng(order * 100 + n)
+    t0 = rng.uniform(-1.0, 1.0, n)
+    a = Jet(t0, rng.normal(size=(order + 1, 3, n)))
+    b = Jet(t0, rng.normal(size=(order + 1, 3, n)))
+    s = Jet(t0, rng.normal(size=(order + 1, n)) + np.r_[3.0, np.zeros(order)][:, None])
+    A, B = _components(a), _components(b)
+
+    cross = [A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2], A[0] * B[1] - A[1] * B[0]]
+    _assert_same_bits(jcross(a, b).coeffs, jstack(cross).coeffs)
+    # operands of two orders are cut to the lower, as in a x a'
+    Bd = [c.deriv() for c in B]
+    cross = [A[1] * Bd[2] - A[2] * Bd[1], A[2] * Bd[0] - A[0] * Bd[2], A[0] * Bd[1] - A[1] * Bd[0]]
+    _assert_same_bits(jcross(a, b.deriv()).coeffs, jstack(cross).coeffs)
+    _assert_same_bits(jdot(a, b).coeffs, (A[0] * B[0] + A[1] * B[1] + A[2] * B[2]).coeffs)
+    _assert_same_bits((a / s).coeffs, jstack([c / s for c in A]).coeffs)
+    _assert_same_bits((s * a).coeffs, jstack([s * c for c in A]).coeffs)
+    _assert_same_bits((a * s).coeffs, jstack([c * s for c in A]).coeffs)
+
+    # the inner series starts where the outer ones are centred
+    inner = Jet(rng.uniform(-1.0, 1.0, n), rng.normal(size=(order + 1, n)))
+    inner.coeffs[0] = t0
+    _assert_same_bits(compose(a, inner).coeffs,
+                      jstack([_compose_reference(c, inner) for c in A]).coeffs)
+    fwd = Jet(t0, s.coeffs.copy())
+    fwd.coeffs[1] = rng.uniform(0.5, 2.0, n)
+    _assert_same_bits(invert_series(fwd).coeffs, _invert_reference(fwd).coeffs)
+    assert [c.coeffs.tolist() for c in a] == [c.coeffs.tolist() for c in A]
 
 
 def test_domain_errors():
