@@ -64,7 +64,6 @@ from .indicatrix import (
     IndicatrixKind,
     IndicatrixSample,
     frame_relations_check,
-    indicatrix_apparatus,
     indicatrix_arclength_relations,
     indicatrix_curve,
 )

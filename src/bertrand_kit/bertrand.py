@@ -16,7 +16,7 @@ helical arcs (kappa' = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,6 @@ from .curves import (
     _frenet_columns,
     _frenet_rows,
     _points_at,
-    _rowwise,
     _take_rows,
     integrate_series,
 )
@@ -55,19 +54,21 @@ TOL_CONST = 1e-6
 
 
 def _require_g(fd: FrenetData):
-    """Raise where g is undefined, at one point or at any row."""
+    """Raise where g is undefined at any row."""
     undefined = np.logical_not(fd.g_defined)
     if np.any(undefined):
         raise DegenerateRatioError(f"g undefined at t={_first(undefined, fd.t)}")
 
 
-def bertrand_lambda(fd: FrenetData) -> float:
-    """Offset distance from the ratio invariants of one point:
-    g / (kappa (g - f))."""
-    if not fd.g_defined:
-        raise DegenerateRatioError(f"g undefined (helical) at t={fd.t}")
-    if abs(fd.g - fd.f) <= EPS_DEN:
-        raise DegenerateRatioError(f"g = f degeneracy at t={fd.t}")
+def bertrand_lambda(fd: FrenetData) -> np.ndarray:
+    """Offset distance g / (kappa (g - f)) from the ratio invariants of
+    each row."""
+    undefined = np.logical_not(fd.g_defined)
+    if np.any(undefined):
+        raise DegenerateRatioError(f"g undefined (helical) at t={_first(undefined, fd.t)}")
+    equal = np.abs(fd.g - fd.f) <= EPS_DEN
+    if np.any(equal):
+        raise DegenerateRatioError(f"g = f degeneracy at t={_first(equal, fd.t)}")
     return fd.g / (fd.kappa * (fd.g - fd.f))
 
 
@@ -77,25 +78,28 @@ def bertrand_lambda(fd: FrenetData) -> float:
 
 @dataclass(frozen=True)
 class MateApparatus:
+    """The mate's apparatus at each base row: (N, 3) vectors, (N,) arrays."""
+
     T: np.ndarray
     N: np.ndarray
     B: np.ndarray
-    kappa: float
-    tau: float
-    ds_mate_ds: float
+    kappa: np.ndarray
+    tau: np.ndarray
+    ds_mate_ds: np.ndarray
 
 
 def mate_apparatus_from_base(fd: FrenetData, eps: int) -> MateApparatus:
-    """Frame/curvature/torsion of the mate expressed in base quantities."""
-    if not fd.g_defined:
-        raise DegenerateRatioError(f"g undefined at t={fd.t}")
+    """Frame/curvature/torsion of the mate expressed in base quantities,
+    at each row of the base's Frenet rows."""
+    _require_g(fd)
     f, g = fd.f, fd.g
-    if abs(f) <= EPS_DEN or abs(g - f) <= EPS_DEN:
-        raise DegenerateRatioError(f"f=0 or g=f at t={fd.t}")
-    root = math.sqrt(1.0 + g * g)
-    T_m = -(fd.T - g * fd.B) / root
+    bad = (np.abs(f) <= EPS_DEN) | (np.abs(g - f) <= EPS_DEN)
+    if np.any(bad):
+        raise DegenerateRatioError(f"f=0 or g=f at t={_first(bad, fd.t)}")
+    root = np.sqrt(1.0 + g * g)
+    T_m = -(fd.T - g[:, None] * fd.B) / root[:, None]
     N_m = eps * fd.N
-    B_m = -eps * (g * fd.T + fd.B) / root
+    B_m = -eps * (g[:, None] * fd.T + fd.B) / root[:, None]
     k = fd.kappa
     kappa_m = -eps * k * (g - f) * (1.0 + f * g) / (f * (1.0 + g * g))
     tau_m = k * (g - f) ** 2 / (f * (1.0 + g * g))
@@ -103,10 +107,8 @@ def mate_apparatus_from_base(fd: FrenetData, eps: int) -> MateApparatus:
     return MateApparatus(T=T_m, N=N_m, B=B_m, kappa=kappa_m, tau=tau_m, ds_mate_ds=ds_m)
 
 
-@_rowwise
 def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
-    """Slant-helix indicator from closed forms, at one point or at each
-    row of a grid.
+    """Slant-helix indicator from closed forms, at each row of a grid.
 
     side='base': indicator of the base curve from mate-side data
     (pass the *mate*'s fd): -kappa'(g-f) / (kappa^2 (1+f^2)^{3/2}).
@@ -216,9 +218,8 @@ class BertrandPairModel:
 
     ``base_rows`` and ``mate_rows`` hold the Frenet data of both curves,
     ratio invariants included, at the regular points ``ts[~masked]`` of
-    the detection grid, as arrays with one row per point.  ``fd_base`` and
-    ``fd_mate`` view them point by point over ``ts``, None where masked;
-    ``ri_base`` and ``ri_mate`` are other names for the same lists.
+    the detection grid, as arrays with one row per point.  ``ri_base`` and
+    ``ri_mate`` view them point by point over ``ts``, None where masked.
     """
 
     base: Curve
@@ -233,20 +234,18 @@ class BertrandPairModel:
     q1: ConstancyStat
     q2: ConstancyStat
     lambda_stat: ConstancyStat
+    masked: np.ndarray
     degenerate: bool = False
-    masked: np.ndarray = field(default=None)
 
     def _per_point(self, rows):
         return _points_at(rows, self.valid_indices(), len(self.ts))
 
-    fd_base = cached_property(lambda self: self._per_point(self.base_rows))
-    fd_mate = cached_property(lambda self: self._per_point(self.mate_rows))
-    ri_base = property(lambda self: self.fd_base)
-    ri_mate = property(lambda self: self.fd_mate)
+    ri_base = cached_property(lambda self: self._per_point(self.base_rows))
+    ri_mate = cached_property(lambda self: self._per_point(self.mate_rows))
 
     @property
     def masked_fraction(self):
-        return float(np.mean(self.masked)) if self.masked is not None else 0.0
+        return float(np.mean(self.masked))
 
     def valid_indices(self):
         return np.nonzero(~self.masked)[0]
@@ -345,7 +344,7 @@ def detect_bertrand(
 
 def _constraint_residuals(fd, fdm, eps):
     """(kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m from
-    base (fd) and mate (fdm) data, at one point or at each row."""
+    base (fd) and mate (fdm) rows, at each row."""
     return ((fdm.kappa + eps * fd.kappa) * fd.g * fdm.g
             - eps * fd.f * fdm.g * fd.kappa
             - fdm.f * fd.g * fdm.kappa)

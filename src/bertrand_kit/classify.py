@@ -26,7 +26,6 @@ from .curves import (
     Curve,
     FrenetData,
     _frenet_columns,
-    _rowwise,
     _take_rows,
     cumulative_trapezoid,
 )
@@ -149,10 +148,9 @@ def spherical_helix_check(image: IndicatrixSample) -> float:
 # condition residuals
 
 
-@_rowwise
 def condition_residual(fd_tilde: FrenetData):
     """Normalized residual of kappa'' kappa f^2 - 3 kappa'^2 g f + kappa'' kappa - 3 kappa'^2,
-    at one point or at each row.
+    at each row.
 
     Vanishing marks the tangent (equivalently binormal) indicatrix as a
     spherical helix, and equally the principal-normal indicatrix as

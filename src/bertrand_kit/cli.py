@@ -29,8 +29,8 @@ from .bertrand import (
 from .classify import IDENTITY_ENTRIES, classify_curve, pair_classify, theorem_suite
 from .curves import (
     _frenet_columns,
+    _take_rows,
     cumulative_trapezoid,
-    frenet_grid,
 )
 from .errors import (
     DegenerateRatioError,
@@ -48,7 +48,9 @@ from .errors import (
     UnknownFunctionError,
 )
 from .indicatrix import (
-    apparatus_grid,
+    IndicatrixKind,
+    _closed_form,
+    _data_rows,
     indicatrix_arclength_relations,
     indicatrix_curve,
 )
@@ -217,21 +219,20 @@ def cmd_indicatrix(args) -> int:
     image = indicatrix_curve(src, axis, args.n)
     ts = np.linspace(pair.ts[0], pair.ts[-1], args.n)
 
-    samples = apparatus_grid(pair, side, axis, ts)
-    direct = frenet_grid(image, ts)
-    masked = np.array([s is None or fdi is None for s, fdi in zip(samples, direct)])
-    rows = []
-    for t, s, fdi, skip in zip(ts, samples, direct, masked):
-        if skip:
-            continue
-        gap_k = abs(abs(s.kappa_image) - fdi.kappa) / max(abs(fdi.kappa), 1e-30)
-        gap_t = abs(abs(s.tau_image) - abs(fdi.tau)) / max(abs(fdi.tau), 1e-30)
-        rows.append(
-            [t, *s.point, float(np.linalg.norm(s.point)),
-             s.kappa, s.tau, s.kappa_image, s.tau_image,
-             (s.Gamma if not math.isnan(s.Gamma) else 0.0),
-             fdi.kappa, fdi.tau, gap_k, gap_t]
-        )
+    data, idx = _data_rows(pair, side, ts)
+    closed = _closed_form(IndicatrixKind(side, axis), data, pair.epsilon)
+    direct, regular, _ = _frenet_columns(image, ts)
+    # the rows where the closed forms apply and the image is regular
+    ok = np.isin(np.arange(len(ts)), idx) & regular
+    s, fdi = _take_rows(closed, ok[idx]), _take_rows(direct, ok[regular])
+    gap_k = np.abs(np.abs(s.kappa_image) - fdi.kappa) / np.maximum(np.abs(fdi.kappa), 1e-30)
+    gap_t = np.abs(np.abs(s.tau_image) - np.abs(fdi.tau)) / np.maximum(np.abs(fdi.tau), 1e-30)
+    # the norm of each (3,) vector: a norm along axis 1 sums in another order
+    norm = [np.linalg.norm(p) for p in s.point]
+    rows = np.column_stack(
+        [s.t, s.point, norm, s.kappa, s.tau, s.kappa_image, s.tau_image,
+         np.where(np.isnan(s.Gamma), 0.0, s.Gamma), fdi.kappa, fdi.tau, gap_k, gap_t]
+    ).tolist()
     header = ["t", "x", "y", "z", "norm", "kappa_closed", "tau_closed",
               "kappa_corrected", "tau_corrected", "Gamma_closed",
               "kappa_direct", "tau_direct", "kappa_gap", "tau_gap"]
@@ -253,7 +254,7 @@ def cmd_indicatrix(args) -> int:
             "c1_deviation": rel.c1_deviation,
             "predicted_slope": rel.predicted_slope,
         }
-    report.masked_intervals = masked_intervals_from_flags(ts, masked)
+    report.masked_intervals = masked_intervals_from_flags(ts, ~ok)
     _emit(report)
     return EXIT_OK
 

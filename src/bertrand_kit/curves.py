@@ -17,8 +17,7 @@ explicit chain-rule conversion to arc-length derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import wraps
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -237,9 +236,10 @@ class FrenetData:
     """Position, frame, curvature, torsion, their arc-length derivatives
     and the ratio invariants of the curve.
 
-    At one point the fields are floats, bools and (3,) vectors.  The rows
-    of a grid (``_frenet_columns``) hold (N,) arrays and (N, 3) vectors,
-    one row per regular point.  ``point`` is the curve's position, the
+    The package computes on the rows of a grid (``_frenet_columns``):
+    (N,) arrays and (N, 3) vectors, one row per regular point.  The views
+    that ``frenet_apparatus`` and ``frenet_grid`` return hold one point's
+    floats, bools and (3,) vectors.  ``point`` is the curve's position, the
     constant terms of the jets the frame is built from: no second request
     of the curve is needed for it.  ``f = tau/kappa`` and
     ``g = tau'/kappa'`` (arc-length primes) are the paper's ratio
@@ -277,9 +277,11 @@ def _take_rows(rows, idx):
                             if isinstance(getattr(rows, f.name), np.ndarray)})
 
 
-def _points(rows):
-    """The one-point view of each row of a dataclass of row arrays:
-    numbers as Python floats and bools, vectors as (3,) arrays."""
+def _points_at(rows, idx, n):
+    """The one-point views of a dataclass of row arrays, as a list of n
+    entries: the view of row j at ``idx[j]``, None elsewhere.  A view
+    holds numbers as Python floats and bools and vectors as (3,) arrays;
+    fields that are not arrays are kept."""
     columns = []
     for f in fields(rows):
         v = getattr(rows, f.name)
@@ -287,38 +289,10 @@ def _points(rows):
             columns.append(repeat(v))
         else:
             columns.append(v.tolist() if v.ndim == 1 else v)
-    return [type(rows)(*values) for values in zip(*columns)]
-
-
-def _points_at(rows, idx, n):
-    """A list of n entries: the one-point view of row j at ``idx[j]``,
-    None elsewhere."""
     out = [None] * n
-    for i, point in zip(idx, _points(rows)):
-        out[i] = point
+    for i, values in zip(idx, zip(*columns)):
+        out[i] = type(rows)(*values)
     return out
-
-
-def _stack_rows(points):
-    """Grid rows, one per point, from one-point data of one dataclass."""
-    return replace(points[0], **{f.name: np.array([getattr(x, f.name) for x in points])
-                                 for f in fields(points[0])})
-
-
-def _rowwise(fn):
-    """Let ``fn``, written over grid rows, take one point as well: the
-    dataclass arguments of a point run as one-row stacks, so that a point
-    gets the bits of its grid row (numpy arithmetic, not Python float
-    arithmetic, which can round differently)."""
-
-    @wraps(fn)
-    def wrapped(*data, **kwargs):
-        if np.ndim(data[0].t):
-            return fn(*data, **kwargs)
-        out = fn(*(_stack_rows([d]) if is_dataclass(d) else d for d in data), **kwargs)
-        return _points(out)[0] if is_dataclass(out) else out.tolist()[0]
-
-    return wrapped
 
 
 def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
@@ -410,14 +384,14 @@ def _frenet_rows(curve, ts, order=DEFAULT_FRENET_ORDER):
 
 def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER):
     """Frame, curvature, torsion, their arc-length derivatives and the
-    ratio invariants at t: the one-point case of ``_frenet_columns``.  Raises SingularPointError
-    at a singular point."""
-    return _points(_frenet_rows(curve, [t], order))[0]
+    ratio invariants at t, as the one-point view of a one-row
+    ``_frenet_rows``.  Raises SingularPointError at a singular point."""
+    return _points_at(_frenet_rows(curve, [t], order), [0], 1)[0]
 
 
 def frenet_grid(curve, ts, order=DEFAULT_FRENET_ORDER):
-    """Frenet data over a grid from one jet request of the curve; singular
-    points become None entries."""
+    """Frenet data over a grid from one jet request of the curve, as the
+    one-point views of its rows; singular points become None entries."""
     rows, regular, _ = _frenet_columns(curve, ts, order=order)
     return _points_at(rows, np.flatnonzero(regular), len(regular))
 

@@ -29,12 +29,10 @@ from .curves import (
     SampledCurve,
     _frenet_columns,
     _frenet_rows,
-    _points,
     _points_at,
     _take_rows,
     cumulative_trapezoid,
 )
-from .errors import DegenerateRatioError
 
 AXES = ("tangent", "normal", "binormal")
 SIDES = ("base", "mate")
@@ -52,8 +50,9 @@ class IndicatrixKind:
 
 @dataclass(frozen=True)
 class IndicatrixSample:
-    """Closed-form apparatus of one indicatrix: at one point (floats and
-    (3,) vectors) or at each row of a grid ((N,) and (N, 3) arrays)."""
+    """Closed-form apparatus of one indicatrix at each row of a grid: (N,)
+    arrays and (N, 3) vectors.  ``apparatus_grid`` returns its one-point
+    views (floats and (3,) vectors)."""
 
     kind: IndicatrixKind
     t: float
@@ -94,24 +93,15 @@ def _curve(pair: BertrandPairModel, side: str):
     return pair.base if side == "base" else pair.mate
 
 
-def _degeneracies(side: str, fd: FrenetData):
-    """(flags, reason) of each degeneracy of the closed forms of
-    ``side``'s images, one flag per row of the data-side Frenet rows."""
-    f, g = fd.f, fd.g
-    checks = [
-        (np.logical_not(fd.g_defined), "g undefined"),
-        (np.abs(f - g) <= EPS_DEN, "f = g"),
-        (np.abs(1.0 + f * g) < 1e-12, "1 + f*g = 0"),
-    ]
-    if side == "mate":
-        # the mate-side geodesic indicator divides by f
-        checks.append((np.abs(f) <= EPS_DEN, "f=0"))
-    return checks
-
-
 def _applies(side: str, fd: FrenetData) -> np.ndarray:
-    """Rows where the closed forms of ``side``'s images apply."""
-    return ~np.logical_or.reduce([flags for flags, _ in _degeneracies(side, fd)])
+    """Rows of the data-side Frenet rows where the closed forms of
+    ``side``'s images apply: g is defined, f != g and 1 + f*g != 0, and
+    on the mate side, whose geodesic indicator divides by f, f != 0."""
+    f, g = fd.f, fd.g
+    ok = fd.g_defined & (np.abs(f - g) > EPS_DEN) & (np.abs(1.0 + f * g) >= 1e-12)
+    if side == "mate":
+        ok &= np.abs(f) > EPS_DEN
+    return ok
 
 
 def _col(a):
@@ -209,22 +199,10 @@ def _data_rows(pair: BertrandPairModel, side: str, ts):
     return _take_rows(rows, ok), np.flatnonzero(regular)[ok]
 
 
-def indicatrix_apparatus(pair: BertrandPairModel, side: str, axis: str,
-                         t: float) -> IndicatrixSample:
-    """Closed-form apparatus sample of one indicatrix at parameter t: the
-    one-row case of the grid closed forms, from a fresh evaluation of the
-    data-side curve."""
-    kind = IndicatrixKind(side, axis)
-    fd = _frenet_rows(_curve(pair, _other_side(side)), [t])
-    for flags, reason in _degeneracies(side, fd):
-        if flags[0]:
-            raise DegenerateRatioError(f"{reason} at t={t}")
-    return _points(_closed_form(kind, fd, pair.epsilon))[0]
-
-
 def apparatus_grid(pair: BertrandPairModel, side: str, axis: str, ts):
     """Closed-form samples over a grid, from one evaluation of the
-    data-side curve; degenerate points become None."""
+    data-side curve, as the one-point views of the closed-form rows;
+    degenerate points become None."""
     fd, idx = _data_rows(pair, side, ts)
     return _points_at(_closed_form(IndicatrixKind(side, axis), fd, pair.epsilon),
                      idx, len(ts))

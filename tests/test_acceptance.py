@@ -3,11 +3,9 @@
 Run with -s to see the lines for passing criteria as well.
 """
 
-import json
 import math
 
 import numpy as np
-import pytest
 
 from bertrand_kit import expr as ex
 from bertrand_kit.bertrand import (
@@ -20,15 +18,15 @@ from bertrand_kit.cli import main
 from bertrand_kit.curves import (
     SampledCurve,
     frenet_apparatus,
+    frenet_grid,
 )
 from bertrand_kit.errors import DomainError
 from bertrand_kit.indicatrix import (
+    apparatus_grid,
     frame_relations_check,
-    indicatrix_apparatus,
     indicatrix_arclength_relations,
     indicatrix_curve,
 )
-from bertrand_kit.io import save_curve
 from bertrand_kit.jets import evaluate_jet
 
 
@@ -112,9 +110,7 @@ def test_criterion_05_closed_vs_direct_apparatus(pair_wobble):
         for side, src in pair_sides(p):
             for axis in ("tangent", "normal", "binormal"):
                 img = indicatrix_curve(src, axis, n)
-                for t in ts:
-                    s = indicatrix_apparatus(p, side, axis, t)
-                    fdi = frenet_apparatus(img, t)
+                for s, fdi in zip(apparatus_grid(p, side, axis, ts), frenet_grid(img, ts)):
                     gk = abs(abs(s.kappa_image) - fdi.kappa) / max(
                         abs(fdi.kappa), 1e-30)
                     gt = abs(abs(s.tau_image) - abs(fdi.tau)) / max(
@@ -137,10 +133,9 @@ def test_criterion_06_torsion_curvature_ratios(pair_wobble):
     ts = np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 9)
     worst_mag, worst_split = 0.0, 0.0
     for side, src in pair_sides(p):
-        for t in ts:
-            G = frenet_apparatus(src, t).Gamma
-            st = indicatrix_apparatus(p, side, "tangent", t)
-            sb = indicatrix_apparatus(p, side, "binormal", t)
+        for fd, st, sb in zip(frenet_grid(src, ts), apparatus_grid(p, side, "tangent", ts),
+                              apparatus_grid(p, side, "binormal", ts)):
+            G = fd.Gamma
             scale = max(1.0, abs(G))
             # the tangent ratio carries an orientation sign on the base
             # side; magnitudes agree everywhere

@@ -20,20 +20,25 @@ from bertrand_kit.bertrand import (
     construct_mate,
     generate_bertrand_curve,
     generated_pair,
-    geodesic_indicator_closed_form,
     sphere_preset,
 )
-from bertrand_kit.classify import condition_residual
 from bertrand_kit.curves import (
     AnalyticCurve,
     SampledCurve,
     _frenet_rows,
-    _points,
     fornberg_weights,
     frenet_apparatus,
     frenet_grid,
 )
 from bertrand_kit.errors import DomainError, OutOfDomainError, SingularPointError
+from bertrand_kit.indicatrix import (
+    AXES,
+    SIDES,
+    IndicatrixKind,
+    _closed_form,
+    _data_rows,
+    apparatus_grid,
+)
 
 TREFOIL = ("sin(t) + 2.1*sin(2*t)", "cos(t) - 2.1*cos(2*t)", "-sin(3*t)")
 
@@ -121,22 +126,32 @@ def test_generated_position_does_not_depend_on_the_order(preset):
         assert_same_bits_array(constant_terms(curve, ts, order), want)
 
 
-def test_one_point_closed_forms_equal_their_grid_rows():
-    """A closed form of one point gives the bits of its row in the grid,
-    on both curves of a pair and both sides of the geodesic indicator."""
-
-    def closed_forms(fd):
-        return [fd.Gamma, fd.f, fd.g,
-                geodesic_indicator_closed_form(fd, "base"),
-                geodesic_indicator_closed_form(fd, "mate"), condition_residual(fd)]
-
+def test_views_carry_the_bits_of_their_rows():
+    """The one-point views that public functions return hold the bits of
+    the rows the package computes on: the pair's per-point lists at its
+    valid indices, and each ``apparatus_grid`` entry at its closed-form
+    row."""
     pair = generated_pair("wobble", n=64, grid=24)
-    for rows in (pair.base_rows, pair.mate_rows):
-        grid = closed_forms(rows)
-        for i, fd in enumerate(_points(rows)):
-            for value, column in zip(closed_forms(fd), grid):
-                assert type(value) is float
-                assert_same_bits_array(value, column[i])
+    idx = pair.valid_indices()
+    for views, rows in ((pair.ri_base, pair.base_rows), (pair.ri_mate, pair.mate_rows)):
+        assert [i for i, v in enumerate(views) if v is not None] == idx.tolist()
+        for j, i in enumerate(idx):
+            for name in FIELDS:
+                assert_same_bits_array(getattr(views[i], name), getattr(rows, name)[j])
+    ts = np.linspace(pair.ts[0], pair.ts[-1], 29)
+    for side in SIDES:
+        data, rows_idx = _data_rows(pair, side, ts)
+        assert len(rows_idx) == len(ts)
+        for axis in AXES:
+            kind = IndicatrixKind(side, axis)
+            closed = _closed_form(kind, data, pair.epsilon)
+            views = apparatus_grid(pair, side, axis, ts)
+            assert [i for i, v in enumerate(views) if v is not None] == rows_idx.tolist()
+            for j, i in enumerate(rows_idx):
+                assert views[i].kind == kind
+                for name in ("t", "point", "T", "N", "B", "kappa", "tau", "kappa_image",
+                             "tau_image", "Gamma", "ds_x_dt"):
+                    assert_same_bits_array(getattr(views[i], name), getattr(closed, name)[j])
 
 
 def _fornberg_reference(z, x, m):

@@ -25,6 +25,7 @@ from bertrand_kit.curves import (
     Curve,
     JetBackedCurve,
     SampledCurve,
+    _take_rows,
     frenet_apparatus,
 )
 from bertrand_kit.errors import (
@@ -47,11 +48,11 @@ def test_lambda_equals_offset_radius(pair_wobble):
 
 def test_lambda_from_ratios(pair_wobble):
     p = pair_wobble
-    for i in p.valid_indices()[5:-5:16]:
-        fd = p.fd_base[i]
-        if not fd.g_defined:
-            continue
-        assert bertrand_lambda(fd) == pytest.approx(p.lam, abs=1e-8)
+    # the rows of valid_indices()[5:-5:16]
+    rows = _take_rows(p.base_rows, slice(5, -5, 16))
+    rows = _take_rows(rows, rows.g_defined)
+    assert len(rows.t) > 0
+    assert bertrand_lambda(rows) == pytest.approx(p.lam, abs=1e-8)
 
 
 def test_g_constant_both_sides(pair_wobble):
@@ -194,7 +195,7 @@ def test_gamma_matches_slant_indicator(pair_wobble):
     kappa^2/(kappa^2+tau^2)^{3/2} * d(tau/kappa)/ds."""
     p = pair_wobble
     for i in p.valid_indices()[5:-5:32]:
-        fd = p.fd_base[i]
+        fd = p.ri_base[i]
         k, tau = fd.kappa, fd.tau
         df_ds = (fd.dtau_ds * k - tau * fd.dkappa_ds) / (k * k)
         assert fd.Gamma == pytest.approx(
@@ -209,20 +210,20 @@ def test_mate_apparatus_from_base_matches_detected_mate(pair_name, request):
     form measures the mate's arc length in the direction of the sign of
     ds_mate_ds; reversing a curve flips T and B and keeps N, kappa, tau."""
     p = request.getfixturevalue(pair_name)
-    for i in p.valid_indices():
-        fd, fdm = p.fd_base[i], p.fd_mate[i]
-        m = mate_apparatus_from_base(fd, p.epsilon)
-        sigma = math.copysign(1.0, m.ds_mate_ds)
-        # measured worst cases over both pairs: 2.1e-15 (T), 6.1e-15 (N),
-        # 6.0e-15 (B), 7.4e-15 (kappa), 7.0e-14 (tau), 1.8e-15 (ds), relative
-        # to 1 for the unit vectors and to the mate's values otherwise
-        assert np.max(np.abs(m.T - sigma * fdm.T)) < 1e-13
-        assert np.max(np.abs(m.N - fdm.N)) < 1e-13
-        assert np.max(np.abs(m.B - sigma * fdm.B)) < 1e-13
-        assert abs(m.kappa - fdm.kappa) < 1e-13 * fdm.kappa
-        assert abs(m.tau - fdm.tau) < 1e-12 * abs(fdm.tau)
-        rate = fdm.speed / fd.speed
-        assert abs(abs(m.ds_mate_ds) - rate) < 1e-13 * rate
+    fd, fdm = p.base_rows, p.mate_rows
+    m = mate_apparatus_from_base(fd, p.epsilon)
+    assert m.kappa.shape == fd.t.shape and m.T.shape == fd.T.shape
+    sigma = np.copysign(1.0, m.ds_mate_ds)[:, None]
+    # measured worst cases over both pairs: 2.1e-15 (T), 6.1e-15 (N),
+    # 6.0e-15 (B), 7.4e-15 (kappa), 7.0e-14 (tau), 1.8e-15 (ds), relative
+    # to 1 for the unit vectors and to the mate's values otherwise
+    assert np.max(np.abs(m.T - sigma * fdm.T)) < 1e-13
+    assert np.max(np.abs(m.N - fdm.N)) < 1e-13
+    assert np.max(np.abs(m.B - sigma * fdm.B)) < 1e-13
+    assert np.all(np.abs(m.kappa - fdm.kappa) < 1e-13 * fdm.kappa)
+    assert np.all(np.abs(m.tau - fdm.tau) < 1e-12 * np.abs(fdm.tau))
+    rate = fdm.speed / fd.speed
+    assert np.all(np.abs(np.abs(m.ds_mate_ds) - rate) < 1e-13 * rate)
 
 
 def test_pair_evaluates_each_frenet_point_once(monkeypatch):

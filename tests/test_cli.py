@@ -1,13 +1,15 @@
 """Command-line behavior: reports, determinism, exit codes, round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bertrand_kit.bertrand import construct_mate
-from bertrand_kit.cli import main
-from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve
+from bertrand_kit.cli import _detect_from_files, main
+from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
+from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
 from bertrand_kit.io import dumps, load_curve, save_curve
 
 
@@ -142,6 +144,40 @@ def test_indicatrix_tangent_no_affine_block(workdir, capsys):
     assert rc == 0
     rep = json.loads(out)
     assert "affine_fit" not in rep["results"]
+
+
+def _table_from_views(base, mate, side, axis, n):
+    """The indicatrix table built point by point from the public views,
+    on the pair the CLI loads from the same files."""
+    pair = _detect_from_files(load_curve(base), load_curve(mate), min(n, 128))
+    ts = np.linspace(pair.ts[0], pair.ts[-1], n)
+    image = indicatrix_curve(pair.base if side == "base" else pair.mate, axis, n)
+    rows = []
+    for t, s, fdi in zip(ts, apparatus_grid(pair, side, axis, ts), frenet_grid(image, ts)):
+        if s is None or fdi is None:
+            continue
+        gap_k = abs(abs(s.kappa_image) - fdi.kappa) / max(abs(fdi.kappa), 1e-30)
+        gap_t = abs(abs(s.tau_image) - abs(fdi.tau)) / max(abs(fdi.tau), 1e-30)
+        rows.append([float(v) for v in (
+            t, *s.point, np.linalg.norm(s.point), s.kappa, s.tau, s.kappa_image,
+            s.tau_image, 0.0 if math.isnan(s.Gamma) else s.Gamma, fdi.kappa, fdi.tau,
+            gap_k, gap_t)])
+    return rows
+
+
+@pytest.mark.parametrize("kind", [f"{a}-{s}" for a in "tnb" for s in ("base", "mate")])
+def test_indicatrix_rows_equal_the_views_table(workdir, capsys, kind):
+    """The table the CLI computes over rows has the bits of the table
+    built from the one-point views, the norm of each point included
+    (a norm along the rows' axis rounds differently)."""
+    base, mate = str(workdir / "base.json"), str(workdir / "mate.json")
+    rc, out, _ = run(capsys, ["indicatrix", base, mate, "--kind", kind, "--n", "64"])
+    assert rc == 0
+    rows = json.loads(out)["results"]["rows"]
+    axis = {"t": "tangent", "n": "normal", "b": "binormal"}[kind[0]]
+    want = _table_from_views(base, mate, kind.split("-")[1], axis, 64)
+    assert len(want) == 64
+    assert rows == want
 
 
 def test_classify_single(workdir, capsys):

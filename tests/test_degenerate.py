@@ -17,12 +17,14 @@ from bertrand_kit.bertrand import (
     bertrand_lambda,
     construct_mate,
     detect_bertrand,
+    geodesic_indicator_closed_form,
+    mate_apparatus_from_base,
 )
 from bertrand_kit.classify import theorem_suite
 from bertrand_kit.cli import EXIT_OK, EXIT_PARSE, EXIT_SINGULAR, main
-from bertrand_kit.curves import AnalyticCurve, frenet_apparatus, frenet_grid
+from bertrand_kit.curves import AnalyticCurve, _frenet_rows, frenet_apparatus, frenet_grid
 from bertrand_kit.errors import DegenerateRatioError, SingularPointError, TooFewSamplesError
-from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid, indicatrix_apparatus
+from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid
 from bertrand_kit.io import save_curve
 
 
@@ -50,8 +52,15 @@ def test_helical_pair_is_detected_with_g_undefined(helical_pair):
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("axis", AXES)
 def test_helical_pair_closed_forms_raise(helical_pair, side, axis):
-    with pytest.raises(DegenerateRatioError, match="g undefined"):
-        indicatrix_apparatus(helical_pair, side, axis, 1.0)
+    """The closed forms over the rows that ``side``'s images read, the
+    other curve's, raise; the image has no closed form at t = 1."""
+    rows = helical_pair.mate_rows if side == "base" else helical_pair.base_rows
+    for closed_form in (bertrand_lambda,
+                        lambda r: mate_apparatus_from_base(r, helical_pair.epsilon),
+                        lambda r: geodesic_indicator_closed_form(r, side)):
+        with pytest.raises(DegenerateRatioError, match="g undefined"):
+            closed_form(rows)
+    assert apparatus_grid(helical_pair, side, axis, [1.0]) == [None]
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -97,9 +106,9 @@ def test_helical_pair_base_images_are_all_masked(helical_files, capsys):
 def test_conical_helix_has_no_offset_distance():
     curve = AnalyticCurve("exp(0.2*t)*cos(t)", "exp(0.2*t)*sin(t)", "1.5*exp(0.2*t)",
                           (0.0, 6.0))
-    fd = frenet_apparatus(curve, 2.0)
-    with pytest.raises(DegenerateRatioError, match="g = f degeneracy"):
-        bertrand_lambda(fd)
+    rows = _frenet_rows(curve, [1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateRatioError, match=r"g = f degeneracy at t=1\.0$"):
+        bertrand_lambda(rows)
 
 
 # kappa = 6e-10 and speed 10 at t = 1e-8

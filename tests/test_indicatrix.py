@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from bertrand_kit.curves import frenet_apparatus
+from bertrand_kit.curves import frenet_grid
 from bertrand_kit.indicatrix import (
     IndicatrixKind,
+    apparatus_grid,
     frame_relations_check,
-    indicatrix_apparatus,
     indicatrix_arclength_relations,
     indicatrix_curve,
 )
@@ -30,8 +30,7 @@ def test_kind_validation():
 def test_points_on_unit_sphere(pair_wobble):
     for side in ("base", "mate"):
         for axis in ("tangent", "normal", "binormal"):
-            for t in probe_ts(pair_wobble, 5):
-                s = indicatrix_apparatus(pair_wobble, side, axis, t)
+            for s in apparatus_grid(pair_wobble, side, axis, probe_ts(pair_wobble, 5)):
                 assert np.linalg.norm(s.point) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -40,12 +39,10 @@ def test_points_match_frame_vectors(pair_wobble):
     p = pair_wobble
     for side in ("base", "mate"):
         src = p.base if side == "base" else p.mate
-        for t in probe_ts(p, 5):
-            fd = frenet_apparatus(src, t)
-            for axis, vec in (("tangent", fd.T), ("normal", fd.N),
-                              ("binormal", fd.B)):
-                s = indicatrix_apparatus(p, side, axis, t)
-                assert np.allclose(s.point, vec, atol=1e-11)
+        ts = probe_ts(p, 5)
+        for axis, vec in (("tangent", "T"), ("normal", "N"), ("binormal", "B")):
+            for s, fd in zip(apparatus_grid(p, side, axis, ts), frenet_grid(src, ts)):
+                assert np.allclose(s.point, getattr(fd, vec), atol=1e-11)
 
 
 def test_closed_frames_match_direct(pair_wobble):
@@ -54,9 +51,8 @@ def test_closed_frames_match_direct(pair_wobble):
         src = p.base if side == "base" else p.mate
         for axis in ("tangent", "normal", "binormal"):
             img = indicatrix_curve(src, axis, 700)
-            for t in probe_ts(p, 4):
-                s = indicatrix_apparatus(p, side, axis, t)
-                fdi = frenet_apparatus(img, t)
+            ts = probe_ts(p, 4)
+            for s, fdi in zip(apparatus_grid(p, side, axis, ts), frenet_grid(img, ts)):
                 assert abs(abs(np.dot(s.T, fdi.T)) - 1) < 1e-6
                 assert abs(abs(np.dot(s.N, fdi.N)) - 1) < 1e-6
                 assert abs(abs(np.dot(s.B, fdi.B)) - 1) < 1e-6
@@ -68,9 +64,8 @@ def test_corrected_values_match_direct(pair_wobble):
         src = p.base if side == "base" else p.mate
         for axis in ("tangent", "normal", "binormal"):
             img = indicatrix_curve(src, axis, 700)
-            for t in probe_ts(p, 4):
-                s = indicatrix_apparatus(p, side, axis, t)
-                fdi = frenet_apparatus(img, t)
+            ts = probe_ts(p, 4)
+            for s, fdi in zip(apparatus_grid(p, side, axis, ts), frenet_grid(img, ts)):
                 assert abs(s.kappa_image) == pytest.approx(fdi.kappa, rel=2e-4)
                 assert abs(s.tau_image) == pytest.approx(abs(fdi.tau), rel=2e-4,
                                                          abs=1e-6)
@@ -81,12 +76,12 @@ def test_convergence_under_grid_doubling(pair_wobble):
     dominates; past ~50 samples the stencils are roundoff-limited."""
     p = pair_wobble
     gaps = []
+    ts = probe_ts(p, 5)
+    closed = apparatus_grid(p, "base", "tangent", ts)
     for n in (16, 32):
         img = indicatrix_curve(p.base, "tangent", n)
         worst = 0.0
-        for t in probe_ts(p, 5):
-            s = indicatrix_apparatus(p, "base", "tangent", t)
-            fdi = frenet_apparatus(img, t)
+        for s, fdi in zip(closed, frenet_grid(img, ts)):
             worst = max(worst, abs(abs(s.kappa_image) - fdi.kappa))
         gaps.append(worst)
     assert gaps[1] < gaps[0] / 3.0
@@ -108,17 +103,16 @@ def test_torsion_curvature_ratio_sign_pattern(pair_wobble):
         src = p.base if side == "base" else p.mate
         for axis in ("tangent", "binormal"):
             sign = -1.0 if (side, axis) == ("base", "tangent") else 1.0
-            for t in probe_ts(p, 5):
-                s = indicatrix_apparatus(p, side, axis, t)
-                G = frenet_apparatus(src, t).Gamma
-                assert s.tau / s.kappa == pytest.approx(sign * G, abs=1e-10)
+            ts = probe_ts(p, 5)
+            for s, fd in zip(apparatus_grid(p, side, axis, ts), frenet_grid(src, ts)):
+                assert s.tau / s.kappa == pytest.approx(sign * fd.Gamma, abs=1e-10)
 
 
 def test_tangent_binormal_share_signed_magnitudes(pair_wobble):
     p = pair_wobble
-    for t in probe_ts(p, 5):
-        st = indicatrix_apparatus(p, "base", "tangent", t)
-        sb = indicatrix_apparatus(p, "base", "binormal", t)
+    ts = probe_ts(p, 5)
+    for st, sb in zip(apparatus_grid(p, "base", "tangent", ts),
+                      apparatus_grid(p, "base", "binormal", ts)):
         assert abs(st.kappa) == pytest.approx(abs(sb.kappa), rel=1e-12)
         assert abs(st.tau) == pytest.approx(abs(sb.tau), rel=1e-12)
 
@@ -148,7 +142,6 @@ def test_tangent_arclength_form_is_binormal_rate(pair_wobble):
 def test_normal_image_values_direct(pair_wobble):
     p = pair_wobble
     img = indicatrix_curve(p.base, "normal", 700)
-    for t in probe_ts(p, 4):
-        s = indicatrix_apparatus(p, "base", "normal", t)
-        fdi = frenet_apparatus(img, t)
+    ts = probe_ts(p, 4)
+    for s, fdi in zip(apparatus_grid(p, "base", "normal", ts), frenet_grid(img, ts)):
         assert abs(s.kappa) == pytest.approx(fdi.kappa, rel=2e-4)
