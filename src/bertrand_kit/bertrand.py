@@ -41,6 +41,7 @@ from .errors import (
     IllConditionedError,
     NotAPairError,
     NotSphericalError,
+    TooFewSamplesError,
 )
 from .jets import Jet, _first, compose, invert_series, jcross, jdot, jsincos, jsqrt, jstack
 
@@ -151,15 +152,15 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     """The normal-offset curve base + lam*N.
 
     For analytic or jet-backed bases the mate keeps an exact jet provider;
-    sampled bases yield a sampled mate via the stencil path.  lam = 0
-    returns a relabelled copy of the base samples.
+    sampled bases yield a sampled mate via the stencil path, at the
+    regular grid points of the base.
     """
     lo, hi = base.domain
     ts = np.linspace(lo, hi, n + 1)
     label = f"{base.label or 'curve'}+{lam}*N"
 
     if isinstance(base, SampledCurve):
-        rows, keep, _ = _frenet_columns(base, ts, order=4)
+        rows, keep, _ = _frenet_columns(base, ts)
         return SampledCurve(ts[keep], rows.point + lam * rows.N, label=label)
 
     def mate_jet(t, order):
@@ -205,7 +206,7 @@ class ConstancyStat:
 
     @classmethod
     def of(cls, values):
-        values = np.asarray([v for v in values if np.isfinite(v)])
+        values = np.asarray(values)[np.isfinite(values)]
         if len(values) == 0:
             return cls(math.nan, math.nan)
         m = float(np.mean(values))
@@ -235,7 +236,6 @@ class BertrandPairModel:
     q2: ConstancyStat
     lambda_stat: ConstancyStat
     masked: np.ndarray
-    degenerate: bool = False
 
     def _per_point(self, rows):
         return _points_at(rows, self.valid_indices(), len(self.ts))
@@ -274,10 +274,13 @@ def detect_bertrand(
 
     ``inset`` trims a fraction of the overlap interval at each end; useful
     for sampled curves whose end stencils are one-sided.  Raises
+    TooFewSamplesError for a grid of fewer than 8 points and
     NotAPairError with a reason of 'offset-not-normal', 'lambda-varies'
     or 'normals-not-aligned'.  The returned pair keeps the Frenet data
     evaluated here, one batch per curve, as row arrays.
     """
+    if n < 8:
+        raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
     ts = _overlap_grid(base, mate, n, inset=inset)
     base_rows, ok, _ = _frenet_columns(base, ts)
     # the mate only where the base is regular: a normal offset's frame
@@ -337,7 +340,6 @@ def detect_bertrand(
         q1=ConstancyStat.of(1.0 / np.sqrt(1.0 + g * g)),
         q2=ConstancyStat.of(g / np.sqrt(1.0 + g * g)),
         lambda_stat=ConstancyStat.of(lam_signed if not degenerate else [0.0]),
-        degenerate=degenerate,
         masked=~ok,
     )
 

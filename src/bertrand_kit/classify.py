@@ -214,8 +214,9 @@ def pair_classify(
     D = fb.point - fa.point
     scale = max(float(np.max(np.linalg.norm(D, axis=1))), 1e-30)
 
-    def direction_test(axis_vecs, partner_vecs):
-        """(offset-alignment dev, partner-axis alignment dev, |lambda| stat).
+    def direction_test(axis_vecs, partner_vecs, offset_key, alignment_key):
+        """The evidence of an offset along ``axis_vecs`` with the partner's
+        ``partner_vecs`` along it too, and whether the definition holds.
 
         The offset magnitude is tested unsigned: the axis vector's sign can
         flip along the curve (e.g. across torsion zeros) without breaking
@@ -226,34 +227,17 @@ def pair_classify(
         off_dev = float(np.max(transverse)) / scale
         dots = np.abs(np.sum(partner_vecs * axis_vecs, axis=1))
         axis_dev = float(np.max(1.0 - dots))
-        return off_dev, axis_dev, ConstancyStat.of(np.abs(lam))
+        stat = ConstancyStat.of(np.abs(lam))
+        holds = (off_dev < math.sqrt(tol) and axis_dev < tol
+                 and stat.max_deviation < tol * (1.0 + abs(stat.mean)))
+        return {offset_key: off_dev, alignment_key: axis_dev, "lambda_mean": stat.mean,
+                "lambda_dev": stat.max_deviation}, holds
 
     ev = {}
-    off, ax, lam = direction_test(fa.N, fb.N)
-    ev["bertrand"] = {
-        "offset_normal_dev": off,
-        "normal_alignment_dev": ax,
-        "lambda_mean": lam.mean,
-        "lambda_dev": lam.max_deviation,
-    }
-    ok_b = (
-        off < math.sqrt(tol)
-        and ax < tol
-        and lam.max_deviation < tol * (1.0 + abs(lam.mean))
-    )
-
-    off, ax, lam = direction_test(fa.B, fb.N)
-    ev["mannheim"] = {
-        "offset_binormal_dev": off,
-        "normal_vs_binormal_dev": ax,
-        "lambda_mean": lam.mean,
-        "lambda_dev": lam.max_deviation,
-    }
-    ok_m = (
-        off < math.sqrt(tol)
-        and ax < tol
-        and lam.max_deviation < tol * (1.0 + abs(lam.mean))
-    )
+    ev["bertrand"], ok_b = direction_test(fa.N, fb.N, "offset_normal_dev",
+                                          "normal_alignment_dev")
+    ev["mannheim"], ok_m = direction_test(fa.B, fb.N, "offset_binormal_dev",
+                                          "normal_vs_binormal_dev")
 
     lamT = np.sum(D * fa.T, axis=1)
     transverse = np.linalg.norm(D - lamT[:, None] * fa.T, axis=1)
@@ -294,6 +278,10 @@ IDENTITY_ENTRIES = (
     "cr33",
     "p1p2-constancy",
 )
+# the keys of ``theorem_suite``'s tols: its entries and its flag thresholds
+TOLERANCE_KEYS = IDENTITY_ENTRIES + (
+    "th6", "th25", "teo15", "teo33", "th8", "th17", "th11", "cr18", "negative-result",
+    "tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from .bertrand import (
     DEFAULT_OMEGA,
     SPHERE_PRESETS,
 )
-from .classify import IDENTITY_ENTRIES, classify_curve, pair_classify, theorem_suite
+from .classify import (
+    IDENTITY_ENTRIES,
+    TOLERANCE_KEYS,
+    classify_curve,
+    pair_classify,
+    theorem_suite,
+)
 from .curves import (
     _frenet_columns,
     _take_rows,
@@ -91,6 +98,21 @@ def _size(text):
     return value
 
 
+def _tolerance(text):
+    """argparse type of a ``verify --tol`` item: KEY=VALUE as (key, value),
+    the key one of ``classify.TOLERANCE_KEYS`` and the value a number."""
+    key, _, val = text.partition("=")
+    if key not in TOLERANCE_KEYS:
+        raise argparse.ArgumentTypeError(f"unknown tolerance key {key!r} in {text!r}")
+    try:
+        value = float(val)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected KEY=NUMBER, got {text!r}")
+    return key, value
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -100,7 +122,7 @@ def cmd_frenet(args) -> int:
     report = RunReport(
         command="frenet",
         inputs={args.curve: file_hash(args.curve)},
-        parameters={"order": args.order, "mask": bool(args.mask)},
+        parameters={"mask": bool(args.mask)},
     )
     if args.at is not None:
         ts = np.array([args.at])
@@ -110,7 +132,7 @@ def cmd_frenet(args) -> int:
         ts = np.linspace(lo, hi, args.grid)
         report.parameters["grid"] = args.grid
 
-    fd, regular, errors = _frenet_columns(curve, ts, order=max(args.order, 6))
+    fd, regular, errors = _frenet_columns(curve, ts)
     if errors and not args.mask:
         raise errors[0]
     # arc length along the unmasked rows, bridging masked gaps
@@ -171,21 +193,11 @@ def cmd_mate(args) -> int:
     if abs(lam) > 0:
         try:
             pair = _detect_from_files(base, mate, min(args.n, 128))
-            report.results.update(
-                {
-                    "lambda": pair.lam,
-                    "epsilon": pair.epsilon,
-                    "p1": pair.p1.mean,
-                    "p1_deviation": pair.p1.max_deviation,
-                    "p2": pair.p2.mean,
-                    "p2_deviation": pair.p2.max_deviation,
-                    "q1": pair.q1.mean,
-                    "q1_deviation": pair.q1.max_deviation,
-                    "q2": pair.q2.mean,
-                    "q2_deviation": pair.q2.max_deviation,
-                }
-            )
-        except NotAPairError as e:
+            report.results.update({"lambda": pair.lam, "epsilon": pair.epsilon})
+            for name in ("p1", "p2", "q1", "q2"):
+                stat = getattr(pair, name)
+                report.results.update({name: stat.mean, f"{name}_deviation": stat.max_deviation})
+        except (NotAPairError, TooFewSamplesError) as e:
             report.results["pair_check"] = f"failed: {e}"
     _emit(report)
     return EXIT_OK
@@ -260,43 +272,20 @@ def cmd_indicatrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tols = {}
-    for item in args.tol or []:
-        key, _, val = item.partition("=")
-        if not val:
-            raise CurveFileError(f"--tol expects key=value, got {item!r}")
-        tols[key] = float(val)
+    tols = dict(args.tol or [])
     pair, inputs = _load_pair(args, min(args.n, 256))
     report = theorem_suite(pair, n=args.n, tols=tols)
 
-    lines = []
-    failed_identity = False
-    for key in sorted(report.entries):
-        e = report.entries[key]
-        status = "PASS" if e.passed else "FAIL"
-        lines.append(
-            f"{status} {key} residual={fmt(e.max_residual)} "
-            f"tolerance={fmt(e.tolerance)}"
-        )
-        if not e.passed and key in IDENTITY_ENTRIES:
-            failed_identity = True
+    entries = {key: report.entries[key] for key in sorted(report.entries)}
+    lines = [f"{'PASS' if e.passed else 'FAIL'} {key} residual={fmt(e.max_residual)} "
+             f"tolerance={fmt(e.tolerance)}" for key, e in entries.items()]
+    failed_identity = any(not e.passed for key, e in entries.items() if key in IDENTITY_ENTRIES)
     run = RunReport(
         command="verify",
         inputs=inputs,
         parameters={"n": args.n, "tol": {k: tols[k] for k in sorted(tols)}},
-        results={
-            "lines": lines,
-            "entries": {
-                k: {
-                    "max_residual": report.entries[k].max_residual,
-                    "tolerance": report.entries[k].tolerance,
-                    "passed": report.entries[k].passed,
-                    "masked_fraction": report.entries[k].masked_fraction,
-                    "note": report.entries[k].note,
-                }
-                for k in sorted(report.entries)
-            },
-        },
+        results={"lines": lines,
+                 "entries": {key: asdict(e) for key, e in entries.items()}},
     )
     _emit(run)
     return EXIT_IDENTITY if failed_identity else EXIT_OK
@@ -381,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = f.add_mutually_exclusive_group(required=True)
     g.add_argument("--at", type=float)
     g.add_argument("--grid", type=_size)
-    f.add_argument("--order", type=int, default=6)
     f.add_argument("--mask", action="store_true",
                    help="mask singular points instead of failing")
     f.add_argument("--csv")
@@ -409,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("base")
     v.add_argument("mate")
     v.add_argument("--n", type=_size, default=256)
-    v.add_argument("--tol", action="append", metavar="KEY=VALUE")
+    v.add_argument("--tol", action="append", type=_tolerance, metavar="KEY=VALUE")
     v.set_defaults(fn=cmd_verify)
 
     gen = sub.add_parser("generate", help="generate a Bertrand curve")

@@ -32,7 +32,10 @@ from .jets import Jet, _first, jcross, jdot, jsqrt, jstack, program_jets, progra
 
 EPS_REG = 1e-9
 EPS_G = 1e-10
-DEFAULT_FRENET_ORDER = 6
+# The jet order the Frenet rows read: kappa'' is kappa_jet.coeffs[2] and
+# tau' is tau_jet.coeffs[1], and kappa's jet comes out two orders below
+# the position's (|g' x g''|), tau's three (<g' x g'', g'''>).
+_FRENET_ORDER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +195,10 @@ class SampledCurve(Curve):
         return _per_point(self._stencil_jets, t, order)
 
     def _stencil_jets(self, ts, order):
-        # each point's stencil: `width` consecutive samples around it
+        # each point's stencil: `width` consecutive samples around it, four
+        # more than the order needs (9 for the Frenet rows' order 4)
         n = len(self.params)
-        width = min(max(self.MIN_SAMPLES, order + 3), n)
+        width = min(max(self.MIN_SAMPLES, order + 5), n)
         i = np.searchsorted(self.params, ts)
         lo = np.maximum(0, np.minimum(i - width // 2, n - width))
         idx = lo[:, None] + np.arange(width)
@@ -295,7 +299,7 @@ def _points_at(rows, idx, n):
     return out
 
 
-def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
+def _frenet_columns(curve, ts):
     """Frenet data at every regular t of ``ts`` from one jet request of
     the curve: ``(rows, regular, errors)``.  ``rows`` is a FrenetData of
     arrays over ``ts[regular]``, positions and ratio invariants included,
@@ -313,7 +317,7 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
     chain rule.
     """
     ts = np.asarray(ts, dtype=float)
-    P = curve.jet(ts, order)
+    P = curve.jet(ts, _FRENET_ORDER)
     D1 = P.deriv()
     v2 = jdot(D1, D1)
     slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= EPS_REG * EPS_REG))
@@ -373,26 +377,26 @@ def _frenet_columns(curve, ts, order=DEFAULT_FRENET_ORDER):
     return rows, regular, errors
 
 
-def _frenet_rows(curve, ts, order=DEFAULT_FRENET_ORDER):
+def _frenet_rows(curve, ts):
     """Frenet data at every t of ``ts`` as the rows of ``_frenet_columns``;
     raises the SingularPointError of the first singular t."""
-    rows, _, errors = _frenet_columns(curve, ts, order=order)
+    rows, _, errors = _frenet_columns(curve, ts)
     if errors:
         raise errors[0]
     return rows
 
 
-def frenet_apparatus(curve, t, order=DEFAULT_FRENET_ORDER):
+def frenet_apparatus(curve, t):
     """Frame, curvature, torsion, their arc-length derivatives and the
     ratio invariants at t, as the one-point view of a one-row
     ``_frenet_rows``.  Raises SingularPointError at a singular point."""
-    return _points_at(_frenet_rows(curve, [t], order), [0], 1)[0]
+    return _points_at(_frenet_rows(curve, [t]), [0], 1)[0]
 
 
-def frenet_grid(curve, ts, order=DEFAULT_FRENET_ORDER):
+def frenet_grid(curve, ts):
     """Frenet data over a grid from one jet request of the curve, as the
     one-point views of its rows; singular points become None entries."""
-    rows, regular, _ = _frenet_columns(curve, ts, order=order)
+    rows, regular, _ = _frenet_columns(curve, ts)
     return _points_at(rows, np.flatnonzero(regular), len(regular))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from test_jets import FAMILY_TEXTS
 
-from bertrand_kit import jets
+from bertrand_kit import curves, jets
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
     construct_mate,
@@ -94,8 +94,8 @@ def test_point_does_not_depend_on_its_batch(name):
 
 
 # largest |rows.point - curve.point| on the 29 points below.  The Frenet
-# request asks for order 6, the point for order 0: a sampled curve's
-# stencil is then wider (measured 1.2e-10).  Analytic and generated curves
+# request asks for order 4, the point for order 0: a sampled curve's
+# stencil is then wider, 9 nodes against 7 (measured 1.2e-10).  Analytic and generated curves
 # and the mate, whose frame reads base jets of another order, give the
 # same bits.
 POINT_GAP = {"trefoil": 0.0, "wobble-base": 0.0, "wobble-mate": 0.0,
@@ -113,6 +113,34 @@ def test_frenet_rows_carry_the_points(name):
         assert np.max(np.abs(rows - want)) <= POINT_GAP[name]
     else:
         assert_same_bits_array(rows, want)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "wobble-base", "wobble-mate", "sampled-trefoil"])
+def test_frenet_rows_are_the_low_orders_of_a_higher_request(name, monkeypatch):
+    """The Frenet rows, from order-4 jets, have the bits of the rows built
+    from order-6 jets truncated to order 4, ends included: analytic and
+    generated jets keep their low coefficients when the order rises (the
+    mate's frame then asks its base for order 8 instead of 6), and rows
+    0..4 of a stencil's Fornberg weights do not depend on the highest
+    derivative order asked."""
+    curve = CURVES[name]()
+    ts = np.linspace(*curve.domain, 29)
+    rows = _frenet_rows(curve, ts)
+    if isinstance(curve, SampledCurve):
+        # the same 9-node stencils, weights up to the sixth derivative
+        weights = curves.fornberg_weights
+        monkeypatch.setattr(curves, "fornberg_weights",
+                            lambda z, x, m: weights(z, x, m + 2)[..., : m + 1, :])
+    else:
+        jet = type(curve).jet
+
+        def higher(self, t, order):
+            if order == curves._FRENET_ORDER:
+                return jet(self, t, order + 2).truncate(order)
+            return jet(self, t, order)
+
+        monkeypatch.setattr(type(curve), "jet", higher)
+    assert_same_bits(_frenet_rows(curve, ts), rows)
 
 
 @pytest.mark.parametrize("preset", ["wobble", "slant"])

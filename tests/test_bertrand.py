@@ -237,7 +237,7 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     real_jet = JetBackedCurve.jet
 
     def counting_jet(self, t, order):
-        if order == curves.DEFAULT_FRENET_ORDER:
+        if order == curves._FRENET_ORDER:
             for x in np.atleast_1d(t):
                 frenet_points[(self, float(x))] += 1
         if state["detecting"]:
@@ -287,7 +287,7 @@ def test_suite_reads_the_detection_grid(monkeypatch):
     real_jet = JetBackedCurve.jet
 
     def counting_jet(self, t, order):
-        if order == curves.DEFAULT_FRENET_ORDER and self in frenet_points:
+        if order == curves._FRENET_ORDER and self in frenet_points:
             frenet_points[self].update(float(x) for x in np.atleast_1d(t))
         return real_jet(self, t, order)
 
@@ -370,4 +370,4 @@ def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
     monkeypatch.setattr(Curve, "point", counting_point)
     detect_bertrand(pair.base, pair.mate, n=24)
-    assert requests == Counter({("base", 6): 1, ("base", 8): 1, ("mate", 6): 1})
+    assert requests == Counter({("base", 4): 1, ("base", 6): 1, ("mate", 4): 1})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bertrand_kit.bertrand import construct_mate
+from bertrand_kit.classify import IDENTITY_ENTRIES, TOLERANCE_KEYS
 from bertrand_kit.cli import _detect_from_files, main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
 from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
@@ -82,6 +83,66 @@ def test_verify_tol_override_fails_identity(workdir, capsys):
     assert rc == 7
     rep = json.loads(out)
     assert not rep["results"]["entries"]["th2"]["passed"]
+
+
+def test_verify_tol_takes_the_suite_keys(workdir, capsys):
+    """--tol accepts the suite's entry keys and the thresholds of its flags,
+    and the report echoes what it set."""
+    assert set(TOLERANCE_KEYS) == set(IDENTITY_ENTRIES) | {
+        "th6", "th25", "teo15", "teo33", "th8", "th17", "th11", "cr18", "negative-result",
+        "tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar"}
+    rc, out, _ = run(capsys, ["verify", str(workdir / "base.json"),
+                              str(workdir / "mate.json"), "--n", "48",
+                              "--tol", "th3=1e-3", "--tol", "tol_condition=1e-3"])
+    assert rc == 0
+    rep = json.loads(out)
+    assert set(rep["results"]["entries"]) <= set(TOLERANCE_KEYS)
+    assert rep["parameters"]["tol"] == {"th3": 1e-3, "tol_condition": 1e-3}
+    assert rep["results"]["entries"]["th3"]["tolerance"] == 1e-3
+
+
+@pytest.mark.parametrize("item", ["th2=abc", "th2=", "th2", "th2=nan", "thx=1", "=1"])
+def test_verify_rejects_a_bad_tol(workdir, capsys, item):
+    """A value that is not a number, or a key the suite does not have, is
+    a parse error (exit 2) that names the item, before any file is read."""
+    rc, out, err = run(capsys, ["verify", str(workdir / "base.json"),
+                                str(workdir / "mate.json"), "--tol", item])
+    assert (rc, out) == (2, "")
+    assert "argument --tol: " in err and repr(item) in err
+
+
+@pytest.mark.parametrize("n", ["1", "4", "7"])
+@pytest.mark.parametrize("command", [["verify"], ["indicatrix", "--kind", "t-base"]])
+def test_detection_grid_below_8_is_a_size_error(workdir, capsys, command, n):
+    """Detection needs 8 regular points: a smaller grid exits 2 and names
+    its size, where it used to say the curves are not a pair (exit 6)."""
+    rc, out, err = run(capsys, [command[0], str(workdir / "base.json"),
+                                str(workdir / "mate.json"), *command[1:], "--n", n])
+    assert (rc, out) == (2, "")
+    assert err == f"error: detection grid of {n} points; need at least 8\n"
+
+
+def test_mate_records_a_small_detection_grid(workdir, capsys, tmp_path):
+    """mate still writes its file and exits 0; the size error goes into
+    its pair check."""
+    out_file = tmp_path / "m.json"
+    rc, out, _ = run(capsys, ["mate", str(workdir / "base.json"), "--lambda", "1",
+                              "--n", "4", "--out", str(out_file)])
+    assert rc == 0 and out_file.exists()
+    assert json.loads(out)["results"]["pair_check"] == (
+        "failed: detection grid of 4 points; need at least 8")
+
+
+def test_frenet_has_no_order_option(workdir, capsys):
+    """The Frenet rows read order-4 jets whatever the curve: there is no
+    order to choose, and the report records none."""
+    helix = str(workdir / "helix.json")
+    rc, out, err = run(capsys, ["frenet", helix, "--grid", "8", "--order", "6"])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --order 6" in err
+    rc, out, _ = run(capsys, ["frenet", helix, "--grid", "8"])
+    assert rc == 0
+    assert json.loads(out)["parameters"] == {"mask": False, "grid": 8}
 
 
 @pytest.mark.parametrize(
@@ -265,7 +326,7 @@ def test_frenet_singular_point_from_one_request(capsys, tmp_path, monkeypatch):
     assert (rc, out) == (4, "")
     assert err == ("error: speed below regularity floor at t=0.0 "
                    "(pass --mask to skip singular points)\n")
-    assert requests == [6]
+    assert requests == [4]
     line = tmp_path / "line.json"
     save_curve(AnalyticCurve("t", "2*t", "3*t", (0.0, 1.0)), str(line))
     rc, out, _ = run(capsys, ["frenet", str(line), "--grid", "5", "--mask"])

@@ -8,6 +8,7 @@ import pytest
 from bertrand_kit.curves import (
     AnalyticCurve,
     SampledCurve,
+    _frenet_rows,
     frenet_apparatus,
     frenet_grid,
     integrate_series,
@@ -90,6 +91,21 @@ def test_sampled_circle_matches_analytic():
     fd = frenet_apparatus(c, math.pi)
     assert fd.kappa == pytest.approx(1.0, rel=1e-6)
     assert abs(fd.tau) < 1e-5
+
+
+def test_sampled_frenet_rows_use_nine_node_stencils():
+    """Nine-node stencils differentiate a degree-8 polynomial curve exactly,
+    so its sampled Frenet rows match the analytic ones to rounding, ends
+    included (measured <= 5.1e-12 relative on 41 samples).  Seven-node
+    stencils miss by 4e-5 in kappa and 1.9e-3 in tau'."""
+    exact = AnalyticCurve("t", "t^2 + 0.5*t^5", "t^3 - 0.25*t^8", (-1.0, 1.0))
+    ps = np.linspace(-1.0, 1.0, 41)
+    sampled = SampledCurve(ps, exact.point(ps).T)
+    ts = np.linspace(-1.0, 1.0, 37)
+    want, got = _frenet_rows(exact, ts), _frenet_rows(sampled, ts)
+    for name in ("kappa", "tau", "dkappa_ds", "dtau_ds", "d2kappa_ds2", "Gamma"):
+        w = getattr(want, name)
+        assert np.max(np.abs(getattr(got, name) - w)) <= 1e-9 * np.max(np.abs(w)), name
 
 
 def test_sampled_too_few_points():
