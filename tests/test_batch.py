@@ -30,7 +30,13 @@ from bertrand_kit.curves import (
     frenet_apparatus,
     frenet_grid,
 )
-from bertrand_kit.errors import DomainError, OutOfDomainError, SingularPointError
+from bertrand_kit.classify import _classify_images, pair_classify
+from bertrand_kit.errors import (
+    DomainError,
+    OutOfDomainError,
+    SingularPointError,
+    TooFewSamplesError,
+)
 from bertrand_kit.indicatrix import (
     AXES,
     SIDES,
@@ -38,6 +44,7 @@ from bertrand_kit.indicatrix import (
     _closed_form,
     _data_rows,
     apparatus_grid,
+    indicatrix_images,
 )
 
 TREFOIL = ("sin(t) + 2.1*sin(2*t)", "cos(t) - 2.1*cos(2*t)", "-sin(3*t)")
@@ -396,3 +403,53 @@ def test_point_builds_no_jet(monkeypatch):
     assert calls == Counter()
     curve.jet(0.3, 0)
     assert calls["Jet"] > 0
+
+
+def assert_same_evidence(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            assert_same_evidence(a[key], b[key])
+        else:
+            assert_same_bits_array(a[key], b[key])
+
+
+def _images_of(preset, a):
+    pair = generated_pair(preset, a=a, n=64, grid=24)
+    # the sampling ``theorem_suite(pair, n=24)`` gives them
+    return indicatrix_images(pair.base, 64), indicatrix_images(pair.mate, 64)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.37])
+@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
+def test_image_batch_classifies_each_axis_as_alone(preset, a):
+    """The negative-result entry classifies the three image pairs of a
+    Bertrand pair as one batch (one stencil weight build per grid, one
+    Frenet pass per side); each axis gets the verdict and the evidence,
+    float for float, of its own arc-length-aligned ``pair_classify``."""
+    images_b, images_m = _images_of(preset, a)
+    batch = _classify_images(images_b, images_m)
+    assert list(batch) == list(AXES)
+    for axis in AXES:
+        alone = pair_classify(images_b[axis], images_m[axis], n=64, align="arclength")
+        assert batch[axis].verdict == alone.verdict
+        assert_same_evidence(batch[axis].evidence, alone.evidence)
+
+
+def test_image_batch_marks_one_untestable_axis():
+    """A straight segment in place of the normal image has no regular
+    Frenet row, so that axis alone is untestable, as its own
+    ``pair_classify`` raises TooFewSamplesError; the tangent and binormal
+    axes keep their verdicts and evidence."""
+    images_b, images_m = _images_of("wobble", 1.0)
+    params = images_b["normal"].params
+    images_b["normal"] = SampledCurve(params, np.outer(params, [1.0, -2.0, 0.5]),
+                                      label="segment")
+    with pytest.raises(TooFewSamplesError):
+        pair_classify(images_b["normal"], images_m["normal"], n=64, align="arclength")
+    batch = _classify_images(images_b, images_m)
+    assert batch["normal"].verdict == "untestable"
+    for axis in ("tangent", "binormal"):
+        alone = pair_classify(images_b[axis], images_m[axis], n=64, align="arclength")
+        assert batch[axis].verdict == alone.verdict == "none"
+        assert_same_evidence(batch[axis].evidence, alone.evidence)

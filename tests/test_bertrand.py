@@ -298,6 +298,32 @@ def test_suite_reads_the_detection_grid(monkeypatch):
         assert points == Counter(float(t) for t in image_grid)
 
 
+def test_suite_builds_each_image_stencil_once(monkeypatch):
+    """negative-result classifies the three image pairs as one batch: 4
+    Fornberg weight builds (the A side's speeds and rows on its 64-point
+    grid, the B side's speeds on its 256-point grid and its rows on the
+    three aligned grids together; one batch per axis made 12) and 2
+    image Frenet passes over the 3 x 64 columns of all axes (it made 6),
+    beside the 64-point grid of each curve that the images come from."""
+    pair = generated_pair("wobble", n=64, grid=24)
+    weights, passes = Counter(), Counter()
+    real_weights, real_columns = curves.fornberg_weights, curves._columns
+
+    def counting_weights(z, x, m):
+        weights[len(z)] += 1
+        return real_weights(z, x, m)
+
+    def counting_columns(P, ts):
+        passes[len(ts)] += 1
+        return real_columns(P, ts)
+
+    monkeypatch.setattr(curves, "fornberg_weights", counting_weights)
+    monkeypatch.setattr(curves, "_columns", counting_columns)
+    theorem_suite(pair, n=24)
+    assert weights == Counter({64: 2, 256: 1, 192: 1})
+    assert passes == Counter({64: 2, 192: 2})
+
+
 def test_wobble_jet_makes_two_sincos(monkeypatch):
     """x, y and z of a preset seed share the normaliser and sin/cos of
     each argument: one jet of wobble needs sin/cos of t and of 2t only."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bertrand_kit.bertrand import construct_mate
-from bertrand_kit.classify import IDENTITY_ENTRIES, TOLERANCE_KEYS
+from bertrand_kit.classify import _KEYLESS_ENTRIES, IDENTITY_ENTRIES, TOLERANCE_KEYS
 from bertrand_kit.cli import _detect_from_files, main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
 from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
@@ -89,26 +89,38 @@ def test_verify_tol_takes_the_suite_keys(workdir, capsys):
     """--tol accepts the suite's entry keys and the thresholds of its flags,
     and the report echoes what it set."""
     assert set(TOLERANCE_KEYS) == set(IDENTITY_ENTRIES) | {
-        "th6", "th25", "teo15", "teo33", "th8", "th17", "th11", "cr18", "negative-result",
+        "th6", "th25", "teo15", "teo33",
         "tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar"}
     rc, out, _ = run(capsys, ["verify", str(workdir / "base.json"),
                               str(workdir / "mate.json"), "--n", "48",
                               "--tol", "th3=1e-3", "--tol", "tol_condition=1e-3"])
     assert rc == 0
     rep = json.loads(out)
-    assert set(rep["results"]["entries"]) <= set(TOLERANCE_KEYS)
+    # every entry reads its own key or is one of the keyless five
+    assert set(rep["results"]["entries"]) <= set(TOLERANCE_KEYS) | set(_KEYLESS_ENTRIES)
+    assert set(_KEYLESS_ENTRIES) <= set(rep["results"]["entries"])
     assert rep["parameters"]["tol"] == {"th3": 1e-3, "tol_condition": 1e-3}
     assert rep["results"]["entries"]["th3"]["tolerance"] == 1e-3
 
 
-@pytest.mark.parametrize("item", ["th2=abc", "th2=", "th2", "th2=nan", "thx=1", "=1"])
+# what sets the tolerance of an entry that has no key of its own
+KEYLESS_WHY = {"th8=1e-30": "tol_condition", "th17=1": "tol_condition",
+               "th11=1": "tol_condition", "cr18=0": "fixed tolerance of 0.5",
+               "negative-result=1": "fixed tolerance of 0.5"}
+
+
+@pytest.mark.parametrize("item", ["th2=abc", "th2=", "th2", "th2=nan", "thx=1", "=1",
+                                  *KEYLESS_WHY])
 def test_verify_rejects_a_bad_tol(workdir, capsys, item):
-    """A value that is not a number, or a key the suite does not have, is
-    a parse error (exit 2) that names the item, before any file is read."""
+    """A value that is not a number, or a key the suite does not read, is
+    a parse error (exit 2) that names the item, before any file is read;
+    for an entry with no key of its own the message says what sets its
+    tolerance."""
     rc, out, err = run(capsys, ["verify", str(workdir / "base.json"),
                                 str(workdir / "mate.json"), "--tol", item])
     assert (rc, out) == (2, "")
     assert "argument --tol: " in err and repr(item) in err
+    assert KEYLESS_WHY.get(item, "") in err
 
 
 @pytest.mark.parametrize("n", ["1", "4", "7"])
