@@ -458,17 +458,30 @@ def generate_bertrand_curve(
             u = u - (t_nodes[k] + Ak(u) - A_left[k] - t) / Vk(u)
         return u, k
 
+    # the last request's key (t's bytes, internal order) and its
+    # untruncated, read-only jet: a pair asks the base for its Frenet rows
+    # (order 4) and for the mate's frame (order 6) on one grid, and both
+    # are truncations of one order-6 pipeline run
+    last = (None, None)
+
     def jet_fn(t, order):
+        nonlocal last
         internal = max(order, 6)
-        u, k = _solve_u(t)
-        Cj, Dj, V = _seed_jets(u, internal)
-        s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
-        C = compose(Cj, invert_series(s_jet))  # c(u(t)) in t
-        Gp = a * (C + cot * jcross(C, C.deriv()))  # dgamma/dt
-        # the position from the walk's series, so that it has the same
-        # bits at every order
-        x0 = P_nodes[k].T + AG.take(k)(u) - AG_left[:, k]
-        return Gp.antideriv(x0).truncate(order)
+        key = (t.tobytes(), internal)
+        if last[0] != key:
+            u, k = _solve_u(t)
+            Cj, Dj, V = _seed_jets(u, internal)
+            s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
+            C = compose(Cj, invert_series(s_jet))  # c(u(t)) in t
+            Gp = a * (C + cot * jcross(C, C.deriv()))  # dgamma/dt
+            # the position from the walk's series, so that it has the same
+            # bits at every order
+            x0 = P_nodes[k].T + AG.take(k)(u) - AG_left[:, k]
+            jet = Gp.antideriv(x0)
+            jet.coeffs.setflags(write=False)
+            jet.basepoint.setflags(write=False)
+            last = (key, jet)
+        return last[1].truncate(order)
 
     meta = {
         "generator": "bertrand",

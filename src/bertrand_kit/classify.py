@@ -333,6 +333,15 @@ _KEYLESS_ENTRIES = {
 }
 
 
+def _check_tolerance_key(key):
+    """Raise ValueError, naming ``key``, unless ``theorem_suite`` reads a
+    tolerance under it."""
+    if key in _KEYLESS_ENTRIES:
+        raise ValueError(f"{key!r} has no tolerance key: {_KEYLESS_ENTRIES[key]}")
+    if key not in TOLERANCE_KEYS:
+        raise ValueError(f"unknown tolerance key {key!r}")
+
+
 @dataclass
 class TheoremEntry:
     max_residual: float
@@ -376,12 +385,15 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     and one Frenet pass per side, with the verdicts and evidence of three
     arc-length-aligned ``pair_classify`` calls, an axis with too few
     regular pairs counting as untestable.  ``tols`` takes the keys of
-    ``TOLERANCE_KEYS``; th8, th17 and th11 read ``tol_condition``, and
-    cr18 and ``negative-result`` count verdicts against a fixed 0.5.
+    ``TOLERANCE_KEYS``, and any other key raises ValueError; th8, th17
+    and th11 read ``tol_condition``, and cr18 and ``negative-result``
+    count verdicts against a fixed 0.5.
     Identity entries must pass on any accepted pair; equivalence entries
     (helix/planar criteria) pass when the two sides of the iff agree.
     """
     tols = dict(tols or {})
+    for key in tols:
+        _check_tolerance_key(key)
 
     def tol(key, default):
         return tols.get(key, default)

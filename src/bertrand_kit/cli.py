@@ -29,8 +29,7 @@ from .bertrand import (
 )
 from .classify import (
     IDENTITY_ENTRIES,
-    TOLERANCE_KEYS,
-    _KEYLESS_ENTRIES,
+    _check_tolerance_key,
     classify_curve,
     pair_classify,
     theorem_suite,
@@ -103,11 +102,10 @@ def _tolerance(text):
     """argparse type of a ``verify --tol`` item: KEY=VALUE as (key, value),
     the key one of ``classify.TOLERANCE_KEYS`` and the value a number."""
     key, _, val = text.partition("=")
-    if key in _KEYLESS_ENTRIES:
-        raise argparse.ArgumentTypeError(
-            f"{key!r} in {text!r} has no tolerance key: {_KEYLESS_ENTRIES[key]}")
-    if key not in TOLERANCE_KEYS:
-        raise argparse.ArgumentTypeError(f"unknown tolerance key {key!r} in {text!r}")
+    try:
+        _check_tolerance_key(key)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     try:
         value = float(val)
     except ValueError:

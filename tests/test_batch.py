@@ -147,7 +147,8 @@ def test_frenet_rows_are_the_low_orders_of_a_higher_request(name, monkeypatch):
             return jet(self, t, order)
 
         monkeypatch.setattr(type(curve), "jet", higher)
-    assert_same_bits(_frenet_rows(curve, ts), rows)
+    # a fresh curve: a generated one keeps the jet of its last grid
+    assert_same_bits(_frenet_rows(CURVES[name](), ts), rows)
 
 
 @pytest.mark.parametrize("preset", ["wobble", "slant"])
@@ -158,7 +159,8 @@ def test_generated_position_does_not_depend_on_the_order(preset):
     ts = np.linspace(*curve.domain, 29)
     want = constant_terms(curve, ts, 0)
     for order in (2, 6, 8):
-        assert_same_bits_array(constant_terms(curve, ts, order), want)
+        # a fresh curve: order 2 and 6 would be served from the held jet
+        assert_same_bits_array(constant_terms(_generated(preset), ts, order), want)
 
 
 def test_views_carry_the_bits_of_their_rows():
@@ -234,6 +236,26 @@ def test_stencil_weights_match_the_one_point_algorithm():
             ref = _fornberg_reference(float(z[i]), [float(v) for v in x[i]], m)
             assert np.array_equal(batch[i], ref)
             assert np.array_equal(fornberg_weights(z[i], x[i], m), ref)
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_stencil_jets_are_the_per_point_contraction(order):
+    """A SampledCurve's jet at each t has the bits of a per-point formula:
+    that t's weights (the scalar reference algorithm) times its stencil's
+    points, ``w[i] @ points[idx[i]]``, then the k-th derivative divided by
+    k!; at a float t and on a grid, one-sided ends included."""
+    curve = _trefoil_samples()
+    ts = np.linspace(*curve.domain, 29)
+    idx, _ = curve._stencil(ts, order)
+    fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+    want = []
+    for t, i in zip(ts, idx):
+        w = _fornberg_reference(float(t), [float(v) for v in curve.params[i]], order)
+        want.append((np.asarray(w) @ curve.points[i]) / fact[:, None])
+    want = np.stack(want, axis=-1)
+    assert_same_bits_array(curve.jet(ts, order).coeffs, want)
+    for k in (0, 14, 28):
+        assert_same_bits_array(curve.jet(float(ts[k]), order).coeffs, want[..., k])
 
 
 # singular indices of the one-point-at-a-time evaluation on this grid:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from test_batch import _generated, assert_same_bits_array
 
 from bertrand_kit import bertrand, curves, jets
 from bertrand_kit.bertrand import (
@@ -373,6 +374,68 @@ def test_generator_newton_reads_the_walk_series():
     n = 64
     points = _seed_points_of_a_pair(n)
     assert sum(c for order, c in points.items() if order >= 10) == n
+
+
+def test_pair_runs_the_generator_pipeline_once_per_grid():
+    """The base's Frenet rows (order 4) and the mate's frame (order 6 of
+    the base) are truncations of one held order-6 jet: detection and the
+    suite ask the seed for one order-6 jet per grid, the 24-point
+    detection grid and the 64-point image grid."""
+    seed = sphere_preset("wobble")
+    real_jet = seed.jet
+    requests = Counter()  # number of points -> order-6 seed requests
+
+    def counting_jet(t, order):
+        if order == 6:
+            requests[np.size(t)] += 1
+        return real_jet(t, order)
+
+    seed.jet = counting_jet
+    base = generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=64)
+    mate = construct_mate(base, 1.0, n=64)
+    requests.clear()
+    pair = detect_bertrand(base, mate, n=24)
+    theorem_suite(pair, n=24)
+    assert requests == Counter({24: 1, 64: 1})
+
+
+def _wobble_side(side):
+    """A freshly generated wobble base (n=64), or its mate."""
+    base = _generated("wobble")
+    return base if side == "base" else construct_mate(base, 1.0, n=64)
+
+
+@pytest.mark.parametrize("side", ["base", "mate"])
+@pytest.mark.parametrize("orders", [(4, 6), (6, 4), (6, 4, 6)])
+def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
+    """A request served from the held jet has the bits of the same request
+    on a freshly generated curve, whatever was asked before it; the mate
+    asks its base for two orders more (6 and 8), so its order-6 request
+    replaces the held order-6 jet with an order-8 one."""
+    curve = _wobble_side(side)
+    ts = np.linspace(*curve.domain, 24)
+    for order in orders:
+        got = curve.jet(ts, order)
+        want = _wobble_side(side).jet(ts, order)
+        assert_same_bits_array(got.coeffs, want.coeffs)
+        assert_same_bits_array(got.basepoint, want.basepoint)
+
+
+def test_generator_jets_are_read_only():
+    """Writing into a returned jet raises and leaves the held jet as it
+    was: the same grid still gets the bits of a fresh curve."""
+    base = _generated("wobble")
+    ts = np.linspace(*base.domain, 24)
+    for order in (4, 6):
+        jet = base.jet(ts, order)
+        with pytest.raises(ValueError):
+            jet.coeffs[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            jet.coeffs *= 2.0
+    with pytest.raises(ValueError):
+        base.jet(float(ts[3]), 2).coeffs[0, 0] = 0.0
+    want = _generated("wobble").jet(ts, 6)
+    assert_same_bits_array(base.jet(ts, 6).coeffs, want.coeffs)
 
 
 def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):

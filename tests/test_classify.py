@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bertrand_kit.classify import (
+    _KEYLESS_ENTRIES,
     classify_curve,
     pair_classify,
     theorem_suite,
@@ -136,3 +137,15 @@ def test_theorem_tolerance_override(pair_wobble):
     rep = theorem_suite(pair_wobble, n=48, tols={"th2": 1e-20})
     assert not rep.entries["th2"].passed
     assert rep.entries["th2"].tolerance == 1e-20
+
+
+@pytest.mark.parametrize("tols", [{"thx": 1.0}, {"th8": 1e-30}, {"cr18": 0.0}])
+def test_theorem_suite_rejects_a_key_it_does_not_read(pair_wobble, tols):
+    """A tolerance under a key the suite reads nothing from is an error
+    that names the key, where it used to be ignored; for an entry with no
+    key of its own it says what sets that entry's tolerance, as
+    ``verify --tol`` does."""
+    (key,) = tols
+    with pytest.raises(ValueError, match=repr(key)) as err:
+        theorem_suite(pair_wobble, n=48, tols={"th2": 1e-5, **tols})
+    assert _KEYLESS_ENTRIES.get(key, "unknown tolerance key") in str(err.value)
