@@ -26,8 +26,6 @@ from .curves import (
     Curve,
     FrenetData,
     _frenet_columns,
-    _stack_frenet_columns,
-    _stack_jets,
     _take_rows,
     cumulative_trapezoid,
 )
@@ -36,6 +34,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .indicatrix import (
+    AXES,
     SIDES,
     IndicatrixSample,
     _applies,
@@ -43,7 +42,7 @@ from .indicatrix import (
     _frame_relations,
     _images,
     _other_side,
-    indicatrix_images,
+    image_rows,
 )
 from .jets import _first
 
@@ -172,8 +171,8 @@ def condition_residual(fd_tilde: FrenetData):
 
 @dataclass(frozen=True)
 class PairClass:
-    # 'bertrand' | 'mannheim' | 'involute_evolute' | 'none', and from
-    # ``_classify_images`` also 'untestable'
+    # 'bertrand' | 'mannheim' | 'involute_evolute' | 'none', and for an
+    # image pair of the suite's negative-result entry also 'untestable'
     verdict: str
     evidence: dict
 
@@ -184,13 +183,6 @@ def _aligned_grid(ts_a, speed_a, grid_b, speed_b):
     s_a = cumulative_trapezoid(ts_a, speed_a)
     s_b = cumulative_trapezoid(grid_b, speed_b)
     return np.interp(s_a / s_a[-1], s_b / s_b[-1], grid_b)
-
-
-def _speeds(curves, ts):
-    """The speeds of SampledCurves on one ``params`` array at ``ts``, one
-    row per curve."""
-    velocity = _stack_jets(curves, ts, 1).coeffs[1]
-    return np.linalg.norm(velocity, axis=0).reshape(len(curves), -1)
 
 
 def pair_classify(
@@ -219,28 +211,21 @@ def pair_classify(
     return _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, n, tol)
 
 
-def _classify_images(images_a, images_b, n=64, tol=1e-6):
-    """``pair_classify(images_a[axis], images_b[axis], n, tol,
-    align="arclength")`` for every axis, with the same bits, as one batch:
-    the images of each side are SampledCurves on one ``params`` array (the
-    three images of one curve), so each side's speeds and Frenet rows take
-    one stencil weight build and one pass over every axis's columns.  An
-    axis with too few regular pairs gets the verdict 'untestable'.
-    """
-    side_a, side_b = list(images_a.values()), list(images_b.values())
-    ts_a = _overlap_grid(side_a[0], side_a[0], n)
-    grid_b = _overlap_grid(side_b[0], side_b[0], 4 * n)
-    ts_b = [_aligned_grid(ts_a, speed_a, grid_b, speed_b)
-            for speed_a, speed_b in zip(_speeds(side_a, ts_a), _speeds(side_b, grid_b))]
-    rows_a, ok_a, _ = _stack_frenet_columns(side_a, ts_a)
-    rows_b, ok_b, _ = _stack_frenet_columns(side_b, ts_b)
+def _classify_image_rows(curve_a, curve_b, ts):
+    """The ``pair_classify`` verdict and evidence of the T, N and B images
+    of two curves, keyed by axis, from their exact ``image_rows`` at
+    ``ts``: the shared parameter is the correspondence, as with
+    align='param', and the tolerance is ``pair_classify``'s default.  An
+    axis with too few regular pairs gets the verdict 'untestable'."""
+    rows_a, ok_a, _ = image_rows(curve_a, ts)
+    rows_b, ok_b, _ = image_rows(curve_b, ts)
     pairs = ok_a & ok_b
-    axis_of = np.repeat(np.arange(len(side_a)), n)
+    axis_of = np.repeat(np.arange(len(AXES)), len(ts))
     out = {}
-    for k, axis in enumerate(images_a):
+    for k, axis in enumerate(AXES):
         try:
             out[axis] = _classify_rows(rows_a, ok_a, rows_b, ok_b, pairs & (axis_of == k),
-                                       n, tol)
+                                       len(ts), 1e-6)
         except TooFewSamplesError:
             out[axis] = PairClass(verdict="untestable", evidence={})
     return out
@@ -323,10 +308,11 @@ IDENTITY_ENTRIES = (
 # the keys of ``theorem_suite``'s tols: the entries that read one and
 # the thresholds of its flags
 TOLERANCE_KEYS = IDENTITY_ENTRIES + (
-    "th6", "th25", "teo15", "teo33",
     "tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar")
 # the entries that read no key of their own, and what sets their tolerance
 _KEYLESS_ENTRIES = {
+    **dict.fromkeys(("th6", "th25", "teo15", "teo33"),
+                    "tol_slant and tol_indicatrix_helix set its flags"),
     **dict.fromkeys(("th8", "th17", "th11"), "tol_condition sets its tolerance"),
     **dict.fromkeys(("cr18", "negative-result"),
                     "a verdict count against a fixed tolerance of 0.5"),
@@ -375,19 +361,19 @@ class TheoremReport:
 def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> TheoremReport:
     """Residual-and-tolerance report over the full catalog of pair identities.
 
-    Every entry but ``negative-result`` reads the Frenet data detection
-    evaluated: the rows of the detection grid ``pair.ts`` where both
-    curves are regular and g is defined on both (``verify --n`` sets that
-    grid, capped at 256).  ``n`` sets only the sampling of the indicatrix
-    images that ``negative-result`` classifies, max(64, n // 2) points.
-    That entry classifies the T, N and B image pairs of base and mate as
-    one batch (``_classify_images``): one stencil weight build per grid
-    and one Frenet pass per side, with the verdicts and evidence of three
-    arc-length-aligned ``pair_classify`` calls, an axis with too few
-    regular pairs counting as untestable.  ``tols`` takes the keys of
-    ``TOLERANCE_KEYS``, and any other key raises ValueError; th8, th17
-    and th11 read ``tol_condition``, and cr18 and ``negative-result``
-    count verdicts against a fixed 0.5.
+    Every entry reads the detection grid ``pair.ts`` (``verify --n`` sets
+    it, capped at 256).  All but ``negative-result`` read the Frenet data
+    detection evaluated, on the rows where both curves are regular and g
+    is defined on both.  ``negative-result`` classifies the T, N and B
+    image pairs of base and mate (``_classify_image_rows``) on the exact
+    image rows at the regular detection points, one frame-jet request per
+    curve, an axis with too few regular pairs counting as untestable.
+    ``n`` reads nothing; the keyword stays for callers that pass it.
+    ``tols`` takes the keys of ``TOLERANCE_KEYS``, and any other key
+    raises ValueError; th6, th25, teo15 and teo33 read their flags from
+    ``tol_slant`` and ``tol_indicatrix_helix`` and report a fixed
+    infinite tolerance, th8, th17 and th11 read ``tol_condition``, and
+    cr18 and ``negative-result`` count verdicts against a fixed 0.5.
     Identity entries must pass on any accepted pair; equivalence entries
     (helix/planar criteria) pass when the two sides of the iff agree.
     """
@@ -477,16 +463,16 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     # th6/th25: curve slant-helix iff tangent indicatrix spherical helix
     # (both sides of the pair, all stated combinations)
     agree6 = agree("tangent")
-    report.add("th6", max(gamma_dev.values()), tol("th6", math.inf), mf,
+    report.add("th6", max(gamma_dev.values()), math.inf, mf,
                passed=agree6, note="boolean co-occurrence, all four combinations")
-    report.add("th25", max(gamma_dev.values()), tol("th25", math.inf), mf,
+    report.add("th25", max(gamma_dev.values()), math.inf, mf,
                passed=agree6, note="same co-occurrence via the mate tangent image")
 
     # teo15 / teo33: slant helix iff binormal indicatrix spherical helix
     agree15 = agree("binormal")
-    report.add("teo15", max(gamma_dev.values()), tol("teo15", math.inf), mf,
+    report.add("teo15", max(gamma_dev.values()), math.inf, mf,
                passed=agree15, note="boolean co-occurrence with binormal images")
-    report.add("teo33", max(gamma_dev.values()), tol("teo33", math.inf), mf,
+    report.add("teo33", max(gamma_dev.values()), math.inf, mf,
                passed=agree15, note="mate-side mirror of teo15")
 
     # th8/th17 and th11: one condition residual, checked for agreement
@@ -513,9 +499,8 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
                note=f"flags={flags}")
 
     # closing negative result: no indicatrix pair classifies as a named pair
-    images_b = indicatrix_images(pair.base, max(64, n // 2))
-    images_m = indicatrix_images(pair.mate, max(64, n // 2))
-    verdicts = [pc.verdict for pc in _classify_images(images_b, images_m).values()]
+    image_pairs = _classify_image_rows(pair.base, pair.mate, pair.ts[~pair.masked])
+    verdicts = [pc.verdict for pc in image_pairs.values()]
     bad = sum(v not in ("none", "untestable") for v in verdicts)
     report.add("negative-result", float(bad), 0.5, mf,
                passed=bad == 0, note=f"verdicts={verdicts}")

@@ -276,7 +276,7 @@ def cmd_indicatrix(args) -> int:
 def cmd_verify(args) -> int:
     tols = dict(args.tol or [])
     pair, inputs = _load_pair(args, min(args.n, 256))
-    report = theorem_suite(pair, n=args.n, tols=tols)
+    report = theorem_suite(pair, tols=tols)
 
     entries = {key: report.entries[key] for key in sorted(report.entries)}
     lines = [f"{'PASS' if e.passed else 'FAIL'} {key} residual={fmt(e.max_residual)} "

@@ -213,35 +213,12 @@ class SampledCurve(Curve):
 
 def _taylor(w, points):
     """Taylor coefficients (K+1, 3, N) from stencil weights w (N, K+1,
-    width) and the stencil points (N, width, 3), or (M, N, width, 3) for M
-    point tables on the same stencils, whose columns then follow each
-    other, (K+1, 3, M*N).  Derivatives are divided by k! after the
-    contraction, so each column gets the bits it gets alone."""
-    derivs = np.matmul(w, points)  # (..., N, K+1, 3)
+    width) and the stencil points (N, width, 3).  Derivatives are divided
+    by k! after the contraction, so each column gets the bits it gets
+    alone."""
+    derivs = np.matmul(w, points)  # (N, K+1, 3)
     fact = np.array([math.factorial(k) for k in range(w.shape[-2])], dtype=float)
-    coeffs = np.moveaxis(derivs / fact[:, None], (-2, -1), (0, 1))
-    return coeffs.reshape(coeffs.shape[:2] + (-1,))
-
-
-def _stack_jets(curves, ts, order):
-    """The vector jets of SampledCurves on one ``params`` array from one
-    stencil weight build, the columns of curve k following those of curve
-    k-1: at one grid ``ts`` (an array) for every curve, or at one grid per
-    curve (a list of arrays).  Each column has the bits of that curve's own
-    ``jet``."""
-    grids = ts if isinstance(ts, list) else [ts] * len(curves)
-    for curve, t in zip(curves, grids):
-        curve._check_domain(t)
-    points = np.stack([curve.points for curve in curves])
-    if isinstance(ts, list):
-        # a stencil per column, on the points of that column's curve
-        ts = np.concatenate(ts)
-        idx, w = curves[0]._stencil(ts, order)
-        which = np.repeat(np.arange(len(curves)), [len(t) for t in grids])
-        return Jet(ts, _taylor(w, points[which[:, None], idx]))
-    # a stencil per t, on the points of every curve
-    idx, w = curves[0]._stencil(ts, order)
-    return Jet(np.tile(ts, len(curves)), _taylor(w, points[:, idx]))
+    return np.moveaxis(derivs / fact[:, None], (1, 2), (0, 1))
 
 
 class JetBackedCurve(Curve):
@@ -354,13 +331,6 @@ def _frenet_columns(curve, ts):
     """
     ts = np.asarray(ts, dtype=float)
     return _columns(curve.jet(ts, _FRENET_ORDER), ts)
-
-
-def _stack_frenet_columns(curves, ts):
-    """``_frenet_columns`` of SampledCurves on one ``params`` array as one
-    pass over the columns of ``_stack_jets(curves, ts, ...)``."""
-    P = _stack_jets(curves, ts, _FRENET_ORDER)
-    return _columns(P, P.basepoint)
 
 
 def _columns(P, ts):

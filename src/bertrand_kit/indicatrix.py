@@ -21,18 +21,22 @@ import numpy as np
 from .bertrand import (
     EPS_DEN,
     BertrandPairModel,
+    _frame_jets,
     _require_g,
     geodesic_indicator_closed_form,
 )
 from .curves import (
+    _FRENET_ORDER,
     FrenetData,
     SampledCurve,
+    _columns,
     _frenet_columns,
     _frenet_rows,
     _points_at,
     _take_rows,
     cumulative_trapezoid,
 )
+from .jets import Jet
 
 AXES = ("tangent", "normal", "binormal")
 SIDES = ("base", "mate")
@@ -83,6 +87,18 @@ def indicatrix_images(curve, n) -> dict:
 def indicatrix_curve(curve, axis, n) -> SampledCurve:
     """Sampled spherical image of a Frenet vector; singular points dropped."""
     return indicatrix_images(curve, n)[axis]
+
+
+def image_rows(curve, ts):
+    """The exact Frenet columns of the T, N and B images of a curve at
+    ``ts``, as ``_frenet_columns`` gives them, from one frame-jet request
+    and one pass over 3 len(ts) columns, the T image's first: the T image
+    is the curve whose position jet is T's jet, and likewise N and B."""
+    ts = np.asarray(ts, dtype=float)
+    _, *frame = _frame_jets(curve, ts, _FRENET_ORDER)
+    ts3 = np.tile(ts, len(frame))
+    coeffs = np.concatenate([v.truncate(_FRENET_ORDER).coeffs for v in frame], axis=-1)
+    return _columns(Jet(ts3, coeffs), ts3)
 
 
 def _other_side(side: str) -> str:

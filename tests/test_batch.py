@@ -17,6 +17,7 @@ from test_jets import FAMILY_TEXTS
 from bertrand_kit import curves, jets
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
+    _frame_jets,
     construct_mate,
     generate_bertrand_curve,
     generated_pair,
@@ -24,18 +25,20 @@ from bertrand_kit.bertrand import (
 )
 from bertrand_kit.curves import (
     AnalyticCurve,
+    JetBackedCurve,
     SampledCurve,
+    _frenet_columns,
     _frenet_rows,
+    _take_rows,
     fornberg_weights,
     frenet_apparatus,
     frenet_grid,
 )
-from bertrand_kit.classify import _classify_images, pair_classify
+from bertrand_kit.classify import _classify_image_rows, _classify_rows
 from bertrand_kit.errors import (
     DomainError,
     OutOfDomainError,
     SingularPointError,
-    TooFewSamplesError,
 )
 from bertrand_kit.indicatrix import (
     AXES,
@@ -44,7 +47,7 @@ from bertrand_kit.indicatrix import (
     _closed_form,
     _data_rows,
     apparatus_grid,
-    indicatrix_images,
+    image_rows,
 )
 
 TREFOIL = ("sin(t) + 2.1*sin(2*t)", "cos(t) - 2.1*cos(2*t)", "-sin(3*t)")
@@ -436,42 +439,71 @@ def assert_same_evidence(a, b):
             assert_same_bits_array(a[key], b[key])
 
 
-def _images_of(preset, a):
-    pair = generated_pair(preset, a=a, n=64, grid=24)
-    # the sampling ``theorem_suite(pair, n=24)`` gives them
-    return indicatrix_images(pair.base, 64), indicatrix_images(pair.mate, 64)
+def _image_alone(curve, k, ts):
+    """The image of frame vector k (0: T, 1: N, 2: B) of a curve on its
+    own: a JetBackedCurve whose jet is that vector's jet from
+    ``_frame_jets``, sampled at ``ts``."""
+
+    def jet_fn(t, order):
+        return _frame_jets(curve, t, order)[k + 1].truncate(order)
+
+    return JetBackedCurve(jet_fn, ts, jet_fn(ts, 0).coeffs[0].T, label=AXES[k])
 
 
-@pytest.mark.parametrize("a", [1.0, 1.37])
-@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
-def test_image_batch_classifies_each_axis_as_alone(preset, a):
-    """The negative-result entry classifies the three image pairs of a
-    Bertrand pair as one batch (one stencil weight build per grid, one
-    Frenet pass per side); each axis gets the verdict and the evidence,
-    float for float, of its own arc-length-aligned ``pair_classify``."""
-    images_b, images_m = _images_of(preset, a)
-    batch = _classify_images(images_b, images_m)
-    assert list(batch) == list(AXES)
-    for axis in AXES:
-        alone = pair_classify(images_b[axis], images_m[axis], n=64, align="arclength")
-        assert batch[axis].verdict == alone.verdict
-        assert_same_evidence(batch[axis].evidence, alone.evidence)
+def _side(preset, side):
+    base = _generated(preset)
+    return base if side == "base" else construct_mate(base, 1.0, n=64)
 
 
-def test_image_batch_marks_one_untestable_axis():
-    """A straight segment in place of the normal image has no regular
-    Frenet row, so that axis alone is untestable, as its own
-    ``pair_classify`` raises TooFewSamplesError; the tangent and binormal
-    axes keep their verdicts and evidence."""
-    images_b, images_m = _images_of("wobble", 1.0)
-    params = images_b["normal"].params
-    images_b["normal"] = SampledCurve(params, np.outer(params, [1.0, -2.0, 0.5]),
-                                      label="segment")
-    with pytest.raises(TooFewSamplesError):
-        pair_classify(images_b["normal"], images_m["normal"], n=64, align="arclength")
-    batch = _classify_images(images_b, images_m)
-    assert batch["normal"].verdict == "untestable"
-    for axis in ("tangent", "binormal"):
-        alone = pair_classify(images_b[axis], images_m[axis], n=64, align="arclength")
-        assert batch[axis].verdict == alone.verdict == "none"
-        assert_same_evidence(batch[axis].evidence, alone.evidence)
+IMAGE_CURVES = {
+    **{f"{preset}-{side}": (lambda preset=preset, side=side: _side(preset, side))
+       for preset in ("wobble", "bean", "slant") for side in ("base", "mate")},
+    "trefoil": CURVES["trefoil"],
+    "sampled-trefoil": _trefoil_samples,
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CURVES))
+def test_image_rows_are_each_image_alone(name):
+    """``image_rows`` stacks the T, N and B images' columns in that order,
+    and each image's share has the bits of ``_frenet_columns`` of that
+    image alone: its mask, its rows field by field and its errors."""
+    curve = IMAGE_CURVES[name]()
+    lo, hi = curve.domain
+    ts = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 29)
+    rows, regular, errors = image_rows(curve, ts)
+    start, want_errors = 0, []
+    for k in range(len(AXES)):
+        want, want_regular, axis_errors = _frenet_columns(_image_alone(curve, k, ts), ts)
+        assert np.array_equal(regular[k * len(ts):(k + 1) * len(ts)], want_regular)
+        got = _take_rows(rows, slice(start, start + len(want.t)))
+        for field in FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            if a.dtype == bool:
+                assert np.array_equal(a, b), field
+            else:
+                assert_same_bits_array(a, b)
+        start += len(want.t)
+        want_errors += [str(e) for e in axis_errors]
+    assert start == len(rows.t)
+    assert [str(e) for e in errors] == want_errors
+
+
+def test_image_rows_mark_one_untestable_axis():
+    """A planar curve's binormal is constant, so its binormal image and
+    that of its normal offset are single points: that axis alone is
+    untestable, and the tangent and normal axes get the verdict and the
+    evidence of their own images' rows."""
+    base = AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.0, 3.0))
+    mate = construct_mate(base, 0.2, n=64)
+    ts = np.linspace(0.1, 2.9, 24)
+    got = _classify_image_rows(base, mate, ts)
+    assert list(got) == list(AXES)
+    assert not image_rows(base, ts)[1][2 * len(ts):].any()
+    assert got["binormal"].verdict == "untestable"
+    for k, axis in enumerate(AXES[:2]):
+        (rows_a, ok_a, _), (rows_b, ok_b, _) = (
+            _frenet_columns(_image_alone(curve, k, ts), ts) for curve in (base, mate))
+        alone = _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, len(ts), 1e-6)
+        assert got[axis].verdict == alone.verdict != "untestable"
+        assert_same_evidence(got[axis].evidence, alone.evidence)

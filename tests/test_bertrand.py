@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_batch import _generated, assert_same_bits_array
 
-from bertrand_kit import bertrand, curves, jets
+from bertrand_kit import bertrand, curves, indicatrix, jets
 from bertrand_kit.bertrand import (
     bertrand_lambda,
     mate_apparatus_from_base,
@@ -268,9 +268,9 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     pair_points = [c for (curve, _), c in frenet_points.items()
                    if curve is pair.base or curve is pair.mate]
     assert max(pair_points) == 1
-    # deterministic: 24 detection points and 64 indicatrix-image points
-    # per curve
-    assert len(pair_points) <= 222
+    # deterministic: the 24 detection points per curve; the suite's image
+    # rows ask for the frame jets, two orders higher
+    assert len(pair_points) == 48
     # base: its Frenet grid and the mate's frame jets; mate: its Frenet
     # grid (the exact requests are pinned by
     # test_detection_reads_positions_from_the_frenet_rows)
@@ -280,32 +280,32 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
 
 
 def test_suite_reads_the_detection_grid(monkeypatch):
-    """The identity suite reads the Frenet data detection evaluated: the
-    base and the mate get Frenet-order jet requests only at the points
-    of the negative-result entry's indicatrix images, each once."""
+    """The identity suite reads the Frenet data detection evaluated, and
+    negative-result reads the image rows at the regular detection points:
+    inside the suite the base and the mate get no Frenet-order request,
+    and one frame-jet request each (order 6) at the 24 detection points;
+    the mate's frame asks its base for order 8 there."""
     pair = generated_pair("wobble", n=64, grid=24)
-    frenet_points = {pair.base: Counter(), pair.mate: Counter()}
+    requests = {pair.base: Counter(), pair.mate: Counter()}
     real_jet = JetBackedCurve.jet
 
     def counting_jet(self, t, order):
-        if order == curves._FRENET_ORDER and self in frenet_points:
-            frenet_points[self].update(float(x) for x in np.atleast_1d(t))
+        if self in requests:
+            requests[self][order, tuple(np.atleast_1d(t).tolist())] += 1
         return real_jet(self, t, order)
 
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
     theorem_suite(pair, n=24)
-    for curve, points in frenet_points.items():
-        image_grid = np.linspace(*curve.domain, 64)
-        assert points == Counter(float(t) for t in image_grid)
+    grid = tuple(pair.ts[~pair.masked].tolist())
+    assert len(grid) == 24
+    assert requests[pair.base] == Counter({(6, grid): 1, (8, grid): 1})
+    assert requests[pair.mate] == Counter({(6, grid): 1})
 
 
 def test_suite_builds_each_image_stencil_once(monkeypatch):
-    """negative-result classifies the three image pairs as one batch: 4
-    Fornberg weight builds (the A side's speeds and rows on its 64-point
-    grid, the B side's speeds on its 256-point grid and its rows on the
-    three aligned grids together; one batch per axis made 12) and 2
-    image Frenet passes over the 3 x 64 columns of all axes (it made 6),
-    beside the 64-point grid of each curve that the images come from."""
+    """negative-result classifies the three image pairs on exact jets: no
+    Fornberg weight build, and one image Frenet pass per curve over the
+    3 x 24 columns of all axes."""
     pair = generated_pair("wobble", n=64, grid=24)
     weights, passes = Counter(), Counter()
     real_weights, real_columns = curves.fornberg_weights, curves._columns
@@ -319,10 +319,12 @@ def test_suite_builds_each_image_stencil_once(monkeypatch):
         return real_columns(P, ts)
 
     monkeypatch.setattr(curves, "fornberg_weights", counting_weights)
+    # every Frenet pass: the curves' own rows and the image rows
     monkeypatch.setattr(curves, "_columns", counting_columns)
+    monkeypatch.setattr(indicatrix, "_columns", counting_columns)
     theorem_suite(pair, n=24)
-    assert weights == Counter({64: 2, 256: 1, 192: 1})
-    assert passes == Counter({64: 2, 192: 2})
+    assert weights == Counter()
+    assert passes == Counter({72: 2})
 
 
 def test_wobble_jet_makes_two_sincos(monkeypatch):
@@ -377,17 +379,17 @@ def test_generator_newton_reads_the_walk_series():
 
 
 def test_pair_runs_the_generator_pipeline_once_per_grid():
-    """The base's Frenet rows (order 4) and the mate's frame (order 6 of
-    the base) are truncations of one held order-6 jet: detection and the
-    suite ask the seed for one order-6 jet per grid, the 24-point
-    detection grid and the 64-point image grid."""
+    """The base's Frenet rows (order 4), the mate's frame (order 6 of the
+    base) and the base's image rows (order 6) are truncations of one held
+    order-6 jet, and the mate's image rows ask the base for order 8:
+    detection and the suite run the pipeline on the 24-point detection
+    grid only, once at order 6 and once at order 8."""
     seed = sphere_preset("wobble")
     real_jet = seed.jet
-    requests = Counter()  # number of points -> order-6 seed requests
+    requests = Counter()  # (order, number of points) -> seed requests
 
     def counting_jet(t, order):
-        if order == 6:
-            requests[np.size(t)] += 1
+        requests[order, np.size(t)] += 1
         return real_jet(t, order)
 
     seed.jet = counting_jet
@@ -396,7 +398,7 @@ def test_pair_runs_the_generator_pipeline_once_per_grid():
     requests.clear()
     pair = detect_bertrand(base, mate, n=24)
     theorem_suite(pair, n=24)
-    assert requests == Counter({24: 1, 64: 1})
+    assert requests == Counter({(6, 24): 1, (8, 24): 1})
 
 
 def _wobble_side(side):

@@ -139,7 +139,8 @@ def test_theorem_tolerance_override(pair_wobble):
     assert rep.entries["th2"].tolerance == 1e-20
 
 
-@pytest.mark.parametrize("tols", [{"thx": 1.0}, {"th8": 1e-30}, {"cr18": 0.0}])
+@pytest.mark.parametrize("tols", [{"thx": 1.0}, {"th8": 1e-30}, {"cr18": 0.0}, {"th6": 0.0},
+                                  {"th25": 0.0}, {"teo15": 0.0}, {"teo33": -1.0}])
 def test_theorem_suite_rejects_a_key_it_does_not_read(pair_wobble, tols):
     """A tolerance under a key the suite reads nothing from is an error
     that names the key, where it used to be ignored; for an entry with no

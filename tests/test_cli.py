@@ -89,14 +89,13 @@ def test_verify_tol_takes_the_suite_keys(workdir, capsys):
     """--tol accepts the suite's entry keys and the thresholds of its flags,
     and the report echoes what it set."""
     assert set(TOLERANCE_KEYS) == set(IDENTITY_ENTRIES) | {
-        "th6", "th25", "teo15", "teo33",
         "tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar"}
     rc, out, _ = run(capsys, ["verify", str(workdir / "base.json"),
                               str(workdir / "mate.json"), "--n", "48",
                               "--tol", "th3=1e-3", "--tol", "tol_condition=1e-3"])
     assert rc == 0
     rep = json.loads(out)
-    # every entry reads its own key or is one of the keyless five
+    # every entry reads its own key or is one of the keyless nine
     assert set(rep["results"]["entries"]) <= set(TOLERANCE_KEYS) | set(_KEYLESS_ENTRIES)
     assert set(_KEYLESS_ENTRIES) <= set(rep["results"]["entries"])
     assert rep["parameters"]["tol"] == {"th3": 1e-3, "tol_condition": 1e-3}
@@ -104,7 +103,11 @@ def test_verify_tol_takes_the_suite_keys(workdir, capsys):
 
 
 # what sets the tolerance of an entry that has no key of its own
-KEYLESS_WHY = {"th8=1e-30": "tol_condition", "th17=1": "tol_condition",
+KEYLESS_WHY = {"th6=0": "tol_slant and tol_indicatrix_helix",
+               "th25=0": "tol_slant and tol_indicatrix_helix",
+               "teo15=0": "tol_slant and tol_indicatrix_helix",
+               "teo33=-1": "tol_slant and tol_indicatrix_helix",
+               "th8=1e-30": "tol_condition", "th17=1": "tol_condition",
                "th11=1": "tol_condition", "cr18=0": "fixed tolerance of 0.5",
                "negative-result=1": "fixed tolerance of 0.5"}
 
