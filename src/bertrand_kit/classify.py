@@ -197,16 +197,16 @@ def pair_classify(
     align='arclength' resamples curveB so that corresponding points carry
     equal arc-length fractions, for pairs without a shared parameter.
     """
+    # arc-length alignment puts each curve on its own domain, inset as for
+    # the overlap grid
+    ts_a = _overlap_grid(curveA, curveA if align == "arclength" else curveB, n)
+    # A's rows and speeds before any request to B: a mate rebuilt on its
+    # loaded base shares the base's generator, which holds one grid's jet
+    rows_a, ok_a, _ = _frenet_columns(curveA, ts_a)
+    ts_b = ts_a
     if align == "arclength":
-        # each curve on its own domain, inset as for the overlap grid
-        ts_a = _overlap_grid(curveA, curveA, n)
         grid_b = _overlap_grid(curveB, curveB, 4 * n)
         ts_b = _aligned_grid(ts_a, curveA.speed(ts_a), grid_b, curveB.speed(grid_b))
-    else:
-        ts_a = _overlap_grid(curveA, curveB, n)
-        ts_b = ts_a
-
-    rows_a, ok_a, _ = _frenet_columns(curveA, ts_a)
     rows_b, ok_b, _ = _frenet_columns(curveB, ts_b)
     return _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, n, tol)
 

@@ -64,6 +64,7 @@ from .indicatrix import (
 from .io import (
     CurveFileError,
     RunReport,
+    _load_curve_pair,
     file_hash,
     fmt,
     load_curve,
@@ -213,8 +214,7 @@ def _detect_from_files(base, mate, n):
 
 
 def _load_pair(args, n):
-    base = load_curve(args.base)
-    mate = load_curve(args.mate)
+    base, mate = _load_curve_pair(args.base, args.mate)
     pair = _detect_from_files(base, mate, n)
     inputs = {args.base: file_hash(args.base), args.mate: file_hash(args.mate)}
     return pair, inputs
@@ -327,8 +327,7 @@ def cmd_generate(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.mate:
-        a = load_curve(args.curve)
-        b = load_curve(args.mate)
+        a, b = _load_curve_pair(args.curve, args.mate)
         pc = pair_classify(a, b, n=args.n, align=args.align)
         report = RunReport(
             command="classify",

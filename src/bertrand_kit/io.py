@@ -107,15 +107,31 @@ def curve_to_dict(curve: Curve) -> dict:
     return d
 
 
-def _rebuild_from_metadata(meta):
+def _is_recorded_base(curve, meta) -> bool:
+    """Whether ``curve`` is the generated base that a mate's metadata
+    records: a generator curve (only a rebuild that matched its stored
+    samples has metadata) whose seed, a, omega and n are those that an
+    independent rebuild of the recipe would use."""
+    have = getattr(curve, "metadata", None) or {}
+    return (
+        have.get("generator") == "bertrand"
+        and have.get("seed_label") == meta.get("seed_label")
+        and have.get("a") == float(meta["a"])
+        and have.get("omega") == float(meta["omega"])
+        and have.get("n") == int(meta["base_n"])
+    )
+
+
+def _rebuild_from_metadata(meta, loaded_base=None):
     """Exact jet-backed curve from a recorded recipe, or None.
 
     Sampled files written by the generator, and mates of generated or
     analytic bases, carry enough metadata to rebuild the curve, which
     restores exact differentiation after a round trip instead of falling
-    back to finite-difference stencils.  A recipe that cannot be rebuilt
-    gives None.  The caller checks the rebuilt nodes against the stored
-    samples.
+    back to finite-difference stencils.  A mate whose recorded generated
+    base is ``loaded_base`` is rebuilt on that curve, so the pair shares
+    one generator.  A recipe that cannot be rebuilt gives None.  The
+    caller checks the rebuilt nodes against the stored samples.
     """
     if not isinstance(meta, dict):
         return None
@@ -138,7 +154,8 @@ def _rebuild_from_metadata(meta):
         if gen == "normal-offset":
             base_gen = meta.get("base_generator")
             if base_gen == "bertrand":
-                base = generated("base_n")
+                base = (loaded_base if _is_recorded_base(loaded_base, meta)
+                        else generated("base_n"))
             elif base_gen == "analytic":
                 base = AnalyticCurve(str(meta["base_x"]), str(meta["base_y"]),
                                      str(meta["base_z"]),
@@ -160,6 +177,10 @@ def _matches_stored(rebuilt, stored) -> bool:
 
 
 def curve_from_dict(d: dict) -> Curve:
+    return _curve_from_dict(d, None)
+
+
+def _curve_from_dict(d, loaded_base) -> Curve:
     if not isinstance(d, dict) or "type" not in d:
         raise CurveFileError("curve file must be an object with a 'type' field")
     label = d.get("label", "")
@@ -185,7 +206,7 @@ def curve_from_dict(d: dict) -> Curve:
             raise CurveFileError(f"bad sampled block: {e}")
         if pts.ndim != 2 or pts.shape != (len(t), 3):
             raise CurveFileError("sampled arrays must be t:(n,), points:(n,3)")
-        rebuilt = _rebuild_from_metadata(d.get("metadata"))
+        rebuilt = _rebuild_from_metadata(d.get("metadata"), loaded_base)
         # metadata never overrides the stored samples it disagrees with
         if (
             rebuilt is not None
@@ -207,13 +228,26 @@ def save_curve(curve: Curve, path: str):
         fh.write("\n")
 
 
-def load_curve(path: str) -> Curve:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            d = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
         raise CurveFileError(f"{path}: {e}")
-    return curve_from_dict(d)
+
+
+def load_curve(path: str) -> Curve:
+    return curve_from_dict(_read_json(path))
+
+
+def _load_curve_pair(base_path: str, mate_path: str):
+    """The curves of a base file and of a mate file.  A mate that records
+    the loaded base's generator recipe is rebuilt on that base curve: the
+    pair makes one generator build and one node walk, and the mate's
+    frame reuses the jets its base's Frenet rows hold.  The mate's
+    rebuilt nodes are still checked against its stored samples."""
+    base = load_curve(base_path)
+    return base, _curve_from_dict(_read_json(mate_path), base)
 
 
 def file_hash(path: str) -> str:

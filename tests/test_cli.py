@@ -2,16 +2,18 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bertrand_kit.bertrand import construct_mate
+from bertrand_kit import bertrand
+from bertrand_kit.bertrand import construct_mate, generate_bertrand_curve, sphere_preset
 from bertrand_kit.classify import _KEYLESS_ENTRIES, IDENTITY_ENTRIES, TOLERANCE_KEYS
 from bertrand_kit.cli import _detect_from_files, main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
 from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
-from bertrand_kit.io import dumps, load_curve, save_curve
+from bertrand_kit.io import _load_curve_pair, dumps, load_curve, save_curve
 
 
 @pytest.fixture(scope="module")
@@ -458,3 +460,128 @@ def test_mate_of_an_analytic_base_reloads_exactly(tmp_path):
     g = tmp_path / "shifted.json"
     g.write_text(dumps(shifted))
     assert isinstance(load_curve(str(g)), SampledCurve)
+
+
+@pytest.fixture(scope="module")
+def small_pair(tmp_path_factory):
+    """Paths of a wobble base file and of its mate file, both at n = 64."""
+    d = tmp_path_factory.mktemp("small")
+    base, mate = str(d / "base.json"), str(d / "mate.json")
+    assert main(["generate", "--sphere-curve", "wobble", "--n", "64", "--out", base]) == 0
+    assert main(["mate", base, "--auto", "--n", "64", "--out", mate]) == 0
+    return base, mate
+
+
+def _count_generator_work(monkeypatch):
+    """A Counter of generator builds, node walks (order-10 requests to an
+    analytic seed) and generator pipelines (one series reversion each)."""
+    counts = Counter()
+    real_generate, real_invert = bertrand.generate_bertrand_curve, bertrand.invert_series
+    real_jet = AnalyticCurve.jet
+
+    def generate(*args, **kwargs):
+        counts["builds"] += 1
+        return real_generate(*args, **kwargs)
+
+    def invert(fwd):
+        counts["pipelines"] += 1
+        return real_invert(fwd)
+
+    def jet(self, t, order):
+        counts["walks"] += order >= 10
+        return real_jet(self, t, order)
+
+    monkeypatch.setattr(bertrand, "generate_bertrand_curve", generate)
+    monkeypatch.setattr(bertrand, "invert_series", invert)
+    monkeypatch.setattr(AnalyticCurve, "jet", jet)
+    return counts
+
+
+# With the mate's base rebuilt as a second generator, the same commands
+# made 2 builds, 2 walks and 4, 4, 4, 6, 3 and 4 pipelines.
+@pytest.mark.parametrize(
+    "argv, pipelines",
+    [
+        (["verify", "--n", "24"], 3),
+        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], 4 if axis != "b" else 5)
+          for axis in "tnb" for side in ("base", "mate")],
+        (["classify"], 2),
+        (["classify", "--align", "arclength"], 4),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
+)
+def test_file_pair_builds_one_generator(small_pair, capsys, monkeypatch, argv, pipelines):
+    """A mate file loaded beside the base file whose recipe it records is
+    rebuilt on that base curve: each two-file command makes one generator
+    build and one node walk, and the mate's frame reuses the jets its
+    base's Frenet rows hold."""
+    counts = _count_generator_work(monkeypatch)
+    rc, _, _ = run(capsys, [argv[0], *small_pair, *argv[1:]])
+    assert rc == 0
+    assert counts == Counter(builds=1, walks=1, pipelines=pipelines)
+
+
+def _bits(curve):
+    ts = np.linspace(*curve.domain, 24)
+    return [np.ascontiguousarray(a, dtype=float).view(np.uint64)
+            for a in (curve.params, curve.points, curve.jet(ts, 6).coeffs)]
+
+
+def _other_base(path, **change):
+    """A generated wobble base file, n = 64, with one recipe value changed."""
+    recipe = {"seed": "wobble", "a": 1.0, "omega": bertrand.DEFAULT_OMEGA["wobble"], "n": 64}
+    recipe.update(change)
+    save_curve(generate_bertrand_curve(sphere_preset(recipe["seed"]), a=recipe["a"],
+                                       omega=recipe["omega"], n=recipe["n"]), path)
+    return path
+
+
+def _shifted(path, out):
+    """A copy of a curve file with one stored point moved by 1e-9."""
+    with open(path) as fh:
+        stored = json.load(fh)
+    stored["sampled"]["points"][3][0] += 1e-9
+    with open(out, "w") as fh:
+        fh.write(dumps(stored))
+    return out
+
+
+@pytest.mark.parametrize("case, kinds, builds", [
+    ("recorded base", (JetBackedCurve, JetBackedCurve), 1),
+    ("shifted mate", (JetBackedCurve, SampledCurve), 1),
+    ("shifted base", (SampledCurve, JetBackedCurve), 2),
+    ("mate as base", (JetBackedCurve, JetBackedCurve), 2),
+    ("other a", (JetBackedCurve, JetBackedCurve), 2),
+    ("other omega", (JetBackedCurve, JetBackedCurve), 2),
+    ("other n", (JetBackedCurve, JetBackedCurve), 2),
+    ("other seed", (JetBackedCurve, JetBackedCurve), 2),
+])
+def test_mate_beside_its_base_keeps_the_stored_sample_checks(
+        small_pair, tmp_path, monkeypatch, case, kinds, builds):
+    """Rebuilding a mate on the loaded base file changes no check: a
+    shifted stored point still makes either file a SampledCurve, a mate
+    beside a file that is not a rebuilt generator curve, or whose seed, a,
+    omega or n differ from the mate's record, gets its own base, and in
+    every case the mate has the params, points and order-6 jets of the
+    mate file loaded alone."""
+    base, mate = small_pair
+    if case == "shifted mate":
+        mate = _shifted(mate, str(tmp_path / "mate.json"))
+    elif case == "shifted base":
+        base = _shifted(base, str(tmp_path / "base.json"))
+    elif case == "mate as base":
+        # seed, a, omega and n as the mate records for its base, but the
+        # curve is the normal offset, not the generator curve
+        base = mate
+    elif case != "recorded base":
+        change = {"other a": {"a": 1.5}, "other omega": {"omega": 0.6 * math.pi},
+                  "other n": {"n": 48}, "other seed": {"seed": "tilt"}}[case]
+        base = _other_base(str(tmp_path / "base.json"), **change)
+    counts = _count_generator_work(monkeypatch)
+    loaded = _load_curve_pair(base, mate)
+    assert counts["builds"] == builds
+    assert tuple(map(type, loaded)) == kinds
+    alone = load_curve(mate)
+    assert loaded[1].label == alone.label
+    for got, want in zip(_bits(loaded[1]), _bits(alone)):
+        np.testing.assert_array_equal(got, want)
