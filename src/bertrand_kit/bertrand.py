@@ -64,9 +64,7 @@ def _require_g(fd: FrenetData):
 def bertrand_lambda(fd: FrenetData) -> np.ndarray:
     """Offset distance g / (kappa (g - f)) from the ratio invariants of
     each row."""
-    undefined = np.logical_not(fd.g_defined)
-    if np.any(undefined):
-        raise DegenerateRatioError(f"g undefined (helical) at t={_first(undefined, fd.t)}")
+    _require_g(fd)
     equal = np.abs(fd.g - fd.f) <= EPS_DEN
     if np.any(equal):
         raise DegenerateRatioError(f"g = f degeneracy at t={_first(equal, fd.t)}")
@@ -293,11 +291,11 @@ def detect_bertrand(
         raise NotAPairError("offset-not-normal", "too few regular points")
 
     offsets = mate_rows.point - base_rows.point
-    norms = np.linalg.norm(offsets, axis=1)
-    scale = max(float(np.max(norms)), 0.0)
+    scale = float(np.max(np.linalg.norm(offsets, axis=1)))
     degenerate = scale < 1e-12
 
     lam_signed = np.sum(offsets * base_rows.N, axis=1)
+    lam_stat = ConstancyStat.of([0.0] if degenerate else lam_signed)
     if not degenerate:
         # offset must lie along the principal normal
         resid = np.linalg.norm(offsets - lam_signed[:, None] * base_rows.N, axis=1)
@@ -305,14 +303,8 @@ def detect_bertrand(
             raise NotAPairError(
                 "offset-not-normal", f"max transverse component {np.max(resid):.3e}"
             )
-        lam_mean = float(np.mean(lam_signed))
-        if np.max(np.abs(lam_signed - lam_mean)) > tol_const * (1.0 + abs(lam_mean)):
-            raise NotAPairError(
-                "lambda-varies",
-                f"max deviation {np.max(np.abs(lam_signed - lam_mean)):.3e}",
-            )
-    else:
-        lam_mean = 0.0
+        if lam_stat.max_deviation > tol_const * (1.0 + abs(lam_stat.mean)):
+            raise NotAPairError("lambda-varies", f"max deviation {lam_stat.max_deviation:.3e}")
 
     dots = np.sum(base_rows.N * mate_rows.N, axis=1)
     if np.min(np.abs(dots)) < 1.0 - tol_align:
@@ -330,7 +322,7 @@ def detect_bertrand(
     return BertrandPairModel(
         base=base,
         mate=mate,
-        lam=lam_mean,
+        lam=lam_stat.mean,
         epsilon=eps,
         ts=ts,
         base_rows=base_rows,
@@ -339,7 +331,7 @@ def detect_bertrand(
         p2=ConstancyStat.of(gt / np.sqrt(1.0 + gt * gt)),
         q1=ConstancyStat.of(1.0 / np.sqrt(1.0 + g * g)),
         q2=ConstancyStat.of(g / np.sqrt(1.0 + g * g)),
-        lambda_stat=ConstancyStat.of(lam_signed if not degenerate else [0.0]),
+        lambda_stat=lam_stat,
         masked=~ok,
     )
 

@@ -267,15 +267,11 @@ def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
                                              "normal_vs_binormal_dev")
 
     lamT = np.sum(D * fa.T, axis=1)
-    transverse = np.linalg.norm(D - lamT[:, None] * fa.T, axis=1)
-    tdots = np.abs(np.sum(fa.T * fb.T, axis=1))
-    ev["involute_evolute"] = {
-        "offset_tangent_dev": float(np.max(transverse)) / scale,
-        "tangent_orthogonality_dev": float(np.max(tdots)),
-    }
-    holds_i = ev["involute_evolute"]["offset_tangent_dev"] < math.sqrt(tol) and float(
-        np.max(tdots)
-    ) < math.sqrt(tol)
+    offset_dev = float(np.max(np.linalg.norm(D - lamT[:, None] * fa.T, axis=1))) / scale
+    tangent_dev = float(np.max(np.abs(np.sum(fa.T * fb.T, axis=1))))
+    ev["involute_evolute"] = {"offset_tangent_dev": offset_dev,
+                              "tangent_orthogonality_dev": tangent_dev}
+    holds_i = offset_dev < math.sqrt(tol) and tangent_dev < math.sqrt(tol)
 
     if holds_b:
         verdict = "bertrand"

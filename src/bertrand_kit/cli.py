@@ -57,6 +57,7 @@ from .errors import (
 from .indicatrix import (
     IndicatrixKind,
     _closed_form,
+    _curve,
     _data_rows,
     indicatrix_arclength_relations,
     indicatrix_curve,
@@ -86,6 +87,18 @@ EXIT_DEGENERATE_SPHERE = 8
 def _emit(report: RunReport):
     sys.stdout.write(report.to_json())
     sys.stdout.write("\n")
+
+
+def _put_table(report: RunReport, csv, header, rows):
+    """The rows of a table into ``csv`` if it is given, else into the
+    report beside their header; the report records the row count."""
+    if csv:
+        write_csv(csv, header, rows)
+        report.results["csv"] = csv
+    else:
+        report.results["rows"] = rows
+        report.results["columns"] = header
+    report.results["n_rows"] = len(rows)
 
 
 def _size(text):
@@ -148,13 +161,7 @@ def cmd_frenet(args) -> int:
         ["t", "s", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz",
          "kappa", "tau", "dkappa_ds", "dtau_ds", "d2kappa_ds2", "Gamma"]
     )
-    if args.csv:
-        write_csv(args.csv, header, rows)
-        report.results["csv"] = args.csv
-    else:
-        report.results["rows"] = rows
-        report.results["columns"] = header
-    report.results["n_rows"] = len(rows)
+    _put_table(report, args.csv, header, rows)
     report.masked_intervals = masked_intervals_from_flags(ts, ~regular)
     _emit(report)
     return EXIT_OK
@@ -229,8 +236,7 @@ def cmd_indicatrix(args) -> int:
         inputs=inputs,
         parameters={"kind": args.kind, "n": args.n},
     )
-    src = pair.base if side == "base" else pair.mate
-    image = indicatrix_curve(src, axis, args.n)
+    image = indicatrix_curve(_curve(pair, side), axis, args.n)
     ts = np.linspace(pair.ts[0], pair.ts[-1], args.n)
 
     data, idx = _data_rows(pair, side, ts)
@@ -250,13 +256,7 @@ def cmd_indicatrix(args) -> int:
     header = ["t", "x", "y", "z", "norm", "kappa_closed", "tau_closed",
               "kappa_corrected", "tau_corrected", "Gamma_closed",
               "kappa_direct", "tau_direct", "kappa_gap", "tau_gap"]
-    if args.csv:
-        write_csv(args.csv, header, rows)
-        report.results["csv"] = args.csv
-    else:
-        report.results["rows"] = rows
-        report.results["columns"] = header
-    report.results["n_rows"] = len(rows)
+    _put_table(report, args.csv, header, rows)
     if axis == "binormal":
         rel = indicatrix_arclength_relations(pair, side, n=min(args.n, 256))
         report.results["affine_fit"] = {

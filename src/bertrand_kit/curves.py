@@ -111,8 +111,8 @@ class AnalyticCurve(Curve):
             for c in (x, y, z)
         )
         lo, hi = float(domain[0]), float(domain[1])
-        if not lo < hi:
-            raise ValueError("domain must satisfy t_lo < t_hi")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"domain must be finite with t_lo < t_hi, got [{lo}, {hi}]")
         self.x, self.y, self.z = x, y, z
         self._program = ex.program((x, y, z))
         self._domain = (lo, hi)
@@ -180,6 +180,8 @@ class SampledCurve(Curve):
             raise TooFewSamplesError(
                 f"need at least {self.MIN_SAMPLES} samples, got {len(params)}"
             )
+        if not (np.all(np.isfinite(params)) and np.all(np.isfinite(points))):
+            raise ValueError("params and points must be finite")
         if np.any(np.diff(params) <= 0):
             raise ValueError("params must be strictly increasing")
         self.params = params

@@ -21,6 +21,7 @@ import numpy as np
 from .bertrand import (
     EPS_DEN,
     BertrandPairModel,
+    ConstancyStat,
     _frame_jets,
     _require_g,
     geodesic_indicator_closed_form,
@@ -72,21 +73,14 @@ class IndicatrixSample:
     ds_x_dt: float  # speed of the indicatrix in the shared parameter
 
 
-def indicatrix_images(curve, n) -> dict:
-    """The sampled spherical images of T, N and B, keyed by axis, from one
+def indicatrix_curve(curve, axis, n) -> SampledCurve:
+    """Sampled spherical image of the Frenet vector of ``axis``, from one
     Frenet grid of n points over the domain; singular points dropped."""
+    vec = dict(zip(AXES, "TNB"))[axis]
     lo, hi = curve.domain
     rows, _, _ = _frenet_columns(curve, np.linspace(lo, hi, n))
-    return {
-        axis: SampledCurve(rows.t, getattr(rows, vec),
-                           label=f"{curve.label or 'curve'}:{axis}-image")
-        for axis, vec in zip(AXES, "TNB")
-    }
-
-
-def indicatrix_curve(curve, axis, n) -> SampledCurve:
-    """Sampled spherical image of a Frenet vector; singular points dropped."""
-    return indicatrix_images(curve, n)[axis]
+    return SampledCurve(rows.t, getattr(rows, vec),
+                        label=f"{curve.label or 'curve'}:{axis}-image")
 
 
 def image_rows(curve, ts):
@@ -316,14 +310,13 @@ def _arclength_relations(side: str, src: FrenetData, img: FrenetData, lam: float
         )
     )
     fit = _affine_fit(s_src, s_tb)
-    expr_mean = float(np.mean(expr_vals))
-    expr_dev = float(np.max(np.abs(expr_vals - expr_mean)))
+    expr = ConstancyStat.of(expr_vals)
     # base side: expr = -eps c1 / lambda; mate side: expr = c1 / lambda.
     # Either way the implied |slope| of s_b against s_src is |expr|.
     if side == "base":
-        c1 = -eps * lam * expr_mean
+        c1 = -eps * lam * expr.mean
     else:
-        c1 = lam * expr_mean
+        c1 = lam * expr.mean
     return ArcLengthRelations(
         ts=ts,
         s_src=s_src,
@@ -334,9 +327,9 @@ def _arclength_relations(side: str, src: FrenetData, img: FrenetData, lam: float
         s_b_direct=s_b_direct,
         affine_fit=fit,
         c1=c1,
-        c1_deviation=expr_dev,
+        c1_deviation=expr.max_deviation,
         c2=fit.intercept,
-        predicted_slope=abs(expr_mean),
+        predicted_slope=abs(expr.mean),
     )
 
 

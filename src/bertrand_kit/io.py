@@ -190,10 +190,11 @@ def _curve_from_dict(d, loaded_base) -> Curve:
         if not block:
             raise CurveFileError("analytic curve file missing 'analytic' block")
         try:
-            dom = block["domain"]
-            return AnalyticCurve(block["x"], block["y"], block["z"],
-                                 (float(dom[0]), float(dom[1])), label=label)
-        except (KeyError, IndexError, TypeError) as e:
+            dom, xyz = block["domain"], [block[c] for c in "xyz"]
+            if not all(isinstance(c, str) for c in xyz):
+                raise CurveFileError("bad analytic block: x, y and z must be strings")
+            return AnalyticCurve(*xyz, (float(dom[0]), float(dom[1])), label=label)
+        except (KeyError, IndexError, TypeError, ValueError) as e:
             raise CurveFileError(f"bad analytic block: {e}")
     if kind == "sampled":
         block = d.get("sampled")

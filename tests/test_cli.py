@@ -298,6 +298,46 @@ def test_exit_parse_error_bad_expression(capsys, tmp_path):
     assert rc == 2
 
 
+def _analytic_file(x="3*cos(t)", domain=(0.0, 6.0)):
+    return {"type": "analytic",
+            "analytic": {"x": x, "y": "3*sin(t)", "z": "4*t", "domain": list(domain)}}
+
+
+def _sampled_file(t_at_5=None, point_at_5=None):
+    t = np.linspace(0.0, 6.0, 20)
+    points = np.stack([3 * np.cos(t), 3 * np.sin(t), 4 * t], axis=1)
+    if t_at_5 is not None:
+        t[5] = t_at_5
+    if point_at_5 is not None:
+        points[5, 1] = point_at_5
+    return {"type": "sampled", "sampled": {"t": t.tolist(), "points": points.tolist()}}
+
+
+@pytest.mark.parametrize("content", [
+    _analytic_file(domain=(1, 0)),
+    _analytic_file(domain=(0, math.nan)),
+    _analytic_file(domain=("a", 1)),
+    _analytic_file(x=1.5),
+    _analytic_file(domain=(0, math.inf)),
+    _sampled_file(t_at_5=math.nan),
+    _sampled_file(point_at_5=math.nan),
+    _sampled_file(point_at_5=math.inf),
+], ids=["reversed-domain", "nan-domain", "text-domain", "number-x", "infinite-domain",
+        "nan-t", "nan-point", "infinite-point"])
+def test_malformed_curve_file_is_a_parse_error(capsys, tmp_path, content):
+    """A curve file whose expressions are not strings, whose domain is not
+    a finite lo < hi, or whose samples are not finite exits 2 on every
+    command that loads it, with one line on stderr."""
+    f = tmp_path / "bad.json"
+    # json writes NaN and Infinity, which it also reads back
+    f.write_text(json.dumps(content))
+    for argv in (["frenet", str(f), "--grid", "16", "--mask"],
+                 ["classify", str(f), "--n", "64"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_domain_error(workdir, capsys):
     rc, _, err = run(capsys, ["frenet", str(workdir / "helix.json"),
                               "--at", "99.0"])

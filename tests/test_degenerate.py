@@ -5,7 +5,10 @@ kappa' = 0 everywhere, so g = tau'/kappa' is undefined at every point
 and no closed form of the indicatrices applies.  A conical helix has
 constant tau/kappa, so g = f and the offset distance is undefined.  A
 fast curve (speed 10) with an inflection has a point where kappa is
-below the curvature floor while kappa * speed is not.
+below the curvature floor while kappa * speed is not.  A generated base
+on which 1 + f g changes sign has a mate whose curvature, a multiple of
+1 + f g, vanishes inside the grid, so the two principal normals turn
+from parallel to antiparallel.
 """
 
 import json
@@ -14,16 +17,24 @@ import numpy as np
 import pytest
 
 from bertrand_kit.bertrand import (
+    DEFAULT_OMEGA,
+    _normalized_analytic,
     bertrand_lambda,
     construct_mate,
     detect_bertrand,
+    generate_bertrand_curve,
     geodesic_indicator_closed_form,
     mate_apparatus_from_base,
 )
 from bertrand_kit.classify import theorem_suite
-from bertrand_kit.cli import EXIT_OK, EXIT_PARSE, EXIT_SINGULAR, main
+from bertrand_kit.cli import EXIT_NOT_A_PAIR, EXIT_OK, EXIT_PARSE, EXIT_SINGULAR, main
 from bertrand_kit.curves import AnalyticCurve, _frenet_rows, frenet_apparatus, frenet_grid
-from bertrand_kit.errors import DegenerateRatioError, SingularPointError, TooFewSamplesError
+from bertrand_kit.errors import (
+    DegenerateRatioError,
+    NotAPairError,
+    SingularPointError,
+    TooFewSamplesError,
+)
 from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid
 from bertrand_kit.io import save_curve
 
@@ -137,3 +148,51 @@ def test_fast_curve_flat_point_cli(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: curvature below regularity floor at t=1e-08 "
         "(pass --mask to skip singular points)\n")
+
+
+@pytest.fixture(scope="module")
+def crossing_seed():
+    """The wobble seed (x, y, z)/|(x, y, z)| on the window (1, 2) instead
+    of its preset window (0.2, 0.62)."""
+    return _normalized_analytic("cos(t)", "sin(t)", "0.3*sin(2*t)", (1.0, 2.0),
+                                "wobble-window")
+
+
+@pytest.fixture(scope="module")
+def crossing_base(crossing_seed):
+    return generate_bertrand_curve(crossing_seed, 1.0, DEFAULT_OMEGA["wobble"], n=256)
+
+
+def test_one_plus_fg_changes_sign_on_the_generated_base(crossing_base):
+    rows = _frenet_rows(crossing_base, np.linspace(*crossing_base.domain, 128))
+    one_plus_fg = 1.0 + rows.f * rows.g
+    assert np.min(one_plus_fg) == pytest.approx(-3.07, abs=5e-3)
+    assert np.max(one_plus_fg) == pytest.approx(0.97, abs=5e-3)
+
+
+@pytest.mark.parametrize("grid", [24, 128])
+def test_one_plus_fg_zero_pair_is_not_a_pair(crossing_base, grid):
+    """The mate's normal flips against the base's where its curvature
+    vanishes: detection names the flip."""
+    mate = construct_mate(crossing_base, 1.0, n=256)
+    with pytest.raises(NotAPairError, match=r"sign of <N, N_mate> flips$") as info:
+        detect_bertrand(crossing_base, mate, n=grid)
+    assert info.value.reason == "normals-not-aligned"
+
+
+def test_one_plus_fg_zero_pair_cli(crossing_seed, tmp_path, capsys):
+    """Through files: generate and mate succeed, mate's pair check reports
+    the flip, and verify exits 6 with the same reason."""
+    seed, base, mate = (str(tmp_path / f"{name}.json") for name in ("seed", "base", "mate"))
+    save_curve(crossing_seed, seed)
+    assert main(["generate", "--sphere-curve", seed, "--omega", "2.0943951023931957",
+                 "--n", "256", "--out", base]) == EXIT_OK
+    assert main(["mate", base, "--lambda", "1", "--n", "256", "--out", mate]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert rep["results"]["pair_check"] == (
+        "failed: not a Bertrand pair (normals-not-aligned): sign of <N, N_mate> flips")
+    assert main(["verify", base, mate, "--n", "128"]) == EXIT_NOT_A_PAIR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: not a Bertrand pair (normals-not-aligned): "
+                       "sign of <N, N_mate> flips\n")
