@@ -61,7 +61,6 @@ from .errors import (
 from .indicatrix import (
     AffineFit,
     ArcLengthRelations,
-    IndicatrixKind,
     IndicatrixSample,
     frame_relations_check,
     indicatrix_arclength_relations,

@@ -41,6 +41,7 @@ from .errors import (
     IllConditionedError,
     NotAPairError,
     NotSphericalError,
+    ParameterError,
     TooFewSamplesError,
 )
 from .jets import Jet, _first, compose, invert_series, jcross, jdot, jsincos, jsqrt, jstack
@@ -153,6 +154,8 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     sampled bases yield a sampled mate via the stencil path, at the
     regular grid points of the base.
     """
+    if not math.isfinite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam}")
     lo, hi = base.domain
     ts = np.linspace(lo, hi, n + 1)
     label = f"{base.label or 'curve'}+{lam}*N"
@@ -410,10 +413,10 @@ def generate_bertrand_curve(
     walk's seed-speed series of the segment that holds t, about the
     segment's midpoint.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ParameterError(f"a must be finite and positive, got {a}")
     if not 0.0 < omega < math.pi or abs(omega - math.pi / 2) < 1e-12:
-        raise ValueError("omega must lie in (0, pi), omega != pi/2")
+        raise ParameterError(f"omega must lie in (0, pi), omega != pi/2, got {omega}")
     cot = 1.0 / math.tan(omega)
     lo, hi = sphere_curve.domain
     us = np.linspace(lo, hi, n + 1)

@@ -50,15 +50,15 @@ from .errors import (
     NotAPairError,
     NotSphericalError,
     OutOfDomainError,
+    ParameterError,
     SingularPointError,
     TooFewSamplesError,
     UnknownFunctionError,
 )
 from .indicatrix import (
-    IndicatrixKind,
-    _closed_form,
     _curve,
     _data_rows,
+    _images,
     indicatrix_arclength_relations,
     indicatrix_curve,
 )
@@ -240,7 +240,7 @@ def cmd_indicatrix(args) -> int:
     ts = np.linspace(pair.ts[0], pair.ts[-1], args.n)
 
     data, idx = _data_rows(pair, side, ts)
-    closed = _closed_form(IndicatrixKind(side, axis), data, pair.epsilon)
+    closed = _images(side, data, pair.epsilon)[axis]
     direct, regular, _ = _frenet_columns(image, ts)
     # the rows where the closed forms apply and the image is regular
     ok = np.isin(np.arange(len(ts)), idx) & regular
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ExprSyntaxError, UnknownFunctionError, NonConstantExponentError,
-            CurveFileError, TooFewSamplesError, GridMismatchError) as e:
+            CurveFileError, TooFewSamplesError, GridMismatchError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (DomainError, OutOfDomainError) as e:

@@ -124,7 +124,7 @@ class AnalyticCurve(Curve):
 
     def jet(self, t, order):
         self._check_domain(t)
-        return jstack(program_jets(self._program, t, order, max_order=max(order, 8)))
+        return jstack(program_jets(self._program, t, order))
 
     def point(self, t):
         self._check_domain(t)

@@ -45,6 +45,11 @@ class OrderOverflowError(BertrandKitError):
         super().__init__(f"jet order {order} exceeds maximum {max_order}")
 
 
+class ParameterError(BertrandKitError, ValueError):
+    """A numeric argument outside its range: the generator's a or omega,
+    or an offset lambda that is not finite."""
+
+
 class OutOfDomainError(BertrandKitError):
     """Parameter value outside the curve's domain."""
 

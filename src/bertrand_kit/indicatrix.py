@@ -44,33 +44,21 @@ SIDES = ("base", "mate")
 
 
 @dataclass(frozen=True)
-class IndicatrixKind:
-    side: str  # 'base' | 'mate'
-    axis: str  # 'tangent' | 'normal' | 'binormal'
-
-    def __post_init__(self):
-        if self.side not in SIDES or self.axis not in AXES:
-            raise ValueError(f"bad indicatrix kind {self.side}/{self.axis}")
-
-
-@dataclass(frozen=True)
 class IndicatrixSample:
     """Closed-form apparatus of one indicatrix at each row of a grid: (N,)
     arrays and (N, 3) vectors.  ``apparatus_grid`` returns its one-point
     views (floats and (3,) vectors)."""
 
-    kind: IndicatrixKind
-    t: float
+    t: np.ndarray
     point: np.ndarray
     T: np.ndarray
     N: np.ndarray
     B: np.ndarray
-    kappa: float  # signed closed form (may disagree with |.| below)
-    tau: float
-    kappa_image: float  # corrected values matching the imaged curve itself
-    tau_image: float
-    Gamma: float  # NaN for the normal axis
-    ds_x_dt: float  # speed of the indicatrix in the shared parameter
+    kappa: np.ndarray  # signed closed form (may disagree with |.| below)
+    tau: np.ndarray
+    kappa_image: np.ndarray  # corrected values matching the imaged curve itself
+    tau_image: np.ndarray
+    Gamma: np.ndarray  # NaN for the normal axis
 
 
 def indicatrix_curve(curve, axis, n) -> SampledCurve:
@@ -132,52 +120,42 @@ def _gamma_big(fd: FrenetData, ds_x_dsrc):
     return num / den / ds_x_dsrc
 
 
-def _closed_form(kind: IndicatrixKind, fd: FrenetData, eps: int) -> IndicatrixSample:
-    """Closed-form apparatus of one image at each row of the data-side
-    Frenet rows ``fd``, at rows where the closed forms apply
-    (``_applies``)."""
+def _images(side: str, fd: FrenetData, eps: int) -> dict:
+    """Closed-form apparatus of ``side``'s three images, keyed by axis, at
+    each row of the data-side Frenet rows ``fd`` (rows where the closed
+    forms apply, ``_applies``), from one pass over the data-side
+    quantities."""
     f, g = fd.f, fd.g
     k, kp, kpp = fd.kappa, fd.dkappa_ds, fd.d2kappa_ds2
     wf = np.sqrt(1.0 + f * f)
     wg = np.sqrt(1.0 + g * g)
     T, N, B = fd.T, fd.N, fd.B
-    mate_side = kind.side == "mate"
     # unit vectors of the data side's rectifying plane
     U = (T - _col(f) * B) / _col(wf)
     V = (_col(f) * T + B) / _col(wf)
 
-    if kind.axis != "normal":
-        # ratio tau/kappa of the *imaged* curve and its slant indicator,
-        # both written in data-side quantities; these drive the corrected
-        # scalar values that track the imaged curve's own apparatus
-        f_img = -eps * (g - f) / (1.0 + f * g)
-        wfi = np.sqrt(1.0 + f_img * f_img)
-        G_img = geodesic_indicator_closed_form(fd, side=kind.side)
-        # the tangent and binormal images share B, |kappa|, |tau| and Gamma
-        kx = wf * wg / (f - g)
-        tx = kp * wg / (k * k * (1.0 + f * f))
-        ds_x_dsrc = k * (f - g) / wg
-        Gx = _gamma_big(fd, ds_x_dsrc)
-        if mate_side:
-            Gx = -Gx
-        if kind.axis == "tangent":
-            # the imaged tangent vector written in data-side frame vectors
-            point, Tx, Nx = (T - _col(g) * B) / _col(wg), -N, U
-            if not mate_side:
-                tx = -tx
-            # the corrected pair follows the tangent image:
-            # kappa = sqrt(1+f_img^2), tau = Gamma*kappa
-            kxi, txi = wfi, G_img * wfi
-        else:
-            point, Tx, Nx = eps * (_col(g) * T + B) / _col(wg), eps * N, -eps * U
-            tx = -eps * tx
-            kxi, txi = wfi / np.abs(f_img), -G_img * wfi / f_img
-        return IndicatrixSample(kind, fd.t, point, Tx, Nx, V, kx, tx, kxi, txi,
-                                Gx, np.abs(ds_x_dsrc) * fd.speed)
+    # ratio tau/kappa of the *imaged* curve and its slant indicator, both
+    # written in data-side quantities; these drive the corrected scalar
+    # values of the tangent and binormal images that track the imaged
+    # curve's own apparatus
+    f_img = -eps * (g - f) / (1.0 + f * g)
+    wfi = np.sqrt(1.0 + f_img * f_img)
+    G_img = geodesic_indicator_closed_form(fd, side=side)
+    # the tangent and binormal images share B, |kappa|, |tau| and Gamma
+    kx = wf * wg / (f - g)
+    tx = kp * wg / (k * k * (1.0 + f * f))
+    Gx = _gamma_big(fd, k * (f - g) / wg)
+    if side == "mate":
+        Gx = -Gx
+    # the imaged tangent vector written in data-side frame vectors; its
+    # corrected pair is kappa = sqrt(1+f_img^2), tau = Gamma*kappa
+    tangent = IndicatrixSample(fd.t, (T - _col(g) * B) / _col(wg), -N, U, V, kx,
+                               tx if side == "mate" else -tx, wfi, G_img * wfi, Gx)
+    binormal = IndicatrixSample(fd.t, eps * (_col(g) * T + B) / _col(wg), eps * N, -eps * U,
+                                V, kx, -eps * tx, wfi / np.abs(f_img), -G_img * wfi / f_img,
+                                Gx)
 
     rho = np.sqrt(kp * kp * (g - f) ** 2 + k**4 * (1.0 + f * f) ** 3)
-    point = eps * N
-    Tx = -eps * U
     Nx = _col(eps / (rho * wf)) * (
         _col(f * kp * (g - f)) * T - _col(k * k * (1.0 + f * f) ** 2) * N
         + _col(kp * (g - f)) * B
@@ -186,18 +164,12 @@ def _closed_form(kind: IndicatrixKind, fd: FrenetData, eps: int) -> IndicatrixSa
         _col(k * k * f * (1.0 + f * f)) * T + _col(kp * (g - f)) * N
         + _col(k * k * (1.0 + f * f)) * B
     )
-    kx = rho / (k * k * (1.0 + f * f) ** 1.5)
-    tx = -eps * (g - f) / rho**2 * (
+    kn = rho / (k * k * (1.0 + f * f) ** 1.5)
+    tn = -eps * (g - f) / rho**2 * (
         (3.0 * kp * kp - k * kpp) * (1.0 + f * f) + 3.0 * f * kp * kp * (g - f))
-    ds_x_dsrc = k * wf
-    return IndicatrixSample(kind, fd.t, point, Tx, Nx, Bx, kx, tx, kx, tx,
-                            np.full(len(k), np.nan), np.abs(ds_x_dsrc) * fd.speed)
-
-
-def _images(side: str, fd: FrenetData, eps: int) -> dict:
-    """The closed forms of ``side``'s three images, keyed by axis, from
-    data-side rows where they apply."""
-    return {axis: _closed_form(IndicatrixKind(side, axis), fd, eps) for axis in AXES}
+    normal = IndicatrixSample(fd.t, eps * N, -eps * U, Nx, Bx, kn, tn, kn, tn,
+                              np.full(len(k), np.nan))
+    return {"tangent": tangent, "normal": normal, "binormal": binormal}
 
 
 def _data_rows(pair: BertrandPairModel, side: str, ts):
@@ -212,10 +184,12 @@ def _data_rows(pair: BertrandPairModel, side: str, ts):
 def apparatus_grid(pair: BertrandPairModel, side: str, axis: str, ts):
     """Closed-form samples over a grid, from one evaluation of the
     data-side curve, as the one-point views of the closed-form rows;
-    degenerate points become None."""
+    degenerate points become None.  Raises ValueError for a side or axis
+    that names no image."""
+    if side not in SIDES or axis not in AXES:
+        raise ValueError(f"bad indicatrix kind {side}/{axis}")
     fd, idx = _data_rows(pair, side, ts)
-    return _points_at(_closed_form(IndicatrixKind(side, axis), fd, pair.epsilon),
-                     idx, len(ts))
+    return _points_at(_images(side, fd, pair.epsilon)[axis], idx, len(ts))
 
 
 def _frame_relations(side: str, images: dict, eps: int) -> dict:

@@ -443,19 +443,19 @@ def evaluate_jets(nodes, t0, order: int, max_order: int = DEFAULT_MAX_ORDER):
     evaluated once, and ``sin``, ``cos`` and ``tan`` of one child share
     one ``jsincos``.  Each shared value is the same computation on the
     same operands, so the coefficients equal those of evaluating each
-    tree on its own.
+    tree on its own.  Raises OrderOverflowError above ``max_order``.
     """
-    return program_jets(ex.program(nodes), t0, order, max_order)
+    if order > max_order:
+        raise OrderOverflowError(order, max_order)
+    return program_jets(ex.program(nodes), t0, order)
 
 
-def program_jets(program, t0, order: int, max_order: int = DEFAULT_MAX_ORDER):
+def program_jets(program, t0, order: int):
     """Run an ``expr.program`` in jet arithmetic about ``t0``, a number or
     a 1-D array of basepoints; each output is checked for finiteness as
     soon as it is computed."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > max_order:
-        raise OrderOverflowError(order, max_order)
     if np.ndim(t0):
         t0 = np.asarray(t0, dtype=float)
     return _run(program, _JetArithmetic(t0, order))

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from bertrand_kit.bertrand import generated_pair
 from bertrand_kit.classify import (
     _KEYLESS_ENTRIES,
     classify_curve,
+    condition_residual,
     pair_classify,
     theorem_suite,
 )
-from bertrand_kit.curves import AnalyticCurve, SampledCurve
+from bertrand_kit.curves import AnalyticCurve, SampledCurve, _take_rows
 from bertrand_kit.errors import TooFewSamplesError
 from bertrand_kit.indicatrix import indicatrix_curve
 
@@ -150,3 +152,21 @@ def test_theorem_suite_rejects_a_key_it_does_not_read(pair_wobble, tols):
     with pytest.raises(ValueError, match=repr(key)) as err:
         theorem_suite(pair_wobble, n=48, tols={"th2": 1e-5, **tols})
     assert _KEYLESS_ENTRIES.get(key, "unknown tolerance key") in str(err.value)
+
+
+@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
+def test_condition_residual_is_scale_invariant(preset):
+    """Scaling a generated pair by 2 scales kappa by 1/2, kappa' by 1/4 and
+    kappa'' by 1/8, all exactly: the normalized condition residual of the
+    usable rows of either curve keeps its bits at a = 0.5, 1 and 2.  A
+    scale that dropped a kappa or kappa' factor would move by powers of
+    two."""
+    residuals = []
+    for a in (0.5, 1.0, 2.0):
+        pair = generated_pair(preset, a=a, n=64, grid=24)
+        usable = pair.base_rows.g_defined & pair.mate_rows.g_defined
+        residuals.append([condition_residual(_take_rows(rows, usable)).view(np.uint64)
+                          for rows in (pair.base_rows, pair.mate_rows)])
+    for other in residuals[1:]:
+        for got, want in zip(other, residuals[0]):
+            assert np.array_equal(got, want)

@@ -438,6 +438,31 @@ def test_size_below_one_is_a_parse_error(workdir, capsys, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--sphere-curve", "wobble", "--n", "64", "--a", "0"],
+        ["generate", "--sphere-curve", "wobble", "--n", "64", "--a", "-1"],
+        ["generate", "--sphere-curve", "wobble", "--n", "64", "--a", "nan"],
+        ["generate", "--sphere-curve", "wobble", "--n", "64", "--a", "inf"],
+        ["generate", "--sphere-curve", "wobble", "--n", "64", "--omega", "0"],
+        ["generate", "--sphere-curve", "wobble", "--n", "64", "--omega", "1.5707963267948966"],
+        ["mate", "BASE", "--lambda", "nan", "--n", "64"],
+        ["mate", "BASE", "--lambda", "inf", "--n", "64"],
+    ],
+)
+def test_out_of_range_parameter_is_a_parse_error(workdir, capsys, tmp_path, monkeypatch,
+                                                 argv):
+    """A generator a or omega outside its range, or a lambda that is not
+    finite, exits 2 with one error line and writes no curve file."""
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, [str(workdir / "base.json") if a == "BASE" else a
+                                for a in argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_degenerate_sphere_curve(capsys, tmp_path):
     rc, _, err = run(capsys, ["generate", "--sphere-curve", "greatcircle",
                               "--out", str(tmp_path / "x.json")])

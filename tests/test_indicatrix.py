@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from bertrand_kit import indicatrix
 from bertrand_kit.bertrand import generated_pair
+from bertrand_kit.classify import theorem_suite
 from bertrand_kit.curves import _take_rows, frenet_grid
 from bertrand_kit.indicatrix import (
     AXES,
     SIDES,
-    IndicatrixKind,
-    _closed_form,
     _curve,
     _data_rows,
+    _images,
     apparatus_grid,
     frame_relations_check,
     image_rows,
@@ -26,12 +27,12 @@ def probe_ts(pair, k=7):
     return np.linspace(lo + pad, hi - pad, k)
 
 
-def test_kind_validation():
-    IndicatrixKind("base", "tangent")
+def test_kind_validation(pair_wobble):
+    ts = probe_ts(pair_wobble, 3)
     with pytest.raises(ValueError):
-        IndicatrixKind("base", "axis")
+        apparatus_grid(pair_wobble, "left", "tangent", ts)
     with pytest.raises(ValueError):
-        IndicatrixKind("left", "tangent")
+        apparatus_grid(pair_wobble, "base", "axis", ts)
 
 
 def test_points_on_unit_sphere(pair_wobble):
@@ -176,8 +177,9 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
         assert len(idx) == len(ts)
         rows, regular, _ = image_rows(_curve(pair, side), ts)
         row_of = np.cumsum(regular) - 1
+        images = _images(side, fd, pair.epsilon)
         for k, axis in enumerate(AXES):
-            closed = _closed_form(IndicatrixKind(side, axis), fd, pair.epsilon)
+            closed = images[axis]
             columns = k * len(ts) + idx
             assert regular[columns].all()
             exact = _take_rows(rows, row_of[columns])
@@ -190,3 +192,23 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
                 gap_g = (np.max(np.abs(np.abs(closed.Gamma) - np.abs(exact.Gamma)))
                          / max(1.0, np.max(np.abs(exact.Gamma))))
                 assert gap_g < TOL_EXACT_IMAGE, (side, axis)
+
+
+def test_suite_builds_each_sides_closed_forms_once(monkeypatch):
+    """One ``theorem_suite`` run evaluates the slant indicator of the
+    imaged curves and the shared Gamma of the tangent and binormal images
+    once per side: the three images of a side come from one pass."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(fd, *args, **kwargs):
+            calls.append((name, kwargs.get("side")))
+            return fn(fd, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(indicatrix, "geodesic_indicator_closed_form",
+                        counted("geodesic", indicatrix.geodesic_indicator_closed_form))
+    monkeypatch.setattr(indicatrix, "_gamma_big", counted("gamma", indicatrix._gamma_big))
+    theorem_suite(generated_pair("wobble", n=64, grid=24))
+    assert calls == [("geodesic", "base"), ("gamma", None),
+                     ("geodesic", "mate"), ("gamma", None)]

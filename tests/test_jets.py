@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bertrand_kit import expr as ex
 from bertrand_kit.bertrand import sphere_preset
 from bertrand_kit.curves import AnalyticCurve
-from bertrand_kit.errors import DomainError
+from bertrand_kit.errors import DomainError, OrderOverflowError
 from bertrand_kit.jets import (
     Jet,
     compose,
@@ -193,6 +193,19 @@ def test_domain_errors():
         jet_of("sqrt(t)", -0.5, 2)
     with pytest.raises(DomainError):
         jet_of("1/(t-1)", 1.0, 2)
+
+
+def test_only_evaluate_jet_caps_the_order():
+    """``evaluate_jet`` refuses an order above its ``max_order``; a curve's
+    own jets have no cap."""
+    node = ex.parse_expression("sin(t)")
+    with pytest.raises(OrderOverflowError):
+        evaluate_jet(node, 0.3, 9)
+    with pytest.raises(OrderOverflowError):
+        evaluate_jet(node, 0.3, 3, max_order=2)
+    assert evaluate_jet(node, 0.3, 9, max_order=9).coeffs.shape == (10,)
+    curve = AnalyticCurve("sin(t)", "cos(t)", "t", (0.0, 1.0))
+    assert curve.jet(0.3, 12).coeffs.shape == (13, 3)
 
 
 EXPRS = [
