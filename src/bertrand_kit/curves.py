@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -28,7 +29,17 @@ from .errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from .jets import Jet, _first, jcross, jdot, jsqrt, jstack, program_jets, program_values
+from .jets import (
+    Jet,
+    _first,
+    compile_program,
+    jcross,
+    jdot,
+    jsqrt,
+    jstack,
+    program_jets,
+    program_values,
+)
 
 EPS_REG = 1e-9
 EPS_G = 1e-10
@@ -97,11 +108,14 @@ class AnalyticCurve(Curve):
 
     The components are interned through one table (``expr.intern``), so
     a subexpression they share, such as the normaliser of a seed
-    ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node.  They are compiled
-    once into one straight-line program (``expr.program``) that evaluates
-    each node once, for one parameter value or a whole grid: ``jet`` runs
-    it in jet arithmetic, and ``point`` in value arithmetic, which gives
-    the same bits as the constant terms of the jets without building any.
+    ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node.  They become one
+    straight-line program (``expr.program``) that evaluates each node
+    once, for one parameter value or a whole grid.  At the first
+    evaluation the curve takes the program's compiled Python function
+    (``jets.compile_program``, compiled once per distinct program in a
+    process): ``jet`` runs it in jet arithmetic, and ``point`` in value
+    arithmetic, which gives the same bits as the constant terms of the
+    jets without building any.
     """
 
     def __init__(self, x, y, z, domain, label=""):
@@ -122,13 +136,18 @@ class AnalyticCurve(Curve):
     def domain(self):
         return self._domain
 
+    @cached_property
+    def _compiled(self):
+        """``self._program`` as a Python function, at the first evaluation."""
+        return compile_program(self._program)
+
     def jet(self, t, order):
         self._check_domain(t)
-        return jstack(program_jets(self._program, t, order))
+        return jstack(program_jets(self._compiled, t, order))
 
     def point(self, t):
         self._check_domain(t)
-        return np.array(program_values(self._program, t))
+        return np.array(program_values(self._compiled, t))
 
 
 def fornberg_weights(z, x, m):

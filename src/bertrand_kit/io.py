@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as ex
 from .curves import AnalyticCurve, Curve, JetBackedCurve, SampledCurve
-from .errors import BertrandKitError
+from .errors import BertrandKitError, ParameterError
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "bertrand-kit 1.0.0"
@@ -224,8 +224,21 @@ def _curve_from_dict(d, loaded_base) -> Curve:
 
 
 def save_curve(curve: Curve, path: str):
+    """Write ``curve`` to ``path``.  A sampled curve whose params or points
+    are not finite raises ParameterError, naming the first bad row, before
+    the file is opened."""
+    if isinstance(curve, (SampledCurve, JetBackedCurve)):
+        t, points = curve.params, curve.points
+        bad = ~(np.isfinite(t) & np.isfinite(points).all(axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParameterError(
+                f"curve {curve.label!r} is not finite at row {i}: t={fmt(t[i])}, "
+                f"point ({', '.join(fmt(x) for x in points[i])})"
+            )
+    text = dumps(curve_to_dict(curve))
     with open(path, "w") as fh:
-        fh.write(dumps(curve_to_dict(curve)))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -17,16 +17,20 @@ functions their ODE recurrences (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13).  A domain check fails the whole batch if
 any column fails it.
 
-An ``expr.program`` runs in this jet arithmetic (``program_jets``) or in
-a value arithmetic (``program_values``) whose every step is the constant
-term of the matching recurrence, on float64 numbers or arrays: the same
-bits and the same domain errors as order-0 jets, without building any.
+An ``expr.program`` is compiled once into a Python function with one
+line per step (``compile_program``).  The function runs in this jet
+arithmetic (``program_jets``) or in a value arithmetic
+(``program_values``) whose every step is the constant term of the
+matching recurrence, on float64 arrays or, at one number, on Python
+floats: the same bits and the same domain errors as order-0 jets,
+without building any.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 
 import numpy as np
 
@@ -49,9 +53,9 @@ def _first(flags, values):
 
 
 def _any(flags):
-    """Whether any flag is set; a numpy scalar is tested as a bool, which
-    costs far less than its ``any()``."""
-    return flags.any() if flags.ndim else bool(flags)
+    """Whether any flag is set; a Python or numpy scalar is tested as a
+    bool, which costs far less than its ``any()``."""
+    return flags.any() if getattr(flags, "ndim", 0) else bool(flags)
 
 
 def _require_positive(c0, what):
@@ -443,63 +447,119 @@ def evaluate_jets(nodes, t0, order: int, max_order: int = DEFAULT_MAX_ORDER):
     evaluated once, and ``sin``, ``cos`` and ``tan`` of one child share
     one ``jsincos``.  Each shared value is the same computation on the
     same operands, so the coefficients equal those of evaluating each
-    tree on its own.  Raises OrderOverflowError above ``max_order``.
+    tree on its own.  The program of one tuple of node objects is built
+    and compiled at its first call only.  Raises OrderOverflowError above
+    ``max_order``.
     """
     if order > max_order:
         raise OrderOverflowError(order, max_order)
-    return program_jets(ex.program(nodes), t0, order)
+    nodes = tuple(nodes)
+    key = tuple(map(id, nodes))
+    hit = _BY_NODES.get(key)
+    if hit is None:
+        # the entry holds the nodes, so no other object takes their ids
+        hit = _remember(_BY_NODES, key, (nodes, compile_program(ex.program(nodes))))
+    return program_jets(hit[1], t0, order)
+
+
+# The line of each kind of program step: slot k is the local v{k}, the
+# step's slot operands are v{a} and v{b}, its plain number c{k}, its
+# exponent r{k}, its output o{n}; ``ar`` is the arithmetic.
+_LINES = {
+    "const": "v{k} = c{k}",
+    "var": "v{k} = ar.t",
+    "lift": "v{k} = ar.lift(v{a})",
+    "neg": "v{k} = -v{a}",
+    "add": "v{k} = v{a} + v{b}",
+    "sub": "v{k} = v{a} - v{b}",
+    "mul": "v{k} = v{a} * v{b}",
+    "div": "v{k} = ar.div(v{a}, v{b})",
+    "div_const": "v{k} = ar.div_const(v{a}, v{b})",
+    "pow": "v{k} = ar.pow(v{a}, r{k})",
+    "exp": "v{k} = ar.exp(v{a})",
+    "log": "v{k} = ar.log(v{a})",
+    "sqrt": "v{k} = ar.sqrt(v{a})",
+    "sincos": "v{k}, v{k1} = ar.sincos(v{a})",
+    "tan": "v{k} = ar.tan(v{a}, v{a1})",
+    "out": "o{n} = ar.finite(v{a})",
+}
+
+# Compiled programs are kept per process, oldest evicted first beyond
+# this many; an evicted program is compiled again when it is next run.
+_CACHE_SIZE = 256
+_COMPILED = {}  # (program, bits of its constants and exponents) -> function
+_BY_NODES = {}  # ids of a tuple of nodes -> (the nodes, their function)
+
+
+def _remember(cache, key, value):
+    if len(cache) >= _CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def compile_program(program):
+    """The Python function of an ``expr.program``: called with an
+    arithmetic, it returns the program's outputs in that arithmetic.
+
+    Compiled once per distinct program in a process.  Steps compare
+    ``0.0`` equal to ``-0.0``, so the cache key also holds the bit
+    pattern of every constant and exponent.
+    """
+    numbers = [a if op == "const" else b for op, a, b in program if op in ("const", "pow")]
+    key = (program, struct.pack(f"<{len(numbers)}d", *numbers))
+    fn = _COMPILED.get(key)
+    if fn is None:
+        fn = _remember(_COMPILED, key, _compile(program))
+    return fn
+
+
+def _compile(program):
+    """One line of ``_LINES`` per step: the source holds slot numbers and
+    the arithmetic's operation names only, and the constants and
+    exponents are bound in the function's namespace, a whole exponent
+    that ``_integer_exponent`` takes as that int."""
+    lines = []
+    space = {"__builtins__": {}}
+    k = n = 0
+    for op, a, b in program:
+        if op == "const":
+            space[f"c{k}"], a = a, None
+        elif op == "pow":
+            m = _integer_exponent(b)
+            space[f"r{k}"], b = (b if m is None else m), None
+        # what is left of a and b are slot numbers
+        a1 = a + 1 if op == "tan" else None
+        lines.append(_LINES[op].format(k=k, k1=k + 1, a=a, a1=a1, b=b, n=n))
+        if op == "out":
+            n += 1
+        else:
+            k += 2 if op == "sincos" else 1
+    outputs = "".join(f"o{i}, " for i in range(n))
+    source = "def program(ar):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source + f"    return ({outputs})\n", "<expr.program>", "exec"), space)
+    return space["program"]
 
 
 def program_jets(program, t0, order: int):
-    """Run an ``expr.program`` in jet arithmetic about ``t0``, a number or
-    a 1-D array of basepoints; each output is checked for finiteness as
-    soon as it is computed."""
+    """Run a compiled program (``compile_program``) in jet arithmetic
+    about ``t0``, a number or a 1-D array of basepoints; each output is
+    checked for finiteness as soon as it is computed."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if np.ndim(t0):
         t0 = np.asarray(t0, dtype=float)
-    return _run(program, _JetArithmetic(t0, order))
+    return program(_JetArithmetic(t0, order))
 
 
 def program_values(program, t0):
-    """Run an ``expr.program`` in value arithmetic at ``t0``, a number or
+    """Run a compiled program in value arithmetic at ``t0``, a number or
     an array: float64 values that equal, bit for bit, the constant terms
     of ``program_jets`` at any order, and the same ``DomainError`` where
     those raise one, without building a jet."""
-    return _run(program, _ValueArithmetic(t0))
-
-
-def _run(program, ar):
-    """The outputs of ``program`` in the arithmetic ``ar``, in order."""
-    v = []
-    push = v.append
-    results = []
-    for op, a, b in program:
-        if op == "mul":
-            push(v[a] * v[b])
-        elif op == "add":
-            push(v[a] + v[b])
-        elif op == "sub":
-            push(v[a] - v[b])
-        elif op == "const":
-            push(a)
-        elif op == "neg":
-            push(-v[a])
-        elif op == "var":
-            push(ar.t)
-        elif op == "sincos":
-            v.extend(ar.sincos(v[a]))
-        elif op == "tan":
-            push(ar.tan(v[a], v[a + 1]))
-        elif op == "pow":
-            push(ar.pow(v[a], b))
-        elif op == "out":
-            results.append(ar.finite(v[a]))
-        elif b is None:  # lift, exp, log, sqrt
-            push(getattr(ar, op)(v[a]))
-        else:  # div, div_const
-            push(getattr(ar, op)(v[a], v[b]))
-    return tuple(results)
+    if isinstance(t0, float) or not np.ndim(t0):
+        return program(_FloatArithmetic(t0))
+    return program(_ArrayArithmetic(t0))
 
 
 class _JetArithmetic:
@@ -530,25 +590,13 @@ class _JetArithmetic:
 
 
 class _ValueArithmetic:
-    """The constant term of each jet recurrence, on float64 values at
-    ``t0``: a numpy scalar for a number, an array for an array."""
+    """The constant term of each jet recurrence on float64 values: the
+    steps both value arithmetics share."""
 
-    def __init__(self, t0):
-        self.t0 = t0
-        self.scalar = isinstance(t0, float) or not np.ndim(t0)
-        self.t = np.float64(t0) if self.scalar else np.asarray(t0, dtype=float)
+    __slots__ = ()
 
-    def lift(self, c):
-        if self.scalar:
-            return np.float64(c)
-        return np.full(self.t.shape, c, dtype=float)
-
-    def finite(self, x):
-        if not (self.scalar and math.isfinite(x)):
-            _require_finite(~np.isfinite(x), self.t0)
-        return x
-
-    def div(self, a, b):
+    @staticmethod
+    def div(a, b):
         _require_nonzero(b)
         return a / b
 
@@ -559,14 +607,30 @@ class _ValueArithmetic:
         return a / b
 
     def pow(self, u, r):
-        m = _integer_exponent(r)
-        if m is None:
+        """u**r, where ``_compile`` made r an int if ``_integer_exponent``
+        takes it, as ``jpow`` does."""
+        if type(r) is not int:
             _require_positive(u, "non-integer power")
-            return u**r
-        if m == 0:
+            return self.real_pow(u, r)
+        if r == 0:
             return self.lift(1.0)
-        acc = _repeated_squaring(u, abs(m))
-        return self.div(1.0, acc) if m < 0 else acc
+        acc = _repeated_squaring(u, abs(r))
+        return self.div(1.0, acc) if r < 0 else acc
+
+
+class _ArrayArithmetic(_ValueArithmetic):
+    """Value arithmetic on an array of parameter values ``t0``."""
+
+    def __init__(self, t0):
+        self.t0 = t0
+        self.t = np.asarray(t0, dtype=float)
+
+    def lift(self, c):
+        return np.full(self.t.shape, c, dtype=float)
+
+    def finite(self, x):
+        _require_finite(~np.isfinite(x), self.t0)
+        return x
 
     def tan(self, s, c):
         _require_no_pole(c, self.t)
@@ -587,3 +651,56 @@ class _ValueArithmetic:
         return np.sqrt(x)
 
     exp = staticmethod(np.exp)
+    real_pow = staticmethod(operator.pow)
+
+
+class _FloatArithmetic(_ValueArithmetic):
+    """Value arithmetic at one number ``t0``, on Python floats.
+
+    ``+ - * /`` and the repeated squaring of integer powers are the IEEE
+    operations numpy does on float64.  Every function is numpy's, on a
+    float64 scalar: ``math`` may differ from numpy in the last bit, and it
+    raises on overflow where numpy gives the inf that ``finite`` reports.
+    ``finite`` and ``tan`` test one float comparison, and a failed one
+    raises through the checks of the array arithmetic, with their message.
+    """
+
+    __slots__ = ("t0", "t")
+
+    def __init__(self, t0):
+        self.t0 = t0
+        self.t = float(t0)
+
+    lift = staticmethod(float)
+
+    def finite(self, x):
+        if not math.isfinite(x):
+            _require_finite(True, self.t0)
+        return x
+
+    def tan(self, s, c):
+        if abs(c) < _TAN_COS_FLOOR:
+            _require_no_pole(c, self.t)
+        return s / c
+
+    @staticmethod
+    def sincos(x):
+        return float(np.sin(x)), float(np.cos(x))
+
+    @staticmethod
+    def exp(x):
+        return float(np.exp(x))
+
+    @staticmethod
+    def log(x):
+        _require_positive(x, "log")
+        return float(np.log(x))
+
+    @staticmethod
+    def sqrt(x):
+        _require_positive(x, "sqrt")
+        return float(np.sqrt(x))
+
+    @staticmethod
+    def real_pow(u, r):
+        return float(np.float64(u) ** r)

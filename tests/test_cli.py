@@ -463,6 +463,25 @@ def test_out_of_range_parameter_is_a_parse_error(workdir, capsys, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_curve_that_overflows_is_not_saved(capsys, tmp_path, monkeypatch):
+    """A generator a, or a lambda on a huge base, whose curve overflows
+    exits 2 with one error line naming the first bad row, and writes no
+    curve file (it used to write one of null coordinates and exit 0)."""
+    monkeypatch.chdir(tmp_path)
+    # the generator's overflow RuntimeWarnings are not under test here
+    with np.errstate(all="ignore"):
+        rc, _, _ = run(capsys, ["generate", "--sphere-curve", "wobble", "--n", "64",
+                                "--a", "1e300", "--out", "huge.json"])
+        assert rc == 0
+        for argv in (["generate", "--sphere-curve", "wobble", "--n", "64", "--a", "1e308"],
+                     ["mate", "huge.json", "--lambda", "1e308", "--n", "64"]):
+            rc, out, err = run(capsys, argv)
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: curve ") and err.count("\n") == 1
+            assert "is not finite at row " in err
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
+
+
 def test_exit_degenerate_sphere_curve(capsys, tmp_path):
     rc, _, err = run(capsys, ["generate", "--sphere-curve", "greatcircle",
                               "--out", str(tmp_path / "x.json")])

@@ -1,6 +1,7 @@
 """Jet arithmetic against closed-form Maclaurin coefficients and FD oracles."""
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bertrand_kit import expr as ex
+from bertrand_kit import jets
 from bertrand_kit.bertrand import sphere_preset
 from bertrand_kit.curves import AnalyticCurve
 from bertrand_kit.errors import DomainError, OrderOverflowError
@@ -467,3 +469,186 @@ def test_jets_and_values_match_a_50_digit_oracle(name):
                     got = evaluate_jet(node, t, order, max_order=10).coeffs
                     err = max(abs(mpmath.mpf(g) - r) for g, r in zip(got, ref))
                     assert err <= ORACLE_TOL * scale, (order, float(err / scale))
+
+
+def test_program_compiles_once(monkeypatch):
+    """One compile per distinct program: a curve's program serves 1025
+    scalar points, jets at orders 0, 4 and 8 and a second curve built from
+    the same texts; one node's program serves every ``evaluate_jet`` call
+    on it, which finds it without building the program or its key again."""
+    monkeypatch.setattr(jets, "_COMPILED", {})
+    monkeypatch.setattr(jets, "_BY_NODES", {})
+    compiles, lookups = Counter(), Counter()
+    real_compile, real_lookup = jets._compile, jets.compile_program
+
+    def counting_compile(program):
+        compiles[program] += 1
+        return real_compile(program)
+
+    def counting_lookup(program):
+        lookups[program] += 1
+        return real_lookup(program)
+
+    monkeypatch.setattr(jets, "_compile", counting_compile)
+    monkeypatch.setattr(jets, "compile_program", counting_lookup)
+    texts, domain = FAMILY_TEXTS["trefoil"]
+    curve = AnalyticCurve(*texts, domain)
+    ts = np.linspace(*domain, 1025)
+    for t in ts:
+        curve.point(float(t))
+    for order in (0, 4, 8):
+        curve.jet(0.3, order)
+        curve.jet(ts, order)
+    again = AnalyticCurve(*texts, domain)
+    again.point(0.3)
+    again.jet(ts, 4)
+    assert list(compiles.values()) == [1]
+    for _ in range(5):
+        for order in (2, 6, 10):
+            evaluate_jet(curve.x, 0.3, order, max_order=10)
+    assert list(compiles.values()) == [1, 1]
+    assert list(lookups.values()) == [1]
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_signed_zero_constants_keep_their_programs_apart(monkeypatch, first):
+    """Two curves whose ASTs differ only in ``Const(0.0)`` against
+    ``Const(-0.0)`` have programs that compare equal; each still gives
+    its own signed zero from ``point`` and from ``jet``, at a float and on
+    a grid, whichever is built and evaluated first."""
+    monkeypatch.setattr(jets, "_COMPILED", {})
+    ts = np.linspace(-1.0, 1.0, 5)
+    for zero in (first, -first):
+        curve = AnalyticCurve(ex.Var(), ex.Binary("mul", ex.Const(zero), ex.Var()),
+                              ex.Const(zero), (-1.0, 1.0))
+        sign = math.copysign(1.0, zero) < 0
+        for t in (0.5, ts[3:]):
+            # z = zero, y = zero*t and its slope zero*1
+            jet = curve.jet(t, 4).coeffs
+            for v in (curve.point(t)[1:], curve.jet(t, 0).coeffs[0, 1:], jet[0, 1:], jet[1, 1]):
+                assert np.all(np.signbit(v) == sign), (zero, t)
+
+
+_UNARY_OPS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
+_BINARY_OPS = ("add", "sub", "mul", "div")
+_CONSTANTS = (0.0, -0.0, 1.0, -1.0, 0.5, 0.7, 2.0, -3.0)
+_EXPONENTS = (0.0, -0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 1.5, 2.5)
+_UNDERFLOW = mpmath.mpf(2) ** -1022
+
+
+@st.composite
+def _shared_trees(draw):
+    """x, y and z drawn from one pool of nodes: each new node applies one
+    step kind to nodes of the pool, so later nodes share earlier
+    subtrees, and a constant operand makes a plain-number step such as
+    ``div_const``."""
+    pool = [ex.Var(), ex.Const(draw(st.sampled_from(_CONSTANTS)))]
+    for _ in range(draw(st.integers(1, 8))):
+        operand = st.sampled_from(tuple(pool))
+        kind = draw(st.sampled_from(("const", "unary", "binary", "pow")))
+        if kind == "const":
+            node = ex.Const(draw(st.sampled_from(_CONSTANTS)))
+        elif kind == "unary":
+            node = ex.Unary(draw(st.sampled_from(_UNARY_OPS)), draw(operand))
+        elif kind == "binary":
+            node = ex.Binary(draw(st.sampled_from(_BINARY_OPS)), draw(operand), draw(operand))
+        else:
+            node = ex.PowConst(draw(operand), draw(st.sampled_from(_EXPONENTS)))
+        pool.append(node)
+    return [draw(st.sampled_from(tuple(pool))) for _ in range(3)]
+
+
+def _mp_error_scale(node, t):
+    """A first-order bound on the rounding error of the float evaluation
+    of ``node`` at ``t``, in units of the machine epsilon, in mpmath
+    arithmetic: each step adds the error it inherits, times its
+    derivative, to a few ulps of its own value (one for ``+ - * /``, four
+    for numpy's functions, nine for tan as sin/cos, |m|+1 for an integer
+    power by squaring) and to the error of an underflow, half the
+    smallest subnormal, which is the smallest normal number in units of
+    the epsilon's half.  None where the exact value is singular."""
+
+    def walk(node):
+        if isinstance(node, ex.Const):
+            return mpmath.mpf(node.value), mpmath.mpf(0)
+        if isinstance(node, ex.Var):
+            return t, mpmath.mpf(0)
+        if isinstance(node, ex.PowConst):
+            v, e = walk(node.base)
+            r = node.exponent
+            if r == int(r) and abs(r) <= 64:
+                m = int(r)
+                if m == 0:
+                    return mpmath.mpf(1), mpmath.mpf(0)
+                if m < 0 and v == 0:
+                    raise ZeroDivisionError
+                y = v**m
+                return y, abs(m * v ** (m - 1)) * e + (abs(m) + 1) * abs(y) + _UNDERFLOW
+            if v <= 0:
+                raise ZeroDivisionError
+            y = v ** mpmath.mpf(r)
+            return y, abs(r * y / v) * e + 4 * abs(y) + _UNDERFLOW
+        if isinstance(node, ex.Unary):
+            v, e = walk(node.child)
+            op = node.op
+            if op == "neg":
+                return -v, e
+            if op in ("log", "sqrt") and v <= 0:
+                raise ZeroDivisionError
+            y = getattr(mpmath, op)(v)
+            slope = {"sin": lambda: mpmath.cos(v), "cos": lambda: mpmath.sin(v),
+                     "tan": lambda: 1 + y * y, "exp": lambda: y,
+                     "log": lambda: 1 / v, "sqrt": lambda: 1 / (2 * y)}[op]()
+            return y, abs(slope) * e + (9 if op == "tan" else 4) * abs(y) + _UNDERFLOW
+        (a, ea), (b, eb) = walk(node.left), walk(node.right)
+        if node.op == "add":
+            y, e = a + b, ea + eb
+        elif node.op == "sub":
+            y, e = a - b, ea + eb
+        elif node.op == "mul":
+            y, e = a * b, ea * abs(b) + eb * abs(a)
+        else:
+            y = a / b
+            e = ea / abs(b) + eb * abs(y / b)
+        return y, e + abs(y) + _UNDERFLOW
+
+    try:
+        with mpmath.workdps(50):
+            return walk(node)[1]
+    except ZeroDivisionError:
+        return None
+
+
+def _assert_near_the_oracle(values, nodes, t):
+    for value, node in zip(values, nodes):
+        scale = _mp_error_scale(node, mpmath.mpf(t))
+        if scale is None:  # the exact value is singular; rounding avoided it
+            continue
+        with mpmath.workdps(50):
+            ref = _mp_value(node, mpmath.mpf(t))
+            assert abs(mpmath.mpf(float(value)) - ref) <= ORACLE_TOL * scale, (node, t)
+
+
+@given(_shared_trees(), st.floats(min_value=-2.0, max_value=2.0))
+@settings(max_examples=200, deadline=None)
+def test_point_matches_the_oracle_or_raises_as_the_jet(trees, t):
+    """Random shared trees over every step kind: ``point`` at a float
+    and on a one-point grid is within ORACLE_TOL of the 50-digit oracle,
+    relative to the bound ``_mp_error_scale`` puts on the rounding error,
+    and has the bits of the order-0 jet; or it raises the ``DomainError``
+    that ``jet(t, 0)`` raises, class and message."""
+    curve = AnalyticCurve(*trees, (-2.0, 2.0))
+    nodes = (curve.x, curve.y, curve.z)
+    # overflow and inf - inf are domain errors here, not warnings
+    with np.errstate(all="ignore"):
+        for at in (t, np.array([t])):
+            try:
+                got = curve.point(at)
+            except DomainError as e:
+                with pytest.raises(DomainError) as want:
+                    curve.jet(at, 0)
+                assert type(e) is type(want.value) and str(e) == str(want.value)
+                continue
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  curve.jet(at, 0).coeffs[0].view(np.uint64))
+            _assert_near_the_oracle(np.ravel(got), nodes, t)
