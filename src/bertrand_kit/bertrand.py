@@ -263,6 +263,12 @@ def _overlap_grid(base: Curve, mate: Curve, n: int, inset: float = 1e-6):
     return np.linspace(lo + pad, hi - pad, n)
 
 
+def _offset_along(D, axis):
+    """Each row of D's signed offset along the unit row of ``axis``, and its transverse norm."""
+    lam = np.sum(D * axis, axis=1)
+    return lam, np.linalg.norm(D - lam[:, None] * axis, axis=1)
+
+
 def detect_bertrand(
     base: Curve,
     mate: Curve,
@@ -297,11 +303,10 @@ def detect_bertrand(
     scale = float(np.max(np.linalg.norm(offsets, axis=1)))
     degenerate = scale < 1e-12
 
-    lam_signed = np.sum(offsets * base_rows.N, axis=1)
+    lam_signed, resid = _offset_along(offsets, base_rows.N)
     lam_stat = ConstancyStat.of([0.0] if degenerate else lam_signed)
     if not degenerate:
         # offset must lie along the principal normal
-        resid = np.linalg.norm(offsets - lam_signed[:, None] * base_rows.N, axis=1)
         if np.max(resid) > math.sqrt(tol_align) * scale:
             raise NotAPairError(
                 "offset-not-normal", f"max transverse component {np.max(resid):.3e}"

@@ -19,6 +19,7 @@ from .bertrand import (
     BertrandPairModel,
     ConstancyStat,
     _constraint_residuals,
+    _offset_along,
     _overlap_grid,
     _require_g,
 )
@@ -196,7 +197,12 @@ def pair_classify(
 
     align='arclength' resamples curveB so that corresponding points carry
     equal arc-length fractions, for pairs without a shared parameter.
+    Raises TooFewSamplesError for n < MIN_CLASSIFY_SAMPLES, before any
+    grid is built.
     """
+    if n < MIN_CLASSIFY_SAMPLES:
+        raise TooFewSamplesError(f"classification grid of {n} points; "
+                                 f"need at least {MIN_CLASSIFY_SAMPLES}")
     # arc-length alignment puts each curve on its own domain, inset as for
     # the overlap grid
     ts_a = _overlap_grid(curveA, curveA if align == "arclength" else curveB, n)
@@ -206,7 +212,9 @@ def pair_classify(
     ts_b = ts_a
     if align == "arclength":
         grid_b = _overlap_grid(curveB, curveB, 4 * n)
-        ts_b = _aligned_grid(ts_a, curveA.speed(ts_a), grid_b, curveB.speed(grid_b))
+        speed_a = np.linalg.norm(curveA.jet(ts_a, 1).coeffs[1], axis=0)
+        speed_b = np.linalg.norm(curveB.jet(grid_b, 1).coeffs[1], axis=0)
+        ts_b = _aligned_grid(ts_a, speed_a, grid_b, speed_b)
     rows_b, ok_b, _ = _frenet_columns(curveB, ts_b)
     return _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, n, tol)
 
@@ -249,8 +257,7 @@ def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
         flip along the curve (e.g. across torsion zeros) without breaking
         the geometric coincidence the definitions ask for.
         """
-        lam = np.sum(D * axis_vecs, axis=1)
-        transverse = np.linalg.norm(D - lam[:, None] * axis_vecs, axis=1)
+        lam, transverse = _offset_along(D, axis_vecs)
         off_dev = float(np.max(transverse)) / scale
         dots = np.abs(np.sum(partner_vecs * axis_vecs, axis=1))
         axis_dev = float(np.max(1.0 - dots))
@@ -266,8 +273,7 @@ def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
     ev["mannheim"], holds_m = direction_test(fa.B, fb.N, "offset_binormal_dev",
                                              "normal_vs_binormal_dev")
 
-    lamT = np.sum(D * fa.T, axis=1)
-    offset_dev = float(np.max(np.linalg.norm(D - lamT[:, None] * fa.T, axis=1))) / scale
+    offset_dev = float(np.max(_offset_along(D, fa.T)[1])) / scale
     tangent_dev = float(np.max(np.abs(np.sum(fa.T * fb.T, axis=1))))
     ev["involute_evolute"] = {"offset_tangent_dev": offset_dev,
                               "tangent_orthogonality_dev": tangent_dev}

@@ -56,12 +56,12 @@ _FRENET_ORDER = 4
 class Curve:
     """Common interface: a labelled map t -> R^3 on a closed interval.
 
-    ``jet``, ``point``, ``velocity`` and ``speed`` take a float, or a 1-D
-    array of parameter values to get every point from one request: jets
-    then carry one coefficient column per value, points and velocities
-    come as (3, N) and speeds as (N,).  ``jet`` returns one vector jet
-    (``jets.Jet`` with coefficients (K+1, 3) or (K+1, 3, N)), which
-    unpacks into the x, y and z component jets.
+    ``jet`` and ``point`` take a float, or a 1-D array of parameter values
+    to get every point from one request: jets then carry one coefficient
+    column per value, and points come as (3, N).  ``jet`` returns one
+    vector jet (``jets.Jet`` with coefficients (K+1, 3) or (K+1, 3, N)),
+    which unpacks into the x, y and z component jets; ``point`` is its
+    order-0 constant term.
     """
 
     label: str
@@ -88,12 +88,6 @@ class Curve:
     def point(self, t):
         return self.jet(t, 0).coeffs[0]
 
-    def velocity(self, t):
-        return self.jet(t, 1).coeffs[1]
-
-    def speed(self, t):
-        return np.linalg.norm(self.velocity(t), axis=0)
-
 
 def _per_point(jet_fn, t, order):
     """``jet_fn(ts, order)``, which takes a 1-D array, at ``t``; a float t
@@ -113,9 +107,10 @@ class AnalyticCurve(Curve):
     once, for one parameter value or a whole grid.  At the first
     evaluation the curve takes the program's compiled Python function
     (``jets.compile_program``, compiled once per distinct program in a
-    process): ``jet`` runs it in jet arithmetic, and ``point`` in value
-    arithmetic, which gives the same bits as the constant terms of the
-    jets without building any.
+    process): ``jet`` runs it in jet arithmetic, and ``point`` at a float
+    in value arithmetic, which gives the bits of the order-0 jet without
+    building one.  A grid's points are the constant terms of its order-0
+    jet, as for any curve.
     """
 
     def __init__(self, x, y, z, domain, label=""):
@@ -146,6 +141,8 @@ class AnalyticCurve(Curve):
         return jstack(program_jets(self._compiled, t, order))
 
     def point(self, t):
+        if not isinstance(t, float) and np.ndim(t):
+            return super().point(t)
         self._check_domain(t)
         return np.array(program_values(self._compiled, t))
 

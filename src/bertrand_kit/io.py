@@ -122,7 +122,7 @@ def _is_recorded_base(curve, meta) -> bool:
     )
 
 
-def _rebuild_from_metadata(meta, loaded_base=None):
+def _rebuild_from_metadata(meta, nodes, loaded_base=None):
     """Exact jet-backed curve from a recorded recipe, or None.
 
     Sampled files written by the generator, and mates of generated or
@@ -130,32 +130,29 @@ def _rebuild_from_metadata(meta, loaded_base=None):
     restores exact differentiation after a round trip instead of falling
     back to finite-difference stencils.  A mate whose recorded generated
     base is ``loaded_base`` is rebuilt on that curve, so the pair shares
-    one generator.  A recipe that cannot be rebuilt gives None.  The
+    one generator.  A recipe that cannot be rebuilt, or whose ``n`` is not
+    ``nodes`` (the stored sample count less one), gives None unbuilt.  The
     caller checks the rebuilt nodes against the stored samples.
     """
-    if not isinstance(meta, dict):
+    if not isinstance(meta, dict) or meta.get("n") != nodes:
         return None
     from . import bertrand as bt
 
-    def generated(n_key):
+    def generated(n):
         if meta.get("seed_label") not in bt.SPHERE_PRESETS:
             return None
-        return bt.generate_bertrand_curve(
-            bt.sphere_preset(meta["seed_label"]),
-            a=float(meta["a"]),
-            omega=float(meta["omega"]),
-            n=int(meta[n_key]),
-        )
+        return bt.generate_bertrand_curve(bt.sphere_preset(meta["seed_label"]),
+                                          float(meta["a"]), float(meta["omega"]), n=n)
 
     try:
         gen = meta.get("generator")
         if gen == "bertrand":
-            return generated("n")
+            return generated(nodes)
         if gen == "normal-offset":
             base_gen = meta.get("base_generator")
             if base_gen == "bertrand":
                 base = (loaded_base if _is_recorded_base(loaded_base, meta)
-                        else generated("base_n"))
+                        else generated(int(meta["base_n"])))
             elif base_gen == "analytic":
                 base = AnalyticCurve(str(meta["base_x"]), str(meta["base_y"]),
                                      str(meta["base_z"]),
@@ -163,7 +160,7 @@ def _rebuild_from_metadata(meta, loaded_base=None):
             else:
                 base = None
             if base is not None:
-                return bt.construct_mate(base, float(meta["lambda"]), n=int(meta["n"]))
+                return bt.construct_mate(base, float(meta["lambda"]), n=nodes)
     except (KeyError, TypeError, ValueError, BertrandKitError):
         return None
     return None
@@ -207,7 +204,7 @@ def _curve_from_dict(d, loaded_base) -> Curve:
             raise CurveFileError(f"bad sampled block: {e}")
         if pts.ndim != 2 or pts.shape != (len(t), 3):
             raise CurveFileError("sampled arrays must be t:(n,), points:(n,3)")
-        rebuilt = _rebuild_from_metadata(d.get("metadata"), loaded_base)
+        rebuilt = _rebuild_from_metadata(d.get("metadata"), len(t) - 1, loaded_base)
         # metadata never overrides the stored samples it disagrees with
         if (
             rebuilt is not None

@@ -19,11 +19,11 @@ any column fails it.
 
 An ``expr.program`` is compiled once into a Python function with one
 line per step (``compile_program``).  The function runs in this jet
-arithmetic (``program_jets``) or in a value arithmetic
-(``program_values``) whose every step is the constant term of the
-matching recurrence, on float64 arrays or, at one number, on Python
-floats: the same bits and the same domain errors as order-0 jets,
-without building any.
+arithmetic (``program_jets``) or, at one number, in a value arithmetic
+on Python floats (``program_values``) whose every step is the constant
+term of the matching recurrence: the same bits and the same domain
+errors as an order-0 jet, without building one.  A grid's values are
+the constant terms of its order-0 jets.
 """
 
 from __future__ import annotations
@@ -324,7 +324,8 @@ def jpow(u: Jet, r: float) -> Jet:
     _require_positive(c[0], "non-integer power")
     # k*c[0]*w[k] = sum_j (r*j - (k-j)) * c[j] * w[k-j], j = 1..k
     w = np.zeros(c.shape)
-    w[0] = c[0] ** r
+    # the ufunc on a float too: a numpy scalar's ** may differ in the last bit
+    w[0] = np.power(c[0], r)
     j = np.arange(1, n + 1)
     for m in range(n):
         w[m + 1 :] += _per_order(r * j[: n - m] - m, c) * c[1 : n + 1 - m] * w[m]
@@ -553,13 +554,10 @@ def program_jets(program, t0, order: int):
 
 
 def program_values(program, t0):
-    """Run a compiled program in value arithmetic at ``t0``, a number or
-    an array: float64 values that equal, bit for bit, the constant terms
-    of ``program_jets`` at any order, and the same ``DomainError`` where
-    those raise one, without building a jet."""
-    if isinstance(t0, float) or not np.ndim(t0):
-        return program(_FloatArithmetic(t0))
-    return program(_ArrayArithmetic(t0))
+    """Run a compiled program in value arithmetic at the number ``t0``:
+    the bits of the constant terms of ``program_jets`` at any order, and
+    the same ``DomainError`` where those raise one, with no jet built."""
+    return program(_FloatArithmetic(t0))
 
 
 class _JetArithmetic:
@@ -589,11 +587,27 @@ class _JetArithmetic:
     sqrt = staticmethod(jsqrt)
 
 
-class _ValueArithmetic:
-    """The constant term of each jet recurrence on float64 values: the
-    steps both value arithmetics share."""
+class _FloatArithmetic:
+    """The constant term of each jet recurrence at one number ``t``, on
+    Python floats.  ``+ - * /`` and repeated squaring are the IEEE
+    operations numpy does on float64; every function and non-integer power
+    is numpy's ufunc, as on a grid (``math`` and ``**`` may differ in the
+    last bit, and ``math`` raises on overflow where numpy gives the inf
+    that ``finite`` reports).  A domain check tests one float comparison,
+    and a failed one raises through the jet arithmetic's check.
+    """
 
-    __slots__ = ()
+    __slots__ = ("t",)
+
+    def __init__(self, t):
+        self.t = float(t)
+
+    lift = staticmethod(float)
+
+    def finite(self, x):
+        if not math.isfinite(x):
+            _require_finite(True, self.t)
+        return x
 
     @staticmethod
     def div(a, b):
@@ -611,72 +625,11 @@ class _ValueArithmetic:
         takes it, as ``jpow`` does."""
         if type(r) is not int:
             _require_positive(u, "non-integer power")
-            return self.real_pow(u, r)
+            return float(np.power(u, r))
         if r == 0:
-            return self.lift(1.0)
+            return 1.0
         acc = _repeated_squaring(u, abs(r))
         return self.div(1.0, acc) if r < 0 else acc
-
-
-class _ArrayArithmetic(_ValueArithmetic):
-    """Value arithmetic on an array of parameter values ``t0``."""
-
-    def __init__(self, t0):
-        self.t0 = t0
-        self.t = np.asarray(t0, dtype=float)
-
-    def lift(self, c):
-        return np.full(self.t.shape, c, dtype=float)
-
-    def finite(self, x):
-        _require_finite(~np.isfinite(x), self.t0)
-        return x
-
-    def tan(self, s, c):
-        _require_no_pole(c, self.t)
-        return s / c
-
-    @staticmethod
-    def sincos(x):
-        return np.sin(x), np.cos(x)
-
-    @staticmethod
-    def log(x):
-        _require_positive(x, "log")
-        return np.log(x)
-
-    @staticmethod
-    def sqrt(x):
-        _require_positive(x, "sqrt")
-        return np.sqrt(x)
-
-    exp = staticmethod(np.exp)
-    real_pow = staticmethod(operator.pow)
-
-
-class _FloatArithmetic(_ValueArithmetic):
-    """Value arithmetic at one number ``t0``, on Python floats.
-
-    ``+ - * /`` and the repeated squaring of integer powers are the IEEE
-    operations numpy does on float64.  Every function is numpy's, on a
-    float64 scalar: ``math`` may differ from numpy in the last bit, and it
-    raises on overflow where numpy gives the inf that ``finite`` reports.
-    ``finite`` and ``tan`` test one float comparison, and a failed one
-    raises through the checks of the array arithmetic, with their message.
-    """
-
-    __slots__ = ("t0", "t")
-
-    def __init__(self, t0):
-        self.t0 = t0
-        self.t = float(t0)
-
-    lift = staticmethod(float)
-
-    def finite(self, x):
-        if not math.isfinite(x):
-            _require_finite(True, self.t0)
-        return x
 
     def tan(self, s, c):
         if abs(c) < _TAN_COS_FLOOR:
@@ -700,7 +653,3 @@ class _FloatArithmetic(_ValueArithmetic):
     def sqrt(x):
         _require_positive(x, "sqrt")
         return float(np.sqrt(x))
-
-    @staticmethod
-    def real_pow(u, r):
-        return float(np.float64(u) ** r)

@@ -325,6 +325,11 @@ def constant_terms(curve, t, order):
     return np.array([j.coeffs[0] for j in curve.jet(t, order)])
 
 
+def stacked_points(curve, ts):
+    """The points at each float of ``ts``, as columns."""
+    return np.stack([curve.point(float(t)) for t in ts], axis=1)
+
+
 def assert_same_bits_array(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
@@ -333,14 +338,17 @@ def assert_same_bits_array(a, b):
 
 @pytest.mark.parametrize("name", sorted(ANALYTIC))
 def test_point_is_the_constant_term_of_the_jet(name):
-    """``point`` runs the program in value arithmetic: at a float and on a
-    grid, both domain ends included, it gives the bits of the jets'
-    constant terms, signed zeros too."""
+    """``point`` at a float runs the program in value arithmetic and gives
+    the bits of the jets' constant terms, signed zeros too; on a grid,
+    both domain ends included, ``point`` is the order-0 jet, and it has
+    the bits of the stacked points at each float."""
     curve = ANALYTIC[name]()
     lo, hi = curve.domain
     ts = np.linspace(lo, hi, 29)
+    stacked = stacked_points(curve, ts)
+    assert_same_bits_array(curve.point(ts), stacked)
     for order in (0, 6):
-        assert_same_bits_array(curve.point(ts), constant_terms(curve, ts, order))
+        assert_same_bits_array(stacked, constant_terms(curve, ts, order))
         for t in ts:
             assert_same_bits_array(curve.point(t), constant_terms(curve, t, order))
 
@@ -365,18 +373,23 @@ def test_point_is_the_constant_term_of_the_jet(name):
     ],
 )
 def test_point_raises_where_the_jet_raises(texts, domain, bad_t, error, message):
-    """The same exception class and message as ``jet(t, 0)``, at a float
-    and on a grid, where the message names the first bad column."""
+    """``point`` at a float raises the exception class and message of
+    ``jet(t, 0)``.  On a grid, where ``point`` is the order-0 jet and the
+    message names the first bad column, it raises what the stacked points
+    at each float raise: the error of the first column that has one."""
     curve = AnalyticCurve(*texts, domain)
     ts = np.linspace(domain[0] + 0.1, domain[1] - 0.1, 7)
-    for t in (bad_t, np.concatenate((ts[:3], [bad_t], ts[3:], [bad_t]))):
-        with np.errstate(over="ignore"):
-            with pytest.raises(error, match=message) as want:
-                curve.jet(t, 0)
+    grid = np.concatenate((ts[:3], [bad_t], ts[3:], [bad_t]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(error, match=message) as want:
+            curve.jet(bad_t, 0)
+        with pytest.raises(error) as want_grid:
+            stacked_points(curve, grid)
+        for at, expected in ((bad_t, want), (grid, want_grid)):
             with pytest.raises(error) as got:
-                curve.point(t)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+                curve.point(at)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -404,8 +417,9 @@ def test_overflowed_jet_raises_at_every_order(texts, domain, order):
 
 
 def test_point_builds_no_jet(monkeypatch):
-    """A point costs no jet: no ``Jet`` is constructed and no
-    ``evaluate_jets`` call is made, alone or on a grid."""
+    """A point at a float costs no jet: no ``Jet`` is constructed and no
+    ``evaluate_jets`` call is made.  (A grid's points are its order-0
+    jet.)"""
     calls = Counter()
     real_init = jets.Jet.__init__
     real_evaluate = jets.evaluate_jets
@@ -422,7 +436,6 @@ def test_point_builds_no_jet(monkeypatch):
     monkeypatch.setattr(jets.Jet, "__init__", counting_init)
     monkeypatch.setattr(jets, "evaluate_jets", counting_evaluate)
     curve.point(0.3)
-    curve.point(np.linspace(0.2, 0.62, 9))
     assert calls == Counter()
     curve.jet(0.3, 0)
     assert calls["Jet"] > 0

@@ -248,7 +248,7 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     """Detection plus the identity suite ask the base or the mate for its
     Frenet jets at most once per parameter value; detection asks each
     curve for jets a fixed few times, whatever the grid, and asks for no
-    speed (it builds no arc-length table)."""
+    speed, an order-1 jet (it builds no arc-length table)."""
     state = {"detecting": False, "speed_calls": 0}
     frenet_points = Counter()  # (curve, t) at the Frenet order
     detect_calls = Counter()  # curve -> jet requests during detection
@@ -260,14 +260,10 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
                 frenet_points[(self, float(x))] += 1
         if state["detecting"]:
             detect_calls[self] += 1
+            state["speed_calls"] += order == 1
         return real_jet(self, t, order)
 
-    real_speed = Curve.speed
     real_detect = bertrand.detect_bertrand
-
-    def counting_speed(self, t):
-        state["speed_calls"] += state["detecting"]
-        return real_speed(self, t)
 
     def detect(*args, **kwargs):
         state["detecting"] = True
@@ -277,7 +273,6 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
             state["detecting"] = False
 
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
-    monkeypatch.setattr(Curve, "speed", counting_speed)
     monkeypatch.setattr(bertrand, "detect_bertrand", detect)
 
     pair = generated_pair("wobble", n=64, grid=24)

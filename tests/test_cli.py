@@ -274,6 +274,25 @@ def test_classify_pair(workdir, capsys):
     assert rep["results"]["verdict"] == "bertrand"
 
 
+@pytest.mark.parametrize("n", ["1", "2", "15"])
+@pytest.mark.parametrize("align", ["param", "arclength"])
+def test_classify_below_the_minimum_grid_is_a_size_error(small_pair, capsys, align, n):
+    """A pair classification grid below 16 points exits 2 with one
+    ``error:`` line in either alignment, before any grid is built (an
+    arc-length grid of one point divided by its zero length)."""
+    rc, out, err = run(capsys, ["classify", *small_pair, "--n", n, "--align", align])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: classification grid of {n} points; need at least 16\n"
+
+
+@pytest.mark.parametrize("align", ["param", "arclength"])
+def test_classify_at_the_minimum_grid(small_pair, capsys, align):
+    rc, out, _ = run(capsys, ["classify", *small_pair, "--n", "16", "--align", align])
+    assert rc == 0
+    assert "verdict" in json.loads(out)["results"]
+
+
 def test_exit_parse_error_bad_file(workdir, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nope": 1}')
@@ -603,6 +622,39 @@ def test_file_pair_builds_one_generator(small_pair, capsys, monkeypatch, argv, p
     rc, _, _ = run(capsys, [argv[0], *small_pair, *argv[1:]])
     assert rc == 0
     assert counts == Counter(builds=1, walks=1, pipelines=pipelines)
+
+
+@pytest.mark.parametrize("which", ["base", "mate"])
+@pytest.mark.parametrize("n", ["1e400", "20000", "63", "64.5"])
+def test_metadata_n_that_contradicts_the_samples_builds_nothing(
+        small_pair, tmp_path, capsys, monkeypatch, which, n):
+    """A recorded ``n`` other than the stored sample count less one
+    (65 samples here) is a recipe that cannot be rebuilt: the file loads
+    its stored samples without building a generator or a mate, and the
+    CLI reads it (an n of 1e400 overflowed int(), a traceback)."""
+    path = small_pair[which == "mate"]
+    with open(path) as fh:
+        text = fh.read()
+    assert text.count('"n": 64') == 1
+    f = tmp_path / f"{which}.json"
+    f.write_text(text.replace('"n": 64', f'"n": {n}'))
+    counts = _count_generator_work(monkeypatch)
+    real_mate = bertrand.construct_mate
+
+    def mate(*args, **kwargs):
+        counts["mates"] += 1
+        return real_mate(*args, **kwargs)
+
+    monkeypatch.setattr(bertrand, "construct_mate", mate)
+    c = load_curve(str(f))
+    assert counts == Counter()
+    assert isinstance(c, SampledCurve)
+    stored = json.loads(text)["sampled"]
+    np.testing.assert_array_equal(c.params, stored["t"])
+    np.testing.assert_array_equal(c.points, stored["points"])
+    rc, out, err = run(capsys, ["frenet", str(f), "--grid", "8"])
+    assert rc == 0, err
+    assert json.loads(out)["results"]["n_rows"] == 8
 
 
 def _bits(curve):

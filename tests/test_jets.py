@@ -635,8 +635,8 @@ def test_point_matches_the_oracle_or_raises_as_the_jet(trees, t):
     """Random shared trees over every step kind: ``point`` at a float
     and on a one-point grid is within ORACLE_TOL of the 50-digit oracle,
     relative to the bound ``_mp_error_scale`` puts on the rounding error,
-    and has the bits of the order-0 jet; or it raises the ``DomainError``
-    that ``jet(t, 0)`` raises, class and message."""
+    and has the bits of the order-0 jet about the float; or it raises the
+    ``DomainError`` that ``jet(t, 0)`` raises, class and message."""
     curve = AnalyticCurve(*trees, (-2.0, 2.0))
     nodes = (curve.x, curve.y, curve.z)
     # overflow and inf - inf are domain errors here, not warnings
@@ -646,9 +646,9 @@ def test_point_matches_the_oracle_or_raises_as_the_jet(trees, t):
                 got = curve.point(at)
             except DomainError as e:
                 with pytest.raises(DomainError) as want:
-                    curve.jet(at, 0)
+                    curve.jet(t, 0)
                 assert type(e) is type(want.value) and str(e) == str(want.value)
                 continue
-            assert np.array_equal(np.asarray(got).view(np.uint64),
-                                  curve.jet(at, 0).coeffs[0].view(np.uint64))
+            assert np.array_equal(np.ravel(got).view(np.uint64),
+                                  curve.jet(t, 0).coeffs[0].view(np.uint64))
             _assert_near_the_oracle(np.ravel(got), nodes, t)
