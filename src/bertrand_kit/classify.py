@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -293,32 +294,45 @@ def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
 # ---------------------------------------------------------------------------
 # identity suite
 
-# identity-type theorem entries: these must hold on any accepted pair,
-# so a failure is an error exit, unlike the classification equivalences
-IDENTITY_ENTRIES = (
-    "th2",
-    "th3",
-    "th22",
-    "eps-g-relation",
-    "constraint-eq",
-    "frame-relations",
-    "elf-corollaries",
-    "cr14",
-    "cr33",
-    "p1p2-constancy",
-)
-# the keys of ``theorem_suite``'s tols: the entries that read one and
-# the thresholds of its flags
-TOLERANCE_KEYS = IDENTITY_ENTRIES + (
-    "tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar")
-# the entries that read no key of their own, and what sets their tolerance
-_KEYLESS_ENTRIES = {
-    **dict.fromkeys(("th6", "th25", "teo15", "teo33"),
-                    "tol_slant and tol_indicatrix_helix set its flags"),
-    **dict.fromkeys(("th8", "th17", "th11"), "tol_condition sets its tolerance"),
-    **dict.fromkeys(("cr18", "negative-result"),
-                    "a verdict count against a fixed tolerance of 0.5"),
+
+class _Key(NamedTuple):
+    # 'identity' (must hold on any accepted pair, so a failure is an error
+    # exit), 'threshold' (of the suite's flags) or 'check' (no key of its own)
+    kind: str
+    # the default of an identity or threshold key; a check's fixed
+    # tolerance, or the threshold key whose value it reports
+    tolerance: float | str
+    why: str = ""  # a check's: what sets its tolerance
+
+
+# every entry ``theorem_suite`` reports, and the thresholds of its flags
+_SUITE_KEYS = {
+    "th2": _Key("identity", 1e-5),
+    "th3": _Key("identity", 1e-6),
+    "th22": _Key("identity", 1e-6),
+    "eps-g-relation": _Key("identity", 1e-8),
+    "constraint-eq": _Key("identity", 1e-8),
+    "frame-relations": _Key("identity", 1e-8),
+    "elf-corollaries": _Key("identity", 1e-10),
+    "cr14": _Key("identity", 1e-5),
+    "cr33": _Key("identity", 1e-5),
+    **dict.fromkeys(("th6", "th25", "teo15", "teo33"), _Key(
+        "check", math.inf, "tol_slant and tol_indicatrix_helix set its flags")),
+    **dict.fromkeys(("th8", "th17", "th11"), _Key(
+        "check", "tol_condition", "tol_condition sets its tolerance")),
+    **dict.fromkeys(("cr18", "negative-result"), _Key(
+        "check", 0.5, "a verdict count against a fixed tolerance of 0.5")),
+    "p1p2-constancy": _Key("identity", 1e-6),
+    "tol_slant": _Key("threshold", TOL_SLANT),
+    "tol_indicatrix_helix": _Key("threshold", 1e-4),
+    "tol_condition": _Key("threshold", 1e-3),
+    "tol_normal_planar": _Key("threshold", 1e-4),
 }
+IDENTITY_ENTRIES = tuple(k for k, row in _SUITE_KEYS.items() if row.kind == "identity")
+# the keys of ``theorem_suite``'s tols
+TOLERANCE_KEYS = IDENTITY_ENTRIES + tuple(
+    k for k, row in _SUITE_KEYS.items() if row.kind == "threshold")
+_KEYLESS_ENTRIES = {k: row.why for k, row in _SUITE_KEYS.items() if row.kind == "check"}
 
 
 def _check_tolerance_key(key):
@@ -328,6 +342,13 @@ def _check_tolerance_key(key):
         raise ValueError(f"{key!r} has no tolerance key: {_KEYLESS_ENTRIES[key]}")
     if key not in TOLERANCE_KEYS:
         raise ValueError(f"unknown tolerance key {key!r}")
+
+
+def _tolerance(tols, key):
+    """The tolerance of entry or threshold ``key`` under the checked
+    ``tols``: its own value there, else its table default."""
+    tol = _SUITE_KEYS[key].tolerance
+    return _tolerance(tols, tol) if isinstance(tol, str) else tols.get(key, tol)
 
 
 @dataclass
@@ -372,19 +393,12 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     curve, an axis with too few regular pairs counting as untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
     ``tols`` takes the keys of ``TOLERANCE_KEYS``, and any other key
-    raises ValueError; th6, th25, teo15 and teo33 read their flags from
-    ``tol_slant`` and ``tol_indicatrix_helix`` and report a fixed
-    infinite tolerance, th8, th17 and th11 read ``tol_condition``, and
-    cr18 and ``negative-result`` count verdicts against a fixed 0.5.
-    Identity entries must pass on any accepted pair; equivalence entries
-    (helix/planar criteria) pass when the two sides of the iff agree.
+    raises ValueError.  Equivalence entries (helix/planar criteria) pass
+    when the two sides of the iff agree.
     """
     tols = dict(tols or {})
     for key in tols:
         _check_tolerance_key(key)
-
-    def tol(key, default):
-        return tols.get(key, default)
 
     report = TheoremReport()
     usable = pair.base_rows.g_defined & pair.mate_rows.g_defined
@@ -396,24 +410,22 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     mf = pair.masked_fraction
     eps = pair.epsilon
 
+    def add(key, residual, note="", passed=None):
+        report.add(key, residual, _tolerance(tols, key), mf, note=note, passed=passed)
+
     # th2: Gamma + Gamma_mate = 0 (slant indicators are negatives)
-    report.add("th2", np.max(np.abs(fb.Gamma + fm.Gamma)), tol("th2", 1e-5), mf)
+    add("th2", np.max(np.abs(fb.Gamma + fm.Gamma)))
 
     # th3 / th22: g constant on each side
-    g_base = ConstancyStat.of(fb.g)
-    g_mate = ConstancyStat.of(fm.g)
-    report.add("th3", g_mate.max_deviation / max(1.0, abs(g_mate.mean)),
-               tol("th3", 1e-6), mf, note="constancy of g on the mate")
-    report.add("th22", g_base.max_deviation / max(1.0, abs(g_base.mean)),
-               tol("th22", 1e-6), mf, note="constancy of g on the base")
+    for key, side in (("th3", "mate"), ("th22", "base")):
+        g = ConstancyStat.of(rows[side].g)
+        add(key, g.max_deviation / max(1.0, abs(g.mean)), note=f"constancy of g on the {side}")
 
     # eps-g relation: eps*g + g_mate = 0
-    report.add("eps-g-relation", np.max(np.abs(eps * fb.g + fm.g)),
-               tol("eps-g-relation", 1e-8), mf)
+    add("eps-g-relation", np.max(np.abs(eps * fb.g + fm.g)))
 
     # cross-side constraint equation
-    cres = np.max(np.abs(_constraint_residuals(fb, fm, eps)))
-    report.add("constraint-eq", cres, tol("constraint-eq", 1e-8), mf)
+    add("constraint-eq", np.max(np.abs(_constraint_residuals(fb, fm, eps))))
 
     # closed forms of each side's images, which read the other curve's
     # rows where they apply
@@ -423,8 +435,8 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         images[side] = _images(side, _take_rows(fd, _applies(side, fd)), eps)
 
     # frame relations among indicatrix frames
-    fr = max(max(_frame_relations(side, images[side], eps).values()) for side in SIDES)
-    report.add("frame-relations", fr, tol("frame-relations", 1e-8), mf)
+    add("frame-relations",
+        max(max(_frame_relations(side, images[side], eps).values()) for side in SIDES))
 
     # tangent and binormal images share |kappa| and |tau|; Gamma_t = Gamma_b
     elf = 0.0
@@ -432,8 +444,8 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         st, sb = images[side]["tangent"], images[side]["binormal"]
         for gap in (st.kappa - sb.kappa, np.abs(st.tau) - np.abs(sb.tau), st.Gamma - sb.Gamma):
             elf = max(elf, float(np.max(np.abs(gap), initial=0.0)))
-    report.add("elf-corollaries", elf, tol("elf-corollaries", 1e-10), mf,
-               note="|kappa_t - kappa_b|, ||tau_t| - |tau_b||, |Gamma_t - Gamma_b|")
+    add("elf-corollaries", elf,
+        note="|kappa_t - kappa_b|, ||tau_t| - |tau_b||, |Gamma_t - Gamma_b|")
 
     # cr14 / cr33: binormal arc length against the direct |B'| quadrature,
     # and the affine law s_b = slope * s_src + c2
@@ -443,14 +455,13 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         direct_gap = float(np.max(np.abs(np.abs(rel.s_b) - rel.s_b_direct))) / rng
         affine_gap = rel.affine_fit.rms_residual / rng
         slope_gap = abs(abs(rel.affine_fit.slope) - rel.predicted_slope)
-        report.add(key, max(direct_gap, affine_gap, slope_gap),
-                   tol(key, 1e-5), mf,
-                   note=f"c1={rel.c1:.6g}, c2={rel.c2:.6g}")
+        add(key, max(direct_gap, affine_gap, slope_gap),
+            note=f"c1={rel.c1:.6g}, c2={rel.c2:.6g}")
 
     # slant-helix flags on the curves and helix flags on the indicatrices
     gamma_dev = {side: _relative_deviation(rows[side].Gamma) for side in SIDES}
-    tol_slant = tol("tol_slant", TOL_SLANT)
-    tol_ih = tol("tol_indicatrix_helix", 1e-4)
+    tol_slant = _tolerance(tols, "tol_slant")
+    tol_ih = _tolerance(tols, "tol_indicatrix_helix")
     helix = {
         (side, axis): spherical_helix_check(images[side][axis]) < tol_ih
         for side in SIDES
@@ -462,54 +473,44 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         return all((gamma_dev[s1] < tol_slant) == helix[(s2, axis)]
                    for s1 in SIDES for s2 in SIDES)
 
-    # th6/th25: curve slant-helix iff tangent indicatrix spherical helix
-    # (both sides of the pair, all stated combinations)
-    agree6 = agree("tangent")
-    report.add("th6", max(gamma_dev.values()), math.inf, mf,
-               passed=agree6, note="boolean co-occurrence, all four combinations")
-    report.add("th25", max(gamma_dev.values()), math.inf, mf,
-               passed=agree6, note="same co-occurrence via the mate tangent image")
-
-    # teo15 / teo33: slant helix iff binormal indicatrix spherical helix
-    agree15 = agree("binormal")
-    report.add("teo15", max(gamma_dev.values()), math.inf, mf,
-               passed=agree15, note="boolean co-occurrence with binormal images")
-    report.add("teo33", max(gamma_dev.values()), math.inf, mf,
-               passed=agree15, note="mate-side mirror of teo15")
-
-    # th8/th17 and th11: one condition residual, checked for agreement
-    # with the indicatrix-level flags
+    # one condition residual, checked for agreement with the indicatrix-level flags
     cond_res = float(np.max(np.abs(condition_residual(fm))))
-    tol_cond = tol("tol_condition", 1e-3)
-    cond_true = cond_res < tol_cond
-    ind_true = helix[("base", "tangent")]
-    report.add("th8", cond_res, tol_cond, mf, passed=cond_true == ind_true,
-               note="residual attached to the iff against the tangent image")
-    report.add("th17", cond_res, tol_cond, mf, passed=cond_true == ind_true,
-               note="same expression, binormal image")
+    cond_true = cond_res < _tolerance(tols, "tol_condition")
+
+    # alias pairs, one check under two keys: th6/th25 (teo15/teo33), curve
+    # slant helix iff tangent (binormal) image spherical helix, on both sides
+    # in all stated combinations; th8/th17, the condition vs the tangent image
+    for keys, residual, passed, notes in (
+            (("th6", "th25"), max(gamma_dev.values()), agree("tangent"),
+             ("boolean co-occurrence, all four combinations",
+              "same co-occurrence via the mate tangent image")),
+            (("teo15", "teo33"), max(gamma_dev.values()), agree("binormal"),
+             ("boolean co-occurrence with binormal images", "mate-side mirror of teo15")),
+            (("th8", "th17"), cond_res, cond_true == helix[("base", "tangent")],
+             ("residual attached to the iff against the tangent image",
+              "same expression, binormal image"))):
+        for key, note in zip(keys, notes):
+            add(key, residual, note=note, passed=passed)
+
     sn = images["base"]["normal"]
     tau_n_rel = float(np.max(np.abs(sn.tau) / np.maximum(np.abs(sn.kappa), 1e-30)))
-    normal_planar = tau_n_rel < tol("tol_normal_planar", 1e-4)
-    report.add("th11", cond_res, tol_cond, mf,
-               passed=cond_true == normal_planar,
-               note="algebraically identical to th8; planar-normal-image reading")
+    normal_planar = tau_n_rel < _tolerance(tols, "tol_normal_planar")
+    add("th11", cond_res, passed=cond_true == normal_planar,
+        note="algebraically identical to th8; planar-normal-image reading")
 
     # cr18: equivalence matrix of the three booleans
     flags = [helix[("base", "tangent")], normal_planar, helix[("base", "binormal")]]
-    report.add("cr18", float(len(set(flags)) - 1), 0.5, mf,
-               passed=len(set(flags)) == 1,
-               note=f"flags={flags}")
+    add("cr18", float(len(set(flags)) - 1), passed=len(set(flags)) == 1,
+        note=f"flags={flags}")
 
     # closing negative result: no indicatrix pair classifies as a named pair
     image_pairs = _classify_image_rows(pair.base, pair.mate, pair.ts[~pair.masked])
     verdicts = [pc.verdict for pc in image_pairs.values()]
     bad = sum(v not in ("none", "untestable") for v in verdicts)
-    report.add("negative-result", float(bad), 0.5, mf,
-               passed=bad == 0, note=f"verdicts={verdicts}")
+    add("negative-result", float(bad), passed=bad == 0, note=f"verdicts={verdicts}")
 
-    report.add("p1p2-constancy",
-               max(pair.p1.max_deviation, pair.p2.max_deviation,
-                   pair.q1.max_deviation, pair.q2.max_deviation),
-               tol("p1p2-constancy", 1e-6), mf,
-               note="p1, p2, q1, q2 projection constants")
+    add("p1p2-constancy",
+        max(pair.p1.max_deviation, pair.p2.max_deviation,
+            pair.q1.max_deviation, pair.q2.max_deviation),
+        note="p1, p2, q1, q2 projection constants")
     return report

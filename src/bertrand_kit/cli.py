@@ -2,11 +2,8 @@
 
 Subcommands: frenet, mate, indicatrix, verify, generate, classify.
 Reports go to stdout as deterministic JSON; numeric tables go to CSV
-files.  Diagnostics go to stderr.  Exit codes:
-
-  0 success, 2 parse error, 3 domain error, 4 singular point without
-  --mask, 5 degenerate ratio, 6 not a pair, 7 identity failure,
-  8 degenerate sphere curve.
+files.  Diagnostics go to stderr.  Exit codes are the ``EXIT_*``
+constants; ``_EXIT_CODES`` maps each error type to one.
 """
 
 from __future__ import annotations
@@ -29,6 +26,9 @@ from .bertrand import (
 )
 from .classify import (
     IDENTITY_ENTRIES,
+    TOLERANCE_KEYS,
+    _KEYLESS_ENTRIES,
+    _SUITE_KEYS,
     _check_tolerance_key,
     classify_curve,
     pair_classify,
@@ -82,6 +82,21 @@ EXIT_DEGENERATE_RATIO = 5
 EXIT_NOT_A_PAIR = 6
 EXIT_IDENTITY = 7
 EXIT_DEGENERATE_SPHERE = 8
+
+# the exit code and stderr hint of each error type a command may raise;
+# the first type that matches wins
+_EXIT_CODES = {
+    **dict.fromkeys((ExprSyntaxError, UnknownFunctionError, NonConstantExponentError,
+                     CurveFileError, TooFewSamplesError, GridMismatchError, ParameterError),
+                    (EXIT_PARSE, "")),
+    **dict.fromkeys((DomainError, OutOfDomainError), (EXIT_DOMAIN, "")),
+    SingularPointError: (EXIT_SINGULAR, " (pass --mask to skip singular points)"),
+    DegenerateRatioError: (EXIT_DEGENERATE_RATIO, ""),
+    NotAPairError: (EXIT_NOT_A_PAIR, ""),
+    **dict.fromkeys((DegenerateSphereCurveError, NotSphericalError),
+                    (EXIT_DEGENERATE_SPHERE, "")),
+    OSError: (EXIT_PARSE, ""),
+}
 
 
 def _emit(report: RunReport):
@@ -260,14 +275,8 @@ def cmd_indicatrix(args) -> int:
     if axis == "binormal":
         rel = indicatrix_arclength_relations(pair, side, n=min(args.n, 256))
         report.results["affine_fit"] = {
-            "slope": rel.affine_fit.slope,
-            "intercept": rel.affine_fit.intercept,
-            "rms_residual": rel.affine_fit.rms_residual,
-            "c1": rel.c1,
-            "c2": rel.c2,
-            "c1_deviation": rel.c1_deviation,
-            "predicted_slope": rel.predicted_slope,
-        }
+            **asdict(rel.affine_fit), "c1": rel.c1, "c2": rel.c2,
+            "c1_deviation": rel.c1_deviation, "predicted_slope": rel.predicted_slope}
     report.masked_intervals = masked_intervals_from_flags(ts, ~ok)
     _emit(report)
     return EXIT_OK
@@ -394,11 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--csv")
     i.set_defaults(fn=cmd_indicatrix)
 
-    v = sub.add_parser("verify", help="run the identity suite on a pair")
+    v = sub.add_parser(
+        "verify", help="run the identity suite on a pair",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="\n".join(["--tol keys and their defaults:"]
+                         + [f"  {k}={_SUITE_KEYS[k].tolerance:g}" for k in TOLERANCE_KEYS]
+                         + ["entries with no --tol key:"]
+                         + [f"  {k}: {why}" for k, why in _KEYLESS_ENTRIES.items()]))
     v.add_argument("base")
     v.add_argument("mate")
     v.add_argument("--n", type=_size, default=256)
-    v.add_argument("--tol", action="append", type=_tolerance, metavar="KEY=VALUE")
+    v.add_argument("--tol", action="append", type=_tolerance, metavar="KEY=VALUE",
+                   help="set a tolerance (repeatable)")
     v.set_defaults(fn=cmd_verify)
 
     gen = sub.add_parser("generate", help="generate a Bertrand curve")
@@ -426,29 +442,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except (ExprSyntaxError, UnknownFunctionError, NonConstantExponentError,
-            CurveFileError, TooFewSamplesError, GridMismatchError, ParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DomainError, OutOfDomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except SingularPointError as e:
-        print(f"error: {e} (pass --mask to skip singular points)", file=sys.stderr)
-        return EXIT_SINGULAR
-    except DegenerateRatioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE_RATIO
-    except NotAPairError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_A_PAIR
-    except (DegenerateSphereCurveError, NotSphericalError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE_SPHERE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        # an overflow surfaces as a non-finite value that the checks reject
+        with np.errstate(all="ignore"):
+            return args.fn(args)
+    except tuple(_EXIT_CODES) as e:
+        code, hint = next(v for cls, v in _EXIT_CODES.items() if isinstance(e, cls))
+        print(f"error: {e}{hint}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,7 +118,7 @@ def _is_recorded_base(curve, meta) -> bool:
         and have.get("seed_label") == meta.get("seed_label")
         and have.get("a") == float(meta["a"])
         and have.get("omega") == float(meta["omega"])
-        and have.get("n") == int(meta["base_n"])
+        and have.get("n") == meta["base_n"]
     )
 
 
@@ -130,9 +130,10 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
     restores exact differentiation after a round trip instead of falling
     back to finite-difference stencils.  A mate whose recorded generated
     base is ``loaded_base`` is rebuilt on that curve, so the pair shares
-    one generator.  A recipe that cannot be rebuilt, or whose ``n`` is not
-    ``nodes`` (the stored sample count less one), gives None unbuilt.  The
-    caller checks the rebuilt nodes against the stored samples.
+    one generator.  A recipe that cannot be rebuilt, whose ``n`` is not
+    ``nodes`` (the stored sample count less one), or whose ``base_n`` is
+    not a positive integer gives None unbuilt.  The caller checks the
+    rebuilt nodes against the stored samples.
     """
     if not isinstance(meta, dict) or meta.get("n") != nodes:
         return None
@@ -151,8 +152,12 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
         if gen == "normal-offset":
             base_gen = meta.get("base_generator")
             if base_gen == "bertrand":
+                # a generator size is a positive JSON integer (not a bool)
+                base_n = meta.get("base_n")
+                if type(base_n) is not int or base_n < 1:
+                    return None
                 base = (loaded_base if _is_recorded_base(loaded_base, meta)
-                        else generated(int(meta["base_n"])))
+                        else generated(base_n))
             elif base_gen == "analytic":
                 base = AnalyticCurve(str(meta["base_x"]), str(meta["base_y"]),
                                      str(meta["base_z"]),
@@ -282,16 +287,7 @@ class RunReport:
     tool_version: str = TOOL_VERSION
 
     def to_json(self) -> str:
-        return dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "parameters": self.parameters,
-                "results": self.results,
-                "masked_intervals": self.masked_intervals,
-                "tool_version": self.tool_version,
-            }
-        )
+        return dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def masked_intervals_from_flags(ts, masked) -> list:

@@ -1,12 +1,20 @@
 """Curve and pair classification, plus the identity suite."""
 
+import ast
+import inspect
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from bertrand_kit import classify
 from bertrand_kit.bertrand import generated_pair
 from bertrand_kit.classify import (
     _KEYLESS_ENTRIES,
+    _SUITE_KEYS,
+    IDENTITY_ENTRIES,
+    TOLERANCE_KEYS,
     classify_curve,
     condition_residual,
     pair_classify,
@@ -141,8 +149,19 @@ def test_theorem_tolerance_override(pair_wobble):
     assert rep.entries["th2"].tolerance == 1e-20
 
 
+# what sets the tolerance of an entry that has no key of its own
+KEYLESS_WHY = {
+    **dict.fromkeys(("th6", "th25", "teo15", "teo33"),
+                    "tol_slant and tol_indicatrix_helix set its flags"),
+    **dict.fromkeys(("th8", "th17", "th11"), "tol_condition sets its tolerance"),
+    **dict.fromkeys(("cr18", "negative-result"),
+                    "a verdict count against a fixed tolerance of 0.5"),
+}
+
+
 @pytest.mark.parametrize("tols", [{"thx": 1.0}, {"th8": 1e-30}, {"cr18": 0.0}, {"th6": 0.0},
-                                  {"th25": 0.0}, {"teo15": 0.0}, {"teo33": -1.0}])
+                                  {"th25": 0.0}, {"teo15": 0.0}, {"teo33": -1.0},
+                                  {"th17": 1.0}, {"th11": 1.0}, {"negative-result": 1.0}])
 def test_theorem_suite_rejects_a_key_it_does_not_read(pair_wobble, tols):
     """A tolerance under a key the suite reads nothing from is an error
     that names the key, where it used to be ignored; for an entry with no
@@ -151,7 +170,79 @@ def test_theorem_suite_rejects_a_key_it_does_not_read(pair_wobble, tols):
     (key,) = tols
     with pytest.raises(ValueError, match=repr(key)) as err:
         theorem_suite(pair_wobble, n=48, tols={"th2": 1e-5, **tols})
-    assert _KEYLESS_ENTRIES.get(key, "unknown tolerance key") in str(err.value)
+    assert str(err.value) == (f"{key!r} has no tolerance key: {KEYLESS_WHY[key]}"
+                              if key in KEYLESS_WHY else f"unknown tolerance key {key!r}")
+
+
+# the tolerance each entry reports at the defaults
+DEFAULT_TOLERANCE = {
+    "th2": 1e-5, "th3": 1e-6, "th22": 1e-6, "eps-g-relation": 1e-8, "constraint-eq": 1e-8,
+    "frame-relations": 1e-8, "elf-corollaries": 1e-10, "cr14": 1e-5, "cr33": 1e-5,
+    "th6": math.inf, "th25": math.inf, "teo15": math.inf, "teo33": math.inf,
+    "th8": 1e-3, "th17": 1e-3, "th11": 1e-3, "cr18": 0.5, "negative-result": 0.5,
+    "p1p2-constancy": 1e-6,
+}
+
+
+def test_suite_table_has_one_row_per_key(pair_wobble):
+    """Every entry the suite reports has one row of the suite table, and
+    the table's other rows are the four flag thresholds; no key is
+    written twice in the table's source, where the later row would hide
+    the earlier."""
+    rep = theorem_suite(pair_wobble)
+    thresholds = ("tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar")
+    assert sorted(_SUITE_KEYS) == sorted([*rep.entries, *thresholds])
+    assert [k for k, row in _SUITE_KEYS.items() if row.kind == "threshold"] == list(thresholds)
+    table = next(node.value for node in ast.walk(ast.parse(inspect.getsource(classify)))
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_SUITE_KEYS"])
+    # a key row, or a dict.fromkeys group of keys
+    written = [name.value for key, value in zip(table.keys, table.values)
+               for name in ([key] if key else value.args[0].elts)]
+    assert sorted(written) == sorted(_SUITE_KEYS)
+    assert {k: e.tolerance for k, e in rep.entries.items()} == DEFAULT_TOLERANCE
+
+
+def test_alias_entries_share_one_check_and_keep_their_notes(pair_wobble):
+    """th25, teo33 and th17 report the residual and verdict of th6, teo15
+    and th8, each under its own note."""
+    rep = theorem_suite(pair_wobble)
+    for key, alias in (("th6", "th25"), ("teo15", "teo33"), ("th8", "th17")):
+        a, b = rep.entries[key], rep.entries[alias]
+        assert (a.max_residual, a.tolerance, a.passed) == (b.max_residual, b.tolerance, b.passed)
+    assert {k: e.note for k, e in rep.entries.items()
+            if k not in ("cr14", "cr33", "cr18", "negative-result") and e.note} == {
+        "th3": "constancy of g on the mate",
+        "th22": "constancy of g on the base",
+        "elf-corollaries": "|kappa_t - kappa_b|, ||tau_t| - |tau_b||, |Gamma_t - Gamma_b|",
+        "th6": "boolean co-occurrence, all four combinations",
+        "th25": "same co-occurrence via the mate tangent image",
+        "teo15": "boolean co-occurrence with binormal images",
+        "teo33": "mate-side mirror of teo15",
+        "th8": "residual attached to the iff against the tangent image",
+        "th17": "same expression, binormal image",
+        "th11": "algebraically identical to th8; planar-normal-image reading",
+        "p1p2-constancy": "p1, p2, q1, q2 projection constants",
+    }
+
+
+def test_derived_key_lists_are_the_old_literals():
+    """The key lists read from the table equal the tuples they replace."""
+    assert IDENTITY_ENTRIES == ("th2", "th3", "th22", "eps-g-relation", "constraint-eq",
+                                "frame-relations", "elf-corollaries", "cr14", "cr33",
+                                "p1p2-constancy")
+    assert TOLERANCE_KEYS == IDENTITY_ENTRIES + (
+        "tol_slant", "tol_indicatrix_helix", "tol_condition", "tol_normal_planar")
+    assert list(_KEYLESS_ENTRIES.items()) == list(KEYLESS_WHY.items())
+
+
+def test_threshold_key_sets_the_tolerance_of_its_entries(pair_wobble):
+    """tol_condition is the reported tolerance of th8, th17 and th11, and
+    an identity key moves its own entry only."""
+    rep = theorem_suite(pair_wobble, tols={"tol_condition": 2e-3, "th22": 3e-6})
+    got = {k: e.tolerance for k, e in rep.entries.items()}
+    assert got == {**DEFAULT_TOLERANCE, "th8": 2e-3, "th17": 2e-3, "th11": 2e-3,
+                   "th22": 3e-6}
 
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])

@@ -7,13 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bertrand_kit import bertrand
+from bertrand_kit import bertrand, cli, errors
 from bertrand_kit.bertrand import construct_mate, generate_bertrand_curve, sphere_preset
 from bertrand_kit.classify import _KEYLESS_ENTRIES, IDENTITY_ENTRIES, TOLERANCE_KEYS
 from bertrand_kit.cli import _detect_from_files, main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
 from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
-from bertrand_kit.io import _load_curve_pair, dumps, load_curve, save_curve
+from bertrand_kit.io import CurveFileError, _load_curve_pair, dumps, load_curve, save_curve
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +105,12 @@ def test_verify_tol_takes_the_suite_keys(workdir, capsys):
 
 
 # what sets the tolerance of an entry that has no key of its own
-KEYLESS_WHY = {"th6=0": "tol_slant and tol_indicatrix_helix",
-               "th25=0": "tol_slant and tol_indicatrix_helix",
-               "teo15=0": "tol_slant and tol_indicatrix_helix",
-               "teo33=-1": "tol_slant and tol_indicatrix_helix",
-               "th8=1e-30": "tol_condition", "th17=1": "tol_condition",
-               "th11=1": "tol_condition", "cr18=0": "fixed tolerance of 0.5",
-               "negative-result=1": "fixed tolerance of 0.5"}
+FLAGS = "tol_slant and tol_indicatrix_helix set its flags"
+CONDITION = "tol_condition sets its tolerance"
+VERDICTS = "a verdict count against a fixed tolerance of 0.5"
+KEYLESS_WHY = {"th6=0": FLAGS, "th25=0": FLAGS, "teo15=0": FLAGS, "teo33=-1": FLAGS,
+               "th8=1e-30": CONDITION, "th17=1": CONDITION, "th11=1": CONDITION,
+               "cr18=0": VERDICTS, "negative-result=1": VERDICTS}
 
 
 @pytest.mark.parametrize("item", ["th2=abc", "th2=", "th2", "th2=nan", "thx=1", "=1",
@@ -125,7 +124,27 @@ def test_verify_rejects_a_bad_tol(workdir, capsys, item):
                                 str(workdir / "mate.json"), "--tol", item])
     assert (rc, out) == (2, "")
     assert "argument --tol: " in err and repr(item) in err
-    assert KEYLESS_WHY.get(item, "") in err
+    if item in KEYLESS_WHY:
+        key = item.partition("=")[0]
+        assert err.splitlines()[-1] == (f"bertrand-kit verify: error: argument --tol: "
+                                        f"{item!r}: {key!r} has no tolerance key: "
+                                        f"{KEYLESS_WHY[item]}")
+
+
+def test_verify_help_lists_the_tolerance_keys(capsys):
+    """verify --help names every --tol key with its default, and every
+    entry that has none."""
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "--help"])
+    out = capsys.readouterr().out
+    for line in ("  th2=1e-05", "  elf-corollaries=1e-10", "  p1p2-constancy=1e-06",
+                 "  tol_slant=1e-05", "  tol_indicatrix_helix=0.0001", "  tol_condition=0.001",
+                 "  tol_normal_planar=0.0001"):
+        assert line + "\n" in out
+    for key in TOLERANCE_KEYS:
+        assert f"\n  {key}=" in out
+    for key, why in _KEYLESS_ENTRIES.items():
+        assert f"\n  {key}: {why}\n" in out
 
 
 @pytest.mark.parametrize("n", ["1", "4", "7"])
@@ -357,6 +376,63 @@ def test_malformed_curve_file_is_a_parse_error(capsys, tmp_path, content):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# the exit code of each error type a command may raise, as the CLI has
+# always mapped them, and the one that carries a hint
+EXIT_OF = {
+    errors.ExprSyntaxError: 2, errors.UnknownFunctionError: 2,
+    errors.NonConstantExponentError: 2, CurveFileError: 2, errors.TooFewSamplesError: 2,
+    errors.GridMismatchError: 2, errors.ParameterError: 2,
+    errors.DomainError: 3, errors.OutOfDomainError: 3, errors.SingularPointError: 4,
+    errors.DegenerateRatioError: 5, errors.NotAPairError: 6,
+    errors.DegenerateSphereCurveError: 8, errors.NotSphericalError: 8, OSError: 2,
+}
+HINT = " (pass --mask to skip singular points)"
+
+
+def _raise_from_frenet(monkeypatch, exc):
+    def command(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_frenet", command)
+
+
+def test_exit_table_lists_the_error_types():
+    """The exit table maps the error types, in their order, to their codes."""
+    assert list(cli._EXIT_CODES.items()) == [
+        (cls, (code, HINT if cls is errors.SingularPointError else ""))
+        for cls, code in EXIT_OF.items()]
+
+
+@pytest.mark.parametrize("cls", list(EXIT_OF), ids=lambda cls: cls.__name__)
+def test_each_listed_error_exits_with_its_code(workdir, capsys, monkeypatch, cls):
+    """Every error type of the exit table, raised by a command, gives its
+    exit code, empty stdout and one stderr line: the message, with the
+    --mask hint for a singular point."""
+    exc = cls(3, "x") if cls is errors.ExprSyntaxError else cls("boom")
+    _raise_from_frenet(monkeypatch, exc)
+    rc, out, err = run(capsys, ["frenet", str(workdir / "helix.json"), "--grid", "8"])
+    assert (rc, out) == (EXIT_OF[cls], "")
+    assert err == f"error: {exc}{HINT if cls is errors.SingularPointError else ''}\n"
+
+
+def test_first_listed_error_type_wins_and_others_propagate(workdir, capsys, monkeypatch):
+    """An error of two listed types takes the earlier one's code, and an
+    error the table does not list leaves ``main`` as it was raised."""
+    argv = ["frenet", str(workdir / "helix.json"), "--grid", "8"]
+
+    class Both(errors.SingularPointError, errors.DomainError):
+        pass
+
+    _raise_from_frenet(monkeypatch, Both("both"))
+    assert run(capsys, argv) == (3, "", "error: both\n")
+    for exc in (errors.IllConditionedError("rank"), errors.OrderOverflowError(12, 10),
+                RuntimeError("other"), KeyError("key")):
+        _raise_from_frenet(monkeypatch, exc)
+        with pytest.raises(type(exc)) as raised:
+            main(argv)
+        assert raised.value is exc
+        assert capsys.readouterr().err == ""
+
+
 def test_exit_domain_error(workdir, capsys):
     rc, _, err = run(capsys, ["frenet", str(workdir / "helix.json"),
                               "--at", "99.0"])
@@ -487,17 +563,18 @@ def test_curve_that_overflows_is_not_saved(capsys, tmp_path, monkeypatch):
     exits 2 with one error line naming the first bad row, and writes no
     curve file (it used to write one of null coordinates and exit 0)."""
     monkeypatch.chdir(tmp_path)
-    # the generator's overflow RuntimeWarnings are not under test here
-    with np.errstate(all="ignore"):
-        rc, _, _ = run(capsys, ["generate", "--sphere-curve", "wobble", "--n", "64",
-                                "--a", "1e300", "--out", "huge.json"])
-        assert rc == 0
-        for argv in (["generate", "--sphere-curve", "wobble", "--n", "64", "--a", "1e308"],
-                     ["mate", "huge.json", "--lambda", "1e308", "--n", "64"]):
-            rc, out, err = run(capsys, argv)
-            assert (rc, out) == (2, "")
-            assert err.startswith("error: curve ") and err.count("\n") == 1
-            assert "is not finite at row " in err
+    # under the suite's error::RuntimeWarning filter: the overflow raises
+    # no numpy warning, and stderr is the one error line
+    rc, _, _ = run(capsys, ["generate", "--sphere-curve", "wobble", "--n", "64",
+                            "--a", "1e300", "--out", "huge.json"])
+    assert rc == 0
+    for argv in (["generate", "--sphere-curve", "wobble", "--n", "64", "--a", "1e308"],
+                 ["mate", "huge.json", "--lambda", "1e308", "--n", "64"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: curve ") and err.count("\n") == 1
+        assert len(err.splitlines()) == 1
+        assert "is not finite at row " in err
     assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
 
 
@@ -655,6 +732,34 @@ def test_metadata_n_that_contradicts_the_samples_builds_nothing(
     rc, out, err = run(capsys, ["frenet", str(f), "--grid", "8"])
     assert rc == 0, err
     assert json.loads(out)["results"]["n_rows"] == 8
+
+
+@pytest.mark.parametrize("base_n", ["1e400", "1.5", '"64"', "-1", "true"])
+def test_mate_base_n_that_is_not_a_positive_integer_builds_nothing(
+        small_pair, tmp_path, capsys, monkeypatch, base_n):
+    """A mate's recorded ``base_n`` that is not a positive JSON integer is
+    a recipe that cannot be rebuilt: the mate loads its stored samples,
+    alone or beside its base, without building the base's generator, and
+    verify ends with an exit code of the README, not a traceback (1e400
+    overflowed int(), exit 1)."""
+    base, mate = small_pair
+    with open(mate) as fh:
+        text = fh.read()
+    assert text.count('"base_n": 64') == 1
+    f = tmp_path / "mate.json"
+    f.write_text(text.replace('"base_n": 64', f'"base_n": {base_n}'))
+    counts = _count_generator_work(monkeypatch)
+    assert isinstance(load_curve(str(f)), SampledCurve)
+    assert counts["builds"] == 0
+    loaded = _load_curve_pair(base, str(f))
+    assert counts["builds"] == 1
+    assert tuple(map(type, loaded)) == (JetBackedCurve, SampledCurve)
+    np.testing.assert_array_equal(loaded[1].points, json.loads(text)["sampled"]["points"])
+    rc, out, err = run(capsys, ["verify", base, str(f), "--n", "24"])
+    assert rc in (0, 2, 3, 4, 5, 6, 7, 8)
+    assert "Traceback" not in err
+    if rc in (0, 7):
+        assert json.loads(out)["command"] == "verify"
 
 
 def _bits(curve):
