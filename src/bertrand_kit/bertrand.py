@@ -28,6 +28,8 @@ from .curves import (
     FrenetData,
     JetBackedCurve,
     SampledCurve,
+    _FRENET_ORDER,
+    _columns,
     _frenet_columns,
     _frenet_rows,
     _points_at,
@@ -150,8 +152,11 @@ def _frame_jets(base: Curve, t, order: int):
 def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     """The normal-offset curve base + lam*N.
 
-    For analytic or jet-backed bases the mate keeps an exact jet provider;
-    sampled bases yield a sampled mate via the stencil path, at the
+    For analytic or jet-backed bases the mate keeps an exact jet provider,
+    and its node table (the mate at the n+1 regular points of the base's
+    domain) is computed at its first read, not here: building the mate
+    evaluates nothing, and an evaluation error surfaces at that read.
+    Sampled bases yield a sampled mate via the stencil path, at the
     regular grid points of the base.
     """
     if not math.isfinite(lam):
@@ -168,7 +173,6 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
         P, _T, N, _B = _frame_jets(base, t, order)
         return (P + lam * N).truncate(order)
 
-    pts = mate_jet(ts, 0).coeffs[0].T
     meta = {"generator": "normal-offset", "lambda": lam, "n": n}
     base_meta = getattr(base, "metadata", None) or {}
     # self-describing mate file: carry the recipe of the base
@@ -193,7 +197,7 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
                 "base_n": base_meta.get("n"),
             }
         )
-    return JetBackedCurve(mate_jet, ts, pts, label=label, metadata=meta)
+    return JetBackedCurve(mate_jet, ts, label=label, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +289,23 @@ def detect_bertrand(
     NotAPairError with a reason of 'offset-not-normal', 'lambda-varies'
     or 'normals-not-aligned'.  The returned pair keeps the Frenet data
     evaluated here, one batch per curve, as row arrays.
+
+    A generated base (``metadata["generator"] == "bertrand"``) is asked
+    for its grid jet at ``_FRENET_ORDER + 4``, the order the mate's image
+    frames read in ``theorem_suite``, and its rows read that jet's low
+    orders: the pair and its suite then make one generator run on the
+    grid.  Other bases are asked at ``_FRENET_ORDER``, as a stencil's
+    width and a normal offset's bits depend on the order asked.  Neither
+    curve's node table is read here.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
     ts = _overlap_grid(base, mate, n, inset=inset)
-    base_rows, ok, _ = _frenet_columns(base, ts)
+    if getattr(base, "metadata", {}).get("generator") == "bertrand":
+        P = base.jet(ts, _FRENET_ORDER + 4).truncate(_FRENET_ORDER)
+        base_rows, ok, _ = _columns(P, ts)
+    else:
+        base_rows, ok, _ = _frenet_columns(base, ts)
     # the mate only where the base is regular: a normal offset's frame
     # needs the base's
     mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
@@ -458,17 +474,25 @@ def generate_bertrand_curve(
             u = u - (t_nodes[k] + Ak(u) - A_left[k] - t) / Vk(u)
         return u, k
 
-    # the last request's key (t's bytes, internal order) and its
-    # untruncated, read-only jet: a pair asks the base for its Frenet rows
-    # (order 4) and for the mate's frame (order 6) on one grid, and both
-    # are truncations of one order-6 pipeline run
-    last = (None, None)
+    # the last run's t bytes, internal order and untruncated, read-only
+    # jet.  invert_series takes three Newton steps at every order from 5
+    # to 8, and truncated Taylor arithmetic gives the low coefficients the
+    # same bits at every order, so a held run of order at most 8 serves
+    # each lower request on its grid with the bits of that request's own
+    # run; a higher run takes a fourth step and serves its own order only.
+    # Detection runs a generated base's grid at order 8, the order its
+    # mate's image frames read: the base's Frenet rows (order 4), the
+    # mate's frame (order 6) and the suite's image rows (orders 6 and 8)
+    # are truncations of that one run.  A mate asks for its node table
+    # (order 2 at the nodes) at the table's first read, not when it is
+    # built, so its evaluation errors surface at that read.
+    last = (None, None, None)
 
     def jet_fn(t, order):
         nonlocal last
-        internal = max(order, 6)
-        key = (t.tobytes(), internal)
-        if last[0] != key:
+        key, internal = t.tobytes(), max(order, 6)
+        held_key, held, _ = last
+        if held_key != key or not (internal == held or internal <= held <= 8):
             u, k = _solve_u(t)
             Cj, Dj, V = _seed_jets(u, internal)
             s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
@@ -480,8 +504,8 @@ def generate_bertrand_curve(
             jet = Gp.antideriv(x0)
             jet.coeffs.setflags(write=False)
             jet.basepoint.setflags(write=False)
-            last = (key, jet)
-        return last[1].truncate(order)
+            last = (key, internal, jet)
+        return last[2].truncate(order)
 
     meta = {
         "generator": "bertrand",

@@ -244,14 +244,21 @@ class JetBackedCurve(Curve):
 
     ``jet_fn(ts, order)`` takes a 1-D array of parameter values and
     returns the vector jet of (x, y, z), one coefficient column per value.
+    With ``points=None`` the table of points at ``params`` is the order-0
+    jet's constant terms, computed at its first read.
     """
 
-    def __init__(self, jet_fn, params, points, label="", metadata=None):
+    def __init__(self, jet_fn, params, points=None, label="", metadata=None):
         self._jet_fn = jet_fn
         self.params = np.asarray(params, dtype=float)
-        self.points = np.asarray(points, dtype=float)
+        if points is not None:
+            self.points = np.asarray(points, dtype=float)
         self.label = label
         self.metadata = dict(metadata or {})
+
+    @cached_property
+    def points(self):
+        return self._jet_fn(self.params, 0).coeffs[0].T
 
     @property
     def domain(self):

@@ -130,10 +130,10 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
     restores exact differentiation after a round trip instead of falling
     back to finite-difference stencils.  A mate whose recorded generated
     base is ``loaded_base`` is rebuilt on that curve, so the pair shares
-    one generator.  A recipe that cannot be rebuilt, whose ``n`` is not
-    ``nodes`` (the stored sample count less one), or whose ``base_n`` is
-    not a positive integer gives None unbuilt.  The caller checks the
-    rebuilt nodes against the stored samples.
+    one generator.  A recipe that cannot be rebuilt or evaluated at its
+    nodes, whose ``n`` is not ``nodes`` (the stored sample count less
+    one), or whose ``base_n`` is not a positive integer gives None.  The
+    caller checks the rebuilt nodes against the stored samples.
     """
     if not isinstance(meta, dict) or meta.get("n") != nodes:
         return None
@@ -165,7 +165,11 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
             else:
                 base = None
             if base is not None:
-                return bt.construct_mate(base, float(meta["lambda"]), n=nodes)
+                mate = bt.construct_mate(base, float(meta["lambda"]), n=nodes)
+                # the node table is computed at its first read: read it
+                # here, where an evaluation error means no rebuild
+                mate.points
+                return mate
     except (KeyError, TypeError, ValueError, BertrandKitError):
         return None
     return None

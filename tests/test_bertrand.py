@@ -35,6 +35,7 @@ from bertrand_kit.errors import (
     NotAPairError,
     NotSphericalError,
 )
+from bertrand_kit.io import save_curve
 
 
 def valid_ts(pair, margin=2):
@@ -248,14 +249,18 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     """Detection plus the identity suite ask the base or the mate for its
     Frenet jets at most once per parameter value; detection asks each
     curve for jets a fixed few times, whatever the grid, and asks for no
-    speed, an order-1 jet (it builds no arc-length table)."""
+    speed, an order-1 jet (it builds no arc-length table).  A generated
+    base's Frenet rows read the low orders of its order-8 detection
+    request."""
     state = {"detecting": False, "speed_calls": 0}
-    frenet_points = Counter()  # (curve, t) at the Frenet order
+    frenet_points = Counter()  # (curve, t) at the order the rows read
     detect_calls = Counter()  # curve -> jet requests during detection
     real_jet = JetBackedCurve.jet
 
     def counting_jet(self, t, order):
-        if order == curves._FRENET_ORDER:
+        frenet_order = curves._FRENET_ORDER + 4 * (
+            state["detecting"] and self.metadata.get("generator") == "bertrand")
+        if order == frenet_order:
             for x in np.atleast_1d(t):
                 frenet_points[(self, float(x))] += 1
         if state["detecting"]:
@@ -391,11 +396,12 @@ def test_generator_newton_reads_the_walk_series():
 
 
 def test_pair_runs_the_generator_pipeline_once_per_grid():
-    """The base's Frenet rows (order 4), the mate's frame (order 6 of the
-    base) and the base's image rows (order 6) are truncations of one held
-    order-6 jet, and the mate's image rows ask the base for order 8:
-    detection and the suite run the pipeline on the 24-point detection
-    grid only, once at order 6 and once at order 8."""
+    """Detection asks the generated base for order 8 on its grid, the
+    order the mate's image rows read: the base's Frenet rows (order 4),
+    the mate's frame (order 6 of the base) and the suite's image rows
+    (orders 6 and 8 of the base) are truncations of that one held jet, so
+    detection and the suite run the pipeline once, on the 24-point
+    detection grid at order 8."""
     seed = sphere_preset("wobble")
     real_jet = seed.jet
     requests = Counter()  # (order, number of points) -> seed requests
@@ -410,29 +416,96 @@ def test_pair_runs_the_generator_pipeline_once_per_grid():
     requests.clear()
     pair = detect_bertrand(base, mate, n=24)
     theorem_suite(pair, n=24)
-    assert requests == Counter({(6, 24): 1, (8, 24): 1})
+    assert requests == Counter({(8, 24): 1})
 
 
-def _wobble_side(side):
-    """A freshly generated wobble base (n=64), or its mate."""
+def _fresh(side):
+    """A freshly generated wobble base (n=64), its mate, or a fresh slant
+    seed, whose own jet_fn feeds the slant generator."""
+    if side == "slant-seed":
+        return sphere_preset("slant")
     base = _generated("wobble")
     return base if side == "base" else construct_mate(base, 1.0, n=64)
 
 
-@pytest.mark.parametrize("side", ["base", "mate"])
-@pytest.mark.parametrize("orders", [(4, 6), (6, 4), (6, 4, 6)])
+@pytest.mark.parametrize("side", ["base", "mate", "slant-seed"])
+@pytest.mark.parametrize("orders", [(4, 6), (6, 4), (6, 4, 6), (8, 4, 6), (4, 8), (10, 4, 8)])
 def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
     """A request served from the held jet has the bits of the same request
-    on a freshly generated curve, whatever was asked before it; the mate
-    asks its base for two orders more (6 and 8), so its order-6 request
-    replaces the held order-6 jet with an order-8 one."""
-    curve = _wobble_side(side)
+    on a freshly generated curve, whatever was asked before it.  The mate
+    asks its base for two orders more, so its order-6 request makes the
+    base hold an order-8 jet, which serves the base's orders 4 and 6; a
+    held jet above order 8 (one more Newton step) serves no lower order."""
+    curve = _fresh(side)
     ts = np.linspace(*curve.domain, 24)
     for order in orders:
         got = curve.jet(ts, order)
-        want = _wobble_side(side).jet(ts, order)
+        want = _fresh(side).jet(ts, order)
         assert_same_bits_array(got.coeffs, want.coeffs)
         assert_same_bits_array(got.basepoint, want.basepoint)
+
+
+@pytest.mark.parametrize("curve", ["wobble", "tilt", "bean", "slant", "slant-seed"])
+def test_order_8_jets_truncate_to_the_bits_of_lower_requests(curve):
+    """An order-8 request on a fresh generated base, or on the slant seed,
+    truncated to order 4 or 6, has the bits of that request on a fresh
+    curve (an order-6 generator run): detection's order-8 grid jet can
+    serve every lower request on the grid."""
+    def fresh():
+        return sphere_preset("slant") if curve == "slant-seed" else _generated(curve)
+
+    ts = np.linspace(*fresh().domain, 24)
+    high = fresh().jet(ts, 8)
+    for order in (4, 6):
+        want = fresh().jet(ts, order)
+        assert_same_bits_array(high.truncate(order).coeffs, want.coeffs)
+        assert_same_bits_array(high.basepoint, want.basepoint)
+
+
+@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
+def test_pair_and_suite_make_one_series_reversion(preset, monkeypatch):
+    """generated_pair plus theorem_suite run the generator pipeline once,
+    on the detection grid at order 8 (three runs when construct_mate
+    evaluated its node table and the suite's image rows asked for a
+    second run on the grid)."""
+    calls = Counter()  # (order, number of points) -> series reversions
+    real = bertrand.invert_series
+
+    def counting(fwd):
+        calls[fwd.order, fwd.coeffs.shape[-1]] += 1
+        return real(fwd)
+
+    monkeypatch.setattr(bertrand, "invert_series", counting)
+    theorem_suite(generated_pair(preset, n=64, grid=24))
+    assert calls == Counter({(8, 24): 1})
+
+
+def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
+    """construct_mate asks its generated base for nothing; the node table,
+    computed at its first read, has the bits of the order-0 mate jet at
+    the nodes (the table the mate was once built with), and a saved mate
+    file does not depend on what the pair evaluated before the read."""
+    base = _generated("wobble")
+    requests = Counter()
+    real_jet = JetBackedCurve.jet
+
+    def counting_jet(self, t, order):
+        requests[self is base, order] += 1
+        return real_jet(self, t, order)
+
+    monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
+    mate = construct_mate(base, 1.0, n=64)
+    assert requests == Counter()
+    monkeypatch.undo()
+
+    P, _, N, _ = bertrand._frame_jets(_generated("wobble"), mate.params, 0)
+    assert_same_bits_array(mate.points, (P + 1.0 * N).truncate(0).coeffs[0].T)
+    save_curve(mate, str(tmp_path / "first.json"))
+    base = _generated("wobble")
+    late = construct_mate(base, 1.0, n=64)
+    theorem_suite(detect_bertrand(base, late, n=24))
+    save_curve(late, str(tmp_path / "late.json"))
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "late.json").read_bytes()
 
 
 def test_generator_jets_are_read_only():
@@ -454,9 +527,10 @@ def test_generator_jets_are_read_only():
 
 def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     """Detection takes the offsets from the positions in the Frenet rows:
-    the base is asked for jets at the Frenet order and, for the mate's
-    frame, two orders higher, the mate at the Frenet order, each once,
-    and no curve is asked for a point."""
+    the generated base is asked once for jets four orders above the
+    Frenet order (its rows read the low orders, the suite's image rows
+    the rest) and once, for the mate's frame, two orders above it; the
+    mate is asked once at the Frenet order, and no curve for a point."""
     pair = generated_pair("wobble", n=64, grid=24)
     role = {pair.base: "base", pair.mate: "mate"}
     requests = Counter()
@@ -473,4 +547,4 @@ def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
     monkeypatch.setattr(Curve, "point", counting_point)
     detect_bertrand(pair.base, pair.mate, n=24)
-    assert requests == Counter({("base", 4): 1, ("base", 6): 1, ("mate", 4): 1})
+    assert requests == Counter({("base", 8): 1, ("base", 6): 1, ("mate", 4): 1})
