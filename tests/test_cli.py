@@ -846,3 +846,31 @@ def test_mate_beside_its_base_keeps_the_stored_sample_checks(
     assert loaded[1].label == alone.label
     for got, want in zip(_bits(loaded[1]), _bits(alone)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_main_builds_the_parser_once(small_pair, capsys, monkeypatch):
+    """Two ``main`` calls in one process build the argument parser once."""
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    assert run(capsys, ["classify", small_pair[0]])[0] == 0
+    assert run(capsys, ["verify", *small_pair, "--n", "24"])[0] == 0
+    assert len(builds) == 1
+
+
+def test_reused_parser_keeps_no_state_between_calls(small_pair, capsys):
+    """A plain verify after a --tol call and a parse error gives the bytes
+    of a plain verify on a freshly built parser."""
+    cli._parser.cache_clear()
+    first = run(capsys, ["verify", *small_pair, "--n", "24"])
+    assert first[0] == 0
+    tol = run(capsys, ["verify", *small_pair, "--n", "24", "--tol", "th2=1e-3"])
+    assert tol[0] == 0 and '"th2": 0.001' in tol[1]
+    assert run(capsys, ["verify", *small_pair, "--n", "zz"])[0] == 2
+    assert run(capsys, ["verify", *small_pair, "--n", "24"]) == first
