@@ -371,15 +371,33 @@ def compose(outer: Jet, inner: Jet) -> Jet:
     stacked outer series (a vector jet, or any number of components on
     axis 1) is composed with the one inner series in one pass, each
     component through the operations it would go through alone.
+
+    The partial sum after Horner step k reaches the result only through
+    k more products by the shifted inner series h, whose constant term
+    is 0, so its coefficients above n-k are never read: step k is one
+    Cauchy product of length n-k+1, from 2 up to n+1 (Griewank &
+    Walther, ch. 13; Brent & Kung, J. ACM 25(4), 1978).  At order 8
+    that is 284 scalar products per component column, where steps at
+    full length take 648.  Each kept coefficient adds the same products
+    in the same order as a full-length step, except the top one's last
+    term, added after all others: 0.0 * h[0] here, the unread
+    coefficient times h[0] = +0.0 there.  Both terms are zeros, so the
+    results can differ only where that sum is exactly 0 (in its sign)
+    or where the unread coefficient is not finite (a NaN).
     """
-    n = min(outer.order, inner.order)
-    shifted = Jet(inner.basepoint, inner.coeffs[: n + 1].copy())
-    shifted.coeffs[0] = 0.0
-    acc = Jet(inner.basepoint, np.zeros_like(outer.coeffs[: n + 1]))
-    acc.coeffs[0] = outer.coeffs[n]
+    # operands cut to the lower order; a stacked outer series meets the
+    # one inner series on every component
+    a, h = outer._align(inner)
+    h = h.copy()
+    h[0] = 0.0
+    n = len(h) - 1
+    acc = np.zeros(np.broadcast_shapes(a.shape, h.shape))
+    acc[0] = a[n]
     for k in range(n - 1, -1, -1):
-        acc = acc * shifted + outer.coeffs[k]
-    return acc
+        m = n - k + 1
+        acc[:m] = _cauchy(acc[:m], h[:m])
+        acc[0] += a[k]
+    return Jet(inner.basepoint, acc)
 
 
 def invert_series(fwd: Jet) -> Jet:

@@ -153,7 +153,7 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("order", [6, 8, 10])
-@pytest.mark.parametrize("n", [1, 24])
+@pytest.mark.parametrize("n", [1, 24, 256])
 def test_vector_jet_operations_match_the_component_formulas(order, n):
     """Cross, dot, scaling and quotient by a scalar jet, the composition of
     a stacked outer series with one inner series, and series inversion
@@ -186,6 +186,46 @@ def test_vector_jet_operations_match_the_component_formulas(order, n):
     fwd.coeffs[1] = rng.uniform(0.5, 2.0, n)
     _assert_same_bits(invert_series(fwd).coeffs, _invert_reference(fwd).coeffs)
     assert [c.coeffs.tolist() for c in a] == [c.coeffs.tolist() for c in A]
+
+
+@pytest.mark.parametrize("order", [6, 8, 10])
+@pytest.mark.parametrize("n", [1, 24, 256])
+def test_compose_of_an_outer_series_with_a_zero_top_coefficient_matches_the_reference(order, n):
+    """The stacked (s, s') outer series of ``invert_series``, whose s'
+    column ends in an exact 0, composes with the bits of each component
+    composed alone in jet arithmetic at full length."""
+    rng = np.random.default_rng(order * 1000 + n)
+    fwd = Jet(rng.uniform(-1.0, 1.0, n), rng.normal(size=(order + 1, n)))
+    fwd.coeffs[1] = rng.uniform(0.5, 2.0, n)
+    dfwd = Jet(fwd.basepoint, np.concatenate((fwd.deriv().coeffs, np.zeros_like(fwd.coeffs[:1]))))
+    assert not dfwd.coeffs[-1].any()
+    inner = Jet(fwd.coeffs[0], rng.normal(size=(order + 1, n)))
+    inner.coeffs[0] = fwd.basepoint
+    both = Jet(fwd.basepoint, np.stack((fwd.coeffs, dfwd.coeffs), axis=1))
+    want = jstack([_compose_reference(fwd, inner), _compose_reference(dfwd, inner)])
+    _assert_same_bits(compose(both, inner).coeffs, want.coeffs)
+    _assert_same_bits(compose(dfwd, inner).coeffs, _compose_reference(dfwd, inner).coeffs)
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_compose_cuts_each_horner_step_to_the_order_it_reaches(order, monkeypatch):
+    """Horner step k of an order-n composition is one Cauchy product of
+    length n-k+1: operands of lengths 2, 3, ..., n+1, one pair per step."""
+    lengths = []
+    cauchy = jets._cauchy
+
+    def counting(a, b):
+        lengths.append((len(a), len(b)))
+        return cauchy(a, b)
+
+    monkeypatch.setattr(jets, "_cauchy", counting)
+    rng = np.random.default_rng(order)
+    t0 = rng.uniform(-1.0, 1.0, 24)
+    outer = Jet(t0, rng.normal(size=(order + 1, 2, 24)))
+    inner = Jet(t0, rng.normal(size=(order + 1, 24)))
+    inner.coeffs[0] = t0
+    compose(outer, inner)
+    assert lengths == [(m, m) for m in range(2, order + 2)]
 
 
 def test_domain_errors():
