@@ -141,7 +141,13 @@ def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
 def _frame_jets(base: Curve, t, order: int):
     """Vector jets of (position, T, N, B) to the given order (needs
     order+2 base jets), at a float t or at each t of a 1-D array."""
-    P = base.jet(t, order + 2)
+    return _frames(base.jet(t, order + 2))
+
+
+def _frames(P):
+    """Vector jets of (P, T, N, B) from the position jet P, T one order
+    below P's and N and B two; column by column, so the columns of
+    stacked curves get the bits each gets alone."""
     D1 = P.deriv()
     V = jsqrt(jdot(D1, D1))
     C = jcross(D1, D1.deriv())
@@ -157,8 +163,14 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     and its node table (the mate at the n+1 regular points of the base's
     domain) is computed at its first read, not here: building the mate
     evaluates nothing, and an evaluation error surfaces at that read.
-    Sampled bases yield a sampled mate via the stencil path, at the
-    regular grid points of the base.
+    The mate's jet provider holds its last grid's jet, read-only: the
+    same grid at the same order is served from it, and so is a lower
+    order on the mate of a generated base, from a held order of at most
+    6 (the base's order 8, up to which a generator's jets truncate to
+    the bits of lower requests).  Detection asks such a mate for order 6
+    and the suite's image rows read that jet again.  Sampled bases yield
+    a sampled mate via the stencil path, at the regular grid points of
+    the base.
     """
     if not math.isfinite(lam):
         raise ParameterError(f"lambda must be finite, got {lam}")
@@ -170,12 +182,29 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
         rows, keep, _ = _frenet_columns(base, ts)
         return SampledCurve(ts[keep], rows.point + lam * rows.N, label=label)
 
-    def mate_jet(t, order):
-        P, _T, N, _B = _frame_jets(base, t, order)
-        return (P + lam * N).truncate(order)
-
     meta = {"generator": "normal-offset", "lambda": lam, "n": n}
     base_meta = getattr(base, "metadata", None) or {}
+    # the last run's t bytes, order and read-only jet.  Truncated Taylor
+    # arithmetic gives the frame's low coefficients the same bits at every
+    # order, so a held run serves a lower request where the base's jets
+    # truncate likewise: a generator's up to order 8, so a held mate of
+    # order at most 6.  Other bases are served at the held order only
+    # (the slant seed's jets, for one, run at max(order, 6) internally).
+    truncates = _generated(base)
+    last = (None, None, None)
+
+    def mate_jet(t, order):
+        nonlocal last
+        key = t.tobytes()
+        held_key, held, _ = last
+        if held_key != key or not (order == held or truncates and order < held <= 6):
+            P, _T, N, _B = _frame_jets(base, t, order)
+            jet = Jet(t.copy(), (P + lam * N).truncate(order).coeffs)
+            jet.coeffs.setflags(write=False)
+            jet.basepoint.setflags(write=False)
+            last = (key, order, jet)
+        return last[2].truncate(order)
+
     # self-describing mate file: carry the recipe of the base
     if isinstance(base, AnalyticCurve):
         meta.update(
@@ -274,6 +303,18 @@ def _offset_along(D, axis):
     return lam, np.linalg.norm(D - lam[:, None] * axis, axis=1)
 
 
+def _generated(curve) -> bool:
+    """Whether ``curve`` is a generator curve, whose grid jets up to
+    order 8 truncate to the bits of lower requests."""
+    return getattr(curve, "metadata", {}).get("generator") == "bertrand"
+
+
+def _frenet_columns_from(curve, ts, extra: int):
+    """``_frenet_columns`` of ``curve`` at ``ts`` read from its jet
+    ``extra`` orders above the Frenet order, which the curve holds."""
+    return _columns(curve.jet(ts, _FRENET_ORDER + extra).truncate(_FRENET_ORDER), ts)
+
+
 def detect_bertrand(
     base: Curve,
     mate: Curve,
@@ -295,21 +336,24 @@ def detect_bertrand(
     for its grid jet at ``_FRENET_ORDER + 4``, the order the mate's image
     frames read in ``theorem_suite``, and its rows read that jet's low
     orders: the pair and its suite then make one generator run on the
-    grid.  Other bases are asked at ``_FRENET_ORDER``, as a stencil's
-    width and a normal offset's bits depend on the order asked.  Neither
-    curve's node table is read here.
+    grid.  Likewise a normal-offset mate of a generated base is asked at
+    ``_FRENET_ORDER + 2``, the order of the suite's image rows, which it
+    holds (``construct_mate``), and its rows read the order-4
+    truncation: the pair and its suite then make one mate frame run on
+    the grid.  Other curves are asked at ``_FRENET_ORDER``, as a
+    stencil's width and a normal offset's bits depend on the order
+    asked.  Neither curve's node table is read here.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
     ts = _overlap_grid(base, mate, n, inset=inset)
-    if getattr(base, "metadata", {}).get("generator") == "bertrand":
-        P = base.jet(ts, _FRENET_ORDER + 4).truncate(_FRENET_ORDER)
-        base_rows, ok, _ = _columns(P, ts)
-    else:
-        base_rows, ok, _ = _frenet_columns(base, ts)
+    base_rows, ok, _ = _frenet_columns_from(base, ts, 4 if _generated(base) else 0)
     # the mate only where the base is regular: a normal offset's frame
     # needs the base's
-    mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
+    mate_meta = getattr(mate, "metadata", {})
+    offset = mate_meta.get("generator") == "normal-offset" and (
+        mate_meta.get("base_generator") == "bertrand")
+    mate_rows, mate_ok, _ = _frenet_columns_from(mate, ts[ok], 2 if offset else 0)
     base_rows = _take_rows(base_rows, mate_ok)
     ok[ok] = mate_ok
     valid = np.nonzero(ok)[0]
@@ -403,8 +447,12 @@ def linear_relation_fit(curve: Curve, n: int = 64):
 # generator: Bertrand curves from spherical seed curves
 
 
-def _sphere_checks(sphere_curve: Curve, probes):
-    p, d1, half_d2 = sphere_curve.jet(probes, 2).coeffs.transpose(0, 2, 1)
+def _sphere_checks(seed_jet):
+    """Raise unless the seed, at the columns of its jet (order 2 or more),
+    is on the unit sphere, regular and of non-constant geodesic
+    curvature."""
+    probes = seed_jet.basepoint
+    p, d1, half_d2 = seed_jet.coeffs[:3].transpose(0, 2, 1)
     r = np.linalg.norm(p, axis=1)
     v = np.linalg.norm(d1, axis=1)
     for u, r_u, v_u in zip(probes, r, v):
@@ -442,19 +490,19 @@ def generate_bertrand_curve(
     cot = 1.0 / math.tan(omega)
     lo, hi = sphere_curve.domain
     us = np.linspace(lo, hi, n + 1)
-    _sphere_checks(sphere_curve, 0.5 * (us[:-1] + us[1:])[:: max(1, n // 64)])
 
-    walk_order = 10
-
-    def _seed_jets(u, order):
-        # seed c, dc/du and the seed's speed V = |dc/du|, as jets in u
-        Cj = sphere_curve.jet(u, order)
+    def _seed_jets(Cj):
+        # dc/du and the seed's speed V = |dc/du|, as jets in u, from the
+        # seed's jet Cj
         Dj = Cj.deriv()
-        return Cj, Dj, jsqrt(jdot(Dj, Dj))
+        return Dj, jsqrt(jdot(Dj, Dj))
 
     # node walk: accumulate t (arc length of c) and position by series
-    # steps, the series of every step from one batch at the midpoints
-    Cj, Dj, V = _seed_jets(0.5 * (us[:-1] + us[1:]), walk_order)
+    # steps, the series of every step from one batch at the midpoints,
+    # whose every (n // 64)-th column the sphere checks read first
+    Cj = sphere_curve.jet(0.5 * (us[:-1] + us[1:]), 10)
+    _sphere_checks(Cj.take(slice(None, None, max(1, n // 64))))
+    Dj, V = _seed_jets(Cj)
     # dgamma/du = a (V c + cot(omega) c x dc/du)
     G = a * (V * Cj + cot * jcross(Cj, Dj))
 
@@ -483,8 +531,9 @@ def generate_bertrand_curve(
     # run; a higher run takes a fourth step and serves its own order only.
     # Detection runs a generated base's grid at order 8, the order its
     # mate's image frames read: the base's Frenet rows (order 4), the
-    # mate's frame (order 6) and the suite's image rows (orders 6 and 8)
-    # are truncations of that one run.  A mate asks for its node table
+    # mate's order-6 jet (the base's order 8), which the mate holds for
+    # the suite, and the suite's base image rows (order 6) are
+    # truncations of that one run.  A mate asks for its node table
     # (order 2 at the nodes) at the table's first read, not when it is
     # built, so its evaluation errors surface at that read.
     last = (None, None, None)
@@ -495,7 +544,8 @@ def generate_bertrand_curve(
         held_key, held, _ = last
         if held_key != key or not (internal == held or internal <= held <= 8):
             u, k = _solve_u(t)
-            Cj, Dj, V = _seed_jets(u, internal)
+            Cj = sphere_curve.jet(u, internal)
+            Dj, V = _seed_jets(Cj)
             s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
             C = compose(Cj, invert_series(s_jet))  # c(u(t)) in t
             Gp = a * (C + cot * jcross(C, C.deriv()))  # dgamma/dt

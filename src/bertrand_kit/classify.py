@@ -43,8 +43,8 @@ from .indicatrix import (
     _arclength_relations,
     _frame_relations,
     _images,
+    _image_columns,
     _other_side,
-    image_rows,
 )
 from .jets import _first
 
@@ -225,9 +225,17 @@ def _classify_image_rows(curve_a, curve_b, ts):
     of two curves, keyed by axis, from their exact ``image_rows`` at
     ``ts``: the shared parameter is the correspondence, as with
     align='param', and the tolerance is ``pair_classify``'s default.  An
-    axis with too few regular pairs gets the verdict 'untestable'."""
-    rows_a, ok_a, _ = image_rows(curve_a, ts)
-    rows_b, ok_b, _ = image_rows(curve_b, ts)
+    axis with too few regular pairs gets the verdict 'untestable'.
+
+    The curves' order-6 position jets are stacked, A's columns first, and
+    their six images come from one frame pass over 2 len(ts) columns and
+    one Frenet pass over 6 len(ts) (``_image_columns``), with the bits of
+    each curve's own ``image_rows``.  A normal-offset mate of a generated
+    base serves its jet from the order-6 grid jet detection held."""
+    rows, ok, _ = _image_columns((curve_a, curve_b), ts)
+    ok_a, ok_b = np.split(ok, 2)
+    split = np.count_nonzero(ok_a)
+    rows_a, rows_b = _take_rows(rows, slice(None, split)), _take_rows(rows, slice(split, None))
     pairs = ok_a & ok_b
     axis_of = np.repeat(np.arange(len(AXES)), len(ts))
     out = {}
@@ -389,8 +397,9 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     detection evaluated, on the rows where both curves are regular and g
     is defined on both.  ``negative-result`` classifies the T, N and B
     image pairs of base and mate (``_classify_image_rows``) on the exact
-    image rows at the regular detection points, one frame-jet request per
-    curve, an axis with too few regular pairs counting as untestable.
+    image rows at the regular detection points, one order-6 jet request
+    per curve and one frame and one Frenet pass for all six images, an
+    axis with too few regular pairs counting as untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
     ``tols`` takes the keys of ``TOLERANCE_KEYS``, and any other key
     raises ValueError.  Equivalence entries (helix/planar criteria) pass

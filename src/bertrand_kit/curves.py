@@ -17,8 +17,8 @@ explicit chain-rule conversion to arc-length derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
@@ -312,11 +312,17 @@ class FrenetData:
     Gamma: float
 
 
+@cache
+def _field_names(cls):
+    """The field names of a dataclass type, looked up once per type."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _take_rows(rows, idx):
     """The rows ``idx`` of a dataclass of row arrays; fields that are not
     arrays are kept."""
-    return replace(rows, **{f.name: getattr(rows, f.name)[idx] for f in fields(rows)
-                            if isinstance(getattr(rows, f.name), np.ndarray)})
+    values = (getattr(rows, name) for name in _field_names(type(rows)))
+    return type(rows)(*(v[idx] if isinstance(v, np.ndarray) else v for v in values))
 
 
 def _points_at(rows, idx, n):

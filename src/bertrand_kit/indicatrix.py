@@ -22,7 +22,7 @@ from .bertrand import (
     EPS_DEN,
     BertrandPairModel,
     ConstancyStat,
-    _frame_jets,
+    _frames,
     _require_g,
     geodesic_indicator_closed_form,
 )
@@ -73,14 +73,27 @@ def indicatrix_curve(curve, axis, n) -> SampledCurve:
 
 def image_rows(curve, ts):
     """The exact Frenet columns of the T, N and B images of a curve at
-    ``ts``, as ``_frenet_columns`` gives them, from one frame-jet request
-    and one pass over 3 len(ts) columns, the T image's first: the T image
-    is the curve whose position jet is T's jet, and likewise N and B."""
+    ``ts``, as ``_frenet_columns`` gives them, from one request of the
+    curve's order-6 jet and one pass over 3 len(ts) columns, the T
+    image's first: the T image is the curve whose position jet is T's
+    jet, and likewise N and B."""
+    return _image_columns((curve,), ts)
+
+
+def _image_columns(curves, ts):
+    """The ``image_rows`` of each of ``curves`` at ``ts``, concatenated
+    curve by curve, from one order-6 jet request per curve, one frame
+    pass over their stacked position columns and one ``_columns`` pass
+    over all images' columns.  Every step works column by column, so each
+    curve's rows have the bits of its own ``image_rows``."""
     ts = np.asarray(ts, dtype=float)
-    _, *frame = _frame_jets(curve, ts, _FRENET_ORDER)
-    ts3 = np.tile(ts, len(frame))
-    coeffs = np.concatenate([v.truncate(_FRENET_ORDER).coeffs for v in frame], axis=-1)
-    return _columns(Jet(ts3, coeffs), ts3)
+    n = len(ts)
+    P = np.concatenate([c.jet(ts, _FRENET_ORDER + 2).coeffs for c in curves], axis=-1)
+    _, *frame = _frames(Jet(np.tile(ts, len(curves)), P))
+    blocks = [v.truncate(_FRENET_ORDER).coeffs[..., i * n:(i + 1) * n]
+              for i in range(len(curves)) for v in frame]
+    ts_all = np.tile(ts, len(blocks))
+    return _columns(Jet(ts_all, np.concatenate(blocks, axis=-1)), ts_all)
 
 
 def _other_side(side: str) -> str:

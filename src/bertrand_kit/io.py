@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -49,7 +50,7 @@ def _serialize(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(fmt(obj) if np.isfinite(obj) else "null")
+        out.append(fmt(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):

@@ -21,7 +21,7 @@ from bertrand_kit.bertrand import (
     sphere_preset,
     DEFAULT_OMEGA,
 )
-from bertrand_kit.classify import theorem_suite
+from bertrand_kit.classify import _classify_image_rows, theorem_suite
 from bertrand_kit.curves import (
     AnalyticCurve,
     Curve,
@@ -300,22 +300,28 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     curve for jets a fixed few times, whatever the grid, and asks for no
     speed, an order-1 jet (it builds no arc-length table).  A generated
     base's Frenet rows read the low orders of its order-8 detection
-    request."""
-    state = {"detecting": False, "speed_calls": 0}
+    request, and its normal-offset mate's those of its order-6 one.  The
+    points are counted on the requests of detection and the suite, not
+    on the base requests the mate's frame makes."""
+    state = {"detecting": False, "speed_calls": 0, "depth": 0}
     frenet_points = Counter()  # (curve, t) at the order the rows read
     detect_calls = Counter()  # curve -> jet requests during detection
     real_jet = JetBackedCurve.jet
 
     def counting_jet(self, t, order):
-        frenet_order = curves._FRENET_ORDER + 4 * (
-            state["detecting"] and self.metadata.get("generator") == "bertrand")
-        if order == frenet_order:
+        extra = {"bertrand": 4, "normal-offset": 2}.get(self.metadata.get("generator"), 0)
+        frenet_order = curves._FRENET_ORDER + extra * state["detecting"]
+        if order == frenet_order and not state["depth"]:
             for x in np.atleast_1d(t):
                 frenet_points[(self, float(x))] += 1
         if state["detecting"]:
             detect_calls[self] += 1
             state["speed_calls"] += order == 1
-        return real_jet(self, t, order)
+        state["depth"] += 1
+        try:
+            return real_jet(self, t, order)
+        finally:
+            state["depth"] -= 1
 
     real_detect = bertrand.detect_bertrand
 
@@ -340,8 +346,8 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     # base: its Frenet grid and the mate's frame jets; mate: its Frenet
     # grid (the exact requests are pinned by
     # test_detection_reads_positions_from_the_frenet_rows)
-    assert detect_calls[pair.base] <= 4
-    assert detect_calls[pair.mate] <= 2
+    assert detect_calls[pair.base] <= 2
+    assert detect_calls[pair.mate] <= 1
     assert state["speed_calls"] == 0
 
 
@@ -349,8 +355,9 @@ def test_suite_reads_the_detection_grid(monkeypatch):
     """The identity suite reads the Frenet data detection evaluated, and
     negative-result reads the image rows at the regular detection points:
     inside the suite the base and the mate get no Frenet-order request,
-    and one frame-jet request each (order 6) at the 24 detection points;
-    the mate's frame asks its base for order 8 there."""
+    and one frame-jet request each (order 6) at the 24 detection points.
+    The mate serves its request from the order-6 grid jet it holds since
+    detection, so its frame asks the base for nothing."""
     pair = generated_pair("wobble", n=64, grid=24)
     requests = {pair.base: Counter(), pair.mate: Counter()}
     real_jet = JetBackedCurve.jet
@@ -364,14 +371,14 @@ def test_suite_reads_the_detection_grid(monkeypatch):
     theorem_suite(pair, n=24)
     grid = tuple(pair.ts[~pair.masked].tolist())
     assert len(grid) == 24
-    assert requests[pair.base] == Counter({(6, grid): 1, (8, grid): 1})
+    assert requests[pair.base] == Counter({(6, grid): 1})
     assert requests[pair.mate] == Counter({(6, grid): 1})
 
 
 def test_suite_builds_each_image_stencil_once(monkeypatch):
     """negative-result classifies the three image pairs on exact jets: no
-    Fornberg weight build, and one image Frenet pass per curve over the
-    3 x 24 columns of all axes."""
+    Fornberg weight build, and one image Frenet pass over the 6 x 24
+    columns of all axes of both curves."""
     pair = generated_pair("wobble", n=64, grid=24)
     weights, passes = Counter(), Counter()
     real_weights, real_columns = curves.fornberg_weights, curves._columns
@@ -390,7 +397,7 @@ def test_suite_builds_each_image_stencil_once(monkeypatch):
     monkeypatch.setattr(indicatrix, "_columns", counting_columns)
     theorem_suite(pair, n=24)
     assert weights == Counter()
-    assert passes == Counter({72: 2})
+    assert passes == Counter({144: 1})
 
 
 def test_wobble_jet_makes_two_sincos(monkeypatch):
@@ -469,22 +476,28 @@ def test_pair_runs_the_generator_pipeline_once_per_grid():
 
 
 def _fresh(side):
-    """A freshly generated wobble base (n=64), its mate, or a fresh slant
-    seed, whose own jet_fn feeds the slant generator."""
-    if side == "slant-seed":
-        return sphere_preset("slant")
+    """A freshly generated wobble base (n=64), its mate, a fresh slant
+    seed, whose own jet_fn feeds the slant generator, or the seed's
+    normal offset by 0.3."""
+    if side.startswith("slant-seed"):
+        seed = sphere_preset("slant")
+        return seed if side == "slant-seed" else construct_mate(seed, 0.3, n=64)
     base = _generated("wobble")
     return base if side == "base" else construct_mate(base, 1.0, n=64)
 
 
-@pytest.mark.parametrize("side", ["base", "mate", "slant-seed"])
-@pytest.mark.parametrize("orders", [(4, 6), (6, 4), (6, 4, 6), (8, 4, 6), (4, 8), (10, 4, 8)])
+@pytest.mark.parametrize("side", ["base", "mate", "slant-seed", "slant-seed-mate"])
+@pytest.mark.parametrize("orders", [(4, 6), (6, 4), (6, 4, 6), (8, 4, 6), (4, 8), (10, 4, 8),
+                                    (6, 6)])
 def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
     """A request served from the held jet has the bits of the same request
     on a freshly generated curve, whatever was asked before it.  The mate
     asks its base for two orders more, so its order-6 request makes the
     base hold an order-8 jet, which serves the base's orders 4 and 6; a
-    held jet above order 8 (one more Newton step) serves no lower order."""
+    held jet above order 8 (one more Newton step) serves no lower order.
+    The mate holds its own last grid jet too, and serves a lower order
+    from it only on a generated base, from a held order of at most 6;
+    the slant seed's mate runs each other order afresh."""
     curve = _fresh(side)
     ts = np.linspace(*curve.domain, 24)
     for order in orders:
@@ -574,12 +587,33 @@ def test_generator_jets_are_read_only():
     assert_same_bits_array(base.jet(ts, 6).coeffs, want.coeffs)
 
 
+def test_mate_jets_are_read_only():
+    """The mate's held jet is read-only too: writing into a returned jet,
+    served afresh (order 6) or from the hold (order 4), raises and leaves
+    the held jet as it was, and the caller's grid stays writable."""
+    mate = _fresh("mate")
+    ts = np.linspace(*mate.domain, 24)
+    for order in (6, 4):
+        jet = mate.jet(ts, order)
+        with pytest.raises(ValueError):
+            jet.coeffs[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            jet.basepoint[0] = 0.0
+    with pytest.raises(ValueError):
+        mate.jet(float(ts[3]), 2).coeffs[0, 0] = 0.0
+    assert ts.flags.writeable
+    assert_same_bits_array(mate.jet(ts, 6).coeffs, _fresh("mate").jet(ts, 6).coeffs)
+
+
 def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     """Detection takes the offsets from the positions in the Frenet rows:
     the generated base is asked once for jets four orders above the
     Frenet order (its rows read the low orders, the suite's image rows
-    the rest) and once, for the mate's frame, two orders above it; the
-    mate is asked once at the Frenet order, and no curve for a point."""
+    the rest), and its normal-offset mate once, two orders above it (its
+    rows read the low orders); no curve is asked for a point.  The pair's
+    mate holds its order-6 grid jet from the first detection, so this
+    second detection makes no mate frame run: the base is not asked for
+    the mate's frame."""
     pair = generated_pair("wobble", n=64, grid=24)
     role = {pair.base: "base", pair.mate: "mate"}
     requests = Counter()
@@ -596,4 +630,82 @@ def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
     monkeypatch.setattr(Curve, "point", counting_point)
     detect_bertrand(pair.base, pair.mate, n=24)
-    assert requests == Counter({("base", 8): 1, ("base", 6): 1, ("mate", 4): 1})
+    assert requests == Counter({("base", 8): 1, ("mate", 6): 1})
+
+
+@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
+def test_pair_and_suite_make_one_mate_frame_run_and_one_image_pass(preset, monkeypatch):
+    """generated_pair plus theorem_suite build the mate's frame once, on
+    the detection grid at order 6 (detection's order-4 run and the
+    suite's order-6 run before the mate held its grid jet), and the six
+    image curves of negative-result take one Frenet pass over 6 x 24
+    columns (one pass of 3 x 24 per curve before)."""
+    frames, passes = Counter(), Counter()
+    real_frames, real_columns = bertrand._frame_jets, indicatrix._columns
+
+    def counting_frames(base, t, order):
+        frames[order, len(t)] += 1
+        return real_frames(base, t, order)
+
+    def counting_columns(P, ts):
+        passes[len(ts)] += 1
+        return real_columns(P, ts)
+
+    monkeypatch.setattr(bertrand, "_frame_jets", counting_frames)
+    monkeypatch.setattr(indicatrix, "_columns", counting_columns)
+    theorem_suite(generated_pair(preset, n=64, grid=24))
+    assert frames == Counter({(6, 24): 1})
+    assert passes == Counter({144: 1})
+
+
+def _planar_pair():
+    """An analytic ellipse and its normal offset by 0.2: a Bertrand pair
+    whose mate does not truncate lower orders from its held jet."""
+    base = AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.1, 2.9))
+    return base, construct_mate(base, 0.2, n=64)
+
+
+@pytest.mark.parametrize("preset", ["wobble", "slant", "analytic"])
+def test_mate_jets_after_detection_and_suite_have_fresh_bits(preset):
+    """After detection and the suite's image rows, the mate's order-4 and
+    order-6 jets on the detection grid, in either order, have the bits of
+    a fresh mate's: the held order-6 jet serves both on the mate of a
+    generated base, and on the mate of an analytic base (on which the
+    suite raises before its image rows, so they are run alone) a lower
+    order is run afresh."""
+    def fresh():
+        if preset == "analytic":
+            return _planar_pair()
+        base = _generated(preset)
+        return base, construct_mate(base, 1.0, n=64)
+
+    for orders in ((4, 6), (6, 4)):
+        base, mate = fresh()
+        pair = detect_bertrand(base, mate, n=24)
+        grid = pair.ts[~pair.masked]
+        if preset == "analytic":
+            _classify_image_rows(base, mate, grid)
+        else:
+            theorem_suite(pair)
+        for order in orders:
+            got, want = mate.jet(grid, order), fresh()[1].jet(grid, order)
+            assert_same_bits_array(got.coeffs, want.coeffs)
+            assert_same_bits_array(got.basepoint, want.basepoint)
+
+
+def test_generator_build_makes_one_seed_request():
+    """A generator build asks its seed once, for the walk's order-10 jets
+    at the n midpoints; the sphere checks read the order-2 terms of every
+    (n // 64)-th of them (a second, order-2 request before)."""
+    for n in (64, 256):
+        seed = sphere_preset("wobble")
+        real_jet = seed.jet
+        requests = Counter()
+
+        def counting_jet(t, order):
+            requests[order, np.size(t)] += 1
+            return real_jet(t, order)
+
+        seed.jet = counting_jet
+        generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
+        assert requests == Counter({(10, n): 1})

@@ -1,10 +1,12 @@
 """Frenet apparatus and arc length on analytic and sampled curves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bertrand_kit import curves
 from bertrand_kit.curves import (
     AnalyticCurve,
     SampledCurve,
@@ -18,6 +20,7 @@ from bertrand_kit.errors import (
     SingularPointError,
     TooFewSamplesError,
 )
+from bertrand_kit.io import dumps
 from bertrand_kit.jets import jsqrt
 
 
@@ -152,3 +155,39 @@ def test_analytic_vs_sampled_frenet():
         assert fb.kappa == pytest.approx(fa.kappa, rel=1e-6)
         assert fb.tau == pytest.approx(fa.tau, rel=1e-5)
         assert np.allclose(fa.T, fb.T, atol=1e-7)
+
+
+def test_take_rows_looks_up_each_types_fields_once(monkeypatch):
+    """``_take_rows`` keeps the type and takes each array field's rows,
+    keeping the other fields, and looks up a dataclass type's fields at
+    its first call only."""
+    rows, _, _ = curves._frenet_columns(AnalyticCurve("cos(t)", "sin(t)", "t*t", (0.0, 1.0)),
+                                        np.linspace(0.0, 1.0, 9))
+    calls = []
+    real_fields = curves.fields
+
+    def counting(cls):
+        calls.append(cls)
+        return real_fields(cls)
+
+    monkeypatch.setattr(curves, "fields", counting)
+    curves._field_names.cache_clear()
+    idx = np.array([1, 4, 8])
+    for _ in range(3):
+        got = curves._take_rows(rows, idx)
+        assert type(got) is curves.FrenetData
+        for f in real_fields(rows):
+            assert np.array_equal(getattr(got, f.name), getattr(rows, f.name)[idx])
+    assert calls == [curves.FrenetData]
+    kept = curves._take_rows(replace(rows, t=0.5), idx)
+    assert kept.t == 0.5 and np.array_equal(kept.kappa, rows.kappa[idx])
+
+
+def test_serialized_floats_keep_their_text():
+    """Floats, numpy floats and non-finite values serialize as before:
+    17 significant digits, and null for NaN and the infinities."""
+    values = [0.1, -2.5e-300, np.float64(1.0) / 3.0, np.float32(0.1), math.nan, math.inf,
+              -np.inf, np.float64("nan"), 7, np.int64(-3), True, None]
+    assert dumps(values) == ("[0.10000000000000001, -2.5e-300, "
+                             "0.33333333333333331, 0.10000000149011612, null, null, null, "
+                             "null, 7, -3, true, null]")
