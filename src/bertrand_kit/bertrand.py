@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -138,12 +138,6 @@ def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
 # jet helpers for the normal offset
 
 
-def _frame_jets(base: Curve, t, order: int):
-    """Vector jets of (position, T, N, B) to the given order (needs
-    order+2 base jets), at a float t or at each t of a 1-D array."""
-    return _frames(base.jet(t, order + 2))
-
-
 def _frames(P):
     """Vector jets of (P, T, N, B) from the position jet P, T one order
     below P's and N and B two; column by column, so the columns of
@@ -156,21 +150,26 @@ def _frames(P):
     return P, T, jcross(B, T), B
 
 
+def _offset(P, lam):
+    """The position jet P + lam N of a curve's normal offset, from the
+    curve's position jet P, two orders below P's."""
+    P, _T, N, _B = _frames(P)
+    return P + lam * N
+
+
 def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     """The normal-offset curve base + lam*N.
 
     For analytic or jet-backed bases the mate keeps an exact jet provider,
+    ``_offset`` of the base's jet two orders higher, which holds nothing,
     and its node table (the mate at the n+1 regular points of the base's
     domain) is computed at its first read, not here: building the mate
     evaluates nothing, and an evaluation error surfaces at that read.
-    The mate's jet provider holds its last grid's jet, read-only: the
-    same grid at the same order is served from it, and so is a lower
-    order on the mate of a generated base, from a held order of at most
-    6 (the base's order 8, up to which a generator's jets truncate to
-    the bits of lower requests).  Detection asks such a mate for order 6
-    and the suite's image rows read that jet again.  Sampled bases yield
-    a sampled mate via the stencil path, at the regular grid points of
-    the base.
+    The mate of an analytic or generated base, whose jets up to order 8
+    truncate to the bits of lower requests, records ``(base, lam)``:
+    ``detect_bertrand`` then builds the pair's jets from one run of that
+    base.  Sampled bases yield a sampled mate via the stencil path, at the
+    regular grid points of the base.
     """
     if not math.isfinite(lam):
         raise ParameterError(f"lambda must be finite, got {lam}")
@@ -184,27 +183,6 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
 
     meta = {"generator": "normal-offset", "lambda": lam, "n": n}
     base_meta = getattr(base, "metadata", None) or {}
-    # the last run's t bytes, order and read-only jet.  Truncated Taylor
-    # arithmetic gives the frame's low coefficients the same bits at every
-    # order, so a held run serves a lower request where the base's jets
-    # truncate likewise: a generator's up to order 8, so a held mate of
-    # order at most 6.  Other bases are served at the held order only
-    # (the slant seed's jets, for one, run at max(order, 6) internally).
-    truncates = _generated(base)
-    last = (None, None, None)
-
-    def mate_jet(t, order):
-        nonlocal last
-        key = t.tobytes()
-        held_key, held, _ = last
-        if held_key != key or not (order == held or truncates and order < held <= 6):
-            P, _T, N, _B = _frame_jets(base, t, order)
-            jet = Jet(t.copy(), (P + lam * N).truncate(order).coeffs)
-            jet.coeffs.setflags(write=False)
-            jet.basepoint.setflags(write=False)
-            last = (key, order, jet)
-        return last[2].truncate(order)
-
     # self-describing mate file: carry the recipe of the base
     if isinstance(base, AnalyticCurve):
         meta.update(
@@ -227,7 +205,11 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
                 "base_n": base_meta.get("n"),
             }
         )
-    return JetBackedCurve(mate_jet, ts, label=label, metadata=meta)
+    mate = JetBackedCurve(lambda t, order: _offset(base.jet(t, order + 2), lam), ts,
+                          label=label, metadata=meta)
+    if "base_generator" in meta:
+        mate._offset_of = (base, lam)
+    return mate
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +238,9 @@ class BertrandPairModel:
     ratio invariants included, at the regular points ``ts[~masked]`` of
     the detection grid, as arrays with one row per point.  ``ri_base`` and
     ``ri_mate`` view them point by point over ``ts``, None where masked.
+    A pair that detection built from one run of its base's jet also holds
+    the order-6 position jets of both curves at ``ts[~masked]``, read-only,
+    for the suite's image rows (``_position_jets``).
     """
 
     base: Curve
@@ -271,6 +256,7 @@ class BertrandPairModel:
     q2: ConstancyStat
     lambda_stat: ConstancyStat
     masked: np.ndarray
+    _jets: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def _per_point(self, rows):
         return _points_at(rows, self.valid_indices(), len(self.ts))
@@ -284,6 +270,14 @@ class BertrandPairModel:
 
     def valid_indices(self):
         return np.nonzero(~self.masked)[0]
+
+    def _position_jets(self):
+        """The order-6 position jets of base and mate at ``ts[~masked]``:
+        the ones detection holds, else one request of each curve."""
+        if self._jets is not None:
+            return self._jets
+        ts = self.ts[~self.masked]
+        return tuple(c.jet(ts, _FRENET_ORDER + 2) for c in (self.base, self.mate))
 
 
 def _overlap_grid(base: Curve, mate: Curve, n: int, inset: float = 1e-6):
@@ -303,16 +297,10 @@ def _offset_along(D, axis):
     return lam, np.linalg.norm(D - lam[:, None] * axis, axis=1)
 
 
-def _generated(curve) -> bool:
-    """Whether ``curve`` is a generator curve, whose grid jets up to
-    order 8 truncate to the bits of lower requests."""
-    return getattr(curve, "metadata", {}).get("generator") == "bertrand"
-
-
-def _frenet_columns_from(curve, ts, extra: int):
-    """``_frenet_columns`` of ``curve`` at ``ts`` read from its jet
-    ``extra`` orders above the Frenet order, which the curve holds."""
-    return _columns(curve.jet(ts, _FRENET_ORDER + extra).truncate(_FRENET_ORDER), ts)
+def _read_only(jet):
+    jet.coeffs.setflags(write=False)
+    jet.basepoint.setflags(write=False)
+    return jet
 
 
 def detect_bertrand(
@@ -332,28 +320,31 @@ def detect_bertrand(
     or 'normals-not-aligned'.  The returned pair keeps the Frenet data
     evaluated here, one batch per curve, as row arrays.
 
-    A generated base (``metadata["generator"] == "bertrand"``) is asked
-    for its grid jet at ``_FRENET_ORDER + 4``, the order the mate's image
-    frames read in ``theorem_suite``, and its rows read that jet's low
-    orders: the pair and its suite then make one generator run on the
-    grid.  Likewise a normal-offset mate of a generated base is asked at
-    ``_FRENET_ORDER + 2``, the order of the suite's image rows, which it
-    holds (``construct_mate``), and its rows read the order-4
-    truncation: the pair and its suite then make one mate frame run on
-    the grid.  Other curves are asked at ``_FRENET_ORDER``, as a
-    stencil's width and a normal offset's bits depend on the order
-    asked.  Neither curve's node table is read here.
+    A mate that ``construct_mate`` built on this very base (its
+    ``_offset_of``) is not asked for anything: the base is asked once, for
+    its grid jet at ``_FRENET_ORDER + 4``, its rows read the order-4
+    truncation, and the mate's order-6 jet is the ``_offset`` of that jet
+    at the base's regular points, its rows read the order-4 truncation
+    too.  The pair holds both order-6 jets at its regular points for the
+    suite's image rows, so the pair and its suite run the base's jet once
+    on the grid.  Any other pair asks each curve once at
+    ``_FRENET_ORDER``, as a stencil's width and a normal offset's bits
+    depend on the order asked.  Neither curve's node table is read here.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
     ts = _overlap_grid(base, mate, n, inset=inset)
-    base_rows, ok, _ = _frenet_columns_from(base, ts, 4 if _generated(base) else 0)
-    # the mate only where the base is regular: a normal offset's frame
-    # needs the base's
-    mate_meta = getattr(mate, "metadata", {})
-    offset = mate_meta.get("generator") == "normal-offset" and (
-        mate_meta.get("base_generator") == "bertrand")
-    mate_rows, mate_ok, _ = _frenet_columns_from(mate, ts[ok], 2 if offset else 0)
+    shared = mate._offset_of is not None and mate._offset_of[0] is base
+    if shared:
+        P = base.jet(ts, _FRENET_ORDER + 4)
+        base_rows, ok, _ = _columns(P.truncate(_FRENET_ORDER), ts)
+        # the mate only where the base is regular: a normal offset's frame
+        # needs the base's
+        P_mate = _offset(P.take(ok), mate._offset_of[1])
+        mate_rows, mate_ok, _ = _columns(P_mate.truncate(_FRENET_ORDER), ts[ok])
+    else:
+        base_rows, ok, _ = _frenet_columns(base, ts)
+        mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
     base_rows = _take_rows(base_rows, mate_ok)
     ok[ok] = mate_ok
     valid = np.nonzero(ok)[0]
@@ -388,7 +379,7 @@ def detect_bertrand(
 
     g = base_rows.g[base_rows.g_defined]
     gt = mate_rows.g[mate_rows.g_defined]
-    return BertrandPairModel(
+    pair = BertrandPairModel(
         base=base,
         mate=mate,
         lam=lam_stat.mean,
@@ -403,6 +394,10 @@ def detect_bertrand(
         lambda_stat=lam_stat,
         masked=~ok,
     )
+    if shared:
+        pair._jets = (_read_only(P.take(ok).truncate(_FRENET_ORDER + 2)),
+                      _read_only(P_mate.take(mate_ok)))
+    return pair
 
 
 def _constraint_residuals(fd, fdm, eps):
@@ -529,13 +524,11 @@ def generate_bertrand_curve(
     # same bits at every order, so a held run of order at most 8 serves
     # each lower request on its grid with the bits of that request's own
     # run; a higher run takes a fourth step and serves its own order only.
-    # Detection runs a generated base's grid at order 8, the order its
-    # mate's image frames read: the base's Frenet rows (order 4), the
-    # mate's order-6 jet (the base's order 8), which the mate holds for
-    # the suite, and the suite's base image rows (order 6) are
-    # truncations of that one run.  A mate asks for its node table
-    # (order 2 at the nodes) at the table's first read, not when it is
-    # built, so its evaluation errors surface at that read.
+    # A pair and its suite read one order-8 run that detection hands on
+    # explicitly, not this hold; it serves file commands that ask the
+    # base, or its mate, for a grid it asked before: CLI classify runs 2
+    # pipelines (3 without it), classify --align arclength 4 (5), an
+    # indicatrix of the t or n kind 3 (4) and of the b kind 4 (6).
     last = (None, None, None)
 
     def jet_fn(t, order):
@@ -552,10 +545,7 @@ def generate_bertrand_curve(
             # the position from the walk's series, so that it has the same
             # bits at every order
             x0 = P_nodes[k].T + AG.take(k)(u) - AG_left[:, k]
-            jet = Gp.antideriv(x0)
-            jet.coeffs.setflags(write=False)
-            jet.basepoint.setflags(write=False)
-            last = (key, internal, jet)
+            last = (key, internal, _read_only(Gp.antideriv(x0)))
         return last[2].truncate(order)
 
     meta = {

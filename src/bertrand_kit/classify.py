@@ -208,7 +208,8 @@ def pair_classify(
     # the overlap grid
     ts_a = _overlap_grid(curveA, curveA if align == "arclength" else curveB, n)
     # A's rows and speeds before any request to B: a mate rebuilt on its
-    # loaded base shares the base's generator, which holds one grid's jet
+    # loaded base asks the base's generator, whose jet held from A's rows
+    # serves A's speeds, or B's frame on the shared grid
     rows_a, ok_a, _ = _frenet_columns(curveA, ts_a)
     ts_b = ts_a
     if align == "arclength":
@@ -220,19 +221,18 @@ def pair_classify(
     return _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, n, tol)
 
 
-def _classify_image_rows(curve_a, curve_b, ts):
+def _classify_image_rows(jets, ts):
     """The ``pair_classify`` verdict and evidence of the T, N and B images
     of two curves, keyed by axis, from their exact ``image_rows`` at
     ``ts``: the shared parameter is the correspondence, as with
     align='param', and the tolerance is ``pair_classify``'s default.  An
     axis with too few regular pairs gets the verdict 'untestable'.
 
-    The curves' order-6 position jets are stacked, A's columns first, and
-    their six images come from one frame pass over 2 len(ts) columns and
-    one Frenet pass over 6 len(ts) (``_image_columns``), with the bits of
-    each curve's own ``image_rows``.  A normal-offset mate of a generated
-    base serves its jet from the order-6 grid jet detection held."""
-    rows, ok, _ = _image_columns((curve_a, curve_b), ts)
+    ``jets`` are the curves' order-6 position jets about ``ts``, A's
+    first; their six images come from one frame pass over 2 len(ts)
+    columns and one Frenet pass over 6 len(ts) (``_image_columns``), with
+    the bits of each curve's own ``image_rows``."""
+    rows, ok, _ = _image_columns(jets, ts)
     ok_a, ok_b = np.split(ok, 2)
     split = np.count_nonzero(ok_a)
     rows_a, rows_b = _take_rows(rows, slice(None, split)), _take_rows(rows, slice(split, None))
@@ -397,9 +397,11 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     detection evaluated, on the rows where both curves are regular and g
     is defined on both.  ``negative-result`` classifies the T, N and B
     image pairs of base and mate (``_classify_image_rows``) on the exact
-    image rows at the regular detection points, one order-6 jet request
-    per curve and one frame and one Frenet pass for all six images, an
-    axis with too few regular pairs counting as untestable.
+    image rows at the regular detection points, from the order-6
+    position jets the pair holds since detection (one request per curve
+    on a pair that holds none) and one frame and one Frenet pass for all
+    six images, an axis with too few regular pairs counting as
+    untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
     ``tols`` takes the keys of ``TOLERANCE_KEYS``, and any other key
     raises ValueError.  Equivalence entries (helix/planar criteria) pass
@@ -513,7 +515,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         note=f"flags={flags}")
 
     # closing negative result: no indicatrix pair classifies as a named pair
-    image_pairs = _classify_image_rows(pair.base, pair.mate, pair.ts[~pair.masked])
+    image_pairs = _classify_image_rows(pair._position_jets(), pair.ts[~pair.masked])
     verdicts = [pc.verdict for pc in image_pairs.values()]
     bad = sum(v not in ("none", "untestable") for v in verdicts)
     add("negative-result", float(bad), passed=bad == 0, note=f"verdicts={verdicts}")

@@ -252,10 +252,9 @@ def cmd_indicatrix(args) -> int:
         inputs=inputs,
         parameters={"kind": args.kind, "n": args.n},
     )
-    image = indicatrix_curve(_curve(pair, side), axis, args.n)
     ts = np.linspace(pair.ts[0], pair.ts[-1], args.n)
-
     data, idx = _data_rows(pair, side, ts)
+    image = indicatrix_curve(_curve(pair, side), axis, args.n)
     closed = _images(side, data, pair.epsilon)[axis]
     direct, regular, _ = _frenet_columns(image, ts)
     # the rows where the closed forms apply and the image is regular

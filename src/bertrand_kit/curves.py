@@ -65,6 +65,9 @@ class Curve:
     """
 
     label: str
+    # (base, lam) on the mate ``construct_mate`` built on an analytic or
+    # generated base, which ``detect_bertrand`` reads
+    _offset_of = None
 
     @property
     def domain(self):

@@ -77,21 +77,21 @@ def image_rows(curve, ts):
     curve's order-6 jet and one pass over 3 len(ts) columns, the T
     image's first: the T image is the curve whose position jet is T's
     jet, and likewise N and B."""
-    return _image_columns((curve,), ts)
+    return _image_columns((curve.jet(ts, _FRENET_ORDER + 2),), ts)
 
 
-def _image_columns(curves, ts):
-    """The ``image_rows`` of each of ``curves`` at ``ts``, concatenated
-    curve by curve, from one order-6 jet request per curve, one frame
-    pass over their stacked position columns and one ``_columns`` pass
-    over all images' columns.  Every step works column by column, so each
-    curve's rows have the bits of its own ``image_rows``."""
+def _image_columns(jets, ts):
+    """The ``image_rows`` of each curve whose order-6 position jet about
+    ``ts`` is one of ``jets``, concatenated curve by curve, from one frame
+    pass over their stacked columns and one ``_columns`` pass over all
+    images' columns.  Every step works column by column, so each curve's
+    rows have the bits of its own ``image_rows``."""
     ts = np.asarray(ts, dtype=float)
     n = len(ts)
-    P = np.concatenate([c.jet(ts, _FRENET_ORDER + 2).coeffs for c in curves], axis=-1)
-    _, *frame = _frames(Jet(np.tile(ts, len(curves)), P))
+    P = np.concatenate([P.coeffs for P in jets], axis=-1)
+    _, *frame = _frames(Jet(np.tile(ts, len(jets)), P))
     blocks = [v.truncate(_FRENET_ORDER).coeffs[..., i * n:(i + 1) * n]
-              for i in range(len(curves)) for v in frame]
+              for i in range(len(jets)) for v in frame]
     ts_all = np.tile(ts, len(blocks))
     return _columns(Jet(ts_all, np.concatenate(blocks, axis=-1)), ts_all)
 

@@ -264,9 +264,9 @@ def load_curve(path: str) -> Curve:
 def _load_curve_pair(base_path: str, mate_path: str):
     """The curves of a base file and of a mate file.  A mate that records
     the loaded base's generator recipe is rebuilt on that base curve: the
-    pair makes one generator build and one node walk, and the mate's
-    frame reuses the jets its base's Frenet rows hold.  The mate's
-    rebuilt nodes are still checked against its stored samples."""
+    pair makes one generator build and one node walk, and detection
+    builds the mate's rows from its base's run.  The mate's rebuilt
+    nodes are still checked against its stored samples."""
     base = load_curve(base_path)
     return base, _curve_from_dict(_read_json(mate_path), base)
 

@@ -177,9 +177,9 @@ def test_criterion_08_affine_arclength_law(pair_wobble):
 def test_criterion_09_slant_helix_equivalence(pair_slant, three_pairs):
     ok = True
     for p in [pair_slant] + list(three_pairs):
-        rep = theorem_suite(p, n=96)
+        rep = theorem_suite(p)
         ok = ok and rep.entries["cr18"].passed and rep.entries["th6"].passed
-    rep = theorem_suite(pair_slant, n=96)
+    rep = theorem_suite(pair_slant)
     res = max(rep.entries["th8"].max_residual, rep.entries["th17"].max_residual)
     ok = ok and res < 1e-3 and "flags=[True, True, True]" in rep.entries["cr18"].note
     report(9, ok, f"booleans agree on 4 pairs; tuned residual {res:.3e}")

@@ -17,7 +17,7 @@ from test_jets import FAMILY_TEXTS
 from bertrand_kit import curves, jets
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
-    _frame_jets,
+    _frames,
     construct_mate,
     generate_bertrand_curve,
     generated_pair,
@@ -452,11 +452,11 @@ def assert_same_evidence(a, b):
 
 def _image_alone(curve, k, ts):
     """The image of frame vector k (0: T, 1: N, 2: B) of a curve on its
-    own: a JetBackedCurve whose jet is that vector's jet from
-    ``_frame_jets``, sampled at ``ts``."""
+    own: a JetBackedCurve whose jet is that vector's jet from ``_frames``
+    of the curve's jet two orders higher, sampled at ``ts``."""
 
     def jet_fn(t, order):
-        return _frame_jets(curve, t, order)[k + 1].truncate(order)
+        return _frames(curve.jet(t, order + 2))[k + 1].truncate(order)
 
     return JetBackedCurve(jet_fn, ts, jet_fn(ts, 0).coeffs[0].T, label=AXES[k])
 
@@ -508,7 +508,7 @@ def test_image_rows_mark_one_untestable_axis():
     base = AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.0, 3.0))
     mate = construct_mate(base, 0.2, n=64)
     ts = np.linspace(0.1, 2.9, 24)
-    got = _classify_image_rows(base, mate, ts)
+    got = _classify_image_rows([curve.jet(ts, 6) for curve in (base, mate)], ts)
     assert list(got) == list(AXES)
     assert not image_rows(base, ts)[1][2 * len(ts):].any()
     assert got["binormal"].verdict == "untestable"

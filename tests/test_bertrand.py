@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from test_batch import _generated, assert_same_bits_array
+from test_batch import FIELDS, _generated, assert_same_bits_array
 
 from bertrand_kit import bertrand, curves, indicatrix, jets
 from bertrand_kit.bertrand import (
@@ -27,6 +27,7 @@ from bertrand_kit.curves import (
     Curve,
     JetBackedCurve,
     SampledCurve,
+    _frenet_columns,
     _take_rows,
     frenet_apparatus,
 )
@@ -295,25 +296,22 @@ def test_geodesic_indicator_closed_form_is_the_other_curves_gamma(preset, a, n, 
         assert np.max(np.abs(closed - own.Gamma)) < 1e-12 * scale, side
 
 def test_pair_evaluates_each_frenet_point_once(monkeypatch):
-    """Detection plus the identity suite ask the base or the mate for its
-    Frenet jets at most once per parameter value; detection asks each
-    curve for jets a fixed few times, whatever the grid, and asks for no
-    speed, an order-1 jet (it builds no arc-length table).  A generated
-    base's Frenet rows read the low orders of its order-8 detection
-    request, and its normal-offset mate's those of its order-6 one.  The
-    points are counted on the requests of detection and the suite, not
-    on the base requests the mate's frame makes."""
+    """Detection plus the identity suite ask the base or the mate for jets
+    at most once per parameter value: detection asks the generated base
+    once, for the order-8 grid jet that the rows of both curves and the
+    suite's image rows read, and asks the mate for nothing, and for no
+    speed, an order-1 jet (it builds no arc-length table).  The points are
+    counted on the requests of detection and the suite, at any order, not
+    on the requests a curve makes of another."""
     state = {"detecting": False, "speed_calls": 0, "depth": 0}
-    frenet_points = Counter()  # (curve, t) at the order the rows read
+    points = Counter()  # (curve, t) -> requests
     detect_calls = Counter()  # curve -> jet requests during detection
     real_jet = JetBackedCurve.jet
 
     def counting_jet(self, t, order):
-        extra = {"bertrand": 4, "normal-offset": 2}.get(self.metadata.get("generator"), 0)
-        frenet_order = curves._FRENET_ORDER + extra * state["detecting"]
-        if order == frenet_order and not state["depth"]:
+        if not state["depth"]:
             for x in np.atleast_1d(t):
-                frenet_points[(self, float(x))] += 1
+                points[(self, float(x))] += 1
         if state["detecting"]:
             detect_calls[self] += 1
             state["speed_calls"] += order == 1
@@ -336,43 +334,36 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     monkeypatch.setattr(bertrand, "detect_bertrand", detect)
 
     pair = generated_pair("wobble", n=64, grid=24)
-    theorem_suite(pair, n=24)
-    pair_points = [c for (curve, _), c in frenet_points.items()
+    theorem_suite(pair)
+    pair_points = [c for (curve, _), c in points.items()
                    if curve is pair.base or curve is pair.mate]
     assert max(pair_points) == 1
-    # deterministic: the 24 detection points per curve; the suite's image
-    # rows ask for the frame jets, two orders higher
-    assert len(pair_points) == 48
-    # base: its Frenet grid and the mate's frame jets; mate: its Frenet
-    # grid (the exact requests are pinned by
-    # test_detection_reads_positions_from_the_frenet_rows)
-    assert detect_calls[pair.base] <= 2
-    assert detect_calls[pair.mate] <= 1
+    # deterministic: the 24 detection points of the base (48 when the mate
+    # was asked for its own Frenet jets); the exact requests are pinned by
+    # test_detection_reads_positions_from_the_frenet_rows
+    assert len(pair_points) == 24
+    assert detect_calls[pair.base] <= 1
+    assert detect_calls[pair.mate] == 0
     assert state["speed_calls"] == 0
 
 
 def test_suite_reads_the_detection_grid(monkeypatch):
     """The identity suite reads the Frenet data detection evaluated, and
-    negative-result reads the image rows at the regular detection points:
-    inside the suite the base and the mate get no Frenet-order request,
-    and one frame-jet request each (order 6) at the 24 detection points.
-    The mate serves its request from the order-6 grid jet it holds since
-    detection, so its frame asks the base for nothing."""
+    negative-result reads the image rows from the order-6 position jets
+    the pair holds since detection: inside the suite the base and the
+    mate get no request at all (one order-6 request each before)."""
     pair = generated_pair("wobble", n=64, grid=24)
-    requests = {pair.base: Counter(), pair.mate: Counter()}
+    requests = Counter()
     real_jet = JetBackedCurve.jet
 
     def counting_jet(self, t, order):
-        if self in requests:
-            requests[self][order, tuple(np.atleast_1d(t).tolist())] += 1
+        requests[self is pair.base, self is pair.mate, order] += 1
         return real_jet(self, t, order)
 
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
-    theorem_suite(pair, n=24)
-    grid = tuple(pair.ts[~pair.masked].tolist())
-    assert len(grid) == 24
-    assert requests[pair.base] == Counter({(6, grid): 1})
-    assert requests[pair.mate] == Counter({(6, grid): 1})
+    theorem_suite(pair)
+    assert len(pair.ts[~pair.masked]) == 24
+    assert requests == Counter()
 
 
 def test_suite_builds_each_image_stencil_once(monkeypatch):
@@ -395,7 +386,7 @@ def test_suite_builds_each_image_stencil_once(monkeypatch):
     # every Frenet pass: the curves' own rows and the image rows
     monkeypatch.setattr(curves, "_columns", counting_columns)
     monkeypatch.setattr(indicatrix, "_columns", counting_columns)
-    theorem_suite(pair, n=24)
+    theorem_suite(pair)
     assert weights == Counter()
     assert passes == Counter({144: 1})
 
@@ -430,7 +421,7 @@ def _seed_points_of_a_pair(n):
     seed.jet = counting_jet
     base = generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
     pair = detect_bertrand(base, construct_mate(base, 1.0, n=n), n=24)
-    theorem_suite(pair, n=24)
+    theorem_suite(pair)
     return points
 
 
@@ -454,10 +445,9 @@ def test_generator_newton_reads_the_walk_series():
 def test_pair_runs_the_generator_pipeline_once_per_grid():
     """Detection asks the generated base for order 8 on its grid, the
     order the mate's image rows read: the base's Frenet rows (order 4),
-    the mate's frame (order 6 of the base) and the suite's image rows
-    (orders 6 and 8 of the base) are truncations of that one held jet, so
-    detection and the suite run the pipeline once, on the 24-point
-    detection grid at order 8."""
+    the mate's order-6 jet and the suite's image rows (orders 6 and 8 of
+    the base) are built from that one jet, so detection and the suite run
+    the pipeline once, on the 24-point detection grid at order 8."""
     seed = sphere_preset("wobble")
     real_jet = seed.jet
     requests = Counter()  # (order, number of points) -> seed requests
@@ -471,7 +461,7 @@ def test_pair_runs_the_generator_pipeline_once_per_grid():
     mate = construct_mate(base, 1.0, n=64)
     requests.clear()
     pair = detect_bertrand(base, mate, n=24)
-    theorem_suite(pair, n=24)
+    theorem_suite(pair)
     assert requests == Counter({(8, 24): 1})
 
 
@@ -495,9 +485,7 @@ def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
     asks its base for two orders more, so its order-6 request makes the
     base hold an order-8 jet, which serves the base's orders 4 and 6; a
     held jet above order 8 (one more Newton step) serves no lower order.
-    The mate holds its own last grid jet too, and serves a lower order
-    from it only on a generated base, from a held order of at most 6;
-    the slant seed's mate runs each other order afresh."""
+    The mate holds nothing: each of its requests asks its base."""
     curve = _fresh(side)
     ts = np.linspace(*curve.domain, 24)
     for order in orders:
@@ -560,7 +548,7 @@ def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
     assert requests == Counter()
     monkeypatch.undo()
 
-    P, _, N, _ = bertrand._frame_jets(_generated("wobble"), mate.params, 0)
+    P, _, N, _ = bertrand._frames(_generated("wobble").jet(mate.params, 2))
     assert_same_bits_array(mate.points, (P + 1.0 * N).truncate(0).coeffs[0].T)
     save_curve(mate, str(tmp_path / "first.json"))
     base = _generated("wobble")
@@ -587,33 +575,36 @@ def test_generator_jets_are_read_only():
     assert_same_bits_array(base.jet(ts, 6).coeffs, want.coeffs)
 
 
-def test_mate_jets_are_read_only():
-    """The mate's held jet is read-only too: writing into a returned jet,
-    served afresh (order 6) or from the hold (order 4), raises and leaves
-    the held jet as it was, and the caller's grid stays writable."""
-    mate = _fresh("mate")
-    ts = np.linspace(*mate.domain, 24)
-    for order in (6, 4):
-        jet = mate.jet(ts, order)
+@pytest.mark.parametrize("preset", ["wobble", "slant", "analytic"])
+def test_pair_jets_are_read_only_with_fresh_bits(preset):
+    """The order-6 position jets that detection hands to the suite have
+    the bits of a fresh base's and a fresh mate's order-6 jets at the
+    pair's regular points, before and after the suite reads them, and
+    writing into them raises, while the pair's grid stays writable."""
+    pair = detect_bertrand(*_fresh_pair(preset), n=24)
+    grid = pair.ts[~pair.masked]
+    held = pair._position_jets()
+    for jet in held:
         with pytest.raises(ValueError):
             jet.coeffs[0, 0, 0] = 0.0
         with pytest.raises(ValueError):
             jet.basepoint[0] = 0.0
-    with pytest.raises(ValueError):
-        mate.jet(float(ts[3]), 2).coeffs[0, 0] = 0.0
-    assert ts.flags.writeable
-    assert_same_bits_array(mate.jet(ts, 6).coeffs, _fresh("mate").jet(ts, 6).coeffs)
+    assert pair.ts.flags.writeable
+    if preset != "analytic":
+        theorem_suite(pair)
+    assert pair._position_jets() is held
+    for jet, curve in zip(held, _fresh_pair(preset)):
+        want = curve.jet(grid, 6)
+        assert_same_bits_array(jet.coeffs, want.coeffs)
+        assert_same_bits_array(jet.basepoint, want.basepoint)
 
 
 def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     """Detection takes the offsets from the positions in the Frenet rows:
     the generated base is asked once for jets four orders above the
-    Frenet order (its rows read the low orders, the suite's image rows
-    the rest), and its normal-offset mate once, two orders above it (its
-    rows read the low orders); no curve is asked for a point.  The pair's
-    mate holds its order-6 grid jet from the first detection, so this
-    second detection makes no mate frame run: the base is not asked for
-    the mate's frame."""
+    Frenet order (its rows read the low orders, the mate's order-6 jet
+    and the suite's image rows the rest), and its normal-offset mate is
+    asked for nothing; no curve is asked for a point."""
     pair = generated_pair("wobble", n=64, grid=24)
     role = {pair.base: "base", pair.mate: "mate"}
     requests = Counter()
@@ -630,37 +621,48 @@ def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
     monkeypatch.setattr(Curve, "point", counting_point)
     detect_bertrand(pair.base, pair.mate, n=24)
-    assert requests == Counter({("base", 8): 1, ("mate", 6): 1})
+    assert requests == Counter({("base", 8): 1})
 
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
 def test_pair_and_suite_make_one_mate_frame_run_and_one_image_pass(preset, monkeypatch):
-    """generated_pair plus theorem_suite build the mate's frame once, on
-    the detection grid at order 6 (detection's order-4 run and the
-    suite's order-6 run before the mate held its grid jet), and the six
-    image curves of negative-result take one Frenet pass over 6 x 24
-    columns (one pass of 3 x 24 per curve before)."""
+    """generated_pair plus theorem_suite build the mate's jet once: one
+    normal-offset frame run, from the base's order-8 jet on the 24-point
+    detection grid (detection's order-4 run and the suite's order-6 run
+    before the mate held its grid jet), and the six image curves of
+    negative-result take one Frenet pass over 6 x 24 columns (one pass of
+    3 x 24 per curve before)."""
     frames, passes = Counter(), Counter()
-    real_frames, real_columns = bertrand._frame_jets, indicatrix._columns
+    real_offset, real_columns = bertrand._offset, indicatrix._columns
 
-    def counting_frames(base, t, order):
-        frames[order, len(t)] += 1
-        return real_frames(base, t, order)
+    def counting_offset(P, lam):
+        frames[P.order, P.coeffs.shape[-1]] += 1
+        return real_offset(P, lam)
 
     def counting_columns(P, ts):
         passes[len(ts)] += 1
         return real_columns(P, ts)
 
-    monkeypatch.setattr(bertrand, "_frame_jets", counting_frames)
+    monkeypatch.setattr(bertrand, "_offset", counting_offset)
     monkeypatch.setattr(indicatrix, "_columns", counting_columns)
     theorem_suite(generated_pair(preset, n=64, grid=24))
-    assert frames == Counter({(6, 24): 1})
+    assert frames == Counter({(8, 24): 1})
     assert passes == Counter({144: 1})
 
 
+def _fresh_pair(preset):
+    """A fresh generated base of ``preset`` (n=64) and its mate by 1.0, or
+    for "analytic" the planar ellipse pair."""
+    if preset == "analytic":
+        return _planar_pair()
+    base = _generated(preset)
+    return base, construct_mate(base, 1.0, n=64)
+
+
 def _planar_pair():
-    """An analytic ellipse and its normal offset by 0.2: a Bertrand pair
-    whose mate does not truncate lower orders from its held jet."""
+    """An analytic ellipse and its normal offset by 0.2: a planar
+    Bertrand pair, whose f = g = 0 leaves the closed forms no row, so the
+    suite raises before its image rows."""
     base = AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.1, 2.9))
     return base, construct_mate(base, 0.2, n=64)
 
@@ -669,28 +671,85 @@ def _planar_pair():
 def test_mate_jets_after_detection_and_suite_have_fresh_bits(preset):
     """After detection and the suite's image rows, the mate's order-4 and
     order-6 jets on the detection grid, in either order, have the bits of
-    a fresh mate's: the held order-6 jet serves both on the mate of a
-    generated base, and on the mate of an analytic base (on which the
-    suite raises before its image rows, so they are run alone) a lower
-    order is run afresh."""
-    def fresh():
-        if preset == "analytic":
-            return _planar_pair()
-        base = _generated(preset)
-        return base, construct_mate(base, 1.0, n=64)
-
+    a fresh mate's: the jets detection hands to the pair leave the curves
+    as they were.  On the mate of an analytic base the suite raises
+    before its image rows, so they are run alone."""
     for orders in ((4, 6), (6, 4)):
-        base, mate = fresh()
+        base, mate = _fresh_pair(preset)
         pair = detect_bertrand(base, mate, n=24)
         grid = pair.ts[~pair.masked]
         if preset == "analytic":
-            _classify_image_rows(base, mate, grid)
+            _classify_image_rows(pair._position_jets(), grid)
         else:
             theorem_suite(pair)
         for order in orders:
-            got, want = mate.jet(grid, order), fresh()[1].jet(grid, order)
+            got, want = mate.jet(grid, order), _fresh_pair(preset)[1].jet(grid, order)
             assert_same_bits_array(got.coeffs, want.coeffs)
             assert_same_bits_array(got.basepoint, want.basepoint)
+
+
+def test_detection_asks_an_analytic_base_once_and_its_mate_nothing(monkeypatch):
+    """The mate of an analytic base records that base too: detection asks
+    the ellipse once, for its order-8 grid jet, and the mate for nothing
+    (the ellipse at orders 4 and 6, the mate at order 4 before)."""
+    base, mate = _planar_pair()
+    requests = Counter()
+    real_analytic, real_backed = AnalyticCurve.jet, JetBackedCurve.jet
+
+    def counting(real):
+        def jet(self, t, order):
+            requests["base" if self is base else "mate" if self is mate else None,
+                     order] += 1
+            return real(self, t, order)
+        return jet
+
+    monkeypatch.setattr(AnalyticCurve, "jet", counting(real_analytic))
+    monkeypatch.setattr(JetBackedCurve, "jet", counting(real_backed))
+    detect_bertrand(base, mate, n=24)
+    assert requests == Counter({("base", 8): 1})
+
+
+def _separate_rows(base, mate, ts):
+    """The rows of each curve at ``ts`` from its own Frenet request, the
+    mate's at the base's regular points, both where both are regular."""
+    base_rows, ok, _ = _frenet_columns(base, ts)
+    mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
+    return _take_rows(base_rows, mate_ok), mate_rows
+
+
+def _assert_same_rows(got, want):
+    for name in FIELDS:
+        assert_same_bits_array(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("preset", ["wobble", "slant", "analytic"])
+def test_shared_detection_rows_have_the_bits_of_fresh_curves(preset):
+    """Detection builds both curves' rows from one order-8 run of the base;
+    they have the bits of ``_frenet_columns`` of a fresh base and a fresh
+    mate, each asked for its own order-4 jets."""
+    pair = detect_bertrand(*_fresh_pair(preset), n=24)
+    assert pair._jets is not None
+    want_base, want_mate = _separate_rows(*_fresh_pair(preset), pair.ts)
+    _assert_same_rows(pair.base_rows, want_base)
+    _assert_same_rows(pair.mate_rows, want_mate)
+
+
+def test_mate_of_a_mate_is_detected_on_the_separate_path():
+    """A normal offset's jets drift from the bits of lower requests, so the
+    mate of a mate records no base: detecting (mate, mate of mate) asks
+    each curve for its own Frenet jets, holds no jets, and gives the rows
+    of fresh curves."""
+    def fresh():
+        mate = construct_mate(_generated("wobble"), 1.0, n=64)
+        return mate, construct_mate(mate, 1.0, n=64)
+
+    mate, back = fresh()
+    assert back._offset_of is None
+    pair = detect_bertrand(mate, back, n=24)
+    assert pair._jets is None
+    want_base, want_mate = _separate_rows(*fresh(), pair.ts)
+    _assert_same_rows(pair.base_rows, want_base)
+    _assert_same_rows(pair.mate_rows, want_mate)
 
 
 def test_generator_build_makes_one_seed_request():

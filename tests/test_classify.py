@@ -130,13 +130,13 @@ def test_indicatrix_pairs_are_not_special(pair_wobble):
 
 
 def test_theorem_suite_all_pass(pair_wobble):
-    rep = theorem_suite(pair_wobble, n=96)
+    rep = theorem_suite(pair_wobble)
     failing = [k for k, e in rep.entries.items() if not e.passed]
     assert rep.all_passed, failing
 
 
 def test_theorem_suite_slant_pair(pair_slant):
-    rep = theorem_suite(pair_slant, n=96)
+    rep = theorem_suite(pair_slant)
     assert rep.all_passed
     assert rep.entries["th8"].max_residual < 1e-3
     assert rep.entries["th17"].max_residual < 1e-3
@@ -144,7 +144,7 @@ def test_theorem_suite_slant_pair(pair_slant):
 
 
 def test_theorem_tolerance_override(pair_wobble):
-    rep = theorem_suite(pair_wobble, n=48, tols={"th2": 1e-20})
+    rep = theorem_suite(pair_wobble, tols={"th2": 1e-20})
     assert not rep.entries["th2"].passed
     assert rep.entries["th2"].tolerance == 1e-20
 
@@ -169,7 +169,7 @@ def test_theorem_suite_rejects_a_key_it_does_not_read(pair_wobble, tols):
     ``verify --tol`` does."""
     (key,) = tols
     with pytest.raises(ValueError, match=repr(key)) as err:
-        theorem_suite(pair_wobble, n=48, tols={"th2": 1e-5, **tols})
+        theorem_suite(pair_wobble, tols={"th2": 1e-5, **tols})
     assert str(err.value) == (f"{key!r} has no tolerance key: {KEYLESS_WHY[key]}"
                               if key in KEYLESS_WHY else f"unknown tolerance key {key!r}")
 

@@ -698,15 +698,16 @@ def _count_generator_work(monkeypatch):
 # With the mate's base rebuilt as a second generator, the same commands
 # made 2 builds, 2 walks and 4, 4, 4, 6, 3 and 4 pipelines.  verify runs
 # one pipeline on the mate's nodes (the rebuild check) and one on the
-# detection grid, at the order the suite's image rows read.  A base-side
-# indicatrix ran one more (4, and 5 for b-base) before the mate held its
-# detection grid jet.
+# detection grid, at the order the suite's image rows read.  An
+# indicatrix reads its data-side rows on the detection grid, served from
+# the generator's held detection jet, before the image curve's grid: a
+# mate-side kind ran one more (4, and 5 for b-mate) with the two reads
+# the other way round.
 @pytest.mark.parametrize(
     "argv, pipelines",
     [
         (["verify", "--n", "24"], 2),
-        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"],
-           (3 if axis != "b" else 4) if side == "base" else (4 if axis != "b" else 5))
+        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], 3 if axis != "b" else 4)
           for axis in "tnb" for side in ("base", "mate")],
         (["classify"], 2),
         (["classify", "--align", "arclength"], 4),
@@ -716,8 +717,8 @@ def _count_generator_work(monkeypatch):
 def test_file_pair_builds_one_generator(small_pair, capsys, monkeypatch, argv, pipelines):
     """A mate file loaded beside the base file whose recipe it records is
     rebuilt on that base curve: each two-file command makes one generator
-    build and one node walk, and the mate's frame reuses the jets its
-    base's Frenet rows hold."""
+    build and one node walk, and detection builds the mate's rows from
+    its base's run."""
     counts = _count_generator_work(monkeypatch)
     rc, _, _ = run(capsys, [argv[0], *small_pair, *argv[1:]])
     assert rc == 0

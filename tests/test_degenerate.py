@@ -83,7 +83,7 @@ def test_helical_pair_apparatus_grid_is_all_masked(helical_pair, side, axis):
 
 def test_helical_pair_suite_has_no_usable_rows(helical_pair):
     with pytest.raises(TooFewSamplesError, match="0 usable grid rows"):
-        theorem_suite(helical_pair, n=64)
+        theorem_suite(helical_pair)
 
 
 def test_helical_pair_verify_exits_parse_error(helical_files, capsys):
