@@ -43,6 +43,8 @@ from .jets import (
 
 EPS_REG = 1e-9
 EPS_G = 1e-10
+# How far outside its domain a curve still takes a parameter value.
+_DOMAIN_SLACK = 1e-12
 # The jet order the Frenet rows read: kappa'' is kappa_jet.coeffs[2] and
 # tau' is tau_jet.coeffs[1], and kappa's jet comes out two orders below
 # the position's (|g' x g''|), tau's three (<g' x g'', g'''>).
@@ -79,10 +81,10 @@ class Curve:
 
     def _check_domain(self, t):
         lo, hi = self.domain
-        if isinstance(t, float) and lo - 1e-12 <= t <= hi + 1e-12:
+        if isinstance(t, float) and lo - _DOMAIN_SLACK <= t <= hi + _DOMAIN_SLACK:
             return
         ts = np.asarray(t)
-        inside = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
+        inside = (ts >= lo - _DOMAIN_SLACK) & (ts <= hi + _DOMAIN_SLACK)
         if not inside.all():
             raise OutOfDomainError(
                 f"t={_first(~inside, t)} outside [{lo}, {hi}] of curve {self.label!r}"
@@ -108,12 +110,13 @@ class AnalyticCurve(Curve):
     ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node.  They become one
     straight-line program (``expr.program``) that evaluates each node
     once, for one parameter value or a whole grid.  At the first
-    evaluation the curve takes the program's compiled Python function
+    evaluation the curve takes the program's two compiled Python functions
     (``jets.compile_program``, compiled once per distinct program in a
-    process): ``jet`` runs it in jet arithmetic, and ``point`` at a float
-    in value arithmetic, which gives the bits of the order-0 jet without
-    building one.  A grid's points are the constant terms of its order-0
-    jet, as for any curve.
+    process): ``jet`` runs the jet function, and ``point`` at a number
+    tests the domain inline and runs the straight-line value function,
+    which gives the bits and domain errors of the order-0 jet about
+    ``float(t)`` as one (3,) array, without building a jet.  A grid's
+    points are the constant terms of its order-0 jet, as for any curve.
     """
 
     def __init__(self, x, y, z, domain, label=""):
@@ -146,7 +149,10 @@ class AnalyticCurve(Curve):
     def point(self, t):
         if not isinstance(t, float) and np.ndim(t):
             return super().point(t)
-        self._check_domain(t)
+        t = float(t)
+        lo, hi = self._domain
+        if not lo - _DOMAIN_SLACK <= t <= hi + _DOMAIN_SLACK:
+            self._check_domain(t)
         return np.array(program_values(self._compiled, t))
 
 

@@ -17,13 +17,13 @@ functions their ODE recurrences (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13).  A domain check fails the whole batch if
 any column fails it.
 
-An ``expr.program`` is compiled once into a Python function with one
-line per step (``compile_program``).  The function runs in this jet
-arithmetic (``program_jets``) or, at one number, in a value arithmetic
-on Python floats (``program_values``) whose every step is the constant
-term of the matching recurrence: the same bits and the same domain
-errors as an order-0 jet, without building one.  A grid's values are
-the constant terms of its order-0 jets.
+An ``expr.program`` is compiled once into two Python functions with
+one line per step (``compile_program``): one runs in this jet
+arithmetic (``program_jets``), the other at one float
+(``program_values``), each step the constant term of the matching
+recurrence on Python floats and each domain check one comparison.  It
+gives the bits and domain errors of an order-0 jet without building
+one.  A grid's values are the constant terms of its order-0 jets.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def _require_finite(bad, t0):
         raise DomainError(f"non-finite jet coefficients at t={_first(bad, t0)}")
 
 
-def _require_nonzero(c0):
+def _require_nonzero(c0, message="division by a function vanishing at the basepoint"):
     if _any(c0 == 0.0):
-        raise DomainError("division by a function vanishing at the basepoint")
+        raise DomainError(message)
 
 
 def _require_no_pole(cos0, t0):
@@ -203,8 +203,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            if np.any(other == 0.0):
-                raise DomainError("division by zero")
+            _require_nonzero(other, "division by zero")
             return Jet(self.basepoint, self.coeffs / other)
         a, b = self._align(other)
         _require_nonzero(b[0])
@@ -503,11 +502,32 @@ _LINES = {
     "out": "o{n} = ar.finite(v{a})",
 }
 
+# The value function's line of each kind of step, on Python floats at
+# the float t.  Each function and non-integer power is numpy's ufunc, as
+# on a grid (``math`` and ``**`` may differ in the last bit, and ``math``
+# raises on overflow).  A domain check is one float comparison that
+# raises through the jet arithmetic's check; whole powers: ``_whole_power``.
+_VALUE_LINES = {
+    **_LINES,
+    "var": "v{k} = t",
+    "lift": "v{k} = float(v{a})",
+    "div": "if v{b} == 0.0: _require_nonzero(v{b})\nv{k} = v{a} / v{b}",
+    "div_const": "if v{b} == 0.0: _require_nonzero(v{b}, 'division by zero')\nv{k} = v{a} / v{b}",
+    "pow": "if v{a} <= 0.0: _require_positive(v{a}, 'non-integer power')\n"
+           "v{k} = float(power(v{a}, r{k}))",
+    "exp": "v{k} = float(exp(v{a}))",
+    "log": "if v{a} <= 0.0: _require_positive(v{a}, 'log')\nv{k} = float(log(v{a}))",
+    "sqrt": "if v{a} <= 0.0: _require_positive(v{a}, 'sqrt')\nv{k} = float(sqrt(v{a}))",
+    "sincos": "v{k} = float(sin(v{a}))\nv{k1} = float(cos(v{a}))",
+    "tan": "if abs(v{a1}) < _TAN_COS_FLOOR: _require_no_pole(v{a1}, t)\nv{k} = v{a} / v{a1}",
+    "out": "if not -inf < v{a} < inf: _require_finite(True, t)\no{n} = v{a}",
+}
+
 # Compiled programs are kept per process, oldest evicted first beyond
 # this many; an evicted program is compiled again when it is next run.
 _CACHE_SIZE = 256
-_COMPILED = {}  # (program, bits of its constants and exponents) -> function
-_BY_NODES = {}  # ids of a tuple of nodes -> (the nodes, their function)
+_COMPILED = {}  # (program, bits of its constants and exponents) -> functions
+_BY_NODES = {}  # ids of a tuple of nodes -> (the nodes, their functions)
 
 
 def _remember(cache, key, value):
@@ -518,8 +538,10 @@ def _remember(cache, key, value):
 
 
 def compile_program(program):
-    """The Python function of an ``expr.program``: called with an
-    arithmetic, it returns the program's outputs in that arithmetic.
+    """The Python functions of an ``expr.program``, as a pair: the jet
+    function, called with an arithmetic, returns the program's outputs in
+    that arithmetic (``program_jets``); the value function, called with a
+    float, returns them as floats (``program_values``).
 
     Compiled once per distinct program in a process.  Steps compare
     ``0.0`` equal to ``-0.0``, so the cache key also holds the bit
@@ -527,37 +549,77 @@ def compile_program(program):
     """
     numbers = [a if op == "const" else b for op, a, b in program if op in ("const", "pow")]
     key = (program, struct.pack(f"<{len(numbers)}d", *numbers))
-    fn = _COMPILED.get(key)
-    if fn is None:
-        fn = _remember(_COMPILED, key, _compile(program))
-    return fn
+    fns = _COMPILED.get(key)
+    if fns is None:
+        fns = _remember(_COMPILED, key, _compile(program))
+    return fns
 
 
 def _compile(program):
-    """One line of ``_LINES`` per step: the source holds slot numbers and
-    the arithmetic's operation names only, and the constants and
-    exponents are bound in the function's namespace, a whole exponent
+    """Both functions of ``compile_program`` from one source, with one
+    line of ``_LINES`` and one of ``_VALUE_LINES`` per step.  The source
+    holds slot numbers and operation names only, and the constants and
+    exponents are bound in the functions' namespace, a whole exponent
     that ``_integer_exponent`` takes as that int."""
-    lines = []
-    space = {"__builtins__": {}}
+    jet_lines, value_lines = [], []
+    # the value function reads this module's checks and numpy's ufuncs
+    space = dict(globals(), sin=np.sin, cos=np.cos, exp=np.exp, log=np.log, sqrt=np.sqrt,
+                 power=np.power, inf=math.inf)
     k = n = 0
     for op, a, b in program:
+        m = None
         if op == "const":
             space[f"c{k}"], a = a, None
         elif op == "pow":
             m = _integer_exponent(b)
             space[f"r{k}"], b = (b if m is None else m), None
         # what is left of a and b are slot numbers
-        a1 = a + 1 if op == "tan" else None
-        lines.append(_LINES[op].format(k=k, k1=k + 1, a=a, a1=a1, b=b, n=n))
+        slots = dict(k=k, k1=k + 1, a=a, a1=a + 1 if op == "tan" else None, b=b, n=n)
+        jet_lines.append(_LINES[op].format(**slots))
+        if m is None:
+            value_lines.append(_VALUE_LINES[op].format(**slots))
+        else:
+            _whole_power(value_lines, k, a, m)
         if op == "out":
             n += 1
         else:
             k += 2 if op == "sincos" else 1
     outputs = "".join(f"o{i}, " for i in range(n))
-    source = "def program(ar):\n" + "".join(f"    {line}\n" for line in lines)
-    exec(compile(source + f"    return ({outputs})\n", "<expr.program>", "exec"), space)
-    return space["program"]
+    source = "".join(
+        f"def {head}:\n"
+        + "".join(f"    {line}\n" for line in "\n".join(body).split("\n"))
+        + f"    return ({outputs})\n"
+        for head, body in (("program(ar)", jet_lines), ("values(t)", value_lines))
+    )
+    exec(compile(source, "<expr.program>", "exec"), space)
+    return space["program"], space["values"]
+
+
+class _Local:
+    """A local of a value function being written: ``x * y`` appends the
+    line ``p{i} = x * y`` to the function's ``lines`` and returns the new
+    local, so ``_repeated_squaring`` writes out its own products."""
+
+    __slots__ = ("name", "lines")
+
+    def __init__(self, name, lines):
+        self.name, self.lines = name, lines
+
+    def __mul__(self, other):
+        product = _Local(f"p{len(self.lines)}", self.lines)
+        self.lines.append(f"{product.name} = {self.name} * {other.name}")
+        return product
+
+
+def _whole_power(lines, k, a, m):
+    """Append the lines of v{k} = v{a}**m for a whole m to ``lines``, as
+    ``jpow`` takes it: 1.0 for m = 0, else the products of
+    ``_repeated_squaring`` in its order, and 1/acc for m < 0."""
+    acc = _repeated_squaring(_Local(f"v{a}", lines), abs(m)).name if m else "1.0"
+    if m < 0:
+        lines.append(f"if {acc} == 0.0: _require_nonzero({acc})")
+        acc = f"1.0 / {acc}"
+    lines.append(f"v{k} = {acc}")
 
 
 def program_jets(program, t0, order: int):
@@ -568,14 +630,14 @@ def program_jets(program, t0, order: int):
         raise ValueError("order must be >= 0")
     if np.ndim(t0):
         t0 = np.asarray(t0, dtype=float)
-    return program(_JetArithmetic(t0, order))
+    return program[0](_JetArithmetic(t0, order))
 
 
 def program_values(program, t0):
-    """Run a compiled program in value arithmetic at the number ``t0``:
-    the bits of the constant terms of ``program_jets`` at any order, and
-    the same ``DomainError`` where those raise one, with no jet built."""
-    return program(_FloatArithmetic(t0))
+    """Run a compiled program's value function at the number ``t0``: the
+    bits of the constant terms of ``program_jets`` at any order, and the
+    same ``DomainError`` where those raise one, with no jet built."""
+    return program[1](float(t0))
 
 
 class _JetArithmetic:
@@ -603,71 +665,3 @@ class _JetArithmetic:
     exp = staticmethod(jexp)
     log = staticmethod(jlog)
     sqrt = staticmethod(jsqrt)
-
-
-class _FloatArithmetic:
-    """The constant term of each jet recurrence at one number ``t``, on
-    Python floats.  ``+ - * /`` and repeated squaring are the IEEE
-    operations numpy does on float64; every function and non-integer power
-    is numpy's ufunc, as on a grid (``math`` and ``**`` may differ in the
-    last bit, and ``math`` raises on overflow where numpy gives the inf
-    that ``finite`` reports).  A domain check tests one float comparison,
-    and a failed one raises through the jet arithmetic's check.
-    """
-
-    __slots__ = ("t",)
-
-    def __init__(self, t):
-        self.t = float(t)
-
-    lift = staticmethod(float)
-
-    def finite(self, x):
-        if not math.isfinite(x):
-            _require_finite(True, self.t)
-        return x
-
-    @staticmethod
-    def div(a, b):
-        _require_nonzero(b)
-        return a / b
-
-    @staticmethod
-    def div_const(a, b):
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
-
-    def pow(self, u, r):
-        """u**r, where ``_compile`` made r an int if ``_integer_exponent``
-        takes it, as ``jpow`` does."""
-        if type(r) is not int:
-            _require_positive(u, "non-integer power")
-            return float(np.power(u, r))
-        if r == 0:
-            return 1.0
-        acc = _repeated_squaring(u, abs(r))
-        return self.div(1.0, acc) if r < 0 else acc
-
-    def tan(self, s, c):
-        if abs(c) < _TAN_COS_FLOOR:
-            _require_no_pole(c, self.t)
-        return s / c
-
-    @staticmethod
-    def sincos(x):
-        return float(np.sin(x)), float(np.cos(x))
-
-    @staticmethod
-    def exp(x):
-        return float(np.exp(x))
-
-    @staticmethod
-    def log(x):
-        _require_positive(x, "log")
-        return float(np.log(x))
-
-    @staticmethod
-    def sqrt(x):
-        _require_positive(x, "sqrt")
-        return float(np.sqrt(x))

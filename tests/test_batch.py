@@ -338,7 +338,7 @@ def assert_same_bits_array(a, b):
 
 @pytest.mark.parametrize("name", sorted(ANALYTIC))
 def test_point_is_the_constant_term_of_the_jet(name):
-    """``point`` at a float runs the program in value arithmetic and gives
+    """``point`` at a float runs the program's value function and gives
     the bits of the jets' constant terms, signed zeros too; on a grid,
     both domain ends included, ``point`` is the order-0 jet, and it has
     the bits of the stacked points at each float."""

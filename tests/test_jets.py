@@ -12,7 +12,7 @@ from bertrand_kit import expr as ex
 from bertrand_kit import jets
 from bertrand_kit.bertrand import sphere_preset
 from bertrand_kit.curves import AnalyticCurve
-from bertrand_kit.errors import DomainError, OrderOverflowError
+from bertrand_kit.errors import DomainError, OrderOverflowError, OutOfDomainError
 from bertrand_kit.jets import (
     Jet,
     compose,
@@ -493,7 +493,7 @@ ORACLE_TOL = 16 * np.finfo(float).eps
 
 @pytest.mark.parametrize("name", ["wobble", *FAMILY_TEXTS])
 def test_jets_and_values_match_a_50_digit_oracle(name):
-    """``point`` (the program in value arithmetic) and ``evaluate_jet`` at
+    """``point`` (the program's value function) and ``evaluate_jet`` at
     orders 0-10 against ``mpmath.taylor`` at 50 digits, whose own error
     is below 1e-50."""
     curve, _ = _interned_and_plain(name)
@@ -692,3 +692,111 @@ def test_point_matches_the_oracle_or_raises_as_the_jet(trees, t):
             assert np.array_equal(np.ravel(got).view(np.uint64),
                                   curve.jet(t, 0).coeffs[0].view(np.uint64))
             _assert_near_the_oracle(np.ravel(got), nodes, t)
+
+
+def _assert_point_is_the_jet_constant(curve, t):
+    """``point(t)`` has the uint64 bits of ``jet(np.array([float(t)]), 0)``,
+    or raises its exception class and message; returns that message, or
+    None."""
+    try:
+        got = curve.point(t)
+    except (DomainError, OutOfDomainError) as e:
+        with pytest.raises(type(e)) as want:
+            curve.jet(np.array([float(t)]), 0)
+        assert type(want.value) is type(e) and str(want.value) == str(e), t
+        return str(e)
+    want = curve.jet(np.array([float(t)]), 0).coeffs[0][:, 0]
+    assert got.shape == (3,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+    return None
+
+
+_WHOLE_EXPONENTS = ("0", "1", "-1", "2", "3", "5", "7", "8", "63", "64", "-64")
+_POWER_EXPONENTS = ("0.5", "1.5", "65", "-65")
+_HALF_PI = math.pi / 2
+# t values for every row: signed zeros, tiny powers that underflow, values
+# that overflow a power or exp, and numbers whose powers round differently
+# under another order of the products
+_PARITY_TS = (-1e5, -2.6, -1.7, -1.0, -0.6, -0.0, 0.0, 1e-6, 1e-5, 0.3, 0.5, 0.7, 1.0,
+              1.3, 1.9, 2.6, 5.0, 709.0, 710.0, 1e5, 1e200)
+# (expression, extra t values): every step kind of ``expr.program``, each
+# whole exponent that goes by repeated squaring and each that takes
+# np.power, and every domain check of the value function
+_PARITY_TABLE = [
+    ("2.5", ()),  # const, lift, out
+    ("-t + 2*t - t*t", ()),  # var, neg, add, sub, mul
+    ("-(3)*t + exp(2)", ()),  # neg of a plain number, a plain number lifted into exp
+    ("1/t", ()),  # div with a plain numerator, by zero at +-0
+    ("t/(t - 0.5)", ()),  # div by a function vanishing at 0.5
+    ("1/(2 - 2) + t", ()),  # two constants: the left one becomes a function of t
+    ("t/7", ()), ("t/0", ()), ("t/-0.0", ()),  # div_const, by zero too
+    *((f"t^({e})", ()) for e in _WHOLE_EXPONENTS + _POWER_EXPONENTS),
+    ("(t - 0.5)^-3", ()),  # a whole negative power of a function vanishing at 0.5
+    ("exp(t)", ()), ("exp(t) - exp(t)", ()),  # overflow to inf, and inf - inf
+    ("log(t)", ()), ("sqrt(t)", ()), ("log(exp(t))", ()),
+    ("sin(t)*cos(t) + tan(t)", ()),  # one sincos feeds sin, cos and tan
+    # the tan pole floor: |cos t| below 1e-12 is a pole, at or above it not
+    ("tan(t)", (_HALF_PI, -_HALF_PI, 3 * _HALF_PI, _HALF_PI - 0.99e-12,
+                _HALF_PI - 1.01e-12, _HALF_PI + 2e-12)),
+]
+
+
+@pytest.mark.parametrize("text, extra", _PARITY_TABLE, ids=[row[0] for row in _PARITY_TABLE])
+def test_value_function_has_the_bits_of_the_jet(text, extra):
+    """The compiled value function against the jet path, step kind by step
+    kind: with the expression as x, y and z in turn, ``point(t)`` has the
+    bits of the order-0 jet about ``t`` or raises its ``DomainError``,
+    class and message.  Whole exponents up to 64 in size are written out
+    as the products of ``_repeated_squaring``, so an exponent such as 7
+    pins their order; the others take np.power."""
+    with np.errstate(all="ignore"):
+        for where in range(3):
+            texts = ["t"] * 3
+            texts[where] = text
+            curve = AnalyticCurve(*texts, (-1e300, 1e300))
+            for t in _PARITY_TS + extra:
+                _assert_point_is_the_jet_constant(curve, t)
+
+
+def test_parity_table_reaches_every_domain_check():
+    """The rows of ``_PARITY_TABLE`` raise each domain error of the value
+    function at least once, so the table tests each check."""
+    messages = set()
+    with np.errstate(all="ignore"):
+        for text, extra in _PARITY_TABLE:
+            curve = AnalyticCurve(text, "t", "t", (-1e300, 1e300))
+            for t in _PARITY_TS + extra:
+                message = _assert_point_is_the_jet_constant(curve, t)
+                messages.add(message)
+    for start in ("log of", "sqrt of", "non-integer power of", "division by a function",
+                  "division by zero", "tan pole", "non-finite"):
+        assert any(m and m.startswith(start) for m in messages), start
+
+
+@pytest.mark.parametrize(
+    "t", [1, True, np.int64(1), np.float32(0.3), np.array(0.3), np.float64(0.3), 0.3],
+    ids=["int", "bool", "int64", "float32", "0-d array", "float64", "float"],
+)
+def test_point_takes_every_kind_of_number(t):
+    """``point`` of a Python int, a bool, numpy integers and floats of
+    either width, a 0-d array and a float is one (3,) array with the bits
+    of the order-0 jet about ``float(t)``."""
+    texts, domain = FAMILY_TEXTS["conical_helix"]
+    curve = AnalyticCurve(*texts, domain, label="conical_helix")
+    assert _assert_point_is_the_jet_constant(curve, t) is None
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1e-11, 6.0 + 2e-12, 7.5])
+def test_point_outside_the_domain_raises_out_of_domain(t):
+    """NaN, +-inf and floats beyond the domain's 1e-12 slack raise
+    ``OutOfDomainError``, with the message of the jet path; a float inside
+    the slack is a point."""
+    texts, domain = FAMILY_TEXTS["conical_helix"]
+    curve = AnalyticCurve(*texts, domain, label="conical_helix")
+    message = f"t={t} outside [0.0, 6.0] of curve 'conical_helix'"
+    with pytest.raises(OutOfDomainError) as got:
+        curve.point(t)
+    assert str(got.value) == message
+    assert _assert_point_is_the_jet_constant(curve, t) == message
+    for inside in (-5e-13, 6.0 + 5e-13):
+        assert _assert_point_is_the_jet_constant(curve, inside) is None
