@@ -31,8 +31,10 @@ from .curves import (
     SampledCurve,
     _FRENET_ORDER,
     _columns,
+    _frame,
     _frenet_columns,
     _frenet_rows,
+    _integrate,
     _points_at,
     _take_rows,
     integrate_series,
@@ -47,7 +49,18 @@ from .errors import (
     ParameterError,
     TooFewSamplesError,
 )
-from .jets import Jet, _first, compose, invert_series, jcross, jdot, jsincos, jsqrt, jstack
+from .jets import (
+    Jet,
+    _cross_rows,
+    _first,
+    compose,
+    invert_series,
+    jcross,
+    jdot,
+    jsincos,
+    jsqrt,
+    jstack,
+)
 
 EPS_DEN = 1e-10
 TOL_ALIGN = 1e-6
@@ -139,15 +152,26 @@ def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
 
 
 def _frames(P):
-    """Vector jets of (P, T, N, B) from the position jet P, T one order
-    below P's and N and B two; column by column, so the columns of
-    stacked curves get the bits each gets alone."""
+    """Vector jets of (P, T, N, B) from the position jet P, the frame two
+    orders below P's; column by column, so the columns of
+    stacked curves get the bits each gets alone.  The frame is
+    ``curves._frame``, which detection also runs on a Frenet pass's jets."""
     D1 = P.deriv()
-    V = jsqrt(jdot(D1, D1))
     C = jcross(D1, D1.deriv())
-    T = D1 / V
-    B = C / jsqrt(jdot(C, C))
-    return P, T, jcross(B, T), B
+    D1 = D1.truncate(C.order)
+    return (P, *_frame(D1, jsqrt(jdot(D1, D1)), C, jsqrt(jdot(C, C))))
+
+
+def _image_frames(jets, ts):
+    """The order-4 T, N and B jets of each curve whose order-6 position
+    jet about ``ts`` is one of ``jets``, curve by curve: the position jets
+    of its three image curves, from one ``_frames`` pass over the stacked
+    columns of all curves."""
+    n = len(ts)
+    P = Jet(np.tile(ts, len(jets)), np.concatenate([P.coeffs for P in jets], axis=-1))
+    frame = _frames(P)[1:]
+    return tuple(v.truncate(_FRENET_ORDER).take(slice(i * n, (i + 1) * n))
+                 for i in range(len(jets)) for v in frame)
 
 
 def _offset(P, lam):
@@ -239,8 +263,9 @@ class BertrandPairModel:
     the detection grid, as arrays with one row per point.  ``ri_base`` and
     ``ri_mate`` view them point by point over ``ts``, None where masked.
     A pair that detection built from one run of its base's jet also holds
-    the order-6 position jets of both curves at ``ts[~masked]``, read-only,
-    for the suite's image rows (``_position_jets``).
+    the order-4 T, N and B jets of both curves at ``ts[~masked]``, which
+    detection's Frenet passes built, read-only: the position jets of the
+    six image curves that the suite classifies (``_image_jets``).
     """
 
     base: Curve
@@ -256,7 +281,7 @@ class BertrandPairModel:
     q2: ConstancyStat
     lambda_stat: ConstancyStat
     masked: np.ndarray
-    _jets: tuple = field(default=None, init=False, repr=False, compare=False)
+    _images: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def _per_point(self, rows):
         return _points_at(rows, self.valid_indices(), len(self.ts))
@@ -271,13 +296,15 @@ class BertrandPairModel:
     def valid_indices(self):
         return np.nonzero(~self.masked)[0]
 
-    def _position_jets(self):
-        """The order-6 position jets of base and mate at ``ts[~masked]``:
-        the ones detection holds, else one request of each curve."""
-        if self._jets is not None:
-            return self._jets
+    def _image_jets(self):
+        """The order-4 T, N and B jets of base and then mate at
+        ``ts[~masked]``: the ones detection holds, else from one order-6
+        request of each curve and one ``_frames`` pass over both."""
+        if self._images is not None:
+            return self._images
         ts = self.ts[~self.masked]
-        return tuple(c.jet(ts, _FRENET_ORDER + 2) for c in (self.base, self.mate))
+        return _image_frames(tuple(c.jet(ts, _FRENET_ORDER + 2) for c in (self.base, self.mate)),
+                           ts)
 
 
 def _overlap_grid(base: Curve, mate: Curve, n: int, inset: float = 1e-6):
@@ -322,14 +349,16 @@ def detect_bertrand(
 
     A mate that ``construct_mate`` built on this very base (its
     ``_offset_of``) is not asked for anything: the base is asked once, for
-    its grid jet at ``_FRENET_ORDER + 4``, its rows read the order-4
-    truncation, and the mate's order-6 jet is the ``_offset`` of that jet
-    at the base's regular points, its rows read the order-4 truncation
-    too.  The pair holds both order-6 jets at its regular points for the
+    its grid jet at ``_FRENET_ORDER + 4``, and one Frenet pass over it
+    gives the base's rows, which read its order-4 truncation, and the
+    base's frame.  The mate's order-6 jet is P + lam N at the base's
+    regular points, with that N, and the mate's own pass gives its rows
+    and its frame.  The pair holds both frames, cut to order 4, for the
     suite's image rows, so the pair and its suite run the base's jet once
-    on the grid.  Any other pair asks each curve once at
-    ``_FRENET_ORDER``, as a stencil's width and a normal offset's bits
-    depend on the order asked.  Neither curve's node table is read here.
+    and build each curve's frame once on the grid.  Any other pair asks
+    each curve once at ``_FRENET_ORDER``, as a stencil's width and a
+    normal offset's bits depend on the order asked.  Neither curve's node
+    table is read here.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
@@ -337,11 +366,13 @@ def detect_bertrand(
     shared = mate._offset_of is not None and mate._offset_of[0] is base
     if shared:
         P = base.jet(ts, _FRENET_ORDER + 4)
-        base_rows, ok, _ = _columns(P.truncate(_FRENET_ORDER), ts)
-        # the mate only where the base is regular: a normal offset's frame
-        # needs the base's
-        P_mate = _offset(P.take(ok), mate._offset_of[1])
-        mate_rows, mate_ok, _ = _columns(P_mate.truncate(_FRENET_ORDER), ts[ok])
+        base_rows, ok, _, core = _columns(P, ts)
+        frame = _frame(*core)
+        # the mate only where the base is regular, where its N is defined
+        P_mate = P.take(ok) + mate._offset_of[1] * frame[1]
+        mate_rows, mate_ok, _, core = _columns(P_mate, ts[ok])
+        images = (*(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
+                  *(v.truncate(_FRENET_ORDER) for v in _frame(*core)))
     else:
         base_rows, ok, _ = _frenet_columns(base, ts)
         mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
@@ -395,8 +426,7 @@ def detect_bertrand(
         masked=~ok,
     )
     if shared:
-        pair._jets = (_read_only(P.take(ok).truncate(_FRENET_ORDER + 2)),
-                      _read_only(P_mate.take(mate_ok)))
+        pair._images = tuple(map(_read_only, images))
     return pair
 
 
@@ -450,12 +480,15 @@ def _sphere_checks(seed_jet):
     p, d1, half_d2 = seed_jet.coeffs[:3].transpose(0, 2, 1)
     r = np.linalg.norm(p, axis=1)
     v = np.linalg.norm(d1, axis=1)
-    for u, r_u, v_u in zip(probes, r, v):
-        if abs(r_u - 1.0) > 1e-8:
-            raise NotSphericalError(f"|c({u})| = {r_u}, not on the unit sphere")
-        if v_u < 1e-9:
-            raise DegenerateSphereCurveError(f"sphere curve irregular at u={u}")
-    kg = np.sum(np.cross(p, d1) * (2.0 * half_d2), axis=1) / v**3
+    # the first failing probe raises, off the sphere before irregular
+    off = np.abs(r - 1.0) > 1e-8
+    bad = off | (v < 1e-9)
+    if bad.any():
+        i = np.argmax(bad)
+        if off[i]:
+            raise NotSphericalError(f"|c({probes[i]})| = {r[i]}, not on the unit sphere")
+        raise DegenerateSphereCurveError(f"sphere curve irregular at u={probes[i]}")
+    kg = np.sum(_cross_rows(p, d1) * (2.0 * half_d2), axis=1) / v**3
     spread = np.max(kg) - np.min(kg)
     if spread < 1e-8 * (1.0 + np.max(np.abs(kg))):
         raise DegenerateSphereCurveError(
@@ -501,14 +534,11 @@ def generate_bertrand_curve(
     # dgamma/du = a (V c + cot(omega) c x dc/du)
     G = a * (V * Cj + cot * jcross(Cj, Dj))
 
-    t_nodes = integrate_series(V, us)
-    P_nodes = np.ascontiguousarray(integrate_series(G, us).T)
     # segment k's arc length t(u) = t_nodes[k] + A_k(u) - A_k(us[k]), and
     # its position P_nodes[k] + AG_k(u) - AG_k(us[k]) likewise
-    A = V.antideriv(0.0)
-    A_left = A(us[:-1])
-    AG = G.antideriv(0.0)
-    AG_left = AG(us[:-1])
+    t_nodes, A, A_left = _integrate(V, us)
+    P_nodes, AG, AG_left = _integrate(G, us)
+    P_nodes = np.ascontiguousarray(P_nodes.T)
 
     def _solve_u(t):
         u = np.interp(t, t_nodes, us)

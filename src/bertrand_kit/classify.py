@@ -218,24 +218,32 @@ def pair_classify(
         speed_b = np.linalg.norm(curveB.jet(grid_b, 1).coeffs[1], axis=0)
         ts_b = _aligned_grid(ts_a, speed_a, grid_b, speed_b)
     rows_b, ok_b, _ = _frenet_columns(curveB, ts_b)
-    return _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, n, tol)
+    return _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, ok_a & ok_b, n, tol)
 
 
-def _classify_image_rows(jets, ts):
+def _pose(rows):
+    """The four row arrays of Frenet rows that ``_classify_rows`` reads:
+    point, T, N and B."""
+    return rows.point, rows.T, rows.N, rows.B
+
+
+def _classify_image_rows(images, ts):
     """The ``pair_classify`` verdict and evidence of the T, N and B images
     of two curves, keyed by axis, from their exact ``image_rows`` at
     ``ts``: the shared parameter is the correspondence, as with
     align='param', and the tolerance is ``pair_classify``'s default.  An
     axis with too few regular pairs gets the verdict 'untestable'.
 
-    ``jets`` are the curves' order-6 position jets about ``ts``, A's
-    first; their six images come from one frame pass over 2 len(ts)
-    columns and one Frenet pass over 6 len(ts) (``_image_columns``), with
-    the bits of each curve's own ``image_rows``."""
-    rows, ok, _ = _image_columns(jets, ts)
+    ``images`` are the order-4 T, N and B jets of A and then B about
+    ``ts`` (``BertrandPairModel._image_jets``), the position jets of the
+    six images, which take one Frenet pass over 6 len(ts) columns
+    (``_image_columns``), with the bits of each curve's own
+    ``image_rows``."""
+    rows, ok, _ = _image_columns(images, ts)
     ok_a, ok_b = np.split(ok, 2)
     split = np.count_nonzero(ok_a)
-    rows_a, rows_b = _take_rows(rows, slice(None, split)), _take_rows(rows, slice(split, None))
+    rows_a = tuple(v[:split] for v in _pose(rows))
+    rows_b = tuple(v[split:] for v in _pose(rows))
     pairs = ok_a & ok_b
     axis_of = np.repeat(np.arange(len(AXES)), len(ts))
     out = {}
@@ -249,13 +257,14 @@ def _classify_image_rows(jets, ts):
 
 
 def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
-    """The verdict and evidence of ``pair_classify`` from the Frenet
-    columns of two curves, read on the columns ``both`` where both are
-    regular."""
+    """The verdict and evidence of ``pair_classify`` from the point, T, N
+    and B rows (``_pose``) of two curves' Frenet columns, read on the
+    columns ``both`` where both are regular."""
     if np.count_nonzero(both) < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(f"{np.count_nonzero(both)} regular sample pairs of {n}")
-    fa, fb = _take_rows(rows_a, both[ok_a]), _take_rows(rows_b, both[ok_b])
-    D = fb.point - fa.point
+    pa, Ta, Na, Ba = (v[both[ok_a]] for v in rows_a)
+    pb, Tb, Nb = (v[both[ok_b]] for v in rows_b[:3])
+    D = pb - pa
     scale = max(float(np.max(np.linalg.norm(D, axis=1))), 1e-30)
 
     def direction_test(axis_vecs, partner_vecs, offset_key, alignment_key):
@@ -277,13 +286,13 @@ def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
                 "lambda_dev": stat.max_deviation}, holds
 
     ev = {}
-    ev["bertrand"], holds_b = direction_test(fa.N, fb.N, "offset_normal_dev",
+    ev["bertrand"], holds_b = direction_test(Na, Nb, "offset_normal_dev",
                                              "normal_alignment_dev")
-    ev["mannheim"], holds_m = direction_test(fa.B, fb.N, "offset_binormal_dev",
+    ev["mannheim"], holds_m = direction_test(Ba, Nb, "offset_binormal_dev",
                                              "normal_vs_binormal_dev")
 
-    offset_dev = float(np.max(_offset_along(D, fa.T)[1])) / scale
-    tangent_dev = float(np.max(np.abs(np.sum(fa.T * fb.T, axis=1))))
+    offset_dev = float(np.max(_offset_along(D, Ta)[1])) / scale
+    tangent_dev = float(np.max(np.abs(np.sum(Ta * Tb, axis=1))))
     ev["involute_evolute"] = {"offset_tangent_dev": offset_dev,
                               "tangent_orthogonality_dev": tangent_dev}
     holds_i = offset_dev < math.sqrt(tol) and tangent_dev < math.sqrt(tol)
@@ -397,9 +406,10 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     detection evaluated, on the rows where both curves are regular and g
     is defined on both.  ``negative-result`` classifies the T, N and B
     image pairs of base and mate (``_classify_image_rows``) on the exact
-    image rows at the regular detection points, from the order-6
-    position jets the pair holds since detection (one request per curve
-    on a pair that holds none) and one frame and one Frenet pass for all
+    image rows at the regular detection points: the image curves'
+    position jets are the order-4 frame jets that detection built and the
+    pair holds (on a pair that holds none, one order-6 request per curve
+    and one ``_frames`` pass over both), and one Frenet pass covers all
     six images, an axis with too few regular pairs counting as
     untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
@@ -515,7 +525,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         note=f"flags={flags}")
 
     # closing negative result: no indicatrix pair classifies as a named pair
-    image_pairs = _classify_image_rows(pair._position_jets(), pair.ts[~pair.masked])
+    image_pairs = _classify_image_rows(pair._image_jets(), pair.ts[~pair.masked])
     verdicts = [pc.verdict for pc in image_pairs.values()]
     bad = sum(v not in ("none", "untestable") for v in verdicts)
     add("negative-result", float(bad), passed=bad == 0, note=f"verdicts={verdicts}")

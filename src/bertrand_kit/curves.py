@@ -31,6 +31,7 @@ from .errors import (
 )
 from .jets import (
     Jet,
+    _cross_rows,
     _first,
     compile_program,
     jcross,
@@ -83,11 +84,13 @@ class Curve:
         lo, hi = self.domain
         if isinstance(t, float) and lo - _DOMAIN_SLACK <= t <= hi + _DOMAIN_SLACK:
             return
-        ts = np.asarray(t)
+        # in float64, as the jets are: a float32 t compared in float32
+        # could pass just beyond the slack
+        ts = np.asarray(t, dtype=float)
         inside = (ts >= lo - _DOMAIN_SLACK) & (ts <= hi + _DOMAIN_SLACK)
         if not inside.all():
             raise OutOfDomainError(
-                f"t={_first(~inside, t)} outside [{lo}, {hi}] of curve {self.label!r}"
+                f"t={_first(~inside, ts)} outside [{lo}, {hi}] of curve {self.label!r}"
             )
 
     def point(self, t):
@@ -370,13 +373,21 @@ def _frenet_columns(curve, ts):
     chain rule.
     """
     ts = np.asarray(ts, dtype=float)
-    return _columns(curve.jet(ts, _FRENET_ORDER), ts)
+    return _columns(curve.jet(ts, _FRENET_ORDER), ts)[:3]
 
 
 def _columns(P, ts):
-    """The ``_frenet_columns`` of the position jet P about ``ts``."""
+    """The ``_frenet_columns`` of the position jet P about ``ts``, and the
+    jets of g', |g'|, g' x g'' and |g' x g''| that the pass builds at the
+    regular columns: ``(rows, regular, errors, core)``.  g' and g' x g''
+    have the orders P gives them, one and two below P's, and |g'| and
+    |g' x g''| that of g' x g''; ``_frame`` builds the frame jets from
+    ``core``.  The rows read the order-4 truncation of those jets, so a P
+    of order 4 or more gives them the bits of its order-4 truncation."""
     D1 = P.deriv()
-    v2 = jdot(D1, D1)
+    # |g'| to the order of g' x g'', the highest any reader of it reaches
+    low = D1.truncate(D1.order - 1)
+    v2 = jdot(low, low)
     slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= EPS_REG * EPS_REG))
     keep = np.flatnonzero(~slow)
     D1, v2 = D1.take(keep), v2.take(keep)
@@ -392,6 +403,11 @@ def _columns(P, ts):
     D1, C = D1.take(sub), C.take(sub)
     c2, speed_jet = c2.take(sub), speed_jet.take(sub)
     cnorm = jsqrt(c2)
+    core = (D1, speed_jet, C, cnorm)
+
+    # the rows' jets, of the orders an order-4 position gives them
+    D1 = D1.truncate(_FRENET_ORDER - 1)
+    speed_jet, C, c2, cnorm = (j.truncate(_FRENET_ORDER - 2) for j in (speed_jet, C, c2, cnorm))
     kappa_jet = cnorm / (speed_jet * speed_jet * speed_jet)
     tau_jet = jdot(C, D1.deriv().deriv()) / c2
 
@@ -411,7 +427,7 @@ def _columns(P, ts):
         point=P.coeffs[0].T[keep],
         speed=v,
         T=T,
-        N=np.cross(B, T),
+        N=_cross_rows(B, T),
         B=B,
         kappa=kappa,
         tau=tau,
@@ -431,7 +447,17 @@ def _columns(P, ts):
                            f"floor at t={ts[i]}")
         for i in np.flatnonzero(~regular)
     ]
-    return rows, regular, errors
+    return rows, regular, errors, core
+
+
+def _frame(D1, V, C, cnorm):
+    """The frame jets (T, N, B) from the jets of g', |g'|, g' x g'' and
+    |g' x g''|, as ``_columns`` returns them, all three of the order of
+    g' x g'' (the order N reaches)."""
+    order = C.order
+    T = D1.truncate(order) / V.truncate(order)
+    B = C / cnorm
+    return T, jcross(B, T), B
 
 
 def _frenet_rows(curve, ts):
@@ -462,11 +488,13 @@ def frenet_grid(curve, ts):
 
 
 def cumulative_trapezoid(x, y):
-    """Cumulative trapezoid-rule integral of y over the nodes x, from 0."""
+    """Cumulative trapezoid-rule integral of y over the nodes x, from 0.
+    Stacked rows of y, the nodes on the last axis, are integrated at once,
+    each with the bits it gets alone."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.zeros(len(x))
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    out = np.zeros(y.shape)
+    out[..., 1:] = np.cumsum(0.5 * (y[..., 1:] + y[..., :-1]) * np.diff(x), axis=-1)
     return out
 
 
@@ -477,7 +505,15 @@ def integrate_series(rate, nodes):
     midpoint; each segment adds the integral of that Taylor series.  A
     vector rate gives one integral per component, (3, len(nodes)).
     """
+    return _integrate(rate, nodes)[0]
+
+
+def _integrate(rate, nodes):
+    """``integrate_series`` of ``rate``, the antiderivative jet A it
+    integrates (0 at each segment's midpoint), and A at each segment's
+    left node."""
     A = rate.antideriv(0.0)
-    steps = A(nodes[1:]) - A(nodes[:-1])
+    left = A(nodes[:-1])
+    steps = A(nodes[1:]) - left
     start = np.zeros(steps.shape[:-1] + (1,))
-    return np.concatenate((start, np.cumsum(steps, axis=-1)), axis=-1)
+    return np.concatenate((start, np.cumsum(steps, axis=-1)), axis=-1), A, left

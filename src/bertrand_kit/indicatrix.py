@@ -22,7 +22,7 @@ from .bertrand import (
     EPS_DEN,
     BertrandPairModel,
     ConstancyStat,
-    _frames,
+    _image_frames,
     _require_g,
     geodesic_indicator_closed_form,
 )
@@ -74,26 +74,22 @@ def indicatrix_curve(curve, axis, n) -> SampledCurve:
 def image_rows(curve, ts):
     """The exact Frenet columns of the T, N and B images of a curve at
     ``ts``, as ``_frenet_columns`` gives them, from one request of the
-    curve's order-6 jet and one pass over 3 len(ts) columns, the T
-    image's first: the T image is the curve whose position jet is T's
-    jet, and likewise N and B."""
-    return _image_columns((curve.jet(ts, _FRENET_ORDER + 2),), ts)
-
-
-def _image_columns(jets, ts):
-    """The ``image_rows`` of each curve whose order-6 position jet about
-    ``ts`` is one of ``jets``, concatenated curve by curve, from one frame
-    pass over their stacked columns and one ``_columns`` pass over all
-    images' columns.  Every step works column by column, so each curve's
-    rows have the bits of its own ``image_rows``."""
+    curve's order-6 jet, one frame pass and one Frenet pass over 3 len(ts)
+    columns, the T image's first: the T image is the curve whose position
+    jet is T's jet, and likewise N and B."""
     ts = np.asarray(ts, dtype=float)
-    n = len(ts)
-    P = np.concatenate([P.coeffs for P in jets], axis=-1)
-    _, *frame = _frames(Jet(np.tile(ts, len(jets)), P))
-    blocks = [v.truncate(_FRENET_ORDER).coeffs[..., i * n:(i + 1) * n]
-              for i in range(len(jets)) for v in frame]
-    ts_all = np.tile(ts, len(blocks))
-    return _columns(Jet(ts_all, np.concatenate(blocks, axis=-1)), ts_all)
+    return _image_columns(_image_frames((curve.jet(ts, _FRENET_ORDER + 2),), ts), ts)
+
+
+def _image_columns(images, ts):
+    """The ``_frenet_columns`` of each image curve whose order-4 position
+    jet about ``ts`` is one of ``images``, concatenated image by image,
+    from one ``_columns`` pass over their stacked columns.  Every step
+    works column by column, so each image's rows have the bits of its own
+    pass."""
+    ts_all = np.tile(ts, len(images))
+    P = Jet(ts_all, np.concatenate([v.coeffs for v in images], axis=-1))
+    return _columns(P, ts_all)[:3]
 
 
 def _other_side(side: str) -> str:
@@ -285,17 +281,15 @@ def _arclength_relations(side: str, src: FrenetData, img: FrenetData, lam: float
     # c1 candidate via f' = kappa'(g - f)/kappa (arc-length primes)
     fprime = src.dkappa_ds * (g - f) / k
     expr_vals = k * k * fprime / (src.dkappa_ds * wg)
-    s_src, s_tb, s_n, s_t_direct, s_n_direct, s_b_direct = (
-        cumulative_trapezoid(ts, rate)
-        for rate in (
-            src.speed,  # d s_src / dt
-            k * (f - g) / wg * src.speed,  # d s_t/dt = d s_b/dt
-            k * np.sqrt(1.0 + f * f) * src.speed,  # d s_n/dt
-            img.kappa * img.speed,  # |T'| of the imaged curve
-            np.hypot(img.kappa, img.tau) * img.speed,  # |N'|
-            np.abs(img.tau) * img.speed,  # |B'|
-        )
-    )
+    # the six rates as stacked rows of one quadrature
+    s_src, s_tb, s_n, s_t_direct, s_n_direct, s_b_direct = cumulative_trapezoid(ts, np.stack((
+        src.speed,  # d s_src / dt
+        k * (f - g) / wg * src.speed,  # d s_t/dt = d s_b/dt
+        k * np.sqrt(1.0 + f * f) * src.speed,  # d s_n/dt
+        img.kappa * img.speed,  # |T'| of the imaged curve
+        np.hypot(img.kappa, img.tau) * img.speed,  # |N'|
+        np.abs(img.tau) * img.speed,  # |B'|
+    )))
     fit = _affine_fit(s_src, s_tb)
     expr = ConstancyStat.of(expr_vals)
     # base side: expr = -eps c1 / lambda; mate side: expr = c1 / lambda.

@@ -279,12 +279,13 @@ def jsqrt(u: Jet) -> Jet:
     _require_positive(c[0], "sqrt")
     w = np.empty_like(c)
     w[0] = np.sqrt(c[0])
+    two_w0 = 2.0 * w[0]
     for k in range(1, n + 1):
         acc = c[k]
         if k > 1:
             # sum of w[j]*w[k-j] over j = 1..k-1, in order of j
             acc = acc - np.add.accumulate(w[1:k] * w[k - 1 : 0 : -1])[-1]
-        w[k] = acc / (2.0 * w[0])
+        w[k] = acc / two_w0
     return Jet(u.basepoint, w)
 
 
@@ -332,20 +333,27 @@ def jpow(u: Jet, r: float) -> Jet:
     return Jet(u.basepoint, w)
 
 
+# the signs of sin' = cos u' and cos' = -sin u' on a stacked (sin, cos)
+_SINCOS_SIGNS = np.array([1.0, -1.0])
+
+
 def jsincos(u: Jet):
+    """sin u and cos u from one stacked recurrence: sc[k, 0] is sin's
+    coefficient k and sc[k, 1] cos's, and each order takes one update and
+    one division of both.  Adding (-j c[j]) * sin has the bits of
+    subtracting j c[j] * sin."""
     c = u.coeffs
     n = u.order
     jc = _per_order(np.arange(1, n + 1), c) * c[1:]
-    s = np.zeros(c.shape)
-    co = np.zeros(c.shape)
-    s[0] = np.sin(c[0])
-    co[0] = np.cos(c[0])
+    # (j c[j], -j c[j]), to meet (cos, sin) of one order
+    jcs = jc[:, None] * _per_order(_SINCOS_SIGNS, jc)
+    sc = np.zeros((n + 1, 2) + c.shape[1:])
+    sc[0, 0] = np.sin(c[0])
+    sc[0, 1] = np.cos(c[0])
     for m in range(n):
-        s[m + 1 :] += jc[: n - m] * co[m]
-        co[m + 1 :] -= jc[: n - m] * s[m]
-        s[m + 1] /= m + 1
-        co[m + 1] /= m + 1
-    return Jet(u.basepoint, s), Jet(u.basepoint, co)
+        sc[m + 1 :] += jcs[: n - m] * sc[m, ::-1]
+        sc[m + 1] /= m + 1
+    return Jet(u.basepoint, sc[:, 0]), Jet(u.basepoint, sc[:, 1])
 
 
 def jsin(u: Jet) -> Jet:
@@ -432,17 +440,27 @@ def jstack(components) -> Jet:
     return Jet(components[0].basepoint, np.stack([c.coeffs for c in components], axis=1))
 
 
-# the cyclic shifts of (x, y, z) that a cross product pairs
-_NEXT = [1, 2, 0]
-_PREV = [2, 0, 1]
+# the components a cross product pairs: component i is
+# a[i+1]*b[i+2] - a[i+2]*b[i+1] (indices mod 3), the first three of these
+# six products less the last three
+_LEFT = [1, 2, 0, 2, 0, 1]
+_RIGHT = [2, 0, 1, 1, 2, 0]
 
 
 def jcross(a: Jet, b: Jet) -> Jet:
-    """Cross product of two vector jets: component i is
-    a[i+1]*b[i+2] - a[i+2]*b[i+1] (indices mod 3), as two Cauchy products
-    of permuted components and one subtraction."""
+    """Cross product of two vector jets, as one Cauchy product of the six
+    permuted component pairs and one subtraction."""
     x, y = a._align(b)
-    return Jet(a.basepoint, _cauchy(x[:, _NEXT], y[:, _PREV]) - _cauchy(x[:, _PREV], y[:, _NEXT]))
+    p = _cauchy(x[:, _LEFT], y[:, _RIGHT])
+    return Jet(a.basepoint, p[:, :3] - p[:, 3:])
+
+
+def _cross_rows(a, b):
+    """Cross product of each row of the (N, 3) arrays a and b, by the
+    component formula of ``jcross``; numpy's ``cross`` computes
+    a1*b2 - a2*b1 too, so it gives the same bits."""
+    p = a[:, _LEFT] * b[:, _RIGHT]
+    return p[:, :3] - p[:, 3:]
 
 
 def jdot(a: Jet, b: Jet) -> Jet:

@@ -18,6 +18,7 @@ from bertrand_kit import curves, jets
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
     _frames,
+    _image_frames,
     construct_mate,
     generate_bertrand_curve,
     generated_pair,
@@ -34,7 +35,7 @@ from bertrand_kit.curves import (
     frenet_apparatus,
     frenet_grid,
 )
-from bertrand_kit.classify import _classify_image_rows, _classify_rows
+from bertrand_kit.classify import _classify_image_rows, _classify_rows, _pose
 from bertrand_kit.errors import (
     DomainError,
     OutOfDomainError,
@@ -508,13 +509,14 @@ def test_image_rows_mark_one_untestable_axis():
     base = AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.0, 3.0))
     mate = construct_mate(base, 0.2, n=64)
     ts = np.linspace(0.1, 2.9, 24)
-    got = _classify_image_rows([curve.jet(ts, 6) for curve in (base, mate)], ts)
+    got = _classify_image_rows(_image_frames([curve.jet(ts, 6) for curve in (base, mate)], ts), ts)
     assert list(got) == list(AXES)
     assert not image_rows(base, ts)[1][2 * len(ts):].any()
     assert got["binormal"].verdict == "untestable"
     for k, axis in enumerate(AXES[:2]):
         (rows_a, ok_a, _), (rows_b, ok_b, _) = (
             _frenet_columns(_image_alone(curve, k, ts), ts) for curve in (base, mate))
-        alone = _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, len(ts), 1e-6)
+        alone = _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, ok_a & ok_b, len(ts),
+                               1e-6)
         assert got[axis].verdict == alone.verdict != "untestable"
         assert_same_evidence(got[axis].evidence, alone.evidence)

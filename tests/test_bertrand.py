@@ -575,35 +575,46 @@ def test_generator_jets_are_read_only():
     assert_same_bits_array(base.jet(ts, 6).coeffs, want.coeffs)
 
 
+def _fresh_images(preset, grid):
+    """The order-4 T, N and B jets of a fresh base and then a fresh mate
+    at ``grid``, from ``_frames`` of each curve's own order-6 jet."""
+    return [v.truncate(4) for curve in _fresh_pair(preset)
+            for v in bertrand._frames(curve.jet(grid, 6))[1:]]
+
+
 @pytest.mark.parametrize("preset", ["wobble", "slant", "analytic"])
 def test_pair_jets_are_read_only_with_fresh_bits(preset):
-    """The order-6 position jets that detection hands to the suite have
-    the bits of a fresh base's and a fresh mate's order-6 jets at the
-    pair's regular points, before and after the suite reads them, and
-    writing into them raises, while the pair's grid stays writable."""
+    """The six image jets that detection hands to the suite, the order-4
+    T, N and B jets of base and mate from detection's Frenet passes, have
+    the bits of ``_frames`` of a fresh base's and a fresh mate's order-6
+    jets at the pair's regular points, before and after the suite reads
+    them, and writing into them raises, while the pair's grid stays
+    writable."""
     pair = detect_bertrand(*_fresh_pair(preset), n=24)
     grid = pair.ts[~pair.masked]
-    held = pair._position_jets()
+    held = pair._image_jets()
+    assert len(held) == 6
     for jet in held:
         with pytest.raises(ValueError):
             jet.coeffs[0, 0, 0] = 0.0
         with pytest.raises(ValueError):
             jet.basepoint[0] = 0.0
     assert pair.ts.flags.writeable
-    if preset != "analytic":
-        theorem_suite(pair)
-    assert pair._position_jets() is held
-    for jet, curve in zip(held, _fresh_pair(preset)):
-        want = curve.jet(grid, 6)
-        assert_same_bits_array(jet.coeffs, want.coeffs)
-        assert_same_bits_array(jet.basepoint, want.basepoint)
+    for suite_ran in (False, True):
+        if suite_ran and preset != "analytic":
+            theorem_suite(pair)
+        assert pair._image_jets() is held
+        for jet, want in zip(held, _fresh_images(preset, grid), strict=True):
+            assert jet.order == 4
+            assert_same_bits_array(jet.coeffs, want.coeffs)
+            assert_same_bits_array(jet.basepoint, want.basepoint)
 
 
 def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     """Detection takes the offsets from the positions in the Frenet rows:
     the generated base is asked once for jets four orders above the
-    Frenet order (its rows read the low orders, the mate's order-6 jet
-    and the suite's image rows the rest), and its normal-offset mate is
+    Frenet order (its rows read the low orders, its frame and the mate's
+    order-6 jet the rest), and its normal-offset mate is
     asked for nothing; no curve is asked for a point."""
     pair = generated_pair("wobble", n=64, grid=24)
     role = {pair.base: "base", pair.mate: "mate"}
@@ -626,27 +637,39 @@ def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
 def test_pair_and_suite_make_one_mate_frame_run_and_one_image_pass(preset, monkeypatch):
-    """generated_pair plus theorem_suite build the mate's jet once: one
-    normal-offset frame run, from the base's order-8 jet on the 24-point
-    detection grid (detection's order-4 run and the suite's order-6 run
-    before the mate held its grid jet), and the six image curves of
-    negative-result take one Frenet pass over 6 x 24 columns (one pass of
-    3 x 24 per curve before)."""
-    frames, passes = Counter(), Counter()
-    real_offset, real_columns = bertrand._offset, indicatrix._columns
+    """generated_pair plus theorem_suite build each curve's frame once, in
+    detection's Frenet pass over that curve: the base's at order 6 from
+    its order-8 jet, and the mate's at order 4 from its order-6 jet, which
+    is P + lam N with the base's N.  So there is no normal-offset run and
+    no ``_frames`` run (one ``_offset`` run of the base's order-8 jet and
+    one ``_frames`` run of both curves' order-6 jets before), and the six
+    image curves of negative-result take one Frenet pass over 6 x 24
+    columns."""
+    runs, frames, passes = Counter(), Counter(), Counter()
+    real_offset, real_frames = bertrand._offset, bertrand._frames
+    real_frame, real_columns = bertrand._frame, indicatrix._columns
 
-    def counting_offset(P, lam):
-        frames[P.order, P.coeffs.shape[-1]] += 1
-        return real_offset(P, lam)
+    def counting(name, real):
+        def run(P, *args):
+            runs[name] += 1
+            return real(P, *args)
+        return run
+
+    def counting_frame(D1, V, C, cnorm):
+        frames[C.order] += 1
+        return real_frame(D1, V, C, cnorm)
 
     def counting_columns(P, ts):
         passes[len(ts)] += 1
         return real_columns(P, ts)
 
-    monkeypatch.setattr(bertrand, "_offset", counting_offset)
+    monkeypatch.setattr(bertrand, "_offset", counting("_offset", real_offset))
+    monkeypatch.setattr(bertrand, "_frames", counting("_frames", real_frames))
+    monkeypatch.setattr(bertrand, "_frame", counting_frame)
     monkeypatch.setattr(indicatrix, "_columns", counting_columns)
     theorem_suite(generated_pair(preset, n=64, grid=24))
-    assert frames == Counter({(8, 24): 1})
+    assert runs == Counter()
+    assert frames == Counter({6: 1, 4: 1})
     assert passes == Counter({144: 1})
 
 
@@ -679,7 +702,7 @@ def test_mate_jets_after_detection_and_suite_have_fresh_bits(preset):
         pair = detect_bertrand(base, mate, n=24)
         grid = pair.ts[~pair.masked]
         if preset == "analytic":
-            _classify_image_rows(pair._position_jets(), grid)
+            _classify_image_rows(pair._image_jets(), grid)
         else:
             theorem_suite(pair)
         for order in orders:
@@ -724,11 +747,13 @@ def _assert_same_rows(got, want):
 
 @pytest.mark.parametrize("preset", ["wobble", "slant", "analytic"])
 def test_shared_detection_rows_have_the_bits_of_fresh_curves(preset):
-    """Detection builds both curves' rows from one order-8 run of the base;
-    they have the bits of ``_frenet_columns`` of a fresh base and a fresh
-    mate, each asked for its own order-4 jets."""
+    """Detection builds both curves' rows and frames from one order-8 run
+    of the base, and holds the six image jets; the rows have the bits of
+    ``_frenet_columns`` of a fresh base and a fresh mate, each asked for
+    its own order-4 jets."""
     pair = detect_bertrand(*_fresh_pair(preset), n=24)
-    assert pair._jets is not None
+    assert pair._images is not None
+    assert len(pair._images) == 6
     want_base, want_mate = _separate_rows(*_fresh_pair(preset), pair.ts)
     _assert_same_rows(pair.base_rows, want_base)
     _assert_same_rows(pair.mate_rows, want_mate)
@@ -737,8 +762,8 @@ def test_shared_detection_rows_have_the_bits_of_fresh_curves(preset):
 def test_mate_of_a_mate_is_detected_on_the_separate_path():
     """A normal offset's jets drift from the bits of lower requests, so the
     mate of a mate records no base: detecting (mate, mate of mate) asks
-    each curve for its own Frenet jets, holds no jets, and gives the rows
-    of fresh curves."""
+    each curve for its own Frenet jets, holds no image jets, and gives the
+    rows of fresh curves."""
     def fresh():
         mate = construct_mate(_generated("wobble"), 1.0, n=64)
         return mate, construct_mate(mate, 1.0, n=64)
@@ -746,7 +771,7 @@ def test_mate_of_a_mate_is_detected_on_the_separate_path():
     mate, back = fresh()
     assert back._offset_of is None
     pair = detect_bertrand(mate, back, n=24)
-    assert pair._jets is None
+    assert pair._images is None
     want_base, want_mate = _separate_rows(*fresh(), pair.ts)
     _assert_same_rows(pair.base_rows, want_base)
     _assert_same_rows(pair.mate_rows, want_mate)
@@ -768,3 +793,45 @@ def test_generator_build_makes_one_seed_request():
         seed.jet = counting_jet
         generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
         assert requests == Counter({(10, n): 1})
+
+
+def _sphere_checks_one_probe_at_a_time(seed_jet):
+    """The sphere checks' first two tests, probe by probe in grid order:
+    the reference for the one array comparison of ``_sphere_checks``."""
+    p, d1 = seed_jet.coeffs[:2].transpose(0, 2, 1)
+    for u, r_u, v_u in zip(seed_jet.basepoint, np.linalg.norm(p, axis=1),
+                           np.linalg.norm(d1, axis=1)):
+        if abs(r_u - 1.0) > 1e-8:
+            raise NotSphericalError(f"|c({u})| = {r_u}, not on the unit sphere")
+        if v_u < 1e-9:
+            raise DegenerateSphereCurveError(f"sphere curve irregular at u={u}")
+
+
+def _seed_with(off=(), still=()):
+    """The order-2 jet of a unit circle at 8 probes, pushed off the sphere
+    by 1e-6 at the probes ``off`` and stopped (zero velocity) at ``still``."""
+    u = np.linspace(0.1, 0.8, 8)
+    c = np.zeros((3, 3, len(u)))
+    c[0] = np.cos(u), np.sin(u), 0.0 * u
+    c[1] = -np.sin(u), np.cos(u), 0.0 * u
+    c[2] = -0.5 * np.cos(u), -0.5 * np.sin(u), 0.0 * u
+    for i in off:
+        c[0, :, i] *= 1.0 + 1e-6
+    for i in still:
+        c[1, :, i] = 0.0
+    return jets.Jet(u, c)
+
+
+@pytest.mark.parametrize("off, still", [((3,), ()), ((), (5,)), ((2, 6), (4,)),
+                                         ((4,), (2, 6)), ((3,), (3,)), ((7,), (0,))])
+def test_sphere_checks_raise_the_first_failing_probe(off, still):
+    """The sphere checks test all probes in one comparison and raise the
+    error, class and message, of the first failing probe, a probe off the
+    sphere before an irregular one at the same probe."""
+    seed = _seed_with(off, still)
+    with pytest.raises((NotSphericalError, DegenerateSphereCurveError)) as want:
+        _sphere_checks_one_probe_at_a_time(seed)
+    with pytest.raises((NotSphericalError, DegenerateSphereCurveError)) as got:
+        bertrand._sphere_checks(seed)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

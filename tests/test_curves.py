@@ -11,6 +11,7 @@ from bertrand_kit.curves import (
     AnalyticCurve,
     SampledCurve,
     _frenet_rows,
+    cumulative_trapezoid,
     frenet_apparatus,
     frenet_grid,
     integrate_series,
@@ -191,3 +192,56 @@ def test_serialized_floats_keep_their_text():
     assert dumps(values) == ("[0.10000000000000001, -2.5e-300, "
                              "0.33333333333333331, 0.10000000149011612, null, null, null, "
                              "null, 7, -3, true, null]")
+
+
+def test_frenet_rows_normal_is_numpy_cross_of_b_and_t():
+    """The rows' N is B x T by ``jets._cross_rows``, with the bits of
+    ``np.cross`` on the rows' own B and T."""
+    for curve in (AnalyticCurve("cos(t)", "sin(t)", "t*t", (0.0, 1.0)),
+                  AnalyticCurve("t", "t^2", "t^3", (-1.0, 1.0))):
+        rows, _, _ = curves._frenet_columns(curve, np.linspace(*curve.domain, 33))
+        assert np.array_equal(rows.N.view(np.uint64), np.cross(rows.B, rows.T).view(np.uint64))
+
+
+def test_stacked_trapezoid_rows_have_their_own_bits():
+    """``cumulative_trapezoid`` of stacked rows equals each row's own call,
+    bit for bit."""
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 17, 257):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-8, 8, (6, 1))
+        stacked = cumulative_trapezoid(x, y)
+        assert stacked.shape == (6, n)
+        for row, alone in zip(stacked, y):
+            want = cumulative_trapezoid(x, alone)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
+def _tenth_samples():
+    ts = np.linspace(0.0, 0.1, 9)
+    return SampledCurve(ts, np.stack([np.cos(ts), np.sin(ts), ts * ts], axis=1))
+
+
+@pytest.mark.parametrize("make", [_tenth_samples,
+                                  lambda: AnalyticCurve("t", "t^2", "t^3", (0.0, 0.1))])
+def test_float32_parameters_are_checked_in_float64(make):
+    """A float32 parameter is checked at its float64 value: np.float32(0.1)
+    is 0.10000000149011612, beyond the slack of a domain ending at 0.1, so
+    a scalar and a 1-D float32 array holding it raise OutOfDomainError
+    with the message of that float64 value; float32 values in the domain
+    get the bits of their float64 values."""
+    curve = make()
+    beyond = float(np.float32(0.1))
+    for got_t, want_t in ((np.float32(0.1), beyond),
+                          (np.array([0.05, 0.1], dtype=np.float32),
+                           np.array([float(np.float32(0.05)), beyond]))):
+        with pytest.raises(OutOfDomainError) as want:
+            curve.jet(want_t, 0)
+        with pytest.raises(OutOfDomainError) as got:
+            curve.jet(got_t, 0)
+        assert str(got.value) == str(want.value)
+        assert "t=0.10000000149011612 outside" in str(got.value)
+    inside = np.array([0.0, 0.025, 0.05, 0.0999], dtype=np.float32)
+    for got_t, want_t in ((inside[2], float(inside[2])), (inside, inside.astype(float))):
+        got, want = curve.jet(got_t, 2), curve.jet(want_t, 2)
+        assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))

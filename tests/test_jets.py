@@ -800,3 +800,64 @@ def test_point_outside_the_domain_raises_out_of_domain(t):
     assert _assert_point_is_the_jet_constant(curve, t) == message
     for inside in (-5e-13, 6.0 + 5e-13):
         assert _assert_point_is_the_jet_constant(curve, inside) is None
+
+
+def _sincos_two_arrays(u):
+    """sin u and cos u by the recurrence on two arrays, one update and one
+    division each per order: the reference for the stacked ``jsincos``."""
+    c = u.coeffs
+    n = u.order
+    jc = jets._per_order(np.arange(1, n + 1), c) * c[1:]
+    s = np.zeros(c.shape)
+    co = np.zeros(c.shape)
+    s[0] = np.sin(c[0])
+    co[0] = np.cos(c[0])
+    for m in range(n):
+        s[m + 1 :] += jc[: n - m] * co[m]
+        co[m + 1 :] -= jc[: n - m] * s[m]
+        s[m + 1] /= m + 1
+        co[m + 1] /= m + 1
+    return s, co
+
+
+def _with_signed_zeros(rng, shape):
+    """Random coefficients of ``shape`` with about a third of them +0.0
+    or -0.0."""
+    c = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.35
+    c[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return c
+
+
+@pytest.mark.parametrize("order", range(11))
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)], ids=["point", "grid", "vector"])
+def test_stacked_sincos_has_the_bits_of_two_arrays(order, shape):
+    """``jsincos`` keeps sin and cos in one stacked array; on one-point,
+    grid and vector jets of orders 0-10, with +0.0 and -0.0 among the
+    coefficients and as whole jets, both series have the bits of the
+    two-array recurrence."""
+    rng = np.random.default_rng(100 * order + len(shape))
+    t0 = 0.3 if not shape else rng.uniform(-1.0, 1.0, shape[-1])
+    for coeffs in (_with_signed_zeros(rng, (order + 1,) + shape),
+                   np.zeros((order + 1,) + shape), np.full((order + 1,) + shape, -0.0)):
+        s, c = jets.jsincos(Jet(t0, coeffs))
+        want_s, want_c = _sincos_two_arrays(Jet(t0, coeffs))
+        _assert_same_bits(s.coeffs, want_s)
+        _assert_same_bits(c.coeffs, want_c)
+
+
+def test_cross_products_have_the_bits_of_numpy_cross():
+    """The one cross product formula: ``jets._cross_rows`` on (N, 3) rows
+    and the constant term of ``jcross`` (the rows' N in the Frenet pass,
+    the seed's c x c' in the sphere checks) have the bits of
+    ``np.cross``, on random rows with +0.0 and -0.0 among the entries."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 64):
+        a, b = _with_signed_zeros(rng, (n, 3)), _with_signed_zeros(rng, (n, 3))
+        want = np.cross(a, b)
+        _assert_same_bits(jets._cross_rows(a, b), want)
+        ja, jb = Jet(np.zeros(n), a.T[None]), Jet(np.zeros(n), b.T[None])
+        _assert_same_bits(jcross(ja, jb).coeffs[0].T, want)
+        ja = Jet(np.zeros(n), np.concatenate((a.T[None], rng.normal(size=(4, 3, n)))))
+        jb = Jet(np.zeros(n), np.concatenate((b.T[None], rng.normal(size=(4, 3, n)))))
+        _assert_same_bits(jcross(ja, jb).coeffs[0].T, want)
