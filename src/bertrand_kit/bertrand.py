@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr as ex
 from .curves import (
     AnalyticCurve,
     Curve,
@@ -49,6 +48,7 @@ from .errors import (
     ParameterError,
     TooFewSamplesError,
 )
+from .io import _base_block
 from .jets import (
     Jet,
     _cross_rows,
@@ -189,14 +189,17 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     and its node table (the mate at the n+1 regular points of the base's
     domain) is computed at its first read, not here: building the mate
     evaluates nothing, and an evaluation error surfaces at that read.
-    The mate of an analytic or generated base, whose jets up to order 8
-    truncate to the bits of lower requests, records ``(base, lam)``:
-    ``detect_bertrand`` then builds the pair's jets from one run of that
-    base.  Sampled bases yield a sampled mate via the stencil path, at the
-    regular grid points of the base.
+    Its metadata records lambda, n and the base's ``io._base_block``; a
+    mate with a block records ``(base, lam)``, and ``detect_bertrand``
+    then builds the pair's jets from one run of that base.  Sampled bases
+    yield a sampled mate via the stencil path, at the regular grid points
+    of the base.  A non-finite lambda or an n below 1 raises
+    ParameterError before any evaluation.
     """
     if not math.isfinite(lam):
         raise ParameterError(f"lambda must be finite, got {lam}")
+    if n < 1:
+        raise ParameterError(f"a mate needs n >= 1, got {n}")
     lo, hi = base.domain
     ts = np.linspace(lo, hi, n + 1)
     label = f"{base.label or 'curve'}+{lam}*N"
@@ -205,33 +208,13 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
         rows, keep, _ = _frenet_columns(base, ts)
         return SampledCurve(ts[keep], rows.point + lam * rows.N, label=label)
 
-    meta = {"generator": "normal-offset", "lambda": lam, "n": n}
-    base_meta = getattr(base, "metadata", None) or {}
-    # self-describing mate file: carry the recipe of the base
-    if isinstance(base, AnalyticCurve):
-        meta.update(
-            {
-                "base_generator": "analytic",
-                "base_x": ex.to_text(base.x),
-                "base_y": ex.to_text(base.y),
-                "base_z": ex.to_text(base.z),
-                "base_lo": lo,
-                "base_hi": hi,
-            }
-        )
-    elif base_meta.get("generator") == "bertrand":
-        meta.update(
-            {
-                "base_generator": "bertrand",
-                "a": base_meta.get("a"),
-                "omega": base_meta.get("omega"),
-                "seed_label": base_meta.get("seed_label"),
-                "base_n": base_meta.get("n"),
-            }
-        )
+    block = _base_block(base)
     mate = JetBackedCurve(lambda t, order: _offset(base.jet(t, order + 2), lam), ts,
-                          label=label, metadata=meta)
-    if "base_generator" in meta:
+                          label=label, metadata={"generator": "normal-offset", "lambda": lam,
+                                                 "n": n, **(block or {})})
+    # the bases with a block are those whose jets up to order 8 truncate
+    # to the bits of lower requests, as detection's one run of the base needs
+    if block is not None:
         mate._offset_of = (base, lam)
     return mate
 
@@ -341,8 +324,9 @@ def detect_bertrand(
     """Check the Bertrand-pair definition and assemble the pair model.
 
     ``inset`` trims a fraction of the overlap interval at each end; useful
-    for sampled curves whose end stencils are one-sided.  Raises
-    TooFewSamplesError for a grid of fewer than 8 points and
+    for sampled curves whose end stencils are one-sided; one outside
+    [0, 0.5) raises ParameterError.  Raises TooFewSamplesError for a grid
+    of fewer than 8 points and
     NotAPairError with a reason of 'offset-not-normal', 'lambda-varies'
     or 'normals-not-aligned'.  The returned pair keeps the Frenet data
     evaluated here, one batch per curve, as row arrays.
@@ -362,6 +346,8 @@ def detect_bertrand(
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
+    if not 0.0 <= inset < 0.5:
+        raise ParameterError(f"inset must lie in [0, 0.5), got {inset}")
     ts = _overlap_grid(base, mate, n, inset=inset)
     shared = mate._offset_of is not None and mate._offset_of[0] is base
     if shared:
@@ -509,12 +495,15 @@ def generate_bertrand_curve(
     series reversion at evaluation time.  The Newton solve for u(t) starts
     from linear interpolation between the walk nodes and steps with the
     walk's seed-speed series of the segment that holds t, about the
-    segment's midpoint.
+    segment's midpoint.  An n below 2, which leaves the sphere checks one
+    probe, raises ParameterError before the seed is evaluated.
     """
     if not 0.0 < a < math.inf:
         raise ParameterError(f"a must be finite and positive, got {a}")
     if not 0.0 < omega < math.pi or abs(omega - math.pi / 2) < 1e-12:
         raise ParameterError(f"omega must lie in (0, pi), omega != pi/2, got {omega}")
+    if n < 2:
+        raise ParameterError(f"the generator needs n >= 2, got {n}")
     cot = 1.0 / math.tan(omega)
     lo, hi = sphere_curve.domain
     us = np.linspace(lo, hi, n + 1)

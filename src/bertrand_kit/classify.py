@@ -198,9 +198,11 @@ def pair_classify(
 
     align='arclength' resamples curveB so that corresponding points carry
     equal arc-length fractions, for pairs without a shared parameter.
-    Raises TooFewSamplesError for n < MIN_CLASSIFY_SAMPLES, before any
-    grid is built.
+    Raises ValueError for any other ``align`` and TooFewSamplesError for
+    n < MIN_CLASSIFY_SAMPLES, before any grid is built.
     """
+    if align not in ("param", "arclength"):
+        raise ValueError(f"align must be 'param' or 'arclength', got {align!r}")
     if n < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(f"classification grid of {n} points; "
                                  f"need at least {MIN_CLASSIFY_SAMPLES}")

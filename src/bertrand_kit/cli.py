@@ -327,7 +327,8 @@ def cmd_generate(args) -> int:
         },
         results={
             "curve_file": out,
-            "nominal_lambda": curve.metadata.get("nominal_lambda", args.a),
+            # the generator's mate offset is its a
+            "nominal_lambda": args.a,
         },
     )
     _emit(report)

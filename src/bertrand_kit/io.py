@@ -108,30 +108,30 @@ def curve_to_dict(curve: Curve) -> dict:
     return d
 
 
-def _is_recorded_base(curve, meta) -> bool:
-    """Whether ``curve`` is the generated base that a mate's metadata
-    records: a generator curve (only a rebuild that matched its stored
-    samples has metadata) whose seed, a, omega and n are those that an
-    independent rebuild of the recipe would use."""
-    have = getattr(curve, "metadata", None) or {}
-    return (
-        have.get("generator") == "bertrand"
-        and have.get("seed_label") == meta.get("seed_label")
-        and have.get("a") == float(meta["a"])
-        and have.get("omega") == float(meta["omega"])
-        and have.get("n") == meta["base_n"]
-    )
+def _base_block(base):
+    """The base keys a mate file records: an analytic base's expressions
+    and domain, a generated base's seed, a, omega and n, else None."""
+    if isinstance(base, AnalyticCurve):
+        return {"base_generator": "analytic",
+                **{f"base_{c}": ex.to_text(getattr(base, c)) for c in "xyz"},
+                "base_lo": base.domain[0], "base_hi": base.domain[1]}
+    meta = getattr(base, "metadata", None) or {}
+    if meta.get("generator") != "bertrand":
+        return None
+    return {"base_generator": "bertrand", **{k: meta.get(k) for k in ("a", "omega", "seed_label")},
+            "base_n": meta.get("n")}
 
 
 def _rebuild_from_metadata(meta, nodes, loaded_base=None):
     """Exact jet-backed curve from a recorded recipe, or None.
 
-    Sampled files written by the generator, and mates of generated or
-    analytic bases, carry enough metadata to rebuild the curve, which
-    restores exact differentiation after a round trip instead of falling
-    back to finite-difference stencils.  A mate whose recorded generated
-    base is ``loaded_base`` is rebuilt on that curve, so the pair shares
-    one generator.  A recipe that cannot be rebuilt or evaluated at its
+    Sampled files written by the generator, and mates that record their
+    base's ``_base_block`` (of a generated or an analytic base), carry
+    enough metadata to rebuild the curve: a round trip keeps exact
+    differentiation instead of falling back to finite-difference
+    stencils.  A mate whose block, coerced as for a rebuild, is
+    ``_base_block(loaded_base)`` is rebuilt on that curve, so the pair
+    shares one base.  A recipe that cannot be rebuilt or evaluated at its
     nodes, whose ``n`` is not ``nodes`` (the stored sample count less
     one), or whose ``base_n`` is not a positive integer gives None.  The
     caller checks the rebuilt nodes against the stored samples.
@@ -141,8 +141,6 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
     from . import bertrand as bt
 
     def generated(n):
-        if meta.get("seed_label") not in bt.SPHERE_PRESETS:
-            return None
         return bt.generate_bertrand_curve(bt.sphere_preset(meta["seed_label"]),
                                           float(meta["a"]), float(meta["omega"]), n=n)
 
@@ -150,30 +148,32 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
         gen = meta.get("generator")
         if gen == "bertrand":
             return generated(nodes)
-        if gen == "normal-offset":
-            base_gen = meta.get("base_generator")
-            if base_gen == "bertrand":
-                # a generator size is a positive JSON integer (not a bool)
-                base_n = meta.get("base_n")
-                if type(base_n) is not int or base_n < 1:
-                    return None
-                base = (loaded_base if _is_recorded_base(loaded_base, meta)
-                        else generated(base_n))
-            elif base_gen == "analytic":
-                base = AnalyticCurve(str(meta["base_x"]), str(meta["base_y"]),
-                                     str(meta["base_z"]),
-                                     (float(meta["base_lo"]), float(meta["base_hi"])))
-            else:
-                base = None
-            if base is not None:
-                mate = bt.construct_mate(base, float(meta["lambda"]), n=nodes)
-                # the node table is computed at its first read: read it
-                # here, where an evaluation error means no rebuild
-                mate.points
-                return mate
+        kind = meta.get("base_generator") if gen == "normal-offset" else None
+        if kind == "bertrand":
+            # a generator size is a positive JSON integer (not a bool)
+            if type(meta.get("base_n")) is not int or meta["base_n"] < 1:
+                return None
+            recorded = {"a": float(meta["a"]), "omega": float(meta["omega"]),
+                        "seed_label": meta.get("seed_label"), "base_n": meta["base_n"]}
+        elif kind == "analytic":
+            recorded = {**{f"base_{c}": str(meta[f"base_{c}"]) for c in "xyz"},
+                        "base_lo": float(meta["base_lo"]), "base_hi": float(meta["base_hi"])}
+        else:
+            return None
+        if {"base_generator": kind, **recorded} == _base_block(loaded_base):
+            base = loaded_base
+        elif kind == "bertrand":
+            base = generated(meta["base_n"])
+        else:
+            base = AnalyticCurve(recorded["base_x"], recorded["base_y"], recorded["base_z"],
+                                 (recorded["base_lo"], recorded["base_hi"]))
+        mate = bt.construct_mate(base, float(meta["lambda"]), n=nodes)
+        # the node table is computed at its first read: read it here,
+        # where an evaluation error means no rebuild
+        mate.points
+        return mate
     except (KeyError, TypeError, ValueError, BertrandKitError):
         return None
-    return None
 
 
 def _matches_stored(rebuilt, stored) -> bool:
@@ -263,10 +263,10 @@ def load_curve(path: str) -> Curve:
 
 def _load_curve_pair(base_path: str, mate_path: str):
     """The curves of a base file and of a mate file.  A mate that records
-    the loaded base's generator recipe is rebuilt on that base curve: the
-    pair makes one generator build and one node walk, and detection
-    builds the mate's rows from its base's run.  The mate's rebuilt
-    nodes are still checked against its stored samples."""
+    the loaded base's recipe, analytic or generated, is rebuilt on that
+    base curve: a generated pair makes one generator build and one node
+    walk, and detection builds the mate's rows from its base's run.  The
+    mate's rebuilt nodes are still checked against its stored samples."""
     base = load_curve(base_path)
     return base, _curve_from_dict(_read_json(mate_path), base)
 

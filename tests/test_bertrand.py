@@ -35,6 +35,7 @@ from bertrand_kit.errors import (
     DegenerateSphereCurveError,
     NotAPairError,
     NotSphericalError,
+    ParameterError,
 )
 from bertrand_kit.io import save_curve
 
@@ -157,12 +158,65 @@ def test_generator_rejects_off_sphere_seed():
         generate_bertrand_curve(seed, a=1.0, omega=math.pi / 3, n=256)
 
 
+def _unevaluated(curve):
+    """``curve``, whose jet requests fail the test."""
+    def jet(t, order):
+        pytest.fail(f"{curve.label!r} evaluated at order {order}")
+    curve.jet = jet
+    return curve
+
+
 def test_generator_rejects_bad_angle():
-    seed = sphere_preset("wobble")
+    """An omega at pi/2, an a below 0 and an n below 2 raise before the
+    seed is asked for anything (n = 1 left the sphere checks one probe,
+    whose spread is 0, 'output is a helix', and n = 0 reduced an empty
+    array); n = 2 gives a three-node curve."""
+    seed = _unevaluated(sphere_preset("wobble"))
     with pytest.raises(ValueError):
         generate_bertrand_curve(seed, a=1.0, omega=math.pi / 2, n=256)
     with pytest.raises(ValueError):
         generate_bertrand_curve(seed, a=-1.0, omega=math.pi / 3, n=256)
+    for n in (1, 0):
+        with pytest.raises(ParameterError, match=f"got {n}$"):
+            generate_bertrand_curve(seed, a=1.0, omega=math.pi / 3, n=n)
+    curve = generate_bertrand_curve(sphere_preset("wobble"), 1.0, math.pi / 3, n=2)
+    assert curve.points.shape == (3, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("kind", ["analytic", "generated", "sampled"])
+def test_mate_rejects_a_size_below_1_before_evaluating(kind, n):
+    """A mate n below 1 raises ParameterError before the base is asked
+    for anything, whatever the base (n = 0 gave a one-node mate on the
+    point domain); n = 1 gives a two-node exact mate."""
+    def helix():
+        return AnalyticCurve("3*cos(t)", "3*sin(t)", "4*t", (0.0, 6.0), label="helix")
+
+    ts = np.linspace(0.0, 6.0, 64)
+    base = {"analytic": helix, "generated": lambda: _generated("wobble"),
+            "sampled": lambda: SampledCurve(ts, helix().point(ts).T, label="samples")}[kind]
+    with pytest.raises(ParameterError, match=f"got {n}$"):
+        construct_mate(_unevaluated(base()), 0.5, n=n)
+    if kind != "sampled":
+        assert construct_mate(base(), 0.5, n=1).points.shape == (2, 3)
+
+
+@pytest.mark.parametrize("inset", [0.5, 0.7, -0.1, math.nan, 0.0, 0.49])
+def test_detection_inset_lies_in_0_to_one_half(inset):
+    """An inset outside [0, 0.5) raises ParameterError before either curve
+    is evaluated (0.7 built a reversed grid, 0.31 to 0.13 on wobble, and
+    returned a pair); 0 and 0.49 give an increasing grid inset by that
+    fraction of the domain at each end."""
+    base = _generated("wobble")
+    mate = construct_mate(base, 1.0, n=64)
+    if not 0.0 <= inset < 0.5:
+        with pytest.raises(ParameterError, match="inset"):
+            detect_bertrand(_unevaluated(base), _unevaluated(mate), n=24, inset=inset)
+        return
+    pair = detect_bertrand(base, mate, n=24, inset=inset)
+    lo, hi = base.domain
+    assert pair.ts[0] == lo + inset * (hi - lo) < pair.ts[-1]
+    assert np.all(np.diff(pair.ts) > 0)
 
 
 def test_unknown_preset():

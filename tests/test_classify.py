@@ -67,6 +67,18 @@ def test_pair_classify_bertrand(pair_wobble):
     assert pc.evidence["bertrand"]["lambda_dev"] < 1e-9
 
 
+def test_pair_classify_rejects_an_unknown_align(pair_wobble, monkeypatch):
+    """An align other than 'param' or 'arclength' raises ValueError naming
+    it before any grid is built (it ran 'param': wobble's pair said
+    'bertrand')."""
+    def no_grid(*args, **kwargs):
+        pytest.fail("grid built")
+
+    monkeypatch.setattr(classify, "_overlap_grid", no_grid)
+    with pytest.raises(ValueError, match="'nonsense'"):
+        pair_classify(pair_wobble.base, pair_wobble.mate, n=64, align="nonsense")
+
+
 def mannheim_fixture():
     """Integrate a Frenet system with kappa = kappa^2 + tau^2 (lambda = 1),
     then offset along the principal normal."""

@@ -13,7 +13,14 @@ from bertrand_kit.classify import _KEYLESS_ENTRIES, IDENTITY_ENTRIES, TOLERANCE_
 from bertrand_kit.cli import _detect_from_files, main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
 from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
-from bertrand_kit.io import CurveFileError, _load_curve_pair, dumps, load_curve, save_curve
+from bertrand_kit.io import (
+    CurveFileError,
+    _load_curve_pair,
+    _rebuild_from_metadata,
+    dumps,
+    load_curve,
+    save_curve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -544,12 +551,14 @@ def test_size_below_one_is_a_parse_error(workdir, capsys, tmp_path, monkeypatch,
         ["generate", "--sphere-curve", "wobble", "--n", "64", "--omega", "1.5707963267948966"],
         ["mate", "BASE", "--lambda", "nan", "--n", "64"],
         ["mate", "BASE", "--lambda", "inf", "--n", "64"],
+        ["generate", "--sphere-curve", "wobble", "--n", "1"],
     ],
 )
 def test_out_of_range_parameter_is_a_parse_error(workdir, capsys, tmp_path, monkeypatch,
                                                  argv):
-    """A generator a or omega outside its range, or a lambda that is not
-    finite, exits 2 with one error line and writes no curve file."""
+    """A generator a, omega or n outside its range, or a lambda that is
+    not finite, exits 2 with one error line and writes no curve file (a
+    generator n of 1 exited 8: its one sphere-check probe has no spread)."""
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, [str(workdir / "base.json") if a == "BASE" else a
                                 for a in argv])
@@ -592,12 +601,45 @@ def test_generate_metadata_round_trip(workdir):
     assert meta["seed_label"] == "wobble"
 
 
+def _resaved(curve, tmp_path):
+    """The bytes of ``curve`` saved to a file under ``tmp_path``."""
+    f = tmp_path / "resaved.json"
+    save_curve(curve, str(f))
+    return f.read_bytes()
+
+
 def test_curve_file_round_trip_byte_identical(workdir, tmp_path):
+    """A curve file re-saved after a load is the file it was.  A mate file
+    re-saved after a lone load and after a load beside its base file is
+    its file byte for byte where it records its base (an analytic base,
+    the four generated presets); the mate of the slant seed or of a mate
+    records none, loads as its samples and is re-saved without the
+    recipe metadata that nothing rebuilds."""
     c = load_curve(str(workdir / "base.json"))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_curve(c, str(p1))
     save_curve(load_curve(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+    helix = AnalyticCurve("3*cos(t)", "3*sin(t)", "4*t", (0.0, 6.0), label="helix")
+    generated = [generate_bertrand_curve(sphere_preset(name), a=1.0,
+                                         omega=bertrand.DEFAULT_OMEGA[name], n=64)
+                 for name in ("wobble", "tilt", "bean", "slant")]
+    wobble_mate = construct_mate(generated[0], 1.0, n=64)
+    bases = [helix, *generated, sphere_preset("slant"), wobble_mate]
+    for i, base in enumerate(bases):
+        base_file, mate_file = tmp_path / f"base{i}.json", tmp_path / f"mate{i}.json"
+        save_curve(base, str(base_file))
+        save_curve(construct_mate(base, 0.5, n=64), str(mate_file))
+        want = mate_file.read_bytes()
+        if i >= 5:
+            stored = json.loads(want)
+            assert "base_generator" not in stored["metadata"]
+            del stored["metadata"]
+            want = (dumps(stored) + "\n").encode()
+        assert _resaved(load_curve(str(mate_file)), tmp_path) == want, base.label
+        paired = _load_curve_pair(str(base_file), str(mate_file))[1]
+        assert _resaved(paired, tmp_path) == want, base.label
 
 
 def test_load_keeps_stored_points_over_metadata(workdir, tmp_path):
@@ -758,6 +800,30 @@ def test_metadata_n_that_contradicts_the_samples_builds_nothing(
     assert json.loads(out)["results"]["n_rows"] == 8
 
 
+@pytest.mark.parametrize("which, n", [("base", 1), ("mate", 0)])
+def test_file_of_a_size_its_recipe_refuses_loads_its_samples(
+        small_pair, tmp_path, capsys, which, n):
+    """A generator file of n = 1 (2 samples) or a mate file of n = 0 (1
+    sample), sizes that ``generate_bertrand_curve`` and ``construct_mate``
+    refuse, is not rebuilt: it loads as its samples, too few for a
+    sampled curve, and ``frenet`` exits 2 with one error line (the mate
+    was rebuilt on the point domain, and ``frenet --grid 4`` printed four
+    equal rows)."""
+    with open(small_pair[which == "mate"]) as fh:
+        stored = json.load(fh)
+    for key in ("t", "points"):
+        stored["sampled"][key] = stored["sampled"][key][:n + 1]
+    stored["metadata"]["n"] = n
+    f = tmp_path / f"{which}.json"
+    f.write_text(dumps(stored))
+    assert _rebuild_from_metadata(stored["metadata"], n) is None
+    with pytest.raises(errors.TooFewSamplesError):
+        load_curve(str(f))
+    rc, out, err = run(capsys, ["frenet", str(f), "--grid", "4"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: need at least 7 samples, got {n + 1}\n"
+
+
 @pytest.mark.parametrize("base_n", ["1e400", "1.5", '"64"', "-1", "true"])
 def test_mate_base_n_that_is_not_a_positive_integer_builds_nothing(
         small_pair, tmp_path, capsys, monkeypatch, base_n):
@@ -811,6 +877,30 @@ def _shifted(path, out):
     return out
 
 
+# one change to each key of a mate's recorded base block; a changed
+# float is the next float, which a rebuild still matches to 1e-12
+_BLOCK_EDITS = {
+    "base_generator": lambda v: "analytic" if v == "bertrand" else "bertrand",
+    "a": lambda v: math.nextafter(v, math.inf),
+    "omega": lambda v: math.nextafter(v, math.inf),
+    "seed_label": lambda v: "tilt",
+    "base_n": lambda v: v - 1,
+    **{f"base_{c}": (lambda v: v + " + 0") for c in "xyz"},
+    "base_lo": lambda v: math.nextafter(v, -math.inf),
+    "base_hi": lambda v: math.nextafter(v, math.inf),
+}
+
+
+@pytest.fixture(scope="module")
+def helix_pair(tmp_path_factory):
+    """Paths of an analytic helix file and of its mate file at n = 64."""
+    d = tmp_path_factory.mktemp("helix")
+    base, mate = str(d / "base.json"), str(d / "mate.json")
+    save_curve(AnalyticCurve("3*cos(t)", "3*sin(t)", "4*t", (0.0, 6.0), label="helix"), base)
+    assert main(["mate", base, "--lambda", "0.5", "--n", "64", "--out", mate]) == 0
+    return base, mate
+
+
 @pytest.mark.parametrize("case, kinds, builds", [
     ("recorded base", (JetBackedCurve, JetBackedCurve), 1),
     ("shifted mate", (JetBackedCurve, SampledCurve), 1),
@@ -820,16 +910,26 @@ def _shifted(path, out):
     ("other omega", (JetBackedCurve, JetBackedCurve), 2),
     ("other n", (JetBackedCurve, JetBackedCurve), 2),
     ("other seed", (JetBackedCurve, JetBackedCurve), 2),
+    ("edited base_generator", (JetBackedCurve, SampledCurve), 1),
+    *[(f"edited {key}", (JetBackedCurve, JetBackedCurve), 2) for key in ("a", "omega", "base_n")],
+    ("edited seed_label", (JetBackedCurve, SampledCurve), 2),
+    ("analytic recorded base", (AnalyticCurve, JetBackedCurve), 0),
+    ("analytic edited base_generator", (AnalyticCurve, SampledCurve), 0),
+    *[(f"analytic edited {key}", (AnalyticCurve, JetBackedCurve), 0)
+      for key in ("base_x", "base_y", "base_z", "base_lo", "base_hi")],
 ])
 def test_mate_beside_its_base_keeps_the_stored_sample_checks(
-        small_pair, tmp_path, monkeypatch, case, kinds, builds):
+        small_pair, helix_pair, tmp_path, monkeypatch, case, kinds, builds):
     """Rebuilding a mate on the loaded base file changes no check: a
     shifted stored point still makes either file a SampledCurve, a mate
     beside a file that is not a rebuilt generator curve, or whose seed, a,
     omega or n differ from the mate's record, gets its own base, and in
     every case the mate has the params, points and order-6 jets of the
-    mate file loaded alone."""
-    base, mate = small_pair
+    mate file loaded alone.  Only an untouched mate file beside its
+    untouched base file, generated or analytic, is rebuilt on that base
+    object; one with any key of its base block changed never is (an
+    analytic mate got a second ``AnalyticCurve`` even untouched)."""
+    base, mate = helix_pair if case.startswith("analytic") else small_pair
     if case == "shifted mate":
         mate = _shifted(mate, str(tmp_path / "mate.json"))
     elif case == "shifted base":
@@ -838,7 +938,15 @@ def test_mate_beside_its_base_keeps_the_stored_sample_checks(
         # seed, a, omega and n as the mate records for its base, but the
         # curve is the normal offset, not the generator curve
         base = mate
-    elif case != "recorded base":
+    elif "edited" in case:
+        key = case.split()[-1]
+        with open(mate) as fh:
+            stored = json.load(fh)
+        stored["metadata"][key] = _BLOCK_EDITS[key](stored["metadata"][key])
+        mate = str(tmp_path / "mate.json")
+        with open(mate, "w") as fh:
+            fh.write(dumps(stored))
+    elif not case.endswith("recorded base"):
         change = {"other a": {"a": 1.5}, "other omega": {"omega": 0.6 * math.pi},
                   "other n": {"n": 48}, "other seed": {"seed": "tilt"}}[case]
         base = _other_base(str(tmp_path / "base.json"), **change)
@@ -846,6 +954,8 @@ def test_mate_beside_its_base_keeps_the_stored_sample_checks(
     loaded = _load_curve_pair(base, mate)
     assert counts["builds"] == builds
     assert tuple(map(type, loaded)) == kinds
+    on_base = loaded[1]._offset_of is not None and loaded[1]._offset_of[0] is loaded[0]
+    assert on_base == case.endswith("recorded base")
     alone = load_curve(mate)
     assert loaded[1].label == alone.label
     for got, want in zip(_bits(loaded[1]), _bits(alone)):
