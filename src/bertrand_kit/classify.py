@@ -41,6 +41,7 @@ from .indicatrix import (
     IndicatrixSample,
     _applies,
     _arclength_relations,
+    _failures,
     _frame_relations,
     _images,
     _image_columns,
@@ -455,7 +456,16 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     images = {}
     for side in SIDES:
         fd = rows[_other_side(side)]
-        images[side] = _images(side, _take_rows(fd, _applies(side, fd)), eps)
+        applies = _applies(side, fd)
+        count = np.count_nonzero(applies)
+        if count < MIN_CLASSIFY_SAMPLES:
+            failed = ", ".join(f"{name}: {np.count_nonzero(mask)}"
+                               for name, mask in _failures(side, fd).items())
+            raise TooFewSamplesError(
+                f"the closed forms of the {side}'s images apply at "
+                f"{count} of {len(applies)} usable grid rows, "
+                f"need {MIN_CLASSIFY_SAMPLES}; rows with {failed}")
+        images[side] = _images(side, _take_rows(fd, applies), eps)
 
     # frame relations among indicatrix frames
     add("frame-relations",

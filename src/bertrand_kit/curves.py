@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -340,15 +339,9 @@ def _take_rows(rows, idx):
 def _points_at(rows, idx, n):
     """The one-point views of a dataclass of row arrays, as a list of n
     entries: the view of row j at ``idx[j]``, None elsewhere.  A view
-    holds numbers as Python floats and bools and vectors as (3,) arrays;
-    fields that are not arrays are kept."""
-    columns = []
-    for f in fields(rows):
-        v = getattr(rows, f.name)
-        if not isinstance(v, np.ndarray):
-            columns.append(repeat(v))
-        else:
-            columns.append(v.tolist() if v.ndim == 1 else v)
+    holds numbers as Python floats and bools and vectors as (3,) arrays."""
+    values = (getattr(rows, name) for name in _field_names(type(rows)))
+    columns = [v.tolist() if v.ndim == 1 else v for v in values]
     out = [None] * n
     for i, values in zip(idx, zip(*columns)):
         out[i] = type(rows)(*values)

@@ -156,10 +156,19 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             # the exponent may itself carry a unary sign or a ^, but must
-            # fold to a numeric constant
+            # fold to a finite real constant
             exp_pos = self.peek()[2]
             exponent = self.factor()
-            folded = constant_fold(exponent)
+            try:
+                folded = constant_fold(exponent)
+                finite = folded is None or math.isfinite(folded)
+            except (ArithmeticError, TypeError, ValueError):
+                # 1/0, an overflow, a math domain error, or a complex power
+                finite = False
+            if not finite:
+                raise ExprSyntaxError(
+                    exp_pos, ("finite exponent",),
+                    f"exponent at position {exp_pos} does not fold to a finite number")
             if folded is None:
                 raise NonConstantExponentError(exp_pos)
             return PowConst(base, folded)

@@ -100,15 +100,23 @@ def _curve(pair: BertrandPairModel, side: str):
     return pair.base if side == "base" else pair.mate
 
 
+def _failures(side: str, fd: FrenetData) -> dict:
+    """The rows of the data-side Frenet rows where each condition of the
+    closed forms of ``side``'s images fails, as one mask per condition
+    keyed by the failure: g = f, 1 + f*g = 0, and on the mate side, whose
+    geodesic indicator divides by f, f = 0."""
+    f, g = fd.f, fd.g
+    fails = {"g = f": ~(np.abs(f - g) > EPS_DEN), "1 + f g = 0": ~(np.abs(1.0 + f * g) >= 1e-12)}
+    if side == "mate":
+        fails["f = 0"] = ~(np.abs(f) > EPS_DEN)
+    return fails
+
+
 def _applies(side: str, fd: FrenetData) -> np.ndarray:
     """Rows of the data-side Frenet rows where the closed forms of
-    ``side``'s images apply: g is defined, f != g and 1 + f*g != 0, and
-    on the mate side, whose geodesic indicator divides by f, f != 0."""
-    f, g = fd.f, fd.g
-    ok = fd.g_defined & (np.abs(f - g) > EPS_DEN) & (np.abs(1.0 + f * g) >= 1e-12)
-    if side == "mate":
-        ok &= np.abs(f) > EPS_DEN
-    return ok
+    ``side``'s images apply: g is defined and no condition of
+    ``_failures`` fails."""
+    return fd.g_defined & ~np.any(tuple(_failures(side, fd).values()), axis=0)
 
 
 def _col(a):

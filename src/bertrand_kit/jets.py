@@ -18,8 +18,9 @@ Derivatives*, 2nd ed., ch. 13).  A domain check fails the whole batch if
 any column fails it.
 
 An ``expr.program`` is compiled once into two Python functions with
-one line per step (``compile_program``): one runs in this jet
-arithmetic (``program_jets``), the other at one float
+one line per step (``compile_program``).  The jet function takes the
+variable's jet and calls the recurrences above directly
+(``program_jets``); the value function runs at one float
 (``program_values``), each step the constant term of the matching
 recurrence on Python floats and each domain check one comparison.  It
 gives the bits and domain errors of an order-0 jet without building
@@ -29,7 +30,6 @@ one.  A grid's values are the constant terms of its order-0 jets.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 
 import numpy as np
@@ -356,12 +356,10 @@ def jsincos(u: Jet):
     return Jet(u.basepoint, sc[:, 0]), Jet(u.basepoint, sc[:, 1])
 
 
-def jsin(u: Jet) -> Jet:
-    return jsincos(u)[0]
-
-
-def jcos(u: Jet) -> Jet:
-    return jsincos(u)[1]
+def _finite(u: Jet) -> Jet:
+    """``u``, checked to have finite coefficients at every basepoint."""
+    _require_finite(~np.isfinite(u.coeffs).all(axis=0), u.basepoint)
+    return u
 
 
 def _tan_of(s: Jet, c: Jet) -> Jet:
@@ -500,34 +498,33 @@ def evaluate_jets(nodes, t0, order: int, max_order: int = DEFAULT_MAX_ORDER):
 
 # The line of each kind of program step: slot k is the local v{k}, the
 # step's slot operands are v{a} and v{b}, its plain number c{k}, its
-# exponent r{k}, its output o{n}; ``ar`` is the arithmetic.
+# exponent r{k}, its output o{n}; t is the variable's jet.
 _LINES = {
     "const": "v{k} = c{k}",
-    "var": "v{k} = ar.t",
-    "lift": "v{k} = ar.lift(v{a})",
+    "var": "v{k} = t",
+    "lift": "v{k} = Jet.constant(v{a}, t.basepoint, t.order)",
     "neg": "v{k} = -v{a}",
     "add": "v{k} = v{a} + v{b}",
     "sub": "v{k} = v{a} - v{b}",
     "mul": "v{k} = v{a} * v{b}",
-    "div": "v{k} = ar.div(v{a}, v{b})",
-    "div_const": "v{k} = ar.div_const(v{a}, v{b})",
-    "pow": "v{k} = ar.pow(v{a}, r{k})",
-    "exp": "v{k} = ar.exp(v{a})",
-    "log": "v{k} = ar.log(v{a})",
-    "sqrt": "v{k} = ar.sqrt(v{a})",
-    "sincos": "v{k}, v{k1} = ar.sincos(v{a})",
-    "tan": "v{k} = ar.tan(v{a}, v{a1})",
-    "out": "o{n} = ar.finite(v{a})",
+    "div": "v{k} = v{a} / v{b}",
+    "div_const": "v{k} = v{a} / v{b}",
+    "pow": "v{k} = jpow(v{a}, r{k})",
+    "exp": "v{k} = jexp(v{a})",
+    "log": "v{k} = jlog(v{a})",
+    "sqrt": "v{k} = jsqrt(v{a})",
+    "sincos": "v{k}, v{k1} = jsincos(v{a})",
+    "tan": "v{k} = _tan_of(v{a}, v{a1})",
+    "out": "o{n} = _finite(v{a})",
 }
 
 # The value function's line of each kind of step, on Python floats at
 # the float t.  Each function and non-integer power is numpy's ufunc, as
 # on a grid (``math`` and ``**`` may differ in the last bit, and ``math``
 # raises on overflow).  A domain check is one float comparison that
-# raises through the jet arithmetic's check; whole powers: ``_whole_power``.
+# raises through the jets' check; whole powers: ``_whole_power``.
 _VALUE_LINES = {
     **_LINES,
-    "var": "v{k} = t",
     "lift": "v{k} = float(v{a})",
     "div": "if v{b} == 0.0: _require_nonzero(v{b})\nv{k} = v{a} / v{b}",
     "div_const": "if v{b} == 0.0: _require_nonzero(v{b}, 'division by zero')\nv{k} = v{a} / v{b}",
@@ -557,8 +554,8 @@ def _remember(cache, key, value):
 
 def compile_program(program):
     """The Python functions of an ``expr.program``, as a pair: the jet
-    function, called with an arithmetic, returns the program's outputs in
-    that arithmetic (``program_jets``); the value function, called with a
+    function, called with the variable's jet, returns the program's
+    outputs as jets (``program_jets``); the value function, called with a
     float, returns them as floats (``program_values``).
 
     Compiled once per distinct program in a process.  Steps compare
@@ -607,7 +604,7 @@ def _compile(program):
         f"def {head}:\n"
         + "".join(f"    {line}\n" for line in "\n".join(body).split("\n"))
         + f"    return ({outputs})\n"
-        for head, body in (("program(ar)", jet_lines), ("values(t)", value_lines))
+        for head, body in (("program(t)", jet_lines), ("values(t)", value_lines))
     )
     exec(compile(source, "<expr.program>", "exec"), space)
     return space["program"], space["values"]
@@ -641,14 +638,15 @@ def _whole_power(lines, k, a, m):
 
 
 def program_jets(program, t0, order: int):
-    """Run a compiled program (``compile_program``) in jet arithmetic
-    about ``t0``, a number or a 1-D array of basepoints; each output is
-    checked for finiteness as soon as it is computed."""
+    """Run a compiled program's jet function (``compile_program``) on the
+    jet of the variable about ``t0``, a number or a 1-D array of
+    basepoints; each output is checked for finiteness as soon as it is
+    computed."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if np.ndim(t0):
         t0 = np.asarray(t0, dtype=float)
-    return program[0](_JetArithmetic(t0, order))
+    return program[0](Jet.variable(t0, order))
 
 
 def program_values(program, t0):
@@ -656,30 +654,3 @@ def program_values(program, t0):
     bits of the constant terms of ``program_jets`` at any order, and the
     same ``DomainError`` where those raise one, with no jet built."""
     return program[1](float(t0))
-
-
-class _JetArithmetic:
-    """Jets of order ``order`` about ``t0``.  A plain number is applied by
-    the jet operators to the constant term or as a scale factor."""
-
-    def __init__(self, t0, order):
-        self.t0 = t0
-        self.t = Jet.variable(t0, order)
-
-    def lift(self, c):
-        return Jet.constant(c, self.t.basepoint, self.t.order)
-
-    def finite(self, u):
-        _require_finite(~np.isfinite(u.coeffs).all(axis=0), self.t0)
-        return u
-
-    def sincos(self, u):
-        # the module's jsincos at call time, which a test may wrap to count
-        return jsincos(u)
-
-    div = div_const = staticmethod(operator.truediv)
-    pow = staticmethod(jpow)
-    tan = staticmethod(_tan_of)
-    exp = staticmethod(jexp)
-    log = staticmethod(jlog)
-    sqrt = staticmethod(jsqrt)

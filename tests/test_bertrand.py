@@ -33,6 +33,7 @@ from bertrand_kit.curves import (
 )
 from bertrand_kit.errors import (
     DegenerateSphereCurveError,
+    GridMismatchError,
     NotAPairError,
     NotSphericalError,
     ParameterError,
@@ -127,6 +128,21 @@ def test_varying_offset_rejected(helix):
     with pytest.raises(NotAPairError) as ei:
         detect_bertrand(helix, SampledCurve(ts, pts), n=64)
     assert ei.value.reason == "lambda-varies"
+
+
+def test_normal_offset_of_a_curve_that_is_not_bertrand_rejected():
+    """A constant offset along the principal normal of a twisted cubic
+    passes the offset checks, but the two principal normals are not
+    parallel."""
+    cubic = AnalyticCurve("t", "t^2", "t^3", (0.5, 1.5))
+    with pytest.raises(NotAPairError, match="min") as ei:
+        detect_bertrand(cubic, construct_mate(cubic, 0.3, n=256), n=64)
+    assert ei.value.reason == "normals-not-aligned"
+
+
+def test_curves_on_disjoint_domains_rejected(helix):
+    with pytest.raises(GridMismatchError, match="do not overlap"):
+        detect_bertrand(helix, AnalyticCurve("t", "t^2", "t^3", (7.0, 8.0)), n=64)
 
 
 def test_construct_mate_zero_offset(helix):
@@ -456,8 +472,12 @@ def test_wobble_jet_makes_two_sincos(monkeypatch):
         return real(u)
 
     monkeypatch.setattr(jets, "jsincos", counting)
+    # a program binds jsincos when it is compiled: build the preset and
+    # compile its program afresh, with the counter in place
+    monkeypatch.setattr(jets, "_COMPILED", {})
+    monkeypatch.setattr(bertrand, "_PRESET_BUILDS", {})
     sphere_preset("wobble").jet(0.3, 10)
-    assert calls["jsincos"] <= 2
+    assert calls["jsincos"] == 2
 
 
 def _seed_points_of_a_pair(n):

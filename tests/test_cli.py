@@ -367,15 +367,32 @@ def _sampled_file(t_at_5=None, point_at_5=None):
     _sampled_file(t_at_5=math.nan),
     _sampled_file(point_at_5=math.nan),
     _sampled_file(point_at_5=math.inf),
+    *(_analytic_file(x=f"t^{e}") for e in ("(1/0)", "(10^400)", "exp(1000)", "1e400",
+                                           "(1e308*10)", "(0*(1e308*10))", "log(0)")),
+    _sampled_file(t_at_5=0.0),
+    {"type": "analytic"},
+    {"type": "sampled"},
+    {"type": "sampled", "sampled": {"t": ["a", "b"], "points": [[0, 0, 0], [1, 1, 1]]}},
+    {"type": "sampled", "sampled": {"t": [0, 1, 2], "points": [[0, 0], [1, 1], [2, 2]]}},
+    {"type": "spline"},
+    '{"type": "analytic",',
 ], ids=["reversed-domain", "nan-domain", "text-domain", "number-x", "infinite-domain",
-        "nan-t", "nan-point", "infinite-point"])
+        "nan-t", "nan-point", "infinite-point", "exponent-zero-division",
+        "exponent-power-overflow", "exponent-exp-overflow", "exponent-literal-overflow",
+        "exponent-product-overflow", "exponent-nan", "exponent-log-zero", "decreasing-t",
+        "no-analytic-block", "no-sampled-block", "text-t", "two-column-points",
+        "unknown-type", "invalid-json"])
 def test_malformed_curve_file_is_a_parse_error(capsys, tmp_path, content):
-    """A curve file whose expressions are not strings, whose domain is not
-    a finite lo < hi, or whose samples are not finite exits 2 on every
-    command that loads it, with one line on stderr."""
+    """A curve file that is not JSON, of an unknown type or without its
+    type's block, whose expressions are not strings or have an exponent
+    that does not fold to a finite number, whose domain is not a finite
+    lo < hi, or whose samples are not finite numbers of the right shape
+    at increasing t exits 2 on every command that loads it, with one line
+    on stderr."""
     f = tmp_path / "bad.json"
-    # json writes NaN and Infinity, which it also reads back
-    f.write_text(json.dumps(content))
+    # a string is the file's text; json writes NaN and Infinity, which it
+    # also reads back
+    f.write_text(content if isinstance(content, str) else json.dumps(content))
     for argv in (["frenet", str(f), "--grid", "16", "--mask"],
                  ["classify", str(f), "--n", "64"]):
         rc, out, err = run(capsys, argv)

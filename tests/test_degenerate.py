@@ -8,7 +8,9 @@ fast curve (speed 10) with an inflection has a point where kappa is
 below the curvature floor while kappa * speed is not.  A generated base
 on which 1 + f g changes sign has a mate whose curvature, a multiple of
 1 + f g, vanishes inside the grid, so the two principal normals turn
-from parallel to antiparallel.
+from parallel to antiparallel.  A planar ellipse and its normal offset
+have f = g = 0 at every point, so the closed forms of the base's images
+apply nowhere.
 """
 
 import json
@@ -89,6 +91,20 @@ def test_helical_pair_suite_has_no_usable_rows(helical_pair):
 def test_helical_pair_verify_exits_parse_error(helical_files, capsys):
     assert main(["verify", *helical_files, "--n", "64"]) == EXIT_PARSE
     assert "0 usable grid rows" in capsys.readouterr().err
+
+
+def test_planar_pair_verify_names_the_failed_closed_forms(tmp_path, capsys):
+    """verify on a planar pair exits 2 with one line that names the side
+    whose closed forms apply at too few rows and counts each failed
+    condition, not the sample count of a later helix check."""
+    base, mate = str(tmp_path / "ellipse.json"), str(tmp_path / "mate.json")
+    save_curve(AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.1, 2.9)), base)
+    assert main(["mate", base, "--lambda", "0.2", "--n", "256", "--out", mate]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", base, mate, "--n", "64"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: the closed forms of the base's images apply at 0 of 64 usable grid rows, "
+        "need 16; rows with g = f: 64, 1 + f g = 0: 0\n")
 
 
 def test_helical_pair_mate_images_are_all_masked(helical_files, capsys):

@@ -89,6 +89,19 @@ def test_non_constant_exponent_rejected():
         ex.parse_expression("2^sin(t)")
 
 
+@pytest.mark.parametrize("text", [
+    "t^(1/0)", "t^(10^400)", "t^exp(1000)", "t^1e400", "t^(1e308*10)",
+    "t^(0*(1e308*10))", "t^log(0)", "t^((-8)^(1/3))", "sin(t) + (t+1)^-(1/0)",
+])
+def test_exponent_that_does_not_fold_to_a_finite_number(text):
+    """An exponent whose folding raises, overflows, or gives a NaN or a
+    complex number is a syntax error at the exponent's first token."""
+    with pytest.raises(ExprSyntaxError) as ei:
+        ex.parse_expression(text)
+    assert ei.value.position == text.index("^") + 1
+    assert "finite" in str(ei.value)
+
+
 def test_unbalanced_parens():
     with pytest.raises(ExprSyntaxError):
         ex.parse_expression("sin(t")

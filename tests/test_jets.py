@@ -19,12 +19,11 @@ from bertrand_kit.jets import (
     evaluate_jet,
     evaluate_jets,
     invert_series,
-    jcos,
     jcross,
     jdot,
     jexp,
     jlog,
-    jsin,
+    jsincos,
     jsqrt,
     jstack,
 )
@@ -66,7 +65,7 @@ def test_exp_maclaurin():
 
 def test_sin_cos_maclaurin():
     t = Jet.variable(0.0, 7)
-    s, c = jsin(t), jcos(t)
+    s, c = jsincos(t)
     assert np.allclose(s.coeffs, [0, 1, 0, -1 / 6, 0, 1 / 120, 0, -1 / 5040])
     assert np.allclose(c.coeffs, [1, 0, -1 / 2, 0, 1 / 24, 0, -1 / 720, 0])
 
@@ -301,7 +300,7 @@ def test_exp_log_inverse_property(x):
 @settings(max_examples=60)
 def test_pythagorean_identity_all_orders(x):
     t = jet_of("t", x, 6)
-    s, c = jsin(t), jcos(t)
+    s, c = jsincos(t)
     one = s * s + c * c
     assert one.coeffs[0] == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(one.coeffs[1:], 0.0, atol=1e-13)
@@ -452,8 +451,8 @@ def test_recurrences_match_scalar_reference():
         (jexp(ja), lambda i: _ref_exp(a[:, i])),
         (jlog(ja), lambda i: _ref_log(a[:, i])),
         (ja ** 0.37, lambda i: _ref_pow(a[:, i], 0.37)),
-        (jsin(ja), lambda i: _ref_sincos(a[:, i])[0]),
-        (jcos(ja), lambda i: _ref_sincos(a[:, i])[1]),
+        (jsincos(ja)[0], lambda i: _ref_sincos(a[:, i])[0]),
+        (jsincos(ja)[1], lambda i: _ref_sincos(a[:, i])[1]),
     ]
     tol = 64 * np.finfo(float).eps
     for got, ref in cases:
