@@ -544,8 +544,12 @@ def generate_bertrand_curve(
     # each lower request on its grid with the bits of that request's own
     # run; a higher run takes a fourth step and serves its own order only.
     # A pair and its suite read one order-8 run that detection hands on
-    # explicitly, not this hold; it serves file commands that ask the
-    # base, or its mate, for a grid it asked before: CLI classify runs 2
+    # explicitly, not this hold.  It serves the pair functions that ask
+    # the base, or its mate, for the grid the base just ran
+    # (pair_constraint_residual, frame_relations_check,
+    # indicatrix_arclength_relations, repeated apparatus_grid calls), 38
+    # runs of perfbench's traced layer sweep against 78 without it, and
+    # file commands that ask for a grid asked before: CLI classify runs 2
     # pipelines (3 without it), classify --align arclength 4 (5), an
     # indicatrix of the t or n kind 3 (4) and of the b kind 4 (6).
     last = (None, None, None)

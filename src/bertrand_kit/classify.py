@@ -25,6 +25,7 @@ from .bertrand import (
     _require_g,
 )
 from .curves import (
+    EPS_G,
     Curve,
     FrenetData,
     _frenet_columns,
@@ -427,7 +428,11 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     report = TheoremReport()
     usable = pair.base_rows.g_defined & pair.mate_rows.g_defined
     if np.count_nonzero(usable) < MIN_CLASSIFY_SAMPLES:
-        raise TooFewSamplesError(f"{np.count_nonzero(usable)} usable grid rows")
+        raise TooFewSamplesError(
+            f"{np.count_nonzero(usable)} usable grid rows of {len(usable)}, "
+            f"need {MIN_CLASSIFY_SAMPLES}; rows with g undefined (|kappa'| < {EPS_G:g}): "
+            f"base {np.count_nonzero(~pair.base_rows.g_defined)}, "
+            f"mate {np.count_nonzero(~pair.mate_rows.g_defined)}")
     rows = {"base": _take_rows(pair.base_rows, usable),
             "mate": _take_rows(pair.mate_rows, usable)}
     fb, fm = rows["base"], rows["mate"]

@@ -17,8 +17,8 @@ explicit chain-rule conversion to arc-length derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,26 +284,22 @@ class JetBackedCurve(Curve):
 # Frenet apparatus
 
 
-@dataclass
-class FrenetData:
+class FrenetData(NamedTuple):
     """Position, frame, curvature, torsion, their arc-length derivatives
     and the ratio invariants of the curve.
 
     The package computes on the rows of a grid (``_frenet_columns``):
     (N,) arrays and (N, 3) vectors, one row per regular point.  The views
     that ``frenet_apparatus`` and ``frenet_grid`` return hold one point's
-    floats, bools and (3,) vectors.  ``point`` is the curve's position, the
-    constant terms of the jets the frame is built from: no second request
-    of the curve is needed for it.  ``f = tau/kappa`` and
+    floats, bools and (3,) vectors.  Rows and views are named tuples, so
+    their fields cannot be reassigned.  ``point`` is the curve's position,
+    the constant terms of the jets the frame is built from: no second
+    request of the curve is needed for it.  ``f = tau/kappa`` and
     ``g = tau'/kappa'`` (arc-length primes) are the paper's ratio
     invariants; ``g`` is NaN where ``|kappa'| < EPS_G`` (a helical arc),
     and ``g_defined`` marks where it is not.  ``Gamma`` is the slant-helix
     indicator, the geodesic curvature of the principal-normal image,
     kappa^2/(kappa^2+tau^2)^{3/2} * d(tau/kappa)/ds.
-
-    A plain (not frozen) dataclass: the one-point views of a grid's rows
-    are built per row, and with a frozen one they take about 1.7 times as
-    long (256 rows: 0.86 against 0.51 ms on a 2-CPU Linux host).
     """
 
     t: float
@@ -323,28 +319,20 @@ class FrenetData:
     Gamma: float
 
 
-@cache
-def _field_names(cls):
-    """The field names of a dataclass type, looked up once per type."""
-    return tuple(f.name for f in fields(cls))
-
-
 def _take_rows(rows, idx):
-    """The rows ``idx`` of a dataclass of row arrays; fields that are not
-    arrays are kept."""
-    values = (getattr(rows, name) for name in _field_names(type(rows)))
-    return type(rows)(*(v[idx] if isinstance(v, np.ndarray) else v for v in values))
+    """The rows ``idx`` of a named tuple of row arrays; fields that are
+    not arrays are kept."""
+    return rows._make(v[idx] if isinstance(v, np.ndarray) else v for v in rows)
 
 
 def _points_at(rows, idx, n):
-    """The one-point views of a dataclass of row arrays, as a list of n
+    """The one-point views of a named tuple of row arrays, as a list of n
     entries: the view of row j at ``idx[j]``, None elsewhere.  A view
     holds numbers as Python floats and bools and vectors as (3,) arrays."""
-    values = (getattr(rows, name) for name in _field_names(type(rows)))
-    columns = [v.tolist() if v.ndim == 1 else v for v in values]
+    columns = [v.tolist() if v.ndim == 1 else v for v in rows]
     out = [None] * n
     for i, values in zip(idx, zip(*columns)):
-        out[i] = type(rows)(*values)
+        out[i] = rows._make(values)
     return out
 
 

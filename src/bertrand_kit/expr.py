@@ -73,7 +73,7 @@ def _tokenize(text):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
@@ -156,12 +156,14 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             # the exponent may itself carry a unary sign or a ^, but must
-            # fold to a finite real constant
-            exp_pos = self.peek()[2]
+            # hold no t and fold to a finite real constant
+            start, exp_pos = self.i, self.peek()[2]
             exponent = self.factor()
+            if any(tok[:2] == ("name", "t") for tok in self.tokens[start:self.i]):
+                raise NonConstantExponentError(exp_pos)
             try:
                 folded = constant_fold(exponent)
-                finite = folded is None or math.isfinite(folded)
+                finite = math.isfinite(folded)
             except (ArithmeticError, TypeError, ValueError):
                 # 1/0, an overflow, a math domain error, or a complex power
                 finite = False
@@ -169,8 +171,6 @@ class _Parser:
                 raise ExprSyntaxError(
                     exp_pos, ("finite exponent",),
                     f"exponent at position {exp_pos} does not fold to a finite number")
-            if folded is None:
-                raise NonConstantExponentError(exp_pos)
             return PowConst(base, folded)
         return base
 
@@ -208,26 +208,19 @@ def parse_expression(text: str) -> ExprNode:
     return _Parser(text).parse()
 
 
-def constant_fold(node: ExprNode):
-    """Return the numeric value of a constant subtree, or None."""
+def constant_fold(node: ExprNode) -> float:
+    """Return the numeric value of a tree that holds no ``t``."""
     if isinstance(node, Const):
         return node.value
-    if isinstance(node, Var):
-        return None
     if isinstance(node, Unary):
         v = constant_fold(node.child)
-        if v is None:
-            return None
         if node.op == "neg":
             return -v
         return getattr(math, node.op)(v)
     if isinstance(node, PowConst):
-        v = constant_fold(node.base)
-        return None if v is None else v**node.exponent
+        return constant_fold(node.base) ** node.exponent
     v1 = constant_fold(node.left)
     v2 = constant_fold(node.right)
-    if v1 is None or v2 is None:
-        return None
     if node.op == "add":
         return v1 + v2
     if node.op == "sub":

@@ -15,6 +15,7 @@ reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +44,10 @@ AXES = ("tangent", "normal", "binormal")
 SIDES = ("base", "mate")
 
 
-@dataclass(frozen=True)
-class IndicatrixSample:
-    """Closed-form apparatus of one indicatrix at each row of a grid: (N,)
-    arrays and (N, 3) vectors.  ``apparatus_grid`` returns its one-point
-    views (floats and (3,) vectors)."""
+class IndicatrixSample(NamedTuple):
+    """Closed-form apparatus of one indicatrix at each row of a grid, as a
+    named tuple of (N,) arrays and (N, 3) vectors.  ``apparatus_grid``
+    returns its one-point views (floats and (3,) vectors)."""
 
     t: np.ndarray
     point: np.ndarray

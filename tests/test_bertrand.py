@@ -34,6 +34,7 @@ from bertrand_kit.curves import (
 from bertrand_kit.errors import (
     DegenerateSphereCurveError,
     GridMismatchError,
+    IllConditionedError,
     NotAPairError,
     NotSphericalError,
     ParameterError,
@@ -145,6 +146,16 @@ def test_curves_on_disjoint_domains_rejected(helix):
         detect_bertrand(helix, AnalyticCurve("t", "t^2", "t^3", (7.0, 8.0)), n=64)
 
 
+def test_pair_with_too_few_regular_points_rejected(helix):
+    """A straight line is singular at every point, so neither order of
+    the two curves leaves enough regular grid points."""
+    line = AnalyticCurve("t", "2*t", "3*t", (0.0, 6.0))
+    for base, mate in ((line, helix), (helix, line)):
+        with pytest.raises(NotAPairError, match="too few regular points") as ei:
+            detect_bertrand(base, mate, n=64)
+        assert ei.value.reason == "offset-not-normal"
+
+
 def test_construct_mate_zero_offset(helix):
     m = construct_mate(helix, 0.0, n=64)
     for t in (0.5, 3.0):
@@ -157,6 +168,13 @@ def test_generated_base_satisfies_linear_relation(pair_wobble):
     assert a_coef == pytest.approx(1.0, abs=1e-9)
     assert b_coef == pytest.approx(1.0 / math.tan(omega), abs=1e-9)
     assert resid < 1e-12
+
+
+def test_linear_relation_fit_needs_eight_regular_samples():
+    with pytest.raises(ValueError, match="n must be >= 8"):
+        linear_relation_fit(AnalyticCurve("t", "t^2", "t^3", (0.5, 1.5)), n=7)
+    with pytest.raises(IllConditionedError, match="too few regular samples"):
+        linear_relation_fit(AnalyticCurve("t", "2*t", "3*t", (0.0, 1.0)), n=64)
 
 
 def test_generator_rejects_constant_geodesic_curvature():

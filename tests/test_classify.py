@@ -59,6 +59,9 @@ def test_too_few_samples():
     c = AnalyticCurve("t", "t^2", "t^3", (0.0, 1.0))
     with pytest.raises(TooFewSamplesError):
         classify_curve(c, n=8)
+    line = AnalyticCurve("t", "2*t", "3*t", (0.0, 1.0))
+    with pytest.raises(TooFewSamplesError, match="0 regular samples of 64; need 16"):
+        classify_curve(line, n=64)
 
 
 def test_pair_classify_bertrand(pair_wobble):

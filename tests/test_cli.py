@@ -358,37 +358,43 @@ def _sampled_file(t_at_5=None, point_at_5=None):
     return {"type": "sampled", "sampled": {"t": t.tolist(), "points": points.tolist()}}
 
 
-@pytest.mark.parametrize("content", [
-    _analytic_file(domain=(1, 0)),
-    _analytic_file(domain=(0, math.nan)),
-    _analytic_file(domain=("a", 1)),
-    _analytic_file(x=1.5),
-    _analytic_file(domain=(0, math.inf)),
-    _sampled_file(t_at_5=math.nan),
-    _sampled_file(point_at_5=math.nan),
-    _sampled_file(point_at_5=math.inf),
-    *(_analytic_file(x=f"t^{e}") for e in ("(1/0)", "(10^400)", "exp(1000)", "1e400",
-                                           "(1e308*10)", "(0*(1e308*10))", "log(0)")),
-    _sampled_file(t_at_5=0.0),
-    {"type": "analytic"},
-    {"type": "sampled"},
-    {"type": "sampled", "sampled": {"t": ["a", "b"], "points": [[0, 0, 0], [1, 1, 1]]}},
-    {"type": "sampled", "sampled": {"t": [0, 1, 2], "points": [[0, 0], [1, 1], [2, 2]]}},
-    {"type": "spline"},
-    '{"type": "analytic",',
+@pytest.mark.parametrize("content, message", [
+    *((content, "") for content in (
+        _analytic_file(domain=(1, 0)),
+        _analytic_file(domain=(0, math.nan)),
+        _analytic_file(domain=("a", 1)),
+        _analytic_file(x=1.5),
+        _analytic_file(domain=(0, math.inf)),
+        _sampled_file(t_at_5=math.nan),
+        _sampled_file(point_at_5=math.nan),
+        _sampled_file(point_at_5=math.inf),
+        *(_analytic_file(x=f"t^{e}") for e in ("(1/0)", "(10^400)", "exp(1000)", "1e400",
+                                               "(1e308*10)", "(0*(1e308*10))", "log(0)")),
+        _sampled_file(t_at_5=0.0),
+        {"type": "analytic"},
+        {"type": "sampled"},
+        {"type": "sampled", "sampled": {"t": ["a", "b"], "points": [[0, 0, 0], [1, 1, 1]]}},
+        {"type": "sampled", "sampled": {"t": [0, 1, 2], "points": [[0, 0], [1, 1], [2, 2]]}},
+        {"type": "spline"},
+        '{"type": "analytic",',
+    )),
+    *((_analytic_file(x=f"t^{e}"), "error: exponent of '^' must be a numeric constant\n")
+      for e in ("(t+1/0)", "(1/0+t)")),
+    (_analytic_file(x="t $ 1"), "syntax error at position 2"),
 ], ids=["reversed-domain", "nan-domain", "text-domain", "number-x", "infinite-domain",
         "nan-t", "nan-point", "infinite-point", "exponent-zero-division",
         "exponent-power-overflow", "exponent-exp-overflow", "exponent-literal-overflow",
         "exponent-product-overflow", "exponent-nan", "exponent-log-zero", "decreasing-t",
         "no-analytic-block", "no-sampled-block", "text-t", "two-column-points",
-        "unknown-type", "invalid-json"])
-def test_malformed_curve_file_is_a_parse_error(capsys, tmp_path, content):
+        "unknown-type", "invalid-json", "exponent-t-then-zero-division",
+        "exponent-zero-division-then-t", "character-outside-grammar"])
+def test_malformed_curve_file_is_a_parse_error(capsys, tmp_path, content, message):
     """A curve file that is not JSON, of an unknown type or without its
     type's block, whose expressions are not strings or have an exponent
-    that does not fold to a finite number, whose domain is not a finite
-    lo < hi, or whose samples are not finite numbers of the right shape
-    at increasing t exits 2 on every command that loads it, with one line
-    on stderr."""
+    that holds t or does not fold to a finite number, whose domain is not
+    a finite lo < hi, or whose samples are not finite numbers of the right
+    shape at increasing t exits 2 on every command that loads it, with one
+    line on stderr that holds ``message``."""
     f = tmp_path / "bad.json"
     # a string is the file's text; json writes NaN and Infinity, which it
     # also reads back
@@ -398,6 +404,7 @@ def test_malformed_curve_file_is_a_parse_error(capsys, tmp_path, content):
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 # the exit code of each error type a command may raise, as the CLI has
@@ -512,10 +519,18 @@ def test_frenet_singular_point_from_one_request(capsys, tmp_path, monkeypatch):
     assert rep["masked_intervals"] == [[0.0, 1.0]]
 
 
-def test_exit_degenerate_ratio_auto_lambda(workdir, capsys):
+def test_exit_degenerate_ratio_auto_lambda(workdir, capsys, tmp_path):
     # circular helix: constant kappa and tau, lambda is not unique
     rc, _, err = run(capsys, ["mate", str(workdir / "helix.json"), "--auto"])
     assert rc == 5
+    # twisted cubic: no lam*kappa + mu*tau = 1 fits its kappa and tau
+    f = tmp_path / "cubic.json"
+    save_curve(AnalyticCurve("t", "t^2", "t^3", (0.5, 1.5)), str(f))
+    rc, out, err = run(capsys, ["mate", str(f), "--auto", "--out", str(tmp_path / "m.json")])
+    assert (rc, out) == (5, "")
+    assert err == ("error: curvature and torsion admit no constant affine relation; "
+                   "rms residual 1.925e-01\n")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_exit_not_a_pair(workdir, capsys, tmp_path):

@@ -1,7 +1,6 @@
 """Frenet apparatus and arc length on analytic and sampled curves."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,30 +157,29 @@ def test_analytic_vs_sampled_frenet():
         assert np.allclose(fa.T, fb.T, atol=1e-7)
 
 
-def test_take_rows_looks_up_each_types_fields_once(monkeypatch):
+def test_take_rows_keeps_the_type_and_takes_array_rows():
     """``_take_rows`` keeps the type and takes each array field's rows,
-    keeping the other fields, and looks up a dataclass type's fields at
-    its first call only."""
+    keeping the other fields."""
     rows, _, _ = curves._frenet_columns(AnalyticCurve("cos(t)", "sin(t)", "t*t", (0.0, 1.0)),
                                         np.linspace(0.0, 1.0, 9))
-    calls = []
-    real_fields = curves.fields
-
-    def counting(cls):
-        calls.append(cls)
-        return real_fields(cls)
-
-    monkeypatch.setattr(curves, "fields", counting)
-    curves._field_names.cache_clear()
     idx = np.array([1, 4, 8])
-    for _ in range(3):
-        got = curves._take_rows(rows, idx)
-        assert type(got) is curves.FrenetData
-        for f in real_fields(rows):
-            assert np.array_equal(getattr(got, f.name), getattr(rows, f.name)[idx])
-    assert calls == [curves.FrenetData]
-    kept = curves._take_rows(replace(rows, t=0.5), idx)
+    got = curves._take_rows(rows, idx)
+    assert type(got) is curves.FrenetData
+    for name in curves.FrenetData._fields:
+        assert np.array_equal(getattr(got, name), getattr(rows, name)[idx])
+    kept = curves._take_rows(rows._replace(t=0.5), idx)
     assert kept.t == 0.5 and np.array_equal(kept.kappa, rows.kappa[idx])
+
+
+def test_frenet_rows_and_views_are_read_only():
+    """A field of a Frenet row record or of its one-point views cannot be
+    reassigned."""
+    curve = AnalyticCurve("cos(t)", "sin(t)", "t*t", (0.0, 1.0))
+    ts = np.linspace(0.0, 1.0, 9)
+    rows, _, _ = curves._frenet_columns(curve, ts)
+    for record in (rows, frenet_grid(curve, ts)[0], frenet_apparatus(curve, 0.5)):
+        with pytest.raises(AttributeError):
+            record.kappa = 1.0
 
 
 def test_serialized_floats_keep_their_text():

@@ -89,8 +89,12 @@ def test_helical_pair_suite_has_no_usable_rows(helical_pair):
 
 
 def test_helical_pair_verify_exits_parse_error(helical_files, capsys):
+    """verify on the helical pair exits 2 with one line that says g is
+    undefined on every row of both curves."""
     assert main(["verify", *helical_files, "--n", "64"]) == EXIT_PARSE
-    assert "0 usable grid rows" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: 0 usable grid rows of 64, need 16; rows with g undefined "
+        "(|kappa'| < 1e-10): base 64, mate 64\n")
 
 
 def test_planar_pair_verify_names_the_failed_closed_forms(tmp_path, capsys):

@@ -27,12 +27,14 @@ def test_precedence_and_associativity():
     assert val("2*3^2", 0.0) == 18.0
     assert val("-3^2", 0.0) == -9.0
     assert val("2^3", 0.0) == 8.0
+    assert val("t^(1+1)", 3.0) == val("t^(3-1)", 3.0) == 9.0
 
 
 def test_unary_minus():
     assert val("-t", 2.5) == -2.5
     assert val("--t", 2.5) == 2.5
     assert val("3*-t", 2.0) == -6.0
+    assert val("+t", 2.5) == val("-+t", -2.5) == 2.5
 
 
 def test_functions_match_math_module():
@@ -60,6 +62,8 @@ def test_scientific_notation_constants():
         "-sqrt(1+t^2)",
         "t*(t+1)*(t+2)",
         "cos(t)^3 - sin(t)^3",
+        "t^-2",
+        "t + 1  ",
     ],
 )
 def test_to_text_round_trip(text):
@@ -76,6 +80,20 @@ def test_syntax_error_carries_position():
     assert len(ei.value.expected) > 0
 
 
+@pytest.mark.parametrize("text, position, expected", [
+    ("t $ 1", 2, ("number", "name", "operator")),
+    ("x", 0, ("t",) + ex.FUNCTIONS),
+    ("", 0, ("expression",)),
+    ("  ", 0, ("expression",)),
+])
+def test_syntax_error_names_position_and_expected_tokens(text, position, expected):
+    """A character outside the grammar, a bare name other than t and an
+    empty expression are syntax errors at the offending position."""
+    with pytest.raises(ExprSyntaxError) as ei:
+        ex.parse_expression(text)
+    assert (ei.value.position, ei.value.expected) == (position, expected)
+
+
 def test_unknown_function():
     with pytest.raises(UnknownFunctionError) as ei:
         ex.parse_expression("sinh(t)")
@@ -87,6 +105,12 @@ def test_non_constant_exponent_rejected():
         ex.parse_expression("t^t")
     with pytest.raises(NonConstantExponentError):
         ex.parse_expression("2^sin(t)")
+    # an exponent that holds t is not folded, even where a constant part
+    # of it would not fold to a finite number
+    for text in ("t^(t*2)", "t^(t+1/0)", "t^(1/0+t)"):
+        with pytest.raises(NonConstantExponentError) as ei:
+            ex.parse_expression(text)
+        assert ei.value.position == 2
 
 
 @pytest.mark.parametrize("text", [
