@@ -537,39 +537,22 @@ def generate_bertrand_curve(
             u = u - (t_nodes[k] + Ak(u) - A_left[k] - t) / Vk(u)
         return u, k
 
-    # the last run's t bytes, internal order and untruncated, read-only
-    # jet.  invert_series takes three Newton steps at every order from 5
-    # to 8, and truncated Taylor arithmetic gives the low coefficients the
-    # same bits at every order, so a held run of order at most 8 serves
-    # each lower request on its grid with the bits of that request's own
-    # run; a higher run takes a fourth step and serves its own order only.
-    # A pair and its suite read one order-8 run that detection hands on
-    # explicitly, not this hold.  It serves the pair functions that ask
-    # the base, or its mate, for the grid the base just ran
-    # (pair_constraint_residual, frame_relations_check,
-    # indicatrix_arclength_relations, repeated apparatus_grid calls), 38
-    # runs of perfbench's traced layer sweep against 78 without it, and
-    # file commands that ask for a grid asked before: CLI classify runs 2
-    # pipelines (3 without it), classify --align arclength 4 (5), an
-    # indicatrix of the t or n kind 3 (4) and of the b kind 4 (6).
-    last = (None, None, None)
-
     def jet_fn(t, order):
-        nonlocal last
-        key, internal = t.tobytes(), max(order, 6)
-        held_key, held, _ = last
-        if held_key != key or not (internal == held or internal <= held <= 8):
-            u, k = _solve_u(t)
-            Cj = sphere_curve.jet(u, internal)
-            Dj, V = _seed_jets(Cj)
-            s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
-            C = compose(Cj, invert_series(s_jet))  # c(u(t)) in t
-            Gp = a * (C + cot * jcross(C, C.deriv()))  # dgamma/dt
-            # the position from the walk's series, so that it has the same
-            # bits at every order
-            x0 = P_nodes[k].T + AG.take(k)(u) - AG_left[:, k]
-            last = (key, internal, _read_only(Gp.antideriv(x0)))
-        return last[2].truncate(order)
+        # invert_series takes three Newton steps at every order from 5 to
+        # 8, and truncated Taylor arithmetic gives the low coefficients the
+        # same bits at every order, so with the floor of 6 an order-8 run
+        # cut to order 4 has the bits of an order-4 request
+        internal = max(order, 6)
+        u, k = _solve_u(t)
+        Cj = sphere_curve.jet(u, internal)
+        Dj, V = _seed_jets(Cj)
+        s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
+        C = compose(Cj, invert_series(s_jet))  # c(u(t)) in t
+        Gp = a * (C + cot * jcross(C, C.deriv()))  # dgamma/dt
+        # the position from the walk's series, so that it has the same
+        # bits at every order
+        x0 = P_nodes[k].T + AG.take(k)(u) - AG_left[:, k]
+        return Gp.antideriv(x0).truncate(order)
 
     meta = {
         "generator": "bertrand",

@@ -211,9 +211,6 @@ def pair_classify(
     # arc-length alignment puts each curve on its own domain, inset as for
     # the overlap grid
     ts_a = _overlap_grid(curveA, curveA if align == "arclength" else curveB, n)
-    # A's rows and speeds before any request to B: a mate rebuilt on its
-    # loaded base asks the base's generator, whose jet held from A's rows
-    # serves A's speeds, or B's frame on the shared grid
     rows_a, ok_a, _ = _frenet_columns(curveA, ts_a)
     ts_b = ts_a
     if align == "arclength":
@@ -356,13 +353,17 @@ TOLERANCE_KEYS = IDENTITY_ENTRIES + tuple(
 _KEYLESS_ENTRIES = {k: row.why for k, row in _SUITE_KEYS.items() if row.kind == "check"}
 
 
-def _check_tolerance_key(key):
+def _check_tolerance(key, value):
     """Raise ValueError, naming ``key``, unless ``theorem_suite`` reads a
-    tolerance under it."""
+    tolerance under it and ``value`` is above 0 (inf included): no
+    residual is below 0, and a threshold of 0 or less turns its flags
+    off."""
     if key in _KEYLESS_ENTRIES:
         raise ValueError(f"{key!r} has no tolerance key: {_KEYLESS_ENTRIES[key]}")
     if key not in TOLERANCE_KEYS:
         raise ValueError(f"unknown tolerance key {key!r}")
+    if not value > 0.0:
+        raise ValueError(f"tolerance of {key!r} must be above 0, got {value!r}")
 
 
 def _tolerance(tols, key):
@@ -417,13 +418,13 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     six images, an axis with too few regular pairs counting as
     untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
-    ``tols`` takes the keys of ``TOLERANCE_KEYS``, and any other key
-    raises ValueError.  Equivalence entries (helix/planar criteria) pass
+    ``tols`` takes the keys of ``TOLERANCE_KEYS`` with values above 0;
+    any other key or value raises ValueError.  Equivalence entries (helix/planar criteria) pass
     when the two sides of the iff agree.
     """
     tols = dict(tols or {})
-    for key in tols:
-        _check_tolerance_key(key)
+    for key, value in tols.items():
+        _check_tolerance(key, value)
 
     report = TheoremReport()
     usable = pair.base_rows.g_defined & pair.mate_rows.g_defined
@@ -442,8 +443,12 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     def add(key, residual, note="", passed=None):
         report.add(key, residual, _tolerance(tols, key), mf, note=note, passed=passed)
 
-    # th2: Gamma + Gamma_mate = 0 (slant indicators are negatives)
-    add("th2", np.max(np.abs(fb.Gamma + fm.Gamma)))
+    # th2: Gamma_mate = eps Gamma.  Gamma is the geodesic curvature
+    # det(c, c', c'')/|c'|^3 of the principal-normal image c = N, which is
+    # odd under c -> -c; N_mate = eps N at corresponding points, and both
+    # curves run in the direction of t, so the mate's image is eps times
+    # the base's, traversed the same way.  At eps = -1, x - (-y) is x + y.
+    add("th2", np.max(np.abs(fm.Gamma - eps * fb.Gamma)))
 
     # th3 / th22: g constant on each side
     for key, side in (("th3", "mate"), ("th22", "base")):

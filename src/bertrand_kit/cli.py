@@ -30,7 +30,7 @@ from .classify import (
     TOLERANCE_KEYS,
     _KEYLESS_ENTRIES,
     _SUITE_KEYS,
-    _check_tolerance_key,
+    _check_tolerance,
     classify_curve,
     pair_classify,
     theorem_suite,
@@ -130,18 +130,19 @@ def _size(text):
 
 def _tolerance(text):
     """argparse type of a ``verify --tol`` item: KEY=VALUE as (key, value),
-    the key one of ``classify.TOLERANCE_KEYS`` and the value a number."""
+    the key one of ``classify.TOLERANCE_KEYS`` and the value a number
+    above 0."""
     key, _, val = text.partition("=")
-    try:
-        _check_tolerance_key(key)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     try:
         value = float(val)
     except ValueError:
         value = math.nan
-    if math.isnan(value):
+    if math.isnan(value) and key in TOLERANCE_KEYS:
         raise argparse.ArgumentTypeError(f"expected KEY=NUMBER, got {text!r}")
+    try:
+        _check_tolerance(key, value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return key, value
 
 

@@ -150,7 +150,6 @@ def test_frenet_rows_are_the_low_orders_of_a_higher_request(name, monkeypatch):
             return jet(self, t, order)
 
         monkeypatch.setattr(type(curve), "jet", higher)
-    # a fresh curve: a generated one keeps the jet of its last grid
     assert_same_bits(_frenet_rows(CURVES[name](), ts), rows)
 
 
@@ -162,7 +161,6 @@ def test_generated_position_does_not_depend_on_the_order(preset):
     ts = np.linspace(*curve.domain, 29)
     want = constant_terms(curve, ts, 0)
     for order in (2, 6, 8):
-        # a fresh curve: order 2 and 6 would be served from the held jet
         assert_same_bits_array(constant_terms(_generated(preset), ts, order), want)
 
 

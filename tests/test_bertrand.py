@@ -572,12 +572,10 @@ def _fresh(side):
 @pytest.mark.parametrize("orders", [(4, 6), (6, 4), (6, 4, 6), (8, 4, 6), (4, 8), (10, 4, 8),
                                     (6, 6)])
 def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
-    """A request served from the held jet has the bits of the same request
-    on a freshly generated curve, whatever was asked before it.  The mate
-    asks its base for two orders more, so its order-6 request makes the
-    base hold an order-8 jet, which serves the base's orders 4 and 6; a
-    held jet above order 8 (one more Newton step) serves no lower order.
-    The mate holds nothing: each of its requests asks its base."""
+    """A request has the bits of the same request on a freshly generated
+    curve, whatever was asked before it: the generator, the slant seed and
+    a normal-offset mate keep nothing between requests, and each of the
+    mate's requests asks its base for two orders more."""
     curve = _fresh(side)
     ts = np.linspace(*curve.domain, 24)
     for order in orders:
@@ -648,23 +646,6 @@ def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
     theorem_suite(detect_bertrand(base, late, n=24))
     save_curve(late, str(tmp_path / "late.json"))
     assert (tmp_path / "first.json").read_bytes() == (tmp_path / "late.json").read_bytes()
-
-
-def test_generator_jets_are_read_only():
-    """Writing into a returned jet raises and leaves the held jet as it
-    was: the same grid still gets the bits of a fresh curve."""
-    base = _generated("wobble")
-    ts = np.linspace(*base.domain, 24)
-    for order in (4, 6):
-        jet = base.jet(ts, order)
-        with pytest.raises(ValueError):
-            jet.coeffs[0, 0, 0] = 0.0
-        with pytest.raises(ValueError):
-            jet.coeffs *= 2.0
-    with pytest.raises(ValueError):
-        base.jet(float(ts[3]), 2).coeffs[0, 0] = 0.0
-    want = _generated("wobble").jet(ts, 6)
-    assert_same_bits_array(base.jet(ts, 6).coeffs, want.coeffs)
 
 
 def _fresh_images(preset, grid):

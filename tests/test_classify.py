@@ -158,6 +158,30 @@ def test_theorem_suite_slant_pair(pair_slant):
     assert "flags=[True, True, True]" in rep.entries["cr18"].note
 
 
+@pytest.mark.parametrize("a", [0.7, 1.0, 1.37])
+@pytest.mark.parametrize("preset, omega", [("wobble", 0.5), ("tilt", 2.6), ("bean", 2.0),
+                                           ("slant", 2.5)])
+def test_theorem_suite_passes_on_an_eps_plus_one_pair(preset, omega, a):
+    """At these angles the mate's normal is the base's (epsilon = +1), so
+    th2 reads Gamma_mate = +Gamma: the whole suite passes, where th2 once
+    read |Gamma + Gamma_mate| = 2 max|Gamma| and failed."""
+    pair = generated_pair(preset, a=a, omega=omega, n=64, grid=24)
+    assert pair.epsilon == 1
+    rep = theorem_suite(pair)
+    assert rep.all_passed, [k for k, e in rep.entries.items() if not e.passed]
+
+
+@pytest.mark.parametrize("key, value", [("th2", -1.0), ("th2", 0.0), ("th2", -math.inf),
+                                        ("th2", math.nan), ("tol_slant", -5.0)])
+def test_theorem_suite_rejects_a_tolerance_no_residual_meets(pair_wobble, key, value):
+    """A tolerance of 0 or less (or NaN) is an error that names the key,
+    where it used to fail an identity on a valid pair or turn every flag
+    of a threshold off; inf stays a tolerance."""
+    with pytest.raises(ValueError, match=f"tolerance of {key!r} must be above 0"):
+        theorem_suite(pair_wobble, tols={key: value})
+    assert theorem_suite(pair_wobble, tols={key: math.inf}).entries["th2"].passed
+
+
 def test_theorem_tolerance_override(pair_wobble):
     rep = theorem_suite(pair_wobble, tols={"th2": 1e-20})
     assert not rep.entries["th2"].passed
