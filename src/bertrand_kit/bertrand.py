@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import expr as ex
 from .curves import (
     AnalyticCurve,
     Curve,
@@ -36,7 +37,6 @@ from .curves import (
     _integrate,
     _points_at,
     _take_rows,
-    integrate_series,
 )
 from .errors import (
     DegenerateRatioError,
@@ -458,10 +458,10 @@ def linear_relation_fit(curve: Curve, n: int = 64):
 # generator: Bertrand curves from spherical seed curves
 
 
-def _sphere_checks(seed_jet):
+def _sphere_checks(seed_jet, omega):
     """Raise unless the seed, at the columns of its jet (order 2 or more),
-    is on the unit sphere, regular and of non-constant geodesic
-    curvature."""
+    is on the unit sphere, regular and of non-constant geodesic curvature
+    kg, and the output at angle ``omega`` has no inflection there."""
     probes = seed_jet.basepoint
     p, d1, half_d2 = seed_jet.coeffs[:3].transpose(0, 2, 1)
     r = np.linalg.norm(p, axis=1)
@@ -480,6 +480,13 @@ def _sphere_checks(seed_jet):
         raise DegenerateSphereCurveError(
             "geodesic curvature of the sphere curve is constant: output is a helix"
         )
+    # the output's dT/dt is a multiple of (sin(omega) - kg cos(omega)) c',
+    # so its curvature vanishes where kg = tan(omega)
+    bend = math.sin(omega) - kg * math.cos(omega)
+    if np.min(bend) <= 0.0 <= np.max(bend):
+        raise ParameterError(
+            f"omega = {omega} gives the output an inflection: tan(omega) = {math.tan(omega):.6g} "
+            f"lies in the seed's geodesic curvature range [{np.min(kg):.6g}, {np.max(kg):.6g}]")
 
 
 def generate_bertrand_curve(
@@ -496,7 +503,8 @@ def generate_bertrand_curve(
     from linear interpolation between the walk nodes and steps with the
     walk's seed-speed series of the segment that holds t, about the
     segment's midpoint.  An n below 2, which leaves the sphere checks one
-    probe, raises ParameterError before the seed is evaluated.
+    probe, raises ParameterError before the seed is evaluated; so does an
+    omega whose output has an inflection at a probe of the sphere checks.
     """
     if not 0.0 < a < math.inf:
         raise ParameterError(f"a must be finite and positive, got {a}")
@@ -518,7 +526,7 @@ def generate_bertrand_curve(
     # steps, the series of every step from one batch at the midpoints,
     # whose every (n // 64)-th column the sphere checks read first
     Cj = sphere_curve.jet(0.5 * (us[:-1] + us[1:]), 10)
-    _sphere_checks(Cj.take(slice(None, None, max(1, n // 64))))
+    _sphere_checks(Cj.take(slice(None, None, max(1, n // 64))), omega)
     Dj, V = _seed_jets(Cj)
     # dgamma/du = a (V c + cot(omega) c x dc/du)
     G = a * (V * Cj + cot * jcross(Cj, Dj))
@@ -573,15 +581,12 @@ def generate_bertrand_curve(
 
 
 def _normalized_analytic(x, y, z, domain, label):
-    """Build (x,y,z)/|(x,y,z)| as an analytic unit-sphere curve."""
-    n2 = f"(({x})^2 + ({y})^2 + ({z})^2)"
-    return AnalyticCurve(
-        f"({x})/sqrt{n2}",
-        f"({y})/sqrt{n2}",
-        f"({z})/sqrt{n2}",
-        domain,
-        label=label,
-    )
+    """Build (x,y,z)/|(x,y,z)| as an analytic unit-sphere curve, whose
+    trees hold one copy of each component and of the normaliser."""
+    xyz = [ex.parse_expression(c) for c in (x, y, z)]
+    sq = [ex.PowConst(c, 2.0) for c in xyz]
+    norm = ex.Unary("sqrt", ex.Binary("add", ex.Binary("add", sq[0], sq[1]), sq[2]))
+    return AnalyticCurve(*(ex.Binary("div", c, norm) for c in xyz), domain, label=label)
 
 
 def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBackedCurve:
@@ -602,7 +607,7 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
     lo, hi = domain
     ss = np.linspace(lo, hi, n + 1)
     rate, _, _ = phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)
-    phi_nodes = integrate_series(rate, ss)
+    phi_nodes = _integrate(rate, ss)[0]
 
     m2 = m * m
 
@@ -631,7 +636,7 @@ _PRESET_BUILDS = {}
 def sphere_preset(name: str) -> Curve:
     """Named spherical seed curves for the generator.
 
-    Each preset is built once per process, at its first request (0.4-0.7
+    Each preset is built once per process, at its first request (0.1-0.2
     ms to parse an analytic preset, 2-4 ms for the 1024-node phi walk of
     ``slant``), and every call returns a shallow copy of that build; a
     caller that asks again, such as ``load_curve`` rebuilding a generated

@@ -107,11 +107,11 @@ def _per_point(jet_fn, t, order):
 class AnalyticCurve(Curve):
     """Curve of three expressions of ``t``, given as text or parsed ASTs.
 
-    The components are interned through one table (``expr.intern``), so
-    a subexpression they share, such as the normaliser of a seed
-    ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``, is one node.  They become one
-    straight-line program (``expr.program``) that evaluates each node
-    once, for one parameter value or a whole grid.  At the first
+    The curve keeps the trees as given, and they become one straight-line
+    program (``expr.program``) that evaluates each distinct subtree once,
+    for one parameter value or a whole grid: a subexpression they share,
+    such as the normaliser of a seed ``(x, y, z)/sqrt(x^2 + y^2 + z^2)``,
+    is one slot.  At the first
     evaluation the curve takes the program's two compiled Python functions
     (``jets.compile_program``, compiled once per distinct program in a
     process): ``jet`` runs the jet function, and ``point`` at a number
@@ -122,11 +122,7 @@ class AnalyticCurve(Curve):
     """
 
     def __init__(self, x, y, z, domain, label=""):
-        table = {}
-        x, y, z = (
-            ex.intern(ex.parse_expression(c) if isinstance(c, str) else c, table)
-            for c in (x, y, z)
-        )
+        x, y, z = (ex.parse_expression(c) if isinstance(c, str) else c for c in (x, y, z))
         lo, hi = float(domain[0]), float(domain[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"domain must be finite with t_lo < t_hi, got [{lo}, {hi}]")
@@ -479,20 +475,15 @@ def cumulative_trapezoid(x, y):
     return out
 
 
-def integrate_series(rate, nodes):
-    """Cumulative integral of a rate over the nodes, from 0 at nodes[0].
+def _integrate(rate, nodes):
+    """Cumulative integral of a rate over the nodes, from 0 at nodes[0],
+    the antiderivative jet A it integrates (0 at each segment's midpoint),
+    and A at each segment's left node.
 
     ``rate`` is a jet with one column per segment, about the segment's
     midpoint; each segment adds the integral of that Taylor series.  A
     vector rate gives one integral per component, (3, len(nodes)).
     """
-    return _integrate(rate, nodes)[0]
-
-
-def _integrate(rate, nodes):
-    """``integrate_series`` of ``rate``, the antiderivative jet A it
-    integrates (0 at each segment's midpoint), and A at each segment's
-    left node."""
     A = rate.antideriv(0.0)
     left = A(nodes[:-1])
     steps = A(nodes[1:]) - left

@@ -230,40 +230,8 @@ def constant_fold(node: ExprNode) -> float:
     return v1 / v2
 
 
-def _bits(value):
-    # the float's bit pattern, so 0.0 and -0.0 stay apart
-    return struct.pack("<d", value)
-
-
-def intern(node: ExprNode, table: dict) -> ExprNode:
-    """Return the one node in ``table`` equal to ``node``, adding it if new.
-
-    The tree is rebuilt bottom-up.  A node's key is its type, its op, the
-    bit pattern of its float field and the ids of its interned children,
-    so equal subtrees of every tree interned through one table become one
-    object, while ``Const(-0.0)`` stays apart from ``Const(0.0)``.
-    """
-    if isinstance(node, Const):
-        key = (Const, _bits(node.value))
-    elif isinstance(node, Var):
-        key = (Var,)
-    elif isinstance(node, Unary):
-        child = intern(node.child, table)
-        key = (Unary, node.op, id(child))
-        if child is not node.child:
-            node = Unary(node.op, child)
-    elif isinstance(node, PowConst):
-        base = intern(node.base, table)
-        key = (PowConst, _bits(node.exponent), id(base))
-        if base is not node.base:
-            node = PowConst(base, node.exponent)
-    else:
-        left = intern(node.left, table)
-        right = intern(node.right, table)
-        key = (Binary, node.op, id(left), id(right))
-        if left is not node.left or right is not node.right:
-            node = Binary(node.op, left, right)
-    return table.setdefault(key, node)
+# a float's bit pattern, so 0.0 and -0.0 stay apart
+_bits = struct.Struct("<d").pack
 
 
 def program(nodes) -> tuple:
@@ -282,78 +250,82 @@ def program(nodes) -> tuple:
     * ``("tan", k, None)``: tan from the sin and cos slots k and k+1
     * ``("out", k, None)``: slot k is the next tree's value; it appends no slot.
 
-    A node shared within or across the trees (see ``intern``) has one
-    slot, and ``sin``, ``cos`` and ``tan`` of one child share one
-    ``sincos``.  Constants stay plain numbers until a function, a power, a
-    binary operation on two of them, or an output needs them as functions
-    of t.  The steps follow a depth-first walk, left operand first, and
-    each tree's ``out`` follows its last step, so an arithmetic that checks
-    each step's domain raises the error a recursive evaluation would.
+    Equal subtrees, within or across the trees, have one slot: a node's
+    key is its type or op, the bit pattern of its float (so ``Const(0.0)``
+    and ``Const(-0.0)`` stay apart) and its operands' slots, and a node
+    object reached twice, as in a DAG, is keyed once.  ``sin``, ``cos``
+    and ``tan`` of one argument slot share one ``sincos``.  Constants stay
+    plain numbers until a function, a power, a binary operation on two of
+    them, or an output needs them as functions of t.  The steps follow a
+    depth-first walk, left operand first, and each tree's ``out`` follows
+    its last step, so an arithmetic that checks each step's domain raises
+    the error a recursive evaluation would.
     """
     steps = []
-    slots = {}  # id(node) -> slot
+    seen = {}  # id(node) -> slot
+    slots = {}  # key of a node -> slot
     plain = set()  # slots holding a plain number
     lifted = {}  # plain slot -> slot of its jet
-    sincos = {}  # id(child) -> slot of its sine
+    sincos = {}  # argument slot -> slot of its sine
     size = 0
 
-    def emit(op, a=None, b=None, width=1):
+    def emit(op, a=None, b=None, width=1, is_plain=False):
         nonlocal size
         steps.append((op, a, b))
         size += width
+        if is_plain:
+            plain.add(size - 1)
         return size - width
 
-    def as_function(node):
-        k = visit(node)
-        if k not in plain:
-            return k
-        if k not in lifted:
+    def as_function(k):
+        if k in plain and k not in lifted:
             lifted[k] = emit("lift", k)
-        return lifted[k]
+        return lifted.get(k, k)
 
     def visit(node):
-        key = id(node)
-        if key in slots:
-            return slots[key]
-        if isinstance(node, Const):
-            k = emit("const", node.value)
-            plain.add(k)
-        elif isinstance(node, Var):
-            k = emit("var")
-        elif isinstance(node, PowConst):
-            k = emit("pow", as_function(node.base), node.exponent)
-        elif isinstance(node, Unary) and node.op == "neg":
-            child = visit(node.child)
-            k = emit("neg", child)
-            if child in plain:
-                plain.add(k)
-        elif isinstance(node, Unary) and node.op in ("sin", "cos", "tan"):
-            ckey = id(node.child)
-            if ckey not in sincos:
-                sincos[ckey] = emit("sincos", as_function(node.child), width=2)
-            s = sincos[ckey]
-            if node.op == "sin":
-                k = s
-            elif node.op == "cos":
-                k = s + 1
+        k = seen.get(id(node))
+        if k is None:
+            if isinstance(node, Const):
+                key = (Const, _bits(node.value))
+            elif isinstance(node, Var):
+                key = (Var,)
+            elif isinstance(node, PowConst):
+                key = (PowConst, _bits(node.exponent), visit(node.base))
+            elif isinstance(node, Unary):
+                key = (node.op, visit(node.child))
             else:
-                k = emit("tan", s)
-        elif isinstance(node, Unary):
-            k = emit(node.op, as_function(node.child))
-        else:
-            left = visit(node.left)
-            right = visit(node.right)
-            if left in plain and right in plain:
-                left = as_function(node.left)
-            op = node.op
-            if op == "div" and right in plain:
-                op = "div_const"
-            k = emit(op, left, right)
-        slots[key] = k
+                key = (node.op, visit(node.left), visit(node.right))
+            k = slots.get(key)
+            if k is None:
+                k = slots[key] = step(node, key)
+            seen[id(node)] = k
         return k
 
-    for node in nodes:
-        steps.append(("out", as_function(node), None))
+    def step(node, key):
+        # the new steps of ``node``, whose operands' slots end ``key``
+        if isinstance(node, Const):
+            return emit("const", node.value, is_plain=True)
+        if isinstance(node, Var):
+            return emit("var")
+        if isinstance(node, PowConst):
+            return emit("pow", as_function(key[2]), node.exponent)
+        if isinstance(node, Binary):
+            op, left, right = key
+            if left in plain and right in plain:
+                left = as_function(left)
+            return emit("div_const" if op == "div" and right in plain else op, left, right)
+        op, child = key
+        if op == "neg":
+            return emit("neg", child, is_plain=child in plain)
+        if op not in ("sin", "cos", "tan"):
+            return emit(op, as_function(child))
+        if child not in sincos:
+            sincos[child] = emit("sincos", as_function(child), width=2)
+        s = sincos[child]
+        return s if op == "sin" else s + 1 if op == "cos" else emit("tan", s)
+
+    for node in tuple(nodes):  # held, so no other object takes an id in ``seen``
+        steps.append(("out", as_function(visit(node)), None))
     return tuple(steps)
 
 

@@ -17,10 +17,11 @@ functions their ODE recurrences (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13).  A domain check fails the whole batch if
 any column fails it.
 
-An ``expr.program`` is compiled once into two Python functions with
-one line per step (``compile_program``).  The jet function takes the
-variable's jet and calls the recurrences above directly
-(``program_jets``); the value function runs at one float
+An ``expr.program``, in which equal subtrees share one slot, is
+compiled once per process into two Python functions with one line per
+step (``compile_program``, the one cache of compiled programs).  The
+jet function takes the variable's jet and calls the recurrences above
+directly (``program_jets``); the value function runs at one float
 (``program_values``), each step the constant term of the matching
 recurrence on Python floats and each domain check one comparison.  It
 gives the bits and domain errors of an order-0 jet without building
@@ -477,23 +478,17 @@ def evaluate_jets(nodes, t0, order: int, max_order: int = DEFAULT_MAX_ORDER):
     """Jets of several expression ASTs about one basepoint or a 1-D array
     of basepoints, as a tuple: ``program_jets`` of ``expr.program(nodes)``.
 
-    A subtree shared within or across the trees (see ``expr.intern``) is
-    evaluated once, and ``sin``, ``cos`` and ``tan`` of one child share
-    one ``jsincos``.  Each shared value is the same computation on the
-    same operands, so the coefficients equal those of evaluating each
-    tree on its own.  The program of one tuple of node objects is built
-    and compiled at its first call only.  Raises OrderOverflowError above
+    Equal subtrees within or across the trees are evaluated once, and
+    ``sin``, ``cos`` and ``tan`` of one argument share one ``jsincos``.
+    Each shared value is the same computation on the same operands, so
+    the coefficients equal those of evaluating each tree on its own.  The
+    program is built at every call, and compiled once per distinct
+    program (``compile_program``).  Raises OrderOverflowError above
     ``max_order``.
     """
     if order > max_order:
         raise OrderOverflowError(order, max_order)
-    nodes = tuple(nodes)
-    key = tuple(map(id, nodes))
-    hit = _BY_NODES.get(key)
-    if hit is None:
-        # the entry holds the nodes, so no other object takes their ids
-        hit = _remember(_BY_NODES, key, (nodes, compile_program(ex.program(nodes))))
-    return program_jets(hit[1], t0, order)
+    return program_jets(compile_program(ex.program(nodes)), t0, order)
 
 
 # The line of each kind of program step: slot k is the local v{k}, the
@@ -542,14 +537,6 @@ _VALUE_LINES = {
 # this many; an evicted program is compiled again when it is next run.
 _CACHE_SIZE = 256
 _COMPILED = {}  # (program, bits of its constants and exponents) -> functions
-_BY_NODES = {}  # ids of a tuple of nodes -> (the nodes, their functions)
-
-
-def _remember(cache, key, value):
-    if len(cache) >= _CACHE_SIZE:
-        del cache[next(iter(cache))]
-    cache[key] = value
-    return value
 
 
 def compile_program(program):
@@ -566,7 +553,9 @@ def compile_program(program):
     key = (program, struct.pack(f"<{len(numbers)}d", *numbers))
     fns = _COMPILED.get(key)
     if fns is None:
-        fns = _remember(_COMPILED, key, _compile(program))
+        if len(_COMPILED) >= _CACHE_SIZE:
+            del _COMPILED[next(iter(_COMPILED))]
+        fns = _COMPILED[key] = _compile(program)
     return fns
 
 

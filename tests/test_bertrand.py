@@ -217,6 +217,29 @@ def test_generator_rejects_bad_angle():
     assert curve.points.shape == (3, 3)
 
 
+# an angle in each preset's inflection band, where tan(omega) lies in the
+# range of the seed's geodesic curvature kg
+INFLECTION_OMEGA = {"wobble": 2.7, "tilt": 0.3, "bean": 0.2, "slant": 0.3}
+
+
+@pytest.mark.parametrize("preset", sorted(INFLECTION_OMEGA))
+def test_generator_refuses_an_angle_that_gives_an_inflection(preset):
+    """Where sin(omega) - kg cos(omega) changes sign over the seed, the
+    output's curvature vanishes: the generator raises ParameterError,
+    naming tan(omega) and the range of kg at its probes (it used to build
+    the curve, whose mate check then failed without naming the
+    inflection)."""
+    omega = INFLECTION_OMEGA[preset]
+    with pytest.raises(ParameterError) as err:
+        generate_bertrand_curve(sphere_preset(preset), a=1.0, omega=omega, n=256)
+    message = str(err.value)
+    assert message.startswith(f"omega = {omega} gives the output an inflection: ")
+    assert (f"tan(omega) = {math.tan(omega):.6g} lies in the seed's geodesic curvature "
+            "range [") in message
+    low, high = map(float, message.rsplit("[", 1)[1].rstrip("]").split(", "))
+    assert low < math.tan(omega) < high
+
+
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("kind", ["analytic", "generated", "sampled"])
 def test_mate_rejects_a_size_below_1_before_evaluating(kind, n):
@@ -260,16 +283,16 @@ def test_unknown_preset():
 
 def test_slant_preset_walks_its_nodes_once(monkeypatch):
     """Three requests for the slant seed run its phi walk (one
-    ``integrate_series`` over the 1024 nodes) once."""
+    ``_integrate`` over its 1025 nodes) once."""
     walks = []
-    real = bertrand.integrate_series
+    real = bertrand._integrate
 
     def counting(rate, nodes):
         walks.append(len(nodes))
         return real(rate, nodes)
 
     monkeypatch.setattr(bertrand, "_PRESET_BUILDS", {})
-    monkeypatch.setattr(bertrand, "integrate_series", counting)
+    monkeypatch.setattr(bertrand, "_integrate", counting)
     for _ in range(3):
         sphere_preset("slant")
     assert walks == [1025]
@@ -905,6 +928,6 @@ def test_sphere_checks_raise_the_first_failing_probe(off, still):
     with pytest.raises((NotSphericalError, DegenerateSphereCurveError)) as want:
         _sphere_checks_one_probe_at_a_time(seed)
     with pytest.raises((NotSphericalError, DegenerateSphereCurveError)) as got:
-        bertrand._sphere_checks(seed)
+        bertrand._sphere_checks(seed, math.pi / 3)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)

@@ -601,6 +601,22 @@ def test_out_of_range_parameter_is_a_parse_error(workdir, capsys, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("preset, omega", [("wobble", "2.7"), ("tilt", "0.3"), ("bean", "0.2"),
+                                           ("slant", "0.3")])
+def test_generate_refuses_an_angle_that_gives_an_inflection(capsys, tmp_path, monkeypatch,
+                                                           preset, omega):
+    """An omega whose output has an inflection exits 2 with one error line
+    naming it, and writes no curve file (it used to exit 0, and ``mate
+    --auto`` then exited 5 without naming the inflection)."""
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, ["generate", "--sphere-curve", preset, "--omega", omega,
+                                "--out", "base.json"])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: omega = {omega} gives the output an inflection: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curve_that_overflows_is_not_saved(capsys, tmp_path, monkeypatch):
     """A generator a, or a lambda on a huge base, whose curve overflows
     exits 2 with one error line naming the first bad row, and writes no

@@ -322,7 +322,7 @@ FAMILY_TEXTS = {
 }
 
 
-def _interned_and_plain(name):
+def _curve_and_parsed(name):
     if name in FAMILY_TEXTS:
         texts, domain = FAMILY_TEXTS[name]
         curve = AnalyticCurve(*texts, domain)
@@ -337,11 +337,12 @@ def _interned_and_plain(name):
     ["wobble", "tilt", "bean", "smallcircle", "greatcircle", *FAMILY_TEXTS],
 )
 def test_shared_evaluation_is_exact(name):
-    """Jets of the interned components, evaluated together, equal the
-    jets of each separately parsed component, bit for bit."""
-    curve, plain = _interned_and_plain(name)
+    """Jets of a curve's components, evaluated together with their shared
+    subtrees evaluated once, equal the jets of each separately parsed
+    component, bit for bit."""
+    curve, plain = _curve_and_parsed(name)
     nodes = (curve.x, curve.y, curve.z)
-    assert list(nodes) == plain  # interning keeps the structure
+    assert list(nodes) == plain  # the curve keeps its parsed trees
     lo, hi = curve.domain
     for t in (lo, 0.7 * lo + 0.3 * hi, 0.5 * (lo + hi), hi):
         for order in range(11):
@@ -354,24 +355,62 @@ def test_shared_evaluation_is_exact(name):
                 assert np.array_equal(got.coeffs, ref.coeffs)
 
 
-def test_intern_shares_the_normaliser():
-    curve = sphere_preset("wobble")
-    assert curve.x.right is curve.y.right is curve.z.right
-    # sin(t) of y is the one in the normaliser's y^2 term
-    assert curve.x.right.child.left.right.base is curve.y.left
+def _slot_steps(program):
+    """The step that fills each slot of a program, in slot order."""
+    slots = []
+    for step in program:
+        if step[0] != "out":
+            slots += [step] * (2 if step[0] == "sincos" else 1)
+    return slots
 
 
-def test_intern_keeps_signed_zeros_apart():
-    table = {}
-    node = ex.intern(ex.Binary("add", ex.Const(-0.0), ex.Const(0.0)), table)
-    assert node.left is not node.right
-    assert math.copysign(1.0, node.left.value) == -1.0
-    pw = ex.intern(ex.Binary("mul", ex.PowConst(ex.Var(), -0.0), ex.PowConst(ex.Var(), 0.0)),
-                   table)
-    assert pw.left is not pw.right
-    assert pw.left.base is pw.right.base
-    assert ex.intern(ex.Const(-0.0), table) is node.left
-    assert ex.intern(ex.Const(0.0), table) is node.right
+def test_program_shares_the_normaliser():
+    """x, y and z of the wobble preset are divided by one normaliser slot,
+    the one sqrt step, and its y^2 term squares y's sin(t) slot."""
+    program = sphere_preset("wobble")._program
+    slot = _slot_steps(program)
+    outs = [slot[k] for op, k, _ in program if op == "out"]
+    assert [op for op, _, _ in outs] == ["div"] * 3
+    assert len({m for _, _, m in outs}) == 1
+    assert [op for op, _, _ in program].count("sqrt") == 1
+    # sqrt(cos(t)^2 + sin(t)^2 + (0.3*sin(2t))^2): its sum's left sum's right term
+    total = slot[slot[outs[0][2]][1]]
+    assert slot[slot[total[1]][2]] == ("pow", outs[1][1], 2.0)
+
+
+def test_program_keeps_signed_zeros_apart():
+    """-0.0 and 0.0 get one const step each, and t^-0.0 and t^0.0 one pow
+    step each of one t; a later tree's constant reads the slot of its own
+    sign."""
+    program = ex.program([
+        ex.Binary("add", ex.Const(-0.0), ex.Const(0.0)),
+        ex.Binary("mul", ex.PowConst(ex.Var(), -0.0), ex.PowConst(ex.Var(), 0.0)),
+        ex.Const(-0.0),
+        ex.Const(0.0),
+    ])
+    slot = _slot_steps(program)
+    consts = [k for k, step in enumerate(slot) if step[0] == "const"]
+    assert [math.copysign(1.0, slot[k][1]) for k in consts] == [-1.0, 1.0]
+    pows = [step for step in slot if step[0] == "pow"]
+    assert [math.copysign(1.0, r) for _, _, r in pows] == [-1.0, 1.0]
+    assert pows[0][1] == pows[1][1]
+    outs = [slot[k] for op, k, _ in program if op == "out"]
+    assert outs[2:] == [("lift", consts[0], None), ("lift", consts[1], None)]
+
+
+def test_program_of_a_dag_visits_each_node_object_once():
+    """A node object reached twice is keyed once, so a doubling DAG 40
+    deep, with 2^40 paths from its root to t, is one var step, 40 adds and
+    one out, for ``evaluate_jet`` and for a curve built from it; its
+    order-1 jet at 0.5 is (2^39, 2^40)."""
+    e = ex.Var()
+    for _ in range(40):
+        e = ex.Binary("add", e, e)
+    assert len(ex.program((e,))) == 42
+    assert evaluate_jet(e, 0.5, 1).coeffs.tolist() == [2.0**39, 2.0**40]
+    curve = AnalyticCurve(e, e, e, (0.0, 1.0))
+    assert len(curve._program) == 44
+    assert curve.jet(0.5, 1).coeffs.tolist() == [[2.0**39] * 3, [2.0**40] * 3]
 
 
 def test_evaluate_jets_checks_each_component():
@@ -495,7 +534,7 @@ def test_jets_and_values_match_a_50_digit_oracle(name):
     """``point`` (the program's value function) and ``evaluate_jet`` at
     orders 0-10 against ``mpmath.taylor`` at 50 digits, whose own error
     is below 1e-50."""
-    curve, _ = _interned_and_plain(name)
+    curve, _ = _curve_and_parsed(name)
     lo, hi = curve.domain
     for t in (lo, 0.6 * lo + 0.4 * hi, hi):
         point = curve.point(t)
@@ -513,23 +552,17 @@ def test_jets_and_values_match_a_50_digit_oracle(name):
 def test_program_compiles_once(monkeypatch):
     """One compile per distinct program: a curve's program serves 1025
     scalar points, jets at orders 0, 4 and 8 and a second curve built from
-    the same texts; one node's program serves every ``evaluate_jet`` call
-    on it, which finds it without building the program or its key again."""
+    the same texts; one node's program, compiled at its first
+    ``evaluate_jet`` call, serves every later call on it."""
     monkeypatch.setattr(jets, "_COMPILED", {})
-    monkeypatch.setattr(jets, "_BY_NODES", {})
-    compiles, lookups = Counter(), Counter()
-    real_compile, real_lookup = jets._compile, jets.compile_program
+    compiles = Counter()
+    real_compile = jets._compile
 
     def counting_compile(program):
         compiles[program] += 1
         return real_compile(program)
 
-    def counting_lookup(program):
-        lookups[program] += 1
-        return real_lookup(program)
-
     monkeypatch.setattr(jets, "_compile", counting_compile)
-    monkeypatch.setattr(jets, "compile_program", counting_lookup)
     texts, domain = FAMILY_TEXTS["trefoil"]
     curve = AnalyticCurve(*texts, domain)
     ts = np.linspace(*domain, 1025)
@@ -546,7 +579,6 @@ def test_program_compiles_once(monkeypatch):
         for order in (2, 6, 10):
             evaluate_jet(curve.x, 0.3, order, max_order=10)
     assert list(compiles.values()) == [1, 1]
-    assert list(lookups.values()) == [1]
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0])
