@@ -245,10 +245,11 @@ class BertrandPairModel:
     ratio invariants included, at the regular points ``ts[~masked]`` of
     the detection grid, as arrays with one row per point.  ``ri_base`` and
     ``ri_mate`` view them point by point over ``ts``, None where masked.
-    A pair that detection built from one run of its base's jet also holds
-    the order-4 T, N and B jets of both curves at ``ts[~masked]``, which
-    detection's Frenet passes built, read-only: the position jets of the
-    six image curves that the suite classifies (``_image_jets``).
+    A pair that detection built from one run of its base's jet, with
+    ``images`` left True, also holds the order-4 T, N and B jets of both
+    curves at ``ts[~masked]``, which detection's Frenet passes built,
+    read-only: the position jets of the six image curves that the suite
+    classifies (``_image_jets``).
     """
 
     base: Curve
@@ -320,6 +321,7 @@ def detect_bertrand(
     tol_align: float = TOL_ALIGN,
     tol_const: float = TOL_CONST,
     inset: float = 1e-6,
+    images: bool = True,
 ) -> BertrandPairModel:
     """Check the Bertrand-pair definition and assemble the pair model.
 
@@ -339,10 +341,15 @@ def detect_bertrand(
     regular points, with that N, and the mate's own pass gives its rows
     and its frame.  The pair holds both frames, cut to order 4, for the
     suite's image rows, so the pair and its suite run the base's jet once
-    and build each curve's frame once on the grid.  Any other pair asks
-    each curve once at ``_FRENET_ORDER``, as a stencil's width and a
-    normal offset's bits depend on the order asked.  Neither curve's node
-    table is read here.
+    and build each curve's frame once on the grid.  ``images`` says
+    whether those image jets will be read: with False (a pair check that
+    no suite follows) the base is asked for ``_FRENET_ORDER + 2``, the
+    mate's jet is of order 4 and no image frame is built; the rows keep
+    their bits, as the low orders of a higher run have the bits of a
+    lower one, and a suite that does run asks for its image jets itself.
+    Any other pair asks each curve once at ``_FRENET_ORDER``, as a
+    stencil's width and a normal offset's bits depend on the order asked.
+    Neither curve's node table is read here.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
@@ -351,14 +358,15 @@ def detect_bertrand(
     ts = _overlap_grid(base, mate, n, inset=inset)
     shared = mate._offset_of is not None and mate._offset_of[0] is base
     if shared:
-        P = base.jet(ts, _FRENET_ORDER + 4)
+        P = base.jet(ts, _FRENET_ORDER + (4 if images else 2))
         base_rows, ok, _, core = _columns(P, ts)
         frame = _frame(*core)
         # the mate only where the base is regular, where its N is defined
         P_mate = P.take(ok) + mate._offset_of[1] * frame[1]
         mate_rows, mate_ok, _, core = _columns(P_mate, ts[ok])
-        images = (*(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
-                  *(v.truncate(_FRENET_ORDER) for v in _frame(*core)))
+        if images:
+            held = (*(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
+                    *(v.truncate(_FRENET_ORDER) for v in _frame(*core)))
     else:
         base_rows, ok, _ = _frenet_columns(base, ts)
         mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
@@ -411,8 +419,8 @@ def detect_bertrand(
         lambda_stat=lam_stat,
         masked=~ok,
     )
-    if shared:
-        pair._images = tuple(map(_read_only, images))
+    if shared and images:
+        pair._images = tuple(map(_read_only, held))
     return pair
 
 

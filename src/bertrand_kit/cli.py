@@ -66,11 +66,9 @@ from .indicatrix import (
 from .io import (
     CurveFileError,
     RunReport,
-    _load_curve_pair,
-    file_hash,
     fmt,
-    load_curve,
     masked_intervals_from_flags,
+    read_inputs,
     save_curve,
     write_csv,
 )
@@ -151,10 +149,10 @@ def _tolerance(text):
 
 
 def cmd_frenet(args) -> int:
-    curve = load_curve(args.curve)
+    (curve,), inputs = read_inputs(args.curve)
     report = RunReport(
         command="frenet",
-        inputs={args.curve: file_hash(args.curve)},
+        inputs=inputs,
         parameters={"mask": bool(args.mask)},
     )
     if args.at is not None:
@@ -185,10 +183,10 @@ def cmd_frenet(args) -> int:
 
 
 def cmd_mate(args) -> int:
-    base = load_curve(args.curve)
+    (base,), inputs = read_inputs(args.curve)
     report = RunReport(
         command="mate",
-        inputs={args.curve: file_hash(args.curve)},
+        inputs=inputs,
         parameters={"n": args.n},
     )
     if args.auto:
@@ -219,7 +217,8 @@ def cmd_mate(args) -> int:
     report.results["mate_file"] = out
     if abs(lam) > 0:
         try:
-            pair = _detect_from_files(base, mate, min(args.n, 128))
+            # no suite follows: the pair's image jets are not read
+            pair = _detect_from_files(base, mate, min(args.n, 128), images=False)
             report.results.update({"lambda": pair.lam, "epsilon": pair.epsilon})
             for name in ("p1", "p2", "q1", "q2"):
                 stat = getattr(pair, name)
@@ -230,24 +229,23 @@ def cmd_mate(args) -> int:
     return EXIT_OK
 
 
-def _detect_from_files(base, mate, n):
+def _detect_from_files(base, mate, n, images):
     # file-loaded curves are usually sampled: allow stencil-level noise
     # in the alignment checks and stay clear of the one-sided end stencils
     return detect_bertrand(base, mate, n=n, tol_align=1e-4, tol_const=1e-4,
-                           inset=0.01)
+                           inset=0.01, images=images)
 
 
-def _load_pair(args, n):
-    base, mate = _load_curve_pair(args.base, args.mate)
-    pair = _detect_from_files(base, mate, n)
-    inputs = {args.base: file_hash(args.base), args.mate: file_hash(args.mate)}
-    return pair, inputs
+def _load_pair(args, n, images):
+    (base, mate), inputs = read_inputs(args.base, args.mate)
+    return _detect_from_files(base, mate, n, images), inputs
 
 
 def cmd_indicatrix(args) -> int:
     axis_key, side = args.kind.split("-")
     axis = {"t": "tangent", "n": "normal", "b": "binormal"}[axis_key]
-    pair, inputs = _load_pair(args, min(args.n, 128))
+    # the closed forms read the pair's rows, not its image jets
+    pair, inputs = _load_pair(args, min(args.n, 128), images=False)
     report = RunReport(
         command="indicatrix",
         inputs=inputs,
@@ -285,7 +283,7 @@ def cmd_indicatrix(args) -> int:
 
 def cmd_verify(args) -> int:
     tols = dict(args.tol or [])
-    pair, inputs = _load_pair(args, min(args.n, 256))
+    pair, inputs = _load_pair(args, min(args.n, 256), images=True)
     report = theorem_suite(pair, tols=tols)
 
     entries = {key: report.entries[key] for key in sorted(report.entries)}
@@ -297,7 +295,7 @@ def cmd_verify(args) -> int:
         inputs=inputs,
         parameters={"n": args.n, "tol": {k: tols[k] for k in sorted(tols)}},
         results={"lines": lines,
-                 "entries": {key: asdict(e) for key, e in entries.items()}},
+                 "entries": {key: vars(e) for key, e in entries.items()}},
     )
     _emit(run)
     return EXIT_IDENTITY if failed_identity else EXIT_OK
@@ -311,8 +309,7 @@ def cmd_generate(args) -> int:
             args.sphere_curve, math.pi / 3.0
         )
     else:
-        seed = load_curve(args.sphere_curve)
-        inputs = {args.sphere_curve: file_hash(args.sphere_curve)}
+        (seed,), inputs = read_inputs(args.sphere_curve)
         omega = args.omega if args.omega is not None else math.pi / 3.0
     curve = generate_bertrand_curve(seed, a=args.a, omega=omega, n=args.n)
     out = args.out or "generated.json"
@@ -338,21 +335,20 @@ def cmd_generate(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.mate:
-        a, b = _load_curve_pair(args.curve, args.mate)
+        (a, b), inputs = read_inputs(args.curve, args.mate)
         pc = pair_classify(a, b, n=args.n, align=args.align)
         report = RunReport(
             command="classify",
-            inputs={args.curve: file_hash(args.curve),
-                    args.mate: file_hash(args.mate)},
+            inputs=inputs,
             parameters={"n": args.n, "align": args.align},
             results={"verdict": pc.verdict, "evidence": pc.evidence},
         )
     else:
-        curve = load_curve(args.curve)
+        (curve,), inputs = read_inputs(args.curve)
         cc = classify_curve(curve, n=max(args.n, 64))
         report = RunReport(
             command="classify",
-            inputs={args.curve: file_hash(args.curve)},
+            inputs=inputs,
             parameters={"n": args.n},
             results={
                 "planar": cc.planar,

@@ -3,7 +3,9 @@
 Curve files are JSON with either an analytic block (three expression
 strings plus a domain) or a sampled block (parameter and point arrays).
 All reals are rendered with 17 significant digits so that repeated runs
-produce byte-identical artifacts.
+produce byte-identical artifacts.  A file is read once: its bytes are
+decoded as UTF-8 JSON text and, for a command's report, hashed
+(``read_inputs``), so the recorded sha256 is that of the bytes parsed.
 """
 
 from __future__ import annotations
@@ -37,45 +39,28 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _serialize(obj, out):
-    """Minimal deterministic JSON emitter; floats go through ``fmt``."""
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _serialize(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, v in enumerate(items):
-            if i:
-                out.append(", ")
-            _serialize(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
-    out = []
-    _serialize(obj, out)
-    return "".join(out)
+    """Minimal deterministic JSON text; floats go through ``fmt``."""
+    # a plain float first: curve files and reports are mostly floats
+    if type(obj) is float:
+        return fmt(obj) if math.isfinite(obj) else "null"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(map(dumps, obj.tolist() if isinstance(obj, np.ndarray) else obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +79,7 @@ def curve_to_dict(curve: Curve) -> dict:
         }
     elif isinstance(curve, (SampledCurve, JetBackedCurve)):
         d["type"] = "sampled"
-        d["sampled"] = {
-            "t": list(curve.params),
-            "points": [list(p) for p in curve.points],
-        }
+        d["sampled"] = {"t": curve.params.tolist(), "points": curve.points.tolist()}
         meta = getattr(curve, "metadata", None)
         if meta:
             d["metadata"] = {
@@ -250,15 +232,19 @@ def save_curve(curve: Curve, path: str):
 
 
 def _read_json(path: str):
+    """The bytes of the file at ``path``, from one read, and the JSON
+    document they hold.  Bytes that are not UTF-8 JSON text raise
+    CurveFileError naming the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
+        return data, json.loads(data.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
         raise CurveFileError(f"{path}: {e}")
 
 
 def load_curve(path: str) -> Curve:
-    return curve_from_dict(_read_json(path))
+    return curve_from_dict(_read_json(path)[1])
 
 
 def _load_curve_pair(base_path: str, mate_path: str):
@@ -267,15 +253,20 @@ def _load_curve_pair(base_path: str, mate_path: str):
     base curve: a generated pair makes one generator build and one node
     walk, and detection builds the mate's rows from its base's run.  The
     mate's rebuilt nodes are still checked against its stored samples."""
-    base = load_curve(base_path)
-    return base, _curve_from_dict(_read_json(mate_path), base)
+    return tuple(read_inputs(base_path, mate_path)[0])
 
 
-def file_hash(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def read_inputs(path: str, mate_path: str = None):
+    """The curves of a command's input files and its report's ``inputs``,
+    each file read once: the curve of ``path``, then, if ``mate_path`` is
+    given, that file's curve loaded beside it as by ``_load_curve_pair``;
+    and {path: sha256 hex digest of the bytes parsed}."""
+    curves, inputs = [], {}
+    for p in (path,) if mate_path is None else (path, mate_path):
+        data, doc = _read_json(p)
+        curves.append(_curve_from_dict(doc, curves[0] if curves else None))
+        inputs[p] = hashlib.sha256(data).hexdigest()
+    return curves, inputs
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from bertrand_kit.errors import (
     NotSphericalError,
     ParameterError,
 )
-from bertrand_kit.io import save_curve
+from bertrand_kit.io import dumps, save_curve
 
 
 def valid_ts(pair, margin=2):
@@ -871,6 +871,50 @@ def test_mate_of_a_mate_is_detected_on_the_separate_path():
     want_base, want_mate = _separate_rows(*fresh(), pair.ts)
     _assert_same_rows(pair.base_rows, want_base)
     _assert_same_rows(pair.mate_rows, want_mate)
+
+
+@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant", "analytic"])
+def test_pair_check_without_images_asks_the_base_for_order_6(preset, monkeypatch):
+    """A pair check that no suite follows (``images=False``) asks the base
+    once, for order 6, where the default asks for order 8, asks the mate
+    for nothing, builds the base's frame only and holds no image jets.
+    Its grid, rows, offset, sign and statistics have the bits of the
+    default run's, and a suite on it, which then asks for its image jets
+    itself, gives the default pair's report."""
+    want = detect_bertrand(*_fresh_pair(preset), n=24)
+    base, mate = _fresh_pair(preset)
+    role = {base: "base", mate: "mate"}
+    requests = Counter()
+    real_frame = bertrand._frame
+
+    def counting(real):
+        def jet(self, t, order):
+            if self in role:  # not the generator's seed
+                requests[role[self], order] += 1
+            return real(self, t, order)
+        return jet
+
+    def counting_frame(*core):
+        requests["frames"] += 1
+        return real_frame(*core)
+
+    for cls in (AnalyticCurve, JetBackedCurve):
+        monkeypatch.setattr(cls, "jet", counting(cls.jet))
+    monkeypatch.setattr(bertrand, "_frame", counting_frame)
+    got = detect_bertrand(base, mate, n=24, images=False)
+    assert requests == Counter({("base", 6): 1, "frames": 1})
+    monkeypatch.undo()
+    assert got._images is None
+    assert_same_bits_array(got.ts, want.ts)
+    assert_same_bits_array(got.masked, want.masked)
+    _assert_same_rows(got.base_rows, want.base_rows)
+    _assert_same_rows(got.mate_rows, want.mate_rows)
+    for name in ("lam", "epsilon", "p1", "p2", "q1", "q2", "lambda_stat"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    if preset != "analytic":
+        reports = [{k: vars(e) for k, e in theorem_suite(pair).entries.items()}
+                   for pair in (got, want)]
+        assert dumps(reports[0]) == dumps(reports[1])
 
 
 def test_generator_build_makes_one_seed_request():

@@ -1,8 +1,11 @@
 """Command-line behavior: reports, determinism, exit codes, round trips."""
 
+import builtins
+import hashlib
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +258,7 @@ def test_indicatrix_tangent_no_affine_block(workdir, capsys):
 def _table_from_views(base, mate, side, axis, n):
     """The indicatrix table built point by point from the public views,
     on the pair the CLI loads from the same files."""
-    pair = _detect_from_files(load_curve(base), load_curve(mate), min(n, 128))
+    pair = _detect_from_files(load_curve(base), load_curve(mate), min(n, 128), images=False)
     ts = np.linspace(pair.ts[0], pair.ts[-1], n)
     image = indicatrix_curve(pair.base if side == "base" else pair.mate, axis, n)
     rows = []
@@ -762,9 +765,11 @@ def small_pair(tmp_path_factory):
     return base, mate
 
 
-def _count_generator_work(monkeypatch):
+def _count_generator_work(monkeypatch, runs=None):
     """A Counter of generator builds, node walks (order-10 requests to an
-    analytic seed) and generator pipelines (one series reversion each)."""
+    analytic seed) and generator pipelines (one series reversion each);
+    ``runs``, if given, gets each pipeline's (order, columns) in call
+    order."""
     counts = Counter()
     real_generate, real_invert = bertrand.generate_bertrand_curve, bertrand.invert_series
     real_jet = AnalyticCurve.jet
@@ -775,6 +780,8 @@ def _count_generator_work(monkeypatch):
 
     def invert(fwd):
         counts["pipelines"] += 1
+        if runs is not None:
+            runs.append((fwd.order, fwd.coeffs.shape[-1]))
         return real_invert(fwd)
 
     def jet(self, t, order):
@@ -815,6 +822,120 @@ def test_file_pair_builds_one_generator(small_pair, capsys, monkeypatch, argv, p
     rc, _, _ = run(capsys, [argv[0], *small_pair, *argv[1:]])
     assert rc == 0
     assert counts == Counter(builds=1, walks=1, pipelines=pipelines)
+
+
+@pytest.fixture(scope="module")
+def pair_24(tmp_path_factory):
+    """Paths of a wobble base file and of its mate file, both at n = 24."""
+    d = tmp_path_factory.mktemp("pair24")
+    base, mate = str(d / "base.json"), str(d / "mate.json")
+    assert main(["generate", "--sphere-curve", "wobble", "--n", "24", "--out", base]) == 0
+    assert main(["mate", base, "--auto", "--n", "24", "--out", mate]) == 0
+    return base, mate
+
+
+# The (order, columns) of each generator pipeline a command runs on a pair
+# generated at n = 24, in call order; the generator serves any order up to
+# 6 at 6.  mate fits lambda on 64 points, reads its 25-node table to save
+# it and checks the pair on 24 points; each two-file command first checks
+# the loaded mate's 25 nodes.  A pair check that no suite follows (mate,
+# indicatrix) reads rows only and asks for order 6; verify's detection
+# asks for order 8, whose frames the suite's image rows read.  An
+# indicatrix also runs its data-side rows and the image curve's grid, and
+# a b kind the arc-length relations of base and mate.
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["mate", "--auto", "--n", "24"], [(6, 64), (6, 25), (6, 24)]),
+        (["verify", "--n", "24"], [(6, 25), (8, 24)]),
+        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"],
+           [(6, 25), (6, 64), (6, 64), (6, 64)] + [(6, 65)] * 2 * (axis == "b"))
+          for axis in "tnb" for side in ("base", "mate")],
+    ],
+    ids=lambda v: "-".join(a.lstrip("-") for a in v) if isinstance(v[0], str) else "runs",
+)
+def test_generator_pipeline_orders_per_command(pair_24, tmp_path, capsys, monkeypatch,
+                                               argv, want):
+    """Each command asks the generator for the orders it reads: the mate
+    and indicatrix pair checks at order 6 (8 before)."""
+    base, mate = pair_24
+    if argv[0] == "mate":
+        argv = [*argv[:1], base, *argv[1:], "--out", str(tmp_path / "mate.json")]
+    else:
+        argv = [*argv[:1], base, mate, *argv[1:]]
+    runs = []
+    _count_generator_work(monkeypatch, runs)
+    rc, _, err = run(capsys, argv)
+    assert rc == 0, err
+    assert runs == want
+
+
+def _one_file_commands(tmp_path):
+    """A wobble seed file, and the argv of each command that reads one
+    file, with SEED or BASE where the file goes."""
+    seed = str(tmp_path / "seed.json")
+    save_curve(sphere_preset("wobble"), seed)
+    return seed, [
+        ["frenet", "BASE", "--grid", "8"],
+        ["mate", "BASE", "--auto", "--n", "24", "--out", str(tmp_path / "out.json")],
+        ["classify", "BASE"],
+        ["generate", "--sphere-curve", "SEED", "--n", "24", "--out", str(tmp_path / "gen.json")],
+    ]
+
+
+TWO_FILE_COMMANDS = [
+    ["verify", "BASE", "MATE", "--n", "24"],
+    ["indicatrix", "BASE", "MATE", "--kind", "b-mate", "--n", "24"],
+    ["classify", "BASE", "MATE"],
+]
+
+
+def test_each_command_reads_each_input_once(pair_24, tmp_path, capsys, monkeypatch):
+    """Every command opens each input file once, and its report's
+    ``inputs`` holds the sha256 of those bytes (mate, verify, indicatrix
+    and classify opened each input twice, to parse it and to hash it)."""
+    seed, commands = _one_file_commands(tmp_path)
+    files = {"SEED": seed, "BASE": pair_24[0], "MATE": pair_24[1]}
+    real_open = builtins.open
+    for argv in commands + TWO_FILE_COMMANDS:
+        argv = [files.get(a, a) for a in argv]
+        inputs = [a for a in argv if a in files.values()]
+        opened = Counter()
+
+        def counting_open(file, *args, **kwargs):
+            opened[file] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        rc, out, err = run(capsys, argv)
+        monkeypatch.undo()
+        assert rc == 0, err
+        assert {p: opened[p] for p in inputs} == dict.fromkeys(inputs, 1), argv
+        assert json.loads(out)["inputs"] == {
+            p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00bad", b'{"label": "caf\xe9"}',
+                                  '{"type": "analytic"}'.encode("utf-16")],
+                         ids=["repro", "latin-1", "utf-16"])
+def test_input_that_is_not_utf8_is_a_parse_error(pair_24, tmp_path, capsys, data):
+    """A curve file whose bytes are not UTF-8 JSON text, in any input
+    place of any command, exits 2 with one error line naming the file
+    (a UnicodeDecodeError traceback, exit 1, before)."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    with pytest.raises(CurveFileError) as exc:
+        load_curve(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+    _, commands = _one_file_commands(tmp_path)
+    files = {"BASE": pair_24[0], "MATE": pair_24[1]}
+    places = [[str(bad) if a in ("SEED", "BASE") else a for a in argv] for argv in commands]
+    places += [[str(bad) if a == which else files.get(a, a) for a in argv]
+               for argv in TWO_FILE_COMMANDS for which in ("BASE", "MATE")]
+    for argv in places:
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("which", ["base", "mate"])
