@@ -65,6 +65,9 @@ from .jets import (
 EPS_DEN = 1e-10
 TOL_ALIGN = 1e-6
 TOL_CONST = 1e-6
+# The largest offset between two curves' points below which they coincide:
+# no pair, as a Bertrand pair's offset is a nonzero constant.
+_EPS_COINCIDE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +156,19 @@ def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
 
 def _frames(P):
     """Vector jets of (P, T, N, B) from the position jet P, the frame two
-    orders below P's; column by column, so the columns of
-    stacked curves get the bits each gets alone.  The frame is
-    ``curves._frame``, which detection also runs on a Frenet pass's jets."""
+    orders below P's, column by column.  The frame is ``curves._frame``,
+    which detection also runs on a Frenet pass's jets."""
     D1 = P.deriv()
     C = jcross(D1, D1.deriv())
     D1 = D1.truncate(C.order)
     return (P, *_frame(D1, jsqrt(jdot(D1, D1)), C, jsqrt(jdot(C, C))))
 
 
-def _image_frames(jets, ts):
+def _image_frames(jets):
     """The order-4 T, N and B jets of each curve whose order-6 position
-    jet about ``ts`` is one of ``jets``, curve by curve: the position jets
-    of its three image curves, from one ``_frames`` pass over the stacked
-    columns of all curves."""
-    n = len(ts)
-    P = Jet(np.tile(ts, len(jets)), np.concatenate([P.coeffs for P in jets], axis=-1))
-    frame = _frames(P)[1:]
-    return tuple(v.truncate(_FRENET_ORDER).take(slice(i * n, (i + 1) * n))
-                 for i in range(len(jets)) for v in frame)
+    jet is one of ``jets``, curve by curve, from one ``_frames`` pass per
+    curve: the position jets of its three image curves."""
+    return tuple(v.truncate(_FRENET_ORDER) for P in jets for v in _frames(P)[1:])
 
 
 def _offset(P, lam):
@@ -283,12 +280,11 @@ class BertrandPairModel:
     def _image_jets(self):
         """The order-4 T, N and B jets of base and then mate at
         ``ts[~masked]``: the ones detection holds, else from one order-6
-        request of each curve and one ``_frames`` pass over both."""
+        request and one ``_frames`` pass per curve."""
         if self._images is not None:
             return self._images
         ts = self.ts[~self.masked]
-        return _image_frames(tuple(c.jet(ts, _FRENET_ORDER + 2) for c in (self.base, self.mate)),
-                           ts)
+        return _image_frames(c.jet(ts, _FRENET_ORDER + 2) for c in (self.base, self.mate))
 
 
 def _overlap_grid(base: Curve, mate: Curve, n: int, inset: float = 1e-6):
@@ -328,28 +324,28 @@ def detect_bertrand(
     ``inset`` trims a fraction of the overlap interval at each end; useful
     for sampled curves whose end stencils are one-sided; one outside
     [0, 0.5) raises ParameterError.  Raises TooFewSamplesError for a grid
-    of fewer than 8 points and
-    NotAPairError with a reason of 'offset-not-normal', 'lambda-varies'
-    or 'normals-not-aligned'.  The returned pair keeps the Frenet data
+    of fewer than 8 points and NotAPairError with a reason of
+    'offset-not-normal' (also for curves that coincide, whose offset is
+    below ``_EPS_COINCIDE`` at every point), 'lambda-varies' or
+    'normals-not-aligned'.  The returned pair keeps the Frenet data
     evaluated here, one batch per curve, as row arrays.
 
+    Every pair takes one path: the base is asked once for its grid jet P,
+    one Frenet pass (``_columns``) over P gives its rows, and one over the
+    mate's position jet at the base's regular points gives the mate's.
     A mate that ``construct_mate`` built on this very base (its
-    ``_offset_of``) is not asked for anything: the base is asked once, for
-    its grid jet at ``_FRENET_ORDER + 4``, and one Frenet pass over it
-    gives the base's rows, which read its order-4 truncation, and the
-    base's frame.  The mate's order-6 jet is P + lam N at the base's
-    regular points, with that N, and the mate's own pass gives its rows
-    and its frame.  The pair holds both frames, cut to order 4, for the
-    suite's image rows, so the pair and its suite run the base's jet once
-    and build each curve's frame once on the grid.  ``images`` says
-    whether those image jets will be read: with False (a pair check that
-    no suite follows) the base is asked for ``_FRENET_ORDER + 2``, the
-    mate's jet is of order 4 and no image frame is built; the rows keep
+    ``_offset_of``) is asked for nothing: P is of order
+    ``_FRENET_ORDER + 4``, the mate's jet is P + lam N with the N of the
+    base's pass, and the pair holds both curves' frames, cut to order 4,
+    for the suite's image rows; so the pair and its suite run the base's
+    jet once and build each curve's frame once on the grid.  With
+    ``images`` False (a pair check that no suite follows) P is of order
+    ``_FRENET_ORDER + 2`` and no image frame is built; the rows keep
     their bits, as the low orders of a higher run have the bits of a
     lower one, and a suite that does run asks for its image jets itself.
-    Any other pair asks each curve once at ``_FRENET_ORDER``, as a
-    stencil's width and a normal offset's bits depend on the order asked.
-    Neither curve's node table is read here.
+    Any other pair asks each curve at ``_FRENET_ORDER``, as a stencil's
+    width and a normal offset's bits depend on the order asked.  Neither
+    curve's node table is read here.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
@@ -357,19 +353,15 @@ def detect_bertrand(
         raise ParameterError(f"inset must lie in [0, 0.5), got {inset}")
     ts = _overlap_grid(base, mate, n, inset=inset)
     shared = mate._offset_of is not None and mate._offset_of[0] is base
+    P = base.jet(ts, _FRENET_ORDER + (4 if images else 2) if shared else _FRENET_ORDER)
+    base_rows, ok, _, core = _columns(P, ts)
     if shared:
-        P = base.jet(ts, _FRENET_ORDER + (4 if images else 2))
-        base_rows, ok, _, core = _columns(P, ts)
         frame = _frame(*core)
         # the mate only where the base is regular, where its N is defined
         P_mate = P.take(ok) + mate._offset_of[1] * frame[1]
-        mate_rows, mate_ok, _, core = _columns(P_mate, ts[ok])
-        if images:
-            held = (*(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
-                    *(v.truncate(_FRENET_ORDER) for v in _frame(*core)))
     else:
-        base_rows, ok, _ = _frenet_columns(base, ts)
-        mate_rows, mate_ok, _ = _frenet_columns(mate, ts[ok])
+        P_mate = mate.jet(ts[ok], _FRENET_ORDER)
+    mate_rows, mate_ok, _, mate_core = _columns(P_mate, ts[ok])
     base_rows = _take_rows(base_rows, mate_ok)
     ok[ok] = mate_ok
     valid = np.nonzero(ok)[0]
@@ -378,18 +370,19 @@ def detect_bertrand(
 
     offsets = mate_rows.point - base_rows.point
     scale = float(np.max(np.linalg.norm(offsets, axis=1)))
-    degenerate = scale < 1e-12
+    if scale < _EPS_COINCIDE:
+        raise NotAPairError(
+            "offset-not-normal", f"the curves coincide (max offset {scale:.3e})")
 
+    # offset must lie along the principal normal
     lam_signed, resid = _offset_along(offsets, base_rows.N)
-    lam_stat = ConstancyStat.of([0.0] if degenerate else lam_signed)
-    if not degenerate:
-        # offset must lie along the principal normal
-        if np.max(resid) > math.sqrt(tol_align) * scale:
-            raise NotAPairError(
-                "offset-not-normal", f"max transverse component {np.max(resid):.3e}"
-            )
-        if lam_stat.max_deviation > tol_const * (1.0 + abs(lam_stat.mean)):
-            raise NotAPairError("lambda-varies", f"max deviation {lam_stat.max_deviation:.3e}")
+    if np.max(resid) > math.sqrt(tol_align) * scale:
+        raise NotAPairError(
+            "offset-not-normal", f"max transverse component {np.max(resid):.3e}"
+        )
+    lam_stat = ConstancyStat.of(lam_signed)
+    if lam_stat.max_deviation > tol_const * (1.0 + abs(lam_stat.mean)):
+        raise NotAPairError("lambda-varies", f"max deviation {lam_stat.max_deviation:.3e}")
 
     dots = np.sum(base_rows.N * mate_rows.N, axis=1)
     if np.min(np.abs(dots)) < 1.0 - tol_align:
@@ -420,7 +413,9 @@ def detect_bertrand(
         masked=~ok,
     )
     if shared and images:
-        pair._images = tuple(map(_read_only, held))
+        pair._images = tuple(map(_read_only, (
+            *(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
+            *(v.truncate(_FRENET_ORDER) for v in _frame(*mate_core)))))
     return pair
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .bertrand import (
     BertrandPairModel,
     ConstancyStat,
+    _EPS_COINCIDE,
     _constraint_residuals,
     _offset_along,
     _overlap_grid,
@@ -260,7 +261,8 @@ def _classify_image_rows(images, ts):
 def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
     """The verdict and evidence of ``pair_classify`` from the point, T, N
     and B rows (``_pose``) of two curves' Frenet columns, read on the
-    columns ``both`` where both are regular."""
+    columns ``both`` where both are regular.  Curves whose largest offset
+    is below ``bertrand._EPS_COINCIDE`` coincide: no pair, 'none'."""
     if np.count_nonzero(both) < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(f"{np.count_nonzero(both)} regular sample pairs of {n}")
     pa, Ta, Na, Ba = (v[both[ok_a]] for v in rows_a)
@@ -298,7 +300,9 @@ def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
                               "tangent_orthogonality_dev": tangent_dev}
     holds_i = offset_dev < math.sqrt(tol) and tangent_dev < math.sqrt(tol)
 
-    if holds_b:
+    if scale < _EPS_COINCIDE:
+        verdict = "none"
+    elif holds_b:
         verdict = "bertrand"
     elif holds_m:
         verdict = "mannheim"

@@ -215,16 +215,15 @@ def cmd_mate(args) -> int:
     out = args.out or "mate.json"
     save_curve(mate, out)
     report.results["mate_file"] = out
-    if abs(lam) > 0:
-        try:
-            # no suite follows: the pair's image jets are not read
-            pair = _detect_from_files(base, mate, min(args.n, 128), images=False)
-            report.results.update({"lambda": pair.lam, "epsilon": pair.epsilon})
-            for name in ("p1", "p2", "q1", "q2"):
-                stat = getattr(pair, name)
-                report.results.update({name: stat.mean, f"{name}_deviation": stat.max_deviation})
-        except (NotAPairError, TooFewSamplesError) as e:
-            report.results["pair_check"] = f"failed: {e}"
+    try:
+        # no suite follows: the pair's image jets are not read
+        pair = _detect_from_files(base, mate, min(args.n, 128), images=False)
+        report.results.update({"lambda": pair.lam, "epsilon": pair.epsilon})
+        for name in ("p1", "p2", "q1", "q2"):
+            stat = getattr(pair, name)
+            report.results.update({name: stat.mean, f"{name}_deviation": stat.max_deviation})
+    except (NotAPairError, TooFewSamplesError) as e:
+        report.results["pair_check"] = f"failed: {e}"
     _emit(report)
     return EXIT_OK
 
@@ -345,7 +344,7 @@ def cmd_classify(args) -> int:
         )
     else:
         (curve,), inputs = read_inputs(args.curve)
-        cc = classify_curve(curve, n=max(args.n, 64))
+        cc = classify_curve(curve, n=args.n)
         report = RunReport(
             command="classify",
             inputs=inputs,

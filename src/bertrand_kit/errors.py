@@ -65,7 +65,8 @@ class DegenerateRatioError(BertrandKitError):
 class NotAPairError(BertrandKitError):
     """Two curves failed the Bertrand-pair checks.
 
-    ``reason`` is one of 'offset-not-normal', 'lambda-varies',
+    ``reason`` is one of 'offset-not-normal' (curves that coincide
+    included: a pair's offset is not zero), 'lambda-varies',
     'normals-not-aligned'.
     """
 

@@ -78,7 +78,7 @@ def image_rows(curve, ts):
     columns, the T image's first: the T image is the curve whose position
     jet is T's jet, and likewise N and B."""
     ts = np.asarray(ts, dtype=float)
-    return _image_columns(_image_frames((curve.jet(ts, _FRENET_ORDER + 2),), ts), ts)
+    return _image_columns(_image_frames((curve.jet(ts, _FRENET_ORDER + 2),)), ts)
 
 
 def _image_columns(images, ts):

@@ -247,20 +247,12 @@ def load_curve(path: str) -> Curve:
     return curve_from_dict(_read_json(path)[1])
 
 
-def _load_curve_pair(base_path: str, mate_path: str):
-    """The curves of a base file and of a mate file.  A mate that records
-    the loaded base's recipe, analytic or generated, is rebuilt on that
-    base curve: a generated pair makes one generator build and one node
-    walk, and detection builds the mate's rows from its base's run.  The
-    mate's rebuilt nodes are still checked against its stored samples."""
-    return tuple(read_inputs(base_path, mate_path)[0])
-
-
 def read_inputs(path: str, mate_path: str = None):
     """The curves of a command's input files and its report's ``inputs``,
     each file read once: the curve of ``path``, then, if ``mate_path`` is
-    given, that file's curve loaded beside it as by ``_load_curve_pair``;
-    and {path: sha256 hex digest of the bytes parsed}."""
+    given, that file's curve loaded beside it; and {path: sha256 hex
+    digest of the bytes parsed}.  A mate that records the loaded base's
+    recipe is rebuilt on that base curve (``_rebuild_from_metadata``)."""
     curves, inputs = [], {}
     for p in (path,) if mate_path is None else (path, mate_path):
         data, doc = _read_json(p)

@@ -7,6 +7,7 @@ hold, so a point evaluated alone, in a grid or in any shuffled subset of
 it gives the same bits.
 """
 
+import json
 import math
 from collections import Counter
 
@@ -20,6 +21,7 @@ from bertrand_kit.bertrand import (
     _frames,
     _image_frames,
     construct_mate,
+    detect_bertrand,
     generate_bertrand_curve,
     generated_pair,
     sphere_preset,
@@ -35,7 +37,8 @@ from bertrand_kit.curves import (
     frenet_apparatus,
     frenet_grid,
 )
-from bertrand_kit.classify import _classify_image_rows, _classify_rows, _pose
+from bertrand_kit.classify import _classify_image_rows, _classify_rows, _pose, theorem_suite
+from bertrand_kit.cli import _detect_from_files
 from bertrand_kit.errors import (
     DomainError,
     OutOfDomainError,
@@ -49,6 +52,7 @@ from bertrand_kit.indicatrix import (
     apparatus_grid,
     image_rows,
 )
+from bertrand_kit.io import read_inputs, save_curve
 
 TREFOIL = ("sin(t) + 2.1*sin(2*t)", "cos(t) - 2.1*cos(2*t)", "-sin(3*t)")
 
@@ -507,7 +511,7 @@ def test_image_rows_mark_one_untestable_axis():
     base = AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.0, 3.0))
     mate = construct_mate(base, 0.2, n=64)
     ts = np.linspace(0.1, 2.9, 24)
-    got = _classify_image_rows(_image_frames([curve.jet(ts, 6) for curve in (base, mate)], ts), ts)
+    got = _classify_image_rows(_image_frames([curve.jet(ts, 6) for curve in (base, mate)]), ts)
     assert list(got) == list(AXES)
     assert not image_rows(base, ts)[1][2 * len(ts):].any()
     assert got["binormal"].verdict == "untestable"
@@ -518,3 +522,61 @@ def test_image_rows_mark_one_untestable_axis():
                                1e-6)
         assert got[axis].verdict == alone.verdict != "untestable"
         assert_same_evidence(got[axis].evidence, alone.evidence)
+
+
+def _axis_rows(curve, ts):
+    """Each axis's point, T, N and B rows (``_pose``) and regular mask
+    from the curve's own ``image_rows`` at ``ts``."""
+    rows, regular, _ = image_rows(curve, ts)
+    out, start = [], 0
+    for k in range(len(AXES)):
+        ok = regular[k * len(ts):(k + 1) * len(ts)]
+        count = np.count_nonzero(ok)
+        out.append((tuple(v[start:start + count] for v in _pose(rows)), ok))
+        start += count
+    return out
+
+
+def _mate_of_a_mate(tmp_path):
+    """A wobble mate beside its own mate, by 1.0 (-epsilon lambda, which
+    leads back to the base): the mate records no base block."""
+    mate = construct_mate(_generated("wobble"), 1.0, n=64)
+    return detect_bertrand(mate, construct_mate(mate, 1.0, n=64), n=24)
+
+
+def _stripped_files(tmp_path):
+    """A wobble pair through files without their metadata, loaded as
+    samples and detected as ``verify`` detects."""
+    base = _generated("wobble")
+    paths = []
+    for name, curve in (("base", base), ("mate", construct_mate(base, 1.0, n=64))):
+        path = tmp_path / f"{name}.json"
+        save_curve(curve, str(path))
+        doc = json.loads(path.read_text())
+        del doc["metadata"]
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    (base, mate), _ = read_inputs(*paths)
+    return _detect_from_files(base, mate, 24, images=True)
+
+
+@pytest.mark.parametrize("build", [_mate_of_a_mate, _stripped_files])
+def test_suite_images_of_a_pair_that_holds_none_are_each_curves_own(build, tmp_path):
+    """A pair that detection did not build from one run of its base holds
+    no image jets, so the suite asks each curve for its order-6 jet and
+    builds its frame on its own.  Each axis's negative-result verdict,
+    and its evidence, are those of ``_classify_rows`` over each curve's
+    own ``image_rows``."""
+    pair = build(tmp_path)
+    assert pair._images is None
+    note = theorem_suite(pair).entries["negative-result"].note
+    ts = pair.ts[~pair.masked]
+    got = _classify_image_rows(pair._image_jets(), ts)
+    verdicts = []
+    for axis, (rows_a, ok_a), (rows_b, ok_b) in zip(AXES, _axis_rows(pair.base, ts),
+                                                    _axis_rows(pair.mate, ts)):
+        want = _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, len(ts), 1e-6)
+        assert got[axis].verdict == want.verdict
+        assert_same_evidence(got[axis].evidence, want.evidence)
+        verdicts.append(want.verdict)
+    assert note == f"verdicts={verdicts}"

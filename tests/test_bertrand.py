@@ -156,6 +156,21 @@ def test_pair_with_too_few_regular_points_rejected(helix):
         assert ei.value.reason == "offset-not-normal"
 
 
+@pytest.mark.parametrize("kind", ["analytic", "generated", "sampled"])
+def test_detection_refuses_coincident_curves(helix, kind):
+    """A curve is not its own Bertrand mate: detection refuses the curve
+    beside itself and beside its mate by lambda 0 (offset-not-normal,
+    naming the coincidence), where it used to accept a pair with
+    lambda 0."""
+    ts = np.linspace(0.0, 6.0, 65)
+    base = {"analytic": lambda: helix, "generated": lambda: _generated("wobble"),
+            "sampled": lambda: SampledCurve(ts, helix.point(ts).T)}[kind]()
+    for mate in (base, construct_mate(base, 0.0, n=64)):
+        with pytest.raises(NotAPairError, match="the curves coincide") as ei:
+            detect_bertrand(base, mate, n=64)
+        assert ei.value.reason == "offset-not-normal"
+
+
 def test_construct_mate_zero_offset(helix):
     m = construct_mate(helix, 0.0, n=64)
     for t in (0.5, 3.0):

@@ -14,6 +14,7 @@ from bertrand_kit.classify import (
     _KEYLESS_ENTRIES,
     _SUITE_KEYS,
     IDENTITY_ENTRIES,
+    _classify_image_rows,
     TOLERANCE_KEYS,
     classify_curve,
     condition_residual,
@@ -169,6 +170,23 @@ def test_theorem_suite_passes_on_an_eps_plus_one_pair(preset, omega, a):
     assert pair.epsilon == 1
     rep = theorem_suite(pair)
     assert rep.all_passed, [k for k, e in rep.entries.items() if not e.passed]
+
+
+@pytest.mark.parametrize("preset, omega", [("wobble", 0.5), ("tilt", 2.6), ("bean", 2.0),
+                                           ("slant", 2.5)])
+def test_coincident_curves_classify_as_no_pair(preset, omega):
+    """Curves whose points lie within detection's coincidence floor are no
+    pair of any kind: a curve beside itself classifies as 'none' (it
+    classified as 'bertrand' with lambda_mean 0), and so does the
+    normal-axis image pair of an epsilon = +1 pair, whose two images
+    coincide (N_mate = N), so that its verdict no longer rests on a
+    roundoff-sized transverse offset over a roundoff-sized scale."""
+    pair = generated_pair(preset, omega=omega, n=64, grid=24)
+    assert pair.epsilon == 1
+    assert pair_classify(pair.base, pair.base, n=24).verdict == "none"
+    normal = _classify_image_rows(pair._image_jets(), pair.ts[~pair.masked])["normal"]
+    assert normal.verdict == "none"
+    assert abs(normal.evidence["bertrand"]["lambda_mean"]) < 1e-12
 
 
 @pytest.mark.parametrize("key, value", [("th2", -1.0), ("th2", 0.0), ("th2", -math.inf),

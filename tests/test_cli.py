@@ -13,15 +13,15 @@ import pytest
 from bertrand_kit import bertrand, cli, errors
 from bertrand_kit.bertrand import construct_mate, generate_bertrand_curve, sphere_preset
 from bertrand_kit.classify import _KEYLESS_ENTRIES, IDENTITY_ENTRIES, TOLERANCE_KEYS
-from bertrand_kit.cli import _detect_from_files, main
+from bertrand_kit.cli import EXIT_NOT_A_PAIR, _detect_from_files, main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
 from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
 from bertrand_kit.io import (
     CurveFileError,
-    _load_curve_pair,
     _rebuild_from_metadata,
     dumps,
     load_curve,
+    read_inputs,
     save_curve,
 )
 
@@ -322,6 +322,41 @@ def test_classify_at_the_minimum_grid(small_pair, capsys, align):
     rc, out, _ = run(capsys, ["classify", *small_pair, "--n", "16", "--align", align])
     assert rc == 0
     assert "verdict" in json.loads(out)["results"]
+
+
+@pytest.mark.parametrize("n", ["1", "32", "63"])
+def test_one_file_classify_below_64_points_is_a_size_error(small_pair, capsys, n):
+    """A one-file classification grid below 64 points exits 2 with one
+    ``error:`` line, where it used to report its --n and evaluate 64
+    points; 64 itself is reported and evaluated as asked."""
+    rc, out, err = run(capsys, ["classify", small_pair[0], "--n", n])
+    assert (rc, out) == (2, "")
+    assert err == "error: classification needs n >= 64\n"
+    rc, out, _ = run(capsys, ["classify", small_pair[0], "--n", "64"])
+    rep = json.loads(out)
+    assert (rc, rep["parameters"]["n"], rep["results"]["metrics"]["masked_fraction"]) == (0, 64, 0)
+
+
+def test_coincident_curves_are_no_pair(small_pair, capsys, tmp_path):
+    """A curve beside itself is no pair: verify exits 6 with one ``error:``
+    line (it used to exit 7, failing constraint-eq, cr14, cr33,
+    eps-g-relation and negative-result on a pair with lambda 0), classify
+    says 'none' (it said 'bertrand' with lambda_mean 0), and the pair
+    check of a mate by lambda 0 reports the refusal (it ran none)."""
+    base = small_pair[0]
+    rc, out, err = run(capsys, ["verify", base, base, "--n", "24"])
+    assert (rc, out) == (EXIT_NOT_A_PAIR, "")
+    assert err == ("error: not a Bertrand pair (offset-not-normal): "
+                   "the curves coincide (max offset 0.000e+00)\n")
+    rc, out, _ = run(capsys, ["classify", base, base])
+    assert (rc, json.loads(out)["results"]["verdict"]) == (0, "none")
+    rc, out, _ = run(capsys, ["mate", base, "--lambda", "0", "--n", "64",
+                              "--out", str(tmp_path / "zero.json")])
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert results["pair_check"] == ("failed: not a Bertrand pair (offset-not-normal): "
+                                     "the curves coincide (max offset 0.000e+00)")
+    assert "lambda" not in results
 
 
 def test_exit_parse_error_bad_file(workdir, capsys, tmp_path):
@@ -691,7 +726,7 @@ def test_curve_file_round_trip_byte_identical(workdir, tmp_path):
             del stored["metadata"]
             want = (dumps(stored) + "\n").encode()
         assert _resaved(load_curve(str(mate_file)), tmp_path) == want, base.label
-        paired = _load_curve_pair(str(base_file), str(mate_file))[1]
+        paired = read_inputs(str(base_file), str(mate_file))[0][1]
         assert _resaved(paired, tmp_path) == want, base.label
 
 
@@ -1012,7 +1047,7 @@ def test_mate_base_n_that_is_not_a_positive_integer_builds_nothing(
     counts = _count_generator_work(monkeypatch)
     assert isinstance(load_curve(str(f)), SampledCurve)
     assert counts["builds"] == 0
-    loaded = _load_curve_pair(base, str(f))
+    loaded, _ = read_inputs(base, str(f))
     assert counts["builds"] == 1
     assert tuple(map(type, loaded)) == (JetBackedCurve, SampledCurve)
     np.testing.assert_array_equal(loaded[1].points, json.loads(text)["sampled"]["points"])
@@ -1125,7 +1160,7 @@ def test_mate_beside_its_base_keeps_the_stored_sample_checks(
                   "other n": {"n": 48}, "other seed": {"seed": "tilt"}}[case]
         base = _other_base(str(tmp_path / "base.json"), **change)
     counts = _count_generator_work(monkeypatch)
-    loaded = _load_curve_pair(base, mate)
+    loaded, _ = read_inputs(base, mate)
     assert counts["builds"] == builds
     assert tuple(map(type, loaded)) == kinds
     on_base = loaded[1]._offset_of is not None and loaded[1]._offset_of[0] is loaded[0]
