@@ -9,15 +9,11 @@ the identities that tie them together.
 from .bertrand import (
     BertrandPairModel,
     ConstancyStat,
-    MateApparatus,
-    bertrand_lambda,
     construct_mate,
     detect_bertrand,
     generate_bertrand_curve,
     generated_pair,
-    geodesic_indicator_closed_form,
     linear_relation_fit,
-    mate_apparatus_from_base,
     pair_constraint_residual,
     sphere_preset,
     DEFAULT_OMEGA,
@@ -61,7 +57,6 @@ from .errors import (
 from .indicatrix import (
     AffineFit,
     ArcLengthRelations,
-    IndicatrixSample,
     frame_relations_check,
     indicatrix_arclength_relations,
     indicatrix_curve,
@@ -75,5 +70,12 @@ from .io import (
     save_curve,
 )
 from .jets import Jet, compose, evaluate_jet, invert_series
+from .paper import (
+    IndicatrixSample,
+    MateApparatus,
+    bertrand_lambda,
+    geodesic_indicator_closed_form,
+    mate_apparatus_from_base,
+)
 
 __version__ = "1.0.0"

@@ -1,4 +1,4 @@
-"""Bertrand pairs: construction, detection, closed-form mate apparatus.
+"""Bertrand pairs: construction, detection, test-pair generation.
 
 Conventions
 -----------
@@ -10,7 +10,7 @@ measured sign of <N, N_mate> and must be constant over the grid.
 
 The ratio invariants ``f = tau/kappa`` and ``g = tau'/kappa'``
 (arc-length primes) are columns of ``FrenetData``; ``g`` is undefined on
-helical arcs (kappa' = 0).
+helical arcs (kappa' = 0).  The closed forms over them are ``paper``'s.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .curves import (
     _take_rows,
 )
 from .errors import (
-    DegenerateRatioError,
     DegenerateSphereCurveError,
     GridMismatchError,
     IllConditionedError,
@@ -49,10 +48,10 @@ from .errors import (
     TooFewSamplesError,
 )
 from .io import _base_block
+from .paper import _constraint_residuals, projection_constants
 from .jets import (
     Jet,
     _cross_rows,
-    _first,
     compose,
     invert_series,
     jcross,
@@ -62,92 +61,11 @@ from .jets import (
     jstack,
 )
 
-EPS_DEN = 1e-10
 TOL_ALIGN = 1e-6
 TOL_CONST = 1e-6
 # The largest offset between two curves' points below which they coincide:
 # no pair, as a Bertrand pair's offset is a nonzero constant.
 _EPS_COINCIDE = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# ratio invariants
-
-
-def _require_g(fd: FrenetData):
-    """Raise where g is undefined at any row."""
-    undefined = np.logical_not(fd.g_defined)
-    if np.any(undefined):
-        raise DegenerateRatioError(f"g undefined at t={_first(undefined, fd.t)}")
-
-
-def bertrand_lambda(fd: FrenetData) -> np.ndarray:
-    """Offset distance g / (kappa (g - f)) from the ratio invariants of
-    each row."""
-    _require_g(fd)
-    equal = np.abs(fd.g - fd.f) <= EPS_DEN
-    if np.any(equal):
-        raise DegenerateRatioError(f"g = f degeneracy at t={_first(equal, fd.t)}")
-    return fd.g / (fd.kappa * (fd.g - fd.f))
-
-
-# ---------------------------------------------------------------------------
-# closed-form mate apparatus
-
-
-@dataclass(frozen=True)
-class MateApparatus:
-    """The mate's apparatus at each base row: (N, 3) vectors, (N,) arrays."""
-
-    T: np.ndarray
-    N: np.ndarray
-    B: np.ndarray
-    kappa: np.ndarray
-    tau: np.ndarray
-    ds_mate_ds: np.ndarray
-
-
-def mate_apparatus_from_base(fd: FrenetData, eps: int) -> MateApparatus:
-    """Frame/curvature/torsion of the mate expressed in base quantities,
-    at each row of the base's Frenet rows."""
-    _require_g(fd)
-    f, g = fd.f, fd.g
-    bad = (np.abs(f) <= EPS_DEN) | (np.abs(g - f) <= EPS_DEN)
-    if np.any(bad):
-        raise DegenerateRatioError(f"f=0 or g=f at t={_first(bad, fd.t)}")
-    root = np.sqrt(1.0 + g * g)
-    T_m = -(fd.T - g[:, None] * fd.B) / root[:, None]
-    N_m = eps * fd.N
-    B_m = -eps * (g[:, None] * fd.T + fd.B) / root[:, None]
-    k = fd.kappa
-    kappa_m = -eps * k * (g - f) * (1.0 + f * g) / (f * (1.0 + g * g))
-    tau_m = k * (g - f) ** 2 / (f * (1.0 + g * g))
-    ds_m = f * root / (g - f)
-    return MateApparatus(T=T_m, N=N_m, B=B_m, kappa=kappa_m, tau=tau_m, ds_mate_ds=ds_m)
-
-
-def geodesic_indicator_closed_form(fd: FrenetData, side: str = "base"):
-    """Slant-helix indicator from closed forms, at each row of a grid.
-
-    side='base': indicator of the base curve from mate-side data
-    (pass the *mate*'s fd): -kappa'(g-f) / (kappa^2 (1+f^2)^{3/2}).
-
-    side='mate': indicator of the mate from base-side data (pass the
-    *base*'s fd), including the ds/ds_mate factor.
-    """
-    _require_g(fd)
-    f, g, k = fd.f, fd.g, fd.kappa
-    if side == "base":
-        return -fd.dkappa_ds * (g - f) / (k * k * (1.0 + f * f) ** 1.5)
-    if side == "mate":
-        zero = np.abs(f) <= EPS_DEN
-        if np.any(zero):
-            raise DegenerateRatioError(f"f=0 at t={_first(zero, fd.t)}")
-        ds_ds_mate = (g - f) / (f * np.sqrt(1.0 + g * g))
-        num = fd.dkappa_ds * f * (1.0 + g * g) ** 2
-        den = -(k * k) * ((1.0 + f * g) ** 2 + (g - f) ** 2) ** 1.5
-        return num / den * ds_ds_mate
-    raise ValueError(f"side must be 'base' or 'mate', got {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +313,8 @@ def detect_bertrand(
     if tol_align < 0.5 and np.any(signs != eps):
         raise NotAPairError("normals-not-aligned", "sign of <N, N_mate> flips")
 
-    g = base_rows.g[base_rows.g_defined]
-    gt = mate_rows.g[mate_rows.g_defined]
+    p1, p2 = map(ConstancyStat.of, projection_constants(mate_rows.g[mate_rows.g_defined]))
+    q1, q2 = map(ConstancyStat.of, projection_constants(base_rows.g[base_rows.g_defined]))
     pair = BertrandPairModel(
         base=base,
         mate=mate,
@@ -405,10 +323,7 @@ def detect_bertrand(
         ts=ts,
         base_rows=base_rows,
         mate_rows=mate_rows,
-        p1=ConstancyStat.of(1.0 / np.sqrt(1.0 + gt * gt)),
-        p2=ConstancyStat.of(gt / np.sqrt(1.0 + gt * gt)),
-        q1=ConstancyStat.of(1.0 / np.sqrt(1.0 + g * g)),
-        q2=ConstancyStat.of(g / np.sqrt(1.0 + g * g)),
+        p1=p1, p2=p2, q1=q1, q2=q2,
         lambda_stat=lam_stat,
         masked=~ok,
     )
@@ -419,21 +334,11 @@ def detect_bertrand(
     return pair
 
 
-def _constraint_residuals(fd, fdm, eps):
-    """(kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m from
-    base (fd) and mate (fdm) rows, at each row."""
-    return ((fdm.kappa + eps * fd.kappa) * fd.g * fdm.g
-            - eps * fd.f * fdm.g * fd.kappa
-            - fdm.f * fd.g * fdm.kappa)
-
-
 def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:
-    """LHS of (kappa_m + eps*kappa) g g_m - eps f g_m kappa - f_m g kappa_m
-    at t, from a fresh evaluation of both curves."""
+    """The constraint residual (``paper._constraint_residuals``) at t, from
+    a fresh evaluation of both curves."""
     fd = _frenet_rows(pair.base, [t])
     fdm = _frenet_rows(pair.mate, [t])
-    if not (fd.g_defined[0] and fdm.g_defined[0]):
-        raise DegenerateRatioError(f"g undefined at t={t}")
     return float(_constraint_residuals(fd, fdm, pair.epsilon)[0])
 
 
@@ -464,7 +369,9 @@ def linear_relation_fit(curve: Curve, n: int = 64):
 def _sphere_checks(seed_jet, omega):
     """Raise unless the seed, at the columns of its jet (order 2 or more),
     is on the unit sphere, regular and of non-constant geodesic curvature
-    kg, and the output at angle ``omega`` has no inflection there."""
+    kg, and the output at angle ``omega`` has no inflection there; return
+    the sign s of sin(omega) - kg cos(omega), the same at every probe.
+    """
     probes = seed_jet.basepoint
     p, d1, half_d2 = seed_jet.coeffs[:3].transpose(0, 2, 1)
     r = np.linalg.norm(p, axis=1)
@@ -484,12 +391,13 @@ def _sphere_checks(seed_jet, omega):
             "geodesic curvature of the sphere curve is constant: output is a helix"
         )
     # the output's dT/dt is a multiple of (sin(omega) - kg cos(omega)) c',
-    # so its curvature vanishes where kg = tan(omega)
+    # so its curvature vanishes where kg = tan(omega), and its N is s c'
     bend = math.sin(omega) - kg * math.cos(omega)
     if np.min(bend) <= 0.0 <= np.max(bend):
         raise ParameterError(
             f"omega = {omega} gives the output an inflection: tan(omega) = {math.tan(omega):.6g} "
             f"lies in the seed's geodesic curvature range [{np.min(kg):.6g}, {np.max(kg):.6g}]")
+    return 1.0 if bend[0] > 0.0 else -1.0
 
 
 def generate_bertrand_curve(
@@ -499,8 +407,10 @@ def generate_bertrand_curve(
 
     With c the seed reparameterized by its own arc length t, the output is
     the cumulative integral of a*(c + cot(omega) * c x c') dt.  Its
-    curvature and torsion satisfy a*kappa + a*cot(omega)*tau = 1, so the
-    normal offset by lambda = a produces a Bertrand mate.  Jets of the
+    curvature and torsion satisfy s*a*kappa + a*cot(omega)*tau = 1, with s
+    the sign of sin(omega) - kg cos(omega) (kg the seed's geodesic
+    curvature), so the normal offset by lambda = s*a, the metadata's
+    ``nominal_lambda``, produces a Bertrand mate.  Jets of the
     output are exact: the arc-length reparameterization is inverted by
     series reversion at evaluation time.  The Newton solve for u(t) starts
     from linear interpolation between the walk nodes and steps with the
@@ -529,7 +439,7 @@ def generate_bertrand_curve(
     # steps, the series of every step from one batch at the midpoints,
     # whose every (n // 64)-th column the sphere checks read first
     Cj = sphere_curve.jet(0.5 * (us[:-1] + us[1:]), 10)
-    _sphere_checks(Cj.take(slice(None, None, max(1, n // 64))), omega)
+    s = _sphere_checks(Cj.take(slice(None, None, max(1, n // 64))), omega)
     Dj, V = _seed_jets(Cj)
     # dgamma/du = a (V c + cot(omega) c x dc/du)
     G = a * (V * Cj + cot * jcross(Cj, Dj))
@@ -569,7 +479,7 @@ def generate_bertrand_curve(
         "generator": "bertrand",
         "a": a,
         "omega": omega,
-        "nominal_lambda": a,
+        "nominal_lambda": a if s > 0.0 else -a,
         "n": n,
         "seed_label": sphere_curve.label,
     }
@@ -704,9 +614,9 @@ _register_presets()
 def generated_pair(preset: str, a: float = 1.0, omega: float = None, n: int = 2048,
                    grid: int = 128) -> BertrandPairModel:
     """Convenience: generate a Bertrand curve from a preset, offset it by
-    its nominal lambda, and run detection."""
+    its ``nominal_lambda``, and run detection."""
     if omega is None:
         omega = DEFAULT_OMEGA.get(preset, math.pi / 3.0)
     base = generate_bertrand_curve(sphere_preset(preset), a=a, omega=omega, n=n)
-    mate = construct_mate(base, a, n=n)
+    mate = construct_mate(base, base.metadata["nominal_lambda"], n=n)
     return detect_bertrand(base, mate, n=grid)

@@ -5,7 +5,8 @@ helix (constant tau/kappa), slant helix (constant geodesic indicator),
 spherical (least-squares sphere fit).  Pair classification tests the
 Bertrand, Mannheim and involute-evolute definitions in that fixed order
 with all evidence retained.  ``theorem_suite`` evaluates the catalog of
-Bertrand-pair identities as residuals with tolerances.
+Bertrand-pair identities as residuals with tolerances, over the closed
+forms of ``paper``.
 """
 
 from __future__ import annotations
@@ -20,36 +21,28 @@ from .bertrand import (
     BertrandPairModel,
     ConstancyStat,
     _EPS_COINCIDE,
-    _constraint_residuals,
     _offset_along,
     _overlap_grid,
-    _require_g,
 )
 from .curves import (
     EPS_G,
     Curve,
-    FrenetData,
     _frenet_columns,
     _take_rows,
     cumulative_trapezoid,
 )
-from .errors import (
-    DegenerateRatioError,
-    TooFewSamplesError,
-)
-from .indicatrix import (
-    AXES,
-    SIDES,
+from .errors import TooFewSamplesError
+from .indicatrix import AXES, SIDES, _arclength_relations, _image_columns, _other_side
+from .paper import (
     IndicatrixSample,
     _applies,
-    _arclength_relations,
+    _constraint_residuals,
     _failures,
     _frame_relations,
-    _images,
-    _image_columns,
-    _other_side,
+    _raise_at,
+    condition_residual,
+    images,
 )
-from .jets import _first
 
 TOL_PLANAR = 1e-8
 TOL_HELIX = 1e-6
@@ -138,36 +131,12 @@ def spherical_helix_check(image: IndicatrixSample) -> float:
     A spherical curve with constant torsion-to-curvature ratio is a
     spherical helix; this is the indicatrix-level helix criterion.
     """
-    flat = np.abs(image.kappa) < 1e-12
-    if np.any(flat):
-        raise DegenerateRatioError(f"kappa_x = 0 at t={_first(flat, image.t)}")
+    _raise_at(np.abs(image.kappa) < 1e-12, image, "kappa_x = 0")
     if len(image.kappa) < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(
             f"{len(image.kappa)} samples; need {MIN_CLASSIFY_SAMPLES}"
         )
     return _relative_deviation(image.tau / image.kappa)
-
-
-# ---------------------------------------------------------------------------
-# condition residuals
-
-
-def condition_residual(fd_tilde: FrenetData):
-    """Normalized residual of kappa'' kappa f^2 - 3 kappa'^2 g f + kappa'' kappa - 3 kappa'^2,
-    at each row.
-
-    Vanishing marks the tangent (equivalently binormal) indicatrix as a
-    spherical helix, and equally the principal-normal indicatrix as
-    planar: both conditions are this one polynomial.  Quantities belong
-    to the side opposite the imaged curve, matching the closed-form
-    convention.
-    """
-    _require_g(fd_tilde)
-    k, kp, kpp = fd_tilde.kappa, fd_tilde.dkappa_ds, fd_tilde.d2kappa_ds2
-    f, g = fd_tilde.f, fd_tilde.g
-    lhs = kpp * k * f * f - 3.0 * kp * kp * g * f + kpp * k - 3.0 * kp * kp
-    scale = np.maximum(np.abs(kpp * k * (1.0 + f * f)), np.abs(3.0 * kp * kp * (1.0 + f * g)))
-    return lhs / np.maximum(scale, 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +436,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
 
     # closed forms of each side's images, which read the other curve's
     # rows where they apply
-    images = {}
+    side_images = {}
     for side in SIDES:
         fd = rows[_other_side(side)]
         applies = _applies(side, fd)
@@ -479,16 +448,16 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
                 f"the closed forms of the {side}'s images apply at "
                 f"{count} of {len(applies)} usable grid rows, "
                 f"need {MIN_CLASSIFY_SAMPLES}; rows with {failed}")
-        images[side] = _images(side, _take_rows(fd, applies), eps)
+        side_images[side] = images(side, _take_rows(fd, applies), eps)
 
     # frame relations among indicatrix frames
     add("frame-relations",
-        max(max(_frame_relations(side, images[side], eps).values()) for side in SIDES))
+        max(max(_frame_relations(side, side_images[side], eps).values()) for side in SIDES))
 
     # tangent and binormal images share |kappa| and |tau|; Gamma_t = Gamma_b
     elf = 0.0
     for side in SIDES:
-        st, sb = images[side]["tangent"], images[side]["binormal"]
+        st, sb = side_images[side]["tangent"], side_images[side]["binormal"]
         for gap in (st.kappa - sb.kappa, np.abs(st.tau) - np.abs(sb.tau), st.Gamma - sb.Gamma):
             elf = max(elf, float(np.max(np.abs(gap), initial=0.0)))
     add("elf-corollaries", elf,
@@ -510,7 +479,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     tol_slant = _tolerance(tols, "tol_slant")
     tol_ih = _tolerance(tols, "tol_indicatrix_helix")
     helix = {
-        (side, axis): spherical_helix_check(images[side][axis]) < tol_ih
+        (side, axis): spherical_helix_check(side_images[side][axis]) < tol_ih
         for side in SIDES
         for axis in ("tangent", "binormal")
     }
@@ -539,7 +508,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         for key, note in zip(keys, notes):
             add(key, residual, note=note, passed=passed)
 
-    sn = images["base"]["normal"]
+    sn = side_images["base"]["normal"]
     tau_n_rel = float(np.max(np.abs(sn.tau) / np.maximum(np.abs(sn.kappa), 1e-30)))
     normal_planar = tau_n_rel < _tolerance(tols, "tol_normal_planar")
     add("th11", cond_res, passed=cond_true == normal_planar,

@@ -59,7 +59,6 @@ from .errors import (
 from .indicatrix import (
     _curve,
     _data_rows,
-    _images,
     indicatrix_arclength_relations,
     indicatrix_curve,
 )
@@ -72,6 +71,7 @@ from .io import (
     save_curve,
     write_csv,
 )
+from .paper import images
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -253,7 +253,7 @@ def cmd_indicatrix(args) -> int:
     ts = np.linspace(pair.ts[0], pair.ts[-1], args.n)
     data, idx = _data_rows(pair, side, ts)
     image = indicatrix_curve(_curve(pair, side), axis, args.n)
-    closed = _images(side, data, pair.epsilon)[axis]
+    closed = images(side, data, pair.epsilon)[axis]
     direct, regular, _ = _frenet_columns(image, ts)
     # the rows where the closed forms apply and the image is regular
     ok = np.isin(np.arange(len(ts)), idx) & regular
@@ -324,8 +324,8 @@ def cmd_generate(args) -> int:
         },
         results={
             "curve_file": out,
-            # the generator's mate offset is its a
-            "nominal_lambda": args.a,
+            # the generator's mate offset, +a or -a
+            "nominal_lambda": curve.metadata["nominal_lambda"],
         },
     )
     _emit(report)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from test_jets import FAMILY_TEXTS
 
-from bertrand_kit import curves, jets
+from bertrand_kit import curves, jets, paper
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
     _frames,
@@ -48,7 +48,6 @@ from bertrand_kit.indicatrix import (
     AXES,
     SIDES,
     _data_rows,
-    _images,
     apparatus_grid,
     image_rows,
 )
@@ -184,7 +183,7 @@ def test_views_carry_the_bits_of_their_rows():
     for side in SIDES:
         data, rows_idx = _data_rows(pair, side, ts)
         assert len(rows_idx) == len(ts)
-        images = _images(side, data, pair.epsilon)
+        images = paper.images(side, data, pair.epsilon)
         for axis in AXES:
             closed = images[axis]
             views = apparatus_grid(pair, side, axis, ts)

@@ -9,13 +9,10 @@ from test_batch import FIELDS, _generated, assert_same_bits_array
 
 from bertrand_kit import bertrand, curves, indicatrix, jets
 from bertrand_kit.bertrand import (
-    bertrand_lambda,
-    mate_apparatus_from_base,
     construct_mate,
     detect_bertrand,
     generate_bertrand_curve,
     generated_pair,
-    geodesic_indicator_closed_form,
     linear_relation_fit,
     pair_constraint_residual,
     sphere_preset,
@@ -40,6 +37,11 @@ from bertrand_kit.errors import (
     ParameterError,
 )
 from bertrand_kit.io import dumps, save_curve
+from bertrand_kit.paper import (
+    bertrand_lambda,
+    geodesic_indicator_closed_form,
+    mate_apparatus_from_base,
+)
 
 
 def valid_ts(pair, margin=2):
@@ -253,6 +255,36 @@ def test_generator_refuses_an_angle_that_gives_an_inflection(preset):
             "range [") in message
     low, high = map(float, message.rsplit("[", 1)[1].rstrip("]").split(", "))
     assert low < math.tan(omega) < high
+
+
+# an angle beyond each preset's inflection band, where sin(omega) - kg
+# cos(omega) < 0 over the seed (the band's lambda = -a side)
+NEGATIVE_LAMBDA_OMEGA = {"wobble": 3.0, "tilt": 0.1, "bean": 0.05, "slant": 0.1}
+
+
+@pytest.mark.parametrize("a", [0.7, 1.37])
+@pytest.mark.parametrize("preset", sorted(NEGATIVE_LAMBDA_OMEGA))
+def test_generator_records_the_sign_of_lambda(preset, a):
+    """Beyond the inflection band the output's N is -c' (c the seed), so
+    its mate is the offset by -a: the generator records nominal_lambda =
+    -a, and ``generated_pair`` forms a pair with lam = -a and epsilon = +1
+    (it offset by +a, which detection refused as normals-not-aligned).
+    ``paper.bertrand_lambda`` on the base's own rows gives the recorded
+    value (measured worst 4.6e-11 relative, bean).  Every identity holds
+    there but at bean's 0.05, next to its band edge.  At the default
+    angles the record is +a."""
+    omega = NEGATIVE_LAMBDA_OMEGA[preset]
+    pair = generated_pair(preset, a=a, omega=omega, n=64, grid=24)
+    assert pair.base.metadata["nominal_lambda"] == -a
+    assert pair.lam == pytest.approx(-a, rel=1e-12)
+    assert pair.epsilon == 1
+    rows, _, _ = _frenet_columns(pair.base, np.linspace(*pair.base.domain, 24))
+    lam = bertrand_lambda(_take_rows(rows, rows.g_defined))
+    assert np.max(np.abs(lam / -a - 1.0)) < 1e-8
+    if preset != "bean":
+        assert theorem_suite(pair).all_passed
+    default = generate_bertrand_curve(sphere_preset(preset), a, DEFAULT_OMEGA[preset], n=64)
+    assert default.metadata["nominal_lambda"] == a
 
 
 @pytest.mark.parametrize("n", [0, -1])

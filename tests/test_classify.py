@@ -17,13 +17,13 @@ from bertrand_kit.classify import (
     _classify_image_rows,
     TOLERANCE_KEYS,
     classify_curve,
-    condition_residual,
     pair_classify,
     theorem_suite,
 )
 from bertrand_kit.curves import AnalyticCurve, SampledCurve, _take_rows
 from bertrand_kit.errors import TooFewSamplesError
 from bertrand_kit.indicatrix import indicatrix_curve
+from bertrand_kit.paper import condition_residual
 
 
 def test_helix_classification(helix):

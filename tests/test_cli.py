@@ -655,6 +655,23 @@ def test_generate_refuses_an_angle_that_gives_an_inflection(capsys, tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_reports_the_recorded_lambda(capsys, tmp_path, monkeypatch):
+    """At tilt's 0.1, beyond its inflection band, ``generate`` reports and
+    records nominal_lambda = -a (it reported +a, whose offset is no
+    pair), and the mate at that lambda detects with epsilon = +1."""
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, ["generate", "--sphere-curve", "tilt", "--omega", "0.1",
+                              "--a", "1.37", "--n", "64", "--out", "base.json"])
+    assert rc == 0
+    assert json.loads(out)["results"]["nominal_lambda"] == -1.37
+    assert load_curve("base.json").metadata["nominal_lambda"] == -1.37
+    rc, out, _ = run(capsys, ["mate", "base.json", "--lambda", "-1.37", "--n", "64",
+                              "--out", "mate.json"])
+    results = json.loads(out)["results"]
+    assert (rc, results["epsilon"]) == (0, 1)
+    assert results["lambda"] == pytest.approx(-1.37, rel=1e-12)
+
+
 def test_curve_that_overflows_is_not_saved(capsys, tmp_path, monkeypatch):
     """A generator a, or a lambda on a huge base, whose curve overflows
     exits 2 with one error line naming the first bad row, and writes no

@@ -21,12 +21,9 @@ import pytest
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
     _normalized_analytic,
-    bertrand_lambda,
     construct_mate,
     detect_bertrand,
     generate_bertrand_curve,
-    geodesic_indicator_closed_form,
-    mate_apparatus_from_base,
 )
 from bertrand_kit.classify import theorem_suite
 from bertrand_kit.cli import EXIT_NOT_A_PAIR, EXIT_OK, EXIT_PARSE, EXIT_SINGULAR, main
@@ -39,6 +36,11 @@ from bertrand_kit.errors import (
 )
 from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid
 from bertrand_kit.io import save_curve
+from bertrand_kit.paper import (
+    bertrand_lambda,
+    geodesic_indicator_closed_form,
+    mate_apparatus_from_base,
+)
 
 
 @pytest.fixture(scope="module")

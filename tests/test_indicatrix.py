@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bertrand_kit import indicatrix
+from bertrand_kit import paper
 from bertrand_kit.bertrand import generated_pair
 from bertrand_kit.classify import theorem_suite
 from bertrand_kit.curves import _take_rows, frenet_grid
@@ -12,7 +12,6 @@ from bertrand_kit.indicatrix import (
     SIDES,
     _curve,
     _data_rows,
-    _images,
     apparatus_grid,
     frame_relations_check,
     image_rows,
@@ -42,9 +41,16 @@ def test_points_on_unit_sphere(pair_wobble):
                 assert np.linalg.norm(s.point) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_points_match_frame_vectors(pair_wobble):
-    """The closed-form image points are the frame vectors themselves."""
-    p = pair_wobble
+@pytest.mark.parametrize("preset, omega", [("wobble", None), ("tilt", None), ("bean", None),
+                                           ("slant", None), ("tilt", 2.6)])
+def test_points_match_frame_vectors(request, preset, omega):
+    """The closed-form image points are the frame vectors themselves, at
+    the presets' default angles (epsilon = -1) and at tilt's 2.6 (epsilon
+    = +1).  The T and B images share their vectors with the mate
+    apparatus.  Measured worst gap 9.4e-13 (bean)."""
+    p = (request.getfixturevalue(f"pair_{preset}") if omega is None
+         else generated_pair(preset, omega=omega, n=512, grid=256))
+    assert p.epsilon == (1 if omega else -1)
     for side in ("base", "mate"):
         src = p.base if side == "base" else p.mate
         ts = probe_ts(p, 5)
@@ -177,7 +183,7 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
         assert len(idx) == len(ts)
         rows, regular, _ = image_rows(_curve(pair, side), ts)
         row_of = np.cumsum(regular) - 1
-        images = _images(side, fd, pair.epsilon)
+        images = paper.images(side, fd, pair.epsilon)
         for k, axis in enumerate(AXES):
             closed = images[axis]
             columns = k * len(ts) + idx
@@ -206,9 +212,9 @@ def test_suite_builds_each_sides_closed_forms_once(monkeypatch):
             return fn(fd, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(indicatrix, "geodesic_indicator_closed_form",
-                        counted("geodesic", indicatrix.geodesic_indicator_closed_form))
-    monkeypatch.setattr(indicatrix, "_gamma_big", counted("gamma", indicatrix._gamma_big))
+    monkeypatch.setattr(paper, "geodesic_indicator_closed_form",
+                        counted("geodesic", paper.geodesic_indicator_closed_form))
+    monkeypatch.setattr(paper, "_gamma_big", counted("gamma", paper._gamma_big))
     theorem_suite(generated_pair("wobble", n=64, grid=24))
     assert calls == [("geodesic", "base"), ("gamma", None),
                      ("geodesic", "mate"), ("gamma", None)]
