@@ -56,12 +56,7 @@ from .errors import (
     TooFewSamplesError,
     UnknownFunctionError,
 )
-from .indicatrix import (
-    _curve,
-    _data_rows,
-    indicatrix_arclength_relations,
-    indicatrix_curve,
-)
+from .indicatrix import AXES, SIDES, _arclength_relations, _image_columns
 from .io import (
     CurveFileError,
     RunReport,
@@ -71,7 +66,7 @@ from .io import (
     save_curve,
     write_csv,
 )
-from .paper import images
+from .paper import _applies, images
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -242,24 +237,23 @@ def _load_pair(args, n, images):
 
 def cmd_indicatrix(args) -> int:
     axis_key, side = args.kind.split("-")
-    axis = {"t": "tangent", "n": "normal", "b": "binormal"}[axis_key]
-    # the closed forms read the pair's rows, not its image jets
-    pair, inputs = _load_pair(args, min(args.n, 128), images=False)
-    report = RunReport(
-        command="indicatrix",
-        inputs=inputs,
-        parameters={"kind": args.kind, "n": args.n},
-    )
-    ts = np.linspace(pair.ts[0], pair.ts[-1], args.n)
-    data, idx = _data_rows(pair, side, ts)
-    image = indicatrix_curve(_curve(pair, side), axis, args.n)
-    closed = images(side, data, pair.epsilon)[axis]
-    direct, regular, _ = _frenet_columns(image, ts)
-    # the rows where the closed forms apply and the image is regular
-    ok = np.isin(np.arange(len(ts)), idx) & regular
-    s, fdi = _take_rows(closed, ok[idx]), _take_rows(direct, ok[regular])
+    k = "tnb".index(axis_key)
+    # one detection on the table's grid gives every column, as verify's suite reads it
+    pair, inputs = _load_pair(args, args.n, images=True)
+    report = RunReport(command="indicatrix", inputs=inputs,
+                       parameters={"kind": args.kind, "n": args.n})
+    data, img = ((pair.mate_rows, pair.base_rows) if side == "base"
+                 else (pair.base_rows, pair.mate_rows))
+    applies = _applies(side, data)
+    closed = images(side, _take_rows(data, applies), pair.epsilon)[AXES[k]]
+    # the exact Frenet rows of the image curve, whose position jet is the frame's
+    jet = pair._image_jets()[3 * SIDES.index(side) + k]
+    direct, regular, _ = _image_columns((jet,), pair.ts[~pair.masked])
+    ok = applies & regular
+    s, fdi = _take_rows(closed, ok[applies]), _take_rows(direct, ok[regular])
     gap_k = np.abs(np.abs(s.kappa_image) - fdi.kappa) / np.maximum(np.abs(fdi.kappa), 1e-30)
-    gap_t = np.abs(np.abs(s.tau_image) - np.abs(fdi.tau)) / np.maximum(np.abs(fdi.tau), 1e-30)
+    # signed, against kappa where |tau| is small: a planar image's tau is noise
+    gap_t = np.abs(s.tau_image - fdi.tau) / np.maximum(np.abs(fdi.tau), fdi.kappa)
     # the norm of each (3,) vector: a norm along axis 1 sums in another order
     norm = [np.linalg.norm(p) for p in s.point]
     rows = np.column_stack(
@@ -270,12 +264,13 @@ def cmd_indicatrix(args) -> int:
               "kappa_corrected", "tau_corrected", "Gamma_closed",
               "kappa_direct", "tau_direct", "kappa_gap", "tau_gap"]
     _put_table(report, args.csv, header, rows)
-    if axis == "binormal":
-        rel = indicatrix_arclength_relations(pair, side, n=min(args.n, 256))
+    if axis_key == "b":
+        rel = _arclength_relations(side, data, img, pair.lam, pair.epsilon)
         report.results["affine_fit"] = {
             **asdict(rel.affine_fit), "c1": rel.c1, "c2": rel.c2,
             "c1_deviation": rel.c1_deviation, "predicted_slope": rel.predicted_slope}
-    report.masked_intervals = masked_intervals_from_flags(ts, ~ok)
+    # a grid point is shown where both curves, the closed forms and the image hold
+    report.masked_intervals = masked_intervals_from_flags(pair.ts, ~np.isin(pair.ts, s.t))
     _emit(report)
     return EXIT_OK
 

@@ -195,7 +195,12 @@ def _gamma_big(fd, ds_x_dsrc):
 def images(side: str, fd, eps: int) -> dict:
     """Frame, curvature, torsion and Gamma of ``side``'s T, N and B images
     (frame-relations, elf-corollaries, the helix flags), keyed by axis, at each
-    data-side row of ``fd`` (where ``_applies``), from one pass over its quantities."""
+    data-side row of ``fd`` (where ``_applies``), from one pass over its quantities.
+
+    The T and B images' corrected torsions are those of t -> T_X(t) and
+    t -> B_X(t), X the imaged curve: Gamma_X w and -Gamma_X w / f_X, w =
+    sqrt(1 + f_X^2).  Gamma_X is eps times the data side's Gamma (th2), and
+    ``geodesic_indicator_closed_form`` gives -1 times it: hence -eps."""
     f, g = fd.f, fd.g
     k, kp, kpp = fd.kappa, fd.dkappa_ds, fd.d2kappa_ds2
     wf = np.sqrt(1.0 + f * f)
@@ -205,10 +210,10 @@ def images(side: str, fd, eps: int) -> dict:
     U = (T - _col(f) * B) / _col(wf)
     V = (_col(f) * T + B) / _col(wf)
 
-    # ratio tau/kappa of the *imaged* curve and its slant indicator, both
-    # written in data-side quantities; these drive the corrected scalar
-    # values of the tangent and binormal images that track the imaged
-    # curve's own apparatus
+    # ratio tau/kappa of the *imaged* curve and, up to the factor -eps, its
+    # slant indicator, both in data-side quantities; these drive the
+    # corrected scalar values of the tangent and binormal images that
+    # track the imaged curve's own apparatus
     f_img = -eps * (g - f) / (1.0 + f * g)
     wfi = np.sqrt(1.0 + f_img * f_img)
     G_img = geodesic_indicator_closed_form(fd, side=side)
@@ -222,9 +227,9 @@ def images(side: str, fd, eps: int) -> dict:
     # corrected pair is kappa = sqrt(1+f_img^2), tau = Gamma*kappa
     T_img, B_img = _tb_images(fd, wg, eps)
     tangent = IndicatrixSample(fd.t, T_img, -N, U, V, kx,
-                               tx if side == "mate" else -tx, wfi, G_img * wfi, Gx)
+                               tx if side == "mate" else -tx, wfi, -eps * G_img * wfi, Gx)
     binormal = IndicatrixSample(fd.t, B_img, eps * N, -eps * U, V, kx, -eps * tx,
-                                wfi / np.abs(f_img), -G_img * wfi / f_img, Gx)
+                                wfi / np.abs(f_img), eps * G_img * wfi / f_img, Gx)
 
     rho = np.sqrt(kp * kp * (g - f) ** 2 + k**4 * (1.0 + f * f) ** 3)
     Nx = _col(eps / (rho * wf)) * (

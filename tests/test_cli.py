@@ -14,8 +14,8 @@ from bertrand_kit import bertrand, cli, errors
 from bertrand_kit.bertrand import construct_mate, generate_bertrand_curve, sphere_preset
 from bertrand_kit.classify import _KEYLESS_ENTRIES, IDENTITY_ENTRIES, TOLERANCE_KEYS
 from bertrand_kit.cli import EXIT_NOT_A_PAIR, _detect_from_files, main
-from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, frenet_grid
-from bertrand_kit.indicatrix import apparatus_grid, indicatrix_curve
+from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, _points_at
+from bertrand_kit.indicatrix import AXES, apparatus_grid, image_rows
 from bertrand_kit.io import (
     CurveFileError,
     _rebuild_from_metadata,
@@ -256,29 +256,34 @@ def test_indicatrix_tangent_no_affine_block(workdir, capsys):
 
 
 def _table_from_views(base, mate, side, axis, n):
-    """The indicatrix table built point by point from the public views,
-    on the pair the CLI loads from the same files."""
-    pair = _detect_from_files(load_curve(base), load_curve(mate), min(n, 128), images=False)
-    ts = np.linspace(pair.ts[0], pair.ts[-1], n)
-    image = indicatrix_curve(pair.base if side == "base" else pair.mate, axis, n)
-    rows = []
-    for t, s, fdi in zip(ts, apparatus_grid(pair, side, axis, ts), frenet_grid(image, ts)):
-        if s is None or fdi is None:
+    """The indicatrix table built point by point from the public views of
+    the closed forms and from the exact Frenet rows of the imaged curve's
+    images (``image_rows``), on the grid of the pair the CLI loads from
+    the same files, its masked points left out."""
+    pair = _detect_from_files(load_curve(base), load_curve(mate), n, images=False)
+    k = AXES.index(axis)
+    rows, regular, _ = image_rows(pair.base if side == "base" else pair.mate, pair.ts)
+    direct = _points_at(rows, np.flatnonzero(regular), 3 * n)[k * n:(k + 1) * n]
+    views = apparatus_grid(pair, side, axis, pair.ts)
+    table = []
+    for t, masked, s, fdi in zip(pair.ts, pair.masked, views, direct):
+        if masked or s is None or fdi is None:
             continue
         gap_k = abs(abs(s.kappa_image) - fdi.kappa) / max(abs(fdi.kappa), 1e-30)
-        gap_t = abs(abs(s.tau_image) - abs(fdi.tau)) / max(abs(fdi.tau), 1e-30)
-        rows.append([float(v) for v in (
+        gap_t = abs(s.tau_image - fdi.tau) / max(abs(fdi.tau), fdi.kappa)
+        table.append([float(v) for v in (
             t, *s.point, np.linalg.norm(s.point), s.kappa, s.tau, s.kappa_image,
             s.tau_image, 0.0 if math.isnan(s.Gamma) else s.Gamma, fdi.kappa, fdi.tau,
             gap_k, gap_t)])
-    return rows
+    return table
 
 
 @pytest.mark.parametrize("kind", [f"{a}-{s}" for a in "tnb" for s in ("base", "mate")])
 def test_indicatrix_rows_equal_the_views_table(workdir, capsys, kind):
-    """The table the CLI computes over rows has the bits of the table
-    built from the one-point views, the norm of each point included
-    (a norm along the rows' axis rounds differently)."""
+    """The table the CLI computes over the rows of one detection has the
+    bits of the table built from the one-point views and from the image
+    curve's own exact rows, the norm of each point included (a norm along
+    the rows' axis rounds differently)."""
     base, mate = str(workdir / "base.json"), str(workdir / "mate.json")
     rc, out, _ = run(capsys, ["indicatrix", base, mate, "--kind", kind, "--n", "64"])
     assert rc == 0
@@ -287,6 +292,29 @@ def test_indicatrix_rows_equal_the_views_table(workdir, capsys, kind):
     want = _table_from_views(base, mate, kind.split("-")[1], axis, 64)
     assert len(want) == 64
     assert rows == want
+
+
+@pytest.mark.parametrize("preset, omega", [("wobble", None), ("tilt", None), ("bean", None),
+                                           ("slant", None), ("tilt", "2.6")])
+def test_indicatrix_gaps_are_closed_form_error(tmp_path, capsys, preset, omega):
+    """Every kind's direct columns are the exact rows of the image curve,
+    so its gaps measure the closed forms alone: below 1e-9 on the presets
+    at their default angles (epsilon = -1) and at tilt's 2.6 (epsilon =
+    +1), where the sign of the T and B images' tau is checked.  tau_gap
+    is relative to max(|tau|, kappa), as slant's normal image is planar
+    and its tau rounding noise."""
+    base, mate = str(tmp_path / "base.json"), str(tmp_path / "mate.json")
+    argv = ["generate", "--sphere-curve", preset, "--n", "64", "--out", base]
+    assert main(argv + (["--omega", omega] if omega else [])) == 0
+    assert main(["mate", base, "--auto", "--n", "64", "--out", mate]) == 0
+    capsys.readouterr()
+    for kind in [f"{a}-{s}" for a in "tnb" for s in ("base", "mate")]:
+        rc, out, _ = run(capsys, ["indicatrix", base, mate, "--kind", kind, "--n", "64"])
+        assert rc == 0
+        rows = np.array(json.loads(out)["results"]["rows"])
+        assert len(rows) == 64
+        assert rows[:, 12].max() < 1e-9, kind
+        assert rows[:, 13].max() < 1e-9, kind
 
 
 def test_classify_single(workdir, capsys):
@@ -848,17 +876,16 @@ def _count_generator_work(monkeypatch, runs=None):
 
 # The generator keeps nothing between requests, so each request runs a
 # pipeline of its own.  Every command runs one on the mate's nodes (the
-# rebuild check).  verify runs one more on the detection grid, at the
-# order the suite's image rows read.  An indicatrix runs detection, its
-# data-side rows and the image curve's grid, and a b kind the arc-length
-# relations of base and mate, the same count at every --n.  classify runs
+# rebuild check).  verify and indicatrix run one more on the detection
+# grid, at the order the image rows read; an indicatrix reads its data
+# rows, image rows and arc-length law from that one run.  classify runs
 # one per curve on its grid, and the arc-length alignment one per curve
 # for the speeds.
 @pytest.mark.parametrize(
     "argv, pipelines",
     [
         (["verify", "--n", "24"], 2),
-        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], 4 if axis != "b" else 6)
+        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], 2)
           for axis in "tnb" for side in ("base", "mate")],
         (["classify"], 3),
         (["classify", "--align", "arclength"], 5),
@@ -890,26 +917,25 @@ def pair_24(tmp_path_factory):
 # generated at n = 24, in call order; the generator serves any order up to
 # 6 at 6.  mate fits lambda on 64 points, reads its 25-node table to save
 # it and checks the pair on 24 points; each two-file command first checks
-# the loaded mate's 25 nodes.  A pair check that no suite follows (mate,
-# indicatrix) reads rows only and asks for order 6; verify's detection
-# asks for order 8, whose frames the suite's image rows read.  An
-# indicatrix also runs its data-side rows and the image curve's grid, and
-# a b kind the arc-length relations of base and mate.
+# the loaded mate's 25 nodes.  A pair check that no suite follows (mate)
+# reads rows only and asks for order 6; the detection of verify and of
+# indicatrix, on its --n grid, asks for order 8, whose frames the image
+# rows read.
 @pytest.mark.parametrize(
     "argv, want",
     [
         (["mate", "--auto", "--n", "24"], [(6, 64), (6, 25), (6, 24)]),
         (["verify", "--n", "24"], [(6, 25), (8, 24)]),
-        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"],
-           [(6, 25), (6, 64), (6, 64), (6, 64)] + [(6, 65)] * 2 * (axis == "b"))
+        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(6, 25), (8, 64)])
           for axis in "tnb" for side in ("base", "mate")],
     ],
     ids=lambda v: "-".join(a.lstrip("-") for a in v) if isinstance(v[0], str) else "runs",
 )
 def test_generator_pipeline_orders_per_command(pair_24, tmp_path, capsys, monkeypatch,
                                                argv, want):
-    """Each command asks the generator for the orders it reads: the mate
-    and indicatrix pair checks at order 6 (8 before)."""
+    """Each command asks the generator for the orders it reads: the mate's
+    pair check at order 6, and verify and indicatrix at order 8 on one
+    detection grid."""
     base, mate = pair_24
     if argv[0] == "mate":
         argv = [*argv[:1], base, *argv[1:], "--out", str(tmp_path / "mate.json")]

@@ -162,9 +162,14 @@ def test_normal_image_values_direct(pair_wobble):
 
 
 # Closed forms against the exact image rows.  Measured worst gaps, all on
-# bean: kappa 1.4e-11 (relative), tau 2.5e-11 (relative to max(|tau|,
-# kappa)), |Gamma| 7.6e-11 (scaled by max(1, max |Gamma|)).
+# bean: kappa 1.4e-11 (relative), tau 4.6e-11 (relative to max(|tau|,
+# kappa); 2.5e-11 at epsilon = -1), |Gamma| 7.6e-11 (scaled by max(1,
+# max |Gamma|)).
 TOL_EXACT_IMAGE = 1e-9
+
+# an angle of each preset beyond its cusp band, where epsilon = +1 with
+# lambda = +a
+EPS_PLUS_ONE_OMEGA = {"wobble": 0.5, "tilt": 2.6, "bean": 2.0, "slant": 2.5}
 
 
 @pytest.mark.parametrize("n, grid", [(64, 24), (512, 128)])
@@ -174,30 +179,34 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
     """The corrected kappa and the signed tau of every image, and |Gamma|
     of the tangent and binormal images, written in the other curve's
     quantities, equal the Frenet rows of the image itself (``image_rows``,
-    exact jets of T, N and B).  Gamma is compared by magnitude: its sign
-    pattern over presets, sides and axes is not stated here."""
-    pair = generated_pair(preset, a=a, n=n, grid=grid)
-    ts = pair.ts[~pair.masked]
-    for side in SIDES:
-        fd, idx = _data_rows(pair, side, ts)
-        assert len(idx) == len(ts)
-        rows, regular, _ = image_rows(_curve(pair, side), ts)
-        row_of = np.cumsum(regular) - 1
-        images = paper.images(side, fd, pair.epsilon)
-        for k, axis in enumerate(AXES):
-            closed = images[axis]
-            columns = k * len(ts) + idx
-            assert regular[columns].all()
-            exact = _take_rows(rows, row_of[columns])
-            gap_k = np.abs(closed.kappa_image - exact.kappa) / exact.kappa
-            gap_t = (np.abs(closed.tau_image - exact.tau)
-                     / np.maximum(np.abs(exact.tau), exact.kappa))
-            assert np.max(gap_k) < TOL_EXACT_IMAGE, (side, axis)
-            assert np.max(gap_t) < TOL_EXACT_IMAGE, (side, axis)
-            if axis != "normal":
-                gap_g = (np.max(np.abs(np.abs(closed.Gamma) - np.abs(exact.Gamma)))
-                         / max(1.0, np.max(np.abs(exact.Gamma))))
-                assert gap_g < TOL_EXACT_IMAGE, (side, axis)
+    exact jets of T, N and B), at the preset's default angle (epsilon =
+    -1) and at an angle with epsilon = +1.  Gamma is compared by
+    magnitude: its sign pattern over presets, sides and axes is not
+    stated here."""
+    for omega, eps in ((None, -1), (EPS_PLUS_ONE_OMEGA[preset], 1)):
+        pair = generated_pair(preset, a=a, omega=omega, n=n, grid=grid)
+        assert pair.epsilon == eps
+        ts = pair.ts[~pair.masked]
+        for side in SIDES:
+            fd, idx = _data_rows(pair, side, ts)
+            assert len(idx) == len(ts)
+            rows, regular, _ = image_rows(_curve(pair, side), ts)
+            row_of = np.cumsum(regular) - 1
+            images = paper.images(side, fd, pair.epsilon)
+            for k, axis in enumerate(AXES):
+                closed = images[axis]
+                columns = k * len(ts) + idx
+                assert regular[columns].all()
+                exact = _take_rows(rows, row_of[columns])
+                gap_k = np.abs(closed.kappa_image - exact.kappa) / exact.kappa
+                gap_t = (np.abs(closed.tau_image - exact.tau)
+                         / np.maximum(np.abs(exact.tau), exact.kappa))
+                assert np.max(gap_k) < TOL_EXACT_IMAGE, (omega, side, axis)
+                assert np.max(gap_t) < TOL_EXACT_IMAGE, (omega, side, axis)
+                if axis != "normal":
+                    gap_g = (np.max(np.abs(np.abs(closed.Gamma) - np.abs(exact.Gamma)))
+                             / max(1.0, np.max(np.abs(exact.Gamma))))
+                    assert gap_g < TOL_EXACT_IMAGE, (omega, side, axis)
 
 
 def test_suite_builds_each_sides_closed_forms_once(monkeypatch):
