@@ -33,7 +33,6 @@ from .curves import (
     _columns,
     _frame,
     _frenet_columns,
-    _frenet_rows,
     _integrate,
     _points_at,
     _take_rows,
@@ -105,11 +104,11 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     domain) is computed at its first read, not here: building the mate
     evaluates nothing, and an evaluation error surfaces at that read.
     Its metadata records lambda, n and the base's ``io._base_block``; a
-    mate with a block records ``(base, lam)``, and ``detect_bertrand``
-    then builds the pair's jets from one run of that base.  Sampled bases
-    yield a sampled mate via the stencil path, at the regular grid points
-    of the base.  A non-finite lambda or an n below 1 raises
-    ParameterError before any evaluation.
+    mate with a block records ``(base, lam)``, and ``_pair_columns`` then
+    reads the pair from one run of that base.  Sampled bases yield a
+    sampled mate via the stencil path, at the regular grid points of the
+    base.  A non-finite lambda or an n below 1 raises ParameterError
+    before any evaluation.
     """
     if not math.isfinite(lam):
         raise ParameterError(f"lambda must be finite, got {lam}")
@@ -228,6 +227,47 @@ def _read_only(jet):
     return jet
 
 
+def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
+    """Both curves' Frenet rows at the shared parameter ``ts``, at the
+    points ``ts[both]`` where both are regular, the mate evaluated only
+    where the base is: ``(base_rows, mate_rows, both, errors, frames)``.
+    ``errors`` holds the base's SingularPointErrors and then the mate's,
+    and ``frames`` the read-only order-4 T, N and B jets of base and then
+    mate at ``ts[both]`` on the shared path with ``images``, else None.
+
+    Every pair takes one path: the base is asked once for its grid jet P,
+    one Frenet pass (``_columns``) over P gives its rows, and one over the
+    mate's position jet at the base's regular points gives the mate's.
+    A mate that ``construct_mate`` built on this very base (its
+    ``_offset_of``) is asked for nothing: its jet is P + lam N with the N
+    of the base's pass, and P is of order ``_FRENET_ORDER + 4`` with
+    ``images``, whose frames cut to order 4 are the suite's image rows (so
+    a pair and its suite run the base's jet once), else of order
+    ``_FRENET_ORDER + 2``, with the same bits in the rows.  Any other pair
+    asks each curve at ``_FRENET_ORDER``, as a stencil's width and a
+    normal offset's bits depend on the order asked.  Neither curve's node
+    table is read here.
+    """
+    shared = mate._offset_of is not None and mate._offset_of[0] is base
+    P = base.jet(ts, _FRENET_ORDER + (4 if images else 2) if shared else _FRENET_ORDER)
+    base_rows, ok, errors, core = _columns(P, ts)
+    if shared:
+        frame = _frame(*core)
+        # the mate only where the base is regular, where its N is defined
+        P_mate = P.take(ok) + mate._offset_of[1] * frame[1]
+    else:
+        P_mate = mate.jet(ts[ok], _FRENET_ORDER)
+    mate_rows, mate_ok, mate_errors, mate_core = _columns(P_mate, ts[ok])
+    base_rows = _take_rows(base_rows, mate_ok)
+    ok[ok] = mate_ok
+    frames = None
+    if shared and images:
+        frames = tuple(map(_read_only, (
+            *(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
+            *(v.truncate(_FRENET_ORDER) for v in _frame(*mate_core)))))
+    return base_rows, mate_rows, ok, errors + mate_errors, frames
+
+
 def detect_bertrand(
     base: Curve,
     mate: Curve,
@@ -245,45 +285,16 @@ def detect_bertrand(
     of fewer than 8 points and NotAPairError with a reason of
     'offset-not-normal' (also for curves that coincide, whose offset is
     below ``_EPS_COINCIDE`` at every point), 'lambda-varies' or
-    'normals-not-aligned'.  The returned pair keeps the Frenet data
-    evaluated here, one batch per curve, as row arrays.
-
-    Every pair takes one path: the base is asked once for its grid jet P,
-    one Frenet pass (``_columns``) over P gives its rows, and one over the
-    mate's position jet at the base's regular points gives the mate's.
-    A mate that ``construct_mate`` built on this very base (its
-    ``_offset_of``) is asked for nothing: P is of order
-    ``_FRENET_ORDER + 4``, the mate's jet is P + lam N with the N of the
-    base's pass, and the pair holds both curves' frames, cut to order 4,
-    for the suite's image rows; so the pair and its suite run the base's
-    jet once and build each curve's frame once on the grid.  With
-    ``images`` False (a pair check that no suite follows) P is of order
-    ``_FRENET_ORDER + 2`` and no image frame is built; the rows keep
-    their bits, as the low orders of a higher run have the bits of a
-    lower one, and a suite that does run asks for its image jets itself.
-    Any other pair asks each curve at ``_FRENET_ORDER``, as a stencil's
-    width and a normal offset's bits depend on the order asked.  Neither
-    curve's node table is read here.
+    'normals-not-aligned'.  The pair keeps the rows and, with ``images``,
+    the image frames that ``_pair_columns`` evaluates on the grid.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
     if not 0.0 <= inset < 0.5:
         raise ParameterError(f"inset must lie in [0, 0.5), got {inset}")
     ts = _overlap_grid(base, mate, n, inset=inset)
-    shared = mate._offset_of is not None and mate._offset_of[0] is base
-    P = base.jet(ts, _FRENET_ORDER + (4 if images else 2) if shared else _FRENET_ORDER)
-    base_rows, ok, _, core = _columns(P, ts)
-    if shared:
-        frame = _frame(*core)
-        # the mate only where the base is regular, where its N is defined
-        P_mate = P.take(ok) + mate._offset_of[1] * frame[1]
-    else:
-        P_mate = mate.jet(ts[ok], _FRENET_ORDER)
-    mate_rows, mate_ok, _, mate_core = _columns(P_mate, ts[ok])
-    base_rows = _take_rows(base_rows, mate_ok)
-    ok[ok] = mate_ok
-    valid = np.nonzero(ok)[0]
-    if len(valid) < max(8, n // 4):
+    base_rows, mate_rows, ok, _, frames = _pair_columns(base, mate, ts, images)
+    if np.count_nonzero(ok) < max(8, n // 4):
         raise NotAPairError("offset-not-normal", "too few regular points")
 
     offsets = mate_rows.point - base_rows.point
@@ -316,29 +327,21 @@ def detect_bertrand(
     p1, p2 = map(ConstancyStat.of, projection_constants(mate_rows.g[mate_rows.g_defined]))
     q1, q2 = map(ConstancyStat.of, projection_constants(base_rows.g[base_rows.g_defined]))
     pair = BertrandPairModel(
-        base=base,
-        mate=mate,
-        lam=lam_stat.mean,
-        epsilon=eps,
-        ts=ts,
-        base_rows=base_rows,
-        mate_rows=mate_rows,
-        p1=p1, p2=p2, q1=q1, q2=q2,
-        lambda_stat=lam_stat,
-        masked=~ok,
+        base=base, mate=mate, lam=lam_stat.mean, epsilon=eps, ts=ts,
+        base_rows=base_rows, mate_rows=mate_rows,
+        p1=p1, p2=p2, q1=q1, q2=q2, lambda_stat=lam_stat, masked=~ok,
     )
-    if shared and images:
-        pair._images = tuple(map(_read_only, (
-            *(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
-            *(v.truncate(_FRENET_ORDER) for v in _frame(*mate_core)))))
+    pair._images = frames
     return pair
 
 
 def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:
     """The constraint residual (``paper._constraint_residuals``) at t, from
-    a fresh evaluation of both curves."""
-    fd = _frenet_rows(pair.base, [t])
-    fdm = _frenet_rows(pair.mate, [t])
+    a fresh evaluation of both curves there (``_pair_columns``); raises
+    the SingularPointError of the base at t, else of the mate."""
+    fd, fdm, _, errors, _ = _pair_columns(pair.base, pair.mate, np.array([t], float), False)
+    if errors:
+        raise errors[0]
     return float(_constraint_residuals(fd, fdm, pair.epsilon)[0])
 
 

@@ -23,6 +23,7 @@ from .bertrand import (
     _EPS_COINCIDE,
     _offset_along,
     _overlap_grid,
+    _pair_columns,
 )
 from .curves import (
     EPS_G,
@@ -168,6 +169,9 @@ def pair_classify(
 ) -> PairClass:
     """Ordered Bertrand / Mannheim / involute-evolute test with evidence.
 
+    align='param' reads both curves at the shared parameter on their
+    overlap grid from one ``bertrand._pair_columns``: curveB only where
+    curveA is regular, and a mate built on curveA from curveA's run.
     align='arclength' resamples curveB so that corresponding points carry
     equal arc-length fractions, for pairs without a shared parameter.
     Raises ValueError for any other ``align`` and TooFewSamplesError for
@@ -178,17 +182,17 @@ def pair_classify(
     if n < MIN_CLASSIFY_SAMPLES:
         raise TooFewSamplesError(f"classification grid of {n} points; "
                                  f"need at least {MIN_CLASSIFY_SAMPLES}")
-    # arc-length alignment puts each curve on its own domain, inset as for
-    # the overlap grid
-    ts_a = _overlap_grid(curveA, curveA if align == "arclength" else curveB, n)
+    if align == "param":
+        rows_a, rows_b, both, _, _ = _pair_columns(
+            curveA, curveB, _overlap_grid(curveA, curveB, n), images=False)
+        return _classify_rows(_pose(rows_a), both, _pose(rows_b), both, both, n, tol)
+    # each curve on its own domain, inset as for the overlap grid
+    ts_a = _overlap_grid(curveA, curveA, n)
     rows_a, ok_a, _ = _frenet_columns(curveA, ts_a)
-    ts_b = ts_a
-    if align == "arclength":
-        grid_b = _overlap_grid(curveB, curveB, 4 * n)
-        speed_a = np.linalg.norm(curveA.jet(ts_a, 1).coeffs[1], axis=0)
-        speed_b = np.linalg.norm(curveB.jet(grid_b, 1).coeffs[1], axis=0)
-        ts_b = _aligned_grid(ts_a, speed_a, grid_b, speed_b)
-    rows_b, ok_b, _ = _frenet_columns(curveB, ts_b)
+    grid_b = _overlap_grid(curveB, curveB, 4 * n)
+    speed_a = np.linalg.norm(curveA.jet(ts_a, 1).coeffs[1], axis=0)
+    speed_b = np.linalg.norm(curveB.jet(grid_b, 1).coeffs[1], axis=0)
+    rows_b, ok_b, _ = _frenet_columns(curveB, _aligned_grid(ts_a, speed_a, grid_b, speed_b))
     return _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, ok_a & ok_b, n, tol)
 
 

@@ -263,9 +263,10 @@ def cmd_indicatrix(args) -> int:
     header = ["t", "x", "y", "z", "norm", "kappa_closed", "tau_closed",
               "kappa_corrected", "tau_corrected", "Gamma_closed",
               "kappa_direct", "tau_direct", "kappa_gap", "tau_gap"]
+    # a b kind's affine law before the table: a law that raises leaves no file
+    rel = axis_key == "b" and _arclength_relations(side, data, img, pair.lam, pair.epsilon)
     _put_table(report, args.csv, header, rows)
-    if axis_key == "b":
-        rel = _arclength_relations(side, data, img, pair.lam, pair.epsilon)
+    if rel:
         report.results["affine_fit"] = {
             **asdict(rel.affine_fit), "c1": rel.c1, "c2": rel.c2,
             "c1_deviation": rel.c1_deviation, "predicted_slope": rel.predicted_slope}

@@ -68,7 +68,7 @@ class Curve:
 
     label: str
     # (base, lam) on the mate ``construct_mate`` built on an analytic or
-    # generated base, which ``detect_bertrand`` reads
+    # generated base, which ``bertrand._pair_columns`` reads
     _offset_of = None
 
     @property
@@ -437,20 +437,14 @@ def _frame(D1, V, C, cnorm):
     return T, jcross(B, T), B
 
 
-def _frenet_rows(curve, ts):
-    """Frenet data at every t of ``ts`` as the rows of ``_frenet_columns``;
-    raises the SingularPointError of the first singular t."""
-    rows, _, errors = _frenet_columns(curve, ts)
-    if errors:
-        raise errors[0]
-    return rows
-
-
 def frenet_apparatus(curve, t):
     """Frame, curvature, torsion, their arc-length derivatives and the
     ratio invariants at t, as the one-point view of a one-row
-    ``_frenet_rows``.  Raises SingularPointError at a singular point."""
-    return _points_at(_frenet_rows(curve, [t]), [0], 1)[0]
+    ``_frenet_columns``.  Raises SingularPointError at a singular point."""
+    rows, _, errors = _frenet_columns(curve, [t])
+    if errors:
+        raise errors[0]
+    return _points_at(rows, [0], 1)[0]
 
 
 def frenet_grid(curve, ts):

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bertrand import BertrandPairModel, ConstancyStat, _image_frames
+from .bertrand import BertrandPairModel, ConstancyStat, _image_frames, _pair_columns
 from .curves import (
     _FRENET_ORDER,
     FrenetData,
     SampledCurve,
     _columns,
     _frenet_columns,
-    _frenet_rows,
     _points_at,
     _take_rows,
     cumulative_trapezoid,
@@ -66,15 +65,11 @@ def _other_side(side: str) -> str:
     return "mate" if side == "base" else "base"
 
 
-def _curve(pair: BertrandPairModel, side: str):
-    return pair.base if side == "base" else pair.mate
-
-
 def _data_rows(pair: BertrandPairModel, side: str, ts):
     """The data-side Frenet rows at the points of ``ts`` where the closed
     forms of ``side``'s images apply, from one evaluation of the data-side
     curve, and the grid index of each row."""
-    rows, regular, _ = _frenet_columns(_curve(pair, _other_side(side)), ts)
+    rows, regular, _ = _frenet_columns(getattr(pair, _other_side(side)), ts)
     ok = _applies(side, rows)
     return _take_rows(rows, ok), np.flatnonzero(regular)[ok]
 
@@ -167,10 +162,13 @@ def _arclength_relations(side: str, src: FrenetData, img: FrenetData, lam: float
 def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
                                    n: int = 256) -> ArcLengthRelations:
     """Cumulative indicatrix arc lengths and the affine law for s_b on
-    n + 1 points spanning the detection grid, from one evaluation of each
-    curve.  Raises SingularPointError where either curve is singular and
-    DegenerateRatioError where g of the data side is undefined."""
+    n + 1 points spanning the detection grid, from one evaluation of the
+    pair there (``_pair_columns``).  Raises the first SingularPointError of
+    the base, else of the mate, and DegenerateRatioError where g of the
+    data side is undefined."""
     ts = np.linspace(pair.ts[0], pair.ts[-1], n + 1)
-    src = _frenet_rows(_curve(pair, _other_side(side)), ts)
-    img = _frenet_rows(_curve(pair, side), ts)
+    base_rows, mate_rows, _, errors, _ = _pair_columns(pair.base, pair.mate, ts, images=False)
+    if errors:
+        raise errors[0]
+    src, img = (mate_rows, base_rows) if side == "base" else (base_rows, mate_rows)
     return _arclength_relations(side, src, img, pair.lam, pair.epsilon)

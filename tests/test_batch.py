@@ -31,7 +31,6 @@ from bertrand_kit.curves import (
     JetBackedCurve,
     SampledCurve,
     _frenet_columns,
-    _frenet_rows,
     _take_rows,
     fornberg_weights,
     frenet_apparatus,
@@ -121,7 +120,7 @@ def test_frenet_rows_carry_the_points(name):
     included."""
     curve = CURVES[name]()
     ts = np.linspace(*curve.domain, 29)
-    rows, want = _frenet_rows(curve, ts).point, curve.point(ts).T
+    rows, want = _frenet_columns(curve, ts)[0].point, curve.point(ts).T
     if POINT_GAP[name]:
         assert np.max(np.abs(rows - want)) <= POINT_GAP[name]
     else:
@@ -138,7 +137,7 @@ def test_frenet_rows_are_the_low_orders_of_a_higher_request(name, monkeypatch):
     derivative order asked."""
     curve = CURVES[name]()
     ts = np.linspace(*curve.domain, 29)
-    rows = _frenet_rows(curve, ts)
+    rows = _frenet_columns(curve, ts)[0]
     if isinstance(curve, SampledCurve):
         # the same 9-node stencils, weights up to the sixth derivative
         weights = curves.fornberg_weights
@@ -153,7 +152,7 @@ def test_frenet_rows_are_the_low_orders_of_a_higher_request(name, monkeypatch):
             return jet(self, t, order)
 
         monkeypatch.setattr(type(curve), "jet", higher)
-    assert_same_bits(_frenet_rows(CURVES[name](), ts), rows)
+    assert_same_bits(_frenet_columns(CURVES[name](), ts)[0], rows)
 
 
 @pytest.mark.parametrize("preset", ["wobble", "slant"])

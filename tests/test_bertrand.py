@@ -1,5 +1,6 @@
 """Pair construction, detection and the invariants they must satisfy."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -18,7 +19,13 @@ from bertrand_kit.bertrand import (
     sphere_preset,
     DEFAULT_OMEGA,
 )
-from bertrand_kit.classify import _classify_image_rows, theorem_suite
+from bertrand_kit.classify import (
+    _classify_image_rows,
+    _classify_rows,
+    _pose,
+    pair_classify,
+    theorem_suite,
+)
 from bertrand_kit.curves import (
     AnalyticCurve,
     Curve,
@@ -36,8 +43,10 @@ from bertrand_kit.errors import (
     NotSphericalError,
     ParameterError,
 )
+from bertrand_kit.indicatrix import _arclength_relations, indicatrix_arclength_relations
 from bertrand_kit.io import dumps, save_curve
 from bertrand_kit.paper import (
+    _constraint_residuals,
     bertrand_lambda,
     geodesic_indicator_closed_form,
     mate_apparatus_from_base,
@@ -918,6 +927,93 @@ def test_mate_of_a_mate_is_detected_on_the_separate_path():
     want_base, want_mate = _separate_rows(*fresh(), pair.ts)
     _assert_same_rows(pair.base_rows, want_base)
     _assert_same_rows(pair.mate_rows, want_mate)
+
+
+def _mate_of_a_mate():
+    """A fresh mate of a generated wobble base and its own mate by 1.0,
+    which records no base: a pair on the separate path."""
+    mate = construct_mate(_generated("wobble"), 1.0, n=64)
+    return mate, construct_mate(mate, 1.0, n=64)
+
+
+def _sampled_pair():
+    """A generated wobble base sampled at 257 points and its sampled mate
+    by 1.0: a pair on the separate path."""
+    base = _generated("wobble")
+    ts = np.linspace(*base.domain, 257)
+    sampled = SampledCurve(ts, base.jet(ts, 0).coeffs[0].T)
+    return sampled, construct_mate(sampled, 1.0, n=256)
+
+
+# each factory returns a fresh (base, mate); the first three take the
+# shared path, the other two the separate one
+EVALUATOR_PAIRS = {
+    "wobble": lambda: _fresh_pair("wobble"),
+    "slant": lambda: _fresh_pair("slant"),
+    "analytic": _planar_pair,
+    "mate-of-mate": _mate_of_a_mate,
+    "sampled": _sampled_pair,
+}
+
+
+@pytest.mark.parametrize("name", list(EVALUATOR_PAIRS))
+def test_pair_functions_have_the_bits_of_fresh_curves(name):
+    """``pair_classify`` (align='param'), ``indicatrix_arclength_relations``
+    and ``pair_constraint_residual`` read both curves through one
+    ``_pair_columns``; each result has the bits of its formula over the
+    rows of a fresh base and a fresh mate, each asked for its own order-4
+    jets (``_separate_rows``), on either path."""
+    fresh = EVALUATOR_PAIRS[name]
+    pair = detect_bertrand(*fresh(), n=24, tol_align=1e-4, tol_const=1e-4, inset=0.01)
+    base, mate = fresh()
+
+    ts = bertrand._overlap_grid(pair.base, pair.mate, 128)
+    rows_a, rows_b = _separate_rows(base, mate, ts)
+    ok = np.ones(len(rows_a.t), dtype=bool)
+    want = _classify_rows(_pose(rows_a), ok, _pose(rows_b), ok, ok, 128, 1e-6)
+    assert repr(pair_classify(pair.base, pair.mate)) == repr(want)
+
+    ts = np.linspace(pair.ts[0], pair.ts[-1], 65)
+    rows = _separate_rows(base, mate, ts)
+    assert len(rows[0].t) == len(ts)
+    for side, (src, img) in zip(("base", "mate"), (rows[::-1], rows)):
+        got = indicatrix_arclength_relations(pair, side, n=64)
+        want = _arclength_relations(side, src, img, pair.lam, pair.epsilon)
+        for field in dataclasses.fields(want):
+            value = getattr(want, field.name)
+            if isinstance(value, np.ndarray):
+                assert_same_bits_array(getattr(got, field.name), value)
+            else:
+                assert repr(getattr(got, field.name)) == repr(value), field.name
+
+    for t in pair.ts[~pair.masked][::5]:
+        want = _constraint_residuals(*_separate_rows(base, mate, np.array([t])), pair.epsilon)
+        assert pair_constraint_residual(pair, t).hex() == float(want[0]).hex()
+
+
+def test_pair_functions_run_one_generator_pipeline_per_call(monkeypatch):
+    """On a generated pair, ``pair_classify`` (align='param'),
+    ``indicatrix_arclength_relations`` and ``pair_constraint_residual``
+    each run the base's generator pipeline once per call, at order 6 on
+    their own grid, and read the mate from that run (one pipeline per
+    curve before)."""
+    pair = generated_pair("wobble", n=64, grid=24)
+    runs = []
+    real_invert = bertrand.invert_series
+
+    def invert(fwd):
+        runs.append((fwd.order, fwd.coeffs.shape[-1]))
+        return real_invert(fwd)
+
+    monkeypatch.setattr(bertrand, "invert_series", invert)
+    calls = [(lambda: pair_classify(pair.base, pair.mate, n=32), (6, 32)),
+             (lambda: indicatrix_arclength_relations(pair, "base", n=64), (6, 65)),
+             (lambda: indicatrix_arclength_relations(pair, "mate", n=64), (6, 65)),
+             (lambda: pair_constraint_residual(pair, pair.ts[5]), (6, 1))]
+    for call, want in calls:
+        runs.clear()
+        call()
+        assert runs == [want]
 
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant", "analytic"])

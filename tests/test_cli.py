@@ -879,7 +879,8 @@ def _count_generator_work(monkeypatch, runs=None):
 # rebuild check).  verify and indicatrix run one more on the detection
 # grid, at the order the image rows read; an indicatrix reads its data
 # rows, image rows and arc-length law from that one run.  classify runs
-# one per curve on its grid, and the arc-length alignment one per curve
+# one more on its grid, whose mate rows are read from the base's run, and
+# the arc-length alignment one per curve for its rows and one per curve
 # for the speeds.
 @pytest.mark.parametrize(
     "argv, pipelines",
@@ -887,7 +888,7 @@ def _count_generator_work(monkeypatch, runs=None):
         (["verify", "--n", "24"], 2),
         *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], 2)
           for axis in "tnb" for side in ("base", "mate")],
-        (["classify"], 3),
+        (["classify"], 2),
         (["classify", "--align", "arclength"], 5),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
@@ -918,14 +919,15 @@ def pair_24(tmp_path_factory):
 # 6 at 6.  mate fits lambda on 64 points, reads its 25-node table to save
 # it and checks the pair on 24 points; each two-file command first checks
 # the loaded mate's 25 nodes.  A pair check that no suite follows (mate)
-# reads rows only and asks for order 6; the detection of verify and of
-# indicatrix, on its --n grid, asks for order 8, whose frames the image
-# rows read.
+# reads rows only and asks for order 6, as classify does on its 128-point
+# grid; the detection of verify and of indicatrix, on its --n grid, asks
+# for order 8, whose frames the image rows read.
 @pytest.mark.parametrize(
     "argv, want",
     [
         (["mate", "--auto", "--n", "24"], [(6, 64), (6, 25), (6, 24)]),
         (["verify", "--n", "24"], [(6, 25), (8, 24)]),
+        (["classify"], [(6, 25), (6, 128)]),
         *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(6, 25), (8, 64)])
           for axis in "tnb" for side in ("base", "mate")],
     ],
@@ -934,8 +936,8 @@ def pair_24(tmp_path_factory):
 def test_generator_pipeline_orders_per_command(pair_24, tmp_path, capsys, monkeypatch,
                                                argv, want):
     """Each command asks the generator for the orders it reads: the mate's
-    pair check at order 6, and verify and indicatrix at order 8 on one
-    detection grid."""
+    pair check and classify at order 6, and verify and indicatrix at order
+    8 on one detection grid."""
     base, mate = pair_24
     if argv[0] == "mate":
         argv = [*argv[:1], base, *argv[1:], "--out", str(tmp_path / "mate.json")]

@@ -24,10 +24,18 @@ from bertrand_kit.bertrand import (
     construct_mate,
     detect_bertrand,
     generate_bertrand_curve,
+    pair_constraint_residual,
 )
 from bertrand_kit.classify import theorem_suite
-from bertrand_kit.cli import EXIT_NOT_A_PAIR, EXIT_OK, EXIT_PARSE, EXIT_SINGULAR, main
-from bertrand_kit.curves import AnalyticCurve, _frenet_rows, frenet_apparatus, frenet_grid
+from bertrand_kit.cli import (
+    EXIT_DEGENERATE_RATIO,
+    EXIT_NOT_A_PAIR,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_SINGULAR,
+    main,
+)
+from bertrand_kit.curves import AnalyticCurve, _frenet_columns, frenet_apparatus, frenet_grid
 from bertrand_kit.errors import (
     DegenerateRatioError,
     NotAPairError,
@@ -124,6 +132,21 @@ def test_helical_pair_mate_images_are_all_masked(helical_files, capsys):
     assert interval == pytest.approx([0.06, 5.94])
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_helical_pair_b_kind_writes_no_csv(helical_files, tmp_path, capsys, side):
+    """A b kind's affine law reads g of the data side, undefined at every
+    row of the helical pair: indicatrix exits 5 with one error line and an
+    empty stdout, and leaves no CSV (a header-only file was left before)."""
+    csv = tmp_path / "ind.csv"
+    rc = main(["indicatrix", *helical_files, "--kind", f"b-{side}", "--csv", str(csv)])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_DEGENERATE_RATIO
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: g undefined at t=")
+    assert not csv.exists()
+
+
 def test_helical_pair_base_images_are_all_masked(helical_files, capsys):
     """The base-side images read the mate, which reloads from the recipe
     of its analytic base with exact jets, so g is undefined at every row
@@ -139,7 +162,7 @@ def test_helical_pair_base_images_are_all_masked(helical_files, capsys):
 def test_conical_helix_has_no_offset_distance():
     curve = AnalyticCurve("exp(0.2*t)*cos(t)", "exp(0.2*t)*sin(t)", "1.5*exp(0.2*t)",
                           (0.0, 6.0))
-    rows = _frenet_rows(curve, [1.0, 2.0, 3.0])
+    rows = _frenet_columns(curve, [1.0, 2.0, 3.0])[0]
     with pytest.raises(DegenerateRatioError, match=r"g = f degeneracy at t=1\.0$"):
         bertrand_lambda(rows)
 
@@ -157,6 +180,17 @@ def test_fast_curve_flat_point_is_singular():
     with pytest.raises(SingularPointError,
                        match=r"^curvature below regularity floor at t=1e-08$"):
         frenet_apparatus(curve, 1e-8)
+
+
+def test_pair_constraint_residual_raises_at_the_flat_point():
+    """The flat point of the fast curve is its pair's too: detected with a
+    permissive tolerance, the pair's constraint residual at t = 1e-8
+    raises the base's curvature error."""
+    curve = AnalyticCurve(*FAST, (-1.0, 1.0))
+    pair = detect_bertrand(curve, construct_mate(curve, 0.1), tol_align=10)
+    with pytest.raises(SingularPointError,
+                       match=r"^curvature below regularity floor at t=1e-08$"):
+        pair_constraint_residual(pair, 1e-8)
 
 
 def test_fast_curve_flat_point_cli(tmp_path, capsys):
@@ -186,7 +220,7 @@ def crossing_base(crossing_seed):
 
 
 def test_one_plus_fg_changes_sign_on_the_generated_base(crossing_base):
-    rows = _frenet_rows(crossing_base, np.linspace(*crossing_base.domain, 128))
+    rows = _frenet_columns(crossing_base, np.linspace(*crossing_base.domain, 128))[0]
     one_plus_fg = 1.0 + rows.f * rows.g
     assert np.min(one_plus_fg) == pytest.approx(-3.07, abs=5e-3)
     assert np.max(one_plus_fg) == pytest.approx(0.97, abs=5e-3)

@@ -10,7 +10,6 @@ from bertrand_kit.curves import _take_rows, frenet_grid
 from bertrand_kit.indicatrix import (
     AXES,
     SIDES,
-    _curve,
     _data_rows,
     apparatus_grid,
     frame_relations_check,
@@ -190,7 +189,7 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
         for side in SIDES:
             fd, idx = _data_rows(pair, side, ts)
             assert len(idx) == len(ts)
-            rows, regular, _ = image_rows(_curve(pair, side), ts)
+            rows, regular, _ = image_rows(getattr(pair, side), ts)
             row_of = np.cumsum(regular) - 1
             images = paper.images(side, fd, pair.epsilon)
             for k, axis in enumerate(AXES):
