@@ -27,30 +27,26 @@ from .bertrand import (
 )
 from .curves import (
     EPS_G,
+    MIN_CLASSIFY_SAMPLES,
     Curve,
     _frenet_columns,
     _take_rows,
     cumulative_trapezoid,
 )
 from .errors import TooFewSamplesError
-from .indicatrix import AXES, SIDES, _arclength_relations, _image_columns, _other_side
+from .indicatrix import AXES, SIDES, _arclength_relations, _closed_forms, _image_columns
 from .paper import (
     IndicatrixSample,
-    _applies,
     _constraint_residuals,
-    _failures,
     _frame_relations,
     _raise_at,
     condition_residual,
-    images,
 )
 
 TOL_PLANAR = 1e-8
 TOL_HELIX = 1e-6
 TOL_SLANT = 1e-5
 TOL_SPHERICAL = 1e-8
-
-MIN_CLASSIFY_SAMPLES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +122,13 @@ def classify_curve(curve: Curve, n: int = 128) -> CurveClass:
 
 
 def spherical_helix_check(image: IndicatrixSample) -> float:
-    """Constancy of tau_x/kappa_x over the closed-form rows of one image:
-    the relative deviation of the ratio.
+    """Constancy of tau_x/kappa_x over the closed-form rows of one image,
+    MIN_CLASSIFY_SAMPLES or more: the relative deviation of the ratio.
 
     A spherical curve with constant torsion-to-curvature ratio is a
     spherical helix; this is the indicatrix-level helix criterion.
     """
     _raise_at(np.abs(image.kappa) < 1e-12, image, "kappa_x = 0")
-    if len(image.kappa) < MIN_CLASSIFY_SAMPLES:
-        raise TooFewSamplesError(
-            f"{len(image.kappa)} samples; need {MIN_CLASSIFY_SAMPLES}"
-        )
     return _relative_deviation(image.tau / image.kappa)
 
 
@@ -438,21 +430,9 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     # cross-side constraint equation
     add("constraint-eq", np.max(np.abs(_constraint_residuals(fb, fm, eps))))
 
-    # closed forms of each side's images, which read the other curve's
-    # rows where they apply
-    side_images = {}
-    for side in SIDES:
-        fd = rows[_other_side(side)]
-        applies = _applies(side, fd)
-        count = np.count_nonzero(applies)
-        if count < MIN_CLASSIFY_SAMPLES:
-            failed = ", ".join(f"{name}: {np.count_nonzero(mask)}"
-                               for name, mask in _failures(side, fd).items())
-            raise TooFewSamplesError(
-                f"the closed forms of the {side}'s images apply at "
-                f"{count} of {len(applies)} usable grid rows, "
-                f"need {MIN_CLASSIFY_SAMPLES}; rows with {failed}")
-        side_images[side] = images(side, _take_rows(fd, applies), eps)
+    # closed forms of each side's images, on enough rows for the helix flags
+    side_images = {side: _closed_forms(side, fb, fm, eps, MIN_CLASSIFY_SAMPLES)[1]
+                   for side in SIDES}
 
     # frame relations among indicatrix frames
     add("frame-relations",
@@ -470,7 +450,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     # cr14 / cr33: binormal arc length against the direct |B'| quadrature,
     # and the affine law s_b = slope * s_src + c2
     for key, side in (("cr14", "base"), ("cr33", "mate")):
-        rel = _arclength_relations(side, rows[_other_side(side)], rows[side], pair.lam, eps)
+        rel = _arclength_relations(side, fb, fm, pair.lam, eps)
         rng = max(abs(rel.s_b[-1] - rel.s_b[0]), 1e-30)
         direct_gap = float(np.max(np.abs(np.abs(rel.s_b) - rel.s_b_direct))) / rng
         affine_gap = rel.affine_fit.rms_residual / rng

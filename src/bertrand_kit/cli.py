@@ -56,7 +56,7 @@ from .errors import (
     TooFewSamplesError,
     UnknownFunctionError,
 )
-from .indicatrix import AXES, SIDES, _arclength_relations, _image_columns
+from .indicatrix import AXES, SIDES, _arclength_relations, _closed_forms, _image_columns
 from .io import (
     CurveFileError,
     RunReport,
@@ -66,7 +66,6 @@ from .io import (
     save_curve,
     write_csv,
 )
-from .paper import _applies, images
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -242,15 +241,12 @@ def cmd_indicatrix(args) -> int:
     pair, inputs = _load_pair(args, args.n, images=True)
     report = RunReport(command="indicatrix", inputs=inputs,
                        parameters={"kind": args.kind, "n": args.n})
-    data, img = ((pair.mate_rows, pair.base_rows) if side == "base"
-                 else (pair.base_rows, pair.mate_rows))
-    applies = _applies(side, data)
-    closed = images(side, _take_rows(data, applies), pair.epsilon)[AXES[k]]
+    applies, closed = _closed_forms(side, pair.base_rows, pair.mate_rows, pair.epsilon)
     # the exact Frenet rows of the image curve, whose position jet is the frame's
     jet = pair._image_jets()[3 * SIDES.index(side) + k]
     direct, regular, _ = _image_columns((jet,), pair.ts[~pair.masked])
     ok = applies & regular
-    s, fdi = _take_rows(closed, ok[applies]), _take_rows(direct, ok[regular])
+    s, fdi = _take_rows(closed[AXES[k]], ok[applies]), _take_rows(direct, ok[regular])
     gap_k = np.abs(np.abs(s.kappa_image) - fdi.kappa) / np.maximum(np.abs(fdi.kappa), 1e-30)
     # signed, against kappa where |tau| is small: a planar image's tau is noise
     gap_t = np.abs(s.tau_image - fdi.tau) / np.maximum(np.abs(fdi.tau), fdi.kappa)
@@ -264,7 +260,8 @@ def cmd_indicatrix(args) -> int:
               "kappa_corrected", "tau_corrected", "Gamma_closed",
               "kappa_direct", "tau_direct", "kappa_gap", "tau_gap"]
     # a b kind's affine law before the table: a law that raises leaves no file
-    rel = axis_key == "b" and _arclength_relations(side, data, img, pair.lam, pair.epsilon)
+    rel = axis_key == "b" and _arclength_relations(side, pair.base_rows, pair.mate_rows,
+                                                   pair.lam, pair.epsilon)
     _put_table(report, args.csv, header, rows)
     if rel:
         report.results["affine_fit"] = {

@@ -43,6 +43,8 @@ from .jets import (
 
 EPS_REG = 1e-9
 EPS_G = 1e-10
+# The fewest grid rows a classification or a closed-form check reads.
+MIN_CLASSIFY_SAMPLES = 16
 # How far outside its domain a curve still takes a parameter value.
 _DOMAIN_SLACK = 1e-12
 # The jet order the Frenet rows read: kappa'' is kappa_jet.coeffs[2] and

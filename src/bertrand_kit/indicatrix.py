@@ -15,6 +15,7 @@ import numpy as np
 from .bertrand import BertrandPairModel, ConstancyStat, _image_frames, _pair_columns
 from .curves import (
     _FRENET_ORDER,
+    MIN_CLASSIFY_SAMPLES,
     FrenetData,
     SampledCurve,
     _columns,
@@ -23,8 +24,9 @@ from .curves import (
     _take_rows,
     cumulative_trapezoid,
 )
+from .errors import TooFewSamplesError
 from .jets import Jet
-from .paper import _applies, _frame_relations, arclength_c1, arclength_rates, images
+from .paper import _applies, _failures, _frame_relations, arclength_c1, arclength_rates, images
 
 AXES = ("tangent", "normal", "binormal")
 SIDES = ("base", "mate")
@@ -32,11 +34,12 @@ SIDES = ("base", "mate")
 
 def indicatrix_curve(curve, axis, n) -> SampledCurve:
     """Sampled spherical image of the Frenet vector of ``axis``, from one
-    Frenet grid of n points over the domain; singular points dropped."""
-    vec = dict(zip(AXES, "TNB"))[axis]
-    lo, hi = curve.domain
-    rows, _, _ = _frenet_columns(curve, np.linspace(lo, hi, n))
-    return SampledCurve(rows.t, getattr(rows, vec),
+    Frenet grid of n points over the domain; singular points dropped.
+    Raises ValueError for an axis that names no image."""
+    if axis not in AXES:
+        raise ValueError(f"axis must be one of {', '.join(AXES)}, got {axis!r}")
+    rows, _, _ = _frenet_columns(curve, np.linspace(*curve.domain, n))
+    return SampledCurve(rows.t, getattr(rows, "TNB"[AXES.index(axis)]),
                         label=f"{curve.label or 'curve'}:{axis}-image")
 
 
@@ -61,41 +64,59 @@ def _image_columns(images, ts):
     return _columns(P, ts_all)[:3]
 
 
-def _other_side(side: str) -> str:
-    return "mate" if side == "base" else "base"
+def _sides(side: str, base_rows, mate_rows):
+    """(data, imaged) rows of ``side``'s images, whose closed forms read the
+    other curve's rows.  Raises ValueError for a side that names no image."""
+    if side not in SIDES:
+        raise ValueError(f"side must be 'base' or 'mate', got {side!r}")
+    return (mate_rows, base_rows) if side == "base" else (base_rows, mate_rows)
 
 
-def _data_rows(pair: BertrandPairModel, side: str, ts):
-    """The data-side Frenet rows at the points of ``ts`` where the closed
-    forms of ``side``'s images apply, from one evaluation of the data-side
-    curve, and the grid index of each row."""
-    rows, regular, _ = _frenet_columns(getattr(pair, _other_side(side)), ts)
-    ok = _applies(side, rows)
-    return _take_rows(rows, ok), np.flatnonzero(regular)[ok]
+def _closed_forms(side: str, base_rows, mate_rows, eps: int, least: int = 0):
+    """The mask of ``side``'s data rows where the closed forms of its images
+    apply (``paper._applies``), and the images there.  Below ``least`` such
+    rows, raises TooFewSamplesError that counts the rows where g is
+    undefined, if any, and where each ``paper._failures`` condition fails."""
+    data, _ = _sides(side, base_rows, mate_rows)
+    applies = _applies(side, data)
+    count = np.count_nonzero(applies)
+    if count < least:
+        fails = {name: mask & data.g_defined for name, mask in _failures(side, data).items()}
+        if not data.g_defined.all():
+            fails = {"g undefined": ~data.g_defined, **fails}
+        failed = ", ".join(f"{name}: {np.count_nonzero(mask)}" for name, mask in fails.items())
+        raise TooFewSamplesError(
+            f"the closed forms of the {side}'s images apply at {count} of {len(applies)} "
+            f"usable grid rows, need {least}; rows with {failed}")
+    return applies, images(side, _take_rows(data, applies), eps)
 
 
 def apparatus_grid(pair: BertrandPairModel, side: str, axis: str, ts):
-    """Closed-form samples over a grid, from one evaluation of the
-    data-side curve, as the one-point views of the closed-form rows;
-    degenerate points become None.  Raises ValueError for a side or axis
-    that names no image."""
+    """Closed-form samples over a grid, from one evaluation of the pair
+    there (``_pair_columns``), as one-point views of the closed-form rows;
+    degenerate points, either curve's singular points included, become
+    None.  Raises ValueError for a side or axis that names no image."""
     if side not in SIDES or axis not in AXES:
         raise ValueError(f"bad indicatrix kind {side}/{axis}")
-    fd, idx = _data_rows(pair, side, ts)
-    return _points_at(images(side, fd, pair.epsilon)[axis], idx, len(ts))
+    ts = np.asarray(ts, dtype=float)
+    base_rows, mate_rows, both, _, _ = _pair_columns(pair.base, pair.mate, ts, images=False)
+    applies, closed = _closed_forms(side, base_rows, mate_rows, pair.epsilon)
+    return _points_at(closed[axis], np.flatnonzero(both)[applies], len(ts))
 
 
 def frame_relations_check(pair: BertrandPairModel, n: int = 64) -> dict:
     """Max deviation of the frame relations among indicatrix frames, both
-    sides, on n points spanning the detection grid, with the number of
-    points masked on either side."""
+    sides, on n points spanning the detection grid (one ``_pair_columns``),
+    with the number of points masked on either side; TooFewSamplesError
+    where a side's closed forms apply at fewer than MIN_CLASSIFY_SAMPLES."""
     ts = np.linspace(pair.ts[0], pair.ts[-1], n)
+    fb, fm, _, _, _ = _pair_columns(pair.base, pair.mate, ts, images=False)
     report = {}
     masked = 0
     for side in SIDES:
-        fd, idx = _data_rows(pair, side, ts)
-        masked += n - len(idx)
-        report.update(_frame_relations(side, images(side, fd, pair.epsilon), pair.epsilon))
+        applies, imgs = _closed_forms(side, fb, fm, pair.epsilon, MIN_CLASSIFY_SAMPLES)
+        masked += n - int(np.count_nonzero(applies))
+        report.update(_frame_relations(side, imgs, pair.epsilon))
     report["masked_points"] = masked
     return report
 
@@ -130,15 +151,16 @@ class ArcLengthRelations:
     predicted_slope: float  # |ds_b/ds_src| implied by the constancy argument
 
 
-def _arclength_relations(side: str, src: FrenetData, img: FrenetData, lam: float,
-                         eps: int) -> ArcLengthRelations:
-    """Cumulative indicatrix arc lengths and the affine law for s_b over
-    rows: ``src`` are the data-side Frenet rows, ``img`` the imaged
-    curve's rows at the same t.
+def _arclength_relations(side: str, base_rows: FrenetData, mate_rows: FrenetData,
+                         lam: float, eps: int) -> ArcLengthRelations:
+    """Cumulative indicatrix arc lengths and the affine law for s_b of
+    ``side``'s images over the rows of both curves at the same t, read
+    from the data side's rows (``src``) and the imaged curve's (``img``).
 
     The rates and the constant that gives c1 are ``paper.arclength_rates``;
     the six arc lengths are one quadrature of the stacked rates.
     """
+    src, img = _sides(side, base_rows, mate_rows)
     rates, expr_vals = arclength_rates(src, img)
     s_src, s_tb, s_n, s_t_direct, s_n_direct, s_b_direct = cumulative_trapezoid(src.t, rates)
     fit = _affine_fit(s_src, s_tb)
@@ -165,10 +187,9 @@ def indicatrix_arclength_relations(pair: BertrandPairModel, side: str,
     n + 1 points spanning the detection grid, from one evaluation of the
     pair there (``_pair_columns``).  Raises the first SingularPointError of
     the base, else of the mate, and DegenerateRatioError where g of the
-    data side is undefined."""
+    data side is undefined; ValueError for a side that names no image."""
     ts = np.linspace(pair.ts[0], pair.ts[-1], n + 1)
     base_rows, mate_rows, _, errors, _ = _pair_columns(pair.base, pair.mate, ts, images=False)
     if errors:
         raise errors[0]
-    src, img = (mate_rows, base_rows) if side == "base" else (base_rows, mate_rows)
-    return _arclength_relations(side, src, img, pair.lam, pair.epsilon)
+    return _arclength_relations(side, base_rows, mate_rows, pair.lam, pair.epsilon)

@@ -20,6 +20,7 @@ from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
     _frames,
     _image_frames,
+    _pair_columns,
     construct_mate,
     detect_bertrand,
     generate_bertrand_curve,
@@ -46,7 +47,6 @@ from bertrand_kit.errors import (
 from bertrand_kit.indicatrix import (
     AXES,
     SIDES,
-    _data_rows,
     apparatus_grid,
     image_rows,
 )
@@ -179,9 +179,12 @@ def test_views_carry_the_bits_of_their_rows():
             for name in FIELDS:
                 assert_same_bits_array(getattr(views[i], name), getattr(rows, name)[j])
     ts = np.linspace(pair.ts[0], pair.ts[-1], 29)
+    base_rows, mate_rows, both, _, _ = _pair_columns(pair.base, pair.mate, ts, images=False)
+    assert both.all()
+    rows_idx = np.arange(len(ts))
     for side in SIDES:
-        data, rows_idx = _data_rows(pair, side, ts)
-        assert len(rows_idx) == len(ts)
+        data = mate_rows if side == "base" else base_rows
+        assert paper._applies(side, data).all()
         images = paper.images(side, data, pair.epsilon)
         for axis in AXES:
             closed = images[axis]

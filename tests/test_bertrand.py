@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_batch import FIELDS, _generated, assert_same_bits_array
 
-from bertrand_kit import bertrand, curves, indicatrix, jets
+from bertrand_kit import bertrand, curves, indicatrix, jets, paper
 from bertrand_kit.bertrand import (
     construct_mate,
     detect_bertrand,
@@ -27,11 +27,13 @@ from bertrand_kit.classify import (
     theorem_suite,
 )
 from bertrand_kit.curves import (
+    MIN_CLASSIFY_SAMPLES,
     AnalyticCurve,
     Curve,
     JetBackedCurve,
     SampledCurve,
     _frenet_columns,
+    _points_at,
     _take_rows,
     frenet_apparatus,
 )
@@ -42,8 +44,16 @@ from bertrand_kit.errors import (
     NotAPairError,
     NotSphericalError,
     ParameterError,
+    TooFewSamplesError,
 )
-from bertrand_kit.indicatrix import _arclength_relations, indicatrix_arclength_relations
+from bertrand_kit.indicatrix import (
+    AXES,
+    SIDES,
+    _arclength_relations,
+    apparatus_grid,
+    frame_relations_check,
+    indicatrix_arclength_relations,
+)
 from bertrand_kit.io import dumps, save_curve
 from bertrand_kit.paper import (
     _constraint_residuals,
@@ -958,11 +968,13 @@ EVALUATOR_PAIRS = {
 
 @pytest.mark.parametrize("name", list(EVALUATOR_PAIRS))
 def test_pair_functions_have_the_bits_of_fresh_curves(name):
-    """``pair_classify`` (align='param'), ``indicatrix_arclength_relations``
-    and ``pair_constraint_residual`` read both curves through one
+    """``pair_classify`` (align='param'), ``indicatrix_arclength_relations``,
+    ``pair_constraint_residual``, ``apparatus_grid`` and
+    ``frame_relations_check`` read both curves through one
     ``_pair_columns``; each result has the bits of its formula over the
     rows of a fresh base and a fresh mate, each asked for its own order-4
-    jets (``_separate_rows``), on either path."""
+    jets (``_separate_rows``), on either path.  On the planar pair the
+    base's closed forms apply at no row, and the frame relations raise."""
     fresh = EVALUATOR_PAIRS[name]
     pair = detect_bertrand(*fresh(), n=24, tol_align=1e-4, tol_const=1e-4, inset=0.01)
     base, mate = fresh()
@@ -976,9 +988,9 @@ def test_pair_functions_have_the_bits_of_fresh_curves(name):
     ts = np.linspace(pair.ts[0], pair.ts[-1], 65)
     rows = _separate_rows(base, mate, ts)
     assert len(rows[0].t) == len(ts)
-    for side, (src, img) in zip(("base", "mate"), (rows[::-1], rows)):
+    for side in ("base", "mate"):
         got = indicatrix_arclength_relations(pair, side, n=64)
-        want = _arclength_relations(side, src, img, pair.lam, pair.epsilon)
+        want = _arclength_relations(side, *rows, pair.lam, pair.epsilon)
         for field in dataclasses.fields(want):
             value = getattr(want, field.name)
             if isinstance(value, np.ndarray):
@@ -990,13 +1002,36 @@ def test_pair_functions_have_the_bits_of_fresh_curves(name):
         want = _constraint_residuals(*_separate_rows(base, mate, np.array([t])), pair.epsilon)
         assert pair_constraint_residual(pair, t).hex() == float(want[0]).hex()
 
+    # the closed forms of each side's images over the fresh data side's rows
+    report, masked, fewest = {}, 0, len(ts)
+    for side, data in zip(SIDES, rows[::-1]):
+        applies = paper._applies(side, data)
+        closed = paper.images(side, _take_rows(data, applies), pair.epsilon)
+        for axis in AXES:
+            want = _points_at(closed[axis], np.flatnonzero(applies), len(ts))
+            got = apparatus_grid(pair, side, axis, ts)
+            assert [v is None for v in got] == [v is None for v in want]
+            for g, w in zip(got, want):
+                if w is not None:
+                    for name in w._fields:
+                        assert_same_bits_array(getattr(g, name), getattr(w, name))
+        report.update(paper._frame_relations(side, closed, pair.epsilon))
+        masked += len(ts) - int(np.count_nonzero(applies))
+        fewest = min(fewest, int(np.count_nonzero(applies)))
+    if fewest < MIN_CLASSIFY_SAMPLES:
+        with pytest.raises(TooFewSamplesError, match="closed forms"):
+            frame_relations_check(pair, n=len(ts))
+    else:
+        want = {**report, "masked_points": masked}
+        assert repr(frame_relations_check(pair, n=len(ts))) == repr(want)
+
 
 def test_pair_functions_run_one_generator_pipeline_per_call(monkeypatch):
     """On a generated pair, ``pair_classify`` (align='param'),
-    ``indicatrix_arclength_relations`` and ``pair_constraint_residual``
-    each run the base's generator pipeline once per call, at order 6 on
-    their own grid, and read the mate from that run (one pipeline per
-    curve before)."""
+    ``indicatrix_arclength_relations``, ``pair_constraint_residual``,
+    ``apparatus_grid`` and ``frame_relations_check`` each run the base's
+    generator pipeline once per call, at order 6 on their own grid, and
+    read the mate from that run (one pipeline per curve before)."""
     pair = generated_pair("wobble", n=64, grid=24)
     runs = []
     real_invert = bertrand.invert_series
@@ -1006,10 +1041,14 @@ def test_pair_functions_run_one_generator_pipeline_per_call(monkeypatch):
         return real_invert(fwd)
 
     monkeypatch.setattr(bertrand, "invert_series", invert)
+    ts = np.linspace(pair.ts[0], pair.ts[-1], 40)
     calls = [(lambda: pair_classify(pair.base, pair.mate, n=32), (6, 32)),
              (lambda: indicatrix_arclength_relations(pair, "base", n=64), (6, 65)),
              (lambda: indicatrix_arclength_relations(pair, "mate", n=64), (6, 65)),
-             (lambda: pair_constraint_residual(pair, pair.ts[5]), (6, 1))]
+             (lambda: pair_constraint_residual(pair, pair.ts[5]), (6, 1)),
+             (lambda: apparatus_grid(pair, "base", "tangent", ts), (6, 40)),
+             (lambda: apparatus_grid(pair, "mate", "binormal", ts), (6, 40)),
+             (lambda: frame_relations_check(pair, n=64), (6, 64))]
     for call, want in calls:
         runs.clear()
         call()

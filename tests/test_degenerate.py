@@ -42,7 +42,7 @@ from bertrand_kit.errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid
+from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid, frame_relations_check
 from bertrand_kit.io import save_curve
 from bertrand_kit.paper import (
     bertrand_lambda,
@@ -96,6 +96,16 @@ def test_helical_pair_apparatus_grid_is_all_masked(helical_pair, side, axis):
 def test_helical_pair_suite_has_no_usable_rows(helical_pair):
     with pytest.raises(TooFewSamplesError, match="0 usable grid rows"):
         theorem_suite(helical_pair)
+
+
+def test_helical_pair_frame_relations_have_no_closed_form_rows(helical_pair):
+    """g is undefined on every row, so the closed forms apply at none: the
+    frame relations raise, as the suite does, where they passed on zero
+    rows, and count the rows where g is undefined."""
+    with pytest.raises(TooFewSamplesError, match=(
+            "^the closed forms of the base's images apply at 0 of 64 usable grid rows, "
+            "need 16; rows with g undefined: 64, g = f: 0, 1 [+] f g = 0: 0$")):
+        frame_relations_check(helical_pair, n=64)
 
 
 def test_helical_pair_verify_exits_parse_error(helical_files, capsys):

@@ -7,10 +7,10 @@ from bertrand_kit import paper
 from bertrand_kit.bertrand import generated_pair
 from bertrand_kit.classify import theorem_suite
 from bertrand_kit.curves import _take_rows, frenet_grid
+from bertrand_kit.errors import TooFewSamplesError
 from bertrand_kit.indicatrix import (
     AXES,
     SIDES,
-    _data_rows,
     apparatus_grid,
     frame_relations_check,
     image_rows,
@@ -31,6 +31,16 @@ def test_kind_validation(pair_wobble):
         apparatus_grid(pair_wobble, "left", "tangent", ts)
     with pytest.raises(ValueError):
         apparatus_grid(pair_wobble, "base", "axis", ts)
+
+
+def test_arclength_relations_refuse_a_side_that_names_no_image(pair_wobble):
+    with pytest.raises(ValueError, match="'left'"):
+        indicatrix_arclength_relations(pair_wobble, "left", n=64)
+
+
+def test_indicatrix_curve_refuses_an_axis_that_names_no_image(pair_wobble):
+    with pytest.raises(ValueError, match="'left'"):
+        indicatrix_curve(pair_wobble.base, "left", 64)
 
 
 def test_points_on_unit_sphere(pair_wobble):
@@ -106,6 +116,16 @@ def test_frame_relation_identities_exact(pair_wobble):
         if key == "masked_points":
             continue
         assert dev < 1e-12, key
+
+
+def test_frame_relations_need_enough_closed_form_rows(pair_wobble):
+    """Eight points are fewer than the 16 rows a side's closed forms must
+    apply at: the check raises, as the suite does, where it passed on
+    eight rows."""
+    with pytest.raises(TooFewSamplesError, match=(
+            "^the closed forms of the base's images apply at 8 of 8 usable grid rows, "
+            "need 16; rows with g = f: 0, 1 [+] f g = 0: 0$")):
+        frame_relations_check(pair_wobble, n=8)
 
 
 def test_torsion_curvature_ratio_sign_pattern(pair_wobble):
@@ -187,8 +207,9 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
         assert pair.epsilon == eps
         ts = pair.ts[~pair.masked]
         for side in SIDES:
-            fd, idx = _data_rows(pair, side, ts)
-            assert len(idx) == len(ts)
+            fd = pair.mate_rows if side == "base" else pair.base_rows
+            assert paper._applies(side, fd).all()
+            idx = np.arange(len(ts))
             rows, regular, _ = image_rows(getattr(pair, side), ts)
             row_of = np.cumsum(regular) - 1
             images = paper.images(side, fd, pair.epsilon)
