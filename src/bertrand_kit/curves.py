@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -168,7 +169,8 @@ def fornberg_weights(z, x, m):
     so every point gets the bits it gets alone.
     """
     z = np.asarray(z, dtype=float)
-    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)  # (n,) + z.shape
+    # (n,) + z.shape, contiguous: node i's row x[i] is one run of memory
+    x = np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
     n = len(x)
     c = np.zeros((m + 1, n) + z.shape)
     ks = np.arange(1.0, m + 1).reshape((m, 1) + (1,) * z.ndim)
@@ -186,9 +188,13 @@ def fornberg_weights(z, x, m):
         prev = c[:, i - 1]
         c[1 : mn + 1, i] = c1 * (k[:, 0] * prev[:mn] - c5 * prev[1 : mn + 1]) / c2
         c[0, i] = -c1 * c5 * prev[0] / c2
+        # the old nodes' rows 1..mn read rows 0..mn-1 before any is written
         old = c[:, :i]
-        c[1 : mn + 1, :i] = (c4 * old[1 : mn + 1] - k * old[:mn]) / c3
-        c[0, :i] = c4 * old[0] / c3
+        new = c4 * old[1 : mn + 1]
+        new -= k * old[:mn]
+        np.divide(new, c3, out=old[1 : mn + 1])
+        np.multiply(c4, old[0], out=old[0])
+        old[0] /= c3
         c1 = c2
     return np.ascontiguousarray(np.moveaxis(c, (0, 1), (-2, -1)))
 
@@ -245,7 +251,8 @@ def _taylor(w, points):
     alone."""
     derivs = np.matmul(w, points)  # (N, K+1, 3)
     fact = np.array([math.factorial(k) for k in range(w.shape[-2])], dtype=float)
-    return np.moveaxis(derivs / fact[:, None], (1, 2), (0, 1))
+    # C-ordered, the column axis last in memory too (``jets.Jet``)
+    return np.ascontiguousarray(np.moveaxis(derivs / fact[:, None], (1, 2), (0, 1)))
 
 
 class JetBackedCurve(Curve):
@@ -326,11 +333,14 @@ def _take_rows(rows, idx):
 def _points_at(rows, idx, n):
     """The one-point views of a named tuple of row arrays, as a list of n
     entries: the view of row j at ``idx[j]``, None elsewhere.  A view
-    holds numbers as Python floats and bools and vectors as (3,) arrays."""
-    columns = [v.tolist() if v.ndim == 1 else v for v in rows]
+    holds numbers as Python floats and bools and vectors as (3,) arrays,
+    rows of the (N, 3) fields.  Views are built by ``tuple.__new__``, as
+    ``rows._make`` builds them, with no Python call per view."""
+    columns = [v.tolist() if v.ndim == 1 else list(v) for v in rows]
+    views = map(tuple.__new__, repeat(type(rows)), zip(*columns))
     out = [None] * n
-    for i, values in zip(idx, zip(*columns)):
-        out[i] = rows._make(values)
+    for i, view in zip(idx, views):
+        out[i] = view
     return out
 
 

@@ -85,7 +85,17 @@ def _require_no_pole(cos0, t0):
 class Jet:
     """Taylor coefficients of a scalar or vector function about
     ``basepoint``, or about each of an array of basepoints (one
-    coefficient column each, on the last axis)."""
+    coefficient column each, on the last axis).
+
+    The column axis is also the innermost in memory: every jet the
+    package builds has C-ordered coefficients.  A fancy index on the last
+    axis would put that axis outermost (strides (24, 8, 120) for a
+    (5, 3, 1021) jet), every ufunc after it keeps that layout, and the
+    recurrences would then run on strided memory.  So columns are
+    gathered with ``np.take``, which keeps the source's layout, and a
+    mask or a slice becomes positions first: ``np.take`` reads a bool
+    array as the positions 0 and 1.
+    """
 
     __slots__ = ("basepoint", "coeffs")
 
@@ -136,11 +146,14 @@ class Jet:
 
     def column(self, i):
         """The one-basepoint jet of column ``i``."""
-        return Jet(self.basepoint[i], self.coeffs[..., i])
+        return Jet(self.basepoint[i], np.take(self.coeffs, i, axis=-1))
 
     def take(self, idx):
-        """The jet of the columns ``idx``, in that order."""
-        return Jet(self.basepoint[idx], self.coeffs[..., idx])
+        """The jet of the columns ``idx`` (positions, a mask or a slice),
+        in that order."""
+        if isinstance(idx, slice) or getattr(idx, "dtype", None) == bool:
+            idx = np.arange(len(self.basepoint))[idx]
+        return Jet(self.basepoint[idx], np.take(self.coeffs, idx, axis=-1))
 
     def __iter__(self):
         """The x, y and z component jets of a vector jet."""
@@ -448,9 +461,10 @@ _RIGHT = [2, 0, 1, 1, 2, 0]
 
 def jcross(a: Jet, b: Jet) -> Jet:
     """Cross product of two vector jets, as one Cauchy product of the six
-    permuted component pairs and one subtraction."""
+    permuted component pairs and one subtraction.  The pairs are gathered
+    with ``np.take``, which keeps the column axis innermost."""
     x, y = a._align(b)
-    p = _cauchy(x[:, _LEFT], y[:, _RIGHT])
+    p = _cauchy(np.take(x, _LEFT, axis=1), np.take(y, _RIGHT, axis=1))
     return Jet(a.basepoint, p[:, :3] - p[:, 3:])
 
 

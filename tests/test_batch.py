@@ -221,14 +221,17 @@ def _fornberg_reference(z, x, m):
 def test_stencil_weights_match_the_one_point_algorithm():
     """Also at the stencil shapes the package asks for: width 7 with m = 1
     (speeds) and m = 4 (``construct_mate`` of a sampled base), width 9
-    with m = 6 (Frenet data), width 11 with m = 8, and one batch of 1021
-    points, a pair-verify stencil table; there z lies inside the
-    stencil, on a node, or at either end (a table's one-sided ends)."""
+    with m = 4 (the Frenet rows, of order ``_FRENET_ORDER``), width 9 with
+    m = 6, width 11 with m = 8, and batches of 1021 points, one of them at
+    width 9 with m = 4, the shape of a pair-verify stencil table; there z
+    lies inside the stencil, on a node, or at either end (a table's
+    one-sided ends)."""
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0.0, 1.0, (40, 9)), axis=1)
     z = x[:, 4] + rng.uniform(-0.05, 0.05, 40)
     cases = [(z, x, m) for m in (0, 3, 6)]
-    for width, m, points in ((7, 1, 40), (7, 4, 40), (9, 6, 40), (11, 8, 40), (9, 6, 1021)):
+    for width, m, points in ((7, 1, 40), (7, 4, 40), (9, 6, 40), (11, 8, 40), (9, 6, 1021),
+                             (9, 4, 1021)):
         x = np.sort(rng.uniform(0.0, 1.0, (points, width)), axis=1)
         z = x[:, width // 2] + rng.uniform(-0.05, 0.05, points)
         z[::7] = x[::7, 0]

@@ -10,8 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from bertrand_kit import expr as ex
 from bertrand_kit import jets
-from bertrand_kit.bertrand import sphere_preset
-from bertrand_kit.curves import AnalyticCurve
+from bertrand_kit.bertrand import (
+    DEFAULT_OMEGA,
+    construct_mate,
+    generate_bertrand_curve,
+    sphere_preset,
+)
+from bertrand_kit.curves import AnalyticCurve, SampledCurve
 from bertrand_kit.errors import DomainError, OrderOverflowError, OutOfDomainError
 from bertrand_kit.jets import (
     Jet,
@@ -892,3 +897,55 @@ def test_cross_products_have_the_bits_of_numpy_cross():
         ja = Jet(np.zeros(n), np.concatenate((a.T[None], rng.normal(size=(4, 3, n)))))
         jb = Jet(np.zeros(n), np.concatenate((b.T[None], rng.normal(size=(4, 3, n)))))
         _assert_same_bits(jcross(ja, jb).coeffs[0].T, want)
+
+
+@pytest.mark.parametrize("shape", [(5, 11), (5, 3, 11)], ids=["scalar", "vector"])
+def test_take_and_column_have_the_bits_of_the_fancy_index(shape):
+    """``Jet.take`` with positions (repeats included, as a generated
+    curve's segment lookup passes them), a boolean mask and a step slice,
+    and ``Jet.column``, give the bits of ``coeffs[..., idx]`` and
+    ``basepoint[idx]``.  The mask is true off the positions 0 and 1,
+    which ``np.take`` would read a bool array as."""
+    rng = np.random.default_rng(7)
+    t0 = rng.uniform(-1.0, 1.0, shape[-1])
+    jet = Jet(t0, _with_signed_zeros(rng, shape))
+    mask = np.zeros(shape[-1], dtype=bool)
+    mask[[2, 5, 6, 10]] = True
+    for idx in (np.array([3, 3, 0, 10, 7, 7]), mask, slice(1, None, 3), np.arange(0)):
+        got = jet.take(idx)
+        _assert_same_bits(got.coeffs, jet.coeffs[..., idx])
+        _assert_same_bits(got.basepoint, t0[idx])
+    for i in (*range(shape[-1]), -1):
+        got = jet.column(i)
+        _assert_same_bits(got.coeffs, jet.coeffs[..., i])
+        assert got.basepoint == t0[i]
+
+
+def _assert_unit_stride(coeffs):
+    assert coeffs.strides[-1] == coeffs.itemsize
+    assert coeffs.flags.c_contiguous
+
+
+def test_jets_keep_the_column_axis_unit_stride():
+    """A grid jet's coefficients are C-ordered, the column axis innermost
+    in memory, on an analytic, a sampled, a generated and a mate curve,
+    and so are ``take``'s and ``jcross``'s: a fancy index on the last axis
+    would make it the outermost, and every ufunc after it would keep
+    that layout."""
+    base = generate_bertrand_curve(sphere_preset("wobble"), 1.0, DEFAULT_OMEGA["wobble"], n=64)
+    curves = (
+        AnalyticCurve("cos(t)", "sin(t)", "t*t", (0.0, 1.0)),
+        SampledCurve(base.params, base.points),
+        base,
+        construct_mate(base, 1.0, n=64),
+    )
+    for curve in curves:
+        ts = np.linspace(*curve.domain, 37)
+        P = curve.jet(ts, 4)
+        _assert_unit_stride(P.coeffs)
+        D1 = P.deriv()
+        keep = np.ones(len(ts), dtype=bool)
+        keep[::5] = False
+        for idx in (np.flatnonzero(keep), keep, slice(None, None, 2)):
+            _assert_unit_stride(D1.take(idx).coeffs)
+        _assert_unit_stride(jcross(D1, D1.deriv()).coeffs)
