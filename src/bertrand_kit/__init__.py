@@ -74,7 +74,6 @@ from .paper import (
     IndicatrixSample,
     MateApparatus,
     bertrand_lambda,
-    geodesic_indicator_closed_form,
     mate_apparatus_from_base,
 )
 

@@ -26,9 +26,11 @@ from .bertrand import (
     _pair_columns,
 )
 from .curves import (
+    _FRENET_ORDER,
     EPS_G,
     MIN_CLASSIFY_SAMPLES,
     Curve,
+    _columns,
     _frenet_columns,
     _take_rows,
     cumulative_trapezoid,
@@ -180,9 +182,11 @@ def pair_classify(
         return _classify_rows(_pose(rows_a), both, _pose(rows_b), both, both, n, tol)
     # each curve on its own domain, inset as for the overlap grid
     ts_a = _overlap_grid(curveA, curveA, n)
-    rows_a, ok_a, _ = _frenet_columns(curveA, ts_a)
+    # curveA's one grid jet gives its rows and its speeds
+    P_a = curveA.jet(ts_a, _FRENET_ORDER)
+    rows_a, ok_a, _, _ = _columns(P_a, ts_a)
     grid_b = _overlap_grid(curveB, curveB, 4 * n)
-    speed_a = np.linalg.norm(curveA.jet(ts_a, 1).coeffs[1], axis=0)
+    speed_a = np.linalg.norm(P_a.coeffs[1], axis=0)
     speed_b = np.linalg.norm(curveB.jet(grid_b, 1).coeffs[1], axis=0)
     rows_b, ok_b, _ = _frenet_columns(curveB, _aligned_grid(ts_a, speed_a, grid_b, speed_b))
     return _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, ok_a & ok_b, n, tol)

@@ -78,10 +78,10 @@ def _closed_forms(side: str, base_rows, mate_rows, eps: int, least: int = 0):
     rows, raises TooFewSamplesError that counts the rows where g is
     undefined, if any, and where each ``paper._failures`` condition fails."""
     data, _ = _sides(side, base_rows, mate_rows)
-    applies = _applies(side, data)
+    applies = _applies(data)
     count = np.count_nonzero(applies)
     if count < least:
-        fails = {name: mask & data.g_defined for name, mask in _failures(side, data).items()}
+        fails = {name: mask & data.g_defined for name, mask in _failures(data).items()}
         if not data.g_defined.all():
             fails = {"g undefined": ~data.g_defined, **fails}
         failed = ", ".join(f"{name}: {np.count_nonzero(mask)}" for name, mask in fails.items())

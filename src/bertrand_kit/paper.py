@@ -1,8 +1,10 @@
 """The closed forms of arXiv 1110.4269 and their hypotheses, each one array
 expression over ``curves.FrenetData`` rows; a docstring names the
 ``theorem_suite`` entry that checks its form, where one does.  The closed
-forms of one side's images read the *other* curve's rows, the data side.
-Curvature and torsion closed forms are signed: numerics compare magnitudes.
+forms of one side's images read the *other* curve's rows, the data side;
+the imaged curve's slant indicator is eps times the data rows' Gamma at
+either eps (th2), so no closed form of its own is kept for it.  Curvature
+and torsion closed forms are signed: numerics compare magnitudes.
 """
 
 from __future__ import annotations
@@ -35,30 +37,26 @@ def _require_g(fd):
     _raise_at(np.logical_not(fd.g_defined), fd, "g undefined")
 
 
-def _failures(side: str, fd) -> dict:
+def _failures(fd) -> dict:
     """The rows of the data-side Frenet rows where each condition of the
-    closed forms of ``side``'s images fails, as one mask per condition
-    keyed by the failure: g = f, 1 + f*g = 0, and on the mate side, whose
-    geodesic indicator divides by f, f = 0."""
+    closed forms of the images fails, as one mask per condition keyed by
+    the failure: g = f and 1 + f*g = 0."""
     f, g = fd.f, fd.g
-    fails = {"g = f": ~(np.abs(f - g) > EPS_DEN),
-             "1 + f g = 0": ~(np.abs(1.0 + f * g) >= EPS_ONE_PLUS_FG)}
-    if side == "mate":
-        fails["f = 0"] = ~(np.abs(f) > EPS_DEN)
-    return fails
+    return {"g = f": ~(np.abs(f - g) > EPS_DEN),
+            "1 + f g = 0": ~(np.abs(1.0 + f * g) >= EPS_ONE_PLUS_FG)}
 
 
-def _applies(side: str, fd) -> np.ndarray:
-    """Rows of the data-side Frenet rows where the closed forms of ``side``'s
+def _applies(fd) -> np.ndarray:
+    """Rows of the data-side Frenet rows where the closed forms of the
     images apply: g is defined and no condition of ``_failures`` fails."""
-    return fd.g_defined & ~np.any(tuple(_failures(side, fd).values()), axis=0)
+    return fd.g_defined & ~np.any(tuple(_failures(fd).values()), axis=0)
 
 
 def bertrand_lambda(fd) -> np.ndarray:
     """The mate's offset g / (kappa (g - f)) at each row, constant as g is
     on a Bertrand curve (th3, th22).  Needs g defined and g != f."""
     _require_g(fd)
-    _raise_at(_failures("base", fd)["g = f"], fd, "g = f degeneracy")
+    _raise_at(_failures(fd)["g = f"], fd, "g = f degeneracy")
     return fd.g / (fd.kappa * (fd.g - fd.f))
 
 
@@ -96,10 +94,10 @@ class MateApparatus:
 def mate_apparatus_from_base(fd, eps: int) -> MateApparatus:
     """Frame, curvature, torsion and ds_m/ds of the mate in base quantities,
     at each row of the base's Frenet rows: T_m and B_m are the negated T
-    and B image points, N_m = eps N.  Needs f != 0 and g != f."""
+    and B image points, N_m = eps N.  Needs f != 0, as kappa_m and tau_m
+    divide by f and ds_m/ds vanishes there (a cusp of the mate), and g != f."""
     _require_g(fd)
-    fails = _failures("mate", fd)
-    _raise_at(fails["f = 0"] | fails["g = f"], fd, "f=0 or g=f")
+    _raise_at(~(np.abs(fd.f) > EPS_DEN) | _failures(fd)["g = f"], fd, "f = 0 or g = f")
     f, g, k = fd.f, fd.g, fd.kappa
     root = np.sqrt(1.0 + g * g)
     T_img, B_img = _tb_images(fd, root, eps)
@@ -118,29 +116,6 @@ def _constraint_residuals(fd, fdm, eps):
     return ((fdm.kappa + eps * fd.kappa) * fd.g * fdm.g
             - eps * fd.f * fdm.g * fd.kappa
             - fdm.f * fd.g * fdm.kappa)
-
-
-def geodesic_indicator_closed_form(fd, side: str = "base"):
-    """Slant-helix indicator from closed forms, at each row of a grid.
-
-    side='base': indicator of the base curve from mate-side data
-    (pass the *mate*'s fd): -kappa'(g-f) / (kappa^2 (1+f^2)^{3/2}).
-
-    side='mate': indicator of the mate from base-side data (pass the
-    *base*'s fd), including the ds/ds_mate factor; needs f != 0.
-    The images carry it to the slant flags of th6, th25, teo15 and teo33.
-    """
-    _require_g(fd)
-    f, g, k = fd.f, fd.g, fd.kappa
-    if side == "base":
-        return -fd.dkappa_ds * (g - f) / (k * k * (1.0 + f * f) ** 1.5)
-    if side == "mate":
-        _raise_at(_failures("mate", fd)["f = 0"], fd, "f=0")
-        ds_ds_mate = (g - f) / (f * np.sqrt(1.0 + g * g))
-        num = fd.dkappa_ds * f * (1.0 + g * g) ** 2
-        den = -(k * k) * ((1.0 + f * g) ** 2 + (g - f) ** 2) ** 1.5
-        return num / den * ds_ds_mate
-    raise ValueError(f"side must be 'base' or 'mate', got {side!r}")
 
 
 def condition_residual(fd_tilde):
@@ -199,8 +174,8 @@ def images(side: str, fd, eps: int) -> dict:
 
     The T and B images' corrected torsions are those of t -> T_X(t) and
     t -> B_X(t), X the imaged curve: Gamma_X w and -Gamma_X w / f_X, w =
-    sqrt(1 + f_X^2).  Gamma_X is eps times the data side's Gamma (th2), and
-    ``geodesic_indicator_closed_form`` gives -1 times it: hence -eps."""
+    sqrt(1 + f_X^2), with Gamma_X = eps Gamma of the data rows at either
+    eps (th2)."""
     f, g = fd.f, fd.g
     k, kp, kpp = fd.kappa, fd.dkappa_ds, fd.d2kappa_ds2
     wf = np.sqrt(1.0 + f * f)
@@ -210,13 +185,13 @@ def images(side: str, fd, eps: int) -> dict:
     U = (T - _col(f) * B) / _col(wf)
     V = (_col(f) * T + B) / _col(wf)
 
-    # ratio tau/kappa of the *imaged* curve and, up to the factor -eps, its
-    # slant indicator, both in data-side quantities; these drive the
-    # corrected scalar values of the tangent and binormal images that
-    # track the imaged curve's own apparatus
+    # ratio tau/kappa of the *imaged* curve and its slant indicator, both
+    # in data-side quantities; these drive the corrected scalar values of
+    # the tangent and binormal images that track the imaged curve's own
+    # apparatus
     f_img = -eps * (g - f) / (1.0 + f * g)
     wfi = np.sqrt(1.0 + f_img * f_img)
-    G_img = geodesic_indicator_closed_form(fd, side=side)
+    G_img = eps * fd.Gamma
     # the tangent and binormal images share B, |kappa|, |tau| and Gamma
     kx = wf * wg / (f - g)
     tx = kp * wg / (k * k * (1.0 + f * f))
@@ -227,9 +202,9 @@ def images(side: str, fd, eps: int) -> dict:
     # corrected pair is kappa = sqrt(1+f_img^2), tau = Gamma*kappa
     T_img, B_img = _tb_images(fd, wg, eps)
     tangent = IndicatrixSample(fd.t, T_img, -N, U, V, kx,
-                               tx if side == "mate" else -tx, wfi, -eps * G_img * wfi, Gx)
+                               tx if side == "mate" else -tx, wfi, G_img * wfi, Gx)
     binormal = IndicatrixSample(fd.t, B_img, eps * N, -eps * U, V, kx, -eps * tx,
-                                wfi / np.abs(f_img), eps * G_img * wfi / f_img, Gx)
+                                wfi / np.abs(f_img), -G_img * wfi / f_img, Gx)
 
     rho = np.sqrt(kp * kp * (g - f) ** 2 + k**4 * (1.0 + f * f) ** 3)
     Nx = _col(eps / (rho * wf)) * (

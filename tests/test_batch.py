@@ -184,7 +184,7 @@ def test_views_carry_the_bits_of_their_rows():
     rows_idx = np.arange(len(ts))
     for side in SIDES:
         data = mate_rows if side == "base" else base_rows
-        assert paper._applies(side, data).all()
+        assert paper._applies(data).all()
         images = paper.images(side, data, pair.epsilon)
         for axis in AXES:
             closed = images[axis]

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from test_batch import FIELDS, _generated, assert_same_bits_array
+from test_indicatrix import EPS_PLUS_ONE_OMEGA
 
 from bertrand_kit import bertrand, curves, indicatrix, jets, paper
 from bertrand_kit.bertrand import (
@@ -58,7 +59,6 @@ from bertrand_kit.io import dumps, save_curve
 from bertrand_kit.paper import (
     _constraint_residuals,
     bertrand_lambda,
-    geodesic_indicator_closed_form,
     mate_apparatus_from_base,
 )
 
@@ -461,16 +461,22 @@ def test_mate_apparatus_from_base_matches_detected_mate(pair_name, request):
 @pytest.mark.parametrize("a", [1.0, 1.37])
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
 def test_geodesic_indicator_closed_form_is_the_other_curves_gamma(preset, a, n, grid):
-    """The slant-helix indicator of each curve written in its partner's
-    data equals, with its sign, the Gamma column of the curve's own exact
-    Frenet rows, on the detection rows where both curves are regular.
-    Measured worst gap: 1.6e-13 relative to max |Gamma| (slant)."""
-    pair = generated_pair(preset, a=a, n=n, grid=grid)
-    for side, own, partner in (("base", pair.base_rows, pair.mate_rows),
-                               ("mate", pair.mate_rows, pair.base_rows)):
-        closed = geodesic_indicator_closed_form(partner, side)
-        scale = np.max(np.abs(own.Gamma))
-        assert np.max(np.abs(closed - own.Gamma)) < 1e-12 * scale, side
+    """The slant-helix indicator of each curve, the Gamma column of its
+    own exact Frenet rows, is eps times its partner's (th2), on the
+    detection rows where both curves are regular, at the preset's default
+    angle (epsilon = -1) and at an angle with epsilon = +1.  eps times the
+    data rows' Gamma is the closed form that ``paper.images`` gives each
+    imaged curve's indicator.  Measured worst gap relative to max |Gamma|:
+    1.6e-13 at the default angles (slant), 4.4e-13 at epsilon = +1
+    (bean)."""
+    for omega, eps in ((None, -1), (EPS_PLUS_ONE_OMEGA[preset], 1)):
+        pair = generated_pair(preset, a=a, omega=omega, n=n, grid=grid)
+        assert pair.epsilon == eps
+        for own, partner in ((pair.base_rows, pair.mate_rows),
+                             (pair.mate_rows, pair.base_rows)):
+            scale = np.max(np.abs(own.Gamma))
+            assert np.max(np.abs(eps * partner.Gamma - own.Gamma)) < 1e-12 * scale, omega
+
 
 def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     """Detection plus the identity suite ask the base or the mate for jets
@@ -1005,7 +1011,7 @@ def test_pair_functions_have_the_bits_of_fresh_curves(name):
     # the closed forms of each side's images over the fresh data side's rows
     report, masked, fewest = {}, 0, len(ts)
     for side, data in zip(SIDES, rows[::-1]):
-        applies = paper._applies(side, data)
+        applies = paper._applies(data)
         closed = paper.images(side, _take_rows(data, applies), pair.epsilon)
         for axis in AXES:
             want = _points_at(closed[axis], np.flatnonzero(applies), len(ts))

@@ -20,7 +20,7 @@ from bertrand_kit.classify import (
     pair_classify,
     theorem_suite,
 )
-from bertrand_kit.curves import AnalyticCurve, SampledCurve, _take_rows
+from bertrand_kit.curves import _FRENET_ORDER, AnalyticCurve, SampledCurve, _take_rows
 from bertrand_kit.errors import TooFewSamplesError
 from bertrand_kit.indicatrix import indicatrix_curve
 from bertrand_kit.paper import condition_residual
@@ -143,6 +143,17 @@ def test_indicatrix_pairs_are_not_special(pair_wobble):
         b = indicatrix_curve(p.mate, axis, 400)
         pc = pair_classify(a, b, n=48, align="arclength")
         assert pc.verdict == "none"
+
+
+def test_arclength_alignment_speeds_keep_their_bits(pair_wobble, helix):
+    """The arc-length alignment reads the first curve's speeds from the
+    grid jet its rows read: on an analytic, a generated and a
+    normal-offset curve that jet's first coefficient has the bits of an
+    order-1 request, so those speeds are the curve's own."""
+    for curve in (helix, pair_wobble.base, pair_wobble.mate):
+        ts = np.linspace(*curve.domain, 97)
+        grid_jet = curve.jet(ts, _FRENET_ORDER).coeffs[1]
+        assert np.array_equal(grid_jet.view(np.uint64), curve.jet(ts, 1).coeffs[1].view(np.uint64))
 
 
 def test_theorem_suite_all_pass(pair_wobble):

@@ -880,8 +880,9 @@ def _count_generator_work(monkeypatch, runs=None):
 # grid, at the order the image rows read; an indicatrix reads its data
 # rows, image rows and arc-length law from that one run.  classify runs
 # one more on its grid, whose mate rows are read from the base's run, and
-# the arc-length alignment one per curve for its rows and one per curve
-# for the speeds.
+# the arc-length alignment one per curve for its rows and one for the
+# second curve's speeds (the first curve's speeds are read from its rows'
+# run).
 @pytest.mark.parametrize(
     "argv, pipelines",
     [
@@ -889,7 +890,7 @@ def _count_generator_work(monkeypatch, runs=None):
         *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], 2)
           for axis in "tnb" for side in ("base", "mate")],
         (["classify"], 2),
-        (["classify", "--align", "arclength"], 5),
+        (["classify", "--align", "arclength"], 4),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
 )
@@ -928,6 +929,7 @@ def pair_24(tmp_path_factory):
         (["mate", "--auto", "--n", "24"], [(6, 64), (6, 25), (6, 24)]),
         (["verify", "--n", "24"], [(6, 25), (8, 24)]),
         (["classify"], [(6, 25), (6, 128)]),
+        (["classify", "--align", "arclength"], [(6, 25), (6, 128), (6, 512), (6, 128)]),
         *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(6, 25), (8, 64)])
           for axis in "tnb" for side in ("base", "mate")],
     ],

@@ -35,7 +35,13 @@ from bertrand_kit.cli import (
     EXIT_SINGULAR,
     main,
 )
-from bertrand_kit.curves import AnalyticCurve, _frenet_columns, frenet_apparatus, frenet_grid
+from bertrand_kit.curves import (
+    AnalyticCurve,
+    FrenetData,
+    _frenet_columns,
+    frenet_apparatus,
+    frenet_grid,
+)
 from bertrand_kit.errors import (
     DegenerateRatioError,
     NotAPairError,
@@ -45,8 +51,9 @@ from bertrand_kit.errors import (
 from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid, frame_relations_check
 from bertrand_kit.io import save_curve
 from bertrand_kit.paper import (
+    _applies,
     bertrand_lambda,
-    geodesic_indicator_closed_form,
+    images,
     mate_apparatus_from_base,
 )
 
@@ -79,8 +86,7 @@ def test_helical_pair_closed_forms_raise(helical_pair, side, axis):
     other curve's, raise; the image has no closed form at t = 1."""
     rows = helical_pair.mate_rows if side == "base" else helical_pair.base_rows
     for closed_form in (bertrand_lambda,
-                        lambda r: mate_apparatus_from_base(r, helical_pair.epsilon),
-                        lambda r: geodesic_indicator_closed_form(r, side)):
+                        lambda r: mate_apparatus_from_base(r, helical_pair.epsilon)):
         with pytest.raises(DegenerateRatioError, match="g undefined"):
             closed_form(rows)
     assert apparatus_grid(helical_pair, side, axis, [1.0]) == [None]
@@ -262,3 +268,38 @@ def test_one_plus_fg_zero_pair_cli(crossing_seed, tmp_path, capsys):
     assert out.out == ""
     assert out.err == ("error: not a Bertrand pair (normals-not-aligned): "
                        "sign of <N, N_mate> flips\n")
+
+
+def _rows_with_f_zero_at_row_1():
+    """Three synthetic Frenet rows with the standard frame, the middle one
+    torsion-free: f = 0 there, while g = tau'/kappa' = 0.5 is defined and
+    differs from f."""
+    kappa, tau = np.array([0.8, 0.9, 1.1]), np.array([0.3, 0.0, -0.2])
+    dkappa, dtau = np.array([0.4, 0.6, -0.5]), np.array([0.1, 0.3, 0.2])
+    frame = [np.tile(e, (3, 1)) for e in np.eye(3)]
+    return FrenetData(
+        t=np.array([0.1, 0.2, 0.3]), point=np.zeros((3, 3)), speed=np.ones(3),
+        T=frame[0], N=frame[1], B=frame[2], kappa=kappa, tau=tau, dkappa_ds=dkappa,
+        dtau_ds=dtau, d2kappa_ds2=np.array([0.2, -0.3, 0.7]), f=tau / kappa,
+        g=dtau / dkappa, g_defined=np.ones(3, dtype=bool),
+        Gamma=(dtau * kappa - tau * dkappa) / (kappa * kappa + tau * tau) ** 1.5)
+
+
+@pytest.mark.parametrize("eps", [-1, 1])
+def test_f_zero_row_keeps_the_image_closed_forms(eps):
+    """A data row with f = 0 and g != f: the closed forms of the images
+    apply there and are finite (on a detected pair such a base row is a
+    cusp of the mate, which detection masks as singular), while the
+    mate's apparatus, whose curvature and torsion divide by f, refuses
+    it."""
+    fd = _rows_with_f_zero_at_row_1()
+    assert fd.f[1] == 0.0 and fd.g[1] == 0.5
+    assert _applies(fd).all()
+    for side in SIDES:
+        for axis, sample in images(side, fd, eps).items():
+            for name in sample._fields:
+                value = getattr(sample, name)
+                if not (axis == "normal" and name == "Gamma"):
+                    assert np.isfinite(value).all(), (side, axis, name)
+    with pytest.raises(DegenerateRatioError, match=r"^f = 0 or g = f at t=0\.2$"):
+        mate_apparatus_from_base(fd, eps)

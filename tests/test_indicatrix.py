@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from bertrand_kit import paper
-from bertrand_kit.bertrand import generated_pair
+from bertrand_kit.bertrand import detect_bertrand, generated_pair
 from bertrand_kit.classify import theorem_suite
 from bertrand_kit.curves import _take_rows, frenet_grid
 from bertrand_kit.errors import TooFewSamplesError
 from bertrand_kit.indicatrix import (
     AXES,
     SIDES,
+    _closed_forms,
     apparatus_grid,
     frame_relations_check,
     image_rows,
@@ -208,7 +209,7 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
         ts = pair.ts[~pair.masked]
         for side in SIDES:
             fd = pair.mate_rows if side == "base" else pair.base_rows
-            assert paper._applies(side, fd).all()
+            assert paper._applies(fd).all()
             idx = np.arange(len(ts))
             rows, regular, _ = image_rows(getattr(pair, side), ts)
             row_of = np.cumsum(regular) - 1
@@ -229,21 +230,51 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
                     assert gap_g < TOL_EXACT_IMAGE, (omega, side, axis)
 
 
+@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
+def test_swapped_pair_images_the_same_curve_with_the_same_bits(preset):
+    """Detecting the pair as (mate, base) gives the same epsilon and the
+    offset -eps lambda, and its base side's closed-form images, read from
+    the same curve's rows, are the mate side's images of the pair bit for
+    bit in point, kappa_image and tau_image, at the default angle and at
+    an angle with epsilon = +1.  The suite's mirrored entries trade
+    values bit for bit.  The signed tau and Gamma of the T and B images
+    are not compared: each side states its own sign."""
+    for omega in (None, EPS_PLUS_ONE_OMEGA[preset]):
+        pair = generated_pair(preset, omega=omega, n=512, grid=128)
+        swap = detect_bertrand(pair.mate, pair.base, n=128)
+        eps = pair.epsilon
+        assert swap.epsilon == eps
+        assert swap.lam == -eps * pair.lam
+        assert np.array_equal(swap.ts, pair.ts) and np.array_equal(swap.masked, pair.masked)
+        applies, mate_side = _closed_forms("mate", pair.base_rows, pair.mate_rows, eps)
+        swap_applies, base_side = _closed_forms("base", swap.base_rows, swap.mate_rows, eps)
+        assert applies.all() and swap_applies.all()
+        for axis in AXES:
+            for name in ("point", "kappa_image", "tau_image"):
+                got, want = (getattr(images[axis], name).view(np.uint64)
+                             for images in (base_side, mate_side))
+                assert np.array_equal(got, want), (omega, axis, name)
+        entries, swapped = theorem_suite(pair).entries, theorem_suite(swap).entries
+        for one, other in (("th3", "th22"), ("cr14", "cr33"), ("th6", "th25")):
+            for key, mirror in ((one, other), (other, one)):
+                assert entries[key].max_residual.hex() == swapped[mirror].max_residual.hex(), key
+
+
 def test_suite_builds_each_sides_closed_forms_once(monkeypatch):
-    """One ``theorem_suite`` run evaluates the slant indicator of the
-    imaged curves and the shared Gamma of the tangent and binormal images
-    once per side: the three images of a side come from one pass."""
+    """One ``theorem_suite`` run evaluates the shared Gamma of the tangent
+    and binormal images once per side, the base's images from the mate's
+    rows and then the mate's from the base's: the three images of a side
+    come from one pass."""
     calls = []
 
-    def counted(name, fn):
-        def wrapper(fd, *args, **kwargs):
-            calls.append((name, kwargs.get("side")))
-            return fn(fd, *args, **kwargs)
-        return wrapper
+    def counted(fd, *args):
+        calls.append(fd.kappa)
+        return real(fd, *args)
 
-    monkeypatch.setattr(paper, "geodesic_indicator_closed_form",
-                        counted("geodesic", paper.geodesic_indicator_closed_form))
-    monkeypatch.setattr(paper, "_gamma_big", counted("gamma", paper._gamma_big))
-    theorem_suite(generated_pair("wobble", n=64, grid=24))
-    assert calls == [("geodesic", "base"), ("gamma", None),
-                     ("geodesic", "mate"), ("gamma", None)]
+    real = paper._gamma_big
+    monkeypatch.setattr(paper, "_gamma_big", counted)
+    pair = generated_pair("wobble", n=64, grid=24)
+    theorem_suite(pair)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], pair.mate_rows.kappa)
+    assert np.array_equal(calls[1], pair.base_rows.kappa)
