@@ -61,12 +61,15 @@ _FRENET_ORDER = 4
 class Curve:
     """Common interface: a labelled map t -> R^3 on a closed interval.
 
-    ``jet`` and ``point`` take a float, or a 1-D array of parameter values
-    to get every point from one request: jets then carry one coefficient
-    column per value, and points come as (3, N).  ``jet`` returns one
-    vector jet (``jets.Jet`` with coefficients (K+1, 3) or (K+1, 3, N)),
-    which unpacks into the x, y and z component jets; ``point`` is its
-    order-0 constant term.
+    ``jet(t, order)``, every kind's one entry, takes a 1-D array of
+    parameter values and returns one vector jet (``jets.Jet``, (K+1, 3, N)
+    coefficients, one column per value), which unpacks into the x, y and
+    z component jets.  A float is the one-point grid: its jet, (K+1, 3),
+    is column 0 of ``[t]``'s.  A ``t`` of more than one dimension and an
+    ``order`` below 0 raise one ValueError before the domain is checked;
+    each kind supplies only ``_jets(ts, order)`` on a 1-D float64 grid.
+    ``point`` is the order-0 constant term, except ``AnalyticCurve.point``
+    at a float, which runs the compiled value function.
     """
 
     label: str
@@ -76,35 +79,29 @@ class Curve:
 
     @property
     def domain(self):
-        raise NotImplementedError
+        """The first and last of the parameter table ``params``."""
+        return (float(self.params[0]), float(self.params[-1]))
 
     def jet(self, t, order):
         """The vector jet of (x, y, z) at ``t``."""
-        raise NotImplementedError
-
-    def _check_domain(self, t):
-        lo, hi = self.domain
-        if isinstance(t, float) and lo - _DOMAIN_SLACK <= t <= hi + _DOMAIN_SLACK:
-            return
         # in float64, as the jets are: a float32 t compared in float32
         # could pass just beyond the slack
         ts = np.asarray(t, dtype=float)
+        if ts.ndim > 1 or order < 0:
+            raise ValueError(f"jet takes a float or a 1-D array t and an order >= 0, "
+                             f"got t of shape {ts.shape} and order {order}")
+        lo, hi = self.domain
         inside = (ts >= lo - _DOMAIN_SLACK) & (ts <= hi + _DOMAIN_SLACK)
         if not inside.all():
             raise OutOfDomainError(
                 f"t={_first(~inside, ts)} outside [{lo}, {hi}] of curve {self.label!r}"
             )
+        if ts.ndim:
+            return self._jets(ts, order)
+        return self._jets(ts.reshape(1), order).column(0)
 
     def point(self, t):
         return self.jet(t, 0).coeffs[0]
-
-
-def _per_point(jet_fn, t, order):
-    """``jet_fn(ts, order)``, which takes a 1-D array, at ``t``; a float t
-    gets jets about that one basepoint."""
-    if np.ndim(t):
-        return jet_fn(np.asarray(t, dtype=float), order)
-    return jet_fn(np.array([t], dtype=float), order).column(0)
 
 
 class AnalyticCurve(Curve):
@@ -117,11 +114,8 @@ class AnalyticCurve(Curve):
     is one slot.  At the first
     evaluation the curve takes the program's two compiled Python functions
     (``jets.compile_program``, compiled once per distinct program in a
-    process): ``jet`` runs the jet function, and ``point`` at a number
-    tests the domain inline and runs the straight-line value function,
-    which gives the bits and domain errors of the order-0 jet about
-    ``float(t)`` as one (3,) array, without building a jet.  A grid's
-    points are the constant terms of its order-0 jet, as for any curve.
+    process): ``_jets`` runs the jet function, and ``point`` at a number
+    the straight-line value function.
     """
 
     def __init__(self, x, y, z, domain, label=""):
@@ -143,17 +137,21 @@ class AnalyticCurve(Curve):
         """``self._program`` as a Python function, at the first evaluation."""
         return compile_program(self._program)
 
-    def jet(self, t, order):
-        self._check_domain(t)
-        return jstack(program_jets(self._compiled, t, order))
+    def _jets(self, ts, order):
+        return jstack(program_jets(self._compiled, ts, order))
 
     def point(self, t):
+        """At a number, the one evaluation past ``Curve.jet``: an inline
+        domain test and the value function, with the bits and domain errors
+        of ``jet(float(t), 0)``'s constant term at a twentieth of its cost.
+        perfbench frenet-table makes 1025 such calls per op; ROADMAP item
+        1b deletes the value function once item 1a samples from a grid."""
         if not isinstance(t, float) and np.ndim(t):
             return super().point(t)
         t = float(t)
         lo, hi = self._domain
         if not lo - _DOMAIN_SLACK <= t <= hi + _DOMAIN_SLACK:
-            self._check_domain(t)
+            return super().point(t)  # raises the jet's OutOfDomainError
         return np.array(program_values(self._compiled, t))
 
 
@@ -219,15 +217,12 @@ class SampledCurve(Curve):
         self.points = points
         self.label = label
 
-    @property
-    def domain(self):
-        return (float(self.params[0]), float(self.params[-1]))
-
-    def jet(self, t, order):
-        self._check_domain(t)
-        return _per_point(self._stencil_jets, t, order)
-
-    def _stencil_jets(self, ts, order):
+    def _jets(self, ts, order):
+        if order >= len(self.params):
+            raise TooFewSamplesError(
+                f"a jet of order {order} needs at least {order + 1} samples, "
+                f"curve {self.label!r} has {len(self.params)}"
+            )
         idx, w = self._stencil(ts, order)
         return Jet(ts, _taylor(w, self.points[idx]))
 
@@ -258,14 +253,14 @@ def _taylor(w, points):
 class JetBackedCurve(Curve):
     """Curve defined by an exact jet provider with a dense sample table.
 
-    ``jet_fn(ts, order)`` takes a 1-D array of parameter values and
-    returns the vector jet of (x, y, z), one coefficient column per value.
-    With ``points=None`` the table of points at ``params`` is the order-0
-    jet's constant terms, computed at its first read.
+    ``jet_fn(ts, order)``, the curve's ``_jets``, takes a 1-D array of
+    parameter values and returns the vector jet of (x, y, z), one column
+    per value.  With ``points=None`` the table of points at ``params`` is
+    the order-0 jet's constant terms, computed at its first read.
     """
 
     def __init__(self, jet_fn, params, points=None, label="", metadata=None):
-        self._jet_fn = jet_fn
+        self._jets = jet_fn
         self.params = np.asarray(params, dtype=float)
         if points is not None:
             self.points = np.asarray(points, dtype=float)
@@ -274,15 +269,7 @@ class JetBackedCurve(Curve):
 
     @cached_property
     def points(self):
-        return self._jet_fn(self.params, 0).coeffs[0].T
-
-    @property
-    def domain(self):
-        return (float(self.params[0]), float(self.params[-1]))
-
-    def jet(self, t, order):
-        self._check_domain(t)
-        return _per_point(self._jet_fn, t, order)
+        return self._jets(self.params, 0).coeffs[0].T
 
 
 # ---------------------------------------------------------------------------

@@ -92,12 +92,13 @@ def curve_to_dict(curve: Curve) -> dict:
 
 def _base_block(base):
     """The base keys a mate file records: an analytic base's expressions
-    and domain, a generated base's seed, a, omega and n, else None."""
+    and domain, a generated base's seed, a, omega and n, else None.  A
+    base loaded as samples has no block, whatever metadata it keeps."""
     if isinstance(base, AnalyticCurve):
         return {"base_generator": "analytic",
                 **{f"base_{c}": ex.to_text(getattr(base, c)) for c in "xyz"},
                 "base_lo": base.domain[0], "base_hi": base.domain[1]}
-    meta = getattr(base, "metadata", None) or {}
+    meta = base.metadata if isinstance(base, JetBackedCurve) else {}
     if meta.get("generator") != "bertrand":
         return None
     return {"base_generator": "bertrand", **{k: meta.get(k) for k in ("a", "omega", "seed_label")},
@@ -206,9 +207,14 @@ def _curve_from_dict(d, loaded_base) -> Curve:
             rebuilt.label = label
             return rebuilt
         try:
-            return SampledCurve(t, pts, label=label)
+            curve = SampledCurve(t, pts, label=label)
         except ValueError as e:
             raise CurveFileError(str(e))
+        # the samples keep the metadata stored beside them, which a re-save
+        # writes back
+        if isinstance(d.get("metadata"), dict):
+            curve.metadata = d["metadata"]
+        return curve
     raise CurveFileError(f"unknown curve type {kind!r}")
 
 

@@ -73,6 +73,7 @@ CURVES = {
     ),
     "wobble-base": lambda: _generated("wobble"),
     "slant-base": lambda: _generated("slant"),
+    "slant-seed": lambda: sphere_preset("slant"),
     "wobble-mate": lambda: construct_mate(_generated("wobble"), 1.0, n=64),
     "sampled-trefoil": _trefoil_samples,
 }
@@ -103,6 +104,29 @@ def test_point_does_not_depend_on_its_batch(name):
         pick = rng.permutation(len(ts))[: len(ts) // 2]
         for i, fd in zip(pick, frenet_grid(curve, ts[pick])):
             assert_same_bits(fd, grid[i])
+    # a float is the one-point grid: its jet is the grid's column, bit for bit
+    for order in (0, 4, 8):
+        jet = curve.jet(ts, order)
+        for i, t in enumerate(ts):
+            one = curve.jet(float(t), order)
+            assert one.coeffs.shape == (order + 1, 3)
+            assert np.array_equal(one.coeffs.view(np.uint64),
+                                  jet.column(i).coeffs.view(np.uint64)), (order, i)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_jet_refuses_a_2d_t_and_a_negative_order(name):
+    """Every kind refuses a t of more than one dimension and an order below
+    0 with the same ValueError, before it checks the domain."""
+    curve = CURVES[name]()
+    lo, hi = curve.domain
+    for t, order, shape in ((0.5 * (lo + hi), -1, "()"), (hi + 1.0, -1, "()"),
+                            (np.full((2, 2), lo), 2, "(2, 2)"), ([[lo]], 0, "(1, 1)")):
+        with pytest.raises(ValueError) as err:
+            curve.jet(t, order)
+        assert type(err.value) is ValueError
+        assert str(err.value) == ("jet takes a float or a 1-D array t and an order >= 0, "
+                                  f"got t of shape {shape} and order {order}")
 
 
 # largest |rows.point - curve.point| on the 29 points below.  The Frenet

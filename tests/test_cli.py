@@ -744,10 +744,10 @@ def _resaved(curve, tmp_path):
 def test_curve_file_round_trip_byte_identical(workdir, tmp_path):
     """A curve file re-saved after a load is the file it was.  A mate file
     re-saved after a lone load and after a load beside its base file is
-    its file byte for byte where it records its base (an analytic base,
-    the four generated presets); the mate of the slant seed or of a mate
-    records none, loads as its samples and is re-saved without the
-    recipe metadata that nothing rebuilds."""
+    its file byte for byte: where it records its base (an analytic base,
+    the four generated presets) and where it records none (the mate of
+    the slant seed or of a mate), loads as its samples and keeps the
+    metadata stored beside them."""
     c = load_curve(str(workdir / "base.json"))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_curve(c, str(p1))
@@ -765,12 +765,10 @@ def test_curve_file_round_trip_byte_identical(workdir, tmp_path):
         save_curve(base, str(base_file))
         save_curve(construct_mate(base, 0.5, n=64), str(mate_file))
         want = mate_file.read_bytes()
-        if i >= 5:
-            stored = json.loads(want)
-            assert "base_generator" not in stored["metadata"]
-            del stored["metadata"]
-            want = (dumps(stored) + "\n").encode()
-        assert _resaved(load_curve(str(mate_file)), tmp_path) == want, base.label
+        loaded = load_curve(str(mate_file))
+        # the mates of the slant seed and of a mate record no base
+        assert isinstance(loaded, SampledCurve) is (i >= 5), base.label
+        assert _resaved(loaded, tmp_path) == want, base.label
         paired = read_inputs(str(base_file), str(mate_file))[0][1]
         assert _resaved(paired, tmp_path) == want, base.label
 
@@ -789,6 +787,14 @@ def test_load_keeps_stored_points_over_metadata(workdir, tmp_path):
     assert isinstance(c, SampledCurve)
     np.testing.assert_array_equal(c.points, stored["sampled"]["points"])
     np.testing.assert_array_equal(c.params, stored["sampled"]["t"])
+    # the samples keep the stored metadata, which a re-save writes back
+    assert c.metadata == stored["metadata"]
+    assert _resaved(c, tmp_path) == (dumps(stored) + "\n").encode()
+    # and give no base block: the mate beside them is rebuilt on its own
+    # generated base, not offset from the samples
+    mate = read_inputs(str(f), str(workdir / "mate.json"))[0][1]
+    assert isinstance(mate, JetBackedCurve)
+    assert isinstance(mate._offset_of[0], JetBackedCurve)
 
 
 def test_mate_of_an_analytic_base_reloads_exactly(tmp_path):

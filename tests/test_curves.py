@@ -118,6 +118,19 @@ def test_sampled_too_few_points():
         SampledCurve(ts, pts)
 
 
+def test_sampled_refuses_an_order_its_samples_cannot_give():
+    """Seven samples give Taylor coefficients up to order 6; order 7 would
+    read a zero where exp's is 3.3e-4, so it raises and names both
+    counts."""
+    ps = np.linspace(0.0, 1.0, 7)
+    curve = SampledCurve(ps, np.stack([np.exp(ps)] * 3, axis=1), label="exp")
+    assert curve.jet(0.5, 6).coeffs[6, 0] == pytest.approx(math.exp(0.5) / 720, rel=0.1)
+    for t in (0.5, ps):
+        with pytest.raises(TooFewSamplesError,
+                           match=r"order 7 needs at least 8 samples, curve 'exp' has 7$"):
+            curve.jet(t, 7)
+
+
 def series_arc_length(curve, t0, t1, n=64):
     """Cumulative arc length at n+1 uniform nodes of [t0, t1], from the
     speed's exact series about each segment's midpoint."""
