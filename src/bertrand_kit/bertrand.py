@@ -462,11 +462,12 @@ def generate_bertrand_curve(
         return u, k
 
     def jet_fn(t, order):
-        # invert_series takes three Newton steps at every order from 5 to
-        # 8, and truncated Taylor arithmetic gives the low coefficients the
-        # same bits at every order, so with the floor of 6 an order-8 run
-        # cut to order 4 has the bits of an order-4 request
-        internal = max(order, 6)
+        # invert_series takes the same Newton steps at every order up to 8,
+        # and truncated Taylor arithmetic gives the low coefficients the
+        # same bits at every order, so each request runs at its own order
+        # and an order-8 run cut to order k has the bits of an order-k
+        # request; order 0 runs at 1, since the seed's speed reads dc/du
+        internal = max(order, 1)
         u, k = _solve_u(t)
         Cj = sphere_curve.jet(u, internal)
         Dj, V = _seed_jets(Cj)
@@ -528,6 +529,10 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
     m2 = m * m
 
     def jet_fn(s, order):
+        # A(ss[k]) is a Horner sum over the whole series, and s lies within
+        # one node spacing of ss[k]: terms past order 6 fall below its last
+        # bit, but a shorter series moves it (a floor of 3 does on a
+        # 256-point grid), so every request runs at 6 or more
         internal = max(order, 6)
         k = np.clip(np.searchsorted(ss, s) - 1, 0, n - 1)
         rate, _, _ = phi_rate.jet(s, internal)

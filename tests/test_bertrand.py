@@ -680,18 +680,26 @@ def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
         assert_same_bits_array(got.basepoint, want.basepoint)
 
 
-@pytest.mark.parametrize("curve", ["wobble", "tilt", "bean", "slant", "slant-seed"])
+@pytest.mark.parametrize("curve", ["wobble", "tilt", "bean", "slant", "slant-seed",
+                                   "tilt-eps-plus-one", "tilt-minus-a"])
 def test_order_8_jets_truncate_to_the_bits_of_lower_requests(curve):
     """An order-8 request on a fresh generated base, or on the slant seed,
-    truncated to order 4 or 6, has the bits of that request on a fresh
-    curve (an order-6 generator run): detection's order-8 grid jet can
-    serve every lower request on the grid."""
+    truncated to any order from 0 to 7, has the bits of that request on a
+    fresh curve (a generator run at that order): detection's order-8 grid
+    jet can serve every lower request on the grid.  Besides the default
+    angles, tilt at 2.6 (epsilon = +1) and tilt at 0.1, whose mate is the
+    offset by -a."""
     def fresh():
-        return sphere_preset("slant") if curve == "slant-seed" else _generated(curve)
+        if curve == "slant-seed":
+            return sphere_preset("slant")
+        if curve.startswith("tilt-"):
+            omega = EPS_PLUS_ONE_OMEGA["tilt"] if curve == "tilt-eps-plus-one" else 0.1
+            return generate_bertrand_curve(sphere_preset("tilt"), a=1.0, omega=omega, n=64)
+        return _generated(curve)
 
     ts = np.linspace(*fresh().domain, 24)
     high = fresh().jet(ts, 8)
-    for order in (4, 6):
+    for order in range(8):
         want = fresh().jet(ts, order)
         assert_same_bits_array(high.truncate(order).coeffs, want.coeffs)
         assert_same_bits_array(high.basepoint, want.basepoint)

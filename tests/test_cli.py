@@ -922,21 +922,25 @@ def pair_24(tmp_path_factory):
 
 
 # The (order, columns) of each generator pipeline a command runs on a pair
-# generated at n = 24, in call order; the generator serves any order up to
-# 6 at 6.  mate fits lambda on 64 points, reads its 25-node table to save
-# it and checks the pair on 24 points; each two-file command first checks
-# the loaded mate's 25 nodes.  A pair check that no suite follows (mate)
-# reads rows only and asks for order 6, as classify does on its 128-point
-# grid; the detection of verify and of indicatrix, on its --n grid, asks
+# generated at n = 24, in call order; the generator runs each request at
+# the order it asks, and a mate's order-k request asks its base for order
+# k + 2.  mate fits lambda on 64 points at order 4, reads its 25-node
+# table (order 0 of the mate) to save it and checks the pair on 24
+# points; each two-file command first checks the loaded mate's 25 nodes
+# the same way.  A pair check that no suite follows (mate) reads rows
+# only and asks for order 6, as classify does on its 128-point grid; the
+# arc-length alignment reads the base's rows and speeds at order 4 and
+# the mate's speeds (order 1) on its 512-point grid before the mate's
+# rows.  The detection of verify and of indicatrix, on its --n grid, asks
 # for order 8, whose frames the image rows read.
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["mate", "--auto", "--n", "24"], [(6, 64), (6, 25), (6, 24)]),
-        (["verify", "--n", "24"], [(6, 25), (8, 24)]),
-        (["classify"], [(6, 25), (6, 128)]),
-        (["classify", "--align", "arclength"], [(6, 25), (6, 128), (6, 512), (6, 128)]),
-        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(6, 25), (8, 64)])
+        (["mate", "--auto", "--n", "24"], [(4, 64), (2, 25), (6, 24)]),
+        (["verify", "--n", "24"], [(2, 25), (8, 24)]),
+        (["classify"], [(2, 25), (6, 128)]),
+        (["classify", "--align", "arclength"], [(2, 25), (4, 128), (3, 512), (6, 128)]),
+        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(2, 25), (8, 64)])
           for axis in "tnb" for side in ("base", "mate")],
     ],
     ids=lambda v: "-".join(a.lstrip("-") for a in v) if isinstance(v[0], str) else "runs",

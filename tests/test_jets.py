@@ -144,7 +144,7 @@ def _invert_reference(fwd):
     ident = Jet.variable(fwd.coeffs[0], n)
     dfwd = Jet(fwd.basepoint, np.concatenate((fwd.deriv().coeffs, np.zeros_like(fwd.coeffs[:1]))))
     order_reached = 1
-    while order_reached < n:
+    while order_reached < max(n, jets.DEFAULT_MAX_ORDER):
         u = u - (_compose_reference(fwd, u) - ident) / _compose_reference(dfwd, u)
         order_reached *= 2
     return u
@@ -154,6 +154,24 @@ def _assert_same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 24])
+def test_invert_series_of_a_truncation_has_the_bits_of_the_order_8_inversion(n):
+    """Every order up to 8 takes the same Newton steps, so the inversion
+    of an order-k truncation is the order-8 inversion cut to order k, bit
+    for bit, for k = 1..8."""
+    rng = np.random.default_rng(n)
+    t0 = rng.uniform(-1.0, 1.0, n)
+    coeffs = rng.normal(size=(9, n))
+    coeffs[1] = rng.uniform(0.5, 2.0, n)
+    fwd = Jet(t0, coeffs)
+    high = invert_series(fwd)
+    for k in range(1, 9):
+        low = invert_series(fwd.truncate(k))
+        assert low.order == k
+        _assert_same_bits(low.coeffs, high.truncate(k).coeffs)
+        _assert_same_bits(low.basepoint, high.basepoint)
 
 
 @pytest.mark.parametrize("order", [6, 8, 10])
