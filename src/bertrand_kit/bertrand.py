@@ -420,7 +420,7 @@ def generate_bertrand_curve(
     walk's seed-speed series of the segment that holds t, about the
     segment's midpoint.  An n below 2, which leaves the sphere checks one
     probe, raises ParameterError before the seed is evaluated; so does an
-    omega whose output has an inflection at a probe of the sphere checks.
+    omega whose output has an inflection at any walk midpoint.
     """
     if not 0.0 < a < math.inf:
         raise ParameterError(f"a must be finite and positive, got {a}")
@@ -440,9 +440,9 @@ def generate_bertrand_curve(
 
     # node walk: accumulate t (arc length of c) and position by series
     # steps, the series of every step from one batch at the midpoints,
-    # whose every (n // 64)-th column the sphere checks read first
+    # every one of which the sphere checks read first
     Cj = sphere_curve.jet(0.5 * (us[:-1] + us[1:]), 10)
-    s = _sphere_checks(Cj.take(slice(None, None, max(1, n // 64))), omega)
+    s = _sphere_checks(Cj, omega)
     Dj, V = _seed_jets(Cj)
     # dgamma/du = a (V c + cot(omega) c x dc/du)
     G = a * (V * Cj + cot * jcross(Cj, Dj))
@@ -511,8 +511,11 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
 
     Height is linear in arc length (z = m*s); the azimuth phi(s) is the
     cumulative integral of an explicit elementary function, evaluated with
-    exact jets.  Feeding this seed to the generator yields a Bertrand
-    curve that is also a slant helix.
+    exact jets.  phi(s) itself comes from the walk's series, as the
+    generator reads its arc length, and each request asks the rate one
+    order below its own; the node table is the order-0 jet at the nodes.
+    Feeding this seed to the generator yields a Bertrand curve that is
+    also a slant helix.
     """
     phi_rate = AnalyticCurve(
         f"sqrt(1 - {m}^2 - {m}^4*t^2/(1 - {m}^2*t^2))/sqrt(1 - {m}^2*t^2)",
@@ -524,29 +527,21 @@ def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBac
     lo, hi = domain
     ss = np.linspace(lo, hi, n + 1)
     rate, _, _ = phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)
-    phi_nodes = _integrate(rate, ss)[0]
+    # segment k's phi(s) = phi_nodes[k] + A_k(s) - A_k(ss[k])
+    phi_nodes, A, A_left = _integrate(rate, ss)
 
     m2 = m * m
 
     def jet_fn(s, order):
-        # A(ss[k]) is a Horner sum over the whole series, and s lies within
-        # one node spacing of ss[k]: terms past order 6 fall below its last
-        # bit, but a shorter series moves it (a floor of 3 does on a
-        # 256-point grid), so every request runs at 6 or more
-        internal = max(order, 6)
         k = np.clip(np.searchsorted(ss, s) - 1, 0, n - 1)
-        rate, _, _ = phi_rate.jet(s, internal)
-        A = rate.antideriv(0.0)
-        # phi(s) = phi_nodes[k] + int_{ss[k]}^{s} rate, via the local series
-        phi_jet = A.with_constant(phi_nodes[k] - A(ss[k]))
+        rate, _, _ = phi_rate.jet(s, max(order - 1, 0))
+        phi_jet = rate.antideriv(phi_nodes[k] + A.take(k)(s) - A_left[k])
         sj = Jet.variable(s, phi_jet.order)
         r_jet = jsqrt(1.0 - m2 * sj * sj)
         sphi, cphi = jsincos(phi_jet)
         return jstack((r_jet * cphi, r_jet * sphi, m * sj)).truncate(order)
 
-    r = np.sqrt(1.0 - m2 * ss * ss)
-    pts = np.stack([r * np.cos(phi_nodes), r * np.sin(phi_nodes), m * ss], axis=1)
-    return JetBackedCurve(jet_fn, ss, pts, label=label, metadata={"m": m})
+    return JetBackedCurve(jet_fn, ss, label=label, metadata={"m": m})
 
 
 SPHERE_PRESETS = {}

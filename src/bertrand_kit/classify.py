@@ -102,7 +102,7 @@ def classify_curve(curve: Curve, n: int = 128) -> CurveClass:
         )
     kappa_max = float(np.max(rows.kappa))
     tau_max = float(np.max(np.abs(rows.tau)))
-    f_dev = _relative_deviation(rows.tau / rows.kappa)
+    f_dev = _relative_deviation(rows.f)
     gamma_dev = _relative_deviation(rows.Gamma)
     _, radius, sph_resid = sphere_fit(rows.point)
     metrics = {

@@ -265,15 +265,34 @@ def test_generator_refuses_an_angle_that_gives_an_inflection(preset):
     naming tan(omega) and the range of kg at its probes (it used to build
     the curve, whose mate check then failed without naming the
     inflection)."""
-    omega = INFLECTION_OMEGA[preset]
+    _assert_refuses_the_inflection(preset, INFLECTION_OMEGA[preset], 256)
+
+
+def _assert_refuses_the_inflection(preset, omega, n):
+    """The generator raises ParameterError naming the inflection, and
+    tan(omega) lies inside the kg range the message names."""
     with pytest.raises(ParameterError) as err:
-        generate_bertrand_curve(sphere_preset(preset), a=1.0, omega=omega, n=256)
+        generate_bertrand_curve(sphere_preset(preset), a=1.0, omega=omega, n=n)
     message = str(err.value)
     assert message.startswith(f"omega = {omega} gives the output an inflection: ")
     assert (f"tan(omega) = {math.tan(omega):.6g} lies in the seed's geodesic curvature "
             "range [") in message
     low, high = map(float, message.rsplit("[", 1)[1].rstrip("]").split(", "))
     assert low < math.tan(omega) < high
+
+
+# wobble angles whose tan(omega) enters the seed's kg range only within
+# the last n // 64 - 1 walk midpoints, past the last (n // 64)-th one
+LATE_INFLECTION = [(2.4639498632511376, 512), (2.4639529100537136, 4096)]
+
+
+@pytest.mark.parametrize("omega, n", LATE_INFLECTION)
+def test_generator_refuses_an_inflection_at_any_walk_midpoint(omega, n):
+    """The sphere checks read every walk midpoint, so an inflection in the
+    walk's last few segments is refused (read at every (n // 64)-th
+    midpoint, the checks built the curve; at n = 512 ``mate --auto`` then
+    fit lambda = 1.00083 and ``verify`` exited 7)."""
+    _assert_refuses_the_inflection("wobble", omega, n)
 
 
 # an angle beyond each preset's inflection band, where sin(omega) - kg
@@ -362,6 +381,35 @@ def test_slant_preset_walks_its_nodes_once(monkeypatch):
     for _ in range(3):
         sphere_preset("slant")
     assert walks == [1025]
+
+
+def test_slant_seed_node_table_is_its_order_0_jet():
+    """The slant seed's node table is its order-0 jet at its nodes, bit
+    for bit (a second formula for it differed by 5.6e-17)."""
+    seed = bertrand.SPHERE_PRESETS["slant"]()
+    want = bertrand.SPHERE_PRESETS["slant"]().jet(seed.params, 0).coeffs[0].T
+    assert_same_bits_array(seed.points, want)
+
+
+def test_slant_seed_asks_its_phi_rate_one_order_below_the_request(monkeypatch):
+    """An order-k request of the slant seed asks its phi rate once, at
+    order max(k - 1, 0): phi comes from the walk's series, and the rate's
+    antiderivative is phi's jet (every request ran at order 6 or more)."""
+    seed = sphere_preset("slant")
+    ts = np.linspace(*seed.domain, 24)
+    orders = []
+    real = AnalyticCurve._jets
+
+    def counting(self, t, order):
+        if self.label == "phi-rate":
+            orders.append(order)
+        return real(self, t, order)
+
+    monkeypatch.setattr(AnalyticCurve, "_jets", counting)
+    for k in range(9):
+        orders.clear()
+        seed.jet(ts, k)
+        assert orders == [max(k - 1, 0)], k
 
 
 @pytest.mark.parametrize("name", sorted(bertrand.SPHERE_PRESETS))
@@ -1116,7 +1164,7 @@ def test_pair_check_without_images_asks_the_base_for_order_6(preset, monkeypatch
 def test_generator_build_makes_one_seed_request():
     """A generator build asks its seed once, for the walk's order-10 jets
     at the n midpoints; the sphere checks read the order-2 terms of every
-    (n // 64)-th of them (a second, order-2 request before)."""
+    one of them (a second, order-2 request before)."""
     for n in (64, 256):
         seed = sphere_preset("wobble")
         real_jet = seed.jet

@@ -674,9 +674,25 @@ def test_generate_refuses_an_angle_that_gives_an_inflection(capsys, tmp_path, mo
     """An omega whose output has an inflection exits 2 with one error line
     naming it, and writes no curve file (it used to exit 0, and ``mate
     --auto`` then exited 5 without naming the inflection)."""
+    _assert_generate_refuses_the_inflection(capsys, tmp_path, monkeypatch, preset, omega, [])
+
+
+@pytest.mark.parametrize("omega, n", [("2.4639498632511376", "512"),
+                                      ("2.4639529100537136", "4096")])
+def test_generate_refuses_an_inflection_at_any_walk_midpoint(capsys, tmp_path, monkeypatch,
+                                                             omega, n):
+    """A wobble angle whose inflection lies within the walk's last few
+    midpoints exits 2 with one error line and writes no curve file (the
+    sphere checks read every (n // 64)-th midpoint, and it exited 0)."""
+    _assert_generate_refuses_the_inflection(capsys, tmp_path, monkeypatch, "wobble", omega,
+                                            ["--n", n])
+
+
+def _assert_generate_refuses_the_inflection(capsys, tmp_path, monkeypatch, preset, omega,
+                                            extra):
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, ["generate", "--sphere-curve", preset, "--omega", omega,
-                                "--out", "base.json"])
+                                *extra, "--out", "base.json"])
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: omega = {omega} gives the output an inflection: ")
     assert err.count("\n") == 1
