@@ -442,7 +442,9 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     add("frame-relations",
         max(max(_frame_relations(side, side_images[side], eps).values()) for side in SIDES))
 
-    # tangent and binormal images share |kappa| and |tau|; Gamma_t = Gamma_b
+    # tangent and binormal images share |kappa|, |tau| and |Gamma|; the signed
+    # |Gamma_t - Gamma_b| term reads one closed form for both images, while the
+    # exact images have Gamma_b = -sgn(f_X) Gamma_t, X the imaged curve
     elf = 0.0
     for side in SIDES:
         st, sb = side_images[side]["tangent"], side_images[side]["binormal"]

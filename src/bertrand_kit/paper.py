@@ -154,7 +154,10 @@ class IndicatrixSample(NamedTuple):
 
 
 def _gamma_big(fd, ds_x_dsrc):
-    """Shared Gamma of the tangent and binormal images (elf-corollaries).
+    """Gamma of the tangent image over eps (elf-corollaries): Gamma_T = eps G.
+
+    The tangent and binormal images share |Gamma|, not its sign: on the
+    exact image rows Gamma_B = -sgn(f_X) Gamma_T, X the imaged curve.
 
     ``ds_x_dsrc`` is the derivative of the indicatrix arc length with
     respect to the data-side arc length.
@@ -192,7 +195,8 @@ def images(side: str, fd, eps: int) -> dict:
     f_img = -eps * (g - f) / (1.0 + f * g)
     wfi = np.sqrt(1.0 + f_img * f_img)
     G_img = eps * fd.Gamma
-    # the tangent and binormal images share B, |kappa|, |tau| and Gamma
+    # the tangent and binormal images share B, |kappa|, |tau| and |Gamma|;
+    # Gamma_B = -sgn(f_img) Gamma_T, so one Gx is the sign of one image only
     kx = wf * wg / (f - g)
     tx = kp * wg / (k * k * (1.0 + f * f))
     Gx = _gamma_big(fd, _tangent_image_rate(fd, wg))

@@ -55,7 +55,7 @@ from bertrand_kit.indicatrix import (
     frame_relations_check,
     indicatrix_arclength_relations,
 )
-from bertrand_kit.io import dumps, save_curve
+from bertrand_kit.io import dumps, load_curve, save_curve
 from bertrand_kit.paper import (
     _constraint_residuals,
     bertrand_lambda,
@@ -703,15 +703,20 @@ def test_pair_runs_the_generator_pipeline_once_per_grid():
 def _fresh(side):
     """A freshly generated wobble base (n=64), its mate, a fresh slant
     seed, whose own jet_fn feeds the slant generator, or the seed's
-    normal offset by 0.3."""
+    normal offset by 0.3; "base-after-mate" and "mate-after-base" are
+    the base and the mate after the other curve gave its order-4 jets."""
     if side.startswith("slant-seed"):
         seed = sphere_preset("slant")
         return seed if side == "slant-seed" else construct_mate(seed, 0.3, n=64)
     base = _generated("wobble")
-    return base if side == "base" else construct_mate(base, 1.0, n=64)
+    mate = construct_mate(base, 1.0, n=64)
+    if "-after-" in side:
+        (mate if side == "base-after-mate" else base).jet(np.linspace(*base.domain, 24), 4)
+    return base if side.startswith("base") else mate
 
 
-@pytest.mark.parametrize("side", ["base", "mate", "slant-seed", "slant-seed-mate"])
+@pytest.mark.parametrize("side", ["base", "mate", "slant-seed", "slant-seed-mate",
+                                  "base-after-mate", "mate-after-base"])
 @pytest.mark.parametrize("orders", [(4, 6), (6, 4), (6, 4, 6), (8, 4, 6), (4, 8), (10, 4, 8),
                                     (6, 6)])
 def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
@@ -723,7 +728,7 @@ def test_generator_jets_do_not_depend_on_the_request_order(side, orders):
     ts = np.linspace(*curve.domain, 24)
     for order in orders:
         got = curve.jet(ts, order)
-        want = _fresh(side).jet(ts, order)
+        want = _fresh(side.split("-after-")[0]).jet(ts, order)
         assert_same_bits_array(got.coeffs, want.coeffs)
         assert_same_bits_array(got.basepoint, want.basepoint)
 
@@ -774,8 +779,9 @@ def test_pair_and_suite_make_one_series_reversion(preset, monkeypatch):
 def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
     """construct_mate asks its generated base for nothing; the node table,
     computed at its first read, has the bits of the order-0 mate jet at
-    the nodes (the table the mate was once built with), and a saved mate
-    file does not depend on what the pair evaluated before the read."""
+    the nodes (the table the mate was once built with) and loads back
+    from its saved file, and a saved mate file does not depend on what
+    the pair evaluated before the read."""
     base = _generated("wobble")
     requests = Counter()
     real_jet = JetBackedCurve.jet
@@ -792,6 +798,7 @@ def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
     P, _, N, _ = bertrand._frames(_generated("wobble").jet(mate.params, 2))
     assert_same_bits_array(mate.points, (P + 1.0 * N).truncate(0).coeffs[0].T)
     save_curve(mate, str(tmp_path / "first.json"))
+    assert_same_bits_array(load_curve(str(tmp_path / "first.json")).points, mate.points)
     base = _generated("wobble")
     late = construct_mate(base, 1.0, n=64)
     theorem_suite(detect_bertrand(base, late, n=24))
@@ -974,13 +981,17 @@ def test_shared_detection_rows_have_the_bits_of_fresh_curves(preset):
     """Detection builds both curves' rows and frames from one order-8 run
     of the base, and holds the six image jets; the rows have the bits of
     ``_frenet_columns`` of a fresh base and a fresh mate, each asked for
-    its own order-4 jets."""
+    its own order-4 jets, and the base's jets of orders 4, 6 and 8 on the
+    grid after detection have the bits of a fresh base's."""
     pair = detect_bertrand(*_fresh_pair(preset), n=24)
     assert pair._images is not None
     assert len(pair._images) == 6
     want_base, want_mate = _separate_rows(*_fresh_pair(preset), pair.ts)
     _assert_same_rows(pair.base_rows, want_base)
     _assert_same_rows(pair.mate_rows, want_mate)
+    for order in (4, 6, 8):
+        want = _fresh_pair(preset)[0].jet(pair.ts, order)
+        assert_same_bits_array(pair.base.jet(pair.ts, order).coeffs, want.coeffs)
 
 
 def test_mate_of_a_mate_is_detected_on_the_separate_path():

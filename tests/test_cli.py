@@ -210,6 +210,34 @@ def test_stdout_identical_across_hash_seeds(workdir, fresh_python, argv):
     assert outs[0] and outs[0] == outs[1]
 
 
+def test_in_process_rounds_match_the_shell_run(tmp_path, capsys, monkeypatch, fresh_python):
+    """The parser and the preset seed are built once per process: two
+    rounds of generate, mate and verify through ``main``, each in its own
+    directory, print the same text and write the same files as each other
+    and as the commands run by ``python -m bertrand_kit.cli`` in fresh
+    processes.  The chain's indicatrix pairs are no named pair, and
+    ``frenet --mask`` reads its base."""
+    chain = [["generate", "--sphere-curve", "wobble", "--n", "64", "--out", "base.json"],
+             ["mate", "base.json", "--auto", "--n", "64", "--out", "mate.json"],
+             ["verify", "base.json", "mate.json", "--n", "24"]]
+    rounds = []
+    for name in ("shell", "round-1", "round-2"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        if name == "shell":
+            procs = [fresh_python(["-m", "bertrand_kit.cli", *argv]) for argv in chain]
+            runs = [(p.returncode, p.stdout.decode(), p.stderr.decode()) for p in procs]
+        else:
+            runs = [run(capsys, argv) for argv in chain]
+        assert [(rc, err) for rc, _, err in runs] == [(0, "")] * 3, name
+        rounds.append(([out for _, out, _ in runs],
+                       [Path(f).read_bytes() for f in ("base.json", "mate.json")]))
+    assert rounds[1:] == [rounds[0]] * 2
+    entries = json.loads(rounds[0][0][2])["results"]["entries"]
+    assert entries["negative-result"]["note"] == f"verdicts={['none'] * 3}"
+    assert run(capsys, ["frenet", "base.json", "--grid", "32", "--mask"])[0] == 0
+
+
 def test_pipeline_imports_numpy_only(tmp_path, fresh_python):
     """``generate -> mate -> verify`` in a fresh process loads no scipy module."""
     script = f"""
@@ -294,25 +322,43 @@ def test_indicatrix_rows_equal_the_views_table(workdir, capsys, kind):
     assert rows == want
 
 
-@pytest.mark.parametrize("preset, omega", [("wobble", None), ("tilt", None), ("bean", None),
-                                           ("slant", None), ("tilt", "2.6")])
-def test_indicatrix_gaps_are_closed_form_error(tmp_path, capsys, preset, omega):
+# each preset at n = 64 on a 64-point grid, and the README-size chains
+# (generator n = 512, grid 128) of wobble and of tilt at 2.6, epsilon = +1;
+# tilt's mate there is at the default n = 2048
+@pytest.mark.parametrize("preset, omega, n, mate_n, grid", [
+    *(pytest.param(preset, omega, "64", "64", "64", id=f"{preset}-{omega}")
+      for preset, omega in [("wobble", None), ("tilt", None), ("bean", None), ("slant", None),
+                            ("tilt", "2.6")]),
+    pytest.param("wobble", None, "512", "512", "128", id="wobble-readme"),
+    pytest.param("tilt", "2.6", "512", None, "128", id="tilt-2.6-readme"),
+])
+def test_indicatrix_gaps_are_closed_form_error(tmp_path, capsys, preset, omega, n, mate_n,
+                                               grid):
     """Every kind's direct columns are the exact rows of the image curve,
     so its gaps measure the closed forms alone: below 1e-9 on the presets
     at their default angles (epsilon = -1) and at tilt's 2.6 (epsilon =
     +1), where the sign of the T and B images' tau is checked.  tau_gap
     is relative to max(|tau|, kappa), as slant's normal image is planar
-    and its tau rounding noise."""
+    and its tau rounding noise.  The mate report gives that epsilon, the
+    pair verifies, its indicatrix pairs are no named pair, and it
+    classifies as bertrand."""
     base, mate = str(tmp_path / "base.json"), str(tmp_path / "mate.json")
-    argv = ["generate", "--sphere-curve", preset, "--n", "64", "--out", base]
-    assert main(argv + (["--omega", omega] if omega else [])) == 0
-    assert main(["mate", base, "--auto", "--n", "64", "--out", mate]) == 0
-    capsys.readouterr()
+    argv = ["generate", "--sphere-curve", preset, "--n", n, "--out", base]
+    assert run(capsys, argv + (["--omega", omega] if omega else []))[0] == 0
+    rc, out, _ = run(capsys, ["mate", base, "--auto", *(["--n", mate_n] if mate_n else []),
+                              "--out", mate])
+    assert (rc, json.loads(out)["results"]["epsilon"]) == (0, 1 if omega else -1)
+    rc, out, _ = run(capsys, ["verify", base, mate, "--n", grid])
+    assert rc == 0
+    assert json.loads(out)["results"]["entries"]["negative-result"]["note"] == (
+        f"verdicts={['none'] * 3}")
+    rc, out, _ = run(capsys, ["classify", base, mate])
+    assert (rc, json.loads(out)["results"]["verdict"]) == (0, "bertrand")
     for kind in [f"{a}-{s}" for a in "tnb" for s in ("base", "mate")]:
-        rc, out, _ = run(capsys, ["indicatrix", base, mate, "--kind", kind, "--n", "64"])
+        rc, out, _ = run(capsys, ["indicatrix", base, mate, "--kind", kind, "--n", grid])
         assert rc == 0
         rows = np.array(json.loads(out)["results"]["rows"])
-        assert len(rows) == 64
+        assert len(rows) == int(grid)
         assert rows[:, 12].max() < 1e-9, kind
         assert rows[:, 13].max() < 1e-9, kind
 
@@ -601,7 +647,7 @@ def test_exit_degenerate_ratio_auto_lambda(workdir, capsys, tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_exit_not_a_pair(workdir, capsys, tmp_path):
+def test_exit_not_a_pair(workdir, small_pair, capsys, tmp_path):
     f = tmp_path / "other.json"
     save_curve(AnalyticCurve("t", "t^2", "t^3", (0.0, 0.4)), str(f))
     rc, _, err = run(capsys, ["verify", str(workdir / "base.json"), str(f),
@@ -609,6 +655,10 @@ def test_exit_not_a_pair(workdir, capsys, tmp_path):
     assert rc == 6
     # the error's own text already names the reason: printed once
     assert err.count("not a Bertrand pair") == 1
+    # a mate beside a base file of another recipe (a = 1.5) is rebuilt on
+    # its own a = 1 base, so the two are no pair
+    other = _other_base(str(tmp_path / "a15.json"), a=1.5)
+    assert run(capsys, ["verify", other, small_pair[1], "--n", "24"])[0] == 6
 
 
 @pytest.mark.parametrize(
@@ -702,7 +752,8 @@ def _assert_generate_refuses_the_inflection(capsys, tmp_path, monkeypatch, prese
 def test_generate_reports_the_recorded_lambda(capsys, tmp_path, monkeypatch):
     """At tilt's 0.1, beyond its inflection band, ``generate`` reports and
     records nominal_lambda = -a (it reported +a, whose offset is no
-    pair), and the mate at that lambda detects with epsilon = +1."""
+    pair), and the mate at that lambda detects with epsilon = +1 and
+    verifies."""
     monkeypatch.chdir(tmp_path)
     rc, out, _ = run(capsys, ["generate", "--sphere-curve", "tilt", "--omega", "0.1",
                               "--a", "1.37", "--n", "64", "--out", "base.json"])
@@ -714,6 +765,7 @@ def test_generate_reports_the_recorded_lambda(capsys, tmp_path, monkeypatch):
     results = json.loads(out)["results"]
     assert (rc, results["epsilon"]) == (0, 1)
     assert results["lambda"] == pytest.approx(-1.37, rel=1e-12)
+    assert run(capsys, ["verify", "base.json", "mate.json", "--n", "128"])[0] == 0
 
 
 def test_curve_that_overflows_is_not_saved(capsys, tmp_path, monkeypatch):

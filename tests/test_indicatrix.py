@@ -6,7 +6,7 @@ import pytest
 from bertrand_kit import paper
 from bertrand_kit.bertrand import detect_bertrand, generated_pair
 from bertrand_kit.classify import theorem_suite
-from bertrand_kit.curves import _take_rows, frenet_grid
+from bertrand_kit.curves import AnalyticCurve, _frenet_columns, _take_rows, frenet_grid
 from bertrand_kit.errors import TooFewSamplesError
 from bertrand_kit.indicatrix import (
     AXES,
@@ -228,6 +228,38 @@ def test_closed_forms_match_the_exact_images(preset, a, n, grid):
                     gap_g = (np.max(np.abs(np.abs(closed.Gamma) - np.abs(exact.Gamma)))
                              / max(1.0, np.max(np.abs(exact.Gamma))))
                     assert gap_g < TOL_EXACT_IMAGE, (omega, side, axis)
+
+
+# the worst |Gamma_B + sgn(tau_X) Gamma_T| / max|Gamma_T| measured over
+# the curves below is 6.0e-11, on bean's mate; the bound leaves a factor 10
+TOL_GAMMA_SIGN = 6e-10
+
+
+@pytest.mark.parametrize("imaged", ["cubic", "mirror-cubic", "wobble", "tilt", "bean"])
+def test_binormal_image_gamma_is_minus_sgn_tau_times_the_tangent_images(imaged):
+    """On the exact image rows of a curve X, the binormal image's Gamma is
+    -sgn(tau_X) times the tangent image's: the T and B images share
+    |Gamma|, not its sign.  X is the twisted cubic (tau > 0), its mirror
+    (tau < 0), or either curve of a preset pair (n = 256, grid 64),
+    compared where both images are regular.  Slant is left out: there
+    every image's |Gamma| is below 5e-13 and has no sign."""
+    if imaged.endswith("cubic"):
+        z = "-t^3" if imaged.startswith("mirror") else "t^3"
+        cases = [(AnalyticCurve("t", "t^2", z, (-1.0, 1.0)), np.linspace(-1.0, 1.0, 64))]
+    else:
+        pair = generated_pair(imaged, n=256, grid=64)
+        cases = [(getattr(pair, side), pair.ts[~pair.masked]) for side in SIDES]
+    for curve, ts in cases:
+        n = len(ts)
+        rows, regular, _ = image_rows(curve, ts)
+        row_of = np.cumsum(regular) - 1
+        both = regular[:n] & regular[2 * n:]
+        assert np.count_nonzero(both) >= 48
+        gamma_t, gamma_b = rows.Gamma[row_of[:n][both]], rows.Gamma[row_of[2 * n:][both]]
+        tau = _frenet_columns(curve, ts[both])[0].tau
+        assert len(tau) == len(gamma_t)
+        gap = np.max(np.abs(gamma_b + np.sign(tau) * gamma_t)) / np.max(np.abs(gamma_t))
+        assert gap < TOL_GAMMA_SIGN, curve.label
 
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])

@@ -1,0 +1,217 @@
+"""Structural rules of the package source, read as syntax trees: each rule
+maps ``{file name: ast.Module}`` to the ``file:line`` of every violation.
+The package gives none, and each rule flags planted snippets of what it
+forbids, forms a text search misses included (``coeffs[(..., i)]``)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bertrand_kit
+
+PACKAGE = Path(bertrand_kit.__file__).resolve().parent
+
+
+def _package_trees():
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _where(name, node):
+    return f"{name}:{node.lineno}"
+
+
+def _called(node):
+    """``f`` of a call ``f(...)`` or ``mod.f(...)``."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def np_cross(trees):
+    """One cross product formula: ``jets.jcross`` on jets and
+    ``jets._cross_rows`` on rows; numpy's ``cross`` under any name."""
+    found = []
+    for name, tree in trees.items():
+        numpy = {"np", "numpy"} | {a.asname or a.name for node in ast.walk(tree)
+                                   if isinstance(node, ast.Import) for a in node.names
+                                   if a.name.split(".")[0] == "numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                if any(a.name == "cross" for a in node.names):
+                    found.append(_where(name, node))
+            elif isinstance(node, ast.Attribute) and node.attr == "cross":
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in numpy:
+                    found.append(_where(name, node))
+    return found
+
+
+def ellipsis_index_on_coeffs(trees):
+    """Jet columns are gathered with ``np.take``: an index such as
+    ``coeffs[..., i]`` puts the column axis outermost in memory, and the
+    recurrences after it run on strided memory."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                    and "coeffs" in (getattr(node.value, "id", None),
+                                     getattr(node.value, "attr", None))
+                    and any(isinstance(e, ast.Constant) and e.value is Ellipsis
+                            for e in node.slice.elts)):
+                found.append(_where(name, node))
+    return found
+
+
+def _is_square(node):
+    """``x * x`` or ``x ** 2``."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    return isinstance(node.op, ast.Pow) and getattr(node.right, "value", None) == 2
+
+
+def closed_form_names_outside_paper(trees):
+    """The closed forms and their hypotheses live in ``paper.py``: no other
+    module names ``EPS_DEN`` or computes a weight ``sqrt(1 + x^2)``."""
+    found = []
+    for name, tree in trees.items():
+        if name == "paper.py":
+            continue
+        for node in ast.walk(tree):
+            if ("EPS_DEN" in (getattr(node, "id", None), getattr(node, "attr", None))
+                    or isinstance(node, ast.alias) and "EPS_DEN" in (node.name, node.asname)):
+                found.append(_where(name, node))
+            elif isinstance(node, ast.Call) and _called(node) == "sqrt" and node.args:
+                arg = node.args[0]
+                terms = (arg.left, arg.right) if isinstance(arg, ast.BinOp) else ()
+                if (isinstance(getattr(arg, "op", None), ast.Add)
+                        and any(getattr(t, "value", None) == 1 for t in terms)
+                        and any(map(_is_square, terms))):
+                    found.append(_where(name, node))
+    return found
+
+
+# the modules of curves, pairs, I/O and the command line
+NOT_FOR_PAPER = {"curves", "bertrand", "indicatrix", "classify", "io", "cli"}
+
+
+def paper_imports(trees):
+    """``paper.py`` holds formulas over rows: it imports no module that
+    evaluates a curve, builds a pair, reads a file or runs a command."""
+    found = []
+    for node in ast.walk(trees.get("paper.py", ast.Module([], []))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "bertrand_kit." if node.level else ""
+            names = [f"{package}{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        # bertrand_kit.curves.FrenetData, and bertrand_kit..cli of "from . import cli"
+        if any(parts[0] == "bertrand_kit" and NOT_FOR_PAPER & set(parts[1:3])
+               for parts in (n.split(".") for n in names)):
+            found.append(_where("paper.py", node))
+    return found
+
+
+def _reads_a_pair(node):
+    return any(getattr(n, "id", None) == "pair" or getattr(n, "attr", None) in ("base", "mate")
+               for n in ast.walk(node))
+
+
+def pair_evaluation_outside_bertrand(trees):
+    """Every pair function reads both curves through one
+    ``bertrand._pair_columns``, which runs a generated base once per grid:
+    no other module asks a pair's curve for a jet or its Frenet columns."""
+    found = []
+    for name, tree in trees.items():
+        if name == "bertrand.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "jet"
+                    and getattr(func.value, "attr", None) in ("base", "mate")):
+                found.append(_where(name, node))
+            elif _called(node) == "_frenet_columns" and node.args and _reads_a_pair(node.args[0]):
+                found.append(_where(name, node))
+    return found
+
+
+def curve_kind_defines_jet(trees):
+    """Every curve kind is evaluated through ``Curve.jet``, which checks t
+    and order and makes a float the one-point grid: a subclass of
+    ``Curve`` supplies ``_jets`` on a 1-D grid and defines no ``jet``."""
+    classes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    kinds, grown = {"Curve"}, True
+    while grown:
+        grown = False
+        for _, node in classes:
+            bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+            if node.name not in kinds and bases & kinds:
+                kinds.add(node.name)
+                grown = True
+    found = []
+    for name, node in classes:
+        if node.name == "Curve" or node.name not in kinds:
+            continue
+        for item in node.body:
+            targets = (item.targets if isinstance(item, ast.Assign)
+                       else [item] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       else [])
+            if any("jet" in (getattr(t, "id", None), getattr(t, "name", None)) for t in targets):
+                found.append(_where(name, item))
+    return found
+
+
+RULES = [np_cross, ellipsis_index_on_coeffs, closed_form_names_outside_paper, paper_imports,
+         pair_evaluation_outside_bertrand, curve_kind_defines_jet]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+def test_package_keeps_the_rule(rule):
+    trees = _package_trees()
+    assert {"paper.py", "bertrand.py", "curves.py", "jets.py"} <= set(trees)
+    assert rule(trees) == []
+
+
+# (rule, file the snippet is planted in, snippet)
+PLANTED = [
+    (np_cross, "curves.py", "n = np.cross(b, t)"),
+    (np_cross, "curves.py", "n = numpy.cross(b, t)"),
+    (np_cross, "curves.py", "from numpy import cross"),
+    (np_cross, "jets.py", "import numpy.linalg as la\nn = la.cross(b, t)"),
+    (ellipsis_index_on_coeffs, "jets.py", "c = P.coeffs[..., i]"),
+    (ellipsis_index_on_coeffs, "jets.py", "c = P.coeffs[(..., i)]"),
+    (ellipsis_index_on_coeffs, "jets.py", "c = coeffs[..., 1:]"),
+    (closed_form_names_outside_paper, "classify.py", "from .paper import EPS_DEN"),
+    (closed_form_names_outside_paper, "classify.py", "flat = abs(f) <= paper.EPS_DEN"),
+    (closed_form_names_outside_paper, "indicatrix.py", "wg = np.sqrt(1.0 + g * g)"),
+    (closed_form_names_outside_paper, "indicatrix.py", "wf = math.sqrt(f**2 + 1)"),
+    (paper_imports, "paper.py", "from .curves import FrenetData"),
+    (paper_imports, "paper.py", "from . import cli"),
+    (paper_imports, "paper.py", "import bertrand_kit.io"),
+    (paper_imports, "paper.py", "from bertrand_kit.bertrand import BertrandPairModel"),
+    (paper_imports, "paper.py", "def late():\n    from .indicatrix import AXES"),
+    (pair_evaluation_outside_bertrand, "indicatrix.py", "jet = pair.base.jet(ts, 6)"),
+    (pair_evaluation_outside_bertrand, "classify.py", "jet = self.mate.jet(ts, 4)"),
+    (pair_evaluation_outside_bertrand, "classify.py", "rows = _frenet_columns(pair.mate, ts)"),
+    (pair_evaluation_outside_bertrand, "indicatrix.py",
+     "rows = curves._frenet_columns(getattr(pair, side), ts)"),
+    (curve_kind_defines_jet, "curves.py",
+     "class Spline(Curve):\n    def jet(self, t, order):\n        return t"),
+    (curve_kind_defines_jet, "bertrand.py",
+     "class Fast(JetBackedCurve):\n    jet = Curve.jet\n"
+     "class JetBackedCurve(curves.Curve):\n    pass"),
+]
+
+
+@pytest.mark.parametrize("rule, file, snippet", PLANTED,
+                         ids=[f"{rule.__name__}-{i}" for i, (rule, _, _) in enumerate(PLANTED)])
+def test_rule_flags_a_planted_violation(rule, file, snippet):
+    found = rule({file: ast.parse(snippet)})
+    assert found and all(f.startswith(f"{file}:") for f in found)
