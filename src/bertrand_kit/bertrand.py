@@ -159,11 +159,12 @@ class BertrandPairModel:
     ratio invariants included, at the regular points ``ts[~masked]`` of
     the detection grid, as arrays with one row per point.  ``ri_base`` and
     ``ri_mate`` view them point by point over ``ts``, None where masked.
-    A pair that detection built from one run of its base's jet, with
-    ``images`` left True, also holds the order-4 T, N and B jets of both
-    curves at ``ts[~masked]``, which detection's Frenet passes built,
-    read-only: the position jets of the six image curves that the suite
-    classifies (``_image_jets``).
+    A pair that detection built from one run of its base's jet also holds
+    the T, N and B jets of both curves at ``ts[~masked]``, which
+    detection's Frenet passes built, read-only: the position jets of the
+    six image curves that the suite classifies (``_image_jets``), cut to
+    order 2, whose coefficients 0-2 fix each image's point and frame, or
+    to order 4 when detection was asked for ``images``.
     """
 
     base: Curve
@@ -195,9 +196,9 @@ class BertrandPairModel:
         return np.nonzero(~self.masked)[0]
 
     def _image_jets(self):
-        """The order-4 T, N and B jets of base and then mate at
-        ``ts[~masked]``: the ones detection holds, else from one order-6
-        request and one ``_frames`` pass per curve."""
+        """The T, N and B jets of base and then mate at ``ts[~masked]``:
+        the ones detection holds, of order 2 or 4, else of order 4 from
+        one order-6 request and one ``_frames`` pass per curve."""
         if self._images is not None:
             return self._images
         ts = self.ts[~self.masked]
@@ -232,21 +233,22 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     points ``ts[both]`` where both are regular, the mate evaluated only
     where the base is: ``(base_rows, mate_rows, both, errors, frames)``.
     ``errors`` holds the base's SingularPointErrors and then the mate's,
-    and ``frames`` the read-only order-4 T, N and B jets of base and then
-    mate at ``ts[both]`` on the shared path with ``images``, else None.
+    and ``frames`` the read-only T, N and B jets of base and then mate at
+    ``ts[both]`` on the shared path, else None: cut to order 2 (each
+    image's point and frame, ``curves._pose_columns``), or to order 4 with
+    ``images`` (each image's full Frenet rows, ``curves._columns``).
 
     Every pair takes one path: the base is asked once for its grid jet P,
     one Frenet pass (``_columns``) over P gives its rows, and one over the
     mate's position jet at the base's regular points gives the mate's.
     A mate that ``construct_mate`` built on this very base (its
     ``_offset_of``) is asked for nothing: its jet is P + lam N with the N
-    of the base's pass, and P is of order ``_FRENET_ORDER + 4`` with
-    ``images``, whose frames cut to order 4 are the suite's image rows (so
-    a pair and its suite run the base's jet once), else of order
-    ``_FRENET_ORDER + 2``, with the same bits in the rows.  Any other pair
-    asks each curve at ``_FRENET_ORDER``, as a stencil's width and a
-    normal offset's bits depend on the order asked.  Neither curve's node
-    table is read here.
+    of the base's pass, and P is of order ``_FRENET_ORDER + 2``, whose
+    mate frame reaches order 2, or ``_FRENET_ORDER + 4`` with ``images``,
+    whose mate frame reaches order 4, with the same bits in the rows and
+    in the frames' low orders.  Any other pair asks each curve at
+    ``_FRENET_ORDER``, as a stencil's width and a normal offset's bits
+    depend on the order asked.  Neither curve's node table is read here.
     """
     shared = mate._offset_of is not None and mate._offset_of[0] is base
     P = base.jet(ts, _FRENET_ORDER + (4 if images else 2) if shared else _FRENET_ORDER)
@@ -261,10 +263,12 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     base_rows = _take_rows(base_rows, mate_ok)
     ok[ok] = mate_ok
     frames = None
-    if shared and images:
+    if shared:
+        # the order the image passes read: 2 for the poses, 4 for full rows
+        cut = _FRENET_ORDER if images else 2
         frames = tuple(map(_read_only, (
-            *(v.truncate(_FRENET_ORDER).take(mate_ok) for v in frame),
-            *(v.truncate(_FRENET_ORDER) for v in _frame(*mate_core)))))
+            *(v.truncate(cut).take(mate_ok) for v in frame),
+            *(v.truncate(cut) for v in _frame(*mate_core)))))
     return base_rows, mate_rows, ok, errors + mate_errors, frames
 
 
@@ -275,7 +279,7 @@ def detect_bertrand(
     tol_align: float = TOL_ALIGN,
     tol_const: float = TOL_CONST,
     inset: float = 1e-6,
-    images: bool = True,
+    images: bool = False,
 ) -> BertrandPairModel:
     """Check the Bertrand-pair definition and assemble the pair model.
 
@@ -285,8 +289,13 @@ def detect_bertrand(
     of fewer than 8 points and NotAPairError with a reason of
     'offset-not-normal' (also for curves that coincide, whose offset is
     below ``_EPS_COINCIDE`` at every point), 'lambda-varies' or
-    'normals-not-aligned'.  The pair keeps the rows and, with ``images``,
-    the image frames that ``_pair_columns`` evaluates on the grid.
+    'normals-not-aligned'.  The pair keeps the rows and the image frames
+    that ``_pair_columns`` evaluates on the grid.  By default the frames
+    are cut to order 2, from an order-6 run of a shared base: the point
+    and frame of each image, all that the suite's ``negative-result``
+    reads.  ``images`` asks for the order-8 run whose frames, cut to order
+    4, give each image's full Frenet rows, as the CLI ``indicatrix``
+    reads one of them.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")

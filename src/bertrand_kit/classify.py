@@ -36,7 +36,7 @@ from .curves import (
     cumulative_trapezoid,
 )
 from .errors import TooFewSamplesError
-from .indicatrix import AXES, SIDES, _arclength_relations, _closed_forms, _image_columns
+from .indicatrix import AXES, SIDES, _arclength_relations, _closed_forms, _image_poses
 from .paper import (
     IndicatrixSample,
     _constraint_residuals,
@@ -200,21 +200,23 @@ def _pose(rows):
 
 def _classify_image_rows(images, ts):
     """The ``pair_classify`` verdict and evidence of the T, N and B images
-    of two curves, keyed by axis, from their exact ``image_rows`` at
-    ``ts``: the shared parameter is the correspondence, as with
-    align='param', and the tolerance is ``pair_classify``'s default.  An
-    axis with too few regular pairs gets the verdict 'untestable'.
+    of two curves, keyed by axis, from their exact image poses at ``ts``:
+    the shared parameter is the correspondence, as with align='param',
+    and the tolerance is ``pair_classify``'s default.  An axis with too
+    few regular pairs gets the verdict 'untestable'.
 
-    ``images`` are the order-4 T, N and B jets of A and then B about
-    ``ts`` (``BertrandPairModel._image_jets``), the position jets of the
-    six images, which take one Frenet pass over 6 len(ts) columns
-    (``_image_columns``), with the bits of each curve's own
+    ``images`` are the T, N and B jets of A and then B about ``ts``
+    (``BertrandPairModel._image_jets``), the position jets of the six
+    images, of order 2 or more.  ``_classify_rows`` reads each image's
+    point, T, N and B only, so one pose pass over their 6 len(ts) stacked
+    columns (``indicatrix._image_poses``), which reads coefficients 0-2,
+    gives them, and the regular masks, with the bits of each curve's own
     ``image_rows``."""
-    rows, ok, _ = _image_columns(images, ts)
+    pose, ok, _ = _image_poses(images, ts)
     ok_a, ok_b = np.split(ok, 2)
     split = np.count_nonzero(ok_a)
-    rows_a = tuple(v[:split] for v in _pose(rows))
-    rows_b = tuple(v[split:] for v in _pose(rows))
+    rows_a = tuple(v[:split] for v in pose)
+    rows_b = tuple(v[split:] for v in pose)
     pairs = ok_a & ok_b
     axis_of = np.repeat(np.arange(len(AXES)), len(ts))
     out = {}
@@ -384,12 +386,12 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     detection evaluated, on the rows where both curves are regular and g
     is defined on both.  ``negative-result`` classifies the T, N and B
     image pairs of base and mate (``_classify_image_rows``) on the exact
-    image rows at the regular detection points: the image curves'
-    position jets are the order-4 frame jets that detection built and the
-    pair holds (on a pair that holds none, one order-6 request per curve
-    and one ``_frames`` pass over both), and one Frenet pass covers all
-    six images, an axis with too few regular pairs counting as
-    untestable.
+    image poses at the regular detection points: the image curves'
+    position jets are the frame jets that detection built and the pair
+    holds, cut to order 2 (on a pair that holds none, the order-4 jets of
+    one order-6 request per curve and one ``_frames`` pass over both),
+    and one pose pass covers all six images, an axis with too few regular
+    pairs counting as untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
     ``tols`` takes the keys of ``TOLERANCE_KEYS`` with values above 0;
     any other key or value raises ValueError.  Equivalence entries (helix/planar criteria) pass

@@ -237,7 +237,8 @@ def _load_pair(args, n, images):
 def cmd_indicatrix(args) -> int:
     axis_key, side = args.kind.split("-")
     k = "tnb".index(axis_key)
-    # one detection on the table's grid gives every column, as verify's suite reads it
+    # one detection on the table's grid gives every column: the image's full
+    # Frenet rows read its order-4 position jet, from an order-8 run
     pair, inputs = _load_pair(args, args.n, images=True)
     report = RunReport(command="indicatrix", inputs=inputs,
                        parameters={"kind": args.kind, "n": args.n})
@@ -275,7 +276,7 @@ def cmd_indicatrix(args) -> int:
 
 def cmd_verify(args) -> int:
     tols = dict(args.tol or [])
-    pair, inputs = _load_pair(args, min(args.n, 256), images=True)
+    pair, inputs = _load_pair(args, min(args.n, 256), images=False)
     report = theorem_suite(pair, tols=tols)
 
     entries = {key: report.entries[key] for key in sorted(report.entries)}

@@ -30,6 +30,8 @@ from .errors import (
     TooFewSamplesError,
 )
 from .jets import (
+    _LEFT,
+    _RIGHT,
     Jet,
     _cross_rows,
     _first,
@@ -352,32 +354,67 @@ def _frenet_columns(curve, ts):
     return _columns(curve.jet(ts, _FRENET_ORDER), ts)[:3]
 
 
+def _pose_columns(P, ts):
+    """The point, T, N and B rows of the position jet P about ``ts`` at
+    its regular columns, from P's coefficients 0-2 alone, and the
+    package's regularity floors: ``(pose, regular, errors)``, with
+    ``regular`` and ``errors`` as ``_frenet_columns`` gives them.  A
+    column is singular where its speed |g'| is below EPS_REG or not
+    finite, where |g' x g''| < EPS_REG |g'|^2, or where kappa <= EPS_REG,
+    and a flagged column leaves the batch before any denominator could
+    vanish in it.  Each step is the constant term of the jet operation
+    that ``_columns`` runs (``jdot``, ``jcross``, ``jsqrt``), on the same
+    values in the same order, so the four rows have the bits of its rows
+    for any P of order 2 or more (truncated Taylor arithmetic: the
+    constant terms of g', g'' and g' x g'' read no coefficient of P above
+    the second)."""
+    p, d1, d2 = P.coeffs[:3]
+    d2 = 2.0 * d2  # the constant term of g'' = 2 P[2]
+    v2 = d1[0] * d1[0] + d1[1] * d1[1] + d1[2] * d1[2]
+    slow = ~(np.isfinite(v2) & (v2 >= EPS_REG * EPS_REG))
+    keep = np.flatnonzero(~slow)
+    d1, d2 = np.take(d1, keep, axis=1), np.take(d2, keep, axis=1)
+    v = np.sqrt(v2[keep])
+    C = d1[_LEFT] * d2[_RIGHT]
+    C = C[:3] - C[3:]
+    c2 = C[0] * C[0] + C[1] * C[1] + C[2] * C[2]
+    cnorm = np.sqrt(c2)
+    # the bits of the constant term of _columns' kappa_jet
+    kappa = cnorm / (v * v * v)
+    flat = (c2 < (EPS_REG * v * v) ** 2) | (kappa <= EPS_REG)
+    sub = np.flatnonzero(~flat)
+    keep = keep[sub]
+    T = np.ascontiguousarray((np.take(d1, sub, axis=1) / v[sub]).T)
+    B = np.ascontiguousarray((np.take(C, sub, axis=1) / cnorm[sub]).T)
+    pose = (p.T[keep], T, _cross_rows(B, T), B)
+    regular = np.zeros(len(ts), dtype=bool)
+    regular[keep] = True
+    errors = [
+        SingularPointError(f"{'speed' if slow[i] else 'curvature'} below regularity "
+                           f"floor at t={ts[i]}")
+        for i in np.flatnonzero(~regular)
+    ]
+    return pose, regular, errors
+
+
 def _columns(P, ts):
     """The ``_frenet_columns`` of the position jet P about ``ts``, and the
     jets of g', |g'|, g' x g'' and |g' x g''| that the pass builds at the
-    regular columns: ``(rows, regular, errors, core)``.  g' and g' x g''
-    have the orders P gives them, one and two below P's, and |g'| and
-    |g' x g''| that of g' x g''; ``_frame`` builds the frame jets from
-    ``core``.  The rows read the order-4 truncation of those jets, so a P
-    of order 4 or more gives them the bits of its order-4 truncation."""
-    D1 = P.deriv()
+    regular columns: ``(rows, regular, errors, core)``.  The regularity
+    floors, the point and the frame rows are ``_pose_columns``'s.  g' and
+    g' x g'' have the orders P gives them, one and two below P's, and
+    |g'| and |g' x g''| that of g' x g''; ``_frame`` builds the frame jets
+    from ``core``.  The rows read the order-4 truncation of those jets, so
+    a P of order 4 or more gives them the bits of its order-4
+    truncation."""
+    (point, T, N, B), regular, errors = _pose_columns(P, ts)
+    keep = np.flatnonzero(regular)
+    D1 = P.take(keep).deriv()
     # |g'| to the order of g' x g'', the highest any reader of it reaches
     low = D1.truncate(D1.order - 1)
-    v2 = jdot(low, low)
-    slow = ~(np.isfinite(v2.coeffs[0]) & (v2.coeffs[0] >= EPS_REG * EPS_REG))
-    keep = np.flatnonzero(~slow)
-    D1, v2 = D1.take(keep), v2.take(keep)
-    speed_jet = jsqrt(v2)
+    speed_jet = jsqrt(jdot(low, low))
     C = jcross(D1, D1.deriv())
     c2 = jdot(C, C)
-    v = speed_jet.coeffs[0]
-    # the bits of kappa_jet's constant term below
-    kappa = np.sqrt(c2.coeffs[0]) / (v * v * v)
-    flat = (c2.coeffs[0] < (EPS_REG * v * v) ** 2) | (kappa <= EPS_REG)
-    sub = np.flatnonzero(~flat)
-    keep = keep[sub]
-    D1, C = D1.take(sub), C.take(sub)
-    c2, speed_jet = c2.take(sub), speed_jet.take(sub)
     cnorm = jsqrt(c2)
     core = (D1, speed_jet, C, cnorm)
 
@@ -396,14 +433,12 @@ def _columns(P, ts):
     g_defined = np.abs(dkappa_ds) >= EPS_G
     g = np.full(len(g_defined), math.nan)
     g[g_defined] = dtau_ds[g_defined] / dkappa_ds[g_defined]
-    T = np.ascontiguousarray((D1.coeffs[0] / v).T)
-    B = np.ascontiguousarray((C.coeffs[0] / cnorm.coeffs[0]).T)
     rows = FrenetData(
         t=ts[keep],
-        point=P.coeffs[0].T[keep],
+        point=point,
         speed=v,
         T=T,
-        N=_cross_rows(B, T),
+        N=N,
         B=B,
         kappa=kappa,
         tau=tau,
@@ -416,13 +451,6 @@ def _columns(P, ts):
         # expanded so that no quotient by kappa^2 is formed twice
         Gamma=(dtau_ds * kappa - tau * dkappa_ds) / (kappa * kappa + tau * tau) ** 1.5,
     )
-    regular = np.zeros(len(ts), dtype=bool)
-    regular[keep] = True
-    errors = [
-        SingularPointError(f"{'speed' if slow[i] else 'curvature'} below regularity "
-                           f"floor at t={ts[i]}")
-        for i in np.flatnonzero(~regular)
-    ]
     return rows, regular, errors, core
 
 

@@ -21,6 +21,7 @@ from .curves import (
     _columns,
     _frenet_columns,
     _points_at,
+    _pose_columns,
     _take_rows,
     cumulative_trapezoid,
 )
@@ -53,15 +54,31 @@ def image_rows(curve, ts):
     return _image_columns(_image_frames((curve.jet(ts, _FRENET_ORDER + 2),)), ts)
 
 
+def _stacked(images, ts, order):
+    """The jets ``images`` about ``ts``, cut to ``order``, as one jet of
+    their columns, image by image."""
+    return Jet(np.tile(ts, len(images)),
+               np.concatenate([v.coeffs[: order + 1] for v in images], axis=-1))
+
+
 def _image_columns(images, ts):
     """The ``_frenet_columns`` of each image curve whose order-4 position
     jet about ``ts`` is one of ``images``, concatenated image by image,
     from one ``_columns`` pass over their stacked columns.  Every step
     works column by column, so each image's rows have the bits of its own
     pass."""
-    ts_all = np.tile(ts, len(images))
-    P = Jet(ts_all, np.concatenate([v.coeffs for v in images], axis=-1))
-    return _columns(P, ts_all)[:3]
+    P = _stacked(images, ts, _FRENET_ORDER)
+    return _columns(P, P.basepoint)[:3]
+
+
+def _image_poses(images, ts):
+    """The ``_pose_columns`` of each image curve whose position jet about
+    ``ts``, of order 2 or more, is one of ``images``: the point, T, N and
+    B rows concatenated image by image, and the regular mask and errors,
+    from one pass over their stacked columns.  Each image's share has the
+    bits of the pose of its own ``_image_columns``."""
+    P = _stacked(images, ts, 2)
+    return _pose_columns(P, P.basepoint)
 
 
 def _sides(side: str, base_rows, mate_rows):

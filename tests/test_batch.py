@@ -13,6 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from test_indicatrix import EPS_PLUS_ONE_OMEGA
 from test_jets import FAMILY_TEXTS
 
 from bertrand_kit import curves, jets, paper
@@ -608,3 +609,109 @@ def test_suite_images_of_a_pair_that_holds_none_are_each_curves_own(build, tmp_p
         assert_same_evidence(got[axis].evidence, want.evidence)
         verdicts.append(want.verdict)
     assert note == f"verdicts={verdicts}"
+
+
+def _pose_reference(P, ts):
+    """The point, T, N and B rows, regular mask and error messages of the
+    position jet P, one column at a time, from jet operations on P's own
+    order: the floors and frame as ``_columns`` took them from the jets of
+    g', |g'|, g' x g'' and |g' x g''| before the pose stage."""
+    rows, regular, errors = [], [], []
+    for i, t in enumerate(ts):
+        D1 = P.column(i).deriv()
+        v2 = jets.jdot(D1, D1).coeffs[0]
+        if not (np.isfinite(v2) and v2 >= curves.EPS_REG * curves.EPS_REG):
+            regular.append(False)
+            errors.append(f"speed below regularity floor at t={t}")
+            continue
+        v = jets.jsqrt(jets.jdot(D1, D1)).coeffs[0]
+        C = jets.jcross(D1, D1.deriv())
+        c2 = jets.jdot(C, C).coeffs[0]
+        if c2 < (curves.EPS_REG * v * v) ** 2 or np.sqrt(c2) / (v * v * v) <= curves.EPS_REG:
+            regular.append(False)
+            errors.append(f"curvature below regularity floor at t={t}")
+            continue
+        T = D1.coeffs[0] / v
+        B = C.coeffs[0] / jets.jsqrt(jets.jdot(C, C)).coeffs[0]
+        rows.append((P.coeffs[0][:, i], T, jets._cross_rows(B[None], T[None])[0], B))
+        regular.append(True)
+    return tuple(np.array(v).reshape(-1, 3) for v in zip(*rows)), np.array(regular), errors
+
+
+def _stack(jets_, ts, order):
+    """The jets about ``ts``, cut to ``order``, as one jet of their columns."""
+    return jets.Jet(np.tile(ts, len(jets_)),
+                    np.concatenate([j.truncate(order).coeffs for j in jets_], axis=-1))
+
+
+def _preset_images(preset, omega):
+    """The six image jets of a generated pair (n = 64, grid 24), as
+    detection holds them by default (order 2) and with ``images``
+    (order 4), and the grid they are about."""
+    base = generate_bertrand_curve(sphere_preset(preset), a=1.0, omega=omega, n=64)
+    mate = construct_mate(base, base.metadata["nominal_lambda"], n=64)
+    poses, full = (detect_bertrand(base, mate, n=24, images=images)
+                   for images in (False, True))
+    return poses._image_jets(), full._image_jets(), full.ts[~full.masked]
+
+
+def _sampled_images(tmp_path):
+    """The six order-4 image jets of a pair loaded as samples, which
+    detection does not hold, twice."""
+    pair = _stripped_files(tmp_path)
+    jets_ = pair._image_jets()
+    return jets_, jets_, pair.ts[~pair.masked]
+
+
+def _planted_images(tmp_path):
+    """The order-4 jet of a trefoil at 12 points, with a zero-speed column
+    (every coefficient past the point 0), a straight one (g'' and above
+    0) and a non-finite one."""
+    ts = np.linspace(0.2, 5.8, 12)
+    P = AnalyticCurve(*TREFOIL, (0.0, 6.0)).jet(ts, 4)
+    c = P.coeffs.copy()
+    c[1:, :, 3] = 0.0
+    c[2:, :, 7] = 0.0
+    c[1, 0, 9] = math.nan
+    P = jets.Jet(ts, c)
+    return (P,), (P,), ts
+
+
+POSE_CASES = {
+    **{f"{preset}-{omega}": (lambda tmp_path, preset=preset, omega=omega:
+                             _preset_images(preset, omega))
+       for preset, plus in EPS_PLUS_ONE_OMEGA.items()
+       for omega in (DEFAULT_OMEGA[preset], plus)},
+    "sampled": _sampled_images,
+    "planted": _planted_images,
+}
+
+
+@pytest.mark.parametrize("name", list(POSE_CASES))
+def test_pose_stage_has_the_bits_of_the_frenet_pass(name, tmp_path):
+    """The pose stage (``curves._pose_columns``) over the stacked image
+    jets that detection holds, cut to order 2, gives the point, T, N and
+    B rows of ``_columns`` over the order-4 image jets (``_pose``), bit
+    for bit, with its regular mask and errors; so does a column-by-column
+    jet reference.  On the four presets at their default angles and at an
+    angle with epsilon = +1, on a pair loaded as samples, and on planted
+    singular columns, where both floors fire."""
+    poses, full, ts = POSE_CASES[name](tmp_path)
+    P2, P4 = _stack(poses, ts, 2), _stack(full, ts, 4)
+    assert P2.order == 2 and P4.order == 4
+    ts_all = P4.basepoint
+    rows, want_regular, want_errors, _ = curves._columns(P4, ts_all)
+    ref_pose, ref_regular, ref_errors = _pose_reference(P4, ts_all)
+    for P in (P2, P4):
+        pose, regular, errors = curves._pose_columns(P, ts_all)
+        for want in (_pose(rows), ref_pose):
+            assert len(pose) == len(want) == 4
+            for got_rows, want_rows in zip(pose, want):
+                assert_same_bits_array(got_rows, want_rows)
+        assert np.array_equal(regular, want_regular)
+        assert np.array_equal(regular, ref_regular)
+        assert [str(e) for e in errors] == [str(e) for e in want_errors] == ref_errors
+    if name == "planted":
+        assert [e.split()[0] for e in ref_errors] == ["speed", "curvature", "speed"]
+    else:
+        assert regular.all()

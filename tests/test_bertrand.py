@@ -529,8 +529,8 @@ def test_geodesic_indicator_closed_form_is_the_other_curves_gamma(preset, a, n, 
 def test_pair_evaluates_each_frenet_point_once(monkeypatch):
     """Detection plus the identity suite ask the base or the mate for jets
     at most once per parameter value: detection asks the generated base
-    once, for the order-8 grid jet that the rows of both curves and the
-    suite's image rows read, and asks the mate for nothing, and for no
+    once, for the order-6 grid jet that the rows of both curves and the
+    suite's image poses read, and asks the mate for nothing, and for no
     speed, an order-1 jet (it builds no arc-length table).  The points are
     counted on the requests of detection and the suite, at any order, not
     on the requests a curve makes of another."""
@@ -580,7 +580,7 @@ def test_pair_evaluates_each_frenet_point_once(monkeypatch):
 
 def test_suite_reads_the_detection_grid(monkeypatch):
     """The identity suite reads the Frenet data detection evaluated, and
-    negative-result reads the image rows from the order-6 position jets
+    negative-result reads the image poses from the order-2 position jets
     the pair holds since detection: inside the suite the base and the
     mate get no request at all (one order-6 request each before)."""
     pair = generated_pair("wobble", n=64, grid=24)
@@ -599,27 +599,33 @@ def test_suite_reads_the_detection_grid(monkeypatch):
 
 def test_suite_builds_each_image_stencil_once(monkeypatch):
     """negative-result classifies the three image pairs on exact jets: no
-    Fornberg weight build, and one image Frenet pass over the 6 x 24
-    columns of all axes of both curves."""
+    Fornberg weight build, no image Frenet pass, and one image pose pass
+    over the 6 x 24 columns of all axes of both curves (one Frenet pass
+    over them before)."""
     pair = generated_pair("wobble", n=64, grid=24)
     weights, passes = Counter(), Counter()
-    real_weights, real_columns = curves.fornberg_weights, curves._columns
+    real_weights = curves.fornberg_weights
+    real_columns, real_poses = curves._columns, curves._pose_columns
 
     def counting_weights(z, x, m):
         weights[len(z)] += 1
         return real_weights(z, x, m)
 
-    def counting_columns(P, ts):
-        passes[len(ts)] += 1
-        return real_columns(P, ts)
+    def counting(name, real):
+        def run(P, ts):
+            passes[name, len(ts)] += 1
+            return real(P, ts)
+        return run
 
     monkeypatch.setattr(curves, "fornberg_weights", counting_weights)
-    # every Frenet pass: the curves' own rows and the image rows
-    monkeypatch.setattr(curves, "_columns", counting_columns)
-    monkeypatch.setattr(indicatrix, "_columns", counting_columns)
+    # every Frenet pass, the curves' own rows and the image rows, and
+    # every pose pass but the one a Frenet pass makes
+    for module in (curves, indicatrix):
+        monkeypatch.setattr(module, "_columns", counting("columns", real_columns))
+    monkeypatch.setattr(indicatrix, "_pose_columns", counting("poses", real_poses))
     theorem_suite(pair)
     assert weights == Counter()
-    assert passes == Counter({144: 1})
+    assert passes == Counter({("poses", 144): 1})
 
 
 def test_wobble_jet_makes_two_sincos(monkeypatch):
@@ -678,11 +684,12 @@ def test_generator_newton_reads_the_walk_series():
 
 
 def test_pair_runs_the_generator_pipeline_once_per_grid():
-    """Detection asks the generated base for order 8 on its grid, the
-    order the mate's image rows read: the base's Frenet rows (order 4),
-    the mate's order-6 jet and the suite's image rows (orders 6 and 8 of
-    the base) are built from that one jet, so detection and the suite run
-    the pipeline once, on the 24-point detection grid at order 8."""
+    """Detection asks the generated base for order 6 on its grid, the
+    order the mate's rows read: the base's Frenet rows (order 4), the
+    mate's order-4 jet and the suite's image poses (orders 4 and 6 of the
+    base) are built from that one jet, so detection and the suite run the
+    pipeline once, on the 24-point detection grid at order 6 (at order 8
+    before, when the image rows read the mate's order-4 frame)."""
     seed = sphere_preset("wobble")
     real_jet = seed.jet
     requests = Counter()  # (order, number of points) -> seed requests
@@ -697,7 +704,7 @@ def test_pair_runs_the_generator_pipeline_once_per_grid():
     requests.clear()
     pair = detect_bertrand(base, mate, n=24)
     theorem_suite(pair)
-    assert requests == Counter({(8, 24): 1})
+    assert requests == Counter({(6, 24): 1})
 
 
 def _fresh(side):
@@ -761,9 +768,10 @@ def test_order_8_jets_truncate_to_the_bits_of_lower_requests(curve):
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
 def test_pair_and_suite_make_one_series_reversion(preset, monkeypatch):
     """generated_pair plus theorem_suite run the generator pipeline once,
-    on the detection grid at order 8 (three runs when construct_mate
-    evaluated its node table and the suite's image rows asked for a
-    second run on the grid)."""
+    on the detection grid at order 6 (at order 8 while the suite read the
+    images' full Frenet rows; three runs when construct_mate evaluated
+    its node table and the suite's image rows asked for a second run on
+    the grid)."""
     calls = Counter()  # (order, number of points) -> series reversions
     real = bertrand.invert_series
 
@@ -773,7 +781,7 @@ def test_pair_and_suite_make_one_series_reversion(preset, monkeypatch):
 
     monkeypatch.setattr(bertrand, "invert_series", counting)
     theorem_suite(generated_pair(preset, n=64, grid=24))
-    assert calls == Counter({(8, 24): 1})
+    assert calls == Counter({(6, 24): 1})
 
 
 def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
@@ -806,47 +814,50 @@ def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
     assert (tmp_path / "first.json").read_bytes() == (tmp_path / "late.json").read_bytes()
 
 
-def _fresh_images(preset, grid):
-    """The order-4 T, N and B jets of a fresh base and then a fresh mate
-    at ``grid``, from ``_frames`` of each curve's own order-6 jet."""
-    return [v.truncate(4) for curve in _fresh_pair(preset)
+def _fresh_images(preset, grid, order):
+    """The T, N and B jets of a fresh base and then a fresh mate at
+    ``grid``, from ``_frames`` of each curve's own order-6 jet, cut to
+    ``order``."""
+    return [v.truncate(order) for curve in _fresh_pair(preset)
             for v in bertrand._frames(curve.jet(grid, 6))[1:]]
 
 
 @pytest.mark.parametrize("preset", ["wobble", "slant", "analytic"])
 def test_pair_jets_are_read_only_with_fresh_bits(preset):
-    """The six image jets that detection hands to the suite, the order-4
-    T, N and B jets of base and mate from detection's Frenet passes, have
-    the bits of ``_frames`` of a fresh base's and a fresh mate's order-6
-    jets at the pair's regular points, before and after the suite reads
-    them, and writing into them raises, while the pair's grid stays
-    writable."""
-    pair = detect_bertrand(*_fresh_pair(preset), n=24)
-    grid = pair.ts[~pair.masked]
-    held = pair._image_jets()
-    assert len(held) == 6
-    for jet in held:
-        with pytest.raises(ValueError):
-            jet.coeffs[0, 0, 0] = 0.0
-        with pytest.raises(ValueError):
-            jet.basepoint[0] = 0.0
-    assert pair.ts.flags.writeable
-    for suite_ran in (False, True):
-        if suite_ran and preset != "analytic":
-            theorem_suite(pair)
-        assert pair._image_jets() is held
-        for jet, want in zip(held, _fresh_images(preset, grid), strict=True):
-            assert jet.order == 4
-            assert_same_bits_array(jet.coeffs, want.coeffs)
-            assert_same_bits_array(jet.basepoint, want.basepoint)
+    """The six image jets that detection hands to the suite, the T, N and
+    B jets of base and mate from detection's Frenet passes cut to order 2
+    (to order 4 with ``images``), have the bits of ``_frames`` of a fresh
+    base's and a fresh mate's order-6 jets cut to that order at the pair's
+    regular points, before and after the suite reads them, and writing
+    into them raises, while the pair's grid stays writable."""
+    for images, order in ((False, 2), (True, 4)):
+        pair = detect_bertrand(*_fresh_pair(preset), n=24, images=images)
+        grid = pair.ts[~pair.masked]
+        held = pair._image_jets()
+        assert len(held) == 6
+        for jet in held:
+            with pytest.raises(ValueError):
+                jet.coeffs[0, 0, 0] = 0.0
+            with pytest.raises(ValueError):
+                jet.basepoint[0] = 0.0
+        assert pair.ts.flags.writeable
+        for suite_ran in (False, True):
+            if suite_ran and preset != "analytic":
+                theorem_suite(pair)
+            assert pair._image_jets() is held
+            for jet, want in zip(held, _fresh_images(preset, grid, order), strict=True):
+                assert jet.order == order
+                assert_same_bits_array(jet.coeffs, want.coeffs)
+                assert_same_bits_array(jet.basepoint, want.basepoint)
 
 
 def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     """Detection takes the offsets from the positions in the Frenet rows:
-    the generated base is asked once for jets four orders above the
+    the generated base is asked once for jets two orders above the
     Frenet order (its rows read the low orders, its frame and the mate's
-    order-6 jet the rest), and its normal-offset mate is
-    asked for nothing; no curve is asked for a point."""
+    order-4 jet the rest; four orders above before, when the suite read
+    the images' full rows), and its normal-offset mate is asked for
+    nothing; no curve is asked for a point."""
     pair = generated_pair("wobble", n=64, grid=24)
     role = {pair.base: "base", pair.mate: "mate"}
     requests = Counter()
@@ -863,22 +874,23 @@ def test_detection_reads_positions_from_the_frenet_rows(monkeypatch):
     monkeypatch.setattr(JetBackedCurve, "jet", counting_jet)
     monkeypatch.setattr(Curve, "point", counting_point)
     detect_bertrand(pair.base, pair.mate, n=24)
-    assert requests == Counter({("base", 8): 1})
+    assert requests == Counter({("base", 6): 1})
 
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
 def test_pair_and_suite_make_one_mate_frame_run_and_one_image_pass(preset, monkeypatch):
     """generated_pair plus theorem_suite build each curve's frame once, in
-    detection's Frenet pass over that curve: the base's at order 6 from
-    its order-8 jet, and the mate's at order 4 from its order-6 jet, which
-    is P + lam N with the base's N.  So there is no normal-offset run and
-    no ``_frames`` run (one ``_offset`` run of the base's order-8 jet and
-    one ``_frames`` run of both curves' order-6 jets before), and the six
-    image curves of negative-result take one Frenet pass over 6 x 24
-    columns."""
+    detection's Frenet pass over that curve: the base's at order 4 from
+    its order-6 jet, and the mate's at order 2 from its order-4 jet, which
+    is P + lam N with the base's N (orders 6 and 4 from the base's order-8
+    jet while the suite read the images' full rows).  So there is no
+    normal-offset run and no ``_frames`` run (one ``_offset`` run of the
+    base's order-8 jet and one ``_frames`` run of both curves' order-6
+    jets before), and the six image curves of negative-result take one
+    pose pass over 6 x 24 columns (one Frenet pass before)."""
     runs, frames, passes = Counter(), Counter(), Counter()
     real_offset, real_frames = bertrand._offset, bertrand._frames
-    real_frame, real_columns = bertrand._frame, indicatrix._columns
+    real_frame, real_columns = bertrand._frame, indicatrix._pose_columns
 
     def counting(name, real):
         def run(P, *args):
@@ -897,10 +909,10 @@ def test_pair_and_suite_make_one_mate_frame_run_and_one_image_pass(preset, monke
     monkeypatch.setattr(bertrand, "_offset", counting("_offset", real_offset))
     monkeypatch.setattr(bertrand, "_frames", counting("_frames", real_frames))
     monkeypatch.setattr(bertrand, "_frame", counting_frame)
-    monkeypatch.setattr(indicatrix, "_columns", counting_columns)
+    monkeypatch.setattr(indicatrix, "_pose_columns", counting_columns)
     theorem_suite(generated_pair(preset, n=64, grid=24))
     assert runs == Counter()
-    assert frames == Counter({6: 1, 4: 1})
+    assert frames == Counter({4: 1, 2: 1})
     assert passes == Counter({144: 1})
 
 
@@ -944,8 +956,9 @@ def test_mate_jets_after_detection_and_suite_have_fresh_bits(preset):
 
 def test_detection_asks_an_analytic_base_once_and_its_mate_nothing(monkeypatch):
     """The mate of an analytic base records that base too: detection asks
-    the ellipse once, for its order-8 grid jet, and the mate for nothing
-    (the ellipse at orders 4 and 6, the mate at order 4 before)."""
+    the ellipse once, for its order-6 grid jet (order 8 while the suite
+    read the images' full rows), and the mate for nothing (the ellipse at
+    orders 4 and 6, the mate at order 4 before)."""
     base, mate = _planar_pair()
     requests = Counter()
     real_analytic, real_backed = AnalyticCurve.jet, JetBackedCurve.jet
@@ -960,7 +973,7 @@ def test_detection_asks_an_analytic_base_once_and_its_mate_nothing(monkeypatch):
     monkeypatch.setattr(AnalyticCurve, "jet", counting(real_analytic))
     monkeypatch.setattr(JetBackedCurve, "jet", counting(real_backed))
     detect_bertrand(base, mate, n=24)
-    assert requests == Counter({("base", 8): 1})
+    assert requests == Counter({("base", 6): 1})
 
 
 def _separate_rows(base, mate, ts):
@@ -978,7 +991,7 @@ def _assert_same_rows(got, want):
 
 @pytest.mark.parametrize("preset", ["wobble", "slant", "analytic"])
 def test_shared_detection_rows_have_the_bits_of_fresh_curves(preset):
-    """Detection builds both curves' rows and frames from one order-8 run
+    """Detection builds both curves' rows and frames from one order-6 run
     of the base, and holds the six image jets; the rows have the bits of
     ``_frenet_columns`` of a fresh base and a fresh mate, each asked for
     its own order-4 jets, and the base's jets of orders 4, 6 and 8 on the
@@ -1130,13 +1143,13 @@ def test_pair_functions_run_one_generator_pipeline_per_call(monkeypatch):
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant", "analytic"])
 def test_pair_check_without_images_asks_the_base_for_order_6(preset, monkeypatch):
-    """A pair check that no suite follows (``images=False``) asks the base
-    once, for order 6, where the default asks for order 8, asks the mate
-    for nothing, builds the base's frame only and holds no image jets.
-    Its grid, rows, offset, sign and statistics have the bits of the
-    default run's, and a suite on it, which then asks for its image jets
-    itself, gives the default pair's report."""
-    want = detect_bertrand(*_fresh_pair(preset), n=24)
+    """A pair check without ``images``, the default, asks the base once,
+    for order 6, where ``images`` asks for order 8, and asks the mate for
+    nothing.  It builds each curve's frame once, the base's to order 4
+    and the mate's to order 2 (6 and 4 with ``images``), and holds the
+    six image jets cut to order 2 (4 with ``images``).  Its grid, rows,
+    offset, sign and statistics have the bits of the order-8 run's, and a
+    suite on it gives the order-8 pair's report."""
     base, mate = _fresh_pair(preset)
     role = {base: "base", mate: "mate"}
     requests = Counter()
@@ -1150,16 +1163,20 @@ def test_pair_check_without_images_asks_the_base_for_order_6(preset, monkeypatch
         return jet
 
     def counting_frame(*core):
-        requests["frames"] += 1
+        requests["frame", core[2].order] += 1
         return real_frame(*core)
 
     for cls in (AnalyticCurve, JetBackedCurve):
         monkeypatch.setattr(cls, "jet", counting(cls.jet))
     monkeypatch.setattr(bertrand, "_frame", counting_frame)
-    got = detect_bertrand(base, mate, n=24, images=False)
-    assert requests == Counter({("base", 6): 1, "frames": 1})
+    got = detect_bertrand(base, mate, n=24)
+    assert requests == Counter({("base", 6): 1, ("frame", 4): 1, ("frame", 2): 1})
+    requests.clear()
+    want = detect_bertrand(base, mate, n=24, images=True)
+    assert requests == Counter({("base", 8): 1, ("frame", 6): 1, ("frame", 4): 1})
     monkeypatch.undo()
-    assert got._images is None
+    assert [jet.order for jet in got._image_jets()] == [2] * 6
+    assert [jet.order for jet in want._image_jets()] == [4] * 6
     assert_same_bits_array(got.ts, want.ts)
     assert_same_bits_array(got.masked, want.masked)
     _assert_same_rows(got.base_rows, want.base_rows)

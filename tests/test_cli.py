@@ -12,7 +12,12 @@ import pytest
 
 from bertrand_kit import bertrand, cli, errors
 from bertrand_kit.bertrand import construct_mate, generate_bertrand_curve, sphere_preset
-from bertrand_kit.classify import _KEYLESS_ENTRIES, IDENTITY_ENTRIES, TOLERANCE_KEYS
+from bertrand_kit.classify import (
+    _KEYLESS_ENTRIES,
+    IDENTITY_ENTRIES,
+    TOLERANCE_KEYS,
+    theorem_suite,
+)
 from bertrand_kit.cli import EXIT_NOT_A_PAIR, _detect_from_files, main
 from bertrand_kit.curves import AnalyticCurve, JetBackedCurve, SampledCurve, _points_at
 from bertrand_kit.indicatrix import AXES, apparatus_grid, image_rows
@@ -951,7 +956,7 @@ def _count_generator_work(monkeypatch, runs=None):
 # The generator keeps nothing between requests, so each request runs a
 # pipeline of its own.  Every command runs one on the mate's nodes (the
 # rebuild check).  verify and indicatrix run one more on the detection
-# grid, at the order the image rows read; an indicatrix reads its data
+# grid, at the order the image poses or rows read; an indicatrix reads its data
 # rows, image rows and arc-length law from that one run.  classify runs
 # one more on its grid, whose mate rows are read from the base's run, and
 # the arc-length alignment one per curve for its rows and one for the
@@ -979,6 +984,49 @@ def test_file_pair_builds_one_generator(small_pair, capsys, monkeypatch, argv, p
     assert counts == Counter(builds=1, walks=1, pipelines=pipelines)
 
 
+# each preset at its default angle and at an angle with epsilon = +1
+SUITE_ANGLES = [(preset, omega) for preset, plus in
+                (("wobble", 0.5), ("tilt", 2.6), ("bean", 2.0), ("slant", 2.5))
+                for omega in (None, plus)]
+
+
+@pytest.mark.parametrize("preset, omega", [*SUITE_ANGLES, ("sampled", None)],
+                         ids=lambda v: str(v))
+def test_suite_report_does_not_depend_on_the_detection_order(tmp_path, capsys, monkeypatch,
+                                                             preset, omega):
+    """theorem_suite gives dumps-equal reports on the default detection,
+    whose order-6 run holds the image jets cut to order 2 that give the
+    image poses, and on the order-8 detection (``images``) that
+    indicatrix uses, whose order-4 image jets give full Frenet rows: on
+    each preset at its default angle and at one with epsilon = +1, loaded
+    from files as verify loads them, and on a pair loaded as samples.
+    indicatrix still makes exactly one order-8 run of a generated base,
+    on its --n grid, after the mate file's node check."""
+    base, mate = str(tmp_path / "base.json"), str(tmp_path / "mate.json")
+    argv = ["generate", "--sphere-curve", "wobble" if preset == "sampled" else preset,
+            "--n", "64", "--out", base]
+    assert main([*argv, *(["--omega", str(omega)] if omega else [])]) == 0
+    assert main(["mate", base, "--auto", "--n", "64", "--out", mate]) == 0
+    if preset == "sampled":
+        for path in (base, mate):
+            doc = json.loads(Path(path).read_text())
+            del doc["metadata"]
+            Path(path).write_text(json.dumps(doc))
+    capsys.readouterr()
+    curves, _ = read_inputs(base, mate)
+    reports = []
+    for images in (False, True):
+        pair = _detect_from_files(*curves, 24, images)
+        assert (preset == "sampled") == (pair._images is None)
+        reports.append(dumps({k: vars(e) for k, e in theorem_suite(pair).entries.items()}))
+    assert reports[0] == reports[1]
+    runs = []
+    _count_generator_work(monkeypatch, runs)
+    rc, _, err = run(capsys, ["indicatrix", base, mate, "--kind", "t-mate", "--n", "64"])
+    assert rc == 0, err
+    assert runs == ([] if preset == "sampled" else [(2, 65), (8, 64)])
+
+
 @pytest.fixture(scope="module")
 def pair_24(tmp_path_factory):
     """Paths of a wobble base file and of its mate file, both at n = 24."""
@@ -999,13 +1047,15 @@ def pair_24(tmp_path_factory):
 # only and asks for order 6, as classify does on its 128-point grid; the
 # arc-length alignment reads the base's rows and speeds at order 4 and
 # the mate's speeds (order 1) on its 512-point grid before the mate's
-# rows.  The detection of verify and of indicatrix, on its --n grid, asks
-# for order 8, whose frames the image rows read.
+# rows.  The detection of verify, on its --n grid, asks for order 6 too:
+# its suite reads the images' poses, which the mate's order-2 frame
+# gives.  That of indicatrix asks for order 8, whose order-4 frames give
+# the image's full Frenet rows.
 @pytest.mark.parametrize(
     "argv, want",
     [
         (["mate", "--auto", "--n", "24"], [(4, 64), (2, 25), (6, 24)]),
-        (["verify", "--n", "24"], [(2, 25), (8, 24)]),
+        (["verify", "--n", "24"], [(2, 25), (6, 24)]),
         (["classify"], [(2, 25), (6, 128)]),
         (["classify", "--align", "arclength"], [(2, 25), (4, 128), (3, 512), (6, 128)]),
         *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(2, 25), (8, 64)])
@@ -1016,8 +1066,8 @@ def pair_24(tmp_path_factory):
 def test_generator_pipeline_orders_per_command(pair_24, tmp_path, capsys, monkeypatch,
                                                argv, want):
     """Each command asks the generator for the orders it reads: the mate's
-    pair check and classify at order 6, and verify and indicatrix at order
-    8 on one detection grid."""
+    pair check, classify and verify at order 6 (verify at order 8
+    before), and indicatrix at order 8 on one detection grid."""
     base, mate = pair_24
     if argv[0] == "mate":
         argv = [*argv[:1], base, *argv[1:], "--out", str(tmp_path / "mate.json")]

@@ -168,8 +168,34 @@ def curve_kind_defines_jet(trees):
     return found
 
 
+# the one function that compares with the regularity floor EPS_REG
+FLOOR_HOME = ("curves.py", "_pose_columns")
+
+
+def floor_outside_the_pose_stage(trees):
+    """The regularity floors have one implementation,
+    ``curves._pose_columns``, which ``curves._columns`` calls: no other
+    function or module level compares anything with ``EPS_REG``, under
+    any name it is imported as, and that function does."""
+    found = []
+    for name, tree in trees.items():
+        names = {"EPS_REG"} | {a.asname for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom) for a in node.names
+                               if a.name == "EPS_REG" and a.asname}
+        home = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and (name, node.name) == FLOOR_HOME), None)
+        inside = {id(n) for n in ast.walk(home)} if home else set()
+        floors = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(getattr(n, "id", None) in names or getattr(n, "attr", None) == "EPS_REG"
+                          for n in ast.walk(node))]
+        found += [_where(name, node) for node in floors if id(node) not in inside]
+        if name == FLOOR_HOME[0] and not any(id(node) in inside for node in floors):
+            found.append(_where(name, home or tree.body[0]))
+    return found
+
+
 RULES = [np_cross, ellipsis_index_on_coeffs, closed_form_names_outside_paper, paper_imports,
-         pair_evaluation_outside_bertrand, curve_kind_defines_jet]
+         pair_evaluation_outside_bertrand, curve_kind_defines_jet, floor_outside_the_pose_stage]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -207,6 +233,17 @@ PLANTED = [
     (curve_kind_defines_jet, "bertrand.py",
      "class Fast(JetBackedCurve):\n    jet = Curve.jet\n"
      "class JetBackedCurve(curves.Curve):\n    pass"),
+    (floor_outside_the_pose_stage, "curves.py",
+     "def _pose_columns(P, ts):\n    return P < EPS_REG\n"
+     "def _columns(P, ts):\n    flat = kappa <= EPS_REG"),
+    (floor_outside_the_pose_stage, "curves.py",
+     "def _pose_columns(P, ts):\n    return P < EPS_REG\nOK = 1.0 >= EPS_REG * EPS_REG"),
+    (floor_outside_the_pose_stage, "curves.py", "def _pose_columns(P, ts):\n    return P"),
+    (floor_outside_the_pose_stage, "classify.py", "slow = speed < curves.EPS_REG"),
+    (floor_outside_the_pose_stage, "bertrand.py",
+     "from .curves import EPS_REG as floor\ndef check(v):\n    return not v >= floor"),
+    (floor_outside_the_pose_stage, "indicatrix.py",
+     "def _pose_columns(v):\n    return v < EPS_REG"),
 ]
 
 
