@@ -147,8 +147,8 @@ class ConstancyStat:
         values = np.asarray(values)[np.isfinite(values)]
         if len(values) == 0:
             return cls(math.nan, math.nan)
-        m = float(np.mean(values))
-        return cls(m, float(np.max(np.abs(values - m))))
+        m = float(values.mean())
+        return cls(m, float(np.abs(values - m).max()))
 
 
 @dataclass
@@ -190,7 +190,7 @@ class BertrandPairModel:
 
     @property
     def masked_fraction(self):
-        return float(np.mean(self.masked))
+        return float(self.masked.mean())
 
     def valid_indices(self):
         return np.nonzero(~self.masked)[0]
@@ -217,9 +217,12 @@ def _overlap_grid(base: Curve, mate: Curve, n: int, inset: float = 1e-6):
 
 
 def _offset_along(D, axis):
-    """Each row of D's signed offset along the unit row of ``axis``, and its transverse norm."""
-    lam = np.sum(D * axis, axis=1)
-    return lam, np.linalg.norm(D - lam[:, None] * axis, axis=1)
+    """Each row of D's signed offset along the unit row of ``axis``, and its
+    transverse norm; ``axis`` may stack several sets of rows, (k, N, 3),
+    which give (k, N) offsets and norms, each row with the bits it gets
+    alone."""
+    lam = (D * axis).sum(axis=-1)
+    return lam, np.linalg.norm(D - lam[..., None] * axis, axis=-1)
 
 
 def _read_only(jet):
@@ -231,12 +234,13 @@ def _read_only(jet):
 def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     """Both curves' Frenet rows at the shared parameter ``ts``, at the
     points ``ts[both]`` where both are regular, the mate evaluated only
-    where the base is: ``(base_rows, mate_rows, both, errors, frames)``.
-    ``errors`` holds the base's SingularPointErrors and then the mate's,
-    and ``frames`` the read-only T, N and B jets of base and then mate at
-    ``ts[both]`` on the shared path, else None: cut to order 2 (each
-    image's point and frame, ``curves._pose_columns``), or to order 4 with
-    ``images`` (each image's full Frenet rows, ``curves._columns``).
+    where the base is: ``(base_rows, mate_rows, both, errors, jets)``.
+    ``errors`` holds the base's SingularPointErrors and then the mate's.
+    On the shared path ``jets`` is the base's T, N and B jets and the
+    mate's ``_columns`` core jets (g', |g'|, g' x g'', |g' x g''|), all at
+    ``ts[both]``, from which ``detect_bertrand`` builds the mate's frame
+    and the six image jets it holds; else None.  No other reader builds
+    them.
 
     Every pair takes one path: the base is asked once for its grid jet P,
     one Frenet pass (``_columns``) over P gives its rows, and one over the
@@ -262,14 +266,10 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     mate_rows, mate_ok, mate_errors, mate_core = _columns(P_mate, ts[ok])
     base_rows = _take_rows(base_rows, mate_ok)
     ok[ok] = mate_ok
-    frames = None
+    jets = None
     if shared:
-        # the order the image passes read: 2 for the poses, 4 for full rows
-        cut = _FRENET_ORDER if images else 2
-        frames = tuple(map(_read_only, (
-            *(v.truncate(cut).take(mate_ok) for v in frame),
-            *(v.truncate(cut) for v in _frame(*mate_core)))))
-    return base_rows, mate_rows, ok, errors + mate_errors, frames
+        jets = tuple(v.take(mate_ok) for v in frame), mate_core
+    return base_rows, mate_rows, ok, errors + mate_errors, jets
 
 
 def detect_bertrand(
@@ -289,48 +289,50 @@ def detect_bertrand(
     of fewer than 8 points and NotAPairError with a reason of
     'offset-not-normal' (also for curves that coincide, whose offset is
     below ``_EPS_COINCIDE`` at every point), 'lambda-varies' or
-    'normals-not-aligned'.  The pair keeps the rows and the image frames
-    that ``_pair_columns`` evaluates on the grid.  By default the frames
-    are cut to order 2, from an order-6 run of a shared base: the point
-    and frame of each image, all that the suite's ``negative-result``
-    reads.  ``images`` asks for the order-8 run whose frames, cut to order
-    4, give each image's full Frenet rows, as the CLI ``indicatrix``
-    reads one of them.
+    'normals-not-aligned'.  The pair keeps the rows that
+    ``_pair_columns`` evaluates on the grid and, on its shared path, the
+    six image jets: the base's frame jets it hands back and the mate's
+    frame, which detection builds from the mate's core jets once the pair
+    is accepted, cut and read-only.  By default they are cut to order 2,
+    from an order-6 run of the base: the point and frame of each image,
+    all that the suite's ``negative-result`` reads.  ``images`` asks for
+    the order-8 run whose frames, cut to order 4, give each image's full
+    Frenet rows, as the CLI ``indicatrix`` reads one of them.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
     if not 0.0 <= inset < 0.5:
         raise ParameterError(f"inset must lie in [0, 0.5), got {inset}")
     ts = _overlap_grid(base, mate, n, inset=inset)
-    base_rows, mate_rows, ok, _, frames = _pair_columns(base, mate, ts, images)
+    base_rows, mate_rows, ok, _, jets = _pair_columns(base, mate, ts, images)
     if np.count_nonzero(ok) < max(8, n // 4):
         raise NotAPairError("offset-not-normal", "too few regular points")
 
     offsets = mate_rows.point - base_rows.point
-    scale = float(np.max(np.linalg.norm(offsets, axis=1)))
+    scale = float(np.linalg.norm(offsets, axis=1).max())
     if scale < _EPS_COINCIDE:
         raise NotAPairError(
             "offset-not-normal", f"the curves coincide (max offset {scale:.3e})")
 
     # offset must lie along the principal normal
     lam_signed, resid = _offset_along(offsets, base_rows.N)
-    if np.max(resid) > math.sqrt(tol_align) * scale:
+    if resid.max() > math.sqrt(tol_align) * scale:
         raise NotAPairError(
-            "offset-not-normal", f"max transverse component {np.max(resid):.3e}"
+            "offset-not-normal", f"max transverse component {resid.max():.3e}"
         )
     lam_stat = ConstancyStat.of(lam_signed)
     if lam_stat.max_deviation > tol_const * (1.0 + abs(lam_stat.mean)):
         raise NotAPairError("lambda-varies", f"max deviation {lam_stat.max_deviation:.3e}")
 
-    dots = np.sum(base_rows.N * mate_rows.N, axis=1)
-    if np.min(np.abs(dots)) < 1.0 - tol_align:
+    dots = (base_rows.N * mate_rows.N).sum(axis=1)
+    if np.abs(dots).min() < 1.0 - tol_align:
         raise NotAPairError(
-            "normals-not-aligned", f"min |<N, N_mate>| = {np.min(np.abs(dots)):.6f}"
+            "normals-not-aligned", f"min |<N, N_mate>| = {np.abs(dots).min():.6f}"
         )
     signs = np.sign(dots)
     eps = int(signs[len(signs) // 2])
     # a permissive tolerance (diagnostic use) also waives sign consistency
-    if tol_align < 0.5 and np.any(signs != eps):
+    if tol_align < 0.5 and (signs != eps).any():
         raise NotAPairError("normals-not-aligned", "sign of <N, N_mate> flips")
 
     p1, p2 = map(ConstancyStat.of, projection_constants(mate_rows.g[mate_rows.g_defined]))
@@ -340,7 +342,11 @@ def detect_bertrand(
         base_rows=base_rows, mate_rows=mate_rows,
         p1=p1, p2=p2, q1=q1, q2=q2, lambda_stat=lam_stat, masked=~ok,
     )
-    pair._images = frames
+    if jets is not None:
+        frame, mate_core = jets
+        # the order the image passes read: 2 for the poses, 4 for full rows
+        cut = _FRENET_ORDER if images else 2
+        pair._images = tuple(_read_only(v.truncate(cut)) for v in (*frame, *_frame(*mate_core)))
     return pair
 
 

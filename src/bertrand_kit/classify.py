@@ -66,9 +66,9 @@ class CurveClass:
 
 def _relative_deviation(values):
     values = np.asarray(values, dtype=float)
-    mean = float(np.mean(values))
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return float(np.max(np.abs(values - mean))) / scale
+    mean = float(values.mean())
+    scale = max(1.0, float(np.abs(values).max()))
+    return float(np.abs(values - mean).max()) / scale
 
 
 def sphere_fit(points):
@@ -179,17 +179,22 @@ def pair_classify(
     if align == "param":
         rows_a, rows_b, both, _, _ = _pair_columns(
             curveA, curveB, _overlap_grid(curveA, curveB, n), images=False)
-        return _classify_rows(_pose(rows_a), both, _pose(rows_b), both, both, n, tol)
-    # each curve on its own domain, inset as for the overlap grid
-    ts_a = _overlap_grid(curveA, curveA, n)
-    # curveA's one grid jet gives its rows and its speeds
-    P_a = curveA.jet(ts_a, _FRENET_ORDER)
-    rows_a, ok_a, _, _ = _columns(P_a, ts_a)
-    grid_b = _overlap_grid(curveB, curveB, 4 * n)
-    speed_a = np.linalg.norm(P_a.coeffs[1], axis=0)
-    speed_b = np.linalg.norm(curveB.jet(grid_b, 1).coeffs[1], axis=0)
-    rows_b, ok_b, _ = _frenet_columns(curveB, _aligned_grid(ts_a, speed_a, grid_b, speed_b))
-    return _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, ok_a & ok_b, n, tol)
+        ok_a = ok_b = both
+    else:
+        # each curve on its own domain, inset as for the overlap grid
+        ts_a = _overlap_grid(curveA, curveA, n)
+        # curveA's one grid jet gives its rows and its speeds
+        P_a = curveA.jet(ts_a, _FRENET_ORDER)
+        rows_a, ok_a, _, _ = _columns(P_a, ts_a)
+        grid_b = _overlap_grid(curveB, curveB, 4 * n)
+        speed_a = np.linalg.norm(P_a.coeffs[1], axis=0)
+        speed_b = np.linalg.norm(curveB.jet(grid_b, 1).coeffs[1], axis=0)
+        rows_b, ok_b, _ = _frenet_columns(curveB, _aligned_grid(ts_a, speed_a, grid_b, speed_b))
+        both = ok_a & ok_b
+    (pc,) = _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, [both], tol)
+    if pc.verdict == "untestable":
+        raise TooFewSamplesError(f"{np.count_nonzero(both)} regular sample pairs of {n}")
+    return pc
 
 
 def _pose(rows):
@@ -211,77 +216,88 @@ def _classify_image_rows(images, ts):
     point, T, N and B only, so one pose pass over their 6 len(ts) stacked
     columns (``indicatrix._image_poses``), which reads coefficients 0-2,
     gives them, and the regular masks, with the bits of each curve's own
-    ``image_rows``."""
+    ``image_rows``; one ``_classify_rows`` call then tests the three axes,
+    one column group each."""
     pose, ok, _ = _image_poses(images, ts)
-    ok_a, ok_b = np.split(ok, 2)
+    half = len(AXES) * len(ts)
+    ok_a, ok_b = ok[:half], ok[half:]
     split = np.count_nonzero(ok_a)
     rows_a = tuple(v[:split] for v in pose)
     rows_b = tuple(v[split:] for v in pose)
-    pairs = ok_a & ok_b
-    axis_of = np.repeat(np.arange(len(AXES)), len(ts))
-    out = {}
-    for k, axis in enumerate(AXES):
-        try:
-            out[axis] = _classify_rows(rows_a, ok_a, rows_b, ok_b, pairs & (axis_of == k),
-                                       len(ts), 1e-6)
-        except TooFewSamplesError:
-            out[axis] = PairClass(verdict="untestable", evidence={})
-    return out
+    # axis k's group: its regular pairs, columns k len(ts) to (k + 1) len(ts)
+    groups = np.eye(len(AXES), dtype=bool).repeat(len(ts), axis=1) & (ok_a & ok_b)
+    return dict(zip(AXES, _classify_rows(rows_a, ok_a, rows_b, ok_b, groups, 1e-6)))
 
 
-def _classify_rows(rows_a, ok_a, rows_b, ok_b, both, n, tol):
-    """The verdict and evidence of ``pair_classify`` from the point, T, N
-    and B rows (``_pose``) of two curves' Frenet columns, read on the
-    columns ``both`` where both are regular.  Curves whose largest offset
-    is below ``bertrand._EPS_COINCIDE`` coincide: no pair, 'none'."""
-    if np.count_nonzero(both) < MIN_CLASSIFY_SAMPLES:
-        raise TooFewSamplesError(f"{np.count_nonzero(both)} regular sample pairs of {n}")
-    pa, Ta, Na, Ba = (v[both[ok_a]] for v in rows_a)
-    pb, Tb, Nb = (v[both[ok_b]] for v in rows_b[:3])
+# the named pairs whose definition is an offset along a frame vector of
+# curve A, N then B, with curve B's N along it too, and their evidence keys
+_DIRECTION_TESTS = (
+    ("bertrand", "offset_normal_dev", "normal_alignment_dev"),
+    ("mannheim", "offset_binormal_dev", "normal_vs_binormal_dev"),
+)
+
+
+def _classify_rows(rows_a, ok_a, rows_b, ok_b, groups, tol):
+    """The verdict and evidence of ``pair_classify`` for each column group
+    of ``groups``, a sequence of masks of the columns where both curves
+    are regular, from the point, T, N and B rows (``_pose``) of the two
+    curves' regular columns ``ok_a`` and ``ok_b``: one PairClass per
+    group, 'untestable' for a group of fewer than MIN_CLASSIFY_SAMPLES
+    columns.  Curves whose largest offset is below
+    ``bertrand._EPS_COINCIDE`` coincide: no pair, 'none'.
+
+    The rows of every group are gathered at once, and every row's offset,
+    alignment and distance is computed in one pass over them; each group
+    then takes the maxima of its rows and the ``ConstancyStat`` of its
+    own offsets, so its evidence has the bits of a one-group call.  The
+    offset magnitude is tested unsigned: the axis vector's sign can flip
+    along the curve (e.g. across torsion zeros) without breaking the
+    geometric coincidence the definitions ask for."""
+    union = np.logical_or.reduce(groups)
+    pa, Ta, Na, Ba = (v[union[ok_a]] for v in rows_a)
+    pb, Tb, Nb = (v[union[ok_b]] for v in rows_b[:3])
     D = pb - pa
-    scale = max(float(np.max(np.linalg.norm(D, axis=1))), 1e-30)
-
-    def direction_test(axis_vecs, partner_vecs, offset_key, alignment_key):
-        """The evidence of an offset along ``axis_vecs`` with the partner's
-        ``partner_vecs`` along it too, and whether the definition holds.
-
-        The offset magnitude is tested unsigned: the axis vector's sign can
-        flip along the curve (e.g. across torsion zeros) without breaking
-        the geometric coincidence the definitions ask for.
-        """
-        lam, transverse = _offset_along(D, axis_vecs)
-        off_dev = float(np.max(transverse)) / scale
-        dots = np.abs(np.sum(partner_vecs * axis_vecs, axis=1))
-        axis_dev = float(np.max(1.0 - dots))
-        stat = ConstancyStat.of(np.abs(lam))
-        holds = (off_dev < math.sqrt(tol) and axis_dev < tol
-                 and stat.max_deviation < tol * (1.0 + abs(stat.mean)))
-        return {offset_key: off_dev, alignment_key: axis_dev, "lambda_mean": stat.mean,
-                "lambda_dev": stat.max_deviation}, holds
-
-    ev = {}
-    ev["bertrand"], holds_b = direction_test(Na, Nb, "offset_normal_dev",
-                                             "normal_alignment_dev")
-    ev["mannheim"], holds_m = direction_test(Ba, Nb, "offset_binormal_dev",
-                                             "normal_vs_binormal_dev")
-
-    offset_dev = float(np.max(_offset_along(D, Ta)[1])) / scale
-    tangent_dev = float(np.max(np.abs(np.sum(Ta * Tb, axis=1))))
-    ev["involute_evolute"] = {"offset_tangent_dev": offset_dev,
-                              "tangent_orthogonality_dev": tangent_dev}
-    holds_i = offset_dev < math.sqrt(tol) and tangent_dev < math.sqrt(tol)
-
-    if scale < _EPS_COINCIDE:
-        verdict = "none"
-    elif holds_b:
-        verdict = "bertrand"
-    elif holds_m:
-        verdict = "mannheim"
-    elif holds_i:
-        verdict = "involute_evolute"
-    else:
-        verdict = "none"
-    return PairClass(verdict=verdict, evidence=ev)
+    # offsets along N, B and T of A, against B's N, N and T
+    axes = np.array((Na, Ba, Ta))
+    lam, transverse = _offset_along(D, axes)
+    dots = np.abs((np.array((Nb, Nb, Tb)) * axes).sum(axis=-1))
+    # one row each: 0 |D|; 1-3 the offsets' transverse norms along N, B
+    # and T; 4-5 1 - |<Nb, Na>| and 1 - |<Nb, Ba>|; 6 |<Tb, Ta>|; 7-8 the
+    # offsets' magnitudes along N and B
+    readings = np.concatenate(
+        (np.linalg.norm(D, axis=1)[None], transverse, 1.0 - dots[:2], dots[2:], np.abs(lam[:2])))
+    out = []
+    for group in groups:
+        own = group[union]
+        if np.count_nonzero(own) < MIN_CLASSIFY_SAMPLES:
+            out.append(PairClass(verdict="untestable", evidence={}))
+            continue
+        rows = readings[:, own]
+        top = rows[:7].max(axis=1).tolist()
+        scale = max(top[0], 1e-30)
+        ev, holds = {}, {}
+        for k, (name, offset_key, alignment_key) in enumerate(_DIRECTION_TESTS):
+            off_dev, axis_dev = top[1 + k] / scale, top[4 + k]
+            stat = ConstancyStat.of(rows[7 + k])
+            holds[name] = (off_dev < math.sqrt(tol) and axis_dev < tol
+                           and stat.max_deviation < tol * (1.0 + abs(stat.mean)))
+            ev[name] = {offset_key: off_dev, alignment_key: axis_dev,
+                        "lambda_mean": stat.mean, "lambda_dev": stat.max_deviation}
+        offset_dev, tangent_dev = top[3] / scale, top[6]
+        ev["involute_evolute"] = {"offset_tangent_dev": offset_dev,
+                                  "tangent_orthogonality_dev": tangent_dev}
+        if scale < _EPS_COINCIDE:
+            verdict = "none"
+        elif holds["bertrand"]:
+            verdict = "bertrand"
+        elif holds["mannheim"]:
+            verdict = "mannheim"
+        elif offset_dev < math.sqrt(tol) and tangent_dev < math.sqrt(tol):
+            verdict = "involute_evolute"
+        else:
+            verdict = "none"
+        out.append(PairClass(verdict=verdict, evidence=ev))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +405,10 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     image poses at the regular detection points: the image curves'
     position jets are the frame jets that detection built and the pair
     holds, cut to order 2 (on a pair that holds none, the order-4 jets of
-    one order-6 request per curve and one ``_frames`` pass over both),
-    and one pose pass covers all six images, an axis with too few regular
-    pairs counting as untestable.
+    one order-6 request per curve and one ``_frames`` pass over both):
+    one pose pass covers all six images and one ``_classify_rows`` call
+    the three axes, an axis with too few regular pairs counting as
+    untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
     ``tols`` takes the keys of ``TOLERANCE_KEYS`` with values above 0;
     any other key or value raises ValueError.  Equivalence entries (helix/planar criteria) pass
@@ -423,7 +440,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     # odd under c -> -c; N_mate = eps N at corresponding points, and both
     # curves run in the direction of t, so the mate's image is eps times
     # the base's, traversed the same way.  At eps = -1, x - (-y) is x + y.
-    add("th2", np.max(np.abs(fm.Gamma - eps * fb.Gamma)))
+    add("th2", np.abs(fm.Gamma - eps * fb.Gamma).max())
 
     # th3 / th22: g constant on each side
     for key, side in (("th3", "mate"), ("th22", "base")):
@@ -431,10 +448,10 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         add(key, g.max_deviation / max(1.0, abs(g.mean)), note=f"constancy of g on the {side}")
 
     # eps-g relation: eps*g + g_mate = 0
-    add("eps-g-relation", np.max(np.abs(eps * fb.g + fm.g)))
+    add("eps-g-relation", np.abs(eps * fb.g + fm.g).max())
 
     # cross-side constraint equation
-    add("constraint-eq", np.max(np.abs(_constraint_residuals(fb, fm, eps))))
+    add("constraint-eq", np.abs(_constraint_residuals(fb, fm, eps)).max())
 
     # closed forms of each side's images, on enough rows for the helix flags
     side_images = {side: _closed_forms(side, fb, fm, eps, MIN_CLASSIFY_SAMPLES)[1]
@@ -451,7 +468,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     for side in SIDES:
         st, sb = side_images[side]["tangent"], side_images[side]["binormal"]
         for gap in (st.kappa - sb.kappa, np.abs(st.tau) - np.abs(sb.tau), st.Gamma - sb.Gamma):
-            elf = max(elf, float(np.max(np.abs(gap), initial=0.0)))
+            elf = max(elf, float(np.abs(gap).max(initial=0.0)))
     add("elf-corollaries", elf,
         note="|kappa_t - kappa_b|, ||tau_t| - |tau_b||, |Gamma_t - Gamma_b|")
 
@@ -460,7 +477,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     for key, side in (("cr14", "base"), ("cr33", "mate")):
         rel = _arclength_relations(side, fb, fm, pair.lam, eps)
         rng = max(abs(rel.s_b[-1] - rel.s_b[0]), 1e-30)
-        direct_gap = float(np.max(np.abs(np.abs(rel.s_b) - rel.s_b_direct))) / rng
+        direct_gap = float(np.abs(np.abs(rel.s_b) - rel.s_b_direct).max()) / rng
         affine_gap = rel.affine_fit.rms_residual / rng
         slope_gap = abs(abs(rel.affine_fit.slope) - rel.predicted_slope)
         add(key, max(direct_gap, affine_gap, slope_gap),
@@ -482,7 +499,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
                    for s1 in SIDES for s2 in SIDES)
 
     # one condition residual, checked for agreement with the indicatrix-level flags
-    cond_res = float(np.max(np.abs(condition_residual(fm))))
+    cond_res = float(np.abs(condition_residual(fm)).max())
     cond_true = cond_res < _tolerance(tols, "tol_condition")
 
     # alias pairs, one check under two keys: th6/th25 (teo15/teo33), curve
@@ -501,7 +518,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
             add(key, residual, note=note, passed=passed)
 
     sn = side_images["base"]["normal"]
-    tau_n_rel = float(np.max(np.abs(sn.tau) / np.maximum(np.abs(sn.kappa), 1e-30)))
+    tau_n_rel = float((np.abs(sn.tau) / np.maximum(np.abs(sn.kappa), 1e-30)).max())
     normal_planar = tau_n_rel < _tolerance(tols, "tol_normal_planar")
     add("th11", cond_res, passed=cond_true == normal_planar,
         note="algebraically identical to th8; planar-normal-image reading")

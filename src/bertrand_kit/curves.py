@@ -315,18 +315,26 @@ class FrenetData(NamedTuple):
 
 def _take_rows(rows, idx):
     """The rows ``idx`` of a named tuple of row arrays; fields that are
-    not arrays are kept."""
+    not arrays are kept.  A boolean mask with one entry per row, every
+    entry True, takes every row: ``rows`` itself is returned."""
+    if getattr(idx, "dtype", None) == bool and idx.all() and all(
+            len(v) == len(idx) for v in rows if isinstance(v, np.ndarray)):
+        return rows
     return rows._make(v[idx] if isinstance(v, np.ndarray) else v for v in rows)
 
 
 def _points_at(rows, idx, n):
     """The one-point views of a named tuple of row arrays, as a list of n
-    entries: the view of row j at ``idx[j]``, None elsewhere.  A view
-    holds numbers as Python floats and bools and vectors as (3,) arrays,
-    rows of the (N, 3) fields.  Views are built by ``tuple.__new__``, as
-    ``rows._make`` builds them, with no Python call per view."""
+    entries: the view of row j at ``idx[j]``, None elsewhere, for
+    increasing ``idx`` below n.  A view holds numbers as Python floats
+    and bools and vectors as (3,) arrays, rows of the (N, 3) fields.
+    Views are built by ``tuple.__new__``, as ``rows._make`` builds them,
+    with no Python call per view, and where ``idx`` covers all n entries
+    the list is the views themselves."""
     columns = [v.tolist() if v.ndim == 1 else list(v) for v in rows]
     views = map(tuple.__new__, repeat(type(rows)), zip(*columns))
+    if len(idx) == n:
+        return list(views)
     out = [None] * n
     for i, view in zip(idx, views):
         out[i] = view

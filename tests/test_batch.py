@@ -535,8 +535,9 @@ def test_image_rows_are_each_image_alone(name):
 def test_image_rows_mark_one_untestable_axis():
     """A planar curve's binormal is constant, so its binormal image and
     that of its normal offset are single points: that axis alone is
-    untestable, and the tangent and normal axes get the verdict and the
-    evidence of their own images' rows."""
+    untestable, and the tangent and normal axes, groups of one grouped
+    ``_classify_rows`` call, get the verdict and the evidence of a
+    one-group call on their own images' rows."""
     base = AnalyticCurve("2*cos(t)", "sin(t)", "0", (0.0, 3.0))
     mate = construct_mate(base, 0.2, n=64)
     ts = np.linspace(0.1, 2.9, 24)
@@ -547,10 +548,40 @@ def test_image_rows_mark_one_untestable_axis():
     for k, axis in enumerate(AXES[:2]):
         (rows_a, ok_a, _), (rows_b, ok_b, _) = (
             _frenet_columns(_image_alone(curve, k, ts), ts) for curve in (base, mate))
-        alone = _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, ok_a & ok_b, len(ts),
-                               1e-6)
+        (alone,) = _classify_rows(_pose(rows_a), ok_a, _pose(rows_b), ok_b, [ok_a & ok_b], 1e-6)
         assert got[axis].verdict == alone.verdict != "untestable"
         assert_same_evidence(got[axis].evidence, alone.evidence)
+
+
+def _group_masks(n):
+    """Column groups of an n-column grid: halves, every other column, all
+    of them, two that overlap, and one of fewer than 16 columns."""
+    cols = np.arange(n)
+    return [cols < n // 2, cols >= n // 2, cols % 2 == 0, cols >= 0,
+            (cols > 3) & (cols < n - 2), cols < 10]
+
+
+@pytest.mark.parametrize("preset", ["wobble", "slant"])
+def test_grouped_classification_has_the_bits_of_one_group_calls(preset):
+    """``_classify_rows`` gives each column group the verdict and evidence
+    of a call with that group alone, bit for bit, whatever the other
+    groups hold (disjoint, overlapping, the whole grid); a group of fewer
+    than 16 columns is untestable with no evidence, and the same columns
+    give the same result in either group order."""
+    pair = generated_pair(preset, n=64, grid=48)
+    rows_a, rows_b = _pose(pair.base_rows), _pose(pair.mate_rows)
+    ok = ~pair.masked[~pair.masked]
+    groups = _group_masks(len(ok))
+    got = _classify_rows(rows_a, ok, rows_b, ok, groups, 1e-6)
+    assert len(got) == len(groups)
+    for group, result in zip(groups, got):
+        (alone,) = _classify_rows(rows_a, ok, rows_b, ok, [group], 1e-6)
+        assert result.verdict == alone.verdict
+        assert_same_evidence(result.evidence, alone.evidence)
+    assert got[-1].verdict == "untestable" and got[-1].evidence == {}
+    assert got[3].verdict == "bertrand"
+    backwards = _classify_rows(rows_a, ok, rows_b, ok, groups[::-1], 1e-6)[::-1]
+    assert repr(backwards) == repr(got)
 
 
 def _axis_rows(curve, ts):
@@ -604,7 +635,7 @@ def test_suite_images_of_a_pair_that_holds_none_are_each_curves_own(build, tmp_p
     verdicts = []
     for axis, (rows_a, ok_a), (rows_b, ok_b) in zip(AXES, _axis_rows(pair.base, ts),
                                                     _axis_rows(pair.mate, ts)):
-        want = _classify_rows(rows_a, ok_a, rows_b, ok_b, ok_a & ok_b, len(ts), 1e-6)
+        (want,) = _classify_rows(rows_a, ok_a, rows_b, ok_b, [ok_a & ok_b], 1e-6)
         assert got[axis].verdict == want.verdict
         assert_same_evidence(got[axis].evidence, want.evidence)
         verdicts.append(want.verdict)

@@ -1068,7 +1068,7 @@ def test_pair_functions_have_the_bits_of_fresh_curves(name):
     ts = bertrand._overlap_grid(pair.base, pair.mate, 128)
     rows_a, rows_b = _separate_rows(base, mate, ts)
     ok = np.ones(len(rows_a.t), dtype=bool)
-    want = _classify_rows(_pose(rows_a), ok, _pose(rows_b), ok, ok, 128, 1e-6)
+    (want,) = _classify_rows(_pose(rows_a), ok, _pose(rows_b), ok, [ok], 1e-6)
     assert repr(pair_classify(pair.base, pair.mate)) == repr(want)
 
     ts = np.linspace(pair.ts[0], pair.ts[-1], 65)

@@ -200,6 +200,22 @@ def test_coincident_curves_classify_as_no_pair(preset, omega):
     assert abs(normal.evidence["bertrand"]["lambda_mean"]) < 1e-12
 
 
+def test_suite_classifies_the_three_image_pairs_in_one_call(monkeypatch):
+    """One ``theorem_suite`` makes one ``_classify_rows`` call, with one
+    column group per axis (three calls of one group each before)."""
+    pair = generated_pair("wobble", n=64, grid=24)
+    real = classify._classify_rows
+    groups = []
+
+    def counting(rows_a, ok_a, rows_b, ok_b, column_groups, tol):
+        groups.append(len(column_groups))
+        return real(rows_a, ok_a, rows_b, ok_b, column_groups, tol)
+
+    monkeypatch.setattr(classify, "_classify_rows", counting)
+    theorem_suite(pair)
+    assert groups == [3]
+
+
 @pytest.mark.parametrize("key, value", [("th2", -1.0), ("th2", 0.0), ("th2", -math.inf),
                                         ("th2", math.nan), ("tol_slant", -5.0)])
 def test_theorem_suite_rejects_a_tolerance_no_residual_meets(pair_wobble, key, value):
