@@ -553,14 +553,6 @@ def test_image_rows_mark_one_untestable_axis():
         assert_same_evidence(got[axis].evidence, alone.evidence)
 
 
-def _group_masks(n):
-    """Column groups of an n-column grid: halves, every other column, all
-    of them, two that overlap, and one of fewer than 16 columns."""
-    cols = np.arange(n)
-    return [cols < n // 2, cols >= n // 2, cols % 2 == 0, cols >= 0,
-            (cols > 3) & (cols < n - 2), cols < 10]
-
-
 @pytest.mark.parametrize("preset", ["wobble", "slant"])
 def test_grouped_classification_has_the_bits_of_one_group_calls(preset):
     """``_classify_rows`` gives each column group the verdict and evidence
@@ -571,7 +563,11 @@ def test_grouped_classification_has_the_bits_of_one_group_calls(preset):
     pair = generated_pair(preset, n=64, grid=48)
     rows_a, rows_b = _pose(pair.base_rows), _pose(pair.mate_rows)
     ok = ~pair.masked[~pair.masked]
-    groups = _group_masks(len(ok))
+    # halves, every other column, all of them, one overlapping the others
+    # and one of fewer than 16 columns
+    cols = np.arange(len(ok))
+    groups = [cols < len(ok) // 2, cols >= len(ok) // 2, cols % 2 == 0, cols >= 0,
+              (cols > 3) & (cols < len(ok) - 2), cols < 10]
     got = _classify_rows(rows_a, ok, rows_b, ok, groups, 1e-6)
     assert len(got) == len(groups)
     for group, result in zip(groups, got):
