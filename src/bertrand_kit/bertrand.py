@@ -236,11 +236,12 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     points ``ts[both]`` where both are regular, the mate evaluated only
     where the base is: ``(base_rows, mate_rows, both, errors, jets)``.
     ``errors`` holds the base's SingularPointErrors and then the mate's.
-    On the shared path ``jets`` is the base's T, N and B jets and the
-    mate's ``_columns`` core jets (g', |g'|, g' x g'', |g' x g''|), all at
-    ``ts[both]``, from which ``detect_bertrand`` builds the mate's frame
-    and the six image jets it holds; else None.  No other reader builds
-    them.
+    On the shared path ``jets`` is ``(frame, mate_ok, mate_core)``: the
+    base's T, N and B jets at its regular points, the mask of those where
+    the mate is regular too, and the mate's ``_columns`` core jets (g',
+    |g'|, g' x g'', |g' x g''|) there, from which ``detect_bertrand`` cuts
+    and takes the six image jets it holds; else None.  Nothing here
+    copies or builds a frame that the caller may drop.
 
     Every pair takes one path: the base is asked once for its grid jet P,
     one Frenet pass (``_columns``) over P gives its rows, and one over the
@@ -266,9 +267,7 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     mate_rows, mate_ok, mate_errors, mate_core = _columns(P_mate, ts[ok])
     base_rows = _take_rows(base_rows, mate_ok)
     ok[ok] = mate_ok
-    jets = None
-    if shared:
-        jets = tuple(v.take(mate_ok) for v in frame), mate_core
+    jets = (frame, mate_ok, mate_core) if shared else None
     return base_rows, mate_rows, ok, errors + mate_errors, jets
 
 
@@ -291,9 +290,10 @@ def detect_bertrand(
     below ``_EPS_COINCIDE`` at every point), 'lambda-varies' or
     'normals-not-aligned'.  The pair keeps the rows that
     ``_pair_columns`` evaluates on the grid and, on its shared path, the
-    six image jets: the base's frame jets it hands back and the mate's
-    frame, which detection builds from the mate's core jets once the pair
-    is accepted, cut and read-only.  By default they are cut to order 2,
+    six image jets, which detection cuts, takes at the pair's regular
+    points and freezes once the pair is accepted: the base's frame jets
+    that ``_pair_columns`` hands back and the mate's frame, built from the
+    mate's core jets.  By default they are cut to order 2,
     from an order-6 run of the base: the point and frame of each image,
     all that the suite's ``negative-result`` reads.  ``images`` asks for
     the order-8 run whose frames, cut to order 4, give each image's full
@@ -343,10 +343,12 @@ def detect_bertrand(
         p1=p1, p2=p2, q1=q1, q2=q2, lambda_stat=lam_stat, masked=~ok,
     )
     if jets is not None:
-        frame, mate_core = jets
+        frame, mate_ok, mate_core = jets
         # the order the image passes read: 2 for the poses, 4 for full rows
         cut = _FRENET_ORDER if images else 2
-        pair._images = tuple(_read_only(v.truncate(cut)) for v in (*frame, *_frame(*mate_core)))
+        pair._images = tuple(map(_read_only, (
+            *(v.truncate(cut).take(mate_ok) for v in frame),
+            *(v.truncate(cut) for v in _frame(*mate_core)))))
     return pair
 
 

@@ -229,14 +229,6 @@ def _classify_image_rows(images, ts):
     return dict(zip(AXES, _classify_rows(rows_a, ok_a, rows_b, ok_b, groups, 1e-6)))
 
 
-# the named pairs whose definition is an offset along a frame vector of
-# curve A, N then B, with curve B's N along it too, and their evidence keys
-_DIRECTION_TESTS = (
-    ("bertrand", "offset_normal_dev", "normal_alignment_dev"),
-    ("mannheim", "offset_binormal_dev", "normal_vs_binormal_dev"),
-)
-
-
 def _classify_rows(rows_a, ok_a, rows_b, ok_b, groups, tol):
     """The verdict and evidence of ``pair_classify`` for each column group
     of ``groups``, a sequence of masks of the columns where both curves
@@ -257,42 +249,41 @@ def _classify_rows(rows_a, ok_a, rows_b, ok_b, groups, tol):
     pa, Ta, Na, Ba = (v[union[ok_a]] for v in rows_a)
     pb, Tb, Nb = (v[union[ok_b]] for v in rows_b[:3])
     D = pb - pa
-    # offsets along N, B and T of A, against B's N, N and T
+    distance = np.linalg.norm(D, axis=1)
+    # offsets along N, B and T of A; B's N against A's N and B, B's T against A's T
     axes = np.array((Na, Ba, Ta))
     lam, transverse = _offset_along(D, axes)
     dots = np.abs((np.array((Nb, Nb, Tb)) * axes).sum(axis=-1))
-    # one row each: 0 |D|; 1-3 the offsets' transverse norms along N, B
-    # and T; 4-5 1 - |<Nb, Na>| and 1 - |<Nb, Ba>|; 6 |<Tb, Ta>|; 7-8 the
-    # offsets' magnitudes along N and B
-    readings = np.concatenate(
-        (np.linalg.norm(D, axis=1)[None], transverse, 1.0 - dots[:2], dots[2:], np.abs(lam[:2])))
+    misalignment = 1.0 - dots[:2]
+    magnitude = np.abs(lam[:2])
     out = []
     for group in groups:
         own = group[union]
         if np.count_nonzero(own) < MIN_CLASSIFY_SAMPLES:
             out.append(PairClass(verdict="untestable", evidence={}))
             continue
-        rows = readings[:, own]
-        top = rows[:7].max(axis=1).tolist()
-        scale = max(top[0], 1e-30)
-        ev, holds = {}, {}
-        for k, (name, offset_key, alignment_key) in enumerate(_DIRECTION_TESTS):
-            off_dev, axis_dev = top[1 + k] / scale, top[4 + k]
-            stat = ConstancyStat.of(rows[7 + k])
-            holds[name] = (off_dev < math.sqrt(tol) and axis_dev < tol
-                           and stat.max_deviation < tol * (1.0 + abs(stat.mean)))
-            ev[name] = {offset_key: off_dev, alignment_key: axis_dev,
-                        "lambda_mean": stat.mean, "lambda_dev": stat.max_deviation}
-        offset_dev, tangent_dev = top[3] / scale, top[6]
-        ev["involute_evolute"] = {"offset_tangent_dev": offset_dev,
-                                  "tangent_orthogonality_dev": tangent_dev}
+        scale = max(float(distance[own].max()), 1e-30)
+        off_n, off_b, off_t = (transverse[:, own].max(axis=1) / scale).tolist()
+        align_n, align_b = misalignment[:, own].max(axis=1).tolist()
+        tangent_dev = float(dots[2, own].max())
+        stat_n, stat_b = (ConstancyStat.of(m[own]) for m in magnitude)
+        ev = {
+            "bertrand": {"offset_normal_dev": off_n, "normal_alignment_dev": align_n,
+                         "lambda_mean": stat_n.mean, "lambda_dev": stat_n.max_deviation},
+            "mannheim": {"offset_binormal_dev": off_b, "normal_vs_binormal_dev": align_b,
+                         "lambda_mean": stat_b.mean, "lambda_dev": stat_b.max_deviation},
+            "involute_evolute": {"offset_tangent_dev": off_t,
+                                 "tangent_orthogonality_dev": tangent_dev},
+        }
         if scale < _EPS_COINCIDE:
             verdict = "none"
-        elif holds["bertrand"]:
+        elif (off_n < math.sqrt(tol) and align_n < tol
+              and stat_n.max_deviation < tol * (1.0 + abs(stat_n.mean))):
             verdict = "bertrand"
-        elif holds["mannheim"]:
+        elif (off_b < math.sqrt(tol) and align_b < tol
+              and stat_b.max_deviation < tol * (1.0 + abs(stat_b.mean))):
             verdict = "mannheim"
-        elif offset_dev < math.sqrt(tol) and tangent_dev < math.sqrt(tol):
+        elif off_t < math.sqrt(tol) and tangent_dev < math.sqrt(tol):
             verdict = "involute_evolute"
         else:
             verdict = "none"
