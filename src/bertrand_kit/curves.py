@@ -315,13 +315,7 @@ class FrenetData(NamedTuple):
 
 def _take_rows(rows, idx):
     """The rows ``idx`` of a named tuple of row arrays; fields that are
-    not arrays are kept.  A boolean mask with one entry per row, every
-    entry True, takes every row: ``rows`` itself is returned.  So with
-    such a mask, as with a slice, the result shares the arrays of
-    ``rows``; the package reads row arrays and never writes them."""
-    if getattr(idx, "dtype", None) == bool and idx.all() and all(
-            len(v) == len(idx) for v in rows if isinstance(v, np.ndarray)):
-        return rows
+    not arrays are kept."""
     return rows._make(v[idx] if isinstance(v, np.ndarray) else v for v in rows)
 
 

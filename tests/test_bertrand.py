@@ -916,6 +916,43 @@ def test_pair_and_suite_make_one_mate_frame_run_and_one_image_pass(preset, monke
     assert passes == Counter({144: 1})
 
 
+@pytest.mark.parametrize("preset", ["wobble", "slant"])
+def test_only_detection_takes_the_image_frames(preset, monkeypatch):
+    """On the shared path the readers of a pair's grid other than
+    detection (pair_classify, apparatus_grid, frame_relations_check,
+    indicatrix_arclength_relations, pair_constraint_residual) take no
+    column of a frame jet; detection takes the base's three frame jets
+    at the pair's regular points, cut to order 2 first, and keeps them."""
+    pair = generated_pair(preset, n=64, grid=24)
+    frames, taken = [], Counter()
+    real_frame, real_take = bertrand._frame, jets.Jet.take
+
+    def recording_frame(*core):
+        frames.extend(real_frame(*core))
+        return frames[-3:]
+
+    def counting_take(self, idx):
+        if any(np.shares_memory(self.coeffs, f.coeffs) for f in frames):
+            taken[self.order] += 1
+        return real_take(self, idx)
+
+    monkeypatch.setattr(bertrand, "_frame", recording_frame)
+    monkeypatch.setattr(jets.Jet, "take", counting_take)
+    readers = (
+        lambda: pair_classify(pair.base, pair.mate, n=64),
+        lambda: apparatus_grid(pair, "base", "normal", pair.ts),
+        lambda: frame_relations_check(pair, n=64),
+        lambda: indicatrix_arclength_relations(pair, "mate", n=64),
+        lambda: pair_constraint_residual(pair, float(pair.ts[5])),
+    )
+    for read in readers:
+        frames.clear()
+        read()
+        assert frames and taken == Counter()
+    detect_bertrand(pair.base, pair.mate, n=24)
+    assert taken == Counter({2: 3})
+
+
 def _fresh_pair(preset):
     """A fresh generated base of ``preset`` (n=64) and its mate by 1.0, or
     for "analytic" the planar ellipse pair."""

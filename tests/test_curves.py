@@ -172,9 +172,9 @@ def test_analytic_vs_sampled_frenet():
 
 def test_take_rows_keeps_the_type_and_takes_array_rows():
     """``_take_rows`` keeps the type and takes each array field's rows,
-    keeping the other fields.  A boolean mask that keeps every row gives
-    back the rows themselves, one that drops a row gives new arrays, and
-    an all-True mask of the wrong length raises."""
+    keeping the other fields.  A boolean mask gives new arrays, also one
+    that keeps every row, and an all-True mask of the wrong length
+    raises."""
     rows, _, _ = curves._frenet_columns(AnalyticCurve("cos(t)", "sin(t)", "t*t", (0.0, 1.0)),
                                         np.linspace(0.0, 1.0, 9))
     idx = np.array([1, 4, 8])
@@ -186,14 +186,14 @@ def test_take_rows_keeps_the_type_and_takes_array_rows():
     assert kept.t == 0.5 and np.array_equal(kept.kappa, rows.kappa[idx])
 
     every = np.ones(len(rows.t), dtype=bool)
-    assert curves._take_rows(rows, every) is rows
     dropped = every.copy()
     dropped[3] = False
-    got = curves._take_rows(rows, dropped)
-    assert type(got) is curves.FrenetData and len(got.t) == len(rows.t) - 1
-    for name in curves.FrenetData._fields:
-        assert getattr(got, name) is not getattr(rows, name)
-        np.testing.assert_array_equal(getattr(got, name), getattr(rows, name)[dropped])
+    for mask in (every, dropped):
+        got = curves._take_rows(rows, mask)
+        assert type(got) is curves.FrenetData and len(got.t) == np.count_nonzero(mask)
+        for name in curves.FrenetData._fields:
+            assert not np.shares_memory(getattr(got, name), getattr(rows, name))
+            np.testing.assert_array_equal(getattr(got, name), getattr(rows, name)[mask])
     with pytest.raises(IndexError):
         curves._take_rows(rows, np.ones(len(rows.t) + 1, dtype=bool))
 
