@@ -48,17 +48,7 @@ from .errors import (
 )
 from .io import _base_block
 from .paper import _constraint_residuals, projection_constants
-from .jets import (
-    Jet,
-    _cross_rows,
-    compose,
-    invert_series,
-    jcross,
-    jdot,
-    jsincos,
-    jsqrt,
-    jstack,
-)
+from .jets import _cross_rows, compose, invert_series, jcross, jdot, jsqrt
 
 TOL_ALIGN = 1e-6
 TOL_CONST = 1e-6
@@ -523,44 +513,6 @@ def _normalized_analytic(x, y, z, domain, label):
     return AnalyticCurve(*(ex.Binary("div", c, norm) for c in xyz), domain, label=label)
 
 
-def _spherical_helix_seed(m: float, domain, label: str, n: int = 1024) -> JetBackedCurve:
-    """Unit-sphere curve whose tangent makes a constant angle with the axis.
-
-    Height is linear in arc length (z = m*s); the azimuth phi(s) is the
-    cumulative integral of an explicit elementary function, evaluated with
-    exact jets.  phi(s) itself comes from the walk's series, as the
-    generator reads its arc length, and each request asks the rate one
-    order below its own; the node table is the order-0 jet at the nodes.
-    Feeding this seed to the generator yields a Bertrand curve that is
-    also a slant helix.
-    """
-    phi_rate = AnalyticCurve(
-        f"sqrt(1 - {m}^2 - {m}^4*t^2/(1 - {m}^2*t^2))/sqrt(1 - {m}^2*t^2)",
-        "0",
-        "0",
-        domain,
-        label="phi-rate",
-    )
-    lo, hi = domain
-    ss = np.linspace(lo, hi, n + 1)
-    rate, _, _ = phi_rate.jet(0.5 * (ss[:-1] + ss[1:]), 8)
-    # segment k's phi(s) = phi_nodes[k] + A_k(s) - A_k(ss[k])
-    phi_nodes, A, A_left = _integrate(rate, ss)
-
-    m2 = m * m
-
-    def jet_fn(s, order):
-        k = np.clip(np.searchsorted(ss, s) - 1, 0, n - 1)
-        rate, _, _ = phi_rate.jet(s, max(order - 1, 0))
-        phi_jet = rate.antideriv(phi_nodes[k] + A.take(k)(s) - A_left[k])
-        sj = Jet.variable(s, phi_jet.order)
-        r_jet = jsqrt(1.0 - m2 * sj * sj)
-        sphi, cphi = jsincos(phi_jet)
-        return jstack((r_jet * cphi, r_jet * sphi, m * sj)).truncate(order)
-
-    return JetBackedCurve(jet_fn, ss, label=label, metadata={"m": m})
-
-
 SPHERE_PRESETS = {}
 # each factory of SPHERE_PRESETS -> its curve, built at the first request
 _PRESET_BUILDS = {}
@@ -569,23 +521,20 @@ _PRESET_BUILDS = {}
 def sphere_preset(name: str) -> Curve:
     """Named spherical seed curves for the generator.
 
-    Each preset is built once per process, at its first request (0.1-0.2
-    ms to parse an analytic preset, 2-4 ms for the 1024-node phi walk of
-    ``slant``), and every call returns a shallow copy of that build; a
-    caller that asks again, such as ``load_curve`` rebuilding a generated
-    file, gains.  Setting ``jet``, ``label`` or a ``metadata`` key on one
-    copy leaves the others unchanged; the copies share the build's
-    expressions and arrays, which nothing writes.
+    Every preset is an ``AnalyticCurve``; ``slant`` is the spherical
+    helix whose generated curve is a slant helix.  Each preset is built
+    once per process, at its first request (0.02-0.2 ms to parse), and
+    every call returns a shallow copy of that build; a caller that asks
+    again, such as ``load_curve`` rebuilding a generated file, gains.
+    Setting ``jet`` or ``label`` on one copy leaves the others unchanged;
+    the copies share the build's expressions, which nothing writes.
     """
     if name not in SPHERE_PRESETS:
         raise KeyError(f"unknown sphere preset {name!r}; have {sorted(SPHERE_PRESETS)}")
     factory = SPHERE_PRESETS[name]
     if factory not in _PRESET_BUILDS:
         _PRESET_BUILDS[factory] = factory()
-    curve = copy.copy(_PRESET_BUILDS[factory])
-    if isinstance(curve, JetBackedCurve):
-        curve.metadata = dict(curve.metadata)
-    return curve
+    return copy.copy(_PRESET_BUILDS[factory])
 
 
 # Seed domains are windows where the geodesic curvature is monotone and
@@ -617,7 +566,15 @@ def _register_presets():
                 (0.74, 1.06),
                 "bean",
             ),
-            "slant": lambda: _spherical_helix_seed(0.45, (0.25, 1.05), "slant"),
+            # a spherical helix, <T, e3> = m = 0.45, in the angle
+            # psi = asin(m s / sqrt(1 - m^2)) of its arc length s in [0.25, 1.05]
+            "slant": lambda: AnalyticCurve(
+                "cos(t)*cos(t/0.45) + 0.45*sin(t)*sin(t/0.45)",
+                "cos(t)*sin(t/0.45) - 0.45*sin(t)*cos(t/0.45)",
+                "sqrt(1 - 0.45^2)*sin(t)",
+                (0.1263114213076532, 0.5575377345920126),
+                "slant",
+            ),
             "smallcircle": lambda: AnalyticCurve(
                 "0.8*cos(t)", "0.8*sin(t)", "0.6", (0.0, 2.0), "smallcircle"
             ),

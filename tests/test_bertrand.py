@@ -24,6 +24,7 @@ from bertrand_kit.classify import (
     _classify_image_rows,
     _classify_rows,
     _pose,
+    classify_curve,
     pair_classify,
     theorem_suite,
 )
@@ -366,50 +367,19 @@ def test_unknown_preset():
         sphere_preset("moebius")
 
 
-def test_slant_preset_walks_its_nodes_once(monkeypatch):
-    """Three requests for the slant seed run its phi walk (one
-    ``_integrate`` over its 1025 nodes) once."""
-    walks = []
-    real = bertrand._integrate
-
-    def counting(rate, nodes):
-        walks.append(len(nodes))
-        return real(rate, nodes)
-
-    monkeypatch.setattr(bertrand, "_PRESET_BUILDS", {})
-    monkeypatch.setattr(bertrand, "_integrate", counting)
-    for _ in range(3):
-        sphere_preset("slant")
-    assert walks == [1025]
-
-
-def test_slant_seed_node_table_is_its_order_0_jet():
-    """The slant seed's node table is its order-0 jet at its nodes, bit
-    for bit (a second formula for it differed by 5.6e-17)."""
-    seed = bertrand.SPHERE_PRESETS["slant"]()
-    want = bertrand.SPHERE_PRESETS["slant"]().jet(seed.params, 0).coeffs[0].T
-    assert_same_bits_array(seed.points, want)
-
-
-def test_slant_seed_asks_its_phi_rate_one_order_below_the_request(monkeypatch):
-    """An order-k request of the slant seed asks its phi rate once, at
-    order max(k - 1, 0): phi comes from the walk's series, and the rate's
-    antiderivative is phi's jet (every request ran at order 6 or more)."""
+def test_slant_seed_is_a_spherical_helix_and_generates_a_slant_helix():
+    """On 1025 points the slant seed lies on the unit sphere and its
+    tangent keeps <T, e3> = m = 0.45 (worst readings 2.2e-16 and
+    1.7e-16; the bound 1e-15 leaves a margin of 4.5), and the curve the
+    generator builds from it is a slant helix that is no general helix."""
     seed = sphere_preset("slant")
-    ts = np.linspace(*seed.domain, 24)
-    orders = []
-    real = AnalyticCurve._jets
-
-    def counting(self, t, order):
-        if self.label == "phi-rate":
-            orders.append(order)
-        return real(self, t, order)
-
-    monkeypatch.setattr(AnalyticCurve, "_jets", counting)
-    for k in range(9):
-        orders.clear()
-        seed.jet(ts, k)
-        assert orders == [max(k - 1, 0)], k
+    assert isinstance(seed, AnalyticCurve)
+    rows, keep, _ = _frenet_columns(seed, np.linspace(*seed.domain, 1025))
+    assert keep.all()
+    assert np.abs(np.linalg.norm(rows.point, axis=1) - 1.0).max() < 1e-15
+    assert np.abs(rows.T[:, 2] - 0.45).max() < 1e-15
+    cc = classify_curve(_generated("slant"), n=64)
+    assert cc.slant_helix and not cc.general_helix
 
 
 @pytest.mark.parametrize("name", sorted(bertrand.SPHERE_PRESETS))
@@ -430,18 +400,14 @@ def test_preset_copies_have_the_bits_of_a_fresh_build(name):
 
 @pytest.mark.parametrize("name", ["wobble", "slant"])
 def test_preset_copies_do_not_share_what_a_caller_sets(name):
-    """Setting ``jet``, ``label`` or a metadata key on a returned preset
-    leaves the next request's curve as built."""
+    """Setting ``jet`` or ``label`` on a returned preset leaves the next
+    request's curve as built."""
     curve = sphere_preset(name)
     curve.jet = lambda t, order: None
     curve.label = "changed"
-    if name == "slant":
-        curve.metadata["m"] = 0.0
     again = sphere_preset(name)
     assert "jet" not in vars(again) and again.label == name
     assert again.jet(0.5, 1).coeffs.shape == (2, 3)
-    if name == "slant":
-        assert again.metadata == {"m": 0.45}
 
 
 def test_all_regular_presets_detect():
@@ -709,9 +675,9 @@ def test_pair_runs_the_generator_pipeline_once_per_grid():
 
 def _fresh(side):
     """A freshly generated wobble base (n=64), its mate, a fresh slant
-    seed, whose own jet_fn feeds the slant generator, or the seed's
-    normal offset by 0.3; "base-after-mate" and "mate-after-base" are
-    the base and the mate after the other curve gave its order-4 jets."""
+    seed, an analytic preset, or the seed's normal offset by 0.3;
+    "base-after-mate" and "mate-after-base" are the base and the mate
+    after the other curve gave its order-4 jets."""
     if side.startswith("slant-seed"):
         seed = sphere_preset("slant")
         return seed if side == "slant-seed" else construct_mate(seed, 0.3, n=64)

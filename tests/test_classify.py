@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bertrand_kit import classify
-from bertrand_kit.bertrand import generated_pair
+from bertrand_kit.bertrand import construct_mate, generated_pair
 from bertrand_kit.classify import (
     _KEYLESS_ENTRIES,
     _SUITE_KEYS,
@@ -63,6 +63,18 @@ def test_too_few_samples():
     line = AnalyticCurve("t", "2*t", "3*t", (0.0, 1.0))
     with pytest.raises(TooFewSamplesError, match="0 regular samples of 64; need 16"):
         classify_curve(line, n=64)
+
+
+@pytest.mark.parametrize("align", ["param", "arclength"])
+def test_pair_classify_needs_16_regular_pairs(align):
+    """(t, t^12, t^13) has kappa below its floor for t < 0.076 on [0, 0.1]:
+    its pair with its normal offset has 15 regular pairs at n = 66, which
+    raises, and 16 at n = 67, which classifies."""
+    c = AnalyticCurve("t", "t^12", "t^13", (0.0, 0.1))
+    mate = construct_mate(c, 0.1)
+    with pytest.raises(TooFewSamplesError, match="^15 regular sample pairs of 66$"):
+        pair_classify(c, mate, n=66, align=align)
+    assert pair_classify(c, mate, n=67, align=align).verdict == "none"
 
 
 def test_pair_classify_bertrand(pair_wobble):

@@ -818,9 +818,9 @@ def test_curve_file_round_trip_byte_identical(workdir, tmp_path):
     """A curve file re-saved after a load is the file it was.  A mate file
     re-saved after a lone load and after a load beside its base file is
     its file byte for byte: where it records its base (an analytic base,
-    the four generated presets) and where it records none (the mate of
-    the slant seed or of a mate), loads as its samples and keeps the
-    metadata stored beside them."""
+    the four generated presets, the slant seed) and is rebuilt, and where
+    it records none (the mate of a mate), loads as its samples and keeps
+    the metadata stored beside them."""
     c = load_curve(str(workdir / "base.json"))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_curve(c, str(p1))
@@ -839,8 +839,8 @@ def test_curve_file_round_trip_byte_identical(workdir, tmp_path):
         save_curve(construct_mate(base, 0.5, n=64), str(mate_file))
         want = mate_file.read_bytes()
         loaded = load_curve(str(mate_file))
-        # the mates of the slant seed and of a mate record no base
-        assert isinstance(loaded, SampledCurve) is (i >= 5), base.label
+        # only the mate of a mate records no base
+        assert isinstance(loaded, SampledCurve) is (base is wobble_mate), base.label
         assert _resaved(loaded, tmp_path) == want, base.label
         paired = read_inputs(str(base_file), str(mate_file))[0][1]
         assert _resaved(paired, tmp_path) == want, base.label

@@ -8,6 +8,7 @@ import pytest
 from bertrand_kit import curves
 from bertrand_kit.curves import (
     AnalyticCurve,
+    Curve,
     SampledCurve,
     _frenet_columns,
     _integrate,
@@ -20,7 +21,7 @@ from bertrand_kit.errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from bertrand_kit.io import dumps
+from bertrand_kit.io import CurveFileError, curve_to_dict, dumps
 from bertrand_kit.jets import jsqrt
 
 
@@ -109,6 +110,16 @@ def test_sampled_frenet_rows_use_nine_node_stencils():
     for name in ("kappa", "tau", "dkappa_ds", "dtau_ds", "d2kappa_ds2", "Gamma"):
         w = getattr(want, name)
         assert np.max(np.abs(getattr(got, name) - w)) <= 1e-9 * np.max(np.abs(w)), name
+
+
+@pytest.mark.parametrize("params, points", [
+    (np.zeros(8), np.zeros((8, 2))),
+    (np.zeros(8), np.zeros((7, 3))),
+    (np.zeros((8, 1)), np.zeros((8, 3))),
+])
+def test_sampled_refuses_arrays_of_the_wrong_shape(params, points):
+    with pytest.raises(ValueError, match=r"^params must be \(n,\), points \(n, 3\)$"):
+        SampledCurve(params, points)
 
 
 def test_sampled_too_few_points():
@@ -217,6 +228,22 @@ def test_serialized_floats_keep_their_text():
     assert dumps(values) == ("[0.10000000000000001, -2.5e-300, "
                              "0.33333333333333331, 0.10000000149011612, null, null, null, "
                              "null, 7, -3, true, null]")
+
+
+def test_serialization_refuses_what_it_cannot_write():
+    """``dumps`` of a type it has no rendering for raises TypeError, and a
+    curve kind that is neither analytic nor sampled raises CurveFileError
+    in ``curve_to_dict``, as ``save_curve`` does before opening a file."""
+    for value in (object(), {1, 2}, [1.0, b"x"]):
+        with pytest.raises(TypeError, match="^cannot serialize (object|set|bytes)$"):
+            dumps(value)
+
+    class Custom(Curve):
+        label = "custom"
+        params = np.linspace(0.0, 1.0, 8)
+
+    with pytest.raises(CurveFileError, match="^cannot serialize curve type Custom$"):
+        curve_to_dict(Custom())
 
 
 def test_frenet_rows_normal_is_numpy_cross_of_b_and_t():

@@ -48,7 +48,13 @@ from bertrand_kit.errors import (
     SingularPointError,
     TooFewSamplesError,
 )
-from bertrand_kit.indicatrix import AXES, SIDES, apparatus_grid, frame_relations_check
+from bertrand_kit.indicatrix import (
+    AXES,
+    SIDES,
+    apparatus_grid,
+    frame_relations_check,
+    indicatrix_arclength_relations,
+)
 from bertrand_kit.io import save_curve
 from bertrand_kit.paper import (
     _applies,
@@ -207,6 +213,18 @@ def test_pair_constraint_residual_raises_at_the_flat_point():
     with pytest.raises(SingularPointError,
                        match=r"^curvature below regularity floor at t=1e-08$"):
         pair_constraint_residual(pair, 1e-8)
+
+
+def test_arclength_relations_raise_at_the_flat_point():
+    """The pair's detection grid of 128 points misses the flat point, so
+    nothing is masked; the 257 points of the arc-length relations hit it
+    (their midpoint is t = 0), where they raise the base's error."""
+    curve = AnalyticCurve(*FAST, (-1.0, 1.0))
+    pair = detect_bertrand(curve, construct_mate(curve, 0.1), tol_align=10)
+    assert not pair.masked.any()
+    with pytest.raises(SingularPointError,
+                       match=r"^curvature below regularity floor at t=0\.0$"):
+        indicatrix_arclength_relations(pair, "base", n=256)
 
 
 def test_fast_curve_flat_point_cli(tmp_path, capsys):

@@ -259,6 +259,19 @@ def test_domain_errors():
         jet_of("1/(t-1)", 1.0, 2)
 
 
+def test_jet_errors_of_public_inputs():
+    """The derivative of an order-0 jet, the inverse of a series whose
+    derivative vanishes, and a negative order each raise."""
+    with pytest.raises(OrderOverflowError):
+        Jet.variable(0.5, 0).deriv()
+    with pytest.raises(DomainError, match="vanishing derivative"):
+        invert_series(Jet(0.0, np.array([1.0, 0.0, 1.0])))
+    with pytest.raises(DomainError, match="vanishing derivative"):
+        invert_series(Jet(np.zeros(2), np.array([[1.0, 1.0], [2.0, 0.0]])))
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        evaluate_jet(ex.parse_expression("sin(t)"), 0.3, -1)
+
+
 def test_only_evaluate_jet_caps_the_order():
     """``evaluate_jet`` refuses an order above its ``max_order``; a curve's
     own jets have no cap."""

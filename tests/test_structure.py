@@ -194,8 +194,32 @@ def floor_outside_the_pose_stage(trees):
     return found
 
 
+# the functions that build a jet-backed curve: the generator and the normal offset
+JET_BACKED_HOMES = {("bertrand.py", "generate_bertrand_curve"), ("bertrand.py", "construct_mate")}
+
+
+def jet_backed_outside_the_generator(trees):
+    """Every seed preset is analytic: ``JetBackedCurve(...)``, under any
+    name it is imported as, is called only inside
+    ``bertrand.generate_bertrand_curve`` and ``bertrand.construct_mate``,
+    whose jets are exact from a recipe a curve file records."""
+    found = []
+    for name, tree in trees.items():
+        names = {"JetBackedCurve"} | {a.asname for node in ast.walk(tree)
+                                      if isinstance(node, ast.ImportFrom) for a in node.names
+                                      if a.name == "JetBackedCurve" and a.asname}
+        inside = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and (name, node.name) in JET_BACKED_HOMES for n in ast.walk(node)}
+        found += [_where(name, node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and (getattr(node.func, "id", None) in names
+                       or getattr(node.func, "attr", None) == "JetBackedCurve")]
+    return found
+
+
 RULES = [np_cross, ellipsis_index_on_coeffs, closed_form_names_outside_paper, paper_imports,
-         pair_evaluation_outside_bertrand, curve_kind_defines_jet, floor_outside_the_pose_stage]
+         pair_evaluation_outside_bertrand, curve_kind_defines_jet, floor_outside_the_pose_stage,
+         jet_backed_outside_the_generator]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -244,6 +268,13 @@ PLANTED = [
      "from .curves import EPS_REG as floor\ndef check(v):\n    return not v >= floor"),
     (floor_outside_the_pose_stage, "indicatrix.py",
      "def _pose_columns(v):\n    return v < EPS_REG"),
+    (jet_backed_outside_the_generator, "bertrand.py",
+     'PRESETS = {"slant": lambda: JetBackedCurve(jet_fn, ss, label="slant")}'),
+    (jet_backed_outside_the_generator, "bertrand.py", "SEED = curves.JetBackedCurve(jet_fn, ss)"),
+    (jet_backed_outside_the_generator, "io.py",
+     "from .curves import JetBackedCurve as Backed\ndef load(d):\n    return Backed(jet_fn, ts)"),
+    (jet_backed_outside_the_generator, "io.py",
+     "def construct_mate(base, lam):\n    return JetBackedCurve(jet_fn, ts)"),
 ]
 
 
