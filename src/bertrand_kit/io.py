@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import expr as ex
-from .curves import AnalyticCurve, Curve, JetBackedCurve, SampledCurve
+from .curves import AnalyticCurve, Curve, JetBackedCurve, SampledCurve, _base_block
 from .errors import BertrandKitError, ParameterError
 
 SCHEMA_VERSION = 1
@@ -90,22 +90,7 @@ def curve_to_dict(curve: Curve) -> dict:
     return d
 
 
-def _base_block(base):
-    """The base keys a mate file records: an analytic base's expressions
-    and domain, a generated base's seed, a, omega and n, else None.  A
-    base loaded as samples has no block, whatever metadata it keeps."""
-    if isinstance(base, AnalyticCurve):
-        return {"base_generator": "analytic",
-                **{f"base_{c}": ex.to_text(getattr(base, c)) for c in "xyz"},
-                "base_lo": base.domain[0], "base_hi": base.domain[1]}
-    meta = base.metadata if isinstance(base, JetBackedCurve) else {}
-    if meta.get("generator") != "bertrand":
-        return None
-    return {"base_generator": "bertrand", **{k: meta.get(k) for k in ("a", "omega", "seed_label")},
-            "base_n": meta.get("n")}
-
-
-def _rebuild_from_metadata(meta, nodes, loaded_base=None):
+def _rebuild_from_metadata(meta, nodes, loaded_base=None, hold=None):
     """Exact jet-backed curve from a recorded recipe, or None.
 
     Sampled files written by the generator, and mates that record their
@@ -114,10 +99,12 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
     differentiation instead of falling back to finite-difference
     stencils.  A mate whose block, coerced as for a rebuild, is
     ``_base_block(loaded_base)`` is rebuilt on that curve, so the pair
-    shares one base.  A recipe that cannot be rebuilt or evaluated at its
-    nodes, whose ``n`` is not ``nodes`` (the stored sample count less
-    one), or whose ``base_n`` is not a positive integer gives None.  The
-    caller checks the rebuilt nodes against the stored samples.
+    shares one base, and ``hold(base, mate)``, if given, is called before
+    the mate's node table is read.  A recipe that cannot be rebuilt or
+    evaluated at its nodes, whose ``n`` is not ``nodes`` (the stored
+    sample count less one), or whose ``base_n`` is not a positive integer
+    gives None.  The caller checks the rebuilt nodes against the stored
+    samples.
     """
     if not isinstance(meta, dict) or meta.get("n") != nodes:
         return None
@@ -151,6 +138,8 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None):
             base = AnalyticCurve(recorded["base_x"], recorded["base_y"], recorded["base_z"],
                                  (recorded["base_lo"], recorded["base_hi"]))
         mate = bt.construct_mate(base, float(meta["lambda"]), n=nodes)
+        if hold is not None and base is loaded_base:
+            hold(base, mate)
         # the node table is computed at its first read: read it here,
         # where an evaluation error means no rebuild
         mate.points
@@ -170,7 +159,7 @@ def curve_from_dict(d: dict) -> Curve:
     return _curve_from_dict(d, None)
 
 
-def _curve_from_dict(d, loaded_base) -> Curve:
+def _curve_from_dict(d, loaded_base, hold=None) -> Curve:
     if not isinstance(d, dict) or "type" not in d:
         raise CurveFileError("curve file must be an object with a 'type' field")
     label = d.get("label", "")
@@ -197,7 +186,7 @@ def _curve_from_dict(d, loaded_base) -> Curve:
             raise CurveFileError(f"bad sampled block: {e}")
         if pts.ndim != 2 or pts.shape != (len(t), 3):
             raise CurveFileError("sampled arrays must be t:(n,), points:(n,3)")
-        rebuilt = _rebuild_from_metadata(d.get("metadata"), len(t) - 1, loaded_base)
+        rebuilt = _rebuild_from_metadata(d.get("metadata"), len(t) - 1, loaded_base, hold)
         # metadata never overrides the stored samples it disagrees with
         if (
             rebuilt is not None
@@ -253,16 +242,19 @@ def load_curve(path: str) -> Curve:
     return curve_from_dict(_read_json(path)[1])
 
 
-def read_inputs(path: str, mate_path: str = None):
+def read_inputs(path: str, mate_path: str = None, hold=None):
     """The curves of a command's input files and its report's ``inputs``,
     each file read once: the curve of ``path``, then, if ``mate_path`` is
     given, that file's curve loaded beside it; and {path: sha256 hex
     digest of the bytes parsed}.  A mate that records the loaded base's
-    recipe is rebuilt on that base curve (``_rebuild_from_metadata``)."""
+    recipe is rebuilt on that base curve (``_rebuild_from_metadata``), and
+    ``hold``, if given, is called as ``hold(base, mate)`` before the
+    rebuilt mate's node table is read: a caller may hold the base there
+    (``curves.held``), over the nodes and the grids it will ask next."""
     curves, inputs = [], {}
     for p in (path,) if mate_path is None else (path, mate_path):
         data, doc = _read_json(p)
-        curves.append(_curve_from_dict(doc, curves[0] if curves else None))
+        curves.append(_curve_from_dict(doc, curves[0] if curves else None, hold))
         inputs[p] = hashlib.sha256(data).hexdigest()
     return curves, inputs
 

@@ -296,6 +296,20 @@ def test_generator_refuses_an_inflection_at_any_walk_midpoint(omega, n):
     _assert_refuses_the_inflection("wobble", omega, n)
 
 
+# wobble angles whose tan(omega) enters the seed's kg range only between
+# the last walk midpoint and the domain's end
+END_INFLECTION = [(2.461987031739115, 512), (2.4618741497436876, 4096)]
+
+
+@pytest.mark.parametrize("omega, n", END_INFLECTION)
+def test_generator_refuses_an_inflection_at_an_end_node(omega, n):
+    """The sphere checks read both end nodes of the walk, so an inflection
+    past its last midpoint is refused (read at the midpoints only, the
+    checks built the curve, and detection of its pair then said
+    normals-not-aligned, min |<N, N_mate>| 0.85)."""
+    _assert_refuses_the_inflection("wobble", omega, n)
+
+
 # an angle beyond each preset's inflection band, where sin(omega) - kg
 # cos(omega) < 0 over the seed (the band's lambda = -a side)
 NEGATIVE_LAMBDA_OMEGA = {"wobble": 3.0, "tilt": 0.1, "bean": 0.05, "slant": 0.1}
@@ -643,10 +657,11 @@ def test_generator_builds_each_node_series_once():
 
 def test_generator_newton_reads_the_walk_series():
     """The Newton solve for u(t) steps with the walk's series: the seed
-    gets order-10 requests at the n walk midpoints only."""
+    gets order-10 requests at the n walk midpoints and the two end nodes
+    that the sphere checks read, only."""
     n = 64
     points = _seed_points_of_a_pair(n)
-    assert sum(c for order, c in points.items() if order >= 10) == n
+    assert sum(c for order, c in points.items() if order >= 10) == n + 2
 
 
 def test_pair_runs_the_generator_pipeline_once_per_grid():
@@ -729,6 +744,97 @@ def test_order_8_jets_truncate_to_the_bits_of_lower_requests(curve):
         want = fresh().jet(ts, order)
         assert_same_bits_array(high.truncate(order).coeffs, want.coeffs)
         assert_same_bits_array(high.basepoint, want.basepoint)
+
+
+def _held_case(name):
+    """A curve ``curves.held`` serves, the analytic cubic or a preset's
+    generated base, and three grids over its domain: a mate's 25 nodes, a
+    24-point detection grid inset by 0.01 and a 64-point fit grid."""
+    base = (AnalyticCurve("t", "t^2", "t^3", (0.5, 1.5), label="cubic") if name == "analytic"
+            else _generated(name))
+    lo, hi = base.domain
+    pad = 0.01 * (hi - lo)
+    return base, [np.linspace(lo, hi, 25), np.linspace(lo + pad, hi - pad, 24),
+                  np.linspace(lo, hi, 64)]
+
+
+def _count_base_runs(base, monkeypatch):
+    """A Counter of the base's own runs (``_jets`` calls) and of the
+    generator's series reversions."""
+    counts = Counter()
+    real_jets, real_invert = base._jets, bertrand.invert_series
+
+    def jets_(ts, order):
+        counts["runs"] += 1
+        return real_jets(ts, order)
+
+    def invert(fwd):
+        counts["reversions"] += 1
+        return real_invert(fwd)
+
+    monkeypatch.setattr(base, "_jets", jets_)
+    monkeypatch.setattr(bertrand, "invert_series", invert)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["analytic", "wobble", "tilt", "bean", "slant"])
+def test_held_jets_have_the_bits_of_fresh_requests(name, monkeypatch):
+    """Inside ``curves.held(base, grids, 6)`` every request on one of the
+    grids, or on any part of their union in any order, and at a float of
+    it, at every order up to 6, is served from the one held run with the
+    bits of a fresh request, as is every jet of a normal-offset mate built
+    on the base up to order 4; a served jet is the caller's copy.  A t
+    off the grids (one ulp off) and an order above 6 run the base afresh,
+    and after the block every request does."""
+    base, grids = _held_case(name)
+    mate = construct_mate(base, 0.3, n=24)
+    union = np.unique(np.concatenate(grids))
+    parts = [union, *grids, union[::-1], union[[5, 0, 17, 5]], float(union[3])]
+    want = {(i, k): base.jet(ts, k) for i, ts in enumerate(parts) for k in range(7)}
+    want_mate = {(i, k): mate.jet(ts, k) for i, ts in enumerate(parts) for k in range(5)}
+    counts = _count_base_runs(base, monkeypatch)
+    generated = name != "analytic"
+    with curves.held(base, grids, 6):
+        assert (counts["runs"], counts["reversions"]) == (1, generated)
+        for i, ts in enumerate(parts):
+            for k in range(7):
+                got = base.jet(ts, k)
+                assert_same_bits_array(got.coeffs, want[i, k].coeffs)
+                assert_same_bits_array(got.basepoint, want[i, k].basepoint)
+            for k in range(5):
+                assert_same_bits_array(mate.jet(ts, k).coeffs, want_mate[i, k].coeffs)
+        base.jet(union, 6).coeffs[:] = 0.0
+        assert_same_bits_array(base.jet(union, 6).coeffs, want[0, 6].coeffs)
+        assert counts["runs"] == 1
+        base.jet(np.nextafter(grids[1], np.inf), 2)
+        base.jet(grids[0], 7)
+        assert (counts["runs"], counts["reversions"]) == (3, 3 * generated)
+    assert base._held is None
+    base.jet(grids[0], 2)
+    assert counts["runs"] == 4
+
+
+def test_a_hold_whose_request_raises_holds_nothing(monkeypatch):
+    """A hold whose one request raises holds nothing: each request in the
+    block runs, and raises, as it does outside; a sampled curve, whose
+    stencil depends on the order asked, is never held."""
+    curve = AnalyticCurve("log(t)", "t", "t", (-1.0, 1.0))
+    inside, across = np.linspace(0.5, 1.0, 8), np.linspace(-1.0, 1.0, 9)
+    want = curve.jet(inside, 2)
+    with pytest.raises(Exception) as outside:
+        curve.jet(across, 2)
+    counts = _count_base_runs(curve, monkeypatch)
+    with curves.held(curve, [inside, across], 4):
+        assert curve._held is None
+        assert_same_bits_array(curve.jet(inside, 2).coeffs, want.coeffs)
+        with pytest.raises(type(outside.value)) as held_error:
+            curve.jet(across, 2)
+        assert str(held_error.value) == str(outside.value)
+    assert counts["runs"] == 3
+    base, grids = _held_case("wobble")
+    samples = SampledCurve(base.params, base.points)
+    with curves.held(samples, grids, 6):
+        assert samples._held is None
 
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
@@ -1194,8 +1300,9 @@ def test_pair_check_without_images_asks_the_base_for_order_6(preset, monkeypatch
 
 def test_generator_build_makes_one_seed_request():
     """A generator build asks its seed once, for the walk's order-10 jets
-    at the n midpoints; the sphere checks read the order-2 terms of every
-    one of them (a second, order-2 request before)."""
+    at the n midpoints and the two end nodes; the sphere checks read the
+    order-2 terms of every one of them (a second, order-2 request
+    before)."""
     for n in (64, 256):
         seed = sphere_preset("wobble")
         real_jet = seed.jet
@@ -1207,7 +1314,7 @@ def test_generator_build_makes_one_seed_request():
 
         seed.jet = counting_jet
         generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
-        assert requests == Counter({(10, n): 1})
+        assert requests == Counter({(10, n + 2): 1})
 
 
 def _sphere_checks_one_probe_at_a_time(seed_jet):
