@@ -69,7 +69,7 @@ from .io import (
     load_curve,
     save_curve,
 )
-from .jets import Jet, compose, evaluate_jet, invert_series
+from .jets import Jet, evaluate_jet
 from .paper import (
     IndicatrixSample,
     MateApparatus,

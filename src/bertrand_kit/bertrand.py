@@ -48,7 +48,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .paper import _constraint_residuals, projection_constants
-from .jets import _cross_rows, compose, invert_series, jcross, jdot, jsqrt
+from .jets import _cross_rows, jcross, jdot, jsqrt
 
 TOL_ALIGN = 1e-6
 TOL_CONST = 1e-6
@@ -424,25 +424,35 @@ def _sphere_checks(seed_jet, omega):
     return 1.0 if bend[0] > 0.0 else -1.0
 
 
+def _velocity(Cj, a, cot):
+    """dgamma/du = a (V c + cot(omega) c x dc/du), with V = |dc/du|, as a
+    jet in the seed's u from the seed's jet Cj, one order below Cj's: the
+    walk's rate and the derivative of a generated curve's jet."""
+    Dj = Cj.deriv()
+    V = jsqrt(jdot(Dj, Dj))
+    return a * (V * Cj + cot * jcross(Cj, Dj))
+
+
 def generate_bertrand_curve(
     sphere_curve: Curve, a: float, omega: float, n: int = 2048
 ) -> JetBackedCurve:
-    """Bertrand test curve from a spherical seed.
+    """Bertrand test curve from a spherical seed, in the seed's parameter.
 
-    With c the seed reparameterized by its own arc length t, the output is
-    the cumulative integral of a*(c + cot(omega) * c x c') dt.  Its
+    With c(u) the seed and V = |dc/du| its speed, the output is the
+    integral of a*(V c + cot(omega) * c x dc/du) du (``_velocity``), which
+    is a*(c + cot(omega) * c x c') in the seed's arc length.  Its
     curvature and torsion satisfy s*a*kappa + a*cot(omega)*tau = 1, with s
     the sign of sin(omega) - kg cos(omega) (kg the seed's geodesic
     curvature), so the normal offset by lambda = s*a, the metadata's
-    ``nominal_lambda``, produces a Bertrand mate.  Jets of the
-    output are exact: the arc-length reparameterization is inverted by
-    series reversion at evaluation time.  The Newton solve for u(t) starts
-    from linear interpolation between the walk nodes and steps with the
-    walk's seed-speed series of the segment that holds t, about the
-    segment's midpoint.  An n below 2, a walk of one segment, raises
-    ParameterError before the seed is evaluated; so does an
-    omega whose output has an inflection at any walk midpoint or at
-    either end node.
+    ``nominal_lambda``, produces a Bertrand mate.  The curve's params are
+    the n+1 walk nodes, ``linspace(*sphere_curve.domain, n + 1)``, and its
+    domain is the seed's.  Jets of the output are exact: a request at u
+    integrates ``_velocity`` of the seed's jet at u from the walk's
+    position series of the segment that holds u.  The speed is
+    a*V/|sin(omega)|, not constant, so the output's arc length is not its
+    parameter.  An n below 2, a walk of one segment, raises
+    ParameterError before the seed is evaluated; so does an omega whose
+    output has an inflection at any walk midpoint or at either end node.
     """
     if not 0.0 < a < math.inf:
         raise ParameterError(f"a must be finite and positive, got {a}")
@@ -454,53 +464,26 @@ def generate_bertrand_curve(
     lo, hi = sphere_curve.domain
     us = np.linspace(lo, hi, n + 1)
 
-    def _seed_jets(Cj):
-        # dc/du and the seed's speed V = |dc/du|, as jets in u, from the
-        # seed's jet Cj
-        Dj = Cj.deriv()
-        return Dj, jsqrt(jdot(Dj, Dj))
-
-    # node walk: accumulate t (arc length of c) and position by series
-    # steps, the series of every step from one batch at the midpoints;
-    # the sphere checks read every midpoint, first, and both end nodes
+    # node walk: accumulate the position by series steps, the series of
+    # every step from one batch at the midpoints; the sphere checks read
+    # every midpoint, first, and both end nodes
     probes = sphere_curve.jet(np.concatenate((0.5 * (us[:-1] + us[1:]), us[[0, n]])), 10)
     s = _sphere_checks(probes, omega)
-    Cj = probes.take(slice(0, n))
-    Dj, V = _seed_jets(Cj)
-    # dgamma/du = a (V c + cot(omega) c x dc/du)
-    G = a * (V * Cj + cot * jcross(Cj, Dj))
-
-    # segment k's arc length t(u) = t_nodes[k] + A_k(u) - A_k(us[k]), and
-    # its position P_nodes[k] + AG_k(u) - AG_k(us[k]) likewise
-    t_nodes, A, A_left = _integrate(V, us)
-    P_nodes, AG, AG_left = _integrate(G, us)
+    # segment k's position P_nodes[k] + AG_k(u) - AG_k(us[k])
+    P_nodes, AG, AG_left = _integrate(_velocity(probes.take(slice(0, n)), a, cot), us)
     P_nodes = np.ascontiguousarray(P_nodes.T)
 
-    def _solve_u(t):
-        u = np.interp(t, t_nodes, us)
-        k = np.clip(np.searchsorted(t_nodes, t) - 1, 0, n - 1)
-        Vk, Ak = V.take(k), A.take(k)
-        for _ in range(4):
-            u = u - (t_nodes[k] + Ak(u) - A_left[k] - t) / Vk(u)
-        return u, k
-
-    def jet_fn(t, order):
-        # invert_series takes the same Newton steps at every order up to 8,
-        # and truncated Taylor arithmetic gives the low coefficients the
-        # same bits at every order, so each request runs at its own order
-        # and an order-8 run cut to order k has the bits of an order-k
-        # request; order 0 runs at 1, since the seed's speed reads dc/du
-        internal = max(order, 1)
-        u, k = _solve_u(t)
-        Cj = sphere_curve.jet(u, internal)
-        Dj, V = _seed_jets(Cj)
-        s_jet = V.antideriv(t)  # s(u) about u, with s(u) = t
-        C = compose(Cj, invert_series(s_jet))  # c(u(t)) in t
-        Gp = a * (C + cot * jcross(C, C.deriv()))  # dgamma/dt
+    def jet_fn(u, order):
+        # truncated Taylor arithmetic gives the low coefficients the same
+        # bits at every order, so each request runs at its own order and
+        # an order-8 run cut to order k has the bits of an order-k
+        # request; order 0 runs at 1, since the rate reads dc/du
+        G = _velocity(sphere_curve.jet(u, max(order, 1)), a, cot)
         # the position from the walk's series, so that it has the same
         # bits at every order
+        k = np.clip(np.searchsorted(us, u) - 1, 0, n - 1)
         x0 = P_nodes[k].T + AG.take(k)(u) - AG_left[:, k]
-        return Gp.antideriv(x0).truncate(order)
+        return G.antideriv(x0).truncate(order)
 
     meta = {
         "generator": "bertrand",
@@ -511,7 +494,7 @@ def generate_bertrand_curve(
         "seed_label": sphere_curve.label,
     }
     return JetBackedCurve(
-        jet_fn, t_nodes, P_nodes, label=f"bertrand({sphere_curve.label or 'seed'})",
+        jet_fn, us, P_nodes, label=f"bertrand({sphere_curve.label or 'seed'})",
         metadata=meta,
     )
 

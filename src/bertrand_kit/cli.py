@@ -87,8 +87,9 @@ EXIT_DEGENERATE_SPHERE = 8
 _FILE_INSET = 0.01
 # the widest mate node grid a hold takes in: the node table reads order
 # 2, and at the held order 6 or 8 each node costs more, so that past
-# about 130 nodes a run of its own at order 2 costs less than the widening
-_HELD_NODES = 129
+# about 200-250 nodes (a generated base's order-6 run over a mate's check
+# and fit grids) a run of its own at order 2 costs less than the widening
+_HELD_NODES = 193
 
 # the exit code and stderr hint of each error type a command may raise;
 # the first type that matches wins

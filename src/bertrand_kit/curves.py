@@ -263,7 +263,10 @@ class JetBackedCurve(Curve):
 
     ``jet_fn(ts, order)``, the curve's ``_jets``, takes a 1-D array of
     parameter values and returns the vector jet of (x, y, z), one column
-    per value.  With ``points=None`` the table of points at ``params`` is
+    per value.  ``params``, the table's parameter values, fixes the
+    domain: a generated curve's are its walk nodes in its seed's
+    parameter, a normal-offset mate's regular points of its base's
+    domain.  With ``points=None`` the table of points at ``params`` is
     the order-0 jet's constant terms, computed at its first read.
     """
 

@@ -21,7 +21,9 @@ from . import expr as ex
 from .curves import AnalyticCurve, Curve, JetBackedCurve, SampledCurve, _base_block
 from .errors import BertrandKitError, ParameterError
 
-SCHEMA_VERSION = 1
+# Schema 2 stores a generated Bertrand curve, and a mate built on one, in
+# the seed's parameter u; schema 1 stored them in the curve's arc length.
+SCHEMA_VERSION = 2
 TOOL_VERSION = "bertrand-kit 1.0.0"
 
 # A curve rebuilt from file metadata replaces the stored samples only if
@@ -186,6 +188,7 @@ def _curve_from_dict(d, loaded_base, hold=None) -> Curve:
             raise CurveFileError(f"bad sampled block: {e}")
         if pts.ndim != 2 or pts.shape != (len(t), 3):
             raise CurveFileError("sampled arrays must be t:(n,), points:(n,3)")
+        _refuse_arc_length_file(d)
         rebuilt = _rebuild_from_metadata(d.get("metadata"), len(t) - 1, loaded_base, hold)
         # metadata never overrides the stored samples it disagrees with
         if (
@@ -205,6 +208,23 @@ def _curve_from_dict(d, loaded_base, hold=None) -> Curve:
             curve.metadata = d["metadata"]
         return curve
     raise CurveFileError(f"unknown curve type {kind!r}")
+
+
+def _refuse_arc_length_file(d):
+    """Raise CurveFileError for a file below schema 2 whose metadata names
+    the ``bertrand`` generator (as ``generator`` or ``base_generator``):
+    its ``t`` is the generated curve's arc length, which no rebuild now
+    matches, and its samples alone would be differentiated by stencils."""
+    meta = d.get("metadata")
+    schema = d.get("schema_version")
+    if (not isinstance(meta, dict)
+            or "bertrand" not in (meta.get("generator"), meta.get("base_generator"))
+            or (type(schema) is int and schema >= 2)):
+        return
+    raise CurveFileError(
+        f"schema {schema} file of a generated Bertrand curve or its mate: its t is the old "
+        f"arc-length parameter, and schema {SCHEMA_VERSION} takes the seed's parameter u; "
+        f"regenerate it with generate (and mate)")
 
 
 def save_curve(curve: Curve, path: str):

@@ -381,77 +381,6 @@ def _tan_of(s: Jet, c: Jet) -> Jet:
     return s / c
 
 
-def compose(outer: Jet, inner: Jet) -> Jet:
-    """Jet of f(g(t)) where ``outer`` expands f about g(t0).
-
-    Requires inner.coeffs[0] == outer.basepoint (the expansion points
-    chain).  Horner evaluation in jet arithmetic; the inner jet's constant
-    term is dropped because ``outer`` is already centered there.  A
-    stacked outer series (a vector jet, or any number of components on
-    axis 1) is composed with the one inner series in one pass, each
-    component through the operations it would go through alone.
-
-    The partial sum after Horner step k reaches the result only through
-    k more products by the shifted inner series h, whose constant term
-    is 0, so its coefficients above n-k are never read: step k is one
-    Cauchy product of length n-k+1, from 2 up to n+1 (Griewank &
-    Walther, ch. 13; Brent & Kung, J. ACM 25(4), 1978).  At order 8
-    that is 284 scalar products per component column, where steps at
-    full length take 648.  Each kept coefficient adds the same products
-    in the same order as a full-length step, except the top one's last
-    term, added after all others: 0.0 * h[0] here, the unread
-    coefficient times h[0] = +0.0 there.  Both terms are zeros, so the
-    results can differ only where that sum is exactly 0 (in its sign)
-    or where the unread coefficient is not finite (a NaN).
-    """
-    # operands cut to the lower order; a stacked outer series meets the
-    # one inner series on every component
-    a, h = outer._align(inner)
-    h = h.copy()
-    h[0] = 0.0
-    n = len(h) - 1
-    acc = np.zeros(np.broadcast_shapes(a.shape, h.shape))
-    acc[0] = a[n]
-    for k in range(n - 1, -1, -1):
-        m = n - k + 1
-        acc[:m] = _cauchy(acc[:m], h[:m])
-        acc[0] += a[k]
-    return Jet(inner.basepoint, acc)
-
-
-def invert_series(fwd: Jet) -> Jet:
-    """Jet of the inverse function.
-
-    ``fwd`` is the jet of s(u) about u0 with s'(u0) != 0; the result is the
-    jet of u(s) about s0 = s(u0).  Each Newton step doubles the number of
-    correct orders (Brent & Kung, J. ACM 25(4), 1978), and the step count
-    does not depend on the order up to DEFAULT_MAX_ORDER: three steps at
-    every n <= 8, four from 9 to 16.  Truncated series arithmetic gives
-    the low coefficients the same bits at every order, so the inversion
-    of an order-k truncation has the bits of the order-8 inversion cut to
-    order k.
-    """
-    n = fwd.order
-    if (fwd.coeffs[1] == 0.0).any():
-        raise DomainError("cannot invert a series with vanishing derivative")
-    s0 = fwd.coeffs[0]
-    # Newton iteration on truncated series: u <- u - (s(u) - id)/s'(u)
-    inv = np.zeros_like(fwd.coeffs)
-    inv[0] = fwd.basepoint
-    inv[1] = 1.0 / fwd.coeffs[1]
-    u = Jet(s0, inv)
-    ident = Jet.variable(s0, n)
-    # s and s' as one stacked series, composed with u in one pass per step
-    dfwd = np.concatenate((fwd.deriv().coeffs, np.zeros_like(fwd.coeffs[:1])))
-    both = Jet(fwd.basepoint, np.stack((fwd.coeffs, dfwd), axis=1))
-    order_reached = 1
-    while order_reached < max(n, DEFAULT_MAX_ORDER):
-        sd = compose(both, u).coeffs
-        u = u - (Jet(s0, sd[:, 0]) - ident) / Jet(s0, sd[:, 1])
-        order_reached *= 2
-    return u
-
-
 def jstack(components) -> Jet:
     """The vector jet of a sequence of scalar component jets about one
     basepoint."""

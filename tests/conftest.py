@@ -5,13 +5,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bertrand_kit
-from bertrand_kit.bertrand import generated_pair
+from bertrand_kit.bertrand import SPHERE_PRESETS, generated_pair
 from bertrand_kit.curves import AnalyticCurve
 
 SRC = Path(bertrand_kit.__file__).resolve().parents[1]
+
+
+def count_pipelines(monkeypatch):
+    """The list, in call order, of the (order, columns) of each request
+    that a preset seed (an analytic curve labelled with a
+    ``SPHERE_PRESETS`` name) gets below order 10 from now on: one
+    generator pipeline per request of a base generated from the seed, at
+    the request's order or at 1 for order 0.  The generator's node walk
+    asks its seed for order 10, and is not counted."""
+    runs = []
+    real_jet = AnalyticCurve.jet
+
+    def jet(self, t, order):
+        if order < 10 and self.label in SPHERE_PRESETS:
+            runs.append((order, np.size(t)))
+        return real_jet(self, t, order)
+
+    monkeypatch.setattr(AnalyticCurve, "jet", jet)
+    return runs
 
 
 @pytest.fixture(scope="session")

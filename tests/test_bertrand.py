@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import count_pipelines
 from test_batch import FIELDS, _generated, assert_same_bits_array
 from test_indicatrix import EPS_PLUS_ONE_OMEGA
 
@@ -648,20 +649,42 @@ def _seed_points_of_a_pair(n):
 
 def test_generator_builds_each_node_series_once():
     """The generator's walk asks the seed for one order-10 jet per step,
-    and its Newton solve adds at most one per node, whatever the number
-    of evaluations of the base, its mate, detection and the suite."""
-    n = 64
-    points = _seed_points_of_a_pair(n)
-    assert sum(c for order, c in points.items() if order >= 10) <= 2 * n
-
-
-def test_generator_newton_reads_the_walk_series():
-    """The Newton solve for u(t) steps with the walk's series: the seed
-    gets order-10 requests at the n walk midpoints and the two end nodes
-    that the sphere checks read, only."""
+    at the n walk midpoints, and the sphere checks at the two end nodes;
+    every later request of the base asks the seed for its own order, so
+    the evaluations of the base, its mate, detection and the suite add no
+    order-10 request."""
     n = 64
     points = _seed_points_of_a_pair(n)
     assert sum(c for order, c in points.items() if order >= 10) == n + 2
+
+
+@pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
+@pytest.mark.parametrize("plus", [False, True], ids=["default", "eps-plus-one"])
+@pytest.mark.parametrize("a", [0.7, 1.37])
+def test_generated_curve_takes_the_seeds_parameter(preset, plus, a):
+    """A generated curve's params are the seed's walk nodes,
+    ``linspace(*seed.domain, n + 1)`` bit for bit, and its domain is the
+    seed's.  At interior seed-u points its kappa and tau are the seed's
+    Darboux closed forms (sin w / a)|sin w - kg cos w| and
+    (sin w / a)(kg sin w + cos w), kg = det(c, c', c'')/|c'|^3 from the
+    seed's own analytic jet, at each preset's default angle and at one
+    with epsilon = +1.  The bound is ten times the worst measured case,
+    1.3e-15 for kappa and 1.9e-15 for tau relative to max(|tau|, kappa)."""
+    seed, n = sphere_preset(preset), 512
+    omega = EPS_PLUS_ONE_OMEGA[preset] if plus else DEFAULT_OMEGA[preset]
+    base = generate_bertrand_curve(seed, a=a, omega=omega, n=n)
+    us = np.linspace(*seed.domain, n + 1)[1:-1]
+    rows, regular, _ = _frenet_columns(base, us)
+    assert regular.all()
+    assert_same_bits_array(base.params, np.linspace(*seed.domain, n + 1))
+    assert base.domain == seed.domain
+    p, d1, half_d2 = seed.jet(us, 2).coeffs.transpose(0, 2, 1)
+    kg = np.sum(jets._cross_rows(p, d1) * (2.0 * half_d2), axis=1) / np.linalg.norm(d1, axis=1)**3
+    sin, cos = math.sin(omega), math.cos(omega)
+    kappa = sin / a * np.abs(sin - kg * cos)
+    tau = sin / a * (kg * sin + cos)
+    assert np.max(np.abs(rows.kappa - kappa) / kappa) <= 2e-14
+    assert np.max(np.abs(rows.tau - tau) / np.maximum(np.abs(tau), kappa)) <= 2e-14
 
 
 def test_pair_runs_the_generator_pipeline_once_per_grid():
@@ -759,22 +782,17 @@ def _held_case(name):
 
 
 def _count_base_runs(base, monkeypatch):
-    """A Counter of the base's own runs (``_jets`` calls) and of the
-    generator's series reversions."""
+    """A Counter of the base's own runs (``_jets`` calls), and the list of
+    the generator pipelines (``count_pipelines``)."""
     counts = Counter()
-    real_jets, real_invert = base._jets, bertrand.invert_series
+    real_jets = base._jets
 
     def jets_(ts, order):
         counts["runs"] += 1
         return real_jets(ts, order)
 
-    def invert(fwd):
-        counts["reversions"] += 1
-        return real_invert(fwd)
-
     monkeypatch.setattr(base, "_jets", jets_)
-    monkeypatch.setattr(bertrand, "invert_series", invert)
-    return counts
+    return counts, count_pipelines(monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["analytic", "wobble", "tilt", "bean", "slant"])
@@ -792,10 +810,10 @@ def test_held_jets_have_the_bits_of_fresh_requests(name, monkeypatch):
     parts = [union, *grids, union[::-1], union[[5, 0, 17, 5]], float(union[3])]
     want = {(i, k): base.jet(ts, k) for i, ts in enumerate(parts) for k in range(7)}
     want_mate = {(i, k): mate.jet(ts, k) for i, ts in enumerate(parts) for k in range(5)}
-    counts = _count_base_runs(base, monkeypatch)
+    counts, pipelines = _count_base_runs(base, monkeypatch)
     generated = name != "analytic"
     with curves.held(base, grids, 6):
-        assert (counts["runs"], counts["reversions"]) == (1, generated)
+        assert (counts["runs"], len(pipelines)) == (1, generated)
         for i, ts in enumerate(parts):
             for k in range(7):
                 got = base.jet(ts, k)
@@ -808,7 +826,7 @@ def test_held_jets_have_the_bits_of_fresh_requests(name, monkeypatch):
         assert counts["runs"] == 1
         base.jet(np.nextafter(grids[1], np.inf), 2)
         base.jet(grids[0], 7)
-        assert (counts["runs"], counts["reversions"]) == (3, 3 * generated)
+        assert (counts["runs"], len(pipelines)) == (3, 3 * generated)
     assert base._held is None
     base.jet(grids[0], 2)
     assert counts["runs"] == 4
@@ -823,7 +841,7 @@ def test_a_hold_whose_request_raises_holds_nothing(monkeypatch):
     want = curve.jet(inside, 2)
     with pytest.raises(Exception) as outside:
         curve.jet(across, 2)
-    counts = _count_base_runs(curve, monkeypatch)
+    counts, _ = _count_base_runs(curve, monkeypatch)
     with curves.held(curve, [inside, across], 4):
         assert curve._held is None
         assert_same_bits_array(curve.jet(inside, 2).coeffs, want.coeffs)
@@ -838,22 +856,15 @@ def test_a_hold_whose_request_raises_holds_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
-def test_pair_and_suite_make_one_series_reversion(preset, monkeypatch):
+def test_pair_and_suite_make_one_generator_pipeline(preset, monkeypatch):
     """generated_pair plus theorem_suite run the generator pipeline once,
     on the detection grid at order 6 (at order 8 while the suite read the
     images' full Frenet rows; three runs when construct_mate evaluated
     its node table and the suite's image rows asked for a second run on
     the grid)."""
-    calls = Counter()  # (order, number of points) -> series reversions
-    real = bertrand.invert_series
-
-    def counting(fwd):
-        calls[fwd.order, fwd.coeffs.shape[-1]] += 1
-        return real(fwd)
-
-    monkeypatch.setattr(bertrand, "invert_series", counting)
+    pipelines = count_pipelines(monkeypatch)
     theorem_suite(generated_pair(preset, n=64, grid=24))
-    assert calls == Counter({(6, 24): 1})
+    assert pipelines == [(6, 24)]
 
 
 def test_mate_node_table_waits_for_a_reader(tmp_path, monkeypatch):
@@ -1228,14 +1239,7 @@ def test_pair_functions_run_one_generator_pipeline_per_call(monkeypatch):
     generator pipeline once per call, at order 6 on their own grid, and
     read the mate from that run (one pipeline per curve before)."""
     pair = generated_pair("wobble", n=64, grid=24)
-    runs = []
-    real_invert = bertrand.invert_series
-
-    def invert(fwd):
-        runs.append((fwd.order, fwd.coeffs.shape[-1]))
-        return real_invert(fwd)
-
-    monkeypatch.setattr(bertrand, "invert_series", invert)
+    runs = count_pipelines(monkeypatch)
     ts = np.linspace(pair.ts[0], pair.ts[-1], 40)
     calls = [(lambda: pair_classify(pair.base, pair.mate, n=32), (6, 32)),
              (lambda: indicatrix_arclength_relations(pair, "base", n=64), (6, 65)),

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_pipelines
+
 from bertrand_kit import bertrand, cli, curves, errors
 from bertrand_kit.bertrand import construct_mate, generate_bertrand_curve, sphere_preset
 from bertrand_kit.classify import (
@@ -25,6 +27,7 @@ from bertrand_kit.indicatrix import AXES, apparatus_grid, image_rows
 from bertrand_kit.io import (
     CurveFileError,
     _rebuild_from_metadata,
+    curve_to_dict,
     dumps,
     load_curve,
     read_inputs,
@@ -927,6 +930,41 @@ def test_mate_whose_base_cannot_be_evaluated_loads_its_samples(tmp_path, capsys)
     assert rc == 0 and json.loads(out)["command"] == "frenet"
 
 
+def test_generated_files_below_schema_2_are_refused(small_pair, tmp_path, capsys):
+    """A generated base file or a mate file of a generated base below
+    schema 2, or with no schema, stored its t in the base's arc length,
+    which no rebuild matches: it raises CurveFileError, which names that
+    parameter and asks for a new file, and verify exits 2 with one error
+    line, where the samples alone would load as stencil-differentiated
+    samples.  Analytic files, plain sampled files and mates of analytic
+    bases still load at schema 1."""
+    old = []
+    for path in small_pair:
+        doc = json.loads(Path(path).read_text())
+        assert doc["schema_version"] == 2
+        for schema in (1, None):
+            doc["schema_version"] = schema
+            f = tmp_path / f"old-{len(old)}.json"
+            f.write_text(dumps({k: v for k, v in doc.items() if v is not None}))
+            with pytest.raises(CurveFileError, match="arc-length parameter.*regenerate"):
+                load_curve(str(f))
+            old.append(str(f))
+    for files in ([old[0], small_pair[1]], [small_pair[0], old[2]]):
+        rc, out, err = run(capsys, ["verify", *files, "--n", "24"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: schema 1 ") and err.count("\n") == 1
+    helix = AnalyticCurve("3*cos(t)", "3*sin(t)", "4*t", (0.0, 6.0), label="helix")
+    ts = np.linspace(0.0, 6.0, 32)
+    for curve, kind in ((helix, AnalyticCurve), (SampledCurve(ts, helix.jet(ts, 0).coeffs[0].T),
+                                                 SampledCurve),
+                        (construct_mate(helix, 0.5, n=64), JetBackedCurve)):
+        f = tmp_path / "schema1.json"
+        doc = curve_to_dict(curve)
+        doc["schema_version"] = 1
+        f.write_text(dumps(doc))
+        assert type(load_curve(str(f))) is kind
+
+
 @pytest.fixture(scope="module")
 def small_pair(tmp_path_factory):
     """Paths of a wobble base file and of its mate file, both at n = 64."""
@@ -937,33 +975,25 @@ def small_pair(tmp_path_factory):
     return base, mate
 
 
-def _count_generator_work(monkeypatch, runs=None):
-    """A Counter of generator builds, node walks (order-10 requests to an
-    analytic seed) and generator pipelines (one series reversion each);
-    ``runs``, if given, gets each pipeline's (order, columns) in call
-    order."""
+def _count_generator_work(monkeypatch):
+    """A Counter of generator builds and node walks (order-10 requests to
+    an analytic seed), and the list of the (order, columns) of each
+    generator pipeline in call order (``count_pipelines``)."""
     counts = Counter()
-    real_generate, real_invert = bertrand.generate_bertrand_curve, bertrand.invert_series
+    real_generate = bertrand.generate_bertrand_curve
     real_jet = AnalyticCurve.jet
 
     def generate(*args, **kwargs):
         counts["builds"] += 1
         return real_generate(*args, **kwargs)
 
-    def invert(fwd):
-        counts["pipelines"] += 1
-        if runs is not None:
-            runs.append((fwd.order, fwd.coeffs.shape[-1]))
-        return real_invert(fwd)
-
     def jet(self, t, order):
         counts["walks"] += order >= 10
         return real_jet(self, t, order)
 
     monkeypatch.setattr(bertrand, "generate_bertrand_curve", generate)
-    monkeypatch.setattr(bertrand, "invert_series", invert)
     monkeypatch.setattr(AnalyticCurve, "jet", jet)
-    return counts
+    return counts, count_pipelines(monkeypatch)
 
 
 # The generator keeps nothing between requests, so each request runs a
@@ -994,11 +1024,12 @@ def test_file_pair_builds_one_generator(small_pair, capsys, monkeypatch, argv, g
     build and one node walk, detection builds the mate's rows from its
     base's run, and a command that holds the base runs one pipeline over
     all its grids."""
-    counts = _count_generator_work(monkeypatch)
+    counts, pipelines = _count_generator_work(monkeypatch)
     rc, _, _ = run(capsys, [argv[0], *small_pair, *argv[1:]])
     assert rc == 0
     held = argv[0] in ("verify", "indicatrix")
-    assert counts == Counter(builds=1, walks=1, pipelines=1 if held else grids)
+    assert counts == Counter(builds=1, walks=1)
+    assert len(pipelines) == (1 if held else grids)
 
 
 # each preset at its default angle and at an angle with epsilon = +1
@@ -1037,8 +1068,7 @@ def test_suite_report_does_not_depend_on_the_detection_order(tmp_path, capsys, m
         assert (preset == "sampled") == (pair._images is None)
         reports.append(dumps({k: vars(e) for k, e in theorem_suite(pair).entries.items()}))
     assert reports[0] == reports[1]
-    runs = []
-    _count_generator_work(monkeypatch, runs)
+    _, runs = _count_generator_work(monkeypatch)
     rc, _, err = run(capsys, ["indicatrix", base, mate, "--kind", "t-mate", "--n", "64"])
     assert rc == 0, err
     assert runs == ([] if preset == "sampled" else [(8, 129)])
@@ -1060,10 +1090,11 @@ def pair_24(tmp_path_factory):
 # k + 2.  mate fits lambda on 64 points at order 4, reads its 25-node
 # table (order 0 of the mate, order 2 of the base) to save it and checks
 # the pair on 24 points at order 6; it holds the base over the union of
-# the three grids, 111 points (the fit's and the nodes' ends coincide),
-# at order 6, and runs that one pipeline; without the fit, over 49.  A
-# node grid above cli._HELD_NODES points runs at order 2 on its own, after
-# the held run: mate --n 256 holds its fit and check grids, 192 points,
+# the three grids, 109 points (the fit's 64 and the nodes' 25 share the
+# four points lo + j (hi - lo) / 3 of the seed's domain, bit for bit), at
+# order 6, and runs that one pipeline; without the fit, over 49.  A node
+# grid above cli._HELD_NODES points runs at order 2 on its own, after the
+# held run: mate --n 256 holds its fit and check grids, 192 points,
 # and reads its 257 nodes apart.  Each two-file command first checks the
 # loaded mate's 25 nodes the same way.  The detection of
 # verify, on its --n grid, asks for order 6: its suite reads the images'
@@ -1078,7 +1109,7 @@ def pair_24(tmp_path_factory):
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["mate", "--auto", "--n", "24"], [(6, 111)]),
+        (["mate", "--auto", "--n", "24"], [(6, 109)]),
         (["mate", "--lambda", "-1", "--n", "24"], [(6, 49)]),
         (["mate", "--auto", "--n", "256"], [(6, 192), (2, 257)]),
         (["verify", "--n", "24"], [(6, 49)]),
@@ -1100,8 +1131,7 @@ def test_generator_pipeline_orders_per_command(pair_24, tmp_path, capsys, monkey
         argv = [*argv[:1], base, *argv[1:], "--out", str(tmp_path / "mate.json")]
     else:
         argv = [*argv[:1], base, mate, *argv[1:]]
-    runs = []
-    _count_generator_work(monkeypatch, runs)
+    _, runs = _count_generator_work(monkeypatch)
     rc, _, err = run(capsys, argv)
     assert rc == 0, err
     assert runs == want
@@ -1153,12 +1183,12 @@ def test_holds_change_no_output_byte(held_pairs, tmp_path, capsys, monkeypatch, 
     monkeypatch.chdir(tmp_path)
 
     def outputs():
-        counts = _count_generator_work(monkeypatch)
+        _, pipelines = _count_generator_work(monkeypatch)
         rc, out, err = run(capsys, argv)
         files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
         for p in tmp_path.iterdir():
             p.unlink()
-        return (rc, out, err, files), counts["pipelines"]
+        return (rc, out, err, files), len(pipelines)
 
     held, held_runs = outputs()
     monkeypatch.setattr(curves, "held", _holds_nothing)
@@ -1294,7 +1324,7 @@ def test_metadata_n_that_contradicts_the_samples_builds_nothing(
     assert text.count('"n": 64') == 1
     f = tmp_path / f"{which}.json"
     f.write_text(text.replace('"n": 64', f'"n": {n}'))
-    counts = _count_generator_work(monkeypatch)
+    counts, pipelines = _count_generator_work(monkeypatch)
     real_mate = bertrand.construct_mate
 
     def mate(*args, **kwargs):
@@ -1303,7 +1333,7 @@ def test_metadata_n_that_contradicts_the_samples_builds_nothing(
 
     monkeypatch.setattr(bertrand, "construct_mate", mate)
     c = load_curve(str(f))
-    assert counts == Counter()
+    assert counts == Counter() and pipelines == []
     assert isinstance(c, SampledCurve)
     stored = json.loads(text)["sampled"]
     np.testing.assert_array_equal(c.params, stored["t"])
@@ -1351,7 +1381,7 @@ def test_mate_base_n_that_is_not_a_positive_integer_builds_nothing(
     assert text.count('"base_n": 64') == 1
     f = tmp_path / "mate.json"
     f.write_text(text.replace('"base_n": 64', f'"base_n": {base_n}'))
-    counts = _count_generator_work(monkeypatch)
+    counts, _ = _count_generator_work(monkeypatch)
     assert isinstance(load_curve(str(f)), SampledCurve)
     assert counts["builds"] == 0
     loaded, _ = read_inputs(base, str(f))
@@ -1466,7 +1496,7 @@ def test_mate_beside_its_base_keeps_the_stored_sample_checks(
         change = {"other a": {"a": 1.5}, "other omega": {"omega": 0.6 * math.pi},
                   "other n": {"n": 48}, "other seed": {"seed": "tilt"}}[case]
         base = _other_base(str(tmp_path / "base.json"), **change)
-    counts = _count_generator_work(monkeypatch)
+    counts, _ = _count_generator_work(monkeypatch)
     loaded, _ = read_inputs(base, mate)
     assert counts["builds"] == builds
     assert tuple(map(type, loaded)) == kinds

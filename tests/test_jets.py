@@ -20,10 +20,8 @@ from bertrand_kit.curves import AnalyticCurve, SampledCurve
 from bertrand_kit.errors import DomainError, OrderOverflowError, OutOfDomainError
 from bertrand_kit.jets import (
     Jet,
-    compose,
     evaluate_jet,
     evaluate_jets,
-    invert_series,
     jcross,
     jdot,
     jexp,
@@ -101,53 +99,8 @@ def test_product_rule_leibniz():
     assert np.allclose(prod.coeffs, ref.coeffs, rtol=1e-13)
 
 
-def test_compose_matches_direct():
-    inner = jet_of("t^2+1", 0.5, 6)
-    outer = jet_of("log(t)", inner.coeffs[0], 6)
-    comp = compose(outer, inner)
-    ref = jet_of("log(t^2+1)", 0.5, 6)
-    assert np.allclose(comp.coeffs, ref.coeffs, rtol=1e-12)
-
-
-def test_invert_series_round_trip():
-    fwd = jet_of("t+t^3", 0.4, 6)
-    inv = invert_series(fwd)
-    back = compose(inv, Jet(0.4, fwd.coeffs.copy()))
-    # f^{-1}(f(t)) = t near the base point
-    assert back.coeffs[0] == pytest.approx(0.4, abs=1e-12)
-    assert back.coeffs[1] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(back.coeffs[2:], 0.0, atol=1e-10)
-
-
 def _components(v):
     return [Jet(v.basepoint, v.coeffs[:, i]) for i in range(v.coeffs.shape[1])]
-
-
-def _compose_reference(outer, inner):
-    """Horner evaluation of one scalar outer series in jet arithmetic."""
-    n = min(outer.order, inner.order)
-    shifted = Jet(inner.basepoint, inner.coeffs[: n + 1].copy())
-    shifted.coeffs[0] = 0.0
-    acc = Jet.constant(outer.coeffs[n], inner.basepoint, n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * shifted + outer.coeffs[k]
-    return acc
-
-
-def _invert_reference(fwd):
-    """Newton's iteration on truncated series, s and s' composed apart."""
-    n = fwd.order
-    inv = np.zeros_like(fwd.coeffs)
-    inv[0] = fwd.basepoint
-    inv[1] = 1.0 / fwd.coeffs[1]
-    u = Jet(fwd.coeffs[0], inv)
-    ident = Jet.variable(fwd.coeffs[0], n)
-    dfwd = Jet(fwd.basepoint, np.concatenate((fwd.deriv().coeffs, np.zeros_like(fwd.coeffs[:1]))))
-    order_reached = 1
-    while order_reached < max(n, jets.DEFAULT_MAX_ORDER):
-        u = u - (_compose_reference(fwd, u) - ident) / _compose_reference(dfwd, u)
-        order_reached *= 2
-    return u
 
 
 def _assert_same_bits(got, want):
@@ -156,31 +109,11 @@ def _assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("n", [1, 24])
-def test_invert_series_of_a_truncation_has_the_bits_of_the_order_8_inversion(n):
-    """Every order up to 8 takes the same Newton steps, so the inversion
-    of an order-k truncation is the order-8 inversion cut to order k, bit
-    for bit, for k = 1..8."""
-    rng = np.random.default_rng(n)
-    t0 = rng.uniform(-1.0, 1.0, n)
-    coeffs = rng.normal(size=(9, n))
-    coeffs[1] = rng.uniform(0.5, 2.0, n)
-    fwd = Jet(t0, coeffs)
-    high = invert_series(fwd)
-    for k in range(1, 9):
-        low = invert_series(fwd.truncate(k))
-        assert low.order == k
-        _assert_same_bits(low.coeffs, high.truncate(k).coeffs)
-        _assert_same_bits(low.basepoint, high.basepoint)
-
-
 @pytest.mark.parametrize("order", [6, 8, 10])
 @pytest.mark.parametrize("n", [1, 24, 256])
 def test_vector_jet_operations_match_the_component_formulas(order, n):
-    """Cross, dot, scaling and quotient by a scalar jet, the composition of
-    a stacked outer series with one inner series, and series inversion
-    give, bit for bit, what the scalar jet formulas give component by
-    component."""
+    """Cross, dot, and scaling and quotient by a scalar jet give, bit for
+    bit, what the scalar jet formulas give component by component."""
     rng = np.random.default_rng(order * 100 + n)
     t0 = rng.uniform(-1.0, 1.0, n)
     a = Jet(t0, rng.normal(size=(order + 1, 3, n)))
@@ -198,56 +131,7 @@ def test_vector_jet_operations_match_the_component_formulas(order, n):
     _assert_same_bits((a / s).coeffs, jstack([c / s for c in A]).coeffs)
     _assert_same_bits((s * a).coeffs, jstack([s * c for c in A]).coeffs)
     _assert_same_bits((a * s).coeffs, jstack([c * s for c in A]).coeffs)
-
-    # the inner series starts where the outer ones are centred
-    inner = Jet(rng.uniform(-1.0, 1.0, n), rng.normal(size=(order + 1, n)))
-    inner.coeffs[0] = t0
-    _assert_same_bits(compose(a, inner).coeffs,
-                      jstack([_compose_reference(c, inner) for c in A]).coeffs)
-    fwd = Jet(t0, s.coeffs.copy())
-    fwd.coeffs[1] = rng.uniform(0.5, 2.0, n)
-    _assert_same_bits(invert_series(fwd).coeffs, _invert_reference(fwd).coeffs)
     assert [c.coeffs.tolist() for c in a] == [c.coeffs.tolist() for c in A]
-
-
-@pytest.mark.parametrize("order", [6, 8, 10])
-@pytest.mark.parametrize("n", [1, 24, 256])
-def test_compose_of_an_outer_series_with_a_zero_top_coefficient_matches_the_reference(order, n):
-    """The stacked (s, s') outer series of ``invert_series``, whose s'
-    column ends in an exact 0, composes with the bits of each component
-    composed alone in jet arithmetic at full length."""
-    rng = np.random.default_rng(order * 1000 + n)
-    fwd = Jet(rng.uniform(-1.0, 1.0, n), rng.normal(size=(order + 1, n)))
-    fwd.coeffs[1] = rng.uniform(0.5, 2.0, n)
-    dfwd = Jet(fwd.basepoint, np.concatenate((fwd.deriv().coeffs, np.zeros_like(fwd.coeffs[:1]))))
-    assert not dfwd.coeffs[-1].any()
-    inner = Jet(fwd.coeffs[0], rng.normal(size=(order + 1, n)))
-    inner.coeffs[0] = fwd.basepoint
-    both = Jet(fwd.basepoint, np.stack((fwd.coeffs, dfwd.coeffs), axis=1))
-    want = jstack([_compose_reference(fwd, inner), _compose_reference(dfwd, inner)])
-    _assert_same_bits(compose(both, inner).coeffs, want.coeffs)
-    _assert_same_bits(compose(dfwd, inner).coeffs, _compose_reference(dfwd, inner).coeffs)
-
-
-@pytest.mark.parametrize("order", [6, 8])
-def test_compose_cuts_each_horner_step_to_the_order_it_reaches(order, monkeypatch):
-    """Horner step k of an order-n composition is one Cauchy product of
-    length n-k+1: operands of lengths 2, 3, ..., n+1, one pair per step."""
-    lengths = []
-    cauchy = jets._cauchy
-
-    def counting(a, b):
-        lengths.append((len(a), len(b)))
-        return cauchy(a, b)
-
-    monkeypatch.setattr(jets, "_cauchy", counting)
-    rng = np.random.default_rng(order)
-    t0 = rng.uniform(-1.0, 1.0, 24)
-    outer = Jet(t0, rng.normal(size=(order + 1, 2, 24)))
-    inner = Jet(t0, rng.normal(size=(order + 1, 24)))
-    inner.coeffs[0] = t0
-    compose(outer, inner)
-    assert lengths == [(m, m) for m in range(2, order + 2)]
 
 
 def test_domain_errors():
@@ -260,14 +144,9 @@ def test_domain_errors():
 
 
 def test_jet_errors_of_public_inputs():
-    """The derivative of an order-0 jet, the inverse of a series whose
-    derivative vanishes, and a negative order each raise."""
+    """The derivative of an order-0 jet and a negative order each raise."""
     with pytest.raises(OrderOverflowError):
         Jet.variable(0.5, 0).deriv()
-    with pytest.raises(DomainError, match="vanishing derivative"):
-        invert_series(Jet(0.0, np.array([1.0, 0.0, 1.0])))
-    with pytest.raises(DomainError, match="vanishing derivative"):
-        invert_series(Jet(np.zeros(2), np.array([[1.0, 1.0], [2.0, 0.0]])))
     with pytest.raises(ValueError, match="^order must be >= 0$"):
         evaluate_jet(ex.parse_expression("sin(t)"), 0.3, -1)
 
