@@ -648,11 +648,28 @@ def _seed_points_of_a_pair(n):
 
 
 def test_generator_builds_each_node_series_once():
-    """The generator's walk asks the seed for one order-10 jet per step,
-    at the n walk midpoints, and the sphere checks at the two end nodes;
-    every later request of the base asks the seed for its own order, so
-    the evaluations of the base, its mate, detection and the suite add no
-    order-10 request."""
+    """The generator asks the seed for one jet, of order 10, at the n walk
+    midpoints and the two end nodes the sphere checks read: the series of
+    every walk step come from that one batch."""
+    n = 64
+    seed = sphere_preset("wobble")
+    real_jet = seed.jet
+    requests = Counter()  # (order, number of points) -> seed requests
+
+    def counting_jet(t, order):
+        requests[order, np.size(t)] += 1
+        return real_jet(t, order)
+
+    seed.jet = counting_jet
+    generate_bertrand_curve(seed, a=1.0, omega=DEFAULT_OMEGA["wobble"], n=n)
+    assert requests == Counter({(10, n + 2): 1})
+
+
+def test_generator_newton_reads_the_walk_series():
+    """A jet request of the generated base takes its position from the
+    walk's series and asks the seed for its own order only: through the
+    base, its mate, detection and the suite, the seed gets order-10
+    requests at the n walk midpoints and the two end nodes, only."""
     n = 64
     points = _seed_points_of_a_pair(n)
     assert sum(c for order, c in points.items() if order >= 10) == n + 2
