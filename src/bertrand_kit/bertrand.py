@@ -95,9 +95,7 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
     evaluates nothing, and an evaluation error surfaces at that read.
     Its metadata records lambda, n and the base's ``curves._base_block``;
     a mate with a block records ``(base, lam)``, and ``_pair_columns``
-    then reads the pair from one run of that base.  The nodes are
-    ``_grid(base, n + 1)``, and the node table asks the base for order 2
-    there, so a ``curves.held`` base may serve it.  Sampled bases yield a
+    then reads the pair from one run of that base.  Sampled bases yield a
     sampled mate via the stencil path, at the regular grid points of the
     base.  A non-finite lambda or an n below 1 raises ParameterError
     before any evaluation.
@@ -106,7 +104,7 @@ def construct_mate(base: Curve, lam: float, n: int = 2048) -> Curve:
         raise ParameterError(f"lambda must be finite, got {lam}")
     if n < 1:
         raise ParameterError(f"a mate needs n >= 1, got {n}")
-    ts = _grid(base, n + 1)
+    ts = np.linspace(*base.domain, n + 1)
     label = f"{base.label or 'curve'}+{lam}*N"
 
     if isinstance(base, SampledCurve):
@@ -196,19 +194,6 @@ class BertrandPairModel:
         return _image_frames(c.jet(ts, _FRENET_ORDER + 2) for c in (self.base, self.mate))
 
 
-def _grid(curve: Curve, k: int):
-    """k evenly spaced parameter values over the curve's domain, both ends
-    included: a mate's nodes and ``linear_relation_fit``'s samples."""
-    return np.linspace(*curve.domain, k)
-
-
-def _pair_order(images: bool) -> int:
-    """The order of the one request ``_pair_columns`` makes of a base on
-    its shared path: 6, whose mate frame reaches order 2, or 8 with
-    ``images``, whose mate frame reaches order 4."""
-    return _FRENET_ORDER + (4 if images else 2)
-
-
 def _overlap_grid(base: Curve, mate: Curve, n: int, inset: float = 1e-6):
     lo = max(base.domain[0], mate.domain[0])
     hi = min(base.domain[1], mate.domain[1])
@@ -252,14 +237,15 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     mate's position jet at the base's regular points gives the mate's.
     A mate that ``construct_mate`` built on this very base (its
     ``_offset_of``) is asked for nothing: its jet is P + lam N with the N
-    of the base's pass, and P is of order ``_pair_order(images)``, with
-    the same bits in the rows and in the frames' low orders.  Any other
-    pair asks each curve at ``_FRENET_ORDER``, as a stencil's width and a
-    normal offset's bits depend on the order asked.  Neither curve's node
-    table is read here.
+    of the base's pass, and P is of order ``_FRENET_ORDER + 2``, whose
+    mate frame reaches order 2, or ``_FRENET_ORDER + 4`` with ``images``,
+    whose mate frame reaches order 4, with the same bits in the rows and
+    in the frames' low orders.  Any other pair asks each curve at
+    ``_FRENET_ORDER``, as a stencil's width and a normal offset's bits
+    depend on the order asked.  Neither curve's node table is read here.
     """
     shared = mate._offset_of is not None and mate._offset_of[0] is base
-    P = base.jet(ts, _pair_order(images) if shared else _FRENET_ORDER)
+    P = base.jet(ts, _FRENET_ORDER + (4 if images else 2) if shared else _FRENET_ORDER)
     base_rows, ok, errors, core = _columns(P, ts)
     if shared:
         frame = _frame(*core)
@@ -366,12 +352,10 @@ def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:
 
 
 def linear_relation_fit(curve: Curve, n: int = 64):
-    """Least-squares (a, b) with a*kappa + b*tau = 1 over the n samples
-    ``_grid(curve, n)``, from one order-4 request of the curve there,
-    which a ``curves.held`` curve may serve."""
+    """Least-squares (a, b) with a*kappa + b*tau = 1 over n samples."""
     if n < 8:
         raise ValueError("n must be >= 8")
-    rows, _, _ = _frenet_columns(curve, _grid(curve, n))
+    rows, _, _ = _frenet_columns(curve, np.linspace(*curve.domain, n))
     A = np.stack([rows.kappa, rows.tau], axis=1)
     if len(A) < 8:
         raise IllConditionedError("too few regular samples")

@@ -12,16 +12,11 @@ import argparse
 import functools
 import math
 import sys
-from contextlib import ExitStack
 from dataclasses import asdict
 
 import numpy as np
 
-from . import curves
 from .bertrand import (
-    _grid,
-    _overlap_grid,
-    _pair_order,
     construct_mate,
     detect_bertrand,
     generate_bertrand_curve,
@@ -80,16 +75,6 @@ EXIT_DEGENERATE_RATIO = 5
 EXIT_NOT_A_PAIR = 6
 EXIT_IDENTITY = 7
 EXIT_DEGENERATE_SPHERE = 8
-
-# file-loaded curves are usually sampled: the detection grid of a file
-# pair stays this fraction of its overlap clear of the one-sided end
-# stencils
-_FILE_INSET = 0.01
-# the widest mate node grid a hold takes in: the node table reads order
-# 2, and at the held order 6 or 8 each node costs more, so that past
-# about 200-250 nodes (a generated base's order-6 run over a mate's check
-# and fit grids) a run of its own at order 2 costs less than the widening
-_HELD_NODES = 193
 
 # the exit code and stderr hint of each error type a command may raise;
 # the first type that matches wins
@@ -198,84 +183,57 @@ def cmd_mate(args) -> int:
         inputs=inputs,
         parameters={"n": args.n},
     )
-    check_n, fit_n = min(args.n, 128), 64
-    # one run of the base for the fit, the pair check and a narrow node
-    # table
-    grids = [_file_grid(base, check_n), *([_grid(base, fit_n)] if args.auto else [])]
-    with _hold(base, _grid(base, args.n + 1), grids, _pair_order(False)):
-        if args.auto:
-            # fit lam*kappa + mu*tau = 1: robust on sampled curves where the
-            # derivative ratios are stencil-limited
-            try:
-                lam, mu, resid = linear_relation_fit(base, n=fit_n)
-            except IllConditionedError as e:
-                raise DegenerateRatioError(
-                    f"automatic lambda unavailable: {e} (helical input?)"
-                )
-            if resid > 1e-3:
-                raise DegenerateRatioError(
-                    "curvature and torsion admit no constant affine relation; "
-                    f"rms residual {resid:.3e}"
-                )
-            report.parameters["lambda_mode"] = "auto"
-            report.parameters["mu"] = mu
-            report.parameters["fit_residual"] = resid
-        else:
-            lam = args.lam
-            report.parameters["lambda_mode"] = "explicit"
-        report.parameters["lambda"] = lam
-
-        mate = construct_mate(base, lam, n=args.n)
-        out = args.out or "mate.json"
-        save_curve(mate, out)
-        report.results["mate_file"] = out
+    if args.auto:
+        # fit lam*kappa + mu*tau = 1: robust on sampled curves where the
+        # derivative ratios are stencil-limited
         try:
-            # no suite follows: the pair's image jets are not read
-            pair = _detect_from_files(base, mate, check_n, images=False)
-            report.results.update({"lambda": pair.lam, "epsilon": pair.epsilon})
-            for name in ("p1", "p2", "q1", "q2"):
-                stat = getattr(pair, name)
-                report.results.update({name: stat.mean, f"{name}_deviation": stat.max_deviation})
-        except (NotAPairError, TooFewSamplesError) as e:
-            report.results["pair_check"] = f"failed: {e}"
+            lam, mu, resid = linear_relation_fit(base, n=64)
+        except IllConditionedError as e:
+            raise DegenerateRatioError(
+                f"automatic lambda unavailable: {e} (helical input?)"
+            )
+        if resid > 1e-3:
+            raise DegenerateRatioError(
+                "curvature and torsion admit no constant affine relation; "
+                f"rms residual {resid:.3e}"
+            )
+        report.parameters["lambda_mode"] = "auto"
+        report.parameters["mu"] = mu
+        report.parameters["fit_residual"] = resid
+    else:
+        lam = args.lam
+        report.parameters["lambda_mode"] = "explicit"
+    report.parameters["lambda"] = lam
+
+    mate = construct_mate(base, lam, n=args.n)
+    out = args.out or "mate.json"
+    save_curve(mate, out)
+    report.results["mate_file"] = out
+    try:
+        # no suite follows: the pair's image jets are not read
+        pair = _detect_from_files(base, mate, min(args.n, 128), images=False)
+        report.results.update({"lambda": pair.lam, "epsilon": pair.epsilon})
+        for name in ("p1", "p2", "q1", "q2"):
+            stat = getattr(pair, name)
+            report.results.update({name: stat.mean, f"{name}_deviation": stat.max_deviation})
+    except (NotAPairError, TooFewSamplesError) as e:
+        report.results["pair_check"] = f"failed: {e}"
     _emit(report)
     return EXIT_OK
 
 
-def _file_grid(base, n):
-    """The detection grid of a file pair on n points, for a mate that
-    shares the base's domain, as a mate built on the base does: the
-    overlap kept ``_FILE_INSET`` clear of the one-sided end stencils."""
-    return _overlap_grid(base, base, n, _FILE_INSET)
-
-
 def _detect_from_files(base, mate, n, images):
     # file-loaded curves are usually sampled: allow stencil-level noise
-    # in the alignment checks
+    # in the alignment checks and stay clear of the one-sided end stencils
     return detect_bertrand(base, mate, n=n, tol_align=1e-4, tol_const=1e-4,
-                           inset=_FILE_INSET, images=images)
-
-
-def _hold(base, nodes, grids, order):
-    """``curves.held`` of ``base`` at ``order`` over ``grids`` and, up to
-    ``_HELD_NODES`` points, the mate's node grid ``nodes``, which its node
-    table reads at order 2."""
-    return curves.held(base, [*grids, *([nodes] if len(nodes) <= _HELD_NODES else [])], order)
+                           inset=0.01, images=images)
 
 
 def _load_pair(args, n, images):
     """The detected pair of the base and mate files on n points, and the
-    report's ``inputs``.  A mate file rebuilt on the loaded base finds
-    the base held (``_hold``) over its nodes and the detection grid, at
-    the order detection asks (``_pair_order``), until detection is done:
-    one run of a generated base serves the rebuild check and detection."""
-    with ExitStack() as scope:
-        def hold(base, mate):
-            grids = [_file_grid(base, n)]
-            scope.enter_context(_hold(base, mate.params, grids, _pair_order(images)))
-
-        (base, mate), inputs = read_inputs(args.base, args.mate, hold)
-        return _detect_from_files(base, mate, n, images), inputs
+    report's ``inputs``."""
+    (base, mate), inputs = read_inputs(args.base, args.mate)
+    return _detect_from_files(base, mate, n, images), inputs
 
 
 def cmd_indicatrix(args) -> int:

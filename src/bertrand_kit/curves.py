@@ -17,7 +17,6 @@ explicit chain-rule conversion to arc-length derivatives.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
@@ -72,10 +71,7 @@ class Curve:
     ``order`` below 0 raise one ValueError before the domain is checked;
     each kind supplies only ``_jets(ts, order)`` on a 1-D float64 grid.
     ``point`` is the order-0 constant term, except ``AnalyticCurve.point``
-    at a float, which runs the compiled value function.  Inside a
-    ``held`` scope, a request whose every t is on the held grid, at an
-    order up to the held one, is served from the held jet; every other
-    request runs ``_jets``.
+    at a float, which runs the compiled value function.
     """
 
     label: str
@@ -102,11 +98,9 @@ class Curve:
             raise OutOfDomainError(
                 f"t={_first(~inside, ts)} outside [{lo}, {hi}] of curve {self.label!r}"
             )
-        grid = ts if ts.ndim else ts.reshape(1)
-        P = _held_columns(getattr(self, "_held", None), grid, order)
-        if P is None:
-            P = self._jets(grid, order)
-        return P if ts.ndim else P.column(0)
+        if ts.ndim:
+            return self._jets(ts, order)
+        return self._jets(ts.reshape(1), order).column(0)
 
     def point(self, t):
         return self.jet(t, 0).coeffs[0]
@@ -286,9 +280,7 @@ class JetBackedCurve(Curve):
 def _base_block(base):
     """The base keys a mate file records: an analytic base's expressions
     and domain, a generated base's seed, a, omega and n, else None.  A
-    base loaded as samples has no block, whatever metadata it keeps.
-    The curves with a block are those whose order-8 jets truncate to the
-    bits of every lower request, column by column."""
+    base loaded as samples has no block, whatever metadata it keeps."""
     if isinstance(base, AnalyticCurve):
         return {"base_generator": "analytic",
                 **{f"base_{c}": ex.to_text(getattr(base, c)) for c in "xyz"},
@@ -298,54 +290,6 @@ def _base_block(base):
         return None
     return {"base_generator": "bertrand", **{k: meta.get(k) for k in ("a", "omega", "seed_label")},
             "base_n": meta.get("n")}
-
-
-# ---------------------------------------------------------------------------
-# held jets
-
-
-@contextmanager
-def held(curve, grids, order):
-    """One ``curve.jet`` request of order ``order`` over the sorted union
-    of ``grids``, which the curve's requests read for the ``with`` block.
-
-    Inside the block a request whose every t is bit for bit on the held
-    grid, at an order up to ``order``, gets its columns of the held jet,
-    taken (a copy the caller may write) and cut to its order.  Truncated
-    Taylor arithmetic gives coefficient k of every operation from
-    coefficients <= k alone, and each column is computed alone, so these
-    are the bits of the request's own run.  Every other request runs as
-    it does outside.  Only a curve with a ``_base_block`` is held: a
-    ``SampledCurve``'s stencil width depends on the order asked.  A hold
-    whose request raises holds nothing, so the error surfaces at the
-    request that meets it, as it does outside.  On exit the curve holds
-    nothing.
-    """
-    P = None
-    if _base_block(curve) is not None:
-        ts = np.unique(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
-        try:
-            P = curve.jet(ts, order)
-        except Exception:
-            pass  # the request in the block that meets the error raises it
-    curve._held = P
-    try:
-        yield
-    finally:
-        curve._held = None
-
-
-def _held_columns(P, ts, order):
-    """The columns ``ts`` of the held jet P cut to ``order``, or None
-    unless P holds every t of ``ts``, bit for bit, at ``order`` or
-    above."""
-    if P is None or order > P.order:
-        return None
-    grid = P.basepoint
-    i = np.minimum(np.searchsorted(grid, ts), len(grid) - 1)
-    if not np.array_equal(grid[i].view(np.int64), ts.view(np.int64)):
-        return None
-    return P.take(i).truncate(order)
 
 
 # ---------------------------------------------------------------------------

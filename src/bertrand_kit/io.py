@@ -92,7 +92,7 @@ def curve_to_dict(curve: Curve) -> dict:
     return d
 
 
-def _rebuild_from_metadata(meta, nodes, loaded_base=None, hold=None):
+def _rebuild_from_metadata(meta, nodes, loaded_base=None):
     """Exact jet-backed curve from a recorded recipe, or None.
 
     Sampled files written by the generator, and mates that record their
@@ -101,12 +101,10 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None, hold=None):
     differentiation instead of falling back to finite-difference
     stencils.  A mate whose block, coerced as for a rebuild, is
     ``_base_block(loaded_base)`` is rebuilt on that curve, so the pair
-    shares one base, and ``hold(base, mate)``, if given, is called before
-    the mate's node table is read.  A recipe that cannot be rebuilt or
-    evaluated at its nodes, whose ``n`` is not ``nodes`` (the stored
-    sample count less one), or whose ``base_n`` is not a positive integer
-    gives None.  The caller checks the rebuilt nodes against the stored
-    samples.
+    shares one base.  A recipe that cannot be rebuilt or evaluated at its
+    nodes, whose ``n`` is not ``nodes`` (the stored sample count less
+    one), or whose ``base_n`` is not a positive integer gives None.  The
+    caller checks the rebuilt nodes against the stored samples.
     """
     if not isinstance(meta, dict) or meta.get("n") != nodes:
         return None
@@ -140,8 +138,6 @@ def _rebuild_from_metadata(meta, nodes, loaded_base=None, hold=None):
             base = AnalyticCurve(recorded["base_x"], recorded["base_y"], recorded["base_z"],
                                  (recorded["base_lo"], recorded["base_hi"]))
         mate = bt.construct_mate(base, float(meta["lambda"]), n=nodes)
-        if hold is not None and base is loaded_base:
-            hold(base, mate)
         # the node table is computed at its first read: read it here,
         # where an evaluation error means no rebuild
         mate.points
@@ -161,7 +157,7 @@ def curve_from_dict(d: dict) -> Curve:
     return _curve_from_dict(d, None)
 
 
-def _curve_from_dict(d, loaded_base, hold=None) -> Curve:
+def _curve_from_dict(d, loaded_base) -> Curve:
     if not isinstance(d, dict) or "type" not in d:
         raise CurveFileError("curve file must be an object with a 'type' field")
     label = d.get("label", "")
@@ -189,7 +185,7 @@ def _curve_from_dict(d, loaded_base, hold=None) -> Curve:
         if pts.ndim != 2 or pts.shape != (len(t), 3):
             raise CurveFileError("sampled arrays must be t:(n,), points:(n,3)")
         _refuse_arc_length_file(d)
-        rebuilt = _rebuild_from_metadata(d.get("metadata"), len(t) - 1, loaded_base, hold)
+        rebuilt = _rebuild_from_metadata(d.get("metadata"), len(t) - 1, loaded_base)
         # metadata never overrides the stored samples it disagrees with
         if (
             rebuilt is not None
@@ -262,19 +258,16 @@ def load_curve(path: str) -> Curve:
     return curve_from_dict(_read_json(path)[1])
 
 
-def read_inputs(path: str, mate_path: str = None, hold=None):
+def read_inputs(path: str, mate_path: str = None):
     """The curves of a command's input files and its report's ``inputs``,
     each file read once: the curve of ``path``, then, if ``mate_path`` is
     given, that file's curve loaded beside it; and {path: sha256 hex
     digest of the bytes parsed}.  A mate that records the loaded base's
-    recipe is rebuilt on that base curve (``_rebuild_from_metadata``), and
-    ``hold``, if given, is called as ``hold(base, mate)`` before the
-    rebuilt mate's node table is read: a caller may hold the base there
-    (``curves.held``), over the nodes and the grids it will ask next."""
+    recipe is rebuilt on that base curve (``_rebuild_from_metadata``)."""
     curves, inputs = [], {}
     for p in (path,) if mate_path is None else (path, mate_path):
         data, doc = _read_json(p)
-        curves.append(_curve_from_dict(doc, curves[0] if curves else None, hold))
+        curves.append(_curve_from_dict(doc, curves[0] if curves else None))
         inputs[p] = hashlib.sha256(data).hexdigest()
     return curves, inputs
 

@@ -786,92 +786,6 @@ def test_order_8_jets_truncate_to_the_bits_of_lower_requests(curve):
         assert_same_bits_array(high.basepoint, want.basepoint)
 
 
-def _held_case(name):
-    """A curve ``curves.held`` serves, the analytic cubic or a preset's
-    generated base, and three grids over its domain: a mate's 25 nodes, a
-    24-point detection grid inset by 0.01 and a 64-point fit grid."""
-    base = (AnalyticCurve("t", "t^2", "t^3", (0.5, 1.5), label="cubic") if name == "analytic"
-            else _generated(name))
-    lo, hi = base.domain
-    pad = 0.01 * (hi - lo)
-    return base, [np.linspace(lo, hi, 25), np.linspace(lo + pad, hi - pad, 24),
-                  np.linspace(lo, hi, 64)]
-
-
-def _count_base_runs(base, monkeypatch):
-    """A Counter of the base's own runs (``_jets`` calls), and the list of
-    the generator pipelines (``count_pipelines``)."""
-    counts = Counter()
-    real_jets = base._jets
-
-    def jets_(ts, order):
-        counts["runs"] += 1
-        return real_jets(ts, order)
-
-    monkeypatch.setattr(base, "_jets", jets_)
-    return counts, count_pipelines(monkeypatch)
-
-
-@pytest.mark.parametrize("name", ["analytic", "wobble", "tilt", "bean", "slant"])
-def test_held_jets_have_the_bits_of_fresh_requests(name, monkeypatch):
-    """Inside ``curves.held(base, grids, 6)`` every request on one of the
-    grids, or on any part of their union in any order, and at a float of
-    it, at every order up to 6, is served from the one held run with the
-    bits of a fresh request, as is every jet of a normal-offset mate built
-    on the base up to order 4; a served jet is the caller's copy.  A t
-    off the grids (one ulp off) and an order above 6 run the base afresh,
-    and after the block every request does."""
-    base, grids = _held_case(name)
-    mate = construct_mate(base, 0.3, n=24)
-    union = np.unique(np.concatenate(grids))
-    parts = [union, *grids, union[::-1], union[[5, 0, 17, 5]], float(union[3])]
-    want = {(i, k): base.jet(ts, k) for i, ts in enumerate(parts) for k in range(7)}
-    want_mate = {(i, k): mate.jet(ts, k) for i, ts in enumerate(parts) for k in range(5)}
-    counts, pipelines = _count_base_runs(base, monkeypatch)
-    generated = name != "analytic"
-    with curves.held(base, grids, 6):
-        assert (counts["runs"], len(pipelines)) == (1, generated)
-        for i, ts in enumerate(parts):
-            for k in range(7):
-                got = base.jet(ts, k)
-                assert_same_bits_array(got.coeffs, want[i, k].coeffs)
-                assert_same_bits_array(got.basepoint, want[i, k].basepoint)
-            for k in range(5):
-                assert_same_bits_array(mate.jet(ts, k).coeffs, want_mate[i, k].coeffs)
-        base.jet(union, 6).coeffs[:] = 0.0
-        assert_same_bits_array(base.jet(union, 6).coeffs, want[0, 6].coeffs)
-        assert counts["runs"] == 1
-        base.jet(np.nextafter(grids[1], np.inf), 2)
-        base.jet(grids[0], 7)
-        assert (counts["runs"], len(pipelines)) == (3, 3 * generated)
-    assert base._held is None
-    base.jet(grids[0], 2)
-    assert counts["runs"] == 4
-
-
-def test_a_hold_whose_request_raises_holds_nothing(monkeypatch):
-    """A hold whose one request raises holds nothing: each request in the
-    block runs, and raises, as it does outside; a sampled curve, whose
-    stencil depends on the order asked, is never held."""
-    curve = AnalyticCurve("log(t)", "t", "t", (-1.0, 1.0))
-    inside, across = np.linspace(0.5, 1.0, 8), np.linspace(-1.0, 1.0, 9)
-    want = curve.jet(inside, 2)
-    with pytest.raises(Exception) as outside:
-        curve.jet(across, 2)
-    counts, _ = _count_base_runs(curve, monkeypatch)
-    with curves.held(curve, [inside, across], 4):
-        assert curve._held is None
-        assert_same_bits_array(curve.jet(inside, 2).coeffs, want.coeffs)
-        with pytest.raises(type(outside.value)) as held_error:
-            curve.jet(across, 2)
-        assert str(held_error.value) == str(outside.value)
-    assert counts["runs"] == 3
-    base, grids = _held_case("wobble")
-    samples = SampledCurve(base.params, base.points)
-    with curves.held(samples, grids, 6):
-        assert samples._held is None
-
-
 @pytest.mark.parametrize("preset", ["wobble", "tilt", "bean", "slant"])
 def test_pair_and_suite_make_one_generator_pipeline(preset, monkeypatch):
     """generated_pair plus theorem_suite run the generator pipeline once,

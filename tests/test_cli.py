@@ -5,7 +5,6 @@ import hashlib
 import json
 import math
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 
 from conftest import count_pipelines
 
-from bertrand_kit import bertrand, cli, curves, errors
+from bertrand_kit import bertrand, cli, errors
 from bertrand_kit.bertrand import construct_mate, generate_bertrand_curve, sphere_preset
 from bertrand_kit.classify import (
     _KEYLESS_ENTRIES,
@@ -997,16 +996,14 @@ def _count_generator_work(monkeypatch):
 
 
 # The generator keeps nothing between requests, so each request runs a
-# pipeline of its own, unless the command holds the base (curves.held).
-# Every command reads the mate's nodes (the rebuild check) and a detection
-# grid: ``grids`` counts the grids a command asks the base for.  verify
-# and indicatrix hold the base over their two, at the order the image
-# poses or rows read, and run one pipeline; an indicatrix reads its data
-# rows, image rows and arc-length law from that one run.  classify holds
-# nothing and runs one pipeline per grid: the mate's nodes, its grid,
-# whose mate rows are read from the base's run, and with the arc-length
-# alignment one per curve for its rows and one for the second curve's
-# speeds (the first curve's speeds are read from its rows' run).
+# pipeline of its own: ``grids`` counts the grids a command asks the base
+# for.  Every command reads the mate's nodes (the rebuild check) and a
+# detection grid.  verify and indicatrix ask for the detection grid at the
+# order the image poses or rows read; an indicatrix reads its data rows,
+# image rows and arc-length law from that one run.  classify's grid gives
+# the mate rows from the base's run, and the arc-length alignment runs one
+# pipeline per curve for its rows and one for the second curve's speeds
+# (the first curve's speeds are read from its rows' run).
 @pytest.mark.parametrize(
     "argv, grids",
     [
@@ -1022,14 +1019,12 @@ def test_file_pair_builds_one_generator(small_pair, capsys, monkeypatch, argv, g
     """A mate file loaded beside the base file whose recipe it records is
     rebuilt on that base curve: each two-file command makes one generator
     build and one node walk, detection builds the mate's rows from its
-    base's run, and a command that holds the base runs one pipeline over
-    all its grids."""
+    base's run, and each grid runs one pipeline."""
     counts, pipelines = _count_generator_work(monkeypatch)
     rc, _, _ = run(capsys, [argv[0], *small_pair, *argv[1:]])
     assert rc == 0
-    held = argv[0] in ("verify", "indicatrix")
     assert counts == Counter(builds=1, walks=1)
-    assert len(pipelines) == (1 if held else grids)
+    assert len(pipelines) == grids
 
 
 # each preset at its default angle and at an angle with epsilon = +1
@@ -1049,7 +1044,7 @@ def test_suite_report_does_not_depend_on_the_detection_order(tmp_path, capsys, m
     each preset at its default angle and at one with epsilon = +1, loaded
     from files as verify loads them, and on a pair loaded as samples.
     indicatrix still makes exactly one order-8 run of a generated base,
-    over the union of the mate file's 65 nodes and its --n grid."""
+    on its --n grid, after the mate file's node check."""
     base, mate = str(tmp_path / "base.json"), str(tmp_path / "mate.json")
     argv = ["generate", "--sphere-curve", "wobble" if preset == "sampled" else preset,
             "--n", "64", "--out", base]
@@ -1071,7 +1066,7 @@ def test_suite_report_does_not_depend_on_the_detection_order(tmp_path, capsys, m
     _, runs = _count_generator_work(monkeypatch)
     rc, _, err = run(capsys, ["indicatrix", base, mate, "--kind", "t-mate", "--n", "64"])
     assert rc == 0, err
-    assert runs == ([] if preset == "sampled" else [(8, 129)])
+    assert runs == ([] if preset == "sampled" else [(2, 65), (8, 64)])
 
 
 @pytest.fixture(scope="module")
@@ -1087,35 +1082,27 @@ def pair_24(tmp_path_factory):
 # The (order, columns) of each generator pipeline a command runs on a pair
 # generated at n = 24, in call order; the generator runs each request at
 # the order it asks, and a mate's order-k request asks its base for order
-# k + 2.  mate fits lambda on 64 points at order 4, reads its 25-node
-# table (order 0 of the mate, order 2 of the base) to save it and checks
-# the pair on 24 points at order 6; it holds the base over the union of
-# the three grids, 109 points (the fit's 64 and the nodes' 25 share the
-# four points lo + j (hi - lo) / 3 of the seed's domain, bit for bit), at
-# order 6, and runs that one pipeline; without the fit, over 49.  A node
-# grid above cli._HELD_NODES points runs at order 2 on its own, after the
-# held run: mate --n 256 holds its fit and check grids, 192 points,
-# and reads its 257 nodes apart.  Each two-file command first checks the
-# loaded mate's 25 nodes the same way.  The detection of
-# verify, on its --n grid, asks for order 6: its suite reads the images'
-# poses, which the mate's order-2 frame gives.  That of indicatrix asks
-# for order 8, whose order-4 frames give the image's full Frenet rows.
-# Both hold the base over the nodes and their grid, 49 and 89 points,
-# at their detection's order.  classify holds nothing: its pair check
-# reads rows only and asks for order 6 on its 128-point grid; the
-# arc-length alignment reads the base's rows and speeds at order 4 and
-# the mate's speeds (order 1) on its 512-point grid before the mate's
-# rows.
+# k + 2.  mate fits lambda on 64 points at order 4, reads its node table
+# (order 0 of the mate, order 2 of the base) to save it and checks the
+# pair on min(n, 128) points at order 6, one pipeline each.  Each
+# two-file command first checks the loaded mate's 25 nodes the same way.
+# The detection of verify, on its --n grid, asks for order 6: its suite
+# reads the images' poses, which the mate's order-2 frame gives.  That of
+# indicatrix asks for order 8, whose order-4 frames give the image's full
+# Frenet rows.  classify's pair check reads rows only and asks for order
+# 6 on its 128-point grid; the arc-length alignment reads the base's rows
+# and speeds at order 4 and the mate's speeds (order 1) on its 512-point
+# grid before the mate's rows.
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["mate", "--auto", "--n", "24"], [(6, 109)]),
-        (["mate", "--lambda", "-1", "--n", "24"], [(6, 49)]),
-        (["mate", "--auto", "--n", "256"], [(6, 192), (2, 257)]),
-        (["verify", "--n", "24"], [(6, 49)]),
+        (["mate", "--auto", "--n", "24"], [(4, 64), (2, 25), (6, 24)]),
+        (["mate", "--lambda", "-1", "--n", "24"], [(2, 25), (6, 24)]),
+        (["mate", "--auto", "--n", "256"], [(4, 64), (2, 257), (6, 128)]),
+        (["verify", "--n", "24"], [(2, 25), (6, 24)]),
         (["classify"], [(2, 25), (6, 128)]),
         (["classify", "--align", "arclength"], [(2, 25), (4, 128), (3, 512), (6, 128)]),
-        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(8, 89)])
+        *[(["indicatrix", "--kind", f"{axis}-{side}", "--n", "64"], [(2, 25), (8, 64)])
           for axis in "tnb" for side in ("base", "mate")],
     ],
     ids=lambda v: "-".join(a.lstrip("-") for a in v) if isinstance(v[0], str) else "runs",
@@ -1124,8 +1111,7 @@ def test_generator_pipeline_orders_per_command(pair_24, tmp_path, capsys, monkey
                                                argv, want):
     """Each command asks the generator for the orders it reads: the mate's
     pair check, classify and verify at order 6, and indicatrix at order
-    8 on one detection grid; mate, verify and indicatrix make one run
-    over the union of their grids."""
+    8 on one detection grid, one run per grid."""
     base, mate = pair_24
     if argv[0] == "mate":
         argv = [*argv[:1], base, *argv[1:], "--out", str(tmp_path / "mate.json")]
@@ -1135,111 +1121,6 @@ def test_generator_pipeline_orders_per_command(pair_24, tmp_path, capsys, monkey
     rc, _, err = run(capsys, argv)
     assert rc == 0, err
     assert runs == want
-
-
-@pytest.fixture(scope="module")
-def held_pairs(tmp_path_factory):
-    """{preset: paths of its base and mate files, both at n = 24}, for
-    wobble and slant."""
-    pairs = {}
-    for preset in ("wobble", "slant"):
-        d = tmp_path_factory.mktemp(preset)
-        base, mate = str(d / "base.json"), str(d / "mate.json")
-        assert main(["generate", "--sphere-curve", preset, "--n", "24", "--out", base]) == 0
-        assert main(["mate", base, "--auto", "--n", "24", "--out", mate]) == 0
-        pairs[preset] = base, mate
-    return pairs
-
-
-@contextmanager
-def _holds_nothing(curve, grids, order):
-    yield
-
-
-# the commands that hold a base, with BASE and MATE where the files go;
-# LAMBDA is the base's recorded nominal lambda
-HELD_COMMANDS = [
-    ["mate", "BASE", "--auto", "--n", "24", "--out", "out.json"],
-    ["mate", "BASE", "--lambda", "LAMBDA", "--n", "24", "--out", "out.json"],
-    ["verify", "BASE", "MATE", "--n", "24"],
-    ["indicatrix", "BASE", "MATE", "--kind", "t-base", "--n", "64", "--csv", "out.csv"],
-    ["indicatrix", "BASE", "MATE", "--kind", "b-mate", "--n", "64", "--csv", "out.csv"],
-]
-
-
-def _argv(argv, base, mate):
-    lam = str(load_curve(base).metadata["nominal_lambda"])
-    return [{"BASE": base, "MATE": mate, "LAMBDA": lam}.get(a, a) for a in argv]
-
-
-@pytest.mark.parametrize("preset", ["wobble", "slant"])
-@pytest.mark.parametrize("argv", HELD_COMMANDS, ids=["mate-auto", "mate-lambda", "verify",
-                                                   "indicatrix-t-base", "indicatrix-b-mate"])
-def test_holds_change_no_output_byte(held_pairs, tmp_path, capsys, monkeypatch, preset, argv):
-    """Each command that holds its base prints, exits and writes the same
-    bytes as it does with ``curves.held`` holding nothing, where it runs
-    the generator once per request."""
-    argv = _argv(argv, *held_pairs[preset])
-    monkeypatch.chdir(tmp_path)
-
-    def outputs():
-        _, pipelines = _count_generator_work(monkeypatch)
-        rc, out, err = run(capsys, argv)
-        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
-        for p in tmp_path.iterdir():
-            p.unlink()
-        return (rc, out, err, files), len(pipelines)
-
-    held, held_runs = outputs()
-    monkeypatch.setattr(curves, "held", _holds_nothing)
-    unheld, unheld_runs = outputs()
-    assert held == unheld
-    assert held[0] == 0 and held_runs == 1 < unheld_runs
-
-
-# argv, with BASE, MATE, HELIX and NOPAIR (the base's mate at lambda 0.5)
-# where the files go, and the exit code; each holds a base, and each exit
-# other than 0 is raised inside the hold
-HOLD_EXITS = [
-    pytest.param(["mate", "BASE", "--auto", "--n", "24", "--out", "out.json"], 0, id="mate"),
-    pytest.param(["mate", "BASE", "--lambda", "nan", "--n", "24"], 2, id="mate-nan"),
-    pytest.param(["mate", "BASE", "--lambda", "1", "--n", "24", "--out", "missing/out.json"], 2,
-                 id="mate-unwritable"),
-    pytest.param(["mate", "HELIX", "--auto", "--n", "24"], 5, id="mate-helix"),
-    pytest.param(["verify", "BASE", "MATE", "--n", "24"], 0, id="verify"),
-    pytest.param(["verify", "BASE", "NOPAIR", "--n", "24"], 6, id="verify-no-pair"),
-    pytest.param(["verify", "BASE", "MATE", "--n", "24", "--tol", "th2=1e-20"], 7,
-                 id="verify-failed-identity"),
-    pytest.param(["indicatrix", "BASE", "MATE", "--kind", "n-mate", "--n", "24"], 0,
-                 id="indicatrix"),
-    pytest.param(["indicatrix", "BASE", "NOPAIR", "--kind", "n-mate", "--n", "24"], 6,
-                 id="indicatrix-no-pair"),
-]
-
-
-@pytest.mark.parametrize("argv, code", HOLD_EXITS)
-def test_no_curve_is_left_holding(pair_24, workdir, tmp_path, capsys, monkeypatch, argv, code):
-    """Every base a command holds holds a run inside its hold and nothing
-    after the command, whatever it exits with."""
-    base, mate = pair_24
-    monkeypatch.chdir(tmp_path)
-    nopair = str(tmp_path / "nopair.json")
-    assert run(capsys, ["mate", base, "--lambda", "0.5", "--n", "24", "--out", nopair])[0] == 0
-    files = {"BASE": base, "MATE": mate, "HELIX": str(workdir / "helix.json"), "NOPAIR": nopair}
-    real, bases, holding = curves.held, [], []
-
-    @contextmanager
-    def held(curve, grids, order):
-        with real(curve, grids, order):
-            bases.append(curve)
-            holding.append(curve._held is not None)
-            yield
-
-    monkeypatch.setattr(curves, "held", held)
-    rc, _, err = run(capsys, [files.get(a, a) for a in argv])
-    assert rc == code, err
-    assert holding == [True]
-    assert bases[0]._held is None
 
 
 def _one_file_commands(tmp_path):

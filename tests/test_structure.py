@@ -217,48 +217,32 @@ def jet_backed_outside_the_generator(trees):
     return found
 
 
-# the one function that sets a curve's held jet, and clears it on exit
-HELD_HOME = ("curves.py", "held")
-
-
-def _names_a_held(node):
-    """``x._held``, ``_held``, ``x.__dict__["_held"]`` or
-    ``vars(x)["_held"]``."""
-    if isinstance(node, ast.Subscript):
-        return getattr(node.slice, "value", None) == "_held"
-    return "_held" in (getattr(node, "attr", None), getattr(node, "id", None))
-
-
-def held_outside_curves_held(trees):
-    """A curve holds a jet only inside ``curves.held``, which clears it on
-    exit: no other function, class body or module level assigns or
-    deletes ``_held``, by ``setattr`` under any name it is imported as
-    included."""
+def unused_import(trees):
+    """Every name a module imports is read in it: an ``import`` or
+    ``from ... import`` binding, under its alias if it has one, that no
+    expression of the module loads is left over.  ``__init__.py``, whose
+    imports are the package's exports, and ``from __future__`` are
+    exempt."""
     found = []
     for name, tree in trees.items():
-        setters = {"setattr"} | {a.asname for node in ast.walk(tree)
-                                 if isinstance(node, ast.ImportFrom) for a in node.names
-                                 if a.name == "setattr" and a.asname}
-        home = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
-                     and (name, node.name) == HELD_HOME), None)
-        inside = {id(n) for n in ast.walk(home)} if home else set()
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                writes = (_called(node) in setters | {"__setattr__"}
-                          and any(getattr(a, "value", None) == "_held" for a in node.args[1:2]))
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
             else:
-                targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
-                           else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
-                           else [])
-                writes = any(_names_a_held(t) for target in targets for t in ast.walk(target))
-            if writes and id(node) not in inside:
-                found.append(_where(name, node))
+                continue
+            found += [_where(name, node) for b in bound if b not in read]
     return found
 
 
 RULES = [np_cross, ellipsis_index_on_coeffs, closed_form_names_outside_paper, paper_imports,
          pair_evaluation_outside_bertrand, curve_kind_defines_jet, floor_outside_the_pose_stage,
-         jet_backed_outside_the_generator, held_outside_curves_held]
+         jet_backed_outside_the_generator, unused_import]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -314,19 +298,9 @@ PLANTED = [
      "from .curves import JetBackedCurve as Backed\ndef load(d):\n    return Backed(jet_fn, ts)"),
     (jet_backed_outside_the_generator, "io.py",
      "def construct_mate(base, lam):\n    return JetBackedCurve(jet_fn, ts)"),
-    (held_outside_curves_held, "cli.py", "base._held = None"),
-    (held_outside_curves_held, "cli.py", "def cmd(base):\n    base._held, n = P, 1"),
-    (held_outside_curves_held, "cli.py", "setattr(base, '_held', P)"),
-    (held_outside_curves_held, "io.py",
-     "from builtins import setattr as put\ndef load(c):\n    put(c, '_held', P)"),
-    (held_outside_curves_held, "io.py", "object.__setattr__(c, '_held', P)"),
-    (held_outside_curves_held, "io.py", "vars(c)['_held'] = P"),
-    (held_outside_curves_held, "io.py", "del c.__dict__['_held']"),
-    (held_outside_curves_held, "bertrand.py",
-     "def held(curve, grids, order):\n    curve._held = curve.jet(grids, order)"),
-    (held_outside_curves_held, "curves.py", "class Curve:\n    _held = None"),
-    (held_outside_curves_held, "curves.py",
-     "def held(c, grids, order):\n    pass\ndef jet(self, t, order):\n    self._held = P"),
+    (unused_import, "cli.py", "from contextlib import ExitStack"),
+    (unused_import, "curves.py", "import math\nx = 1.0"),
+    (unused_import, "cli.py", "from .bertrand import _grid as g\nts = _grid(base, 25)"),
 ]
 
 
