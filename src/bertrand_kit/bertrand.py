@@ -32,6 +32,7 @@ from .curves import (
     _FRENET_ORDER,
     _base_block,
     _columns,
+    _core_jets,
     _frame,
     _frenet_columns,
     _integrate,
@@ -63,12 +64,10 @@ _EPS_COINCIDE = 1e-12
 
 def _frames(P):
     """Vector jets of (P, T, N, B) from the position jet P, the frame two
-    orders below P's, column by column.  The frame is ``curves._frame``,
-    which detection also runs on a Frenet pass's jets."""
-    D1 = P.deriv()
-    C = jcross(D1, D1.deriv())
-    D1 = D1.truncate(C.order)
-    return (P, *_frame(D1, jsqrt(jdot(D1, D1)), C, jsqrt(jdot(C, C))))
+    orders below P's, column by column: ``curves._frame`` of P's core
+    jets, as detection builds it from a Frenet pass's."""
+    core, _ = _core_jets(P)
+    return (P, *_frame(*core))
 
 
 def _image_frames(jets):
@@ -148,12 +147,12 @@ class BertrandPairModel:
     ratio invariants included, at the regular points ``ts[~masked]`` of
     the detection grid, as arrays with one row per point.  ``ri_base`` and
     ``ri_mate`` view them point by point over ``ts``, None where masked.
-    A pair that detection built from one run of its base's jet also holds
-    the T, N and B jets of both curves at ``ts[~masked]``, which
-    detection's Frenet passes built, read-only: the position jets of the
-    six image curves that the suite classifies (``_image_jets``), cut to
-    order 2, whose coefficients 0-2 fix each image's point and frame, or
-    to order 4 when detection was asked for ``images``.
+    ``_images`` holds the T, N and B jets of base and then mate at
+    ``ts[~masked]``, read-only, which detection built: the position jets
+    of the six image curves that the suite classifies, cut to order 2,
+    whose coefficients 0-2 fix each image's point and frame, or to order
+    4 when detection was asked for ``images``.  No method of the pair
+    evaluates a curve.
     """
 
     base: Curve
@@ -169,7 +168,7 @@ class BertrandPairModel:
     q2: ConstancyStat
     lambda_stat: ConstancyStat
     masked: np.ndarray
-    _images: tuple = field(default=None, init=False, repr=False, compare=False)
+    _images: tuple = field(repr=False, compare=False)
 
     def _per_point(self, rows):
         return _points_at(rows, self.valid_indices(), len(self.ts))
@@ -183,15 +182,6 @@ class BertrandPairModel:
 
     def valid_indices(self):
         return np.nonzero(~self.masked)[0]
-
-    def _image_jets(self):
-        """The T, N and B jets of base and then mate at ``ts[~masked]``:
-        the ones detection holds, of order 2 or 4, else of order 4 from
-        one order-6 request and one ``_frames`` pass per curve."""
-        if self._images is not None:
-            return self._images
-        ts = self.ts[~self.masked]
-        return _image_frames(c.jet(ts, _FRENET_ORDER + 2) for c in (self.base, self.mate))
 
 
 def _overlap_grid(base: Curve, mate: Curve, n: int, inset: float = 1e-6):
@@ -225,12 +215,12 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     points ``ts[both]`` where both are regular, the mate evaluated only
     where the base is: ``(base_rows, mate_rows, both, errors, jets)``.
     ``errors`` holds the base's SingularPointErrors and then the mate's.
-    On the shared path ``jets`` is ``(frame, mate_ok, mate_core)``: the
-    base's T, N and B jets at its regular points, the mask of those where
-    the mate is regular too, and the mate's ``_columns`` core jets (g',
-    |g'|, g' x g'', |g' x g''|) there, from which ``detect_bertrand`` cuts
-    and takes the six image jets it holds; else None.  Nothing here
-    copies or builds a frame that the caller may drop.
+    ``jets`` is ``(core, frame, mate_ok, mate_core)``: the base's
+    ``_columns`` core jets at its regular points, its frame jets there
+    where the shared path built them (else None), the mask of those
+    points where the mate is regular too, and the mate's core jets there,
+    from which ``detect_bertrand`` builds the six image jets it holds.
+    Nothing here copies or builds a frame that the caller may drop.
 
     Every pair takes one path: the base is asked once for its grid jet P,
     one Frenet pass (``_columns``) over P gives its rows, and one over the
@@ -247,17 +237,14 @@ def _pair_columns(base: Curve, mate: Curve, ts, images: bool):
     shared = mate._offset_of is not None and mate._offset_of[0] is base
     P = base.jet(ts, _FRENET_ORDER + (4 if images else 2) if shared else _FRENET_ORDER)
     base_rows, ok, errors, core = _columns(P, ts)
-    if shared:
-        frame = _frame(*core)
-        # the mate only where the base is regular, where its N is defined
-        P_mate = P.take(ok) + mate._offset_of[1] * frame[1]
-    else:
-        P_mate = mate.jet(ts[ok], _FRENET_ORDER)
+    frame = _frame(*core) if shared else None
+    # the mate only where the base is regular, where its N is defined
+    P_mate = (P.take(ok) + mate._offset_of[1] * frame[1] if shared
+              else mate.jet(ts[ok], _FRENET_ORDER))
     mate_rows, mate_ok, mate_errors, mate_core = _columns(P_mate, ts[ok])
     base_rows = _take_rows(base_rows, mate_ok)
     ok[ok] = mate_ok
-    jets = (frame, mate_ok, mate_core) if shared else None
-    return base_rows, mate_rows, ok, errors + mate_errors, jets
+    return base_rows, mate_rows, ok, errors + mate_errors, (core, frame, mate_ok, mate_core)
 
 
 def detect_bertrand(
@@ -278,15 +265,16 @@ def detect_bertrand(
     'offset-not-normal' (also for curves that coincide, whose offset is
     below ``_EPS_COINCIDE`` at every point), 'lambda-varies' or
     'normals-not-aligned'.  The pair keeps the rows that
-    ``_pair_columns`` evaluates on the grid and, on its shared path, the
-    six image jets, which detection cuts, takes at the pair's regular
-    points and freezes once the pair is accepted: the base's frame jets
-    that ``_pair_columns`` hands back and the mate's frame, built from the
-    mate's core jets.  By default they are cut to order 2,
-    from an order-6 run of the base: the point and frame of each image,
-    all that the suite's ``negative-result`` reads.  ``images`` asks for
-    the order-8 run whose frames, cut to order 4, give each image's full
-    Frenet rows, as the CLI ``indicatrix`` reads one of them.
+    ``_pair_columns`` evaluates on the grid and the six image jets that
+    detection builds from the same Frenet passes once the pair is
+    accepted: both curves' frames, cut, taken at the pair's regular
+    points and read-only.  By default they are cut to order 2, the point
+    and frame of each image, all that the suite's ``negative-result``
+    reads.  ``images`` cuts them to order 4, which gives each image's full
+    Frenet rows, as the CLI ``indicatrix`` reads one: the shared path's
+    base run is then of order 8, and the separate path, whose order-4
+    requests give frames of order 2 only, asks each curve once more, for
+    order 6.
     """
     if n < 8:
         raise TooFewSamplesError(f"detection grid of {n} points; need at least 8")
@@ -326,19 +314,22 @@ def detect_bertrand(
 
     p1, p2 = map(ConstancyStat.of, projection_constants(mate_rows.g[mate_rows.g_defined]))
     q1, q2 = map(ConstancyStat.of, projection_constants(base_rows.g[base_rows.g_defined]))
-    pair = BertrandPairModel(
+    core, frame, mate_ok, mate_core = jets
+    if images and frame is None:
+        # frames of order 4 from each curve's order-6 request, as the
+        # separate path's order-4 requests give frames of order 2 only
+        held = _image_frames(c.jet(ts[ok], _FRENET_ORDER + 2) for c in (base, mate))
+    else:
+        # the order the image passes read: 2 for the poses, 4 for full rows
+        cut = _FRENET_ORDER if images else 2
+        held = (*(v.truncate(cut).take(mate_ok) for v in frame or _frame(*core)),
+                *(v.truncate(cut) for v in _frame(*mate_core)))
+    return BertrandPairModel(
         base=base, mate=mate, lam=lam_stat.mean, epsilon=eps, ts=ts,
         base_rows=base_rows, mate_rows=mate_rows,
         p1=p1, p2=p2, q1=q1, q2=q2, lambda_stat=lam_stat, masked=~ok,
+        _images=tuple(map(_read_only, held)),
     )
-    if jets is not None:
-        frame, mate_ok, mate_core = jets
-        # the order the image passes read: 2 for the poses, 4 for full rows
-        cut = _FRENET_ORDER if images else 2
-        pair._images = tuple(map(_read_only, (
-            *(v.truncate(cut).take(mate_ok) for v in frame),
-            *(v.truncate(cut) for v in _frame(*mate_core)))))
-    return pair
 
 
 def pair_constraint_residual(pair: BertrandPairModel, t: float) -> float:

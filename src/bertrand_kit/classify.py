@@ -211,7 +211,7 @@ def _classify_image_rows(images, ts):
     few regular pairs gets the verdict 'untestable'.
 
     ``images`` are the T, N and B jets of A and then B about ``ts``
-    (``BertrandPairModel._image_jets``), the position jets of the six
+    (the ones ``BertrandPairModel`` holds), the position jets of the six
     images, of order 2 or more.  ``_classify_rows`` reads each image's
     point, T, N and B only, so one pose pass over their 6 len(ts) stacked
     columns (``indicatrix._image_poses``), which reads coefficients 0-2,
@@ -395,11 +395,9 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
     image pairs of base and mate (``_classify_image_rows``) on the exact
     image poses at the regular detection points: the image curves'
     position jets are the frame jets that detection built and the pair
-    holds, cut to order 2 (on a pair that holds none, the order-4 jets of
-    one order-6 request per curve and one ``_frames`` pass over both):
-    one pose pass covers all six images and one ``_classify_rows`` call
-    the three axes, an axis with too few regular pairs counting as
-    untestable.
+    holds, so the suite asks neither curve for anything: one pose pass
+    covers all six images and one ``_classify_rows`` call the three axes,
+    an axis with too few regular pairs counting as untestable.
     ``n`` reads nothing; the keyword stays for callers that pass it.
     ``tols`` takes the keys of ``TOLERANCE_KEYS`` with values above 0;
     any other key or value raises ValueError.  Equivalence entries (helix/planar criteria) pass
@@ -520,7 +518,7 @@ def theorem_suite(pair: BertrandPairModel, n: int = 256, tols: dict = None) -> T
         note=f"flags={flags}")
 
     # closing negative result: no indicatrix pair classifies as a named pair
-    image_pairs = _classify_image_rows(pair._image_jets(), pair.ts[~pair.masked])
+    image_pairs = _classify_image_rows(pair._images, pair.ts[~pair.masked])
     verdicts = [pc.verdict for pc in image_pairs.values()]
     bad = sum(v not in ("none", "untestable") for v in verdicts)
     add("negative-result", float(bad), passed=bad == 0, note=f"verdicts={verdicts}")

@@ -36,6 +36,7 @@ from .classify import (
     theorem_suite,
 )
 from .curves import (
+    _columns,
     _frenet_columns,
     _take_rows,
     cumulative_trapezoid,
@@ -56,7 +57,7 @@ from .errors import (
     TooFewSamplesError,
     UnknownFunctionError,
 )
-from .indicatrix import AXES, SIDES, _arclength_relations, _closed_forms, _image_columns
+from .indicatrix import AXES, SIDES, _arclength_relations, _closed_forms
 from .io import (
     CurveFileError,
     RunReport,
@@ -246,8 +247,8 @@ def cmd_indicatrix(args) -> int:
                        parameters={"kind": args.kind, "n": args.n})
     applies, closed = _closed_forms(side, pair.base_rows, pair.mate_rows, pair.epsilon)
     # the exact Frenet rows of the image curve, whose position jet is the frame's
-    jet = pair._image_jets()[3 * SIDES.index(side) + k]
-    direct, regular, _ = _image_columns((jet,), pair.ts[~pair.masked])
+    jet = pair._images[3 * SIDES.index(side) + k]
+    direct, regular, _, _ = _columns(jet, jet.basepoint)
     ok = applies & regular
     s, fdi = _take_rows(closed[AXES[k]], ok[applies]), _take_rows(direct, ok[regular])
     gap_k = np.abs(np.abs(s.kappa_image) - fdi.kappa) / np.maximum(np.abs(fdi.kappa), 1e-30)

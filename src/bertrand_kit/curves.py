@@ -419,26 +419,30 @@ def _pose_columns(P, ts):
     return pose, regular, errors
 
 
-def _columns(P, ts):
-    """The ``_frenet_columns`` of the position jet P about ``ts``, and the
-    jets of g', |g'|, g' x g'' and |g' x g''| that the pass builds at the
-    regular columns: ``(rows, regular, errors, core)``.  The regularity
-    floors, the point and the frame rows are ``_pose_columns``'s.  g' and
-    g' x g'' have the orders P gives them, one and two below P's, and
-    |g'| and |g' x g''| that of g' x g''; ``_frame`` builds the frame jets
-    from ``core``.  The rows read the order-4 truncation of those jets, so
-    a P of order 4 or more gives them the bits of its order-4
-    truncation."""
-    (point, T, N, B), regular, errors = _pose_columns(P, ts)
-    keep = np.flatnonzero(regular)
-    D1 = P.take(keep).deriv()
+def _core_jets(P):
+    """The core jets of the position jet P, column by column: those of g',
+    |g'|, g' x g'' and |g' x g''|, from which ``_frame`` builds the frame
+    jets, and that of |g' x g''|^2.  g' and g' x g'' have the orders P
+    gives them, one and two below P's, and the norms that of g' x g''."""
+    D1 = P.deriv()
     # |g'| to the order of g' x g'', the highest any reader of it reaches
     low = D1.truncate(D1.order - 1)
-    speed_jet = jsqrt(jdot(low, low))
     C = jcross(D1, D1.deriv())
     c2 = jdot(C, C)
-    cnorm = jsqrt(c2)
-    core = (D1, speed_jet, C, cnorm)
+    return (D1, jsqrt(jdot(low, low)), C, jsqrt(c2)), c2
+
+
+def _columns(P, ts):
+    """The ``_frenet_columns`` of the position jet P about ``ts``, and the
+    ``_core_jets`` that the pass builds at the regular columns, less
+    |g' x g''|^2: ``(rows, regular, errors, core)``.  The regularity
+    floors, the point and the frame rows are ``_pose_columns``'s.  The
+    rows read the order-4 truncation of the core jets, so a P of order 4
+    or more gives them the bits of its order-4 truncation."""
+    (point, T, N, B), regular, errors = _pose_columns(P, ts)
+    keep = np.flatnonzero(regular)
+    core, c2 = _core_jets(P.take(keep))
+    D1, speed_jet, C, cnorm = core
 
     # the rows' jets, of the orders an order-4 position gives them
     D1 = D1.truncate(_FRENET_ORDER - 1)
@@ -478,8 +482,8 @@ def _columns(P, ts):
 
 def _frame(D1, V, C, cnorm):
     """The frame jets (T, N, B) from the jets of g', |g'|, g' x g'' and
-    |g' x g''|, as ``_columns`` returns them, all three of the order of
-    g' x g'' (the order N reaches)."""
+    |g' x g''| (``_core_jets``), all three of the order of g' x g'' (the
+    order N reaches)."""
     order = C.order
     T = D1.truncate(order) / V.truncate(order)
     B = C / cnorm

@@ -49,9 +49,11 @@ def image_rows(curve, ts):
     ``ts``, as ``_frenet_columns`` gives them, from one request of the
     curve's order-6 jet, one frame pass and one Frenet pass over 3 len(ts)
     columns, the T image's first: the T image is the curve whose position
-    jet is T's jet, and likewise N and B."""
+    jet is T's jet, and likewise N and B.  Every step works column by
+    column, so each image's rows have the bits of its own pass."""
     ts = np.asarray(ts, dtype=float)
-    return _image_columns(_image_frames((curve.jet(ts, _FRENET_ORDER + 2),)), ts)
+    P = _stacked(_image_frames((curve.jet(ts, _FRENET_ORDER + 2),)), ts, _FRENET_ORDER)
+    return _columns(P, P.basepoint)[:3]
 
 
 def _stacked(images, ts, order):
@@ -61,22 +63,12 @@ def _stacked(images, ts, order):
                np.concatenate([v.coeffs[: order + 1] for v in images], axis=-1))
 
 
-def _image_columns(images, ts):
-    """The ``_frenet_columns`` of each image curve whose order-4 position
-    jet about ``ts`` is one of ``images``, concatenated image by image,
-    from one ``_columns`` pass over their stacked columns.  Every step
-    works column by column, so each image's rows have the bits of its own
-    pass."""
-    P = _stacked(images, ts, _FRENET_ORDER)
-    return _columns(P, P.basepoint)[:3]
-
-
 def _image_poses(images, ts):
     """The ``_pose_columns`` of each image curve whose position jet about
     ``ts``, of order 2 or more, is one of ``images``: the point, T, N and
     B rows concatenated image by image, and the regular mask and errors,
     from one pass over their stacked columns.  Each image's share has the
-    bits of the pose of its own ``_image_columns``."""
+    bits of the pose of its own ``_columns``."""
     P = _stacked(images, ts, 2)
     return _pose_columns(P, P.basepoint)
 

@@ -600,42 +600,65 @@ def _mate_of_a_mate(tmp_path):
     return detect_bertrand(mate, construct_mate(mate, 1.0, n=64), n=24)
 
 
-def _stripped_files(tmp_path):
-    """A wobble pair through files without their metadata, loaded as
-    samples and detected as ``verify`` detects."""
-    base = _generated("wobble")
+def _through_files(tmp_path, base, mate, strip=()):
+    """``base`` and ``mate`` saved to files and loaded as the CLI loads a
+    pair, with the metadata of the files named in ``strip`` removed."""
     paths = []
-    for name, curve in (("base", base), ("mate", construct_mate(base, 1.0, n=64))):
+    for name, curve in (("base", base), ("mate", mate)):
         path = tmp_path / f"{name}.json"
         save_curve(curve, str(path))
-        doc = json.loads(path.read_text())
-        del doc["metadata"]
-        path.write_text(json.dumps(doc))
+        if name in strip:
+            doc = json.loads(path.read_text())
+            del doc["metadata"]
+            path.write_text(json.dumps(doc))
         paths.append(str(path))
-    (base, mate), _ = read_inputs(*paths)
-    return _detect_from_files(base, mate, 24, images=True)
+    return read_inputs(*paths)[0]
+
+
+def _stripped_files(tmp_path):
+    """A wobble pair through files without their metadata, loaded as
+    samples and detected as ``indicatrix`` detects."""
+    base = _generated("wobble")
+    curves_ = _through_files(tmp_path, base, construct_mate(base, 1.0, n=64),
+                             strip=("base", "mate"))
+    return _detect_from_files(*curves_, 24, images=True)
+
+
+def _own_axis_poses(curve, ts, order):
+    """Each axis's point, T, N and B rows and regular mask from the pose
+    of that image alone, whose position jet is the frame jet of
+    ``_frames`` of the curve's own request for ``order`` at ``ts``."""
+    return [curves._pose_columns(v, ts)[:2] for v in _frames(curve.jet(ts, order))[1:]]
 
 
 @pytest.mark.parametrize("build", [_mate_of_a_mate, _stripped_files])
-def test_suite_images_of_a_pair_that_holds_none_are_each_curves_own(build, tmp_path):
+def test_suite_images_of_a_separate_pair_are_each_curves_own(build, tmp_path):
     """A pair that detection did not build from one run of its base holds
-    no image jets, so the suite asks each curve for its order-6 jet and
-    builds its frame on its own.  Each axis's negative-result verdict,
-    and its evidence, are those of ``_classify_rows`` over each curve's
-    own ``image_rows``."""
+    six read-only image jets of order 2, from each curve's own order-4
+    request, or of order 4 with ``images`` (``_stripped_files``), from
+    each curve's own order-6 request.  Each axis's negative-result
+    verdict, and its evidence, are those of ``_classify_rows`` over the
+    poses of each image alone from the frame of its curve's own request,
+    and with ``images`` over each curve's own ``image_rows``."""
     pair = build(tmp_path)
-    assert pair._images is None
+    order = pair._images[0].order
+    held = [(jet.order, jet.coeffs.flags.writeable) for jet in pair._images]
+    assert held == [(order, False)] * 6
     note = theorem_suite(pair).entries["negative-result"].note
     ts = pair.ts[~pair.masked]
-    got = _classify_image_rows(pair._image_jets(), ts)
-    verdicts = []
-    for axis, (rows_a, ok_a), (rows_b, ok_b) in zip(AXES, _axis_rows(pair.base, ts),
-                                                    _axis_rows(pair.mate, ts)):
-        (want,) = _classify_rows(rows_a, ok_a, rows_b, ok_b, [ok_a & ok_b], 1e-6)
-        assert got[axis].verdict == want.verdict
-        assert_same_evidence(got[axis].evidence, want.evidence)
-        verdicts.append(want.verdict)
-    assert note == f"verdicts={verdicts}"
+    got = _classify_image_rows(pair._images, ts)
+    references = [(_own_axis_poses(pair.base, ts, order + 2),
+                   _own_axis_poses(pair.mate, ts, order + 2))]
+    if order == 4:
+        references.append((_axis_rows(pair.base, ts), _axis_rows(pair.mate, ts)))
+    for axis_a, axis_b in references:
+        verdicts = []
+        for axis, (rows_a, ok_a), (rows_b, ok_b) in zip(AXES, axis_a, axis_b):
+            (want,) = _classify_rows(rows_a, ok_a, rows_b, ok_b, [ok_a & ok_b], 1e-6)
+            assert got[axis].verdict == want.verdict
+            assert_same_evidence(got[axis].evidence, want.evidence)
+            verdicts.append(want.verdict)
+        assert note == f"verdicts={verdicts}"
 
 
 def _pose_reference(P, ts):
@@ -679,15 +702,14 @@ def _preset_images(preset, omega):
     mate = construct_mate(base, base.metadata["nominal_lambda"], n=64)
     poses, full = (detect_bertrand(base, mate, n=24, images=images)
                    for images in (False, True))
-    return poses._image_jets(), full._image_jets(), full.ts[~full.masked]
+    return poses._images, full._images, full.ts[~full.masked]
 
 
 def _sampled_images(tmp_path):
-    """The six order-4 image jets of a pair loaded as samples, which
-    detection does not hold, twice."""
+    """The six order-4 image jets that detection holds with ``images`` on
+    a pair loaded as samples, twice."""
     pair = _stripped_files(tmp_path)
-    jets_ = pair._image_jets()
-    return jets_, jets_, pair.ts[~pair.masked]
+    return pair._images, pair._images, pair.ts[~pair.masked]
 
 
 def _planted_images(tmp_path):

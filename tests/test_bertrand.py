@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import count_pipelines
-from test_batch import FIELDS, _generated, assert_same_bits_array
+from test_batch import FIELDS, _generated, _through_files, assert_same_bits_array
 from test_indicatrix import EPS_PLUS_ONE_OMEGA
 
 from bertrand_kit import bertrand, curves, indicatrix, jets, paper
@@ -57,6 +57,7 @@ from bertrand_kit.indicatrix import (
     frame_relations_check,
     indicatrix_arclength_relations,
 )
+from bertrand_kit.cli import _detect_from_files
 from bertrand_kit.io import dumps, load_curve, save_curve
 from bertrand_kit.paper import (
     _constraint_residuals,
@@ -847,7 +848,7 @@ def test_pair_jets_are_read_only_with_fresh_bits(preset):
     for images, order in ((False, 2), (True, 4)):
         pair = detect_bertrand(*_fresh_pair(preset), n=24, images=images)
         grid = pair.ts[~pair.masked]
-        held = pair._image_jets()
+        held = pair._images
         assert len(held) == 6
         for jet in held:
             with pytest.raises(ValueError):
@@ -858,7 +859,7 @@ def test_pair_jets_are_read_only_with_fresh_bits(preset):
         for suite_ran in (False, True):
             if suite_ran and preset != "analytic":
                 theorem_suite(pair)
-            assert pair._image_jets() is held
+            assert pair._images is held
             for jet, want in zip(held, _fresh_images(preset, grid, order), strict=True):
                 assert jet.order == order
                 assert_same_bits_array(jet.coeffs, want.coeffs)
@@ -996,7 +997,7 @@ def test_mate_jets_after_detection_and_suite_have_fresh_bits(preset):
         pair = detect_bertrand(base, mate, n=24)
         grid = pair.ts[~pair.masked]
         if preset == "analytic":
-            _classify_image_rows(pair._image_jets(), grid)
+            _classify_image_rows(pair._images, grid)
         else:
             theorem_suite(pair)
         for order in orders:
@@ -1061,8 +1062,9 @@ def test_shared_detection_rows_have_the_bits_of_fresh_curves(preset):
 def test_mate_of_a_mate_is_detected_on_the_separate_path():
     """A normal offset's jets drift from the bits of lower requests, so the
     mate of a mate records no base: detecting (mate, mate of mate) asks
-    each curve for its own Frenet jets, holds no image jets, and gives the
-    rows of fresh curves."""
+    each curve for its own Frenet jets, holds the six image jets of those
+    requests, read-only and of order 2, and gives the rows of fresh
+    curves."""
     def fresh():
         mate = construct_mate(_generated("wobble"), 1.0, n=64)
         return mate, construct_mate(mate, 1.0, n=64)
@@ -1070,7 +1072,7 @@ def test_mate_of_a_mate_is_detected_on_the_separate_path():
     mate, back = fresh()
     assert back._offset_of is None
     pair = detect_bertrand(mate, back, n=24)
-    assert pair._images is None
+    assert [(jet.order, jet.coeffs.flags.writeable) for jet in pair._images] == [(2, False)] * 6
     want_base, want_mate = _separate_rows(*fresh(), pair.ts)
     _assert_same_rows(pair.base_rows, want_base)
     _assert_same_rows(pair.mate_rows, want_mate)
@@ -1219,8 +1221,8 @@ def test_pair_check_without_images_asks_the_base_for_order_6(preset, monkeypatch
     want = detect_bertrand(base, mate, n=24, images=True)
     assert requests == Counter({("base", 8): 1, ("frame", 6): 1, ("frame", 4): 1})
     monkeypatch.undo()
-    assert [jet.order for jet in got._image_jets()] == [2] * 6
-    assert [jet.order for jet in want._image_jets()] == [4] * 6
+    assert [jet.order for jet in got._images] == [2] * 6
+    assert [jet.order for jet in want._images] == [4] * 6
     assert_same_bits_array(got.ts, want.ts)
     assert_same_bits_array(got.masked, want.masked)
     _assert_same_rows(got.base_rows, want.base_rows)
@@ -1231,6 +1233,156 @@ def test_pair_check_without_images_asks_the_base_for_order_6(preset, monkeypatch
         reports = [{k: vars(e) for k, e in theorem_suite(pair).entries.items()}
                    for pair in (got, want)]
         assert dumps(reports[0]) == dumps(reports[1])
+
+
+# The generator's slant curve (a = 1, omega = pi/4) in closed form, and
+# its mate by lambda = 1.  With m = 0.45 and r = sqrt(1 - m^2) =
+# sqrt(319)/20, the slant seed c has speed V = (r/m) cos t, so the rate
+# V c + c x c' is a sum of sines and cosines of t times multiples of
+# 1/9, and the mate's offset N = c'/V = (-r sin(20t/9), r cos(20t/9), m).
+_SLANT_X = ("sqrt(319)*(29*(sin(2*t/9) - cos(2*t/9))/160 {}sin(20*t/9)/40 "
+            "- 9*cos(20*t/9)/800 + 11*(sin(38*t/9) + cos(38*t/9))/3040)")
+_SLANT_Y = ("-sqrt(319)*(29*(sin(2*t/9) + cos(2*t/9))/160 + 9*sin(20*t/9)/800 "
+            "{} cos(20*t/9)/40 - 11*(sin(38*t/9) - cos(38*t/9))/3040)")
+_SLANT_Z = "319*(2*t + sin(2*t) - cos(2*t))/720{}"
+
+
+def _slant_curve(mate=False):
+    """The closed-form slant Bertrand curve on the slant seed's domain, or
+    with ``mate`` its mate by 1, as an ``AnalyticCurve``."""
+    texts = (_SLANT_X.format("-" if mate else "+ "), _SLANT_Y.format("-" if mate else "+"),
+             _SLANT_Z.format(" + 9/20" if mate else ""))
+    return AnalyticCurve(*texts, sphere_preset("slant").domain,
+                         label="slant-bertrand" + ("+1*N" if mate else ""))
+
+
+def test_closed_form_slant_curve_is_the_generators():
+    """The closed-form slant curve is the generator's slant curve (a = 1,
+    omega = pi/4) up to a translation, whose jets agree to 3e-15 of their
+    largest coefficient, and its closed-form mate is its normal offset by
+    the generator's lambda, 1, whose order-4 jets, built from the frame's
+    jets, agree to 1e-12."""
+    base = _slant_curve()
+    generated = generate_bertrand_curve(sphere_preset("slant"), 1.0, math.pi / 4, n=64)
+    assert generated.metadata["nominal_lambda"] == 1.0
+    ts = np.linspace(*base.domain, 17)
+    got, want = base.jet(ts, 6).coeffs, generated.jet(ts, 6).coeffs
+    shift = want[0] - got[0]
+    assert np.ptp(shift, axis=1).max() < 3e-15
+    np.testing.assert_allclose(got[1:], want[1:], rtol=0.0, atol=3e-15 * np.abs(want).max())
+    mate = construct_mate(base, 1.0, n=64).jet(ts, 4).coeffs
+    np.testing.assert_allclose(_slant_curve(mate=True).jet(ts, 4).coeffs, mate,
+                               rtol=0.0, atol=1e-12 * np.abs(mate).max())
+
+
+def _slant_and_mate():
+    """The closed-form slant curve and its mate built by ``construct_mate``."""
+    base = _slant_curve()
+    return base, construct_mate(base, 1.0, n=64)
+
+
+# each factory takes a tmp_path and returns a fresh (base, mate); the first
+# two take detection's shared path, the other four the separate one
+PAIR_KINDS = {
+    "generated": lambda tmp_path: _fresh_pair("wobble"),
+    "analytic-base": lambda tmp_path: _slant_and_mate(),
+    "stripped-files": lambda tmp_path: _through_files(tmp_path, *_fresh_pair("wobble"),
+                                                      strip=("base", "mate")),
+    "analytic-files": lambda tmp_path: _through_files(tmp_path, _slant_curve(),
+                                                      _slant_curve(mate=True)),
+    "mate-of-mate": lambda tmp_path: _mate_of_a_mate(),
+    "unrecorded-base": lambda tmp_path: _through_files(tmp_path, *_fresh_pair("wobble"),
+                                                       strip=("base",)),
+}
+
+
+@pytest.mark.parametrize("images", [False, True])
+@pytest.mark.parametrize("kind", list(PAIR_KINDS))
+def test_suite_asks_no_curve_for_a_jet(kind, images, tmp_path, monkeypatch):
+    """After detection the suite reads only what the pair holds: on either
+    path, with or without ``images``, ``theorem_suite`` reaches its image
+    rows and asks no curve for a jet (each pair on the separate path made
+    one order-6 request per curve there before)."""
+    base, mate = PAIR_KINDS[kind](tmp_path)
+    shared = mate._offset_of is not None and mate._offset_of[0] is base
+    assert shared == (kind in ("generated", "analytic-base"))
+    pair = _detect_from_files(base, mate, 24, images)
+    requests = Counter()
+    real_jet = Curve.jet
+
+    def counting_jet(self, t, order):
+        requests[order] += 1
+        return real_jet(self, t, order)
+
+    monkeypatch.setattr(Curve, "jet", counting_jet)
+    report = theorem_suite(pair)
+    monkeypatch.undo()
+    assert requests == Counter()
+    assert report.entries["negative-result"].note.startswith("verdicts=")
+
+
+# each factory returns a fresh (base, mate) on detection's separate path
+SEPARATE_PAIRS = {
+    "mate-of-mate": _mate_of_a_mate,
+    "sampled": _sampled_pair,
+    "analytic": lambda: (_slant_curve(), _slant_curve(mate=True)),
+}
+
+
+def _outer_requests(monkeypatch, base, mate):
+    """A Counter of the (role, order) of each ``Curve.jet`` request that
+    ``base`` or ``mate`` gets from now on from outside any other request
+    (a normal offset asks its own base inside its request)."""
+    requests, depth = Counter(), []
+    real_jet = Curve.jet
+
+    def counting_jet(self, t, order):
+        if not depth:
+            requests["base" if self is base else "mate" if self is mate else None, order] += 1
+        depth.append(1)
+        try:
+            return real_jet(self, t, order)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(Curve, "jet", counting_jet)
+    return requests
+
+
+@pytest.mark.parametrize("name", list(SEPARATE_PAIRS))
+def test_separate_detection_asks_each_curve_once_more_only_for_images(name, monkeypatch):
+    """On the separate path detection asks each curve once, for its
+    order-4 Frenet jets, and with ``images`` once more, for order 6, at
+    the pair's regular points: an order-4 request's frames reach order 2,
+    and the rows keep the bits of the order-4 request."""
+    base, mate = SEPARATE_PAIRS[name]()
+    requests = _outer_requests(monkeypatch, base, mate)
+    _detect_from_files(base, mate, 24, images=False)
+    assert requests == Counter({("base", 4): 1, ("mate", 4): 1})
+    requests.clear()
+    _detect_from_files(base, mate, 24, images=True)
+    assert requests == Counter({("base", 4): 1, ("mate", 4): 1, ("base", 6): 1, ("mate", 6): 1})
+
+
+@pytest.mark.parametrize("name", list(SEPARATE_PAIRS))
+def test_separate_pair_holds_each_curves_own_frames(name):
+    """On the separate path the six image jets that detection holds, base
+    first, are read-only and have the bits of ``_frames`` of a fresh
+    curve's own order-4 request at the pair's regular points (the base's
+    frame taken at those of its regular points where the mate is regular
+    too), cut to order 2; with ``images``, of its own order-6 request there,
+    cut to order 4."""
+    for images, order in ((False, 2), (True, 4)):
+        pair = _detect_from_files(*SEPARATE_PAIRS[name](), 24, images)
+        grid = pair.ts[~pair.masked]
+        want = [v.truncate(order) for curve in SEPARATE_PAIRS[name]()
+                for v in bertrand._frames(curve.jet(grid, order + 2))[1:]]
+        assert len(pair._images) == 6
+        for jet, fresh in zip(pair._images, want, strict=True):
+            assert jet.order == order
+            assert not jet.coeffs.flags.writeable and not jet.basepoint.flags.writeable
+            assert_same_bits_array(jet.coeffs, fresh.coeffs)
+            assert_same_bits_array(jet.basepoint, grid)
 
 
 def test_generator_build_makes_one_seed_request():

@@ -207,7 +207,7 @@ def test_coincident_curves_classify_as_no_pair(preset, omega):
     pair = generated_pair(preset, omega=omega, n=64, grid=24)
     assert pair.epsilon == 1
     assert pair_classify(pair.base, pair.base, n=24).verdict == "none"
-    normal = _classify_image_rows(pair._image_jets(), pair.ts[~pair.masked])["normal"]
+    normal = _classify_image_rows(pair._images, pair.ts[~pair.masked])["normal"]
     assert normal.verdict == "none"
     assert abs(normal.evidence["bertrand"]["lambda_mean"]) < 1e-12
 

@@ -1060,7 +1060,8 @@ def test_suite_report_does_not_depend_on_the_detection_order(tmp_path, capsys, m
     reports = []
     for images in (False, True):
         pair = _detect_from_files(*curves, 24, images)
-        assert (preset == "sampled") == (pair._images is None)
+        held = [(jet.order, jet.coeffs.flags.writeable) for jet in pair._images]
+        assert held == [(4 if images else 2, False)] * 6
         reports.append(dumps({k: vars(e) for k, e in theorem_suite(pair).entries.items()}))
     assert reports[0] == reports[1]
     _, runs = _count_generator_work(monkeypatch)

@@ -141,6 +141,24 @@ def pair_evaluation_outside_bertrand(trees):
     return found
 
 
+# the calls that evaluate a curve: its own entries and the package's passes
+CURVE_EVALUATORS = {"jet", "point", "_pair_columns", "_frenet_columns", "frenet_grid",
+                    "frenet_apparatus", "_image_frames", "image_rows"}
+
+
+def pair_model_evaluates_nothing(trees):
+    """A detected pair is data: detection hands ``BertrandPairModel`` the
+    rows and image jets that its readers take, so no method or attribute
+    of the class asks a curve for a jet or runs a pass over one."""
+    found = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "BertrandPairModel":
+                found += [_where(name, node) for node in ast.walk(cls)
+                          if isinstance(node, ast.Call) and _called(node) in CURVE_EVALUATORS]
+    return found
+
+
 def curve_kind_defines_jet(trees):
     """Every curve kind is evaluated through ``Curve.jet``, which checks t
     and order and makes a float the one-point grid: a subclass of
@@ -241,8 +259,8 @@ def unused_import(trees):
 
 
 RULES = [np_cross, ellipsis_index_on_coeffs, closed_form_names_outside_paper, paper_imports,
-         pair_evaluation_outside_bertrand, curve_kind_defines_jet, floor_outside_the_pose_stage,
-         jet_backed_outside_the_generator, unused_import]
+         pair_evaluation_outside_bertrand, pair_model_evaluates_nothing, curve_kind_defines_jet,
+         floor_outside_the_pose_stage, jet_backed_outside_the_generator, unused_import]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
@@ -301,6 +319,14 @@ PLANTED = [
     (unused_import, "cli.py", "from contextlib import ExitStack"),
     (unused_import, "curves.py", "import math\nx = 1.0"),
     (unused_import, "cli.py", "from .bertrand import _grid as g\nts = _grid(base, 25)"),
+    (pair_model_evaluates_nothing, "bertrand.py",
+     "class BertrandPairModel:\n    def _image_jets(self):\n"
+     "        return _image_frames(c.jet(self.ts, 6) for c in (self.base, self.mate))"),
+    (pair_model_evaluates_nothing, "bertrand.py",
+     "class BertrandPairModel:\n"
+     "    rows = cached_property(lambda self: _frenet_columns(self.mate, self.ts))"),
+    (pair_model_evaluates_nothing, "bertrand.py",
+     "class BertrandPairModel:\n    def at(self, t):\n        return self.base.point(t)"),
 ]
 
 
