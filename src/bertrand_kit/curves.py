@@ -39,7 +39,6 @@ from .jets import (
     jcross,
     jdot,
     jsqrt,
-    jstack,
     program_jets,
     program_values,
 )
@@ -116,8 +115,11 @@ class AnalyticCurve(Curve):
     is one slot.  At the first
     evaluation the curve takes the program's two compiled Python functions
     (``jets.compile_program``, compiled once per distinct program in a
-    process): ``_jets`` runs the jet function, and ``point`` at a number
-    the straight-line value function.
+    process): ``_jets`` runs the jet function, which gives x, y and z as
+    one (K+1, 3, N) coefficient array and runs ready steps of one kind as
+    one stacked recurrence, with the bits and the first domain error of
+    the steps run one by one; ``point`` at a number runs the
+    straight-line value function.
     """
 
     def __init__(self, x, y, z, domain, label=""):
@@ -140,7 +142,7 @@ class AnalyticCurve(Curve):
         return compile_program(self._program)
 
     def _jets(self, ts, order):
-        return jstack(program_jets(self._compiled, ts, order))
+        return Jet(ts, program_jets(self._compiled, ts, order))
 
     def point(self, t):
         """At a number, the one evaluation past ``Curve.jet``: an inline

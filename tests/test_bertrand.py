@@ -612,12 +612,13 @@ def test_suite_builds_each_image_stencil_once(monkeypatch):
 
 def test_wobble_jet_makes_two_sincos(monkeypatch):
     """x, y and z of a preset seed share the normaliser and sin/cos of
-    each argument: one jet of wobble needs sin/cos of t and of 2t only."""
-    calls = Counter()
+    each argument: one jet of wobble needs sin/cos of t and of 2t only,
+    and its program runs both in one stacked ``jsincos`` call."""
+    arguments = []
     real = jets.jsincos
 
     def counting(u):
-        calls["jsincos"] += 1
+        arguments.append(u.coeffs.copy())
         return real(u)
 
     monkeypatch.setattr(jets, "jsincos", counting)
@@ -626,7 +627,12 @@ def test_wobble_jet_makes_two_sincos(monkeypatch):
     monkeypatch.setattr(jets, "_COMPILED", {})
     monkeypatch.setattr(bertrand, "_PRESET_BUILDS", {})
     sphere_preset("wobble").jet(0.3, 10)
-    assert calls["jsincos"] == 2
+    assert len(arguments) == 1
+    # one row per order, one column per argument: t and 2t about t = 0.3
+    (stacked,) = arguments
+    want = np.zeros((11, 2, 1))
+    want[:2, :, 0] = [[0.3, 2.0 * 0.3], [1.0, 2.0]]
+    assert np.array_equal(stacked, want)
 
 
 def _seed_points_of_a_pair(n):

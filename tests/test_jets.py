@@ -6,12 +6,13 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bertrand_kit import expr as ex
 from bertrand_kit import jets
 from bertrand_kit.bertrand import (
     DEFAULT_OMEGA,
+    SPHERE_PRESETS,
     construct_mate,
     generate_bertrand_curve,
     sphere_preset,
@@ -26,9 +27,9 @@ from bertrand_kit.jets import (
     jdot,
     jexp,
     jlog,
+    jpow,
     jsincos,
     jsqrt,
-    jstack,
 )
 
 
@@ -75,7 +76,7 @@ def test_sin_cos_maclaurin():
 
 def test_geometric_series():
     t = Jet.variable(0.0, 6)
-    j = 1.0 / (1.0 - t)
+    j = Jet.constant(1.0, 0.0, 6) / (1.0 - t)
     assert np.allclose(j.coeffs, np.ones(7))
 
 
@@ -103,6 +104,11 @@ def _components(v):
     return [Jet(v.basepoint, v.coeffs[:, i]) for i in range(v.coeffs.shape[1])]
 
 
+def _stacked(components):
+    """The coefficients of a vector jet from its component jets."""
+    return np.stack([c.coeffs for c in components], axis=1)
+
+
 def _assert_same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
@@ -122,15 +128,15 @@ def test_vector_jet_operations_match_the_component_formulas(order, n):
     A, B = _components(a), _components(b)
 
     cross = [A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2], A[0] * B[1] - A[1] * B[0]]
-    _assert_same_bits(jcross(a, b).coeffs, jstack(cross).coeffs)
+    _assert_same_bits(jcross(a, b).coeffs, _stacked(cross))
     # operands of two orders are cut to the lower, as in a x a'
     Bd = [c.deriv() for c in B]
     cross = [A[1] * Bd[2] - A[2] * Bd[1], A[2] * Bd[0] - A[0] * Bd[2], A[0] * Bd[1] - A[1] * Bd[0]]
-    _assert_same_bits(jcross(a, b.deriv()).coeffs, jstack(cross).coeffs)
+    _assert_same_bits(jcross(a, b.deriv()).coeffs, _stacked(cross))
     _assert_same_bits(jdot(a, b).coeffs, (A[0] * B[0] + A[1] * B[1] + A[2] * B[2]).coeffs)
-    _assert_same_bits((a / s).coeffs, jstack([c / s for c in A]).coeffs)
-    _assert_same_bits((s * a).coeffs, jstack([s * c for c in A]).coeffs)
-    _assert_same_bits((a * s).coeffs, jstack([c * s for c in A]).coeffs)
+    _assert_same_bits((a / s).coeffs, _stacked([c / s for c in A]))
+    _assert_same_bits((s * a).coeffs, _stacked([s * c for c in A]))
+    _assert_same_bits((a * s).coeffs, _stacked([c * s for c in A]))
     assert [c.coeffs.tolist() for c in a] == [c.coeffs.tolist() for c in A]
 
 
@@ -404,7 +410,7 @@ def test_recurrences_match_scalar_reference():
         (jsqrt(ja), lambda i: _ref_sqrt(a[:, i])),
         (jexp(ja), lambda i: _ref_exp(a[:, i])),
         (jlog(ja), lambda i: _ref_log(a[:, i])),
-        (ja ** 0.37, lambda i: _ref_pow(a[:, i], 0.37)),
+        (jpow(ja, 0.37), lambda i: _ref_pow(a[:, i], 0.37)),
         (jsincos(ja)[0], lambda i: _ref_sincos(a[:, i])[0]),
         (jsincos(ja)[1], lambda i: _ref_sincos(a[:, i])[1]),
     ]
@@ -617,6 +623,8 @@ def _assert_near_the_oracle(values, nodes, t):
 
 @given(_shared_trees(), st.floats(min_value=-2.0, max_value=2.0))
 @settings(max_examples=200, deadline=None)
+@example([ex.Var(), ex.Var(), ex.parse_expression("1/t^(-1)")], 2.2250738585e-313)
+@example([ex.Var(), ex.Var(), ex.parse_expression("exp(-exp(1000*t))")], 1.0)
 def test_point_matches_the_oracle_or_raises_as_the_jet(trees, t):
     """Random shared trees over every step kind: ``point`` at a float
     and on a one-point grid is within ORACLE_TOL of the 50-digit oracle,
@@ -638,6 +646,162 @@ def test_point_matches_the_oracle_or_raises_as_the_jet(trees, t):
             assert np.array_equal(np.ravel(got).view(np.uint64),
                                   curve.jet(t, 0).coeffs[0].view(np.uint64))
             _assert_near_the_oracle(np.ravel(got), nodes, t)
+
+
+# an overflow that a later step would turn into a finite 0, 1/inf or
+# exp(-inf): the examples of the oracle test above
+_HIDDEN_OVERFLOWS = [("1/t^(-1)", 2.2250738585e-313), ("exp(-exp(1000*t))", 1.0)]
+
+
+@pytest.mark.parametrize("text, t", _HIDDEN_OVERFLOWS, ids=[row[0] for row in _HIDDEN_OVERFLOWS])
+def test_order_0_does_not_hide_an_overflow(text, t):
+    """Where a step overflows and a later one would make the inf a finite
+    0, ``point``, the order-0 jet at a float and on a grid, and the
+    order-1 jet all raise the one ``DomainError``: a divisor and an
+    ``exp`` argument or value must be finite."""
+    curve = AnalyticCurve("t", "t", text, (-2.0, 2.0))
+    message = f"non-finite jet coefficients at t={t}"
+    with np.errstate(all="ignore"):
+        for run in (lambda: curve.point(t), lambda: curve.jet(t, 0),
+                    lambda: curve.jet(np.array([-1.0, t]), 0), lambda: curve.jet(t, 1)):
+            with pytest.raises(DomainError) as got:
+                run()
+            assert type(got.value) is DomainError and str(got.value) == message
+
+
+_ARITHMETIC = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y, "mul": lambda x, y: x * y,
+               "div_const": lambda x, y: x / y}
+_FUNCTIONS = {"exp": jexp, "log": jlog, "sqrt": jsqrt}
+
+
+def _one_step_at_a_time(program, t0, order):
+    """The reference for a compiled jet function: the steps of
+    ``expr.program`` run one by one with ``Jet`` arithmetic, each domain
+    check where its step stands, and the outputs' coefficients stacked on
+    axis 1.  A divisor's constant term must be nonzero and then finite;
+    an output's coefficients must be finite."""
+    t = Jet.variable(t0, order)
+    v, outs = [], []
+    for op, a, b in program:
+        if op == "const":
+            v.append(a)
+        elif op == "var":
+            v.append(t)
+        elif op == "lift":
+            v.append(Jet.constant(v[a], t.basepoint, order))
+        elif op == "neg":
+            v.append(-v[a])
+        elif op in _ARITHMETIC:
+            v.append(_ARITHMETIC[op](v[a], v[b]))
+        elif op == "div":
+            divisor = v[b].coeffs[0]
+            if np.any(divisor == 0.0):
+                raise DomainError("division by a function vanishing at the basepoint")
+            jets._require_finite(~np.isfinite(divisor), t0)
+            top = v[a] if isinstance(v[a], Jet) else Jet.constant(v[a], t.basepoint, order)
+            v.append(top / v[b])
+        elif op == "pow":
+            v.append(jpow(v[a], b))
+        elif op in _FUNCTIONS:
+            v.append(_FUNCTIONS[op](v[a]))
+        elif op == "sincos":
+            v.extend(jsincos(v[a]))
+        elif op == "tan":
+            jets._require_no_pole(v[a + 1].coeffs[0], t0)
+            v.append(v[a] / v[a + 1])
+        else:
+            jets._require_finite(~np.isfinite(v[a].coeffs).all(axis=0), t0)
+            outs.append(v[a].coeffs)
+    return np.stack(outs, axis=1)
+
+
+def _assert_batched_is_one_step_at_a_time(program, t0, order):
+    """The compiled jet function of ``program`` about ``t0`` has the
+    uint64 bits of ``_one_step_at_a_time``, C-ordered, or raises its
+    ``DomainError``, class and message; returns that message, or None."""
+    compiled = jets.compile_program(program)
+    # overflow and inf - inf are domain errors here, not warnings
+    with np.errstate(all="ignore"):
+        try:
+            want = _one_step_at_a_time(program, t0, order)
+        except DomainError as e:
+            with pytest.raises(DomainError) as got:
+                jets.program_jets(compiled, t0, order)
+            assert type(got.value) is type(e) and str(got.value) == str(e), (program, t0)
+            return str(e)
+        got = jets.program_jets(compiled, t0, order)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (program, t0, order)
+    return None
+
+
+@given(_shared_trees(), st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1,
+                                 max_size=5))
+@settings(max_examples=150, deadline=None)
+@example([ex.parse_expression("(t + 1)^2 + t*(t - 1)"), ex.Var(), ex.Var()], [0.5, -1.5])
+def test_batched_programs_have_the_bits_of_one_step_at_a_time(trees, ts):
+    """Random shared trees over every step kind, at orders 0-10, about
+    one basepoint and on a grid: the batched jet function has the bits of
+    the steps run one by one, or raises their first ``DomainError``.  A
+    square is a product, so the example runs a square and a product of
+    two other factors in one stacked call."""
+    program = ex.program(trees)
+    for order in range(11):
+        for t0 in (ts[0], np.array(ts)):
+            _assert_batched_is_one_step_at_a_time(program, t0, order)
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_PRESETS))
+def test_preset_programs_have_the_bits_of_one_step_at_a_time(name):
+    """Each sphere preset's program at orders 0-10, about one basepoint
+    and on grids of 2, 26 and 66 points over its domain."""
+    curve = sphere_preset(name)
+    lo, hi = curve.domain
+    for order in range(11):
+        for t0 in (0.6 * lo + 0.4 * hi, *(np.linspace(lo, hi, n) for n in (2, 26, 66))):
+            assert _assert_batched_is_one_step_at_a_time(curve._program, t0, order) is None
+
+
+# One tree each, so that checked steps of one kind stand on both sides of
+# a check of another kind (the outputs' checks part the trees), and the
+# first error the steps run one by one meet, at each of the t values
+_FIRST_ERRORS = [
+    # sqrt, log, sqrt: at 1.5 the second sqrt's error would come first if
+    # it ran with the first one
+    ("sqrt(t - 1) + log(t - 2) + sqrt(t - 3)", (1.5, [2.5, 1.5], 0.5),
+     ("log of non-positive value -0.5", "log of non-positive value -0.5",
+      "sqrt of non-positive value -0.5")),
+    ("log(t - 1) * sqrt(t - 2) * log(t - 3)", (1.5, [3.5, 1.5], 0.5),
+     ("sqrt of non-positive value -0.5", "sqrt of non-positive value -0.5",
+      "log of non-positive value -0.5")),
+    # two divisions by one denominator share one check
+    ("t/(t - 1) + 1/(t - 1) + log(t - 2)", (1.0, [3.0, 1.0], 1.5),
+     ("division by a function", "division by a function", "log of non-positive value -0.5")),
+    # an overflow, a non-integer power and a whole negative power; at -8
+    # the second power's error would come first if it ran with the first
+    ("(2 - t)^0.5 + exp(-100*t) + (3 + t)^0.5", (-8.0, 2.5, [-2.0, -3.5]),
+     ("non-finite jet coefficients at t=-8.0", "non-integer power of non-positive value -0.5",
+      "non-integer power of non-positive value -0.5")),
+    ("exp(100*t) + (t - 2)^0.5 + (t - 3)^-1", (8.0, 1.5, [4.0, 3.0]),
+     ("non-finite jet coefficients at t=8.0", "non-integer power of non-positive value -0.5",
+      "division by a function")),
+    ("tan(t) + sqrt(t - 2) + tan(2*t)", (math.pi / 2, 1.0, [2.5, 3 * math.pi / 4]),
+     ("tan pole near t=1.57", "sqrt of non-positive value -1.0", "tan pole near t=2.35")),
+]
+
+
+@pytest.mark.parametrize("text, ts, messages", _FIRST_ERRORS,
+                         ids=[row[0] for row in _FIRST_ERRORS])
+def test_batched_programs_raise_the_first_domain_error(text, ts, messages):
+    """At every order and each t value or grid, the batched jet function
+    raises the first ``DomainError`` of the steps run one by one, which
+    is the one named."""
+    program = ex.program([ex.Var(), ex.parse_expression(text), ex.Var()])
+    for t0, start in zip(ts, messages):
+        for order in range(11):
+            t0 = np.array(t0) if isinstance(t0, list) else t0
+            message = _assert_batched_is_one_step_at_a_time(program, t0, order)
+            assert message is not None and message.startswith(start), (t0, order, message)
 
 
 def _assert_point_is_the_jet_constant(curve, t):

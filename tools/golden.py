@@ -20,7 +20,13 @@ with their metadata removed, so loaded as samples; the mate beside its
 own mate; and the base without metadata beside the exact mate file.
 Pair commands use a grid of min(n, 128) points.  Then the error paths
 of ``tests/test_degenerate.py``: the helical, planar, fast-curve and
-crossing-seed chains.
+crossing-seed chains.  Last, analytic curve files: three whose programs
+take tan, exp, log, sqrt, a real and a negative power, a division by a
+function of t and a lifted constant, each through ``frenet --grid 64
+--csv`` and a one-file ``classify``; and one ``frenet --at`` of a file
+for each domain error of a jet (log of a negative value, a tan pole, a
+zero divisor, an overflow, and an overflow that a division would hide),
+so that every exit-3 message is compared byte for byte.
 
 ``--diff`` prints the id of every command whose record differs, or that
 one record lacks, with the fields that differ, and exits 1 if any does.
@@ -162,6 +168,41 @@ def _error_paths(rec):
         rec.run(f"errors/{key}", argv)
 
 
+# (x, y, z, domain) of each analytic curve file
+ANALYTIC = {
+    "tan-exp-log.json": ("tan(t)", "exp(0.3*t)", "log(2 + t)", (-1.0, 1.0)),
+    "powers.json": ("sqrt(1 + t^2)", "(1 + t)^1.5", "(2 + t)^-2", (0.0, 1.0)),
+    "quotients.json": ("t/(1 + t^2)", "cos(t)/(2 - sin(t))", "exp(0.5)*t + 2^0.5",
+                       (-1.0, 1.0)),
+}
+# each domain error's file and the t at which ``frenet --at`` meets it
+DOMAIN_ERRORS = {
+    "log-of-negative.json": (("t", "log(t)", "t^2", (-1.0, 1.0)), "-0.5"),
+    "tan-pole.json": (("t", "tan(t)", "t^2", (0.0, 2.0)), "1.5707963267948966"),
+    "zero-divisor.json": (("t", "1/(t - 0.5)", "t^2", (0.0, 1.0)), "0.5"),
+    "overflow.json": (("t", "exp(1000*t)", "t^2", (0.0, 2.0)), "1"),
+    "hidden-overflow.json": (("t", "log(1/t^(-1))", "t^2", (-1.0, 1.0)), "2.2250738585e-313"),
+}
+
+
+def _analytic_paths(rec):
+    """The files of ``ANALYTIC`` through ``frenet`` and ``classify``, and
+    ``frenet --at`` of each file of ``DOMAIN_ERRORS``."""
+    from bertrand_kit.curves import AnalyticCurve
+    from bertrand_kit.io import save_curve
+
+    files = {**ANALYTIC, **{name: curve for name, (curve, _) in DOMAIN_ERRORS.items()}}
+    for name, (x, y, z, domain) in files.items():
+        save_curve(AnalyticCurve(x, y, z, domain, label=name[:-5]), name)
+    rec.setup("analytic/setup", list(files))
+    for name in ANALYTIC:
+        rec.run(f"analytic/{name[:-5]}/frenet",
+                ["frenet", name, "--grid", "64", "--csv", f"{name[:-5]}.csv"])
+        rec.run(f"analytic/{name[:-5]}/classify", ["classify", name])
+    for name, (_, t) in DOMAIN_ERRORS.items():
+        rec.run(f"analytic/{name[:-5]}/frenet-at", ["frenet", name, "--at", t])
+
+
 def _import_package(src: Path):
     """The package's ``cli`` and numpy, the package imported from ``src``."""
     sys.path.insert(0, str(src))
@@ -190,6 +231,10 @@ def record(src: Path) -> dict:
         with tempfile.TemporaryDirectory() as d:
             os.chdir(d)
             _error_paths(rec)
+            os.chdir(home)
+        with tempfile.TemporaryDirectory() as d:
+            os.chdir(d)
+            _analytic_paths(rec)
             os.chdir(home)
     finally:
         os.chdir(home)
